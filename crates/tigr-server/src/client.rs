@@ -5,15 +5,15 @@
 //! order. For concurrent load, open one client per thread — that is
 //! what the `ablation_serve` benchmark and the integration tests do.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::protocol::{
-    decode_response, encode_request, CompactResult, MutateResult, MutationOp, ProtocolError,
-    QueryRequest, QueryResult, Request, Response,
+    decode_response, write_request, CompactResult, ErrorCode, MutateResult, MutationOp,
+    ProtocolError, QueryRequest, QueryResult, Request, Response,
 };
 use crate::server::ServerCore;
 use crate::stats::StatsSnapshot;
@@ -54,14 +54,55 @@ impl From<ProtocolError> for ClientError {
 
 enum Transport {
     Local(Arc<ServerCore>),
-    Tcp {
-        reader: BufReader<TcpStream>,
-        writer: TcpStream,
-    },
-    Unix {
-        reader: BufReader<UnixStream>,
-        writer: UnixStream,
-    },
+    Tcp(Wire<TcpStream>),
+    Unix(Wire<UnixStream>),
+}
+
+/// One socket connection and its two line buffers, reused from request
+/// to request.
+struct Wire<S> {
+    reader: BufReader<S>,
+    writer: S,
+    line: Vec<u8>,
+    reply: String,
+}
+
+impl<S: Read + Write> Wire<S> {
+    fn new(reader: S, writer: S) -> Self {
+        Wire {
+            reader: BufReader::new(reader),
+            writer,
+            line: Vec::new(),
+            reply: String::new(),
+        }
+    }
+
+    /// Sends the request as one buffer in one write (line and newline
+    /// together, so the kernel never holds a trailing fragment back for
+    /// an ACK) and reads one reply line.
+    fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.line.clear();
+        write_request(&mut self.line, request);
+        self.line.push(b'\n');
+        self.writer.write_all(&self.line)?;
+        self.writer.flush()?;
+        self.reply.clear();
+        if self.reader.read_line(&mut self.reply)? == 0 {
+            return Err(ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )));
+        }
+        Ok(decode_response(&self.reply)?)
+    }
+}
+
+/// A reply of the wrong kind for the request that was sent.
+fn unexpected(other: Response) -> ClientError {
+    ClientError::Protocol(ProtocolError::new(
+        ErrorCode::BadRequest,
+        format!("unexpected response {other:?}"),
+    ))
 }
 
 /// A protocol client over any supported transport.
@@ -73,8 +114,8 @@ impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self.transport {
             Transport::Local(_) => "local",
-            Transport::Tcp { .. } => "tcp",
-            Transport::Unix { .. } => "unix",
+            Transport::Tcp(_) => "tcp",
+            Transport::Unix(_) => "unix",
         };
         f.debug_struct("Client").field("transport", &kind).finish()
     }
@@ -98,9 +139,8 @@ impl Client {
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
         writer.set_nodelay(true)?;
-        let reader = BufReader::new(writer.try_clone()?);
         Ok(Client {
-            transport: Transport::Tcp { reader, writer },
+            transport: Transport::Tcp(Wire::new(writer.try_clone()?, writer)),
         })
     }
 
@@ -111,9 +151,8 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect_unix(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let writer = UnixStream::connect(path)?;
-        let reader = BufReader::new(writer.try_clone()?);
         Ok(Client {
-            transport: Transport::Unix { reader, writer },
+            transport: Transport::Unix(Wire::new(writer.try_clone()?, writer)),
         })
     }
 
@@ -127,28 +166,9 @@ impl Client {
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         match &mut self.transport {
             Transport::Local(core) => Ok(core.submit(request.clone())),
-            Transport::Tcp { reader, writer } => Self::roundtrip(request, reader, writer),
-            Transport::Unix { reader, writer } => Self::roundtrip(request, reader, writer),
+            Transport::Tcp(wire) => wire.roundtrip(request),
+            Transport::Unix(wire) => wire.roundtrip(request),
         }
-    }
-
-    fn roundtrip(
-        request: &Request,
-        reader: &mut impl BufRead,
-        writer: &mut impl Write,
-    ) -> Result<Response, ClientError> {
-        let line = encode_request(request);
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut reply = String::new();
-        if reader.read_line(&mut reply)? == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
-        }
-        Ok(decode_response(&reply)?)
     }
 
     /// Runs one query, folding typed rejections into the error.
@@ -161,10 +181,7 @@ impl Client {
         match self.request(&Request::Query(query))? {
             Response::Query(result) => Ok(result),
             Response::Error(error) => Err(ClientError::Protocol(error)),
-            other => Err(ClientError::Protocol(ProtocolError::new(
-                crate::protocol::ErrorCode::BadRequest,
-                format!("unexpected response {other:?}"),
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -186,10 +203,7 @@ impl Client {
         })? {
             Response::Mutate(result) => Ok(result),
             Response::Error(error) => Err(ClientError::Protocol(error)),
-            other => Err(ClientError::Protocol(ProtocolError::new(
-                crate::protocol::ErrorCode::BadRequest,
-                format!("unexpected response {other:?}"),
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -204,10 +218,7 @@ impl Client {
         })? {
             Response::Compact(result) => Ok(result),
             Response::Error(error) => Err(ClientError::Protocol(error)),
-            other => Err(ClientError::Protocol(ProtocolError::new(
-                crate::protocol::ErrorCode::BadRequest,
-                format!("unexpected response {other:?}"),
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -220,10 +231,7 @@ impl Client {
         match self.request(&Request::Stats)? {
             Response::Stats(snapshot) => Ok(*snapshot),
             Response::Error(error) => Err(ClientError::Protocol(error)),
-            other => Err(ClientError::Protocol(ProtocolError::new(
-                crate::protocol::ErrorCode::BadRequest,
-                format!("unexpected response {other:?}"),
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -236,10 +244,7 @@ impl Client {
         match self.request(&Request::Ping)? {
             Response::Pong => Ok(()),
             Response::Error(error) => Err(ClientError::Protocol(error)),
-            other => Err(ClientError::Protocol(ProtocolError::new(
-                crate::protocol::ErrorCode::BadRequest,
-                format!("unexpected response {other:?}"),
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 }

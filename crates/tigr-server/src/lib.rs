@@ -68,7 +68,7 @@ pub use client::{Client, ClientError};
 pub use protocol::{
     checksum, decode_request, decode_response, encode_request, encode_response, Algo,
     CompactResult, ErrorCode, MutateResult, MutationOp, ProtocolError, QueryRequest, QueryResult,
-    Request, Response,
+    Request, Response, MAX_REQUEST_LINE,
 };
 pub use queue::{Bounded, PushError};
 pub use server::{Server, ServerAddr, ServerConfig, ServerCore};

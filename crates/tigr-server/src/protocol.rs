@@ -53,11 +53,44 @@
 //! (`f32::to_bits`), so results compare byte-for-byte with a local run —
 //! no float formatting drift. Bounded-path (`paths`) responses carry
 //! `2n` values: distances followed by predecessors.
+//!
+//! # Framing and cost
+//!
+//! A message is its JSON line and the `'\n'` in **one buffer, sent with
+//! one write**, in both directions, and both ends of a TCP connection
+//! set `TCP_NODELAY`: a reply split over two small writes on a socket
+//! with Nagle on waits ~40 ms for the peer's delayed ACK, every time.
+//! Each connection (and each [`crate::Client`]) reuses its line buffers
+//! from message to message. A request line may be at most
+//! [`MAX_REQUEST_LINE`] bytes; the server enforces that while reading,
+//! answers `bad-request` and closes the connection.
+//!
+//! The format of a line is defined by [`crate::json::Json`]'s `Display`
+//! (keys in byte order, integral numbers without a fraction), but no
+//! message is built as a tree on its way out: one encoder writes each
+//! member straight into the output buffer, in that same key order, and
+//! the tests hold it byte-equal to the tree's output. On the way in a
+//! line is parsed into a tree — except the two members that can be
+//! large and whose element type the grammar fixes: a reply's `values`
+//! is read straight into a `Vec<u32>`, and a mutate request's `ops`
+//! into `Vec<MutationOp>`, one op at a time. The schema picks the typed
+//! reader, not an option; anything off the grammar inside those members
+//! (a fraction, a string, an out-of-range entry) is still consumed by
+//! the one JSON grammar and rejected exactly as the tree walk rejected
+//! it. Parsing is linear in the line and nesting is limited to
+//! [`crate::json::MAX_DEPTH`]; see [`crate::json`].
 
 use std::fmt;
+use std::io::Write as _;
 
-use crate::json::{obj, parse, Json};
+use crate::json::{parse_except, push_escaped, push_u64, Json, ParseError, Reader};
 use crate::stats::StatsSnapshot;
+
+/// Longest request line a connection accepts, in bytes without the
+/// newline; enforced while the line is read. Nothing bounds a `mutate`
+/// batch but this: an op is at most 67 bytes on the wire, so 16 MiB
+/// holds a batch of 250 000 ops — `tigr ingest` sends 1 024 by default.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// The shared algorithm table: the CLI, the server, and this protocol
 /// all dispatch through [`tigr_engine::Algo`], so a verb is registered
@@ -317,39 +350,186 @@ pub fn checksum(values: &[u32]) -> u64 {
     hash
 }
 
-fn encode_op(op: &MutationOp) -> Json {
-    match *op {
-        MutationOp::AddEdge { u, v, w } => obj([
-            ("kind", "add-edge".into()),
-            ("u", u.into()),
-            ("v", v.into()),
-            ("w", w.into()),
-        ]),
-        MutationOp::RemoveEdge { u, v } => obj([
-            ("kind", "remove-edge".into()),
-            ("u", u.into()),
-            ("v", v.into()),
-        ]),
-        MutationOp::AddNode { nodes } => {
-            obj([("kind", "add-node".into()), ("nodes", nodes.into())])
-        }
-        MutationOp::SetWeight { u, v, w } => obj([
-            ("kind", "set-weight".into()),
-            ("u", u.into()),
-            ("v", v.into()),
-            ("w", w.into()),
-        ]),
+/// Writes one JSON object member by member, in call order. Callers
+/// emit keys in byte order — the order `Json::Obj`'s `BTreeMap` prints
+/// them in, which is the wire format — and keys are plain ASCII.
+struct ObjectWriter<'a> {
+    out: &'a mut Vec<u8>,
+    sep: u8,
+}
+
+impl<'a> ObjectWriter<'a> {
+    fn new(out: &'a mut Vec<u8>) -> Self {
+        ObjectWriter { out, sep: b'{' }
+    }
+
+    /// Writes `"key":` and returns the buffer for the value.
+    fn key(&mut self, key: &str) -> &mut Vec<u8> {
+        self.out.push(self.sep);
+        self.sep = b',';
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
+        self.out
+    }
+
+    fn str(&mut self, key: &str, value: &str) {
+        push_escaped(self.key(key), value);
+    }
+
+    fn num(&mut self, key: &str, value: u64) {
+        push_u64(self.key(key), value);
+    }
+
+    fn bool(&mut self, key: &str, value: bool) {
+        self.key(key)
+            .extend_from_slice(if value { b"true" } else { b"false" });
+    }
+
+    fn end(self) {
+        self.out.push(b'}');
     }
 }
 
-fn decode_op(v: &Json) -> Result<MutationOp, ProtocolError> {
+fn write_op(out: &mut Vec<u8>, op: &MutationOp) {
+    let mut o = ObjectWriter::new(out);
+    match *op {
+        MutationOp::AddEdge { u, v, w } => {
+            o.str("kind", "add-edge");
+            o.num("u", u.into());
+            o.num("v", v.into());
+            o.num("w", w.into());
+        }
+        MutationOp::RemoveEdge { u, v } => {
+            o.str("kind", "remove-edge");
+            o.num("u", u.into());
+            o.num("v", v.into());
+        }
+        MutationOp::AddNode { nodes } => {
+            o.str("kind", "add-node");
+            o.num("nodes", nodes.into());
+        }
+        MutationOp::SetWeight { u, v, w } => {
+            o.str("kind", "set-weight");
+            o.num("u", u.into());
+            o.num("v", v.into());
+            o.num("w", w.into());
+        }
+    }
+    o.end();
+}
+
+/// Appends the elements of a JSON array, comma-separated and bracketed.
+fn write_array<T>(out: &mut Vec<u8>, items: &[T], mut element: impl FnMut(&mut Vec<u8>, &T)) {
+    out.push(b'[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        element(out, item);
+    }
+    out.push(b']');
+}
+
+/// Encodes a request as one JSON line (no trailing newline).
+pub fn encode_request(req: &Request) -> String {
+    let mut line = Vec::new();
+    write_request(&mut line, req);
+    String::from_utf8(line).expect("the encoder writes UTF-8")
+}
+
+/// Appends the line [`encode_request`] returns to `out` — the wire path
+/// reuses one buffer per connection and adds the newline itself.
+pub(crate) fn write_request(out: &mut Vec<u8>, req: &Request) {
+    let mut o = ObjectWriter::new(out);
+    match req {
+        Request::Ping => o.str("op", "ping"),
+        Request::Stats => o.str("op", "stats"),
+        Request::Mutate { graph, ops } => {
+            o.str("graph", graph);
+            o.str("op", "mutate");
+            write_array(o.key("ops"), ops, write_op);
+        }
+        Request::Compact { graph } => {
+            o.str("graph", graph);
+            o.str("op", "compact");
+        }
+        Request::Query(q) => {
+            o.str("algo", q.algo.label());
+            if !q.cache {
+                o.bool("cache", false);
+            }
+            if let Some(d) = q.deadline_ms {
+                o.num("deadline_ms", d);
+            }
+            o.str("graph", &q.graph);
+            if let Some(l) = q.limit {
+                o.num("limit", l.into());
+            }
+            o.str("op", "query");
+            if let Some(s) = q.source {
+                o.num("source", s.into());
+            }
+            if q.include_values {
+                o.bool("values", true);
+            }
+        }
+    }
+    o.end();
+}
+
+/// `n` as a `u32` if it is integral and in range — the rule for every
+/// `<u32>` of the grammar, whether it arrives in a tree or is read
+/// straight off the line.
+fn f64_as_u32(n: f64) -> Option<u32> {
+    // `as` saturates and truncates, so only an in-range integral `n`
+    // survives the round trip.
+    let v = n as u32;
+    (f64::from(v) == n).then_some(v)
+}
+
+fn as_u32(v: &Json) -> Option<u32> {
+    v.as_f64().and_then(f64_as_u32)
+}
+
+/// The members of one mutation op that the grammar names, each holding
+/// its last occurrence on the line; anything else in the op is parsed
+/// and dropped.
+#[derive(Default)]
+struct OpFields([Option<Json>; 5]);
+
+impl OpFields {
+    fn slot(name: &str) -> Option<usize> {
+        ["kind", "u", "v", "w", "nodes"]
+            .iter()
+            .position(|&k| k == name)
+    }
+
+    fn get(&self, name: &str) -> Option<&Json> {
+        self.0[Self::slot(name)?].as_ref()
+    }
+
+    /// Reads one element of `ops`. A non-object has no members, so it
+    /// decodes (and fails) like `{}`.
+    fn read(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        let mut fields = OpFields::default();
+        r.object(|r, key| {
+            let value = r.value()?;
+            if let Some(at) = Self::slot(&key) {
+                fields.0[at] = Some(value);
+            }
+            Ok(())
+        })?;
+        Ok(fields)
+    }
+}
+
+fn decode_op(v: &OpFields) -> Result<MutationOp, ProtocolError> {
     let bad = |m: String| ProtocolError::new(ErrorCode::BadRequest, m);
     let field = |name: &str| -> Result<u32, ProtocolError> {
         v.get(name)
-            .and_then(Json::as_u64)
-            .filter(|&n| n <= u64::from(u32::MAX))
+            .and_then(as_u32)
             .ok_or_else(|| bad(format!("mutation op needs u32 \"{name}\"")))
-            .map(|n| n as u32)
     };
     let kind = v
         .get("kind")
@@ -382,44 +562,48 @@ fn decode_op(v: &Json) -> Result<MutationOp, ProtocolError> {
     }
 }
 
-/// Encodes a request as one JSON line (no trailing newline).
-pub fn encode_request(req: &Request) -> String {
-    match req {
-        Request::Ping => obj([("op", "ping".into())]).to_string(),
-        Request::Stats => obj([("op", "stats".into())]).to_string(),
-        Request::Mutate { graph, ops } => obj([
-            ("op", "mutate".into()),
-            ("graph", graph.as_str().into()),
-            ("ops", Json::Arr(ops.iter().map(encode_op).collect())),
-        ])
-        .to_string(),
-        Request::Compact { graph } => {
-            obj([("op", "compact".into()), ("graph", graph.as_str().into())]).to_string()
+/// What [`read_ops`] makes of an `ops` member: `None` if it is not an
+/// array, else the decoded batch or its first op error — kept as a
+/// value because only a `mutate` request looks at it.
+type OpsMember = Option<Result<Vec<MutationOp>, ProtocolError>>;
+
+/// Reads the `ops` member of a request straight off the line: each op
+/// is decoded and dropped as it is read, so a 512-op batch never exists
+/// as a tree.
+fn read_ops(r: &mut Reader<'_>) -> Result<OpsMember, ParseError> {
+    let mut ops = Ok(Vec::new());
+    let is_array = r.array(|r| {
+        let fields = OpFields::read(r)?;
+        if let Ok(list) = &mut ops {
+            match decode_op(&fields) {
+                Ok(op) => list.push(op),
+                Err(e) => ops = Err(e),
+            }
         }
-        Request::Query(q) => {
-            let mut pairs = vec![
-                ("op".to_owned(), Json::from("query")),
-                ("graph".to_owned(), Json::from(q.graph.as_str())),
-                ("algo".to_owned(), Json::from(q.algo.label())),
-            ];
-            if let Some(s) = q.source {
-                pairs.push(("source".to_owned(), s.into()));
-            }
-            if let Some(l) = q.limit {
-                pairs.push(("limit".to_owned(), l.into()));
-            }
-            if let Some(d) = q.deadline_ms {
-                pairs.push(("deadline_ms".to_owned(), d.into()));
-            }
-            if !q.cache {
-                pairs.push(("cache".to_owned(), false.into()));
-            }
-            if q.include_values {
-                pairs.push(("values".to_owned(), true.into()));
-            }
-            Json::Obj(pairs.into_iter().collect()).to_string()
+        Ok(())
+    })?;
+    Ok(is_array.then_some(ops))
+}
+
+/// Reads the `values` member of a reply — `[<u32>...]` by the grammar —
+/// straight into a `Vec<u32>`. `None` if the member is not an array of
+/// in-range integral numbers (it is still consumed, so a syntax error
+/// behind it is still reported).
+fn read_values(r: &mut Reader<'_>) -> Result<Option<Vec<u32>>, ParseError> {
+    let mut values = Vec::new();
+    let mut typed = true;
+    let is_array = r.array(|r| {
+        let entry = match r.try_number()? {
+            Some(n) => f64_as_u32(n),
+            None => r.value().map(|_| None)?,
+        };
+        match entry {
+            Some(v) => values.push(v),
+            None => typed = false,
         }
-    }
+        Ok(())
+    })?;
+    Ok((is_array && typed).then_some(values))
 }
 
 /// Decodes one request line. Malformed input comes back as a
@@ -427,7 +611,8 @@ pub fn encode_request(req: &Request) -> String {
 /// client verbatim.
 pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
     let bad = |m: &str| ProtocolError::new(ErrorCode::BadRequest, m);
-    let v = parse(line.trim()).map_err(|e| bad(&format!("malformed JSON: {e}")))?;
+    let (v, ops) = parse_except(line.trim(), "ops", read_ops)
+        .map_err(|e| bad(&format!("malformed JSON: {e}")))?;
     let op = v
         .get("op")
         .and_then(Json::as_str)
@@ -441,14 +626,12 @@ pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad("mutate requires \"graph\""))?
                 .to_owned();
-            let items = v
-                .get("ops")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("mutate requires an \"ops\" array"))?;
-            if items.is_empty() {
+            let ops = ops
+                .flatten()
+                .ok_or_else(|| bad("mutate requires an \"ops\" array"))??;
+            if ops.is_empty() {
                 return Err(bad("mutate requires at least one op"));
             }
-            let ops = items.iter().map(decode_op).collect::<Result<_, _>>()?;
             Ok(Request::Mutate { graph, ops })
         }
         "compact" => {
@@ -480,11 +663,7 @@ pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
             })?;
             let source = match v.get("source") {
                 None | Some(Json::Null) => None,
-                Some(s) => Some(
-                    s.as_u64()
-                        .filter(|&n| n <= u64::from(u32::MAX))
-                        .ok_or_else(|| bad("\"source\" must be a u32"))? as u32,
-                ),
+                Some(s) => Some(as_u32(s).ok_or_else(|| bad("\"source\" must be a u32"))?),
             };
             if algo.needs_source() && source.is_none() {
                 return Err(bad(&format!("{} requires \"source\"", algo.label())));
@@ -494,11 +673,7 @@ pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
             }
             let limit = match v.get("limit") {
                 None | Some(Json::Null) => None,
-                Some(l) => Some(
-                    l.as_u64()
-                        .filter(|&n| n <= u64::from(u32::MAX))
-                        .ok_or_else(|| bad("\"limit\" must be a u32"))? as u32,
-                ),
+                Some(l) => Some(as_u32(l).ok_or_else(|| bad("\"limit\" must be a u32"))?),
             };
             if algo.needs_limit() && limit.is_none() {
                 return Err(bad(&format!(
@@ -543,70 +718,79 @@ pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
 
 /// Encodes a response as one JSON line (no trailing newline).
 pub fn encode_response(resp: &Response) -> String {
+    let mut line = Vec::new();
+    write_response(&mut line, resp);
+    String::from_utf8(line).expect("the encoder writes UTF-8")
+}
+
+/// Appends the line [`encode_response`] returns to `out` — the wire
+/// path reuses one buffer per connection and adds the newline itself.
+pub(crate) fn write_response(out: &mut Vec<u8>, resp: &Response) {
+    let mut o = ObjectWriter::new(out);
     match resp {
-        Response::Pong => obj([("ok", true.into()), ("pong", true.into())]).to_string(),
-        Response::Stats(s) => obj([("ok", true.into()), ("stats", s.to_json())]).to_string(),
-        Response::Mutate(m) => obj([
-            ("ok", true.into()),
-            ("mutated", true.into()),
-            ("graph", m.graph.as_str().into()),
-            ("applied", m.applied.into()),
-            ("skipped", m.skipped.into()),
-            ("wal_len", m.wal_len.into()),
-            ("epoch", m.epoch.into()),
-        ])
-        .to_string(),
-        Response::Compact(c) => obj([
-            ("ok", true.into()),
-            ("compacted", true.into()),
-            ("graph", c.graph.as_str().into()),
-            ("wall_ms", c.wall_ms.into()),
-            ("delta_edges_before", c.delta_edges_before.into()),
-            ("delta_edges_after", c.delta_edges_after.into()),
-            ("epoch", c.epoch.into()),
-        ])
-        .to_string(),
-        Response::Error(e) => obj([
-            ("ok", false.into()),
-            (
-                "error",
-                obj([
-                    ("code", e.code.label().into()),
-                    ("message", e.message.as_str().into()),
-                ]),
-            ),
-        ])
-        .to_string(),
+        Response::Pong => {
+            o.bool("ok", true);
+            o.bool("pong", true);
+        }
+        Response::Stats(s) => {
+            o.bool("ok", true);
+            // The one payload still encoded through the tree: small,
+            // nested, and `StatsSnapshot::to_json` is public API.
+            o.key("stats")
+                .extend_from_slice(s.to_json().to_string().as_bytes());
+        }
+        Response::Mutate(m) => {
+            o.num("applied", m.applied);
+            o.num("epoch", m.epoch);
+            o.str("graph", &m.graph);
+            o.bool("mutated", true);
+            o.bool("ok", true);
+            o.num("skipped", m.skipped);
+            o.num("wal_len", m.wal_len);
+        }
+        Response::Compact(c) => {
+            o.bool("compacted", true);
+            o.num("delta_edges_after", c.delta_edges_after);
+            o.num("delta_edges_before", c.delta_edges_before);
+            o.num("epoch", c.epoch);
+            o.str("graph", &c.graph);
+            o.bool("ok", true);
+            o.num("wall_ms", c.wall_ms);
+        }
+        Response::Error(e) => {
+            let mut error = ObjectWriter::new(o.key("error"));
+            error.str("code", e.code.label());
+            error.str("message", &e.message);
+            error.end();
+            o.bool("ok", false);
+        }
         Response::Query(q) => {
-            let mut pairs = vec![
-                ("ok".to_owned(), Json::from(true)),
-                ("algo".to_owned(), Json::from(q.algo.label())),
-                ("graph".to_owned(), Json::from(q.graph.as_str())),
-                ("source".to_owned(), q.source.map_or(Json::Null, Json::from)),
-                ("nodes".to_owned(), Json::from(q.nodes)),
-                ("iterations".to_owned(), Json::from(q.iterations)),
-                (
-                    "checksum".to_owned(),
-                    Json::from(format!("{:016x}", q.checksum)),
-                ),
-                ("cached".to_owned(), Json::from(q.cached)),
-                ("wall_us".to_owned(), Json::from(q.wall_us)),
-            ];
-            if let Some(values) = &q.values {
-                pairs.push((
-                    "values".to_owned(),
-                    Json::Arr(values.iter().map(|&v| Json::from(v)).collect()),
-                ));
+            o.str("algo", q.algo.label());
+            o.bool("cached", q.cached);
+            write!(o.key("checksum"), "\"{:016x}\"", q.checksum)
+                .expect("writing to a Vec cannot fail");
+            o.str("graph", &q.graph);
+            o.num("iterations", q.iterations);
+            o.num("nodes", q.nodes);
+            o.bool("ok", true);
+            match q.source {
+                Some(s) => o.num("source", s.into()),
+                None => o.key("source").extend_from_slice(b"null"),
             }
-            Json::Obj(pairs.into_iter().collect()).to_string()
+            if let Some(values) = &q.values {
+                write_array(o.key("values"), values, |out, &v| push_u64(out, v.into()));
+            }
+            o.num("wall_us", q.wall_us);
         }
     }
+    o.end();
 }
 
 /// Decodes one response line (the client side of the wire).
 pub fn decode_response(line: &str) -> Result<Response, ProtocolError> {
     let bad = |m: &str| ProtocolError::new(ErrorCode::BadRequest, m);
-    let v = parse(line.trim()).map_err(|e| bad(&format!("malformed response: {e}")))?;
+    let (v, values) = parse_except(line.trim(), "values", read_values)
+        .map_err(|e| bad(&format!("malformed response: {e}")))?;
     let ok = v
         .get("ok")
         .and_then(Json::as_bool)
@@ -675,27 +859,16 @@ pub fn decode_response(line: &str) -> Result<Response, ProtocolError> {
         .to_owned();
     let source = match v.get("source") {
         None | Some(Json::Null) => None,
-        Some(s) => Some(s.as_u64().ok_or_else(|| bad("bad \"source\""))? as u32),
+        Some(s) => Some(as_u32(s).ok_or_else(|| bad("bad \"source\""))?),
     };
     let checksum_hex = v
         .get("checksum")
         .and_then(Json::as_str)
         .ok_or_else(|| bad("missing \"checksum\""))?;
     let checksum = u64::from_str_radix(checksum_hex, 16).map_err(|_| bad("bad \"checksum\""))?;
-    let values = match v.get("values") {
+    let values = match values {
         None => None,
-        Some(arr) => {
-            let items = arr.as_arr().ok_or_else(|| bad("bad \"values\""))?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(
-                    item.as_u64()
-                        .filter(|&n| n <= u64::from(u32::MAX))
-                        .ok_or_else(|| bad("bad value entry"))? as u32,
-                );
-            }
-            Some(out)
-        }
+        Some(read) => Some(read.ok_or_else(|| bad("bad \"values\""))?),
     };
     Ok(Response::Query(QueryResult {
         algo,

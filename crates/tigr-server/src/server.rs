@@ -28,10 +28,13 @@
 //! The socket front-ends ([`Server::bind_tcp`] / [`Server::bind_unix`])
 //! speak the line-delimited JSON protocol of [`crate::protocol`]; each
 //! connection gets a reader thread, and requests on one connection are
-//! answered in order.
+//! answered in order. One accept loop serves both transports; a reply
+//! is one buffer and one write, TCP connections run with `TCP_NODELAY`,
+//! and request lines are length-limited while they are read (see
+//! "Framing and cost" in [`crate::protocol`]).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,8 +55,8 @@ use tigr_graph::NodeId;
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::protocol::{
-    checksum, decode_request, encode_response, Algo, CompactResult, ErrorCode, MutateResult,
-    QueryRequest, QueryResult, Request, Response,
+    checksum, decode_request, write_response, Algo, CompactResult, ErrorCode, MutateResult,
+    QueryRequest, QueryResult, Request, Response, MAX_REQUEST_LINE,
 };
 use crate::queue::{Bounded, PushError};
 use crate::stats::{GraphOpenStat, MutationGauges, StatsRecorder};
@@ -1115,20 +1118,14 @@ impl Server {
     pub fn bind_tcp(core: Arc<ServerCore>, addr: impl ToSocketAddrs) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("tigr-serve-accept".into())
-                .spawn(move || accept_loop_tcp(&core, &listener, &stop))?
-        };
-        Ok(Server {
-            core,
-            stop,
-            accept: Some(accept),
-            addr: ServerAddr::Tcp(local),
+        let addr = ServerAddr::Tcp(listener.local_addr()?);
+        Server::start(core, addr, move || {
+            let (stream, _) = listener.accept()?;
+            // Replies are one write each, and with Nagle off none of
+            // them waits for the client's delayed ACK.
+            stream.set_nodelay(true)?;
+            stream.set_nonblocking(false)?;
+            Ok(stream)
         })
     }
 
@@ -1143,19 +1140,52 @@ impl Server {
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
         listener.set_nonblocking(true)?;
+        Server::start(core, ServerAddr::Unix(path), move || {
+            let (stream, _) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            Ok(stream)
+        })
+    }
+
+    /// Spawns the one accept loop: polls `accept` until stopped and
+    /// serves each connection on a thread of its own. `accept` takes one
+    /// connection off a non-blocking listener and returns it in blocking
+    /// mode (accepted sockets inherit the listener's flag on some
+    /// platforms) with its transport's options set.
+    fn start<S>(
+        core: Arc<ServerCore>,
+        addr: ServerAddr,
+        accept: impl Fn() -> std::io::Result<S> + Send + 'static,
+    ) -> std::io::Result<Server>
+    where
+        S: Send + 'static,
+        for<'a> &'a S: Read + Write,
+    {
         let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("tigr-serve-accept".into())
-                .spawn(move || accept_loop_unix(&core, &listener, &stop))?
+        let (loop_core, loop_stop) = (Arc::clone(&core), Arc::clone(&stop));
+        let accept_loop = move || {
+            while !loop_stop.load(Ordering::SeqCst) {
+                match accept() {
+                    Ok(stream) => {
+                        let core = Arc::clone(&loop_core);
+                        let _ = std::thread::Builder::new()
+                            .name("tigr-serve-conn".into())
+                            .spawn(move || serve_connection(&core, &stream, &stream));
+                    }
+                    // `WouldBlock` (nothing pending) and transient
+                    // failures alike: wait one poll interval, retry.
+                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                }
+            }
         };
+        let handle = std::thread::Builder::new()
+            .name("tigr-serve-accept".into())
+            .spawn(accept_loop)?;
         Ok(Server {
             core,
             stop,
-            accept: Some(accept),
-            addr: ServerAddr::Unix(path),
+            accept: Some(handle),
+            addr,
         })
     }
 
@@ -1196,80 +1226,47 @@ impl Drop for Server {
 
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-fn accept_loop_tcp(core: &Arc<ServerCore>, listener: &TcpListener, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let core = Arc::clone(core);
-                let _ = std::thread::Builder::new()
-                    .name("tigr-serve-conn".into())
-                    .spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        serve_connection(&core, reader, stream);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn accept_loop_unix(core: &Arc<ServerCore>, listener: &UnixListener, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let core = Arc::clone(core);
-                let _ = std::thread::Builder::new()
-                    .name("tigr-serve-conn".into())
-                    .spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        serve_connection(&core, reader, stream);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
 /// Reads request lines and writes response lines until EOF. Requests on
 /// one connection are answered in order; concurrency comes from many
-/// connections.
-fn serve_connection(core: &Arc<ServerCore>, reader: impl std::io::Read, mut writer: impl Write) {
-    // Accepted connections inherit the listener's non-blocking flag on
-    // some platforms; the per-connection protocol is blocking.
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+/// connections. Each reply leaves in one write of one buffer (line and
+/// newline together); both line buffers live as long as the connection.
+///
+/// A request line longer than [`MAX_REQUEST_LINE`] is refused while it
+/// is being read — the connection never buffers more than the limit —
+/// with a typed `bad-request`, and the connection is closed, since the
+/// rest of the oversized line cannot be told from the next request.
+fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl Write) {
+    let mut reader = BufReader::new(reader);
+    let mut line = Vec::new();
+    let mut reply = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let response = match decode_request(&line) {
-            Ok(request) => core.submit(request),
-            Err(error) => Response::Error(error),
+        let oversized = line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n');
+        let response = if oversized {
+            Response::error(
+                ErrorCode::BadRequest,
+                format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            )
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => match decode_request(text) {
+                    Ok(request) => core.submit(request),
+                    Err(error) => Response::Error(error),
+                },
+                Err(_) => break,
+            }
         };
-        let payload = encode_response(&response);
-        if writer
-            .write_all(payload.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        reply.clear();
+        write_response(&mut reply, &response);
+        reply.push(b'\n');
+        let sent = writer.write_all(&reply).and_then(|()| writer.flush());
+        if sent.is_err() || oversized {
             break;
         }
     }

@@ -294,6 +294,24 @@ kill "$mu_pid"
 wait "$mu_pid" 2>/dev/null || true
 echo "mutation smoke: delta served, compaction preserved answers and drained the overlay"
 
+echo "== benchmark quick =="
+# The harness under benchmark/ is a workspace of its own that compiles
+# against the public API of the crates and may not be edited by a change
+# that claims a gain: build it with the exact command BENCHMARK.json
+# names and run the two workloads that live on the wire path at smoke
+# size (every answer is still checked; a failed or wrong one exits
+# non-zero), then its unit tests. A PR that breaks an item the harness
+# uses, or a codec change that fails its checks, fails here.
+mapfile -t bench_cmd < <(sed -n '/"command": \[/,/\]/p' BENCHMARK.json \
+    | grep -o '"[^"]*"' | tr -d '"' | tail -n +2)
+[ "${bench_cmd[0]}" = "cargo" ] \
+    || { echo "benchmark quick: could not read the command from BENCHMARK.json"; exit 1; }
+bench_out="$cache_dir/bench"
+for workload in serve_hot mutate_dirty; do
+    "${bench_cmd[@]}" --workload "$workload" --quick --data-dir "$bench_out" | tail -n 1
+done
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

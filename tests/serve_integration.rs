@@ -5,13 +5,16 @@
 //! admission queue, cancelled runs leaving no partial state observable
 //! through the cache, and the `stats` verb reporting it all.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier, OnceLock};
+use std::time::{Duration, Instant};
 
 use tigr::core::{GraphStore, PrepareSpec, PreparedGraph};
 use tigr::engine::BackendKind;
 use tigr::server::{
     Algo, Client, ClientError, ErrorCode, QueryRequest, Server, ServerAddr, ServerConfig,
-    ServerCore,
+    ServerCore, MAX_REQUEST_LINE,
 };
 use tigr::{Engine, MonotoneProgram, NodeId};
 
@@ -447,4 +450,94 @@ fn checksums_are_identical_across_runs_and_worker_counts() {
             "{algo}/{source:?} diverged from the sequential reference"
         );
     }
+}
+
+/// A daemon over a small graph on an ephemeral TCP port.
+fn small_tcp_server() -> (Server, String) {
+    let prepared = GraphStore::disabled()
+        .prepare(&PrepareSpec::generated("rmat:8:8", 7))
+        .unwrap();
+    let core = ServerCore::new(ServerConfig::default());
+    core.add_graph("small", Arc::new(prepared));
+    let server = Server::bind_tcp(core, "127.0.0.1:0").unwrap();
+    let addr = match server.addr() {
+        ServerAddr::Tcp(a) => a.to_string(),
+        other => panic!("{other:?}"),
+    };
+    (server, addr)
+}
+
+/// One raw line in, one raw line out (`None` once the server has closed
+/// the connection).
+fn raw_roundtrip(stream: &mut BufReader<TcpStream>, line: &[u8]) -> Option<String> {
+    stream.get_mut().write_all(line).unwrap();
+    let mut reply = String::new();
+    (stream.read_line(&mut reply).unwrap() > 0).then_some(reply)
+}
+
+#[test]
+fn small_replies_over_tcp_do_not_wait_out_a_delayed_ack() {
+    let (server, addr) = small_tcp_server();
+    let mut client = Client::connect_tcp(&addr).unwrap();
+    let query = QueryRequest::new("small", Algo::Bfs, Some(0));
+    assert!(!client.query(query.clone()).unwrap().cached);
+    // Back to back on one connection: a reply written as two segments
+    // on a socket with Nagle on stalls ~40 ms behind the client's
+    // delayed ACK, every time.
+    let mut times: Vec<Duration> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            assert!(client.query(query.clone()).unwrap().cached);
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median cached query over TCP took {median:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_lines_get_bad_request_and_the_daemon_keeps_serving() {
+    let (server, addr) = small_tcp_server();
+    let mut stream = BufReader::new(TcpStream::connect(&addr).unwrap());
+    for open in ["[", "{\"a\":"] {
+        let mut line = open.repeat(100_000).into_bytes();
+        line.push(b'\n');
+        let reply = raw_roundtrip(&mut stream, &line).expect("connection stays open");
+        assert!(
+            reply.contains("\"bad-request\"") && reply.contains("nesting too deep"),
+            "{reply}"
+        );
+    }
+    // Same connection, then a fresh one: both still answer.
+    let pong = raw_roundtrip(&mut stream, b"{\"op\":\"ping\"}\n").unwrap();
+    assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+    Client::connect_tcp(&addr).unwrap().ping().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_request_line_is_refused_while_reading_and_the_connection_closed() {
+    let (server, addr) = small_tcp_server();
+    let mut stream = BufReader::new(TcpStream::connect(&addr).unwrap());
+    // The longest legal line (all whitespace, so it is skipped, not
+    // answered) is read to its newline; the ping behind it is served.
+    let mut line = vec![b' '; MAX_REQUEST_LINE];
+    line.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
+    let pong = raw_roundtrip(&mut stream, &line).unwrap();
+    assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+    // One byte more with no newline in sight: refused without waiting
+    // for the rest of the line, which never comes.
+    let reply = raw_roundtrip(&mut stream, &vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+    assert!(
+        reply.contains("\"bad-request\"") && reply.contains("exceeds"),
+        "{reply}"
+    );
+    assert_eq!(raw_roundtrip(&mut stream, b""), None, "connection closed");
+    Client::connect_tcp(&addr).unwrap().ping().unwrap();
+    server.shutdown();
 }
