@@ -140,6 +140,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions, mode: Cush
         return PrOutput {
             ranks: Vec::new(),
             report: SimReport::new(),
+            iterations: 0,
             converged: true,
             cancelled: false,
         };
@@ -207,6 +208,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions, mode: Cush
 
     PrOutput {
         ranks: ranks.snapshot(),
+        iterations: report.num_iterations(),
         report,
         converged,
         cancelled: false,

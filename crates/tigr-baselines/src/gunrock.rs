@@ -122,6 +122,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions) -> PrOutpu
         return PrOutput {
             ranks: Vec::new(),
             report: SimReport::new(),
+            iterations: 0,
             converged: true,
             cancelled: false,
         };
@@ -180,6 +181,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions) -> PrOutpu
 
     PrOutput {
         ranks: ranks.snapshot(),
+        iterations: report.num_iterations(),
         report,
         converged,
         cancelled: false,

@@ -119,6 +119,7 @@ pub fn run_pagerank(
         return PrOutput {
             ranks: Vec::new(),
             report: SimReport::new(),
+            iterations: 0,
             converged: true,
             cancelled: false,
         };
@@ -181,6 +182,7 @@ pub fn run_pagerank(
 
     PrOutput {
         ranks: ranks.snapshot(),
+        iterations: report.num_iterations(),
         report,
         converged,
         cancelled: false,

@@ -10,6 +10,14 @@
 //! (smoke runs are sub-millisecond and jitter-dominated, so the smoke
 //! gate is relaxed to 2x).
 //!
+//! PageRank and betweenness are measured twice: on the simulator and on
+//! `BackendKind::Sequential`, the plan the server runs, where the same
+//! drivers are host loops. The `@sequential` rows put that path under
+//! the dispatch-overhead figure; a second table reports host vs
+//! simulator time, asserts the two agree to the bit, and gates host
+//! `pr` at ≥ 5× faster — a Sequential plan must never replay the
+//! simulator.
+//!
 //! The four new operator-only workloads (khop, bounded paths, label
 //! propagation, triangle counting) are timed alongside and pinned to
 //! cheap cross-checks: khop is the masked BFS hop array, bounded
@@ -25,8 +33,8 @@ use std::time::Instant;
 
 use tigr_bench::{max_degree_source, prepare_input, print_table};
 use tigr_engine::{
-    operators, Engine, FrontierMode, MonotoneProgram, Pipeline, PipelineOutput, PrOptions,
-    PushOptions, Representation,
+    operators, BackendKind, Engine, FrontierMode, MonotoneProgram, Pipeline, PipelineOutput,
+    PrOptions, PushOptions, Representation,
 };
 use tigr_sim::GpuConfig;
 
@@ -124,7 +132,11 @@ fn main() {
         repeats
     );
     let rep = Representation::Original(&g);
-    let engine = Engine::parallel(GpuConfig::default()).with_options(PushOptions {
+    // Deterministic sequential replay throughout: the parallel replay
+    // reorders racing relaxations (and float adds), so iteration counts
+    // and `f32` bits differ from one run to the next and two runs could
+    // not be compared exactly.
+    let engine = Engine::new(GpuConfig::default()).with_options(PushOptions {
         worklist: true,
         frontier: FrontierMode::Auto,
         ..PushOptions::default()
@@ -164,45 +176,75 @@ fn main() {
     }
 
     // PageRank at a fixed sweep count so both variants do identical
-    // work, and single-source betweenness.
+    // work, and single-source betweenness — each on the simulator and on
+    // the `Sequential` backend's host loop, the plan the server runs.
+    // Pipeline vs direct and host vs simulator are compared to the bit.
     let pr_opts = PrOptions {
         tolerance: 0.0,
         max_iterations: if smoke { 5 } else { 20 },
         ..PrOptions::default()
     };
     let degrees = tigr_engine::pr::out_degrees(&g);
-    let (legacy_pr, legacy_ms) = best_of(repeats, || {
-        engine.pagerank(&rep, &degrees, &pr_opts).unwrap()
-    });
     let pr_pipeline = Pipeline::pagerank(pr_opts);
-    let (out, pipeline_ms) = best_of(repeats, || {
-        engine.run_pipeline(&rep, &pr_pipeline, None).unwrap()
-    });
-    let rank_bits: Vec<u32> = legacy_pr.ranks.iter().map(|r| r.to_bits()).collect();
-    assert_eq!(out.values, rank_bits, "pr: pipeline diverged from pagerank");
-    samples.push(Sample {
-        analytic: "pr",
-        legacy_ms,
-        pipeline_ms,
-        iterations: out.iterations,
-    });
-
-    let (legacy_bc, legacy_ms) = best_of(repeats, || engine.betweenness(&rep, src).unwrap());
     let bc_pipeline = Pipeline::betweenness();
-    let (out, pipeline_ms) = best_of(repeats, || {
-        engine.run_pipeline(&rep, &bc_pipeline, Some(src)).unwrap()
-    });
-    let bc_bits: Vec<u32> = legacy_bc.centrality.iter().map(|c| c.to_bits()).collect();
-    assert_eq!(
-        out.values, bc_bits,
-        "bc: pipeline diverged from betweenness"
-    );
-    samples.push(Sample {
-        analytic: "bc",
-        legacy_ms,
-        pipeline_ms,
-        iterations: out.iterations,
-    });
+    let float_bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    // (analytic, pipeline output, direct wall ms): simulator rows, then
+    // the host rows in the same order.
+    let mut float_runs: Vec<(&str, PipelineOutput, f64)> = Vec::new();
+    for (backend, [pr_name, bc_name]) in [
+        (BackendKind::WarpSim, ["pr", "bc"]),
+        (BackendKind::Sequential, ["pr@sequential", "bc@sequential"]),
+    ] {
+        let engine = Engine::new(GpuConfig::default()).with_backend(backend);
+        let (direct, pr_ms) = best_of(repeats, || {
+            engine.pagerank(&rep, &degrees, &pr_opts).unwrap()
+        });
+        let (pr_out, pipeline_ms) = best_of(repeats, || {
+            engine.run_pipeline(&rep, &pr_pipeline, None).unwrap()
+        });
+        assert_eq!(
+            pr_out.values,
+            float_bits(&direct.ranks),
+            "{pr_name}: pipeline diverged from pagerank"
+        );
+        samples.push(Sample {
+            analytic: pr_name,
+            legacy_ms: pr_ms,
+            pipeline_ms,
+            iterations: pr_out.iterations,
+        });
+
+        let (direct, bc_ms) = best_of(repeats, || engine.betweenness(&rep, src).unwrap());
+        let (bc_out, pipeline_ms) = best_of(repeats, || {
+            engine.run_pipeline(&rep, &bc_pipeline, Some(src)).unwrap()
+        });
+        assert_eq!(
+            bc_out.values,
+            float_bits(&direct.centrality),
+            "{bc_name}: pipeline diverged from betweenness"
+        );
+        samples.push(Sample {
+            analytic: bc_name,
+            legacy_ms: bc_ms,
+            pipeline_ms,
+            iterations: bc_out.iterations,
+        });
+        float_runs.push((pr_name, pr_out, pr_ms));
+        float_runs.push((bc_name, bc_out, bc_ms));
+    }
+    let (warp_runs, host_runs) = float_runs.split_at(2);
+    let host_speedup: Vec<(&str, f64, f64)> = warp_runs
+        .iter()
+        .zip(host_runs)
+        .map(|((analytic, warp_out, warp_ms), (_, host_out, host_ms))| {
+            assert_eq!(
+                (&host_out.values, host_out.iterations),
+                (&warp_out.values, warp_out.iterations),
+                "{analytic}: host loop diverged from the simulator"
+            );
+            (*analytic, *warp_ms, *host_ms)
+        })
+        .collect();
 
     print_table(
         "legacy entry point vs operator pipeline",
@@ -216,6 +258,30 @@ fn main() {
     assert!(
         mean_overhead <= gate,
         "operator dispatch overhead {mean_overhead:.3}x exceeds the {gate}x gate"
+    );
+
+    print_table(
+        "pr/bc: simulator vs the host loop of every other backend (direct entry points)",
+        &["analytic", "warp-sim ms", "host ms", "speedup"],
+        &host_speedup
+            .iter()
+            .map(|(analytic, warp_ms, host_ms)| {
+                vec![
+                    analytic.to_string(),
+                    format!("{warp_ms:.2}"),
+                    format!("{host_ms:.2}"),
+                    format!("{:.1}", warp_ms / host_ms),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    // 27x measured on the scale-17 serving graph: the bar is about the
+    // host path being there at all, not about the host's mood.
+    let (_, warp_ms, host_ms) = host_speedup[0];
+    assert!(
+        warp_ms >= 5.0 * host_ms,
+        "host pr ({host_ms:.2} ms) is not 5x faster than warp-sim pr ({warp_ms:.2} ms): \
+         is a Sequential plan replaying the simulator?"
     );
 
     // The operator-only workloads, each pinned to a cheap cross-check
@@ -290,12 +356,24 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n    ");
+    let host_json = host_speedup
+        .iter()
+        .map(|(analytic, warp_ms, host_ms)| {
+            format!(
+                "{{\"analytic\": \"{analytic}\", \"warp_sim_wall_ms\": {warp_ms:.3}, \
+                 \"host_wall_ms\": {host_ms:.3}, \"speedup\": {:.2}}}",
+                warp_ms / host_ms
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n    ");
     let json = format!(
         "{{\n  \"bench\": \"operators\",\n  \"smoke\": {smoke},\n  \"graph\": \
          {{\"generator\": \"rmat\", \"scale\": {scale}, \"nodes\": {}, \"edges\": {}}},\n  \
          \"repeats\": {repeats},\n  \"overhead_gate\": {gate},\n  \
          \"mean_overhead_ratio\": {mean_overhead:.4},\n  \
          \"max_overhead_ratio\": {max_overhead:.4},\n  \"results\": [\n    {}\n  ],\n  \
+         \"host_vs_warp_sim\": [\n    {host_json}\n  ],\n  \
          \"workloads\": [\n    {workload_json}\n  ]\n}}\n",
         g.num_nodes(),
         g.num_edges(),

@@ -250,9 +250,15 @@ pub fn run(args: &Args) -> CmdResult {
                 .iter()
                 .filter(|&&v| v != u32::MAX && v != 0)
                 .count();
+            // Same digest, over the same per-original-node values, as a
+            // served query's `checksum` line.
+            let projected = prepared
+                .transformed()
+                .map(|t| t.project_values(&result.values));
             out.push_str(&format!(
-                "{analytic} from {source}: {} nodes with non-trivial values\n",
-                finite
+                "{analytic} from {source}: {} nodes with non-trivial values\nchecksum        {:016x}\n",
+                finite,
+                tigr_server::protocol::checksum(projected.as_deref().unwrap_or(&result.values)),
             ));
             let pulls = result
                 .directions
@@ -292,7 +298,7 @@ pub fn run(args: &Args) -> CmdResult {
             if result.cancelled {
                 return Err(timeout_message(format!(
                     "pagerank stopped after {} iterations",
-                    result.report.num_iterations()
+                    result.iterations
                 )));
             }
             let (top, rank) = result
@@ -315,6 +321,12 @@ pub fn run(args: &Args) -> CmdResult {
             let result = engine
                 .betweenness(&rep, source)
                 .map_err(|e| e.to_string())?;
+            if result.cancelled {
+                return Err(timeout_message(format!(
+                    "bc stopped after {} level kernels",
+                    result.iterations
+                )));
+            }
             let (top, score) = result
                 .centrality
                 .iter()
@@ -580,18 +592,41 @@ mod tests {
         Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
     }
 
-    fn fixture() -> String {
-        let dir = std::env::temp_dir().join("tigr_cli_run_test");
+    /// A test's own scratch directory holding the fixture graph: tests
+    /// run on parallel threads, so they share no file.
+    struct Fixture {
+        dir: std::path::PathBuf,
+    }
+
+    impl std::fmt::Display for Fixture {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "{}", self.dir.join("g.bin").display())
+        }
+    }
+
+    impl Drop for Fixture {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn fixture() -> Fixture {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tigr_cli_run_test_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin").to_str().unwrap().to_string();
+        let fixture = Fixture { dir };
         let g = tigr_graph::generators::with_uniform_weights(
             &tigr_graph::generators::rmat(&tigr_graph::generators::RmatConfig::graph500(8, 6), 3),
             1,
             9,
             4,
         );
-        crate::io_util::save_graph(&g, &path).unwrap();
-        path
+        crate::io_util::save_graph(&g, &fixture.to_string()).unwrap();
+        fixture
     }
 
     #[test]
@@ -751,9 +786,7 @@ mod tests {
     #[test]
     fn cache_dir_hits_on_second_run_with_zero_work() {
         let path = fixture();
-        let cache = std::env::temp_dir().join("tigr_cli_run_cache_test");
-        std::fs::remove_dir_all(&cache).ok();
-        let cache = cache.to_str().unwrap().to_string();
+        let cache = path.dir.join("cache").display().to_string();
         let cmd = format!(
             "sssp --graph {path} --virtual 10 --coalesced --direction auto --stats --cache-dir {cache}"
         );
@@ -765,15 +798,17 @@ mod tests {
             warm.contains("prep work       0 transforms, 0 transposes, 0 overlays"),
             "{warm}"
         );
-        // The cached run is bit-for-bit the same computation: only the
-        // cache-outcome lines differ.
-        let strip = |s: &str| {
+        // The cached run computes the same answer. (Edges touched and
+        // simulator counters are not compared: `--direction auto` on the
+        // parallel replay reorders racing relaxations run to run.)
+        let answer = |s: &str| {
             s.lines()
-                .filter(|l| !l.starts_with("cache") && !l.starts_with("prep work"))
+                .filter(|l| l.starts_with("sssp from") || l.starts_with("checksum"))
+                .map(str::to_string)
                 .collect::<Vec<_>>()
-                .join("\n")
         };
-        assert_eq!(strip(&cold), strip(&warm));
+        assert_eq!(answer(&cold).len(), 2, "{cold}");
+        assert_eq!(answer(&cold), answer(&warm));
     }
 
     #[test]

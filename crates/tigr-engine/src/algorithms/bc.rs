@@ -6,14 +6,20 @@
 //! comparisons (Gunrock, McLaughlin & Bader) use: a forward
 //! level-synchronous BFS accumulating path counts σ, then a backward
 //! dependency sweep accumulating δ per level.
+//!
+//! Like [`super::pr`], the driver is generic over the [`Launcher`] that
+//! runs its level kernels: the simulator meters them, the host loop just
+//! runs them, and because both visit a level's threads in the same order
+//! σ and δ agree to the bit.
 
 use crossbeam::queue::SegQueue;
 
+use tigr_core::CancelToken;
 use tigr_graph::NodeId;
-use tigr_sim::{GpuSimulator, KernelMetrics, SimReport};
+use tigr_sim::{KernelMetrics, SimReport};
 
 use crate::addr::{aux_addr, frontier_addr, row_ptr_addr, value_addr, vnode_addr};
-use crate::kernel::{csr_edges, relax_kernel, AccessMirror, EdgeFlow, LaneMirror};
+use crate::kernel::{csr_targets, relax_kernel, AccessMirror, EdgeFlow, EdgeWalk, Launcher};
 use crate::representation::Representation;
 use crate::state::{AtomicFloats, AtomicValues, Combine};
 
@@ -21,17 +27,26 @@ use crate::state::{AtomicFloats, AtomicValues, Combine};
 #[derive(Clone, Debug)]
 pub struct BcOutput {
     /// Dependency scores δ_source(v): the contribution of this source to
-    /// each node's betweenness centrality.
+    /// each node's betweenness centrality. All zero when `cancelled` — a
+    /// partial dependency sum is a prefix of nothing.
     pub centrality: Vec<f32>,
     /// BFS levels from the source (`u32::MAX` = unreachable).
     pub levels: Vec<u32>,
     /// Shortest-path counts σ from the source.
     pub sigma: Vec<f32>,
-    /// Per-kernel simulator metrics (forward + backward phases).
+    /// Per-kernel simulator metrics (forward + backward phases); empty
+    /// when the launcher is not the simulator.
     pub report: SimReport,
+    /// Level kernels launched, forward plus backward (on the simulator,
+    /// `report.num_iterations()`).
+    pub iterations: usize,
+    /// `true` if a [`CancelToken`] fired between two levels of either
+    /// phase.
+    pub cancelled: bool,
 }
 
-/// Runs single-source BC from `source` over `rep`.
+/// Runs single-source BC from `source` over `rep` on `launcher` (a
+/// [`tigr_sim::GpuSimulator`] or [`crate::kernel::HostLoop`]).
 ///
 /// For a physical representation, build it with
 /// [`tigr_core::DumbWeight::Zero`] **over a unit-weight graph** and read
@@ -41,7 +56,23 @@ pub struct BcOutput {
 /// # Panics
 ///
 /// Panics if `source` is out of range.
-pub fn run(sim: &GpuSimulator, rep: &Representation<'_>, source: NodeId) -> BcOutput {
+pub fn run<L: Launcher>(launcher: &L, rep: &Representation<'_>, source: NodeId) -> BcOutput {
+    run_cancellable(launcher, rep, source, &CancelToken::never())
+}
+
+/// [`run`] with a cooperative cancellation hook polled before every
+/// forward and every backward level: a fired token stops the run with
+/// `cancelled = true` and the partial scores discarded.
+///
+/// # Panics
+///
+/// See [`run`].
+pub fn run_cancellable<L: Launcher>(
+    launcher: &L,
+    rep: &Representation<'_>,
+    source: NodeId,
+    cancel: &CancelToken,
+) -> BcOutput {
     let n = rep.num_value_slots();
     assert!(source.index() < n, "source out of range");
     let g = rep.graph();
@@ -52,19 +83,29 @@ pub fn run(sim: &GpuSimulator, rep: &Representation<'_>, source: NodeId) -> BcOu
     sigma.store(source.index(), 1.0);
 
     let mut report = SimReport::new();
+    let mut iterations = 0usize;
+    let mut record = |threads: usize, metrics: KernelMetrics| {
+        iterations += 1;
+        if L::METERED {
+            report.push(threads, metrics);
+        }
+    };
 
     // ---- Forward phase: level-synchronous BFS with σ accumulation. ----
     let mut frontier: Vec<u32> = vec![source.raw()];
     let mut level_buckets: Vec<Vec<u32>> = vec![frontier.clone()];
     let mut level = 0u32;
+    let mut cancelled = false;
     while !frontier.is_empty() {
+        if cancel.is_cancelled() {
+            cancelled = true;
+            break;
+        }
         let next = SegQueue::new();
-        let kernel = |lane: &mut tigr_sim::Lane,
-                      slot: usize,
-                      edges: &mut dyn Iterator<Item = usize>| {
-            lane.load(aux_addr(2, slot), 4); // sigma[v]
+        let kernel = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
+            m.load(aux_addr(2, slot), 4); // sigma[v]
             let sig_v = sigma.load(slot);
-            relax_kernel(&mut LaneMirror(lane), csr_edges(g, edges), |m, edge| {
+            relax_kernel(m, csr_targets(g, edges), |m, edge| {
                 let nbr = edge.target;
                 m.load(value_addr(nbr), 4); // level[nbr]
                                             // Unvisited? claim it for level+1 (atomic CAS).
@@ -74,15 +115,15 @@ pub fn run(sim: &GpuSimulator, rep: &Representation<'_>, source: NodeId) -> BcOu
                     next.push(nbr as u32);
                 }
                 if levels.load(nbr) == level + 1 {
-                    sigma.fetch_add(nbr, sig_v);
+                    launcher.add(&sigma, nbr, sig_v);
                     m.atomic(aux_addr(2, nbr), 4);
                 }
                 m.compute(2);
                 EdgeFlow::Continue
             });
         };
-        let metrics = launch_frontier(sim, rep, &frontier, &kernel);
-        report.push(frontier.len(), metrics);
+        let metrics = launch_frontier(launcher, rep, &frontier, kernel);
+        record(frontier.len(), metrics);
 
         let mut nf: Vec<u32> = std::iter::from_fn(|| next.pop()).collect();
         nf.sort_unstable();
@@ -97,39 +138,46 @@ pub fn run(sim: &GpuSimulator, rep: &Representation<'_>, source: NodeId) -> BcOu
     // ---- Backward phase: dependency accumulation per level. ----
     let delta = AtomicFloats::new(n, 0.0);
     for l in (0..level_buckets.len().saturating_sub(1)).rev() {
+        if cancelled || cancel.is_cancelled() {
+            cancelled = true;
+            break;
+        }
         let bucket = &level_buckets[l];
         let target_level = (l + 1) as u32;
-        let kernel =
-            |lane: &mut tigr_sim::Lane, slot: usize, edges: &mut dyn Iterator<Item = usize>| {
-                lane.load(aux_addr(2, slot), 4); // sigma[v]
-                let sig_v = sigma.load(slot);
-                let mut partial = 0.0f32;
-                relax_kernel(&mut LaneMirror(lane), csr_edges(g, edges), |m, edge| {
-                    let nbr = edge.target;
-                    m.load(value_addr(nbr), 4); // level[nbr]
-                    if levels.load(nbr) == target_level {
-                        m.load(aux_addr(2, nbr), 4); // sigma[nbr]
-                        m.load(aux_addr(3, nbr), 4); // delta[nbr]
-                        let sig_w = sigma.load(nbr);
-                        if sig_w > 0.0 {
-                            partial += sig_v / sig_w * (1.0 + delta.load(nbr));
-                        }
-                        m.compute(4);
-                    } else {
-                        m.compute(1);
+        let kernel = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
+            m.load(aux_addr(2, slot), 4); // sigma[v]
+            let sig_v = sigma.load(slot);
+            let mut partial = 0.0f32;
+            relax_kernel(m, csr_targets(g, edges), |m, edge| {
+                let nbr = edge.target;
+                m.load(value_addr(nbr), 4); // level[nbr]
+                if levels.load(nbr) == target_level {
+                    m.load(aux_addr(2, nbr), 4); // sigma[nbr]
+                    m.load(aux_addr(3, nbr), 4); // delta[nbr]
+                    let sig_w = sigma.load(nbr);
+                    if sig_w > 0.0 {
+                        partial += sig_v / sig_w * (1.0 + delta.load(nbr));
                     }
-                    EdgeFlow::Continue
-                });
-                if partial != 0.0 {
-                    delta.fetch_add(slot, partial);
-                    lane.atomic(aux_addr(3, slot), 4);
+                    m.compute(4);
+                } else {
+                    m.compute(1);
                 }
-            };
-        let metrics = launch_frontier(sim, rep, bucket, &kernel);
-        report.push(bucket.len(), metrics);
+                EdgeFlow::Continue
+            });
+            if partial != 0.0 {
+                launcher.add(&delta, slot, partial);
+                m.atomic(aux_addr(3, slot), 4);
+            }
+        };
+        let metrics = launch_frontier(launcher, rep, bucket, kernel);
+        record(bucket.len(), metrics);
     }
 
-    let mut centrality = delta.snapshot();
+    let mut centrality = if cancelled {
+        vec![0.0; n]
+    } else {
+        delta.snapshot()
+    };
     centrality[source.index()] = 0.0;
 
     BcOutput {
@@ -137,6 +185,8 @@ pub fn run(sim: &GpuSimulator, rep: &Representation<'_>, source: NodeId) -> BcOu
         levels: levels.snapshot(),
         sigma: sigma.snapshot(),
         report,
+        iterations,
+        cancelled,
     }
 }
 
@@ -149,8 +199,8 @@ pub fn run(sim: &GpuSimulator, rep: &Representation<'_>, source: NodeId) -> BcOu
 /// # Panics
 ///
 /// Panics if any source is out of range.
-pub fn run_sampled(
-    sim: &GpuSimulator,
+pub fn run_sampled<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     sources: &[NodeId],
 ) -> (Vec<f64>, SimReport) {
@@ -158,7 +208,7 @@ pub fn run_sampled(
     let mut total = vec![0.0f64; n];
     let mut report = SimReport::new();
     for &s in sources {
-        let out = run(sim, rep, s);
+        let out = run(launcher, rep, s);
         for (acc, &d) in total.iter_mut().zip(&out.centrality) {
             *acc += d as f64;
         }
@@ -171,31 +221,25 @@ pub fn run_sampled(
 
 /// Launches `body` over the frontier's work units, expanding physical
 /// nodes into virtual families for virtual representations.
-fn launch_frontier(
-    sim: &GpuSimulator,
+fn launch_frontier<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     frontier: &[u32],
-    body: &(dyn Fn(&mut tigr_sim::Lane, usize, &mut dyn Iterator<Item = usize>) + Sync),
+    body: impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync,
 ) -> KernelMetrics {
     match rep {
-        Representation::Original(g) | Representation::OnTheFly { graph: g, .. } => {
-            // OTF blocks have no per-node identity to schedule from a
-            // frontier; BC always needs per-node scheduling, so dynamic
-            // mapping degrades to per-node here.
-            sim.launch(frontier.len(), |tid, lane| {
-                lane.load(frontier_addr(tid), 4);
+        // OTF blocks have no per-node identity to schedule from a
+        // frontier; BC always needs per-node scheduling, so dynamic
+        // mapping degrades to per-node here.
+        Representation::Original(_)
+        | Representation::OnTheFly { .. }
+        | Representation::Physical(_) => {
+            let g = rep.graph();
+            launcher.launch(frontier.len(), |tid, m| {
+                m.load(frontier_addr(tid), 4);
                 let v = NodeId::new(frontier[tid]);
-                lane.load(row_ptr_addr(v.index()), 8);
-                body(lane, v.index(), &mut (g.edge_start(v)..g.edge_end(v)));
-            })
-        }
-        Representation::Physical(t) => {
-            let g = t.graph();
-            sim.launch(frontier.len(), |tid, lane| {
-                lane.load(frontier_addr(tid), 4);
-                let v = NodeId::new(frontier[tid]);
-                lane.load(row_ptr_addr(v.index()), 8);
-                body(lane, v.index(), &mut (g.edge_start(v)..g.edge_end(v)));
+                m.load(row_ptr_addr(v.index()), 8);
+                body(m, v.index(), (g.edge_start(v)..g.edge_end(v)).into());
             })
         }
         Representation::Virtual { overlay, .. } => {
@@ -205,16 +249,12 @@ fn launch_frontier(
                     active.push(i as u32);
                 }
             }
-            sim.launch(active.len(), |tid, lane| {
+            launcher.launch(active.len(), |tid, m| {
                 let vid = active[tid] as usize;
-                lane.load(frontier_addr(tid), 4);
-                lane.load(vnode_addr(vid), 8);
+                m.load(frontier_addr(tid), 4);
+                m.load(vnode_addr(vid), 8);
                 let vn = overlay.vnode(vid);
-                body(
-                    lane,
-                    vn.physical.index(),
-                    &mut tigr_core::EdgeCursor::new(&vn),
-                );
+                body(m, vn.physical.index(), (&vn).into());
             })
         }
     }
@@ -227,7 +267,7 @@ mod tests {
     use tigr_graph::generators::{barabasi_albert, BarabasiAlbertConfig};
     use tigr_graph::properties::brandes_accumulate;
     use tigr_graph::CsrBuilder;
-    use tigr_sim::GpuConfig;
+    use tigr_sim::{GpuConfig, GpuSimulator};
 
     fn oracle(g: &tigr_graph::Csr, s: NodeId) -> Vec<f64> {
         let mut bc = vec![0.0; g.num_nodes()];

@@ -7,13 +7,25 @@
 //! Both the paper's push-based Tigr variant and the CuSha-style pull
 //! variant are provided; pull mode is what lets shard/scan frameworks win
 //! PR in Table 4.
+//!
+//! There is one driver, generic over the [`Launcher`] that runs its
+//! kernels: on a [`tigr_sim::GpuSimulator`] every access is recorded and
+//! the report fills — the paper's meter; on [`crate::kernel::HostLoop`]
+//! the same bodies run as plain loops and construct no lane — what
+//! [`crate::Engine`] picks for every backend but `WarpSim`. Both visit
+//! threads in `tid` order, so every `f32` sum adds its terms in the same
+//! order and ranks, iteration count and flags agree **to the bit** on
+//! every representation (pull mode included: one partial per virtual
+//! node either way).
 
 use tigr_core::CancelToken;
 use tigr_graph::{Csr, NodeId};
-use tigr_sim::{GpuSimulator, SimReport};
+use tigr_sim::{KernelMetrics, SimReport};
 
 use crate::addr::{aux_addr, row_ptr_addr, value_addr, vnode_addr};
-use crate::kernel::{csr_edges, relax_kernel, walk_segments, AccessMirror, EdgeFlow, LaneMirror};
+use crate::kernel::{
+    csr_targets, relax_kernel, walk_segments, AccessMirror, EdgeFlow, EdgeWalk, Launcher,
+};
 use crate::representation::Representation;
 use crate::state::AtomicFloats;
 
@@ -61,8 +73,12 @@ impl Default for PrOptions {
 pub struct PrOutput {
     /// Final ranks, summing to ≈ 1.
     pub ranks: Vec<f32>,
-    /// Per-iteration simulator metrics.
+    /// Per-iteration simulator metrics; empty when the launcher is not
+    /// the simulator.
     pub report: SimReport,
+    /// Power iterations completed (on the simulator,
+    /// `report.num_iterations()`).
+    pub iterations: usize,
     /// `false` if `max_iterations` hit before `tolerance`.
     pub converged: bool,
     /// `true` if a [`CancelToken`] fired between power iterations before
@@ -70,7 +86,8 @@ pub struct PrOutput {
     pub cancelled: bool,
 }
 
-/// Runs PageRank over `rep`.
+/// Runs PageRank over `rep` on `launcher` (a [`tigr_sim::GpuSimulator`]
+/// or [`crate::kernel::HostLoop`]).
 ///
 /// `out_degrees` are the **original** per-node out-degrees (push: the
 /// degrees of `rep`'s own graph; pull: the degrees of the graph whose
@@ -82,13 +99,13 @@ pub struct PrOutput {
 /// slots or the representation is [`Representation::Physical`] (UDT
 /// changes the degrees PR depends on — use a virtual representation, as
 /// the paper does).
-pub fn run(
-    sim: &GpuSimulator,
+pub fn run<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     out_degrees: &[u32],
     options: &PrOptions,
 ) -> PrOutput {
-    run_cancellable(sim, rep, out_degrees, options, &CancelToken::never())
+    run_cancellable(launcher, rep, out_degrees, options, &CancelToken::never())
 }
 
 /// [`run`] with a cooperative cancellation hook polled between power
@@ -98,8 +115,8 @@ pub fn run(
 /// # Panics
 ///
 /// See [`run`].
-pub fn run_cancellable(
-    sim: &GpuSimulator,
+pub fn run_cancellable<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     out_degrees: &[u32],
     options: &PrOptions,
@@ -115,33 +132,31 @@ pub fn run_cancellable(
         !matches!(rep, Representation::Physical(_)),
         "PageRank is undefined on physically transformed graphs: UDT alters out-degrees (Corollary 4)"
     );
+    let mut out = PrOutput {
+        ranks: Vec::new(),
+        report: SimReport::new(),
+        iterations: 0,
+        converged: n == 0,
+        cancelled: false,
+    };
     if n == 0 {
-        return PrOutput {
-            ranks: Vec::new(),
-            report: SimReport::new(),
-            converged: true,
-            cancelled: false,
-        };
+        return out;
     }
 
     let ranks = AtomicFloats::new(n, 1.0 / n as f32);
     let accum = AtomicFloats::new(n, 0.0);
-    let mut report = SimReport::new();
-    let mut converged = false;
-    let mut cancelled = false;
 
     for _ in 0..options.max_iterations {
         if cancel.is_cancelled() {
-            cancelled = true;
+            out.cancelled = true;
             break;
         }
         accum.fill(0.0);
-        let threads = rep.full_threads();
 
         // Scatter/gather kernel.
         let mut metrics = match options.mode {
-            PrMode::Push => push_kernel(sim, rep, &ranks, &accum, out_degrees),
-            PrMode::Pull => pull_kernel(sim, rep, &ranks, &accum, out_degrees),
+            PrMode::Push => push_kernel(launcher, rep, &ranks, &accum, out_degrees),
+            PrMode::Pull => pull_kernel(launcher, rep, &ranks, &accum, out_degrees),
         };
 
         // Dangling mass (host reduction mirrored as a small kernel).
@@ -156,126 +171,118 @@ pub fn run_cancellable(
 
         // Finalize kernel: rank = base + d * accum, tracking the L1 delta.
         let delta = AtomicFloats::new(1, 0.0);
-        let finalize = sim.launch(n, |v, lane| {
-            lane.load(aux_addr(0, v), 4);
-            lane.load(value_addr(v), 4);
+        let finalize = launcher.launch(n, |v, m| {
+            m.load(aux_addr(0, v), 4);
+            m.load(value_addr(v), 4);
             let new = base + options.damping * accum.load(v);
             let old = ranks.load(v);
             ranks.store(v, new);
-            delta.fetch_add(0, (new - old).abs());
-            lane.compute(3);
-            lane.store(value_addr(v), 4);
+            launcher.add(&delta, 0, (new - old).abs());
+            m.compute(3);
+            m.store(value_addr(v), 4);
         });
-        metrics.merge(&finalize);
-        report.push(threads, metrics);
+        out.iterations += 1;
+        if L::METERED {
+            metrics.merge(&finalize);
+            out.report.push(rep.full_threads(), metrics);
+        }
 
         if delta.load(0) < options.tolerance {
-            converged = true;
+            out.converged = true;
             break;
         }
     }
 
-    PrOutput {
-        ranks: ranks.snapshot(),
-        report,
-        converged,
-        cancelled,
-    }
+    out.ranks = ranks.snapshot();
+    out
 }
 
-/// Push scatter: one atomic add per out-edge.
-fn push_kernel(
-    sim: &GpuSimulator,
+/// Push scatter: one accumulator add per out-edge.
+fn push_kernel<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     ranks: &AtomicFloats,
     accum: &AtomicFloats,
     out_degrees: &[u32],
-) -> tigr_sim::KernelMetrics {
+) -> KernelMetrics {
     let g = rep.graph();
-    let scatter =
-        |lane: &mut tigr_sim::Lane, slot: usize, edges: &mut dyn Iterator<Item = usize>| {
-            lane.load(value_addr(slot), 4);
-            lane.load(aux_addr(1, slot), 4);
-            let deg = out_degrees[slot];
-            if deg == 0 {
-                return;
-            }
-            let share = ranks.load(slot) / deg as f32;
-            lane.compute(1);
-            relax_kernel(&mut LaneMirror(lane), csr_edges(g, edges), |m, edge| {
-                accum.fetch_add(edge.target, share);
-                m.atomic(aux_addr(0, edge.target), 4);
-                EdgeFlow::Continue
-            });
-        };
-    launch_over(sim, rep, &scatter)
+    let scatter = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
+        m.load(value_addr(slot), 4);
+        m.load(aux_addr(1, slot), 4);
+        let deg = out_degrees[slot];
+        if deg == 0 {
+            return;
+        }
+        let share = ranks.load(slot) / deg as f32;
+        m.compute(1);
+        relax_kernel(m, csr_targets(g, edges), |m, edge| {
+            launcher.add(accum, edge.target, share);
+            m.atomic(aux_addr(0, edge.target), 4);
+            EdgeFlow::Continue
+        });
+    };
+    launch_over(launcher, rep, scatter)
 }
 
-/// Pull gather: partial sum per (virtual) node, one atomic add per node.
-fn pull_kernel(
-    sim: &GpuSimulator,
+/// Pull gather: partial sum per (virtual) node, one accumulator add per
+/// node.
+fn pull_kernel<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     ranks: &AtomicFloats,
     accum: &AtomicFloats,
     out_degrees: &[u32],
-) -> tigr_sim::KernelMetrics {
+) -> KernelMetrics {
     let g = rep.graph(); // the transpose: edges lead to in-neighbors
-    let gather =
-        |lane: &mut tigr_sim::Lane, slot: usize, edges: &mut dyn Iterator<Item = usize>| {
-            let mut partial = 0.0f32;
-            let mut any = false;
-            relax_kernel(&mut LaneMirror(lane), csr_edges(g, edges), |m, edge| {
-                let src = edge.target;
-                m.load(value_addr(src), 4);
-                m.load(aux_addr(1, src), 4);
-                let deg = out_degrees[src].max(1);
-                partial += ranks.load(src) / deg as f32;
-                m.compute(2);
-                any = true;
-                EdgeFlow::Continue
-            });
-            if any {
-                accum.fetch_add(slot, partial);
-                lane.atomic(aux_addr(0, slot), 4);
-            }
-        };
-    launch_over(sim, rep, &gather)
+    let gather = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
+        let mut partial = 0.0f32;
+        let mut any = false;
+        relax_kernel(m, csr_targets(g, edges), |m, edge| {
+            let src = edge.target;
+            m.load(value_addr(src), 4);
+            m.load(aux_addr(1, src), 4);
+            let deg = out_degrees[src].max(1);
+            partial += ranks.load(src) / deg as f32;
+            m.compute(2);
+            any = true;
+            EdgeFlow::Continue
+        });
+        if any {
+            launcher.add(accum, slot, partial);
+            m.atomic(aux_addr(0, slot), 4);
+        }
+    };
+    launch_over(launcher, rep, gather)
 }
 
-/// Dispatches a per-node/virtual-node kernel over the representation.
-fn launch_over(
-    sim: &GpuSimulator,
+/// Dispatches a per-node/virtual-node kernel over the representation:
+/// `body` gets the mirror, the value slot the thread works for, and the
+/// edge indices it covers.
+fn launch_over<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
-    body: &(dyn Fn(&mut tigr_sim::Lane, usize, &mut dyn Iterator<Item = usize>) + Sync),
-) -> tigr_sim::KernelMetrics {
+    body: impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync,
+) -> KernelMetrics {
     match rep {
-        Representation::Original(g) => sim.launch(g.num_nodes(), |tid, lane| {
-            lane.load(row_ptr_addr(tid), 8);
+        Representation::Original(g) => launcher.launch(g.num_nodes(), |tid, m| {
+            m.load(row_ptr_addr(tid), 8);
             let v = NodeId::from_index(tid);
-            body(lane, tid, &mut (g.edge_start(v)..g.edge_end(v)));
+            body(m, tid, (g.edge_start(v)..g.edge_end(v)).into());
         }),
         Representation::Virtual { overlay, .. } => {
-            sim.launch(overlay.num_virtual_nodes(), |tid, lane| {
-                lane.load(vnode_addr(tid), 8);
+            launcher.launch(overlay.num_virtual_nodes(), |tid, m| {
+                m.load(vnode_addr(tid), 8);
                 let vn = overlay.vnode(tid);
-                body(
-                    lane,
-                    vn.physical.index(),
-                    &mut tigr_core::EdgeCursor::new(&vn),
-                );
+                body(m, vn.physical.index(), (&vn).into());
             })
         }
         Representation::OnTheFly { graph, mapper } => {
-            sim.launch(mapper.num_threads(), |tid, lane| {
+            launcher.launch(mapper.num_threads(), |tid, m| {
                 let ((lo, hi), first, probes) = mapper.resolve(graph, tid);
-                lane.compute(probes as u64 * 2);
-                walk_segments(
-                    &mut LaneMirror(lane),
-                    graph,
-                    (lo, hi),
-                    first,
-                    |m, src, seg| body(m.0, src, &mut seg.into_iter()),
-                );
+                m.compute(probes as u64 * 2);
+                walk_segments(m, graph, (lo, hi), first, |m, src, seg| {
+                    body(m, src, seg.into())
+                });
             })
         }
         Representation::Physical(_) => unreachable!("rejected by run()"),
@@ -295,7 +302,7 @@ mod tests {
     use tigr_graph::generators::{rmat, RmatConfig};
     use tigr_graph::properties::pagerank;
     use tigr_graph::reverse::transpose;
-    use tigr_sim::GpuConfig;
+    use tigr_sim::{GpuConfig, GpuSimulator};
 
     fn fixture() -> Csr {
         rmat(&RmatConfig::graph500(7, 6), 41)

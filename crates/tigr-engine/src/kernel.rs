@@ -10,22 +10,28 @@
 //!   CSR range, a strided virtual-node cursor, or a slice zip on the CPU
 //!   fast path (see [`csr_edges`] and friends);
 //! * an **access mirror**: how each architectural memory access is
-//!   accounted. [`LaneMirror`] charges a simulator [`Lane`]; [`NoMirror`]
-//!   compiles every charge away for the wall-clock CPU backends, so both
+//!   accounted. A simulator [`Lane`] records it; [`NoMirror`] compiles
+//!   every charge away for the wall-clock CPU backends, so both
 //!   executors share one loop with zero overhead on the native path.
+//!
+//! One level up, a [`Launcher`] decides how a whole sweep of such
+//! threads runs: replayed warp by warp on the [`GpuSimulator`], or as a
+//! plain loop ([`HostLoop`]). PageRank and betweenness are written once
+//! over it.
 //!
 //! On top of the raw loop sit the two monotone functor bodies,
 //! [`push_relax`] (scatter: one atomic per improving edge) and
 //! [`pull_gather`] (gather: local fold, at most one atomic per slot) —
 //! direction is a *schedule*, not a reimplementation.
 
+use tigr_core::VirtualNode;
 use tigr_graph::{Csr, Weight};
-use tigr_sim::Lane;
+use tigr_sim::{GpuSimulator, KernelMetrics, Lane};
 
 use crate::addr::{edge_addr, frontier_bit_addr, value_addr, EDGE_ENTRY_BYTES};
 use crate::frontier::Frontier;
 use crate::program::MonotoneProgram;
-use crate::state::AtomicValues;
+use crate::state::{AtomicFloats, AtomicValues};
 
 /// One edge as seen by the kernel: its CSR index (for address
 /// accounting), the slot it leads to, and its weight.
@@ -67,26 +73,23 @@ pub trait AccessMirror {
     fn compute(&mut self, n: u64);
 }
 
-/// Mirrors accesses onto a simulator lane (warp-lockstep accounting).
-#[derive(Debug)]
-pub struct LaneMirror<'a>(pub &'a mut Lane);
-
-impl AccessMirror for LaneMirror<'_> {
+/// A simulator lane records every access (warp-lockstep accounting).
+impl AccessMirror for Lane {
     #[inline]
     fn load(&mut self, addr: u64, bytes: u64) {
-        self.0.load(addr, bytes);
+        Lane::load(self, addr, bytes);
     }
     #[inline]
     fn store(&mut self, addr: u64, bytes: u64) {
-        self.0.store(addr, bytes);
+        Lane::store(self, addr, bytes);
     }
     #[inline]
     fn atomic(&mut self, addr: u64, bytes: u64) {
-        self.0.atomic(addr, bytes);
+        Lane::atomic(self, addr, bytes);
     }
     #[inline]
     fn compute(&mut self, n: u64) {
-        self.0.compute(n);
+        Lane::compute(self, n);
     }
 }
 
@@ -103,6 +106,82 @@ impl AccessMirror for NoMirror {
     fn atomic(&mut self, _addr: u64, _bytes: u64) {}
     #[inline]
     fn compute(&mut self, _n: u64) {}
+}
+
+/// How a kernel sweep — `body(tid, mirror)` for every `tid` of a grid —
+/// is launched, mirrored and accumulated. The multi-kernel drivers
+/// ([`crate::algorithms::pr`], [`crate::algorithms::bc`]) are generic
+/// over it, so their arithmetic exists once:
+///
+/// * [`GpuSimulator`] records a [`Lane`] per thread and replays warps —
+///   the paper's meter. Replay may run on several host threads, so
+///   float accumulators take a CAS loop.
+/// * [`HostLoop`] is a plain `for` over the grid with [`NoMirror`] — the
+///   system's meter. It is the only writer, so an accumulation is a load
+///   and a store.
+///
+/// Sequential replay visits threads in `tid` order and so does the host
+/// loop; `f32` addition is order-sensitive and nothing else is, which is
+/// why the two agree to the bit.
+pub trait Launcher: Sync {
+    /// What a thread's accesses are charged to.
+    type Mirror: AccessMirror;
+
+    /// Whether launches return metrics worth recording in a
+    /// [`tigr_sim::SimReport`].
+    const METERED: bool;
+
+    /// Runs `body` once per thread of a `threads`-wide grid.
+    fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
+    where
+        F: Fn(usize, &mut Self::Mirror) + Sync;
+
+    /// `acc[i] += delta`, safe against whatever else this launcher runs
+    /// concurrently.
+    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32);
+}
+
+impl Launcher for GpuSimulator {
+    type Mirror = Lane;
+    const METERED: bool = true;
+
+    fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
+    where
+        F: Fn(usize, &mut Lane) + Sync,
+    {
+        GpuSimulator::launch(self, threads, body)
+    }
+
+    #[inline]
+    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32) {
+        acc.fetch_add(i, delta);
+    }
+}
+
+/// The wall-clock [`Launcher`]: threads run in `tid` order on the calling
+/// thread, nothing is recorded.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HostLoop;
+
+impl Launcher for HostLoop {
+    type Mirror = NoMirror;
+    const METERED: bool = false;
+
+    #[inline]
+    fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
+    where
+        F: Fn(usize, &mut NoMirror) + Sync,
+    {
+        for tid in 0..threads {
+            body(tid, &mut NoMirror);
+        }
+        KernelMetrics::default()
+    }
+
+    #[inline]
+    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32) {
+        acc.store(i, acc.load(i) + delta);
+    }
 }
 
 /// THE edge-relaxation inner loop: charges the `{target, weight}` entry
@@ -348,6 +427,53 @@ pub fn walk_segments<M: AccessMirror>(
     }
 }
 
+/// The edge indices one thread of a [`Launcher`] sweep covers, as one
+/// concrete type so per-node bodies take it without dynamic dispatch on
+/// the per-edge path: a contiguous CSR range (stride 1) or a virtual
+/// node's strided cursor ([`tigr_core::EdgeCursor`], widened to `usize`
+/// so it also spans plain rows).
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeWalk {
+    next: usize,
+    stride: usize,
+    remaining: usize,
+}
+
+impl From<std::ops::Range<usize>> for EdgeWalk {
+    fn from(range: std::ops::Range<usize>) -> Self {
+        EdgeWalk {
+            next: range.start,
+            stride: 1,
+            remaining: range.len(),
+        }
+    }
+}
+
+impl From<&VirtualNode> for EdgeWalk {
+    fn from(vn: &VirtualNode) -> Self {
+        EdgeWalk {
+            next: vn.first_edge as usize,
+            stride: vn.stride as usize,
+            remaining: vn.count as usize,
+        }
+    }
+}
+
+impl Iterator for EdgeWalk {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let e = self.next;
+        self.next += self.stride;
+        self.remaining -= 1;
+        Some(e)
+    }
+}
+
 /// Edge source over global CSR edge indices: the common case for
 /// simulated kernels (contiguous `edge_start..edge_end` ranges and
 /// strided [`tigr_core::EdgeCursor`]s alike).
@@ -360,6 +486,21 @@ pub fn csr_edges<'a>(
         index: e,
         target: g.edge_target(e).index(),
         weight: g.weight(e),
+    })
+}
+
+/// [`csr_edges`] for kernels that never read weights (PageRank,
+/// betweenness): every edge reports weight 1 and the weight array stays
+/// untouched — on the host path that is one memory stream fewer.
+#[inline]
+pub fn csr_targets<'a>(
+    g: &'a Csr,
+    indices: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = EdgeRef> + 'a {
+    indices.map(move |e| EdgeRef {
+        index: e,
+        target: g.edge_target(e).index(),
+        weight: 1,
     })
 }
 

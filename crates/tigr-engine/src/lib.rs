@@ -73,7 +73,7 @@ pub use cpu_parallel::{
 pub use frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep, DENSE_FRACTION};
 pub use kernel::{
     csr_edges, pull_gather, push_relax, relax_kernel, slice_edges, walk_segments, AccessMirror,
-    EdgeFlow, EdgeRef, GatherFilter, LaneMirror, NoMirror,
+    EdgeFlow, EdgeRef, GatherFilter, HostLoop, Launcher, NoMirror,
 };
 pub use operators::{
     AdvanceRelax, AdvanceSpace, Algo, ComputeStep, GraphOperator, OperatorCaps, Pipeline,

@@ -94,7 +94,9 @@ impl Default for AutoOptions {
     }
 }
 
-/// Which executor runs the plan.
+/// Which executor runs the plan. The simulator is the paper's meter and
+/// only `WarpSim` touches it: the other two construct no
+/// [`tigr_sim::Lane`] for any pipeline body.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The warp-lockstep GPU simulator (`tigr-sim`): architectural
@@ -102,9 +104,11 @@ pub enum BackendKind {
     #[default]
     WarpSim,
     /// The persistent work-stealing CPU pool: wall-clock numbers.
+    /// (PageRank, betweenness and fixed-round pipelines need one
+    /// accumulation order and run as the sequential host loop.)
     CpuPool,
     /// Single-threaded deterministic sweeps: the differential-testing
-    /// reference.
+    /// reference, and the plan the server runs.
     Sequential,
 }
 

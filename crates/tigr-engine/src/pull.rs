@@ -21,9 +21,7 @@ use tigr_sim::{GpuSimulator, KernelMetrics, SimReport};
 
 use crate::addr::{frontier_bit_addr, row_ptr_addr, vnode_addr, FLAG_ADDR};
 use crate::frontier::{Frontier, FrontierBuilder, FrontierMode};
-use crate::kernel::{
-    csr_edges, pull_gather, walk_segments, AccessMirror, GatherFilter, LaneMirror,
-};
+use crate::kernel::{csr_edges, pull_gather, walk_segments, GatherFilter};
 use crate::plan::Direction;
 use crate::program::MonotoneProgram;
 use crate::push::MonotoneOutput;
@@ -79,9 +77,8 @@ pub(crate) fn pull_step(
     let graph = rep.graph();
     let gather =
         |lane: &mut tigr_sim::Lane, slot: usize, edges: &mut dyn Iterator<Item = usize>| {
-            let mut mirror = LaneMirror(lane);
             let touched = pull_gather(
-                &mut mirror,
+                lane,
                 ctx.prog,
                 ctx.values,
                 slot,
@@ -126,9 +123,8 @@ pub(crate) fn pull_step(
                 lane.compute(probes as u64 * 2);
                 // Process the block per owning node so folds stay within
                 // one slot.
-                let mut mirror = LaneMirror(lane);
-                walk_segments(&mut mirror, g, range, first, |m, src, seg| {
-                    gather(m.0, src, &mut { seg });
+                walk_segments(lane, g, range, first, |lane, src, seg| {
+                    gather(lane, src, &mut { seg });
                 });
             })
         }

@@ -18,7 +18,7 @@ use tigr_sim::{GpuSimulator, KernelMetrics, Lane, SimReport};
 
 use crate::addr::{frontier_addr, frontier_bit_addr, row_ptr_addr, value_addr, FLAG_ADDR};
 use crate::frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep};
-use crate::kernel::{csr_edges, push_relax, walk_segments, AccessMirror, LaneMirror};
+use crate::kernel::{csr_edges, push_relax, walk_segments};
 use crate::plan::Direction;
 use crate::program::MonotoneProgram;
 use crate::representation::Representation;
@@ -124,9 +124,8 @@ fn process_slot(
         Some(p) => p[slot],
         None => ctx.values.load(slot),
     };
-    let mut mirror = LaneMirror(lane);
     let touched = push_relax(
-        &mut mirror,
+        lane,
         ctx.prog,
         ctx.values,
         ctx.prev,
@@ -199,9 +198,8 @@ fn otf_block(
         lane.load(row_ptr_addr(probe), 4);
         lane.compute(2);
     }
-    let mut mirror = LaneMirror(lane);
-    walk_segments(&mut mirror, graph, range, first_src, |m, src, seg| {
-        process_slot(m.0, ctx, src, seg);
+    walk_segments(lane, graph, range, first_src, |lane, src, seg| {
+        process_slot(lane, ctx, src, seg);
     });
 }
 

@@ -18,6 +18,7 @@ use crate::cpu_parallel::{
     CpuSchedule,
 };
 use crate::frontier::FrontierMode;
+use crate::kernel::HostLoop;
 use crate::operators::{
     mask_above, predecessors, triangle_counts, ComputeStep, Pipeline, PipelineBody, PipelineOutput,
 };
@@ -124,7 +125,8 @@ impl Engine {
         self
     }
 
-    /// Selects which executor runs monotone programs.
+    /// Selects which executor runs the plan — monotone programs,
+    /// PageRank and betweenness alike.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.plan.backend = backend;
         self
@@ -283,9 +285,10 @@ impl Engine {
     /// Runs an operator [`Pipeline`] under the assembled plan: the
     /// algorithm-as-data entry point. Monotone pipelines lower onto the
     /// exact dispatch [`Engine::run_program`] uses (byte-identical
-    /// outputs); PR/BC pipelines run their dedicated drivers with
-    /// results reinterpreted as bit patterns; compute-only pipelines
-    /// (triangle counting) never traverse at all.
+    /// outputs); PR/BC pipelines run their dedicated drivers on the
+    /// plan's backend (see [`Engine::pagerank`]) with results
+    /// reinterpreted as bit patterns; compute-only pipelines (triangle
+    /// counting) never traverse at all.
     ///
     /// # Errors
     ///
@@ -321,13 +324,7 @@ impl Engine {
         self.check_footprint(&rep)?;
         self.plan.validate_pipeline(&rep, pipeline, source)?;
         if let PipelineBody::PageRank(options) = &pipeline.body {
-            let out = self.pagerank_prepared(prepared, options)?;
-            return Ok(PipelineOutput {
-                values: float_bits(&out.ranks),
-                iterations: out.report.num_iterations() as u64,
-                converged: out.converged,
-                cancelled: out.cancelled,
-            });
+            return Ok(self.pagerank_prepared(prepared, options)?.into());
         }
         let pull_side = prepared.transpose().map(|reverse| PullSide {
             reverse,
@@ -378,22 +375,11 @@ impl Engine {
                 } else {
                     self.pagerank(rep, &degrees, options)?
                 };
-                Ok(PipelineOutput {
-                    values: float_bits(&out.ranks),
-                    iterations: out.report.num_iterations() as u64,
-                    converged: out.converged,
-                    cancelled: out.cancelled,
-                })
+                Ok(out.into())
             }
             PipelineBody::Betweenness => {
                 let src = source.expect("validated: bc requires a source");
-                let out = self.betweenness(rep, src)?;
-                Ok(PipelineOutput {
-                    values: float_bits(&out.centrality),
-                    iterations: out.report.num_iterations() as u64,
-                    converged: true,
-                    cancelled: false,
-                })
+                Ok(self.betweenness(rep, src)?.into())
             }
             PipelineBody::ComputeOnly(ComputeStep::TriangleCount) => Ok(PipelineOutput {
                 values: triangle_counts(rep.graph()),
@@ -624,7 +610,13 @@ impl Engine {
         self.run_program(rep, MonotoneProgram::CC, None)
     }
 
-    /// PageRank (see [`crate::algorithms::pr::run`] for the contract).
+    /// PageRank (see [`crate::algorithms::pr::run`] for the contract),
+    /// on the plan's backend: `WarpSim` meters the kernels on the
+    /// simulator; every other backend runs the same driver as a host
+    /// loop — bit-identical ranks, no report. The pool's sweeps are
+    /// racy-order float adds, so `CpuPool` degrades to that sequential
+    /// loop here, as [`Engine::run_rounds`] degrades it;
+    /// [`Engine::cpu_pagerank`] is the explicit parallel entry.
     ///
     /// # Errors
     ///
@@ -637,13 +629,15 @@ impl Engine {
         options: &pr::PrOptions,
     ) -> Result<pr::PrOutput, EngineError> {
         self.check_footprint(rep)?;
-        Ok(pr::run_cancellable(
-            &self.sim,
-            rep,
-            out_degrees,
-            options,
-            &self.plan.cancel,
-        ))
+        let cancel = &self.plan.cancel;
+        Ok(match self.plan.backend {
+            BackendKind::WarpSim => {
+                pr::run_cancellable(&self.sim, rep, out_degrees, options, cancel)
+            }
+            BackendKind::CpuPool | BackendKind::Sequential => {
+                pr::run_cancellable(&HostLoop, rep, out_degrees, options, cancel)
+            }
+        })
     }
 
     /// Runs a monotone program on the wall-clock CPU path (no simulator)
@@ -667,7 +661,9 @@ impl Engine {
         run_cpu_pr_cancellable(g, options, &self.plan.cpu, &self.plan.cancel)
     }
 
-    /// Single-source betweenness centrality.
+    /// Single-source betweenness centrality, dispatched on the plan's
+    /// backend exactly like [`Engine::pagerank`]; the plan's token is
+    /// polled between levels.
     ///
     /// # Errors
     ///
@@ -679,7 +675,13 @@ impl Engine {
         source: NodeId,
     ) -> Result<bc::BcOutput, EngineError> {
         self.check_footprint(rep)?;
-        Ok(bc::run(&self.sim, rep, source))
+        let cancel = &self.plan.cancel;
+        Ok(match self.plan.backend {
+            BackendKind::WarpSim => bc::run_cancellable(&self.sim, rep, source, cancel),
+            BackendKind::CpuPool | BackendKind::Sequential => {
+                bc::run_cancellable(&HostLoop, rep, source, cancel)
+            }
+        })
     }
 }
 
@@ -688,6 +690,28 @@ impl Engine {
 /// the monotone analytics.
 fn float_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+impl From<pr::PrOutput> for PipelineOutput {
+    fn from(out: pr::PrOutput) -> Self {
+        PipelineOutput {
+            values: float_bits(&out.ranks),
+            iterations: out.iterations as u64,
+            converged: out.converged,
+            cancelled: out.cancelled,
+        }
+    }
+}
+
+impl From<bc::BcOutput> for PipelineOutput {
+    fn from(out: bc::BcOutput) -> Self {
+        PipelineOutput {
+            values: float_bits(&out.centrality),
+            iterations: out.iterations as u64,
+            converged: !out.cancelled,
+            cancelled: out.cancelled,
+        }
+    }
 }
 
 /// Sequential batch fallback for plans with no fused executor (forced
@@ -992,6 +1016,41 @@ mod tests {
         assert!(!inert.cancelled);
         assert!(inert.converged);
         assert_eq!(plain.values, inert.values);
+    }
+
+    #[test]
+    fn pagerank_and_betweenness_dispatch_on_the_backend() {
+        let g =
+            tigr_graph::generators::rmat(&tigr_graph::generators::RmatConfig::graph500(7, 6), 9);
+        let ov = VirtualGraph::coalesced(&g, 4);
+        let rep = Representation::Virtual {
+            graph: &g,
+            overlay: &ov,
+        };
+        let degrees = pr::out_degrees(&g);
+        let warp = Engine::new(GpuConfig::tiny());
+        let warp_pr = warp
+            .pagerank(&rep, &degrees, &pr::PrOptions::default())
+            .unwrap();
+        let warp_bc = warp.betweenness(&rep, NodeId::new(1)).unwrap();
+        assert_eq!(warp_pr.iterations, warp_pr.report.num_iterations());
+        assert_eq!(warp_bc.iterations, warp_bc.report.num_iterations());
+        for backend in [BackendKind::CpuPool, BackendKind::Sequential] {
+            let host = Engine::new(GpuConfig::tiny()).with_backend(backend);
+            let host_pr = host
+                .pagerank(&rep, &degrees, &pr::PrOptions::default())
+                .unwrap();
+            assert_eq!(float_bits(&host_pr.ranks), float_bits(&warp_pr.ranks));
+            assert_eq!(host_pr.iterations, warp_pr.iterations);
+            assert_eq!(host_pr.report.num_iterations(), 0, "no simulator ran");
+            let host_bc = host.betweenness(&rep, NodeId::new(1)).unwrap();
+            assert_eq!(
+                float_bits(&host_bc.centrality),
+                float_bits(&warp_bc.centrality)
+            );
+            assert_eq!(host_bc.iterations, warp_bc.iterations);
+            assert_eq!(host_bc.report.num_iterations(), 0, "no simulator ran");
+        }
     }
 
     #[test]

@@ -894,8 +894,8 @@ impl ServerCore {
         let view = snapshot.view().expect("dirty snapshot has a view");
         let out = run_monotone_view(&view, prog, query.source.map(NodeId::new));
         // The view driver doesn't poll the token mid-run; an expired
-        // deadline is honored after the fact (same contract as BC) and
-        // the complete-but-late answer is discarded, never cached.
+        // deadline is honored after the fact and the complete-but-late
+        // answer is discarded, never cached.
         if job.token.is_cancelled() {
             self.stats.record_failed();
             return Response::error(
@@ -1030,7 +1030,7 @@ fn run_query(
     let engine = Engine::default()
         .with_backend(BackendKind::Sequential)
         .with_device_memory(u64::MAX)
-        .with_cancel(token.clone());
+        .with_cancel(token);
     let deadline = || {
         Response::error(
             ErrorCode::DeadlineExceeded,
@@ -1045,10 +1045,9 @@ fn run_query(
             EngineError::InvalidPlan(p) => Response::error(ErrorCode::InvalidPlan, p.to_string()),
             other => Response::error(ErrorCode::Internal, other.to_string()),
         })?;
-    // Betweenness runs to completion without polling the token, so an
-    // expired deadline is checked after the fact; monotone and PR
-    // pipelines surface cancellation through the output itself.
-    if out.cancelled || (algo == Algo::Bc && token.is_cancelled()) {
+    // Every pipeline body polls the token between its iterations (BC
+    // between levels) and reports a fired one through the output.
+    if out.cancelled {
         return Err(deadline());
     }
     // Pipelines whose post-pass appends extra sections (bounded paths:

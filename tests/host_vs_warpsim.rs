@@ -1,0 +1,247 @@
+//! Differential suite for the two launchers of the PageRank and
+//! betweenness drivers: the wall-clock host loop (what `Sequential` and
+//! `CpuPool` plans run) must agree with the simulator's sequential
+//! replay **to the bit** — ranks/centralities, `iterations`, `converged`
+//! and `cancelled` — on every representation, because the two visit
+//! threads in the same order and `f32` accumulation order is the only
+//! thing that could tell them apart. Every committed checksum, the
+//! server's cached answers and `plan_fingerprint` rest on this.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use tigr::core::{CancelToken, DumbWeight, OnTheFlyMapper};
+use tigr::engine::{
+    bc, pr, AtomicFloats, BackendKind, BcOutput, HostLoop, Launcher, PrMode, PrOptions, PrOutput,
+};
+use tigr::graph::reverse::transpose;
+use tigr::sim::KernelMetrics;
+use tigr::{udt_transform, Csr, CsrBuilder, Engine, GpuConfig, GpuSimulator, NodeId};
+use tigr::{Representation, VirtualGraph};
+
+const KS: [u32; 3] = [1, 3, 10];
+
+/// Strategy: a directed graph of `0..max_nodes` nodes (so `n ∈ {0, 1}`
+/// occur) whose edge list keeps multi-edges and self-loops; most draws
+/// leave some nodes dangling.
+fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Csr> {
+    (0..max_nodes, vec((0..1000u32, 0..1000u32), 0..max_edges)).prop_map(|(nodes, edges)| {
+        let mut b = CsrBuilder::new(nodes);
+        if nodes > 0 {
+            for (s, d) in edges {
+                b.edge(s % nodes as u32, d % nodes as u32);
+            }
+        }
+        b.build()
+    })
+}
+
+/// Runs `check` on each of the four representations PageRank runs on,
+/// over `g` with bound `k`.
+fn for_each_pr_representation(
+    g: &Csr,
+    k: u32,
+    mut check: impl FnMut(&Representation<'_>) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    check(&Representation::Original(g))?;
+    for overlay in [VirtualGraph::new(g, k), VirtualGraph::coalesced(g, k)] {
+        check(&Representation::Virtual {
+            graph: g,
+            overlay: &overlay,
+        })?;
+    }
+    check(&Representation::OnTheFly {
+        graph: g,
+        mapper: OnTheFlyMapper::new(g, k),
+    })
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn pagerank_host_equals_warpsim_to_the_bit(
+        g in arb_graph(28, 120),
+        k in 0usize..3,
+        max_iterations in 1usize..40,
+    ) {
+        let sim = GpuSimulator::new(GpuConfig::tiny());
+        let degrees = pr::out_degrees(&g);
+        let rev = transpose(&g);
+        for (mode, graph) in [(PrMode::Push, &g), (PrMode::Pull, &rev)] {
+            let options = PrOptions { mode, max_iterations, ..PrOptions::default() };
+            for_each_pr_representation(graph, KS[k], |rep| {
+                let host = pr::run(&HostLoop, rep, &degrees, &options);
+                let warp = pr::run(&sim, rep, &degrees, &options);
+                let answer = |o: &PrOutput| (bits(&o.ranks), o.iterations, o.converged, o.cancelled);
+                prop_assert_eq!(answer(&host), answer(&warp), "{:?} on {}", mode, rep.label());
+                prop_assert_eq!(warp.iterations, warp.report.num_iterations());
+                prop_assert_eq!(host.report.num_iterations(), 0);
+                Ok(())
+            })?;
+        }
+    }
+
+    #[test]
+    fn betweenness_host_equals_warpsim_to_the_bit(
+        g in arb_graph(28, 120),
+        k in 0usize..3,
+        source in 0u32..1000,
+    ) {
+        prop_assume!(g.num_nodes() > 0);
+        let source = NodeId::new(source % g.num_nodes() as u32);
+        let sim = GpuSimulator::new(GpuConfig::tiny());
+        let consecutive = VirtualGraph::new(&g, KS[k]);
+        let coalesced = VirtualGraph::coalesced(&g, KS[k]);
+        for rep in [
+            Representation::Original(&g),
+            Representation::Virtual { graph: &g, overlay: &consecutive },
+            Representation::Virtual { graph: &g, overlay: &coalesced },
+        ] {
+            let host = bc::run(&HostLoop, &rep, source);
+            let warp = bc::run(&sim, &rep, source);
+            prop_assert_eq!(bits(&host.centrality), bits(&warp.centrality), "{}", rep.label());
+            prop_assert_eq!(bits(&host.sigma), bits(&warp.sigma), "{}", rep.label());
+            prop_assert_eq!(&host.levels, &warp.levels, "{}", rep.label());
+            prop_assert_eq!(host.iterations, warp.iterations, "{}", rep.label());
+            prop_assert_eq!(warp.iterations, warp.report.num_iterations());
+            prop_assert_eq!(host.report.num_iterations(), 0);
+            prop_assert!(!host.cancelled && !warp.cancelled);
+        }
+    }
+}
+
+fn fixture() -> Csr {
+    tigr::graph::generators::rmat(&tigr::graph::generators::RmatConfig::graph500(8, 6), 7)
+}
+
+#[test]
+fn a_pre_cancelled_token_stops_both_launchers_at_iteration_zero() {
+    let g = fixture();
+    let rep = Representation::Original(&g);
+    let token = CancelToken::new();
+    token.cancel();
+    for backend in [
+        BackendKind::WarpSim,
+        BackendKind::CpuPool,
+        BackendKind::Sequential,
+    ] {
+        let engine = Engine::new(GpuConfig::tiny())
+            .with_backend(backend)
+            .with_cancel(token.clone());
+        let ranks = engine
+            .pagerank(&rep, &pr::out_degrees(&g), &PrOptions::default())
+            .unwrap();
+        assert!(ranks.cancelled && !ranks.converged, "{}", backend.label());
+        assert_eq!(ranks.iterations, 0, "{}", backend.label());
+        assert_eq!(
+            ranks.ranks,
+            vec![1.0 / g.num_nodes() as f32; g.num_nodes()],
+            "{}: the initial ranks",
+            backend.label()
+        );
+        let scores = engine.betweenness(&rep, NodeId::new(0)).unwrap();
+        assert!(scores.cancelled, "{}", backend.label());
+        assert_eq!(scores.iterations, 0, "{}", backend.label());
+        assert!(
+            scores.centrality.iter().all(|&c| c == 0.0),
+            "{}",
+            backend.label()
+        );
+    }
+}
+
+/// A launcher that fires `token` once it has run `budget` kernels: the
+/// deterministic stand-in for a deadline expiring mid-run.
+struct CancelAfter<'a, L> {
+    inner: &'a L,
+    token: CancelToken,
+    budget: AtomicUsize,
+}
+
+impl<L: Launcher> Launcher for CancelAfter<'_, L> {
+    type Mirror = L::Mirror;
+    const METERED: bool = L::METERED;
+
+    fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
+    where
+        F: Fn(usize, &mut L::Mirror) + Sync,
+    {
+        let metrics = self.inner.launch(threads, body);
+        if self.budget.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.token.cancel();
+        }
+        metrics
+    }
+
+    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32) {
+        self.inner.add(acc, i, delta);
+    }
+}
+
+/// BC polls its token before every level of both phases, so a token
+/// that fires after `k` kernels stops the run at exactly `k` — forward
+/// or backward, identically on both launchers — and the partial
+/// dependencies are discarded.
+#[test]
+fn betweenness_cancels_between_levels() {
+    let g = fixture();
+    let rep = Representation::Original(&g);
+    let full = bc::run(&HostLoop, &rep, NodeId::new(0));
+    assert!(full.iterations > 4, "fixture has several levels");
+    let sim = GpuSimulator::new(GpuConfig::tiny());
+
+    fn cut<L: Launcher>(inner: &L, rep: &Representation<'_>, budget: usize) -> BcOutput {
+        let token = CancelToken::new();
+        let launcher = CancelAfter {
+            inner,
+            token: token.clone(),
+            budget: AtomicUsize::new(budget),
+        };
+        bc::run_cancellable(&launcher, rep, NodeId::new(0), &token)
+    }
+    for budget in [1, full.iterations / 2, full.iterations - 1] {
+        let host = cut(&HostLoop, &rep, budget);
+        let warp = cut(&sim, &rep, budget);
+        for out in [&host, &warp] {
+            assert!(out.cancelled, "{budget}");
+            assert_eq!(out.iterations, budget);
+            assert!(out.centrality.iter().all(|&c| c == 0.0), "{budget}");
+        }
+        assert_eq!(host.levels, warp.levels, "{budget}");
+    }
+    // A token that fires with the last kernel is never polled again.
+    let done = cut(&HostLoop, &rep, full.iterations);
+    assert!(!done.cancelled);
+    assert_eq!(bits(&done.centrality), bits(&full.centrality));
+}
+
+fn pagerank_over_a_physical_split<L: Launcher>(launcher: &L) {
+    let g = fixture();
+    let t = udt_transform(&g, 4, DumbWeight::Unweighted);
+    let degrees = vec![0u32; t.graph().num_nodes()];
+    pr::run(
+        launcher,
+        &Representation::Physical(&t),
+        &degrees,
+        &PrOptions::default(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "PageRank is undefined on physically transformed graphs")]
+fn physical_representation_is_rejected_for_pagerank_on_the_host() {
+    pagerank_over_a_physical_split(&HostLoop);
+}
+
+#[test]
+#[should_panic(expected = "PageRank is undefined on physically transformed graphs")]
+fn physical_representation_is_rejected_for_pagerank_on_the_simulator() {
+    pagerank_over_a_physical_split(&GpuSimulator::new(GpuConfig::tiny()));
+}

@@ -11,12 +11,12 @@ use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use tigr::core::{GraphStore, PrepareSpec, PreparedGraph};
-use tigr::engine::BackendKind;
+use tigr::engine::{BackendKind, Pipeline};
 use tigr::server::{
     Algo, Client, ClientError, ErrorCode, QueryRequest, Server, ServerAddr, ServerConfig,
     ServerCore, MAX_REQUEST_LINE,
 };
-use tigr::{Engine, MonotoneProgram, NodeId};
+use tigr::{Engine, GpuConfig, MonotoneProgram, NodeId};
 
 const MIX: [Algo; 4] = [Algo::Bfs, Algo::Sssp, Algo::Sswp, Algo::Cc];
 
@@ -28,6 +28,27 @@ fn shared_graph() -> Arc<PreparedGraph> {
         let spec = PrepareSpec::generated("rmat:16:16", 2018).with_uniform_weights(1, 64, 2018);
         Arc::new(GraphStore::disabled().prepare(&spec).unwrap())
     }))
+}
+
+/// Pins a lone worker for about a second so a burst submitted meanwhile
+/// queues up behind it: triangle counting (never batched, ≈ 1 s on this
+/// scale-15 graph, where a served `pr` now takes tens of milliseconds)
+/// on a graph of its own. Join the handle after the burst.
+fn pin_worker(core: &Arc<ServerCore>) -> std::thread::JoinHandle<()> {
+    static GRAPH: OnceLock<Arc<PreparedGraph>> = OnceLock::new();
+    let graph = GRAPH.get_or_init(|| {
+        let spec = PrepareSpec::generated("rmat:15:16", 2018);
+        Arc::new(GraphStore::disabled().prepare(&spec).unwrap())
+    });
+    core.add_graph("blocker", Arc::clone(graph));
+    let core = Arc::clone(core);
+    let blocker = std::thread::spawn(move || {
+        Client::local(core)
+            .query(QueryRequest::new("blocker", Algo::Tc, None))
+            .unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    blocker
 }
 
 /// Sixteen sources spread across the id space.
@@ -240,7 +261,7 @@ fn cancelled_sssp_leaves_no_partial_state_in_the_cache() {
 
 /// Satellite: mixed-algorithm traffic is partitioned into compatible
 /// batches — a burst of BFS/SSSP/SSWP/CC queries released while the
-/// single worker is pinned by a PageRank blocker must come back as one
+/// single worker is pinned (see `pin_worker`) must come back as one
 /// fused batch per algorithm (CC's identical deadline-free queries
 /// additionally coalesce onto one lane), every answer byte-equal to
 /// the sequential reference.
@@ -261,17 +282,7 @@ fn mixed_algorithm_burst_partitions_into_per_algorithm_batches() {
     });
     core.add_graph("rmat16", Arc::clone(&prepared));
 
-    // PageRank never enters the batch path; it pins the lone worker
-    // long enough for the whole burst to queue up behind it.
-    let blocker = {
-        let core = Arc::clone(&core);
-        std::thread::spawn(move || {
-            Client::local(core)
-                .query(QueryRequest::new("rmat16", Algo::Pr, None))
-                .unwrap()
-        })
-    };
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    let blocker = pin_worker(&core);
 
     let barrier = Arc::new(Barrier::new(16));
     let handles: Vec<_> = (0..16usize)
@@ -339,15 +350,7 @@ fn cancelled_query_in_a_batch_poisons_only_its_own_lane() {
     // Pin the worker so both SSSP queries queue up and are drained into
     // one batch; the doomed one's deadline fires while it waits or
     // during the fused run — both must surface as `deadline-exceeded`.
-    let blocker = {
-        let core = Arc::clone(&core);
-        std::thread::spawn(move || {
-            Client::local(core)
-                .query(QueryRequest::new("rmat16", Algo::Pr, None))
-                .unwrap()
-        })
-    };
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    let blocker = pin_worker(&core);
 
     let doomed = {
         let core = Arc::clone(&core);
@@ -388,6 +391,83 @@ fn cancelled_query_in_a_batch_poisons_only_its_own_lane() {
     assert!(!fresh.cached, "cancelled lane leaked a cache entry");
     let expect = expected_values(&prepared, Algo::Sssp, Some(doomed_src));
     assert_eq!(fresh.checksum, tigr::server::checksum(&expect));
+    core.shutdown();
+}
+
+/// The server runs `pr` and `bc` on the host loop of its `Sequential`
+/// plan; the simulator never enters. The reply still carries exactly
+/// what a direct sequential-replay simulator run computes — checksum
+/// and iteration count — because the two launchers agree to the bit
+/// (`tests/host_vs_warpsim.rs`), so answers cached or pinned before the
+/// host path existed stay valid.
+#[test]
+fn served_pr_and_bc_carry_the_simulator_runs_checksum_and_iterations() {
+    let spec = PrepareSpec::generated("rmat:12:16", 7).with_virtual(10, true);
+    let prepared = Arc::new(GraphStore::disabled().prepare(&spec).unwrap());
+    let core = ServerCore::new(ServerConfig::default());
+    core.add_graph("rmat12", Arc::clone(&prepared));
+    let mut client = Client::local(Arc::clone(&core));
+    let simulator = Engine::new(GpuConfig::default()).with_device_memory(u64::MAX);
+    for (algo, source) in [(Algo::Pr, None), (Algo::Bc, Some(3))] {
+        let pipeline = Pipeline::for_algo(algo, None).unwrap();
+        let direct = simulator
+            .run_prepared_pipeline(&prepared, &pipeline, source.map(NodeId::new))
+            .unwrap();
+        let served = client
+            .query(QueryRequest::new("rmat12", algo, source))
+            .unwrap();
+        assert!(!served.cached);
+        assert_eq!(
+            served.checksum,
+            tigr::server::checksum(&direct.values),
+            "{}",
+            algo.label()
+        );
+        assert_eq!(served.iterations, direct.iterations, "{}", algo.label());
+        assert!(direct.iterations > 1, "{}", algo.label());
+    }
+    core.shutdown();
+}
+
+/// BC polls its token between levels, so a deadline that expires
+/// mid-run surfaces as `deadline-exceeded` through the pipeline output
+/// like every other verb: nothing is cached, and the worker goes on to
+/// serve the next query.
+#[test]
+fn a_bc_deadline_expiring_mid_run_is_typed_uncached_and_frees_the_worker() {
+    let prepared = shared_graph();
+    let source = sources(&prepared)[2];
+    let core = ServerCore::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    core.add_graph("rmat16", Arc::clone(&prepared));
+    let mut client = Client::local(Arc::clone(&core));
+
+    // A scale-16 BC takes tens of milliseconds on the host loop; 2 ms
+    // run out a few levels in.
+    let mut doomed = QueryRequest::new("rmat16", Algo::Bc, Some(source));
+    doomed.deadline_ms = Some(2);
+    match client.query(doomed) {
+        Err(ClientError::Protocol(p)) => assert_eq!(p.code, ErrorCode::DeadlineExceeded, "{p:?}"),
+        other => panic!("2 ms BC unexpectedly finished: {other:?}"),
+    }
+    let full = client
+        .query(QueryRequest::new("rmat16", Algo::Bc, Some(source)))
+        .unwrap();
+    assert!(!full.cached, "cancelled bc leaked a cache entry");
+    let direct = Engine::default()
+        .with_backend(BackendKind::Sequential)
+        .with_device_memory(u64::MAX)
+        .run_prepared_pipeline(
+            &prepared,
+            &Pipeline::for_algo(Algo::Bc, None).unwrap(),
+            Some(NodeId::new(source)),
+        )
+        .unwrap();
+    assert_eq!(full.checksum, tigr::server::checksum(&direct.values));
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.completed, stats.failed), (1, 1));
     core.shutdown();
 }
 
