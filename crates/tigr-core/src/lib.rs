@@ -56,7 +56,7 @@ pub use cancel::CancelToken;
 pub use dumb_weights::DumbWeight;
 pub use mutation::{
     CompactionStats, DeltaOverlay, GraphSnapshot, MutableGraph, MutationError, MutationOp,
-    OverlayView, Wal,
+    OverlayView, PatchedRows, Wal,
 };
 pub use split::{
     circular_transform, clique_transform, recursive_star_transform, star_transform, udt_transform,

@@ -4,18 +4,27 @@
 //! The overlay never copies the base. Added edges live in small
 //! per-source vectors, removed base edges are a set of flat edge
 //! indices, and weight changes are an index-keyed override map, so the
-//! memory cost is proportional to the *delta*, not the graph. The
-//! merged adjacency is exposed two ways: [`OverlayView`] implements
-//! [`GraphView`] for kernels that stream edges (no materialization),
-//! and [`DeltaOverlay::merged_csr`] rebuilds a full CSR through
+//! memory cost is proportional to the *delta*, not the graph. Those
+//! hash structures are the **write side**: [`DeltaOverlay::apply`] and
+//! its helpers are the only code that probes them per edge.
+//!
+//! Readers get the merged adjacency two ways. [`DeltaOverlay::freeze`]
+//! builds the **read side** once per snapshot: [`PatchedRows`], a bitmap
+//! of the rows the delta touches plus each such row's whole effective
+//! adjacency, sorted by `(dst, weight)`. [`OverlayView`] pairs it with
+//! the base as a [`RowView`] — an untouched row costs one bit test and
+//! is the base's own slice, a patched row is a frozen slice — so the
+//! host push driver runs over base+delta exactly as it runs over a CSR.
+//! [`DeltaOverlay::merged_csr`] rebuilds a full CSR through
 //! [`CsrBuilder`] with its default canonical ordering — byte-identical
 //! to building the merged edge list from scratch, which is what makes
-//! compaction's differential guarantee hold.
+//! compaction's differential guarantee hold. The builder's order within
+//! a row is `(dst, weight)` too, so over a builder-built base the view's
+//! rows are the merged CSR's rows, edge for edge.
 
 use std::collections::{HashMap, HashSet};
 
-use tigr_graph::view::GraphView;
-use tigr_graph::{Csr, CsrBuilder, Edge, NodeId, Weight};
+use tigr_graph::{Csr, CsrBuilder, Edge, NodeId, RowView, Weight};
 
 use super::{MutationError, MutationOp};
 
@@ -206,9 +215,64 @@ impl DeltaOverlay {
         Ok(())
     }
 
-    /// Borrows base+delta as a [`GraphView`].
-    pub fn view<'a>(&'a self, base: &'a Csr) -> OverlayView<'a> {
-        OverlayView { base, delta: self }
+    /// Freezes the read-side index over `base`: which rows the delta
+    /// touches, and each such row's effective adjacency (base edges
+    /// minus removed, overrides applied, added edges merged) sorted by
+    /// `(dst, weight)`. Costs the delta plus the degrees of the patched
+    /// rows; grown nodes are always patched (they have no base row).
+    pub fn freeze(&self, base: &Csr) -> PatchedRows {
+        debug_assert_eq!(base.num_nodes(), self.base_nodes);
+        let n = self.num_nodes();
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        let mut mark = |u: usize| bits[u / 64] |= 1 << (u % 64);
+        self.added.keys().for_each(|&u| mark(u as usize));
+        let row_ptr = base.row_ptr();
+        for &e in self.removed.iter().chain(self.overrides.keys()) {
+            // Owner of flat edge `e`: the last row starting at or
+            // before it.
+            mark(row_ptr.partition_point(|&start| start as u64 <= e) - 1);
+        }
+        (self.base_nodes..n).for_each(&mut mark);
+
+        let mut rank = Vec::with_capacity(bits.len());
+        let mut offsets = vec![0usize];
+        let mut targets = Vec::new();
+        let mut weights = self.weighted.then(Vec::new);
+        let mut row: Vec<(NodeId, Weight)> = Vec::new();
+        for (word_idx, &word) in bits.iter().enumerate() {
+            rank.push(offsets.len() as u32 - 1);
+            let mut rest = word;
+            while rest != 0 {
+                let u = word_idx * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                row.clear();
+                if u < self.base_nodes {
+                    let node = NodeId::from_index(u);
+                    for e in base.edge_start(node)..base.edge_end(node) {
+                        if !self.removed.contains(&(e as u64)) {
+                            row.push((base.edge_target(e), self.effective_weight(base, e as u64)));
+                        }
+                    }
+                }
+                if let Some(list) = self.added.get(&(u as u32)) {
+                    row.extend(list.iter().map(|&(v, w)| (NodeId::new(v), w)));
+                }
+                row.sort_unstable();
+                targets.extend(row.iter().map(|&(v, _)| v));
+                if let Some(ws) = &mut weights {
+                    ws.extend(row.iter().map(|&(_, w)| w));
+                }
+                offsets.push(targets.len());
+            }
+        }
+        PatchedRows {
+            num_nodes: n,
+            bits,
+            rank,
+            offsets,
+            targets,
+            weights,
+        }
     }
 
     /// The full visible edge list (order unspecified; the builder
@@ -246,72 +310,82 @@ impl DeltaOverlay {
     }
 }
 
-/// Base+delta as a zero-copy [`GraphView`]: edge iteration streams the
-/// base CSR's adjacency (skipping removed edges, applying weight
-/// overrides) followed by the overlay's added edges.
+/// The read side of a frozen [`DeltaOverlay`]: a bitmap of the rows the
+/// delta touches and, for those rows only, their effective adjacency as
+/// one compact CSR. Immutable once built ([`DeltaOverlay::freeze`]).
+#[derive(Clone, Debug)]
+pub struct PatchedRows {
+    num_nodes: usize,
+    /// Bit `u` set ⇔ row `u` is served from `targets`, not the base.
+    bits: Vec<u64>,
+    /// Patched rows below word `i` of `bits` (the rank prefix).
+    rank: Vec<u32>,
+    /// The `r`-th patched row spans `offsets[r]..offsets[r + 1]`.
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+    weights: Option<Vec<Weight>>,
+}
+
+impl PatchedRows {
+    /// Rows served from the index rather than the base.
+    pub fn num_patched(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Borrows `base` + this index as a [`RowView`]. `base` must be the
+    /// CSR the overlay was frozen over.
+    pub fn view<'a>(&'a self, base: &'a Csr) -> OverlayView<'a> {
+        OverlayView { base, rows: self }
+    }
+}
+
+/// Base+delta as a zero-copy [`RowView`]: a patched row is a frozen
+/// slice of the [`PatchedRows`] index, every other row is the base's.
 #[derive(Clone, Copy, Debug)]
 pub struct OverlayView<'a> {
     base: &'a Csr,
-    delta: &'a DeltaOverlay,
+    rows: &'a PatchedRows,
 }
 
-impl OverlayView<'_> {
-    /// The underlying base CSR.
-    pub fn base(&self) -> &Csr {
-        self.base
-    }
-}
-
-impl GraphView for OverlayView<'_> {
+impl RowView for OverlayView<'_> {
     fn num_nodes(&self) -> usize {
-        self.delta.num_nodes()
+        self.rows.num_nodes
     }
 
-    fn num_edges(&self) -> usize {
-        self.delta.num_edges(self.base)
-    }
-
-    fn is_weighted(&self) -> bool {
-        self.delta.weighted
-    }
-
-    fn out_degree(&self, u: NodeId) -> usize {
-        let added = self.delta.added.get(&u.raw()).map_or(0, Vec::len);
-        if u.index() >= self.delta.base_nodes {
-            return added;
+    #[inline]
+    fn row(&self, u: NodeId) -> (&[NodeId], Option<&[Weight]>) {
+        let rows = self.rows;
+        let word = rows.bits[u.index() / 64];
+        let bit = 1u64 << (u.index() % 64);
+        if word & bit == 0 {
+            return self.base.row(u);
         }
-        let removed = (self.base.edge_start(u)..self.base.edge_end(u))
-            .filter(|e| self.delta.removed.contains(&(*e as u64)))
-            .count();
-        self.base.out_degree(u) - removed + added
-    }
-
-    fn for_each_edge(&self, u: NodeId, f: &mut dyn FnMut(NodeId, Weight)) {
-        if u.index() < self.delta.base_nodes {
-            for e in self.base.edge_start(u)..self.base.edge_end(u) {
-                if self.delta.removed.contains(&(e as u64)) {
-                    continue;
-                }
-                let w = if self.delta.weighted {
-                    self.delta.effective_weight(self.base, e as u64)
-                } else {
-                    1
-                };
-                f(self.base.edge_target(e), w);
-            }
-        }
-        if let Some(list) = self.delta.added.get(&u.raw()) {
-            for &(v, w) in list {
-                f(NodeId::new(v), w);
-            }
-        }
+        let r = rows.rank[u.index() / 64] as usize + (word & (bit - 1)).count_ones() as usize;
+        let span = rows.offsets[r]..rows.offsets[r + 1];
+        (
+            &rows.targets[span.clone()],
+            rows.weights.as_deref().map(|w| &w[span]),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tigr_graph::view::collect_edges;
+
+    /// Every row of `view` as `(src, dst, weight)` triples, in row
+    /// order.
+    fn rows(view: &impl RowView) -> Vec<(u32, u32, Weight)> {
+        (0..view.num_nodes() as u32)
+            .flat_map(|u| {
+                let (targets, weights) = view.row(NodeId::new(u));
+                assert_eq!(view.out_degree(NodeId::new(u)), targets.len());
+                (0..targets.len())
+                    .map(move |i| (u, targets[i].raw(), weights.map_or(1, |w| w[i])))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
 
     fn weighted_base() -> Csr {
         CsrBuilder::new(4)
@@ -358,10 +432,13 @@ mod tests {
             .unwrap());
 
         assert_eq!(d.delta_edges(), 3); // 1 added + 1 removed + 1 override
-        let view = d.view(&base);
-        assert_eq!(view.num_edges(), 4);
+        let frozen = d.freeze(&base);
+        // Rows 0 (remove + override) and 2 (add) are patched; 1 and 3
+        // are served straight from the base.
+        assert_eq!(frozen.num_patched(), 2);
+        assert_eq!(d.num_edges(&base), 4);
         assert_eq!(
-            collect_edges(&view),
+            rows(&frozen.view(&base)),
             vec![(0, 1, 2), (1, 2, 1), (2, 3, 5), (3, 0, 9)]
         );
     }
@@ -409,8 +486,11 @@ mod tests {
         assert!(d
             .apply(&base, MutationOp::AddEdge { u: 0, v: 5, w: 2 })
             .unwrap());
-        let view = d.view(&base);
+        let frozen = d.freeze(&base);
+        let view = frozen.view(&base);
+        assert_eq!(view.num_nodes(), 6);
         assert_eq!(view.out_degree(NodeId::new(5)), 1);
+        assert_eq!(view.out_degree(NodeId::new(4)), 0);
         let merged = d.merged_csr(&base);
         assert_eq!(merged.num_nodes(), 6);
         assert_eq!(merged.neighbors(NodeId::new(5)), &[NodeId::new(0)]);
@@ -472,13 +552,8 @@ mod tests {
             .weighted_edge(4, 1, 3);
         assert_eq!(merged, scratch.build());
 
-        // The streaming view agrees with the materialized CSR on every
-        // edge (as multisets per source).
-        let view = d.view(&base);
-        let mut streamed = collect_edges(&view);
-        streamed.sort_unstable();
-        let mut materialized = collect_edges(&merged);
-        materialized.sort_unstable();
-        assert_eq!(streamed, materialized);
+        // The view's rows are the materialized CSR's rows, edge for
+        // edge and in the same order.
+        assert_eq!(rows(&d.freeze(&base).view(&base)), rows(&merged));
     }
 }

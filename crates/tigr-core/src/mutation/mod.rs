@@ -11,13 +11,15 @@
 //!   panics.
 //! * [`DeltaOverlay`] — an in-memory patch (per-node added edges,
 //!   removed base-edge indices, weight overrides, extra nodes) layered
-//!   over the immutable base CSR. [`OverlayView`] exposes base+delta
-//!   through [`tigr_graph::GraphView`] so kernels iterate the merged
-//!   adjacency without copying the base.
+//!   over the immutable base CSR — the write side. [`PatchedRows`] is
+//!   its frozen read side, and [`OverlayView`] exposes base + index
+//!   through [`tigr_graph::RowView`] so the host push driver walks the
+//!   merged adjacency without copying the base or probing a hash.
 //! * [`GraphSnapshot`] — an `Arc`-held (base, delta, epoch) triple
 //!   pinned by each admitted query: MVCC snapshot isolation, so
-//!   concurrent mutations never change an in-flight answer. Old epochs
-//!   are freed by reference counting as their last reader drops.
+//!   concurrent mutations never change an in-flight answer. It freezes
+//!   the read-side index once, on the first query that needs it. Old
+//!   epochs are freed by reference counting as their last reader drops.
 //! * [`MutableGraph`] — the serving wrapper tying it together, with
 //!   [`MutableGraph::compact`]: merge base+delta into a fresh CSR,
 //!   re-run preparation (re-splitting virtual nodes whose degree
@@ -46,7 +48,7 @@ use std::io;
 
 use tigr_graph::GraphError;
 
-pub use delta::{DeltaOverlay, OverlayView};
+pub use delta::{DeltaOverlay, OverlayView, PatchedRows};
 pub use mutable::{ApplySummary, CompactionStats, GraphSnapshot, MutableGraph};
 pub use wal::{MutationOp, Recovery, Wal, WAL_MAGIC};
 

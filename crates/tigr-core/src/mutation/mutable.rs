@@ -27,14 +27,14 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 use tigr_graph::io::{encode_csr, fnv1a64};
 
 use crate::store::{wal_dir_for, GraphStore, PreparedGraph, ViewPlan};
 
-use super::delta::{DeltaOverlay, OverlayView};
+use super::delta::{DeltaOverlay, OverlayView, PatchedRows};
 use super::wal::{MutationOp, Wal};
 use super::MutationError;
 
@@ -75,16 +75,18 @@ pub struct CompactionStats {
 /// Queries admitted against a snapshot see exactly its state for their
 /// whole execution, no matter how many mutations or compactions land
 /// concurrently. A clean snapshot (`delta` is `None`) is just the base
-/// — batched/fused execution paths apply unchanged; a dirty snapshot
-/// exposes [`GraphSnapshot::view`] for zero-copy streaming kernels and
-/// [`GraphSnapshot::merged`] for algorithms that need a materialized
-/// CSR (built lazily, once, and cached for the snapshot's lifetime).
+/// — the fused batch path runs over it unchanged; a dirty snapshot
+/// exposes [`GraphSnapshot::view`] (base + frozen patched rows) for the
+/// same path and [`GraphSnapshot::merged`] for algorithms that need a
+/// materialized CSR. Both are built lazily, once, and kept for the
+/// snapshot's lifetime, so `apply` and `snapshot` never pay for them.
 #[derive(Debug)]
 pub struct GraphSnapshot {
     base: Arc<PreparedGraph>,
     delta: Option<Arc<DeltaOverlay>>,
     epoch: u64,
     plan: ViewPlan,
+    rows: OnceLock<PatchedRows>,
     merged: Mutex<Option<Arc<PreparedGraph>>>,
 }
 
@@ -126,9 +128,14 @@ impl GraphSnapshot {
             })
     }
 
-    /// Zero-copy base+delta view, when the snapshot is dirty.
+    /// Zero-copy base+delta view, when the snapshot is dirty. The first
+    /// call freezes the read-side index ([`DeltaOverlay::freeze`]);
+    /// later calls, from any thread, borrow it.
     pub fn view(&self) -> Option<OverlayView<'_>> {
-        self.delta.as_ref().map(|d| d.view(self.base.graph()))
+        let base = self.base.graph();
+        self.delta
+            .as_ref()
+            .map(|d| self.rows.get_or_init(|| d.freeze(base)).view(base))
     }
 
     /// The snapshot as a fully materialized [`PreparedGraph`]: the base
@@ -365,6 +372,7 @@ impl MutableGraph {
             delta: (!inner.delta.is_empty()).then(|| Arc::new(inner.delta.clone())),
             epoch: inner.epoch,
             plan: self.plan,
+            rows: OnceLock::new(),
             merged: Mutex::new(None),
         });
         inner.cached = Some(Arc::clone(&snap));

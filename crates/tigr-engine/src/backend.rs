@@ -23,8 +23,9 @@ use tigr_graph::reverse::transpose;
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuConfig, GpuSimulator, SimReport};
 
+use crate::batch::{run_batch_cpu_pool, run_batch_sequential_push, BatchArena, BatchProgram};
 use crate::frontier::{Frontier, FrontierBuilder, FrontierRep};
-use crate::kernel::{csr_edges, pull_gather, push_relax, GatherFilter, NoMirror};
+use crate::kernel::{csr_edges, pull_gather, GatherFilter, NoMirror};
 use crate::plan::{BackendKind, Direction, ExecutionPlan};
 use crate::program::{EdgeOp, InitKind, MonotoneProgram};
 use crate::pull::{pull_step, run_monotone_pull_cancellable, GatherCtx, PullOptions};
@@ -398,15 +399,9 @@ impl Backend for CpuPool {
         if plan.direction != Direction::Push {
             // Pull and auto share the batched executor's gather side;
             // K = 1 degenerates to a solo run.
-            let batch = crate::batch::BatchProgram {
-                prog,
-                lanes: vec![crate::batch::BatchLane::with_cancel(
-                    source,
-                    plan.cancel.clone(),
-                )],
-            };
-            let mut arena = crate::batch::BatchArena::new();
-            let mut out = crate::batch::run_batch_cpu_pool(rep, None, &batch, &plan, &mut arena);
+            let batch = BatchProgram::solo(prog, source, plan.cancel.clone());
+            let mut arena = BatchArena::new();
+            let mut out = run_batch_cpu_pool(rep, None, &batch, &plan, &mut arena);
             return Ok(out.lanes.pop().expect("one lane in, one lane out"));
         }
         let cancel = &plan.cancel;
@@ -459,94 +454,20 @@ impl Backend for Sequential {
         plan.validate(rep, &prog)?;
         Ok(match plan.direction {
             // Auto's fixpoint equals push's; the sequential reference
-            // keeps the simpler schedule.
-            Direction::Push | Direction::Auto => sequential_push(rep, prog, source, plan),
+            // keeps the simpler schedule. A solo push run is the lane
+            // driver's K = 1 case, over the representation's CSR
+            // (virtual overlays share the fixpoint and are ignored;
+            // physical splits use their split CSR and slots).
+            Direction::Push | Direction::Auto => {
+                let batch = BatchProgram::solo(prog, source, plan.cancel.clone());
+                let mut arena = BatchArena::new();
+                run_batch_sequential_push(rep.graph(), &batch, &plan.push, &mut arena)
+                    .lanes
+                    .pop()
+                    .expect("one lane in, one lane out")
+            }
             Direction::Pull => sequential_pull(rep, prog, source, plan),
         })
-    }
-}
-
-/// Sequential scatter sweeps over the representation's CSR (virtual
-/// overlays share the fixpoint and are ignored here; physical splits use
-/// their split CSR and slots).
-fn sequential_push(
-    rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    plan: &ExecutionPlan,
-) -> MonotoneOutput {
-    let g = rep.graph();
-    let n = rep.num_value_slots();
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let next = FrontierBuilder::new(n);
-    let mut active = prog.initial_frontier(n, source);
-    let mut edges_touched = 0u64;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut cancelled = false;
-    // BSP double buffering mirrors the simulator driver: reads see only
-    // the previous iteration's values.
-    let mut prev_snapshot: Option<Vec<u32>> = match plan.push.sync {
-        SyncMode::Bsp => Some(values.snapshot()),
-        SyncMode::Relaxed => None,
-    };
-    for _ in 0..plan.push.max_iterations {
-        if plan.push.worklist && active.is_empty() {
-            converged = true;
-            break;
-        }
-        if plan.cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        iterations += 1;
-        let mut changed = false;
-        let prev = prev_snapshot.as_deref();
-        let mut relax = |slot: usize| {
-            let v = NodeId::from_index(slot);
-            let d = match prev {
-                Some(p) => p[slot],
-                None => values.load(slot),
-            };
-            edges_touched += push_relax(
-                &mut NoMirror,
-                prog,
-                &values,
-                prev,
-                d,
-                csr_edges(g, g.edge_start(v)..g.edge_end(v)),
-                |_, t| {
-                    changed = true;
-                    next.activate(t);
-                },
-            );
-        };
-        if plan.push.worklist {
-            for &v in &active {
-                relax(v as usize);
-            }
-        } else {
-            for slot in 0..n {
-                relax(slot);
-            }
-        }
-        active.clear();
-        next.drain_into(&mut active);
-        if !changed {
-            converged = true;
-            break;
-        }
-        if let Some(snapshot) = &mut prev_snapshot {
-            *snapshot = values.snapshot();
-        }
-    }
-    MonotoneOutput {
-        values: values.snapshot(),
-        report: SimReport::new(),
-        converged,
-        edges_touched,
-        directions: vec![Direction::Push; iterations],
-        cancelled,
     }
 }
 

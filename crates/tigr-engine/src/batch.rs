@@ -1,5 +1,5 @@
-//! Batched multi-source execution: K same-program runs fused into one
-//! sequence of sweeps over the CSR.
+//! The host push driver: K same-program runs fused into one sequence
+//! of sweeps over a graph's rows.
 //!
 //! The serving workload runs the *same* monotone program from many
 //! sources over one shared graph. Executed one query at a time, every
@@ -8,20 +8,23 @@
 //! This module applies the "multiple frontiers" idea (Gunrock): give
 //! each query its own **lane** — a private value array, frontier
 //! builder, and worklist — and advance all lanes in lockstep, merging
-//! their sorted active lists node-major so each node's adjacency range
+//! their sorted active lists node-major so each node's adjacency row
 //! is hot in cache for every lane that needs it in a sweep.
 //!
-//! The contract is strict **byte-equality** with the single-source
-//! reference: each lane replicates the state machine of the sequential
-//! push backend exactly — the same pre-iteration checks in the same
-//! order, the same ascending relaxation order (per-lane active lists
-//! are ascending, and the node-major merge preserves that per lane),
-//! and a private value array — so a lane's `values`, iteration count,
-//! `converged`, `cancelled`, and `edges_touched` are identical to what
-//! a solo run would have produced. Duplicate sources are just duplicate
-//! lanes; `K = 1` degenerates to the solo schedule (and is how the
-//! server runs *all* monotone queries, so the arena's allocation reuse
-//! benefits the non-batched path too).
+//! [`run_batch_sequential_push`] is the one sequential push loop on the
+//! host. It is generic over [`RowView`] — a [`Csr`], or a pinned
+//! snapshot's base+delta view — and monomorphised per implementor, so
+//! nothing on the per-row or per-edge path is dynamic. A solo run *is*
+//! a `K = 1` batch: the `Sequential` backend calls it with one lane, so
+//! there is no second state machine to keep in step. A lane's schedule
+//! depends on nothing but its own state — pre-iteration checks in a
+//! fixed order (iteration cap, empty worklist, cancellation poll),
+//! ascending relaxation order (per-lane active lists are ascending, and
+//! the node-major merge preserves that per lane), a private value array,
+//! an optional BSP double buffer — so its `values`, iteration count,
+//! `converged`, `cancelled`, and `edges_touched` are the same to the
+//! byte whatever its batchmates do. Duplicate sources are just duplicate
+//! lanes.
 //!
 //! Two executors share the lane abstraction:
 //!
@@ -47,12 +50,14 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use tigr_core::{CancelToken, VirtualGraph};
-use tigr_graph::{reverse::transpose, Csr, NodeId};
+use tigr_graph::{reverse::transpose, Csr, NodeId, RowView};
 use tigr_sim::SimReport;
 
 use crate::cpu_parallel::{balanced_cuts, count_bounds, CpuSchedule};
 use crate::frontier::FrontierBuilder;
-use crate::kernel::{csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, NoMirror};
+use crate::kernel::{
+    csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, slice_edges, NoMirror,
+};
 use crate::plan::{Direction, ExecutionPlan};
 use crate::pool::{with_pool, EpochRunner};
 use crate::program::{InitKind, MonotoneProgram};
@@ -66,8 +71,8 @@ use crate::state::AtomicValues;
 pub struct BatchLane {
     /// Source node (`None` for source-free programs like CC).
     pub source: Option<NodeId>,
-    /// Per-lane cancellation, polled at the lane's iteration
-    /// boundaries exactly like the solo driver polls the plan token.
+    /// Per-lane cancellation, polled before each of the lane's
+    /// iterations.
     pub cancel: CancelToken,
 }
 
@@ -108,10 +113,18 @@ impl BatchProgram {
             lanes: sources.into_iter().map(BatchLane::new).collect(),
         }
     }
+
+    /// The `K = 1` batch a solo run is: one lane under `cancel`.
+    pub fn solo(prog: MonotoneProgram, source: Option<NodeId>, cancel: CancelToken) -> Self {
+        BatchProgram {
+            prog,
+            lanes: vec![BatchLane::with_cancel(source, cancel)],
+        }
+    }
 }
 
 /// Result of a batched run: one [`MonotoneOutput`] per lane, in lane
-/// order, each byte-equal to the solo sequential push run.
+/// order.
 #[derive(Debug)]
 pub struct BatchOutput {
     /// Per-lane outputs (same order as [`BatchProgram::lanes`]).
@@ -158,6 +171,8 @@ struct LaneSlot {
     values: AtomicValues,
     next: FrontierBuilder,
     active: Vec<u32>,
+    /// BSP double buffer (empty under relaxed sync).
+    prev: Vec<u32>,
 }
 
 /// One pool worker's private scratch: reused across sweeps so the hot
@@ -246,6 +261,7 @@ impl BatchArena {
                 values: AtomicValues::new(n, 0),
                 next: FrontierBuilder::new(n),
                 active: Vec::new(),
+                prev: Vec::new(),
             });
         }
     }
@@ -283,6 +299,9 @@ struct LaneRun<'a> {
     values: &'a AtomicValues,
     next: &'a FrontierBuilder,
     active: &'a mut Vec<u32>,
+    /// BSP double buffer: the values as the previous iteration left
+    /// them, which is all a sweep may read. `None` under relaxed sync.
+    prev: Option<&'a mut Vec<u32>>,
     cancel: &'a CancelToken,
     /// Position in `active` during the node-major merge.
     cursor: usize,
@@ -296,59 +315,52 @@ struct LaneRun<'a> {
 }
 
 impl LaneRun<'_> {
-    /// One scatter relaxation of `slot` in this lane — the body of the
-    /// solo sequential push sweep, verbatim.
-    fn relax(&mut self, g: &Csr, prog: MonotoneProgram) {
-        let slot = if let Some(&v) = self.active.get(self.cursor) {
-            v as usize
-        } else {
-            return;
+    /// One scatter relaxation of `slot`'s row in this lane.
+    #[inline]
+    fn relax_slot<R: RowView>(&mut self, rows: &R, prog: MonotoneProgram, slot: usize) {
+        let prev = self.prev.as_deref().map(Vec::as_slice);
+        let d = match prev {
+            Some(p) => p[slot],
+            None => self.values.load(slot),
         };
-        self.relax_slot(g, prog, slot);
-    }
-
-    fn relax_slot(&mut self, g: &Csr, prog: MonotoneProgram, slot: usize) {
-        let v = NodeId::from_index(slot);
-        let d = self.values.load(slot);
+        let (targets, weights) = rows.row(NodeId::from_index(slot));
         let next = self.next;
         let mut changed = false;
-        let touched = push_relax(
+        self.edges_touched += push_relax(
             &mut NoMirror,
             prog,
             self.values,
-            None,
+            prev,
             d,
-            csr_edges(g, g.edge_start(v)..g.edge_end(v)),
+            slice_edges(0, targets, weights),
             |_, t| {
                 changed = true;
                 next.activate(t);
             },
         );
-        self.edges_touched += touched;
-        if changed {
-            self.changed = true;
-        }
+        self.changed |= changed;
     }
 }
 
-/// Runs `batch` over `rep` with the deterministic single-threaded push
-/// schedule, all lanes in lockstep. Every lane's output is byte-equal
-/// to what the sequential backend's push driver returns for that
-/// source alone under the same `options`.
+/// Runs `batch` over `rows` with the deterministic single-threaded push
+/// schedule, all lanes in lockstep — THE sequential push loop of the
+/// host: the `Sequential` backend's solo runs are its `K = 1` case, and
+/// a served query on a mutated graph passes the snapshot's base+delta
+/// view where a clean one passes the CSR. Every lane's output is what
+/// that lane alone would produce under the same `options`, to the byte.
 ///
 /// # Panics
 ///
 /// Panics if the program needs a source and a lane has none, or a
 /// lane's source is out of range — the same contract as
 /// [`MonotoneProgram::initial_values`].
-pub fn run_batch_sequential_push(
-    rep: &Representation<'_>,
+pub fn run_batch_sequential_push<R: RowView>(
+    rows: &R,
     batch: &BatchProgram,
     options: &PushOptions,
     arena: &mut BatchArena,
 ) -> BatchOutput {
-    let g = rep.graph();
-    let n = rep.num_value_slots();
+    let n = rows.num_nodes();
     let prog = batch.prog;
     let k = batch.lanes.len();
     arena.ensure(k, n);
@@ -367,6 +379,7 @@ pub fn run_batch_sequential_push(
                 values,
                 next,
                 active,
+                prev,
             } = slot;
             init_lane(prog, lane.source, n, values, active);
             next.clear();
@@ -374,6 +387,10 @@ pub fn run_batch_sequential_push(
                 values,
                 next,
                 active,
+                prev: (options.sync == SyncMode::Bsp).then(|| {
+                    *prev = values.snapshot();
+                    prev
+                }),
                 cancel: &lane.cancel,
                 cursor: 0,
                 iterations: 0,
@@ -389,9 +406,8 @@ pub fn run_batch_sequential_push(
 
     let mut sweeps = 0usize;
     loop {
-        // Per-lane pre-iteration checks, in the solo driver's order:
-        // iteration cap, worklist emptiness (convergence), then the
-        // cancellation poll.
+        // Per-lane pre-iteration checks: iteration cap, worklist
+        // emptiness (convergence), then the cancellation poll.
         let mut any = false;
         for lane in &mut lanes {
             lane.runnable = false;
@@ -425,9 +441,9 @@ pub fn run_batch_sequential_push(
 
         if options.worklist {
             // Node-major k-way merge of the per-lane sorted worklists:
-            // each node's adjacency range is walked back-to-back for
-            // every lane in which it is active, and each lane still
-            // sees its nodes in ascending order.
+            // each node's row is walked back-to-back for every lane in
+            // which it is active, and each lane still sees its nodes in
+            // ascending order.
             loop {
                 let mut cur: Option<u32> = None;
                 for lane in lanes.iter().filter(|l| l.runnable) {
@@ -438,7 +454,7 @@ pub fn run_batch_sequential_push(
                 let Some(v) = cur else { break };
                 for lane in lanes.iter_mut().filter(|l| l.runnable) {
                     if lane.active.get(lane.cursor) == Some(&v) {
-                        lane.relax(g, prog);
+                        lane.relax_slot(rows, prog, v as usize);
                         lane.cursor += 1;
                     }
                 }
@@ -447,7 +463,7 @@ pub fn run_batch_sequential_push(
             // Full sweeps: every slot, every runnable lane.
             for slot in 0..n {
                 for lane in lanes.iter_mut().filter(|l| l.runnable) {
-                    lane.relax_slot(g, prog, slot);
+                    lane.relax_slot(rows, prog, slot);
                 }
             }
         }
@@ -458,6 +474,8 @@ pub fn run_batch_sequential_push(
             if !lane.changed {
                 lane.converged = true;
                 lane.done = true;
+            } else if let Some(prev) = &mut lane.prev {
+                **prev = lane.values.snapshot();
             }
         }
     }
@@ -759,7 +777,7 @@ pub fn run_batch_cpu_pool(
     if k == 0 || n == 0 {
         // Degenerate shapes carry no parallel work; the sequential
         // executor's byte-exact handling is the better answer.
-        return run_batch_sequential_push(rep, batch, &plan.push, arena);
+        return run_batch_sequential_push(g, batch, &plan.push, arena);
     }
     let threads = plan.cpu.threads.max(1);
     let worklist = plan.push.worklist;
@@ -1117,7 +1135,7 @@ mod tests {
             let batch =
                 BatchProgram::from_sources(prog, sources.iter().map(|&s| Some(NodeId::new(s))));
             let mut arena = BatchArena::new();
-            let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+            let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
             assert_eq!(out.lanes.len(), sources.len());
             for (i, &s) in sources.iter().enumerate() {
                 let reference = solo(&rep, prog, Some(s));
@@ -1140,7 +1158,7 @@ mod tests {
         let rep = Representation::Original(&g);
         let batch = BatchProgram::from_sources(MonotoneProgram::CC, [None, None]);
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
         let reference = solo(&rep, MonotoneProgram::CC, None);
         assert_lane_equal(&out.lanes[0], &reference, "cc lane 0");
         assert_lane_equal(&out.lanes[1], &reference, "cc lane 1");
@@ -1156,7 +1174,7 @@ mod tests {
         // between runs.
         for &s in &[5u32, 42, 5, 299] {
             let batch = BatchProgram::from_sources(MonotoneProgram::SSSP, [Some(NodeId::new(s))]);
-            let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+            let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
             let reference = solo(&rep, MonotoneProgram::SSSP, Some(s));
             assert_lane_equal(&out.lanes[0], &reference, &format!("sssp/{s}"));
         }
@@ -1229,8 +1247,8 @@ mod tests {
 
         // Uncapped: the wide burst's 12 lanes stay resident forever.
         let mut unbounded = BatchArena::new();
-        run_batch_sequential_push(&rep, &wide(), &PushOptions::default(), &mut unbounded);
-        run_batch_sequential_push(&rep, &narrow(), &PushOptions::default(), &mut unbounded);
+        run_batch_sequential_push(&g, &wide(), &PushOptions::default(), &mut unbounded);
+        run_batch_sequential_push(&g, &narrow(), &PushOptions::default(), &mut unbounded);
         assert_eq!(unbounded.retained_lanes(), 12);
 
         // Capped: alternating wide/narrow batches settle at the cap
@@ -1239,8 +1257,8 @@ mod tests {
         let mut arena = BatchArena::with_retain_cap(cap);
         assert_eq!(arena.retain_cap(), cap);
         for round in 0..3 {
-            run_batch_sequential_push(&rep, &wide(), &PushOptions::default(), &mut arena);
-            run_batch_sequential_push(&rep, &narrow(), &PushOptions::default(), &mut arena);
+            run_batch_sequential_push(&g, &wide(), &PushOptions::default(), &mut arena);
+            run_batch_sequential_push(&g, &narrow(), &PushOptions::default(), &mut arena);
             assert_eq!(arena.retained_lanes(), cap, "round {round}");
             assert!(
                 arena.retained_values() <= cap * n,
@@ -1290,7 +1308,7 @@ mod tests {
             [Some(NodeId::new(0)), Some(NodeId::new(100))],
         );
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &options, &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &options, &mut arena);
         for (lane, src) in out.lanes.iter().zip([0u32, 100]) {
             let reference = Sequential
                 .run_monotone(&rep, MonotoneProgram::SSSP, Some(NodeId::new(src)), &plan)
@@ -1314,7 +1332,7 @@ mod tests {
             ],
         };
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
         assert!(out.lanes[0].cancelled && !out.lanes[0].converged);
         // Pre-cancelled lane holds exactly its initial values.
         assert_eq!(out.lanes[0].values[0], 0);
@@ -1341,7 +1359,7 @@ mod tests {
             [Some(NodeId::new(0)), Some(NodeId::new(9))],
         );
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &options, &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &options, &mut arena);
         for (lane, src) in out.lanes.iter().zip([0u32, 9]) {
             let reference = Sequential
                 .run_monotone(&rep, MonotoneProgram::SSSP, Some(NodeId::new(src)), &plan)
@@ -1350,13 +1368,51 @@ mod tests {
         }
     }
 
+    /// The lane driver against the simulator-backed push engine — an
+    /// independent loop — on every monotone program, relaxed and BSP.
+    #[test]
+    fn lanes_match_the_simulated_push_engine() {
+        use crate::push::run_monotone;
+        use tigr_graph::generators::{rmat, RmatConfig};
+        use tigr_sim::{GpuConfig, GpuSimulator};
+        let unit = rmat(&RmatConfig::graph500(8, 6), 97);
+        let weighted = with_uniform_weights(&unit, 1, 32, 3);
+        let sim = GpuSimulator::new(GpuConfig::default());
+        let src = Some(NodeId::new(5));
+        let bsp_rounds = PushOptions {
+            worklist: false,
+            sync: SyncMode::Bsp,
+            max_iterations: 3,
+            ..PushOptions::default()
+        };
+        for options in [PushOptions::default(), bsp_rounds] {
+            for (g, prog, source) in [
+                (&unit, MonotoneProgram::BFS, src),
+                (&unit, MonotoneProgram::CC, None),
+                (&unit, MonotoneProgram::KHOP, src),
+                (&weighted, MonotoneProgram::SSSP, src),
+                (&weighted, MonotoneProgram::SSWP, src),
+            ] {
+                let expect =
+                    run_monotone(&sim, &Representation::Original(g), prog, source, &options);
+                let batch = BatchProgram::from_sources(prog, [source, source]);
+                let out = run_batch_sequential_push(g, &batch, &options, &mut BatchArena::new());
+                for lane in &out.lanes {
+                    let label = format!("{}/{:?}", prog.name, options.sync);
+                    assert_eq!(lane.values, expect.values, "{label}: values");
+                    assert_eq!(lane.converged, expect.converged, "{label}: converged");
+                    assert!(!lane.directions.is_empty(), "{label}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_batch_is_a_no_op() {
         let g = fixture();
-        let rep = Representation::Original(&g);
         let batch = BatchProgram::from_sources(MonotoneProgram::BFS, []);
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
         assert!(out.lanes.is_empty());
         assert_eq!(out.sweeps, 0);
     }

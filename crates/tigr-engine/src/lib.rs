@@ -55,7 +55,6 @@ mod push;
 mod representation;
 mod runner;
 mod state;
-pub mod view_exec;
 
 pub use algorithms::bc::{self, BcOutput};
 pub use algorithms::dobfs::{self, DoBfsOptions, DoBfsOutput};
@@ -86,4 +85,3 @@ pub use push::{run_monotone, run_monotone_cancellable, MonotoneOutput, PushOptio
 pub use representation::Representation;
 pub use runner::{Engine, EngineError};
 pub use state::{AtomicFloats, AtomicValues, Combine};
-pub use view_exec::{run_monotone_view, ViewOutput};

@@ -432,10 +432,11 @@ impl Engine {
     /// work-stealing pool, per-sweep Beamer direction switching over
     /// the merged frontier, lane outputs *value*-equal to solo runs.
     /// Any other backend runs the deterministic sequential reference —
-    /// push (and auto, whose fixpoint equals push's) via the fused
-    /// [`crate::batch::run_batch_sequential_push`] with lane outputs
-    /// **byte**-equal to solo sequential push runs; a forced pull plan
-    /// runs each lane's solo sequential pull schedule.
+    /// push (and auto, whose fixpoint equals push's) via the host lane
+    /// driver [`crate::batch::run_batch_sequential_push`], whose lane
+    /// outputs are **byte**-equal to solo sequential push runs (those
+    /// are its `K = 1` case); a forced pull plan runs each lane's solo
+    /// sequential pull schedule.
     ///
     /// # Errors
     ///
@@ -491,7 +492,10 @@ impl Engine {
             )),
             _ if plan.direction == Direction::Pull => run_lanes_solo(rep, batch, &plan),
             _ => Ok(crate::batch::run_batch_sequential_push(
-                rep, batch, &plan.push, arena,
+                rep.graph(),
+                batch,
+                &plan.push,
+                arena,
             )),
         }
     }

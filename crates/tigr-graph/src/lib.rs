@@ -67,7 +67,7 @@ pub use csr::Csr;
 pub use edge::{Edge, NodeId, Weight, INFINITE_WEIGHT};
 pub use error::GraphError;
 pub use segment::{ArcSlice, Plain, Segment};
-pub use view::GraphView;
+pub use view::RowView;
 
 /// Crate-wide result alias carrying a [`GraphError`].
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -1,84 +1,44 @@
-//! A read-only adjacency abstraction over "some graph shape".
+//! Row access over "some graph shape".
 //!
-//! The engine's prepared paths iterate a concrete [`Csr`] (or a virtual
-//! overlay of one) directly — that stays untouched. [`GraphView`] exists
-//! for the *mutation* layer: a delta overlay patches an immutable base
-//! CSR with added/removed edges, and kernels that only need "for each
-//! out-edge of `u`" can run over base+delta without the overlay copying
-//! the base. The trait is deliberately minimal and object-safe so a view
-//! can be handed across crate boundaries as `&dyn GraphView`.
+//! The host push driver needs exactly one thing from a graph: the
+//! out-adjacency of a node as contiguous slices. [`RowView`] names that,
+//! so the driver is written once and monomorphised per implementor — a
+//! plain [`Csr`], where a row is a range of `col_idx`/weights, or the
+//! mutation layer's base+delta view, where a patched row is a frozen
+//! slice and every other row is the base's. Nothing here is called
+//! through `dyn`: the per-row and per-edge paths inline.
 
 use crate::csr::Csr;
 use crate::edge::{NodeId, Weight};
 
-/// Read-only out-adjacency access: the minimal shape a push-style
-/// vertex-centric kernel needs from a graph.
-///
-/// Unweighted views must report a weight of `1` for every edge, matching
-/// [`Csr::weight`].
-pub trait GraphView {
-    /// Number of nodes (out-edge endpoints are `< num_nodes()`).
+/// Read-only out-adjacency access, one contiguous row at a time.
+pub trait RowView {
+    /// Number of nodes (row targets are `< num_nodes()`).
     fn num_nodes(&self) -> usize;
 
-    /// Number of directed edges visible through this view.
-    fn num_edges(&self) -> usize;
-
-    /// Whether edges carry explicit weights (`false` means all-1).
-    fn is_weighted(&self) -> bool;
+    /// Out-neighbors of `u` and the weights parallel to them (`None`
+    /// means every edge weighs 1, matching [`Csr::weight`]).
+    fn row(&self, u: NodeId) -> (&[NodeId], Option<&[Weight]>);
 
     /// Outgoing degree of `u` as seen through this view.
-    fn out_degree(&self, u: NodeId) -> usize;
-
-    /// Calls `f(dst, weight)` for every out-edge of `u`, in the view's
-    /// canonical order.
-    fn for_each_edge(&self, u: NodeId, f: &mut dyn FnMut(NodeId, Weight));
+    fn out_degree(&self, u: NodeId) -> usize {
+        self.row(u).0.len()
+    }
 }
 
-impl GraphView for Csr {
+impl RowView for Csr {
     fn num_nodes(&self) -> usize {
         Csr::num_nodes(self)
     }
 
-    fn num_edges(&self) -> usize {
-        Csr::num_edges(self)
+    #[inline]
+    fn row(&self, u: NodeId) -> (&[NodeId], Option<&[Weight]>) {
+        let span = self.edge_start(u)..self.edge_end(u);
+        (
+            &self.col_idx()[span.clone()],
+            self.weights().map(|w| &w[span]),
+        )
     }
-
-    fn is_weighted(&self) -> bool {
-        Csr::is_weighted(self)
-    }
-
-    fn out_degree(&self, u: NodeId) -> usize {
-        Csr::out_degree(self, u)
-    }
-
-    fn for_each_edge(&self, u: NodeId, f: &mut dyn FnMut(NodeId, Weight)) {
-        let (start, end) = (self.edge_start(u), self.edge_end(u));
-        match self.neighbor_weights(u) {
-            Some(w) => {
-                for (i, &dst) in self.col_idx()[start..end].iter().enumerate() {
-                    f(dst, w[i]);
-                }
-            }
-            None => {
-                for &dst in &self.col_idx()[start..end] {
-                    f(dst, 1);
-                }
-            }
-        }
-    }
-}
-
-/// Collects a view's full edge list as `(src, dst, weight)` triples in
-/// view order — the bridge from any [`GraphView`] back to a
-/// [`CsrBuilder`](crate::CsrBuilder) materialization.
-pub fn collect_edges(view: &dyn GraphView) -> Vec<(u32, u32, Weight)> {
-    let mut out = Vec::with_capacity(view.num_edges());
-    for u in 0..view.num_nodes() as u32 {
-        view.for_each_edge(NodeId::new(u), &mut |dst, w| {
-            out.push((u, dst.raw(), w));
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -87,29 +47,24 @@ mod tests {
     use crate::builder::CsrBuilder;
 
     #[test]
-    fn csr_view_matches_direct_access() {
+    fn csr_rows_match_direct_access() {
         let g = CsrBuilder::new(4)
             .weighted_edge(0, 1, 4)
             .weighted_edge(0, 2, 7)
             .weighted_edge(1, 2, 1)
             .weighted_edge(3, 0, 9)
             .build();
-        let v: &dyn GraphView = &g;
-        assert_eq!(v.num_nodes(), 4);
-        assert_eq!(v.num_edges(), 4);
-        assert!(v.is_weighted());
-        assert_eq!(v.out_degree(NodeId::new(0)), 2);
-        assert_eq!(
-            collect_edges(v),
-            vec![(0, 1, 4), (0, 2, 7), (1, 2, 1), (3, 0, 9)]
-        );
+        assert_eq!(RowView::num_nodes(&g), 4);
+        for u in g.nodes() {
+            assert_eq!(g.row(u), (g.neighbors(u), g.neighbor_weights(u)));
+            assert_eq!(RowView::out_degree(&g, u), g.out_degree(u));
+        }
+        assert_eq!(g.row(NodeId::new(2)), (&[][..], Some(&[][..])));
     }
 
     #[test]
-    fn unweighted_view_reports_unit_weights() {
+    fn unweighted_rows_carry_no_weight_slice() {
         let g = CsrBuilder::new(3).edge(0, 1).edge(1, 2).build();
-        let v: &dyn GraphView = &g;
-        assert!(!v.is_weighted());
-        assert_eq!(collect_edges(v), vec![(0, 1, 1), (1, 2, 1)]);
+        assert_eq!(g.row(NodeId::new(0)), (&[NodeId::new(1)][..], None));
     }
 }

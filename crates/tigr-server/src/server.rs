@@ -48,8 +48,8 @@ use tigr_core::{
     CancelToken, GraphSnapshot, MutableGraph, MutationError, MutationOp, PreparedGraph,
 };
 use tigr_engine::{
-    operators, run_monotone_view, BackendKind, BatchArena, BatchLane, BatchProgram, CpuOptions,
-    Direction, Engine, EngineError, MonotoneProgram, Pipeline,
+    operators, run_batch_sequential_push, BackendKind, BatchArena, BatchLane, BatchProgram,
+    CpuOptions, Direction, Engine, EngineError, MonotoneProgram, Pipeline,
 };
 use tigr_graph::NodeId;
 
@@ -171,13 +171,6 @@ impl Job {
     /// they observe the same epoch.
     fn epoch(&self) -> u64 {
         self.pinned.as_ref().map_or(0, |s| s.epoch())
-    }
-
-    /// Whether this job pinned a snapshot with live delta edges, which
-    /// excludes it from the fused-batch path (the base CSR alone is the
-    /// wrong graph).
-    fn is_dirty(&self) -> bool {
-        self.pinned.as_ref().is_some_and(|s| !s.is_clean())
     }
 }
 
@@ -555,17 +548,12 @@ impl ServerCore {
         {
             self.stats
                 .record_formation_wait(formed_in.as_micros() as u64);
-            if !batch[0].request.algo.batchable() || batch[0].is_dirty() {
+            if !batch[0].request.algo.batchable() {
                 // Non-monotone or post-processed analytics (PR, BC,
                 // paths, lp, tc) cannot share a fused sweep; they keep
                 // the solo executor. The compat check above never fuses
                 // anything with them. (khop batches: its fixpoint is
                 // k-independent, so mixed-k jobs fuse and mask per job.)
-                // Jobs pinned to a dirty snapshot also go solo: their
-                // graph is base + delta, which the fused engine (keyed
-                // to the base CSR alone) cannot see. They fuse with
-                // each other at the queue level (same epoch), but
-                // execute one by one through the overlay view.
                 for job in batch {
                     let slot = Arc::clone(&job.slot);
                     let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(job)));
@@ -603,46 +591,21 @@ impl ServerCore {
                 ));
                 continue;
             }
-            if job.request.cache {
-                let key = CacheKey {
-                    graph: graph_name.clone(),
-                    algo,
-                    source: job.request.source,
-                    limit: job.request.limit,
-                    plan: self.config.plan_fingerprint(),
-                    epoch: job.epoch(),
-                };
-                if let Some(hit) = self.cache.get(&key) {
-                    let wall_us = job.received.elapsed().as_micros() as u64;
-                    self.stats.record_completed(algo, wall_us);
-                    job.slot.set(Response::Query(QueryResult {
-                        algo,
-                        graph: graph_name.clone(),
-                        source: job.request.source,
-                        nodes: hit.values.len() as u64,
-                        iterations: hit.iterations,
-                        checksum: hit.checksum,
-                        cached: true,
-                        wall_us,
-                        values: job
-                            .request
-                            .include_values
-                            .then(|| hit.values.as_ref().clone()),
-                    }));
-                    continue;
-                }
+            if let Some(hit) = self.cache_hit(&job) {
+                job.slot.set(hit);
+                continue;
             }
             pending.push(job);
         }
         if pending.is_empty() {
             return;
         }
-        // Jobs pinned to a (clean) snapshot run over its base — the
-        // pin, not the registry, is authoritative, so a compaction
-        // swapping the registry entry mid-flight changes nothing here.
-        let pinned_base = pending[0].pinned.as_ref().map(|s| Arc::clone(s.base()));
-        let prepared = match pinned_base {
-            Some(base) => base,
+        // Jobs pinned to a snapshot run over it — the pin, not the
+        // registry, is authoritative, so a compaction swapping the
+        // registry entry mid-flight changes nothing here.
+        let pinned = pending[0].pinned.clone();
+        let prepared = match &pinned {
+            Some(snapshot) => Arc::clone(snapshot.base()),
             None => match self.graphs.lock().unwrap().get(&graph_name) {
                 Some(GraphEntry::Static(p)) => Arc::clone(p),
                 Some(GraphEntry::Mutable(m)) => Arc::clone(m.snapshot().base()),
@@ -658,17 +621,7 @@ impl ServerCore {
                 }
             },
         };
-        let prog = match algo {
-            Algo::Bfs => tigr_engine::MonotoneProgram::BFS,
-            Algo::Sssp => tigr_engine::MonotoneProgram::SSSP,
-            Algo::Sswp => tigr_engine::MonotoneProgram::SSWP,
-            Algo::Cc => tigr_engine::MonotoneProgram::CC,
-            // The k-hop fixpoint is k-independent (true hop counts);
-            // each job masks its own k after projection, so mixed-k
-            // jobs share lanes like any other monotone batch.
-            Algo::Khop => tigr_engine::MonotoneProgram::KHOP,
-            other => unreachable!("{other:?} never enters the batch path"),
-        };
+        let prog = monotone_program(algo);
         let mut lanes: Vec<BatchLane> = Vec::new();
         let mut lane_jobs: Vec<Vec<Job>> = Vec::new();
         let mut shared: HashMap<Option<u32>, usize> = HashMap::new();
@@ -707,7 +660,19 @@ impl ServerCore {
                 .with_device_memory(u64::MAX)
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            engine.run_prepared_batch(&prepared, &batch, arena)
+            match pinned.as_ref().and_then(|s| s.view()) {
+                // A dirty snapshot's rows are base + delta: the lane
+                // driver walks the pinned view (its index frozen by the
+                // first query of the epoch) where a clean batch walks
+                // the CSR — sequentially, whatever `kernel_threads` is.
+                Some(view) => Ok(run_batch_sequential_push(
+                    &view,
+                    &batch,
+                    engine.options(),
+                    arena,
+                )),
+                None => engine.run_prepared_batch(&prepared, &batch, arena),
+            }
         }));
         let out = match outcome {
             Ok(Ok(out)) => out,
@@ -777,36 +742,12 @@ impl ServerCore {
                 } else {
                     (Arc::clone(&base), base_sum)
                 };
-                if job.request.cache {
-                    self.cache.insert(
-                        CacheKey {
-                            graph: graph_name.clone(),
-                            algo,
-                            source: job.request.source,
-                            limit: job.request.limit,
-                            plan: self.config.plan_fingerprint(),
-                            epoch: job.epoch(),
-                        },
-                        CachedResult {
-                            values: Arc::clone(&values),
-                            iterations,
-                            checksum: sum,
-                        },
-                    );
-                }
-                let wall_us = job.received.elapsed().as_micros() as u64;
-                self.stats.record_completed(algo, wall_us);
-                job.slot.set(Response::Query(QueryResult {
-                    algo,
-                    graph: graph_name.clone(),
-                    source: job.request.source,
-                    nodes: values.len() as u64,
+                let answer = CachedResult {
+                    values,
                     iterations,
                     checksum: sum,
-                    cached: false,
-                    wall_us,
-                    values: job.request.include_values.then(|| values.as_ref().clone()),
-                }));
+                };
+                job.slot.set(self.finish_query(&job, answer, false));
             }
         }
     }
@@ -817,46 +758,21 @@ impl ServerCore {
             self.stats.record_failed();
             return Response::error(ErrorCode::DeadlineExceeded, "deadline expired while queued");
         }
-        let key = CacheKey {
-            graph: query.graph.clone(),
-            algo: query.algo,
-            source: query.source,
-            limit: query.limit,
-            plan: self.config.plan_fingerprint(),
-            epoch: job.epoch(),
-        };
-        if query.cache {
-            if let Some(hit) = self.cache.get(&key) {
-                let wall_us = job.received.elapsed().as_micros() as u64;
-                self.stats.record_completed(query.algo, wall_us);
-                return Response::Query(QueryResult {
-                    algo: query.algo,
-                    graph: query.graph.clone(),
-                    source: query.source,
-                    nodes: hit.values.len() as u64,
-                    iterations: hit.iterations,
-                    checksum: hit.checksum,
-                    cached: true,
-                    wall_us,
-                    values: query.include_values.then(|| hit.values.as_ref().clone()),
-                });
-            }
+        if let Some(hit) = self.cache_hit(&job) {
+            return hit;
         }
-        // A dirty pinned snapshot is base + delta: monotone verbs
-        // stream the overlay view directly (zero-copy); everything else
-        // lazily materializes the merged graph, cached on the snapshot.
+        // A dirty pinned snapshot is base + delta. Only order-dependent
+        // verbs get here (monotone ones batch over the snapshot's view);
+        // they lazily materialize the merged graph, cached on the
+        // snapshot.
         if let Some(snapshot) = job.pinned.as_ref().filter(|s| !s.is_clean()) {
-            if let Some(prog) = monotone_program(query.algo) {
-                return self.execute_view(&job, snapshot, prog, key);
-            }
-            let merged = match snapshot.merged() {
-                Ok(m) => m,
+            return match snapshot.merged() {
+                Ok(merged) => self.execute_prepared(&job, &merged),
                 Err(e) => {
                     self.stats.record_failed();
-                    return mutation_error(e);
+                    mutation_error(e)
                 }
             };
-            return self.execute_prepared(&job, &merged, key);
         }
         // Clean snapshots run over their pinned base; static graphs
         // re-resolve from the registry (the graph may have been
@@ -875,67 +791,10 @@ impl ServerCore {
                 }
             },
         };
-        self.execute_prepared(&job, &prepared, key)
+        self.execute_prepared(&job, &prepared)
     }
 
-    /// Runs a monotone query over a dirty snapshot's overlay view and
-    /// publishes the result. Values are byte-equal to preparing the
-    /// merged edge list from scratch — the fixpoint is order-
-    /// independent, so streaming base edges before delta edges changes
-    /// nothing (see `tigr_engine::view_exec`).
-    fn execute_view(
-        &self,
-        job: &Job,
-        snapshot: &GraphSnapshot,
-        prog: MonotoneProgram,
-        key: CacheKey,
-    ) -> Response {
-        let query = &job.request;
-        let view = snapshot.view().expect("dirty snapshot has a view");
-        let out = run_monotone_view(&view, prog, query.source.map(NodeId::new));
-        // The view driver doesn't poll the token mid-run; an expired
-        // deadline is honored after the fact and the complete-but-late
-        // answer is discarded, never cached.
-        if job.token.is_cancelled() {
-            self.stats.record_failed();
-            return Response::error(
-                ErrorCode::DeadlineExceeded,
-                "deadline expired during execution; partial state discarded",
-            );
-        }
-        let mut values = out.values;
-        if query.algo == Algo::Khop {
-            let k = query.limit.expect("khop admission requires a limit");
-            operators::mask_above(&mut values, k);
-        }
-        let sum = checksum(&values);
-        let values = Arc::new(values);
-        if query.cache {
-            self.cache.insert(
-                key,
-                CachedResult {
-                    values: Arc::clone(&values),
-                    iterations: out.iterations,
-                    checksum: sum,
-                },
-            );
-        }
-        let wall_us = job.received.elapsed().as_micros() as u64;
-        self.stats.record_completed(query.algo, wall_us);
-        Response::Query(QueryResult {
-            algo: query.algo,
-            graph: query.graph.clone(),
-            source: query.source,
-            nodes: values.len() as u64,
-            iterations: out.iterations,
-            checksum: sum,
-            cached: false,
-            wall_us,
-            values: query.include_values.then(|| values.as_ref().clone()),
-        })
-    }
-
-    fn execute_prepared(&self, job: &Job, prepared: &PreparedGraph, key: CacheKey) -> Response {
+    fn execute_prepared(&self, job: &Job, prepared: &PreparedGraph) -> Response {
         let query = &job.request;
         match run_query(
             prepared,
@@ -945,37 +804,63 @@ impl ServerCore {
             job.token.clone(),
         ) {
             Ok((values, iterations)) => {
-                let sum = checksum(&values);
-                let values = Arc::new(values);
-                if query.cache {
-                    self.cache.insert(
-                        key,
-                        CachedResult {
-                            values: Arc::clone(&values),
-                            iterations,
-                            checksum: sum,
-                        },
-                    );
-                }
-                let wall_us = job.received.elapsed().as_micros() as u64;
-                self.stats.record_completed(query.algo, wall_us);
-                Response::Query(QueryResult {
-                    algo: query.algo,
-                    graph: query.graph.clone(),
-                    source: query.source,
-                    nodes: values.len() as u64,
+                let answer = CachedResult {
+                    checksum: checksum(&values),
+                    values: Arc::new(values),
                     iterations,
-                    checksum: sum,
-                    cached: false,
-                    wall_us,
-                    values: query.include_values.then(|| values.as_ref().clone()),
-                })
+                };
+                self.finish_query(job, answer, false)
             }
             Err(error) => {
                 self.stats.record_failed();
                 error
             }
         }
+    }
+
+    /// The key `job`'s answer is cached under.
+    fn cache_key(&self, job: &Job) -> CacheKey {
+        CacheKey {
+            graph: job.request.graph.clone(),
+            algo: job.request.algo,
+            source: job.request.source,
+            limit: job.request.limit,
+            plan: self.config.plan_fingerprint(),
+            epoch: job.epoch(),
+        }
+    }
+
+    /// The finished reply to `job` from the result cache, if it allows
+    /// caching and its cell is warm.
+    fn cache_hit(&self, job: &Job) -> Option<Response> {
+        if !job.request.cache {
+            return None;
+        }
+        let hit = self.cache.get(&self.cache_key(job))?;
+        Some(self.finish_query(job, hit, true))
+    }
+
+    /// The one reply path of a successful query: a fresh `answer` enters
+    /// the cache when the request allows it, the completion is recorded,
+    /// and the reply is built.
+    fn finish_query(&self, job: &Job, answer: CachedResult, cached: bool) -> Response {
+        let query = &job.request;
+        if !cached && query.cache {
+            self.cache.insert(self.cache_key(job), answer.clone());
+        }
+        let wall_us = job.received.elapsed().as_micros() as u64;
+        self.stats.record_completed(query.algo, wall_us);
+        Response::Query(QueryResult {
+            algo: query.algo,
+            graph: query.graph.clone(),
+            source: query.source,
+            nodes: answer.values.len() as u64,
+            iterations: answer.iterations,
+            checksum: answer.checksum,
+            cached,
+            wall_us,
+            values: query.include_values.then(|| answer.values.as_ref().clone()),
+        })
     }
 
     /// Stops accepting work, fails queued jobs with `shutdown`, and
@@ -1061,18 +946,18 @@ fn run_query(
     Ok((values, out.iterations))
 }
 
-/// The monotone program behind an [`Algo`] verb, when it has one —
-/// exactly the verbs the overlay-view executor can serve without
-/// materializing the merged graph.
-fn monotone_program(algo: Algo) -> Option<MonotoneProgram> {
+/// The monotone program behind a batchable [`Algo`] verb.
+fn monotone_program(algo: Algo) -> MonotoneProgram {
     match algo {
-        Algo::Bfs => Some(MonotoneProgram::BFS),
-        Algo::Sssp => Some(MonotoneProgram::SSSP),
-        Algo::Sswp => Some(MonotoneProgram::SSWP),
-        Algo::Cc => Some(MonotoneProgram::CC),
-        // True hop counts; each request masks its own k afterwards.
-        Algo::Khop => Some(MonotoneProgram::KHOP),
-        _ => None,
+        Algo::Bfs => MonotoneProgram::BFS,
+        Algo::Sssp => MonotoneProgram::SSSP,
+        Algo::Sswp => MonotoneProgram::SSWP,
+        Algo::Cc => MonotoneProgram::CC,
+        // The k-hop fixpoint is k-independent (true hop counts); each
+        // job masks its own k after projection, so mixed-k jobs share
+        // lanes like any other monotone batch.
+        Algo::Khop => MonotoneProgram::KHOP,
+        other => unreachable!("{other:?} never enters the batch path"),
     }
 }
 

@@ -10,6 +10,13 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== dirty/merged ratio on optimised code =="
+# The tier-1 run above checks the wall-clock ratio of a dirty `sssp` (a
+# delta that removes base edges) to the same query on the merged CSR in
+# the test profile; the release profile is what serves.
+cargo test -q --release --test mutation_integration \
+    dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

@@ -3,8 +3,10 @@
 //! every byte-boundary truncation of the tail record, pinned snapshots
 //! are isolated from later mutations, the compacted artifact answers
 //! {bfs, sssp, cc, pr} byte-equal to preparing the final edge list from
-//! scratch across every backend, and concurrent mutate+query load leaks
-//! no overlay generations.
+//! scratch across every backend, concurrent mutate+query load leaks no
+//! overlay generations, and the host lane driver over a snapshot's
+//! base+delta view is the same run — rows, values, iterations, edges
+//! touched, and (within 2×) wall clock — as over the merged CSR.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,9 +14,15 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use tigr::core::{GraphStore, MutableGraph, MutationOp, PrepareSpec, PreparedGraph, Wal};
-use tigr::engine::{run_monotone_view, Algo, BackendKind, Pipeline};
-use tigr::{Edge, Engine, MonotoneProgram, NodeId};
+use tigr::core::{
+    DeltaOverlay, GraphStore, MutableGraph, MutationOp, PrepareSpec, PreparedGraph, Wal,
+};
+use tigr::engine::{
+    run_batch_sequential_push, Algo, BackendKind, BatchArena, BatchProgram, MonotoneOutput,
+    Pipeline,
+};
+use tigr::graph::RowView;
+use tigr::{CsrBuilder, Edge, Engine, MonotoneProgram, NodeId, PushOptions};
 
 /// A unique scratch directory per call (no timestamps: process id +
 /// counter keep parallel test binaries apart).
@@ -162,6 +170,23 @@ fn wal_replay_regression_corpus() {
     }
 }
 
+/// The host lane driver over `rows` — a CSR or a snapshot's base+delta
+/// view — one lane per source, under the server's push options.
+fn lane_runs(
+    rows: &impl RowView,
+    prog: MonotoneProgram,
+    sources: impl IntoIterator<Item = Option<u32>>,
+) -> Vec<MonotoneOutput> {
+    let batch = BatchProgram::from_sources(prog, sources.into_iter().map(|s| s.map(NodeId::new)));
+    run_batch_sequential_push(
+        rows,
+        &batch,
+        &PushOptions::default(),
+        &mut BatchArena::new(),
+    )
+    .lanes
+}
+
 /// Opens a weighted RMAT base as a mutable graph over a cache-less
 /// store (ephemeral WAL).
 fn mutable_fixture(tag: &str, seed: u64) -> Arc<MutableGraph> {
@@ -208,12 +233,10 @@ fn pinned_snapshots_are_isolated_from_later_mutations() {
     // ...while the post-mutation snapshot sees the new node, and its
     // zero-copy view agrees with the materialized merged graph.
     assert_eq!(after.num_nodes(), nodes as usize + 1);
-    let viewed = run_monotone_view(
-        &after.view().expect("dirty snapshot has a view"),
-        MonotoneProgram::BFS,
-        Some(NodeId::new(0)),
-    )
-    .values;
+    let view = after.view().expect("dirty snapshot has a view");
+    let viewed = lane_runs(&view, MonotoneProgram::BFS, [Some(0)])
+        .remove(0)
+        .values;
     let merged = after.merged().unwrap();
     let materialized = engine
         .run_prepared(&merged, MonotoneProgram::BFS, Some(NodeId::new(0)))
@@ -323,7 +346,7 @@ fn compacted_artifact_matches_a_from_scratch_prepare() {
     final_edges.push(Edge::new(NodeId::new(nodes + 1), NodeId::new(nodes + 2), 4));
     final_edges.push(Edge::new(NodeId::new(0), NodeId::new(nodes), 2));
     final_edges.push(Edge::new(NodeId::new(nodes + 2), NodeId::new(0), 5));
-    let mut builder = tigr::CsrBuilder::from_edges(nodes as usize + 3, final_edges);
+    let mut builder = CsrBuilder::from_edges(nodes as usize + 3, final_edges);
     builder.force_weighted(true);
     let reference = GraphStore::disabled()
         .materialize(builder.build(), mutable.plan())
@@ -385,12 +408,10 @@ fn concurrent_mutation_and_queries_leak_no_epochs() {
                     let snapshot = mutable.snapshot();
                     let values = match snapshot.view() {
                         Some(view) => {
-                            run_monotone_view(
-                                &view,
-                                MonotoneProgram::BFS,
-                                Some(NodeId::new((r * 25 + q) % nodes)),
-                            )
-                            .values
+                            let source = Some((r * 25 + q) % nodes);
+                            lane_runs(&view, MonotoneProgram::BFS, [source])
+                                .remove(0)
+                                .values
                         }
                         None => {
                             Engine::default()
@@ -425,4 +446,205 @@ fn concurrent_mutation_and_queries_leak_no_epochs() {
     );
     let final_snapshot = mutable.snapshot();
     assert_eq!(final_snapshot.num_nodes(), nodes as usize + 40);
+}
+
+/// Decodes one generated `(kind, a, b, w)` tuple into a mutation aimed
+/// at the overlay's current state, so every delta shape occurs often:
+/// adds, removes and re-weights of *base* edges, removes and re-weights
+/// of edges added earlier in the sequence, node growth followed by
+/// edges to and from the new nodes, and blind ops that mostly skip.
+fn aimed_op(
+    (kind, a, b, w): (u8, u32, u32, u32),
+    base_edges: &[(u32, u32)],
+    added: &mut Vec<(u32, u32)>,
+    nodes: &mut u32,
+) -> Vec<MutationOp> {
+    let pick = |list: &[(u32, u32)], i: u32| list.get(i as usize % list.len().max(1)).copied();
+    let (ru, rv) = (a % *nodes, b % *nodes);
+    match kind % 8 {
+        0 => {
+            added.push((ru, rv));
+            vec![MutationOp::AddEdge { u: ru, v: rv, w }]
+        }
+        1 => pick(base_edges, a).map_or(vec![], |(u, v)| vec![MutationOp::RemoveEdge { u, v }]),
+        2 => pick(base_edges, a).map_or(vec![], |(u, v)| vec![MutationOp::SetWeight { u, v, w }]),
+        3 => pick(added, a).map_or(vec![], |(u, v)| vec![MutationOp::RemoveEdge { u, v }]),
+        4 => pick(added, a).map_or(vec![], |(u, v)| vec![MutationOp::SetWeight { u, v, w }]),
+        5 => {
+            let fresh = *nodes;
+            *nodes += 1;
+            added.extend([(fresh, rv), (ru, fresh)]);
+            vec![
+                MutationOp::AddNode { nodes: *nodes },
+                MutationOp::AddEdge { u: fresh, v: rv, w },
+                MutationOp::AddEdge { u: ru, v: fresh, w },
+            ]
+        }
+        6 => vec![MutationOp::RemoveEdge { u: ru, v: rv }],
+        _ => vec![MutationOp::SetWeight { u: ru, v: rv, w }],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The read-side index makes base+delta *the merged graph*: for a
+    /// random builder-built base and a random op sequence, the frozen
+    /// view's rows are `merged_csr`'s rows edge for edge, the lane
+    /// driver over the view takes the very run it takes over the merged
+    /// CSR (values, iteration count, edges touched, convergence) for
+    /// every monotone program, and eight fused lanes on the view are
+    /// eight solo runs on the view, to the byte. (`GraphSnapshot::view`
+    /// is this `freeze` behind a `OnceLock`.)
+    #[test]
+    fn lane_driver_over_the_frozen_view_is_the_run_over_the_merged_csr(
+        n in 2..24u32,
+        weighted in any::<bool>(),
+        raw_base in vec((0..24u32, 0..24u32, 1..16u32), 0..96),
+        raw_ops in vec((0..8u8, 0..64u32, 0..64u32, 1..16u32), 1..64),
+        seed in 0..1024u32,
+    ) {
+        let mut builder = CsrBuilder::new(n as usize);
+        for &(u, v, w) in &raw_base {
+            if weighted {
+                builder.weighted_edge(u % n, v % n, w);
+            } else {
+                builder.edge(u % n, v % n);
+            }
+        }
+        builder.force_weighted(weighted);
+        let base = builder.build();
+        let base_edges: Vec<(u32, u32)> =
+            base.edges().map(|e| (e.src.raw(), e.dst.raw())).collect();
+
+        let mut overlay = DeltaOverlay::new(&base);
+        let (mut added, mut nodes) = (Vec::new(), n);
+        for raw in raw_ops {
+            let raw = if weighted { raw } else { (raw.0, raw.1, raw.2, 1) };
+            for op in aimed_op(raw, &base_edges, &mut added, &mut nodes) {
+                // Unweighted graphs reject set-weight; everything else
+                // is well-formed by construction.
+                let outcome = overlay.apply(&base, op);
+                prop_assert!(outcome.is_ok() || !weighted, "{op:?}: {outcome:?}");
+            }
+        }
+        let frozen = overlay.freeze(&base);
+        let view = frozen.view(&base);
+        let merged = overlay.merged_csr(&base);
+
+        prop_assert_eq!(view.num_nodes(), merged.num_nodes());
+        for u in merged.nodes() {
+            prop_assert_eq!(view.row(u), merged.row(u), "row {}", u.raw());
+        }
+
+        let total = view.num_nodes() as u32;
+        let sources: Vec<u32> = (0..8).map(|i| (seed + i * 5) % total).collect();
+        for prog in [
+            MonotoneProgram::BFS,
+            MonotoneProgram::SSSP,
+            MonotoneProgram::SSWP,
+            MonotoneProgram::CC,
+            MonotoneProgram::KHOP,
+        ] {
+            let lane_sources: Vec<Option<u32>> = sources
+                .iter()
+                .map(|&s| (prog.name != MonotoneProgram::CC.name).then_some(s))
+                .collect();
+            let fused = lane_runs(&view, prog, lane_sources.iter().copied());
+            for (lane, &source) in fused.iter().zip(&lane_sources) {
+                let label = format!("{}/{source:?}", prog.name);
+                let solo = lane_runs(&view, prog, [source]).remove(0);
+                let on_merged = lane_runs(&merged, prog, [source]).remove(0);
+                for (other, what) in [(&solo, "solo on the view"), (&on_merged, "merged CSR")] {
+                    prop_assert_eq!(&lane.values, &other.values, "{}: values vs {}", label, what);
+                    prop_assert_eq!(
+                        lane.directions.len(),
+                        other.directions.len(),
+                        "{}: iterations vs {}", label, what
+                    );
+                    prop_assert_eq!(
+                        lane.edges_touched,
+                        other.edges_touched,
+                        "{}: edges touched vs {}", label, what
+                    );
+                    prop_assert_eq!(lane.converged, other.converged, "{}: converged vs {}", label, what);
+                    prop_assert_eq!(lane.cancelled, other.cancelled, "{}: cancelled vs {}", label, what);
+                }
+            }
+        }
+    }
+}
+
+/// Milliseconds of the median of `runs`.
+fn median_ms(mut runs: Vec<std::time::Duration>) -> f64 {
+    runs.sort_unstable();
+    runs[runs.len() / 2].as_secs_f64() * 1e3
+}
+
+/// The case the frozen benchmark workload steers around (removing edges
+/// already folded into the base): once a snapshot's delta hides base
+/// edges, a dirty `sssp` must still cost about what the same query costs
+/// on the materialized merged CSR — the patched rows are frozen slices,
+/// not a hash probe per base edge. `scripts/verify.sh` runs this under
+/// `--release` too, so the ratio also holds on optimized code.
+#[test]
+fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
+    let mutable = mutable_fixture("rmat:15:16", 3);
+    let base = Arc::clone(mutable.snapshot().base());
+    let g = base.graph();
+    let (n, m) = (g.num_nodes() as u64, g.num_edges() as u64);
+
+    // 2 048 adds between pseudo-random endpoints, then 64 removes of
+    // base edges spread evenly over the edge array.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % bound) as u32
+    };
+    let mut ops: Vec<MutationOp> = (0..2048)
+        .map(|_| MutationOp::AddEdge {
+            u: next(n),
+            v: next(n),
+            w: 1 + next(32),
+        })
+        .collect();
+    let sources_of: Vec<Edge> = g.edges().collect();
+    ops.extend((0..64u64).map(|i| {
+        let e = sources_of[(i * m / 64) as usize];
+        MutationOp::RemoveEdge {
+            u: e.src.raw(),
+            v: e.dst.raw(),
+        }
+    }));
+    let summary = mutable.apply(&ops).unwrap();
+    assert!(summary.applied >= 2048, "{summary:?}");
+
+    let snapshot = mutable.snapshot();
+    let view = snapshot.view().expect("dirty snapshot has a view");
+    let merged = snapshot.merged().unwrap();
+    // The highest-degree node reaches the giant component.
+    let source = g.nodes().max_by_key(|&u| g.out_degree(u)).map(NodeId::raw);
+
+    let (mut dirty, mut clean) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        let started = std::time::Instant::now();
+        let on_view = lane_runs(&view, MonotoneProgram::SSSP, [source]).remove(0);
+        dirty.push(started.elapsed());
+        let started = std::time::Instant::now();
+        let on_merged = lane_runs(merged.graph(), MonotoneProgram::SSSP, [source]).remove(0);
+        clean.push(started.elapsed());
+        assert_eq!(on_view.values, on_merged.values);
+        assert_eq!(on_view.directions.len(), on_merged.directions.len());
+        assert_eq!(on_view.edges_touched, on_merged.edges_touched);
+        assert!(on_view.edges_touched > m / 2, "source reaches too little");
+    }
+    let (dirty, clean) = (median_ms(dirty), median_ms(clean));
+    let ratio = dirty / clean;
+    println!("dirty sssp {dirty:.2} ms / merged CSR {clean:.2} ms = {ratio:.2}");
+    assert!(
+        ratio <= 2.0,
+        "dirty sssp took {ratio:.2}x the merged-CSR run (bound 2.0)"
+    );
 }

@@ -3,31 +3,36 @@
 //! a scale-16 RMAT graph with every answer byte-equal to a direct
 //! sequential engine run, typed queue-full rejections under a tiny
 //! admission queue, cancelled runs leaving no partial state observable
-//! through the cache, and the `stats` verb reporting it all.
+//! through the cache, dirty-snapshot queries fusing and honouring
+//! deadlines like clean ones, and the `stats` verb reporting it all.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
-use tigr::core::{GraphStore, PrepareSpec, PreparedGraph};
+use tigr::core::{GraphStore, MutableGraph, MutationOp, PrepareSpec, PreparedGraph, ViewPlan};
 use tigr::engine::{BackendKind, Pipeline};
 use tigr::server::{
     Algo, Client, ClientError, ErrorCode, QueryRequest, Server, ServerAddr, ServerConfig,
     ServerCore, MAX_REQUEST_LINE,
 };
-use tigr::{Engine, GpuConfig, MonotoneProgram, NodeId};
+use tigr::{CsrBuilder, Engine, GpuConfig, MonotoneProgram, NodeId};
 
 const MIX: [Algo; 4] = [Algo::Bfs, Algo::Sssp, Algo::Sswp, Algo::Cc];
+
+/// The weighted scale-16 RMAT analog.
+fn rmat16_spec() -> PrepareSpec {
+    PrepareSpec::generated("rmat:16:16", 2018).with_uniform_weights(1, 64, 2018)
+}
 
 /// The scale-16 RMAT analog every test shares (prepared once; the
 /// server only ever reads it through an `Arc`).
 fn shared_graph() -> Arc<PreparedGraph> {
     static GRAPH: OnceLock<Arc<PreparedGraph>> = OnceLock::new();
-    Arc::clone(GRAPH.get_or_init(|| {
-        let spec = PrepareSpec::generated("rmat:16:16", 2018).with_uniform_weights(1, 64, 2018);
-        Arc::new(GraphStore::disabled().prepare(&spec).unwrap())
-    }))
+    Arc::clone(
+        GRAPH.get_or_init(|| Arc::new(GraphStore::disabled().prepare(&rmat16_spec()).unwrap())),
+    )
 }
 
 /// Pins a lone worker for about a second so a burst submitted meanwhile
@@ -530,6 +535,209 @@ fn checksums_are_identical_across_runs_and_worker_counts() {
             "{algo}/{source:?} diverged from the sequential reference"
         );
     }
+}
+
+/// An uncached `sssp` from `source` on `graph`.
+fn uncached_sssp(graph: &str, source: u32) -> QueryRequest {
+    let mut query = QueryRequest::new(graph, Algo::Sssp, Some(source));
+    query.cache = false;
+    query
+}
+
+/// K same-epoch dirty queries from distinct sources go through the
+/// batch path like clean ones: they fuse into one multi-lane run over
+/// the pinned snapshot's view, and each answer equals its solo answer,
+/// the merged graph's answer, and — after `compact` — the clean answer.
+#[test]
+fn same_epoch_dirty_queries_fuse_and_match_their_solo_and_compacted_answers() {
+    const K: usize = 6;
+    let prepared = GraphStore::disabled().prepare(&rmat16_spec()).unwrap();
+    let sources: Vec<u32> = sources(&prepared).into_iter().take(K).collect();
+    let edges: Vec<tigr::Edge> = prepared.graph().edges().collect();
+    let n = prepared.graph().num_nodes() as u32;
+    let mutable = Arc::new(MutableGraph::open(GraphStore::disabled(), prepared).unwrap());
+    // Adds plus removes of base edges: both kinds of patched row.
+    let mut ops: Vec<MutationOp> = (0..512u32)
+        .map(|i| MutationOp::AddEdge {
+            u: i.wrapping_mul(127) % n,
+            v: (i.wrapping_mul(8191) + 7) % n,
+            w: 1 + i % 31,
+        })
+        .collect();
+    ops.extend((0..32).map(|i| {
+        let e = edges[i * edges.len() / 32];
+        MutationOp::RemoveEdge {
+            u: e.src.raw(),
+            v: e.dst.raw(),
+        }
+    }));
+    assert!(mutable.apply(&ops).unwrap().applied >= 512);
+    let merged = mutable.snapshot().merged().unwrap();
+
+    let core = ServerCore::new(ServerConfig {
+        workers: 1,
+        cache_capacity: 0,
+        ..ServerConfig::default()
+    });
+    core.add_mutable_graph("dirty16", Arc::clone(&mutable));
+    let mut client = Client::local(Arc::clone(&core));
+    let solo: Vec<u64> = sources
+        .iter()
+        .map(|&s| client.query(uncached_sssp("dirty16", s)).unwrap().checksum)
+        .collect();
+    for (&s, &sum) in sources.iter().zip(&solo) {
+        let expect = expected_values(&merged, Algo::Sssp, Some(s));
+        assert_eq!(sum, tigr::server::checksum(&expect), "solo dirty sssp/{s}");
+    }
+
+    // Queue all K behind a pinned worker so they are drained together.
+    let blocker = pin_worker(&core);
+    let barrier = Arc::new(Barrier::new(K));
+    let handles: Vec<_> = sources
+        .iter()
+        .map(|&s| {
+            let core = Arc::clone(&core);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut client = Client::local(core);
+                barrier.wait();
+                client.query(uncached_sssp("dirty16", s)).unwrap().checksum
+            })
+        })
+        .collect();
+    let fused: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    blocker.join().unwrap();
+    assert_eq!(fused, solo, "a fused dirty lane diverged from its solo run");
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.max_batch as usize, K, "dirty burst was not fused");
+    assert_eq!(
+        (stats.batches, stats.batched_queries),
+        (K as u64 + 1, 2 * K as u64)
+    );
+    assert!(stats.batch_occupancy() > 1.0);
+
+    let compacted = client.compact("dirty16").unwrap();
+    assert_eq!(compacted.delta_edges_after, 0);
+    for (&s, &sum) in sources.iter().zip(&solo) {
+        let clean = client.query(uncached_sssp("dirty16", s)).unwrap();
+        assert_eq!(clean.checksum, sum, "compaction changed sssp/{s}");
+    }
+    core.shutdown();
+}
+
+/// Deadlines on dirty snapshots: the lane driver polls a dirty query's
+/// token before every iteration, so a deadline that fires mid-run stops
+/// the run there — it is not run to completion and discarded — nothing
+/// is cached, and a batchmate's lane is untouched.
+///
+/// The graph is a rail — path edges `i → i+1` with chords `i → i+2` —
+/// on which `sssp` from node 0 is tens of thousands of iterations of a
+/// few microseconds each: a long run made of short steps, so "stopped
+/// within an iteration of the deadline" shows on the clock.
+#[test]
+fn a_dirty_sssp_deadline_firing_mid_run_stops_the_lane_and_spares_its_batchmates() {
+    const N: u32 = 1 << 15;
+    let mut builder = CsrBuilder::new(N as usize);
+    for i in 0..N - 1 {
+        builder.weighted_edge(i, i + 1, 1);
+        if i + 2 < N {
+            builder.weighted_edge(i, i + 2, 3);
+        }
+    }
+    let prepared = GraphStore::disabled()
+        .materialize(builder.build(), ViewPlan::default())
+        .unwrap();
+    let mutable = Arc::new(MutableGraph::open(GraphStore::disabled(), prepared).unwrap());
+    // Dirty both ways without changing any distance from node 0: drop
+    // chords (base edges), add back edges.
+    let ops: Vec<MutationOp> = (0..64u32)
+        .flat_map(|i| {
+            let at = i * (N / 64) + 5;
+            [
+                MutationOp::RemoveEdge { u: at, v: at + 2 },
+                MutationOp::AddEdge {
+                    u: at + 1,
+                    v: at,
+                    w: 1,
+                },
+            ]
+        })
+        .collect();
+    assert_eq!(mutable.apply(&ops).unwrap().applied, ops.len());
+    let merged = mutable.snapshot().merged().unwrap();
+
+    let core = ServerCore::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    core.add_mutable_graph("rail", Arc::clone(&mutable));
+    let mut client = Client::local(Arc::clone(&core));
+    let expect_deadline = |reply: Result<_, ClientError>| match reply {
+        Err(ClientError::Protocol(p)) => assert_eq!(p.code, ErrorCode::DeadlineExceeded, "{p:?}"),
+        other => panic!("doomed dirty sssp was not cancelled: {other:?}"),
+    };
+
+    // Solo. The first query freezes the snapshot's read-side index; the
+    // second is the yardstick.
+    client.query(uncached_sssp("rail", 0)).unwrap();
+    let started = Instant::now();
+    let full = client.query(uncached_sssp("rail", 0)).unwrap();
+    let full_run = started.elapsed();
+    assert_eq!(
+        full.checksum,
+        tigr::server::checksum(&(0..N).collect::<Vec<u32>>())
+    );
+    assert!(full.iterations > 1000, "{} iterations", full.iterations);
+    let mut doomed = QueryRequest::new("rail", Algo::Sssp, Some(0));
+    doomed.deadline_ms = Some(2);
+    let started = Instant::now();
+    expect_deadline(client.query(doomed.clone()));
+    let doomed_run = started.elapsed();
+    println!("full dirty run {full_run:?}, 2 ms deadline answered in {doomed_run:?}");
+    assert!(
+        doomed_run * 4 < full_run,
+        "a 2 ms deadline came back after {doomed_run:?}; the full run takes {full_run:?}"
+    );
+    let fresh = client
+        .query(QueryRequest::new("rail", Algo::Sssp, Some(0)))
+        .unwrap();
+    assert!(!fresh.cached, "cancelled dirty run leaked a cache entry");
+    assert_eq!(fresh.checksum, full.checksum);
+
+    // Batched: while a full run occupies the lone worker, a doomed and a
+    // healthy query queue up behind it and are drained as one batch;
+    // the doomed one's deadline outlives the wait and fires during the
+    // fused run (or, on a slow host, while queued — the reply is the
+    // same).
+    let blocker = {
+        let core = Arc::clone(&core);
+        std::thread::spawn(move || Client::local(core).query(uncached_sssp("rail", 1)).unwrap())
+    };
+    std::thread::sleep(full_run / 8);
+    let healthy = {
+        let core = Arc::clone(&core);
+        std::thread::spawn(move || {
+            Client::local(core).query(QueryRequest::new("rail", Algo::Sssp, Some(7)))
+        })
+    };
+    doomed.source = Some(3);
+    doomed.deadline_ms = Some((full_run * 3 / 2).as_millis() as u64);
+    expect_deadline(client.query(doomed));
+    let healthy = healthy.join().unwrap().unwrap();
+    blocker.join().unwrap();
+    let expect = expected_values(&merged, Algo::Sssp, Some(7));
+    assert_eq!(healthy.checksum, tigr::server::checksum(&expect));
+    let warm = client
+        .query(QueryRequest::new("rail", Algo::Sssp, Some(7)))
+        .unwrap();
+    assert!(warm.cached, "healthy lane lost its cache entry");
+    let fresh = client
+        .query(QueryRequest::new("rail", Algo::Sssp, Some(3)))
+        .unwrap();
+    assert!(!fresh.cached, "cancelled lane leaked a cache entry");
+    core.shutdown();
 }
 
 /// A daemon over a small graph on an ephemeral TCP port.
