@@ -23,7 +23,7 @@ use tigr_graph::reverse::transpose;
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuConfig, GpuSimulator, SimReport};
 
-use crate::batch::{run_batch_cpu_pool, run_batch_sequential_push, BatchArena, BatchProgram};
+use crate::batch::{run_batch_cpu_pool, run_solo_sequential_push, BatchArena, BatchProgram};
 use crate::frontier::{Frontier, FrontierBuilder, FrontierRep};
 use crate::kernel::{csr_edges, pull_gather, GatherFilter, NoMirror};
 use crate::plan::{BackendKind, Direction, ExecutionPlan};
@@ -434,8 +434,9 @@ impl Backend for CpuPool {
 }
 
 /// Deterministic single-threaded backend: nodes processed in id order,
-/// no atomic contention, no simulator accounting. The reference
-/// executor the plan-matrix differential tests compare against.
+/// no atomics at all on the push path (a lane's values are plain memory
+/// with one writer), no simulator accounting. The reference executor the
+/// plan-matrix differential tests compare against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sequential;
 
@@ -459,12 +460,7 @@ impl Backend for Sequential {
             // (virtual overlays share the fixpoint and are ignored;
             // physical splits use their split CSR and slots).
             Direction::Push | Direction::Auto => {
-                let batch = BatchProgram::solo(prog, source, plan.cancel.clone());
-                let mut arena = BatchArena::new();
-                run_batch_sequential_push(rep.graph(), &batch, &plan.push, &mut arena)
-                    .lanes
-                    .pop()
-                    .expect("one lane in, one lane out")
+                run_solo_sequential_push(rep.graph(), prog, source, plan.cancel.clone(), &plan.push)
             }
             Direction::Pull => sequential_pull(rep, prog, source, plan),
         })

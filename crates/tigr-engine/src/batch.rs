@@ -6,8 +6,8 @@
 //! run streams the whole edge array again — which is why serving
 //! throughput stays flat as workers are added on a memory-bound host.
 //! This module applies the "multiple frontiers" idea (Gunrock): give
-//! each query its own **lane** — a private value array, frontier
-//! builder, and worklist — and advance all lanes in lockstep, merging
+//! each query its own **lane** — a private value array, next-frontier
+//! bitmap, and worklist — and advance all lanes in lockstep, merging
 //! their sorted active lists node-major so each node's adjacency row
 //! is hot in cache for every lane that needs it in a sweep.
 //!
@@ -26,12 +26,20 @@
 //! byte whatever its batchmates do. Duplicate sources are just duplicate
 //! lanes.
 //!
+//! A lane has exactly one writer — this loop — so its state is plain
+//! memory: `Vec<u32>` values and a `Vec<u64>` bitmap. An improvement is
+//! a compare and a store, an activation an `|=` into a word, a drain a
+//! `mem::take` per word; nothing on a lane is `lock`ed. The relax body
+//! is still [`push_relax`], instantiated over the lane's `&mut [u32]`
+//! where the simulator and the pool instantiate it over shared atomics.
+//!
 //! Two executors share the lane abstraction:
 //!
 //! * [`run_batch_sequential_push`] — the deterministic reference. Lane
 //!   layout is SoA (one value array per lane): lanes converge at
 //!   different iterations, SoA lets finished lanes drop out without
-//!   holes, and `snapshot` is a straight copy.
+//!   holes, and a lane's output is a straight copy (a solo run's is a
+//!   move, `run_solo_sequential_push`).
 //! * [`run_batch_cpu_pool`] — the parallel executor (DESIGN.md §13).
 //!   Values are interleaved **lane-major per node**
 //!   (`values[v * K + lane]`), so one edge walk relaxes every live
@@ -54,7 +62,7 @@ use tigr_graph::{reverse::transpose, Csr, NodeId, RowView};
 use tigr_sim::SimReport;
 
 use crate::cpu_parallel::{balanced_cuts, count_bounds, CpuSchedule};
-use crate::frontier::FrontierBuilder;
+use crate::frontier::{drain_words, FrontierBuilder};
 use crate::kernel::{
     csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, slice_edges, NoMirror,
 };
@@ -136,7 +144,7 @@ pub struct BatchOutput {
 
 /// Reusable batch storage, so a worker thread executing a stream of
 /// batches stops allocating per query: per-lane slots (value array,
-/// frontier builder, worklist) for the sequential executor, plus the
+/// next-frontier bitmap, worklist) for the sequential executor, plus the
 /// interleaved lane-major value buffer, merged-frontier structures,
 /// and per-worker scratch rows of the parallel executor. Storage grows
 /// lazily to the widest batch seen; a retain cap (see
@@ -166,10 +174,12 @@ pub struct BatchArena {
     retain_cap: usize,
 }
 
+/// One lane's storage: exclusive, plain memory.
 #[derive(Debug)]
 struct LaneSlot {
-    values: AtomicValues,
-    next: FrontierBuilder,
+    values: Vec<u32>,
+    /// Next-frontier bitmap, one bit per value slot.
+    next: Vec<u64>,
     active: Vec<u32>,
     /// BSP double buffer (empty under relaxed sync).
     prev: Vec<u32>,
@@ -258,8 +268,8 @@ impl BatchArena {
         self.slots.truncate(self.lane_budget(k));
         while self.slots.len() < k {
             self.slots.push(LaneSlot {
-                values: AtomicValues::new(n, 0),
-                next: FrontierBuilder::new(n),
+                values: vec![0; n],
+                next: vec![0; n.div_ceil(64)],
                 active: Vec::new(),
                 prev: Vec::new(),
             });
@@ -296,12 +306,12 @@ impl BatchArena {
 
 /// The per-lane run state while a batch is in flight.
 struct LaneRun<'a> {
-    values: &'a AtomicValues,
-    next: &'a FrontierBuilder,
+    values: &'a mut Vec<u32>,
+    next: &'a mut [u64],
     active: &'a mut Vec<u32>,
     /// BSP double buffer: the values as the previous iteration left
     /// them, which is all a sweep may read. `None` under relaxed sync.
-    prev: Option<&'a mut Vec<u32>>,
+    prev: Option<&'a mut [u32]>,
     cancel: &'a CancelToken,
     /// Position in `active` during the node-major merge.
     cursor: usize,
@@ -318,27 +328,40 @@ impl LaneRun<'_> {
     /// One scatter relaxation of `slot`'s row in this lane.
     #[inline]
     fn relax_slot<R: RowView>(&mut self, rows: &R, prog: MonotoneProgram, slot: usize) {
-        let prev = self.prev.as_deref().map(Vec::as_slice);
+        let prev = self.prev.as_deref();
         let d = match prev {
             Some(p) => p[slot],
-            None => self.values.load(slot),
+            None => self.values[slot],
         };
         let (targets, weights) = rows.row(NodeId::from_index(slot));
-        let next = self.next;
+        let next = &mut *self.next;
         let mut changed = false;
         self.edges_touched += push_relax(
             &mut NoMirror,
             prog,
-            self.values,
+            &mut self.values[..],
             prev,
             d,
             slice_edges(0, targets, weights),
+            // The scatter indexed `values[t]` first, so `t` is in range.
             |_, t| {
                 changed = true;
-                next.activate(t);
+                next[t / 64] |= 1 << (t % 64);
             },
         );
         self.changed |= changed;
+    }
+
+    /// What the lane reports, around the `values` it computed.
+    fn output(&self, values: Vec<u32>) -> MonotoneOutput {
+        MonotoneOutput {
+            values,
+            report: SimReport::new(),
+            converged: self.converged,
+            edges_touched: self.edges_touched,
+            directions: vec![Direction::Push; self.iterations],
+            cancelled: self.cancelled,
+        }
     }
 }
 
@@ -360,6 +383,45 @@ pub fn run_batch_sequential_push<R: RowView>(
     options: &PushOptions,
     arena: &mut BatchArena,
 ) -> BatchOutput {
+    let (lanes, sweeps) = drive_lanes(rows, batch, options, arena);
+    let lanes = lanes
+        .iter()
+        .map(|lane| lane.output(lane.values.clone()))
+        .collect();
+    BatchOutput { lanes, sweeps }
+}
+
+/// The `K = 1` case for a caller with no arena to keep: the lane's value
+/// array is moved into the output instead of copied out of storage that
+/// is about to be dropped.
+///
+/// # Panics
+///
+/// See [`run_batch_sequential_push`].
+pub(crate) fn run_solo_sequential_push<R: RowView>(
+    rows: &R,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    cancel: CancelToken,
+    options: &PushOptions,
+) -> MonotoneOutput {
+    let batch = BatchProgram::solo(prog, source, cancel);
+    let mut arena = BatchArena::new();
+    let (mut lanes, _) = drive_lanes(rows, &batch, options, &mut arena);
+    let lane = lanes.pop().expect("one lane in, one lane out");
+    let values = std::mem::take(&mut *lane.values);
+    lane.output(values)
+}
+
+/// The lane driver proper: wires each lane of `batch` to its arena slot,
+/// runs all of them to completion, and returns them (each still pointing
+/// at its values in the arena) with the number of fused sweeps.
+fn drive_lanes<'a, R: RowView>(
+    rows: &R,
+    batch: &'a BatchProgram,
+    options: &PushOptions,
+    arena: &'a mut BatchArena,
+) -> (Vec<LaneRun<'a>>, usize) {
     let n = rows.num_nodes();
     let prog = batch.prog;
     let k = batch.lanes.len();
@@ -381,16 +443,16 @@ pub fn run_batch_sequential_push<R: RowView>(
                 active,
                 prev,
             } = slot;
-            init_lane(prog, lane.source, n, values, active);
-            next.clear();
+            init_lane(prog, lane.source, values, active);
+            next.fill(0);
             LaneRun {
+                prev: (options.sync == SyncMode::Bsp).then(|| {
+                    prev.clone_from(values);
+                    &mut prev[..]
+                }),
                 values,
                 next,
                 active,
-                prev: (options.sync == SyncMode::Bsp).then(|| {
-                    *prev = values.snapshot();
-                    prev
-                }),
                 cancel: &lane.cancel,
                 cursor: 0,
                 iterations: 0,
@@ -470,31 +532,16 @@ pub fn run_batch_sequential_push<R: RowView>(
 
         for lane in lanes.iter_mut().filter(|l| l.runnable) {
             lane.active.clear();
-            lane.next.drain_into(lane.active);
+            drain_words(lane.next.iter_mut().map(std::mem::take), lane.active);
             if !lane.changed {
                 lane.converged = true;
                 lane.done = true;
             } else if let Some(prev) = &mut lane.prev {
-                **prev = lane.values.snapshot();
+                prev.copy_from_slice(lane.values);
             }
         }
     }
-
-    let outputs = lanes
-        .into_iter()
-        .map(|lane| MonotoneOutput {
-            values: lane.values.snapshot(),
-            report: SimReport::new(),
-            converged: lane.converged,
-            edges_touched: lane.edges_touched,
-            directions: vec![Direction::Push; lane.iterations],
-            cancelled: lane.cancelled,
-        })
-        .collect();
-    BatchOutput {
-        lanes: outputs,
-        sweeps,
-    }
+    (lanes, sweeps)
 }
 
 /// In-place lane initialization: the allocation-free twin of
@@ -502,15 +549,15 @@ pub fn run_batch_sequential_push<R: RowView>(
 fn init_lane(
     prog: MonotoneProgram,
     source: Option<NodeId>,
-    n: usize,
-    values: &AtomicValues,
+    values: &mut [u32],
     active: &mut Vec<u32>,
 ) {
+    let n = values.len();
     active.clear();
     match prog.init {
         InitKind::OwnId => {
-            for i in 0..n {
-                values.store(i, i as u32);
+            for (i, v) in values.iter_mut().enumerate() {
+                *v = i as u32;
             }
             active.extend(0..n as u32);
         }
@@ -522,7 +569,7 @@ fn init_lane(
                 _ => (u32::MAX, 0),
             };
             values.fill(rest);
-            values.store(src.index(), src_val);
+            values[src.index()] = src_val;
             active.push(src.raw());
         }
     }

@@ -42,7 +42,8 @@ use tigr_graph::{Csr, NodeId};
 use crate::algorithms::pr::{PrMode, PrOptions};
 use crate::frontier::FrontierBuilder;
 use crate::kernel::{
-    csr_edges, push_relax, relax_kernel, slice_edges, EdgeFlow, EdgeRef, NoMirror,
+    csr_edges, push_relax, relax_kernel, slice_edges, unit_edges, EdgeFlow, EdgeRef, EdgeSource,
+    NoMirror,
 };
 use crate::pool::{self, EpochRunner};
 use crate::program::MonotoneProgram;
@@ -397,7 +398,7 @@ impl SweepState<'_> {
     }
 
     #[inline]
-    fn relax_edges(&self, d: u32, edges: impl Iterator<Item = EdgeRef>) -> u64 {
+    fn relax_edges(&self, d: u32, edges: impl EdgeSource) -> u64 {
         push_relax(
             &mut NoMirror,
             self.prog,
@@ -673,7 +674,7 @@ impl PrState<'_> {
                     let node = NodeId::from_index(v);
                     touched += relax_kernel(
                         &mut NoMirror,
-                        slice_edges(self.g.edge_start(node), self.g.neighbors(node), None),
+                        unit_edges(self.g.edge_start(node), self.g.neighbors(node)),
                         spread(share),
                     );
                 }
@@ -691,7 +692,7 @@ impl PrState<'_> {
                             (vn.first_edge as usize, (vn.first_edge + vn.count) as usize);
                         relax_kernel(
                             &mut NoMirror,
-                            slice_edges(lo, &self.g.col_idx()[lo..hi], None),
+                            unit_edges(lo, &self.g.col_idx()[lo..hi]),
                             spread(share),
                         )
                     } else {

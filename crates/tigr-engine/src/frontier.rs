@@ -172,6 +172,19 @@ fn choose_rep(mode: FrontierMode, len: usize, n: usize) -> FrontierRep {
     }
 }
 
+/// Appends the ids of the bits set in `words` (bitmap words in order, as
+/// their owner hands them over) to `out`, ascending — the one word-drain
+/// loop, shared by [`FrontierBuilder`]'s atomic bitmap (each word taken
+/// with a swap) and a host lane's plain one (`mem::take`).
+pub(crate) fn drain_words(words: impl Iterator<Item = u64>, out: &mut Vec<u32>) {
+    for (w, mut bits) in words.enumerate() {
+        while bits != 0 {
+            out.push((w * 64) as u32 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// Concurrent next-frontier collector: an atomic bitmap kernels set bits
 /// in. Duplicate activations collapse; [`FrontierBuilder::take`] yields
 /// ids in ascending order, so the produced frontier is independent of
@@ -227,14 +240,7 @@ impl FrontierBuilder {
     pub fn drain_into(&self, out: &mut Vec<u32>) {
         out.clear();
         out.reserve(self.count.swap(0, Ordering::Relaxed));
-        for (w, word) in self.bits.iter().enumerate() {
-            let mut bits = word.swap(0, Ordering::Relaxed);
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push((w * 64) as u32 + b);
-                bits &= bits - 1;
-            }
-        }
+        drain_words(self.bits.iter().map(|w| w.swap(0, Ordering::Relaxed)), out);
     }
 
     /// Resets every bit without materializing the active ids — the
@@ -248,15 +254,8 @@ impl FrontierBuilder {
 
     /// Drains the builder into a [`Frontier`], clearing all bits.
     pub fn take(&self, mode: FrontierMode) -> Frontier {
-        let mut active = Vec::with_capacity(self.count.swap(0, Ordering::Relaxed));
-        for (w, word) in self.bits.iter().enumerate() {
-            let mut bits = word.swap(0, Ordering::Relaxed);
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                active.push((w * 64) as u32 + b);
-                bits &= bits - 1;
-            }
-        }
+        let mut active = Vec::new();
+        self.drain_into(&mut active);
         let rep = choose_rep(mode, active.len(), self.n);
         let mut bitmap = vec![0u64; self.n.div_ceil(64)];
         for &v in &active {

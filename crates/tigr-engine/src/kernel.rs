@@ -23,15 +23,28 @@
 //! [`push_relax`] (scatter: one atomic per improving edge) and
 //! [`pull_gather`] (gather: local fold, at most one atomic per slot) —
 //! direction is a *schedule*, not a reimplementation.
+//!
+//! What is resolved where: a [`MonotoneProgram`] is data (two enums), a
+//! BSP double buffer is an `Option`, and a row may or may not carry
+//! weights. None of that changes while one row is relaxed, so
+//! [`push_relax`] looks at all of it **once per call** and hands the
+//! per-edge loop a body in which each is a type — the edge function and
+//! the combine of the program, where a destination's current value is
+//! read, the edge iterator. It is generic over the [`ValueCells`] it
+//! writes as well: the shared [`AtomicValues`] of the simulator and the
+//! pooled executors (a hardware read-modify-write per improving edge,
+//! Algorithm 2 line 9), or the `&mut [u32]` a host lane owns (a compare
+//! and a store). Mirror charges are issued by the body, not by the cells,
+//! so they are the same call for call whatever it is instantiated over.
 
 use tigr_core::VirtualNode;
-use tigr_graph::{Csr, Weight};
+use tigr_graph::{Csr, NodeId, Weight};
 use tigr_sim::{GpuSimulator, KernelMetrics, Lane};
 
 use crate::addr::{edge_addr, frontier_bit_addr, value_addr, EDGE_ENTRY_BYTES};
 use crate::frontier::Frontier;
-use crate::program::MonotoneProgram;
-use crate::state::{AtomicFloats, AtomicValues};
+use crate::program::{resolve_edge_op, MonotoneProgram};
+use crate::state::{resolve_combine, AtomicFloats, AtomicValues, Fold, ValueCells};
 
 /// One edge as seen by the kernel: its CSR index (for address
 /// accounting), the slot it leads to, and its weight.
@@ -215,31 +228,78 @@ where
 
 /// Push-relaxes `edges` whose owning slot currently holds `d`: computes
 /// the candidate, compares against the destination (through `prev` under
-/// BSP double buffering), and atomically improves it. `on_improve` runs
+/// BSP double buffering), and improves it in `values`. `on_improve` runs
 /// once per newly improving edge, after the value atomic is charged —
 /// callers hang frontier activation and finished-flag traffic there.
 ///
+/// Everything that is the same for every edge of the call — the
+/// program's edge function and combine, whether there is a `prev`,
+/// whether the row carries weights — is resolved here, so the loop
+/// `scatter` runs branches on none of it.
+///
 /// Returns the number of edges relaxed.
 #[inline]
-pub fn push_relax<M: AccessMirror>(
+pub fn push_relax<M, V, E>(
     mirror: &mut M,
     prog: MonotoneProgram,
-    values: &AtomicValues,
+    values: V,
     prev: Option<&[u32]>,
     d: u32,
+    edges: E,
+    on_improve: impl FnMut(&mut M, usize),
+) -> u64
+where
+    M: AccessMirror,
+    V: ValueCells,
+    E: EdgeSource,
+{
+    resolve_edge_op!(prog.edge_op, |apply| resolve_combine!(
+        prog.combine,
+        |fold| {
+            let candidate = move |weight| apply(d, weight);
+            let live = |values: &V, t: usize| values.load(t);
+            match (edges.resolve(), prev) {
+                (RowEdges::Weighted(edges), None) => {
+                    scatter(mirror, candidate, fold, values, live, edges, on_improve)
+                }
+                (RowEdges::Weighted(edges), Some(prev)) => {
+                    let behind = |_: &V, t: usize| prev[t];
+                    scatter(mirror, candidate, fold, values, behind, edges, on_improve)
+                }
+                (RowEdges::Unit(edges), None) => {
+                    scatter(mirror, candidate, fold, values, live, edges, on_improve)
+                }
+                (RowEdges::Unit(edges), Some(prev)) => {
+                    let behind = |_: &V, t: usize| prev[t];
+                    scatter(mirror, candidate, fold, values, behind, edges, on_improve)
+                }
+            }
+        }
+    ))
+}
+
+/// The scatter body (Algorithm 2 lines 6–10) with every choice made: by
+/// the time this is instantiated, `candidate`, `fold`, `current` and
+/// `edges` are types, and the per-edge path is straight-line — load the
+/// target, load the weight, apply, compare, and rarely store and report.
+#[inline]
+fn scatter<M: AccessMirror, V: ValueCells>(
+    mirror: &mut M,
+    candidate: impl Fn(Weight) -> u32,
+    fold: impl Fold,
+    mut values: V,
+    current: impl Fn(&V, usize) -> u32,
     edges: impl Iterator<Item = EdgeRef>,
     mut on_improve: impl FnMut(&mut M, usize),
 ) -> u64 {
     relax_kernel(mirror, edges, |m, edge| {
-        let cand = prog.edge_op.apply(d, edge.weight);
+        let cand = candidate(edge.weight);
         // alt computation + comparison (Algorithm 2 lines 7-8).
         m.compute(2);
         m.load(value_addr(edge.target), 4);
-        let cur = match prev {
-            Some(p) => p[edge.target],
-            None => values.load(edge.target),
-        };
-        if prog.combine.improves(cand, cur) && values.try_improve(edge.target, cand, prog.combine) {
+        if fold.improves(cand, current(&values, edge.target))
+            && values.improve(edge.target, cand, fold)
+        {
             // atomicMin (Algorithm 2 line 9).
             m.atomic(value_addr(edge.target), 4);
             on_improve(m, edge.target);
@@ -408,7 +468,7 @@ pub fn walk_segments<M: AccessMirror>(
     mirror: &mut M,
     graph: &Csr,
     range: (usize, usize),
-    first_src: tigr_graph::NodeId,
+    first_src: NodeId,
     mut body: impl FnMut(&mut M, usize, std::ops::Range<usize>),
 ) {
     let (lo, hi) = range;
@@ -418,7 +478,7 @@ pub fn walk_segments<M: AccessMirror>(
     while e < hi {
         while e >= src_end {
             src += 1;
-            src_end = graph.edge_end(tigr_graph::NodeId::from_index(src));
+            src_end = graph.edge_end(NodeId::from_index(src));
             mirror.load(crate::addr::row_ptr_addr(src + 1), 4);
         }
         let seg_end = src_end.min(hi);
@@ -504,24 +564,119 @@ pub fn csr_targets<'a>(
     })
 }
 
+/// An edge source as [`push_relax`] walks it, after its one look per
+/// call at whether the row carries weights.
+#[derive(Clone, Debug)]
+pub enum RowEdges<W, U> {
+    /// Every edge reports its stored weight.
+    Weighted(W),
+    /// Every edge weighs 1; no weight array is read.
+    Unit(U),
+}
+
+/// What [`push_relax`] accepts as edges. Any `Iterator<Item = EdgeRef>`
+/// is one (it has nothing left to resolve); [`SliceEdges`] is the source
+/// whose weight slice is optional, and says which once per row instead
+/// of once per edge.
+pub trait EdgeSource {
+    /// The walk over a row that carries weights.
+    type Weighted: Iterator<Item = EdgeRef>;
+    /// The walk over a unit-weight row.
+    type Unit: Iterator<Item = EdgeRef>;
+
+    /// Decides, once, which walk this source is.
+    fn resolve(self) -> RowEdges<Self::Weighted, Self::Unit>;
+}
+
+impl<I: Iterator<Item = EdgeRef>> EdgeSource for I {
+    type Weighted = I;
+    type Unit = std::iter::Empty<EdgeRef>;
+
+    #[inline]
+    fn resolve(self) -> RowEdges<I, Self::Unit> {
+        RowEdges::Weighted(self)
+    }
+}
+
+/// A row as pre-sliced neighbor/weight arrays (see [`slice_edges`]).
+#[derive(Clone, Copy, Debug)]
+pub struct SliceEdges<'a> {
+    first_edge: usize,
+    targets: &'a [NodeId],
+    weights: Option<&'a [Weight]>,
+}
+
 /// Edge source over pre-sliced neighbor/weight arrays — the CPU hot
 /// path, which indexes `row_ptr` once per node and then walks
-/// contiguous slices.
+/// contiguous slices. `weights == None` means every edge weighs 1.
 #[inline]
 pub fn slice_edges<'a>(
     first_edge: usize,
-    targets: &'a [tigr_graph::NodeId],
+    targets: &'a [NodeId],
     weights: Option<&'a [Weight]>,
-) -> impl Iterator<Item = EdgeRef> + 'a {
-    let mut ws = weights.map(|w| w.iter());
-    targets.iter().enumerate().map(move |(i, &t)| EdgeRef {
-        index: first_edge + i,
-        target: t.index(),
-        weight: match &mut ws {
-            Some(it) => *it.next().expect("weights cover targets"),
-            None => 1,
-        },
-    })
+) -> SliceEdges<'a> {
+    SliceEdges {
+        first_edge,
+        targets,
+        weights,
+    }
+}
+
+impl<'a> EdgeSource for SliceEdges<'a> {
+    type Weighted = RowWalk<'a, std::iter::Copied<std::slice::Iter<'a, Weight>>>;
+    type Unit = RowWalk<'a, std::iter::Repeat<Weight>>;
+
+    /// # Panics
+    ///
+    /// Panics if a weight slice does not cover the targets.
+    #[inline]
+    fn resolve(self) -> RowEdges<Self::Weighted, Self::Unit> {
+        match self.weights {
+            Some(weights) => {
+                assert_eq!(weights.len(), self.targets.len(), "weights cover targets");
+                RowEdges::Weighted(RowWalk {
+                    index: self.first_edge,
+                    edges: self.targets.iter().zip(weights.iter().copied()),
+                })
+            }
+            None => RowEdges::Unit(unit_edges(self.first_edge, self.targets)),
+        }
+    }
+}
+
+/// The walk over a [`SliceEdges`] row once its weights are settled: `W`
+/// yields the stored weights, or repeats 1.
+#[derive(Clone, Debug)]
+pub struct RowWalk<'a, W> {
+    index: usize,
+    edges: std::iter::Zip<std::slice::Iter<'a, NodeId>, W>,
+}
+
+impl<W: Iterator<Item = Weight>> Iterator for RowWalk<'_, W> {
+    type Item = EdgeRef;
+
+    #[inline]
+    fn next(&mut self) -> Option<EdgeRef> {
+        let (target, weight) = self.edges.next()?;
+        let index = self.index;
+        self.index += 1;
+        Some(EdgeRef {
+            index,
+            target: target.index(),
+            weight,
+        })
+    }
+}
+
+/// Edge source over a pre-sliced neighbor array whose edges all weigh 1
+/// — what [`slice_edges`] resolves to without a weight slice, for callers
+/// that never had one (PageRank).
+#[inline]
+pub fn unit_edges(first_edge: usize, targets: &[NodeId]) -> RowWalk<'_, std::iter::Repeat<Weight>> {
+    RowWalk {
+        index: first_edge,
+        edges: targets.iter().zip(std::iter::repeat(1)),
+    }
 }
 
 #[cfg(test)]
@@ -705,14 +860,22 @@ mod tests {
             .weighted_edge(1, 2, 8)
             .weighted_edge(1, 3, 9)
             .build();
-        let v = tigr_graph::NodeId::new(1);
+        let v = NodeId::new(1);
         let lo = g.edge_start(v);
-        let a: Vec<(usize, usize, Weight)> = csr_edges(&g, lo..g.edge_end(v))
-            .map(|e| (e.index, e.target, e.weight))
-            .collect();
-        let b: Vec<(usize, usize, Weight)> = slice_edges(lo, g.neighbors(v), g.neighbor_weights(v))
-            .map(|e| (e.index, e.target, e.weight))
-            .collect();
-        assert_eq!(a, b);
+        let flat = |edges: &mut dyn Iterator<Item = EdgeRef>| -> Vec<(usize, usize, Weight)> {
+            edges.map(|e| (e.index, e.target, e.weight)).collect()
+        };
+        let a = flat(&mut csr_edges(&g, lo..g.edge_end(v)));
+        match slice_edges(lo, g.neighbors(v), g.neighbor_weights(v)).resolve() {
+            RowEdges::Weighted(mut edges) => assert_eq!(flat(&mut edges), a),
+            RowEdges::Unit(_) => panic!("the row carries weights"),
+        }
+        // Without a weight slice the same row walks as unit edges.
+        match slice_edges(lo, g.neighbors(v), None).resolve() {
+            RowEdges::Weighted(_) => panic!("no weight slice was given"),
+            RowEdges::Unit(mut edges) => {
+                assert_eq!(flat(&mut edges), vec![(lo, 2, 1), (lo + 1, 3, 1)]);
+            }
+        }
     }
 }

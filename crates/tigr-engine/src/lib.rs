@@ -84,4 +84,4 @@ pub use pull::{run_monotone_pull, run_monotone_pull_cancellable, PullOptions};
 pub use push::{run_monotone, run_monotone_cancellable, MonotoneOutput, PushOptions, SyncMode};
 pub use representation::Representation;
 pub use runner::{Engine, EngineError};
-pub use state::{AtomicFloats, AtomicValues, Combine};
+pub use state::{AtomicFloats, AtomicValues, Combine, Fold, KeepMax, KeepMin, ValueCells};

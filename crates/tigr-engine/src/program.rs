@@ -12,6 +12,47 @@ use tigr_graph::{NodeId, Weight};
 
 use crate::state::Combine;
 
+/// Evaluates `$body` with `$apply` bound to the edge function of a
+/// runtime [`EdgeOp`] — a closure `(value, weight) -> candidate` of its
+/// own type per arm, so whatever `$body` calls with it is instantiated per
+/// operator and the `match` runs once, outside it. The arithmetic of each
+/// operator is written here and nowhere else ([`EdgeOp::apply`] is a use
+/// of this macro).
+macro_rules! resolve_edge_op {
+    ($op:expr, |$apply:ident| $body:expr) => {
+        match $op {
+            $crate::program::EdgeOp::AddWeight => {
+                let $apply = |value: u32, weight: tigr_graph::Weight| value.saturating_add(weight);
+                $body
+            }
+            $crate::program::EdgeOp::MinWeight => {
+                let $apply = |value: u32, weight: tigr_graph::Weight| value.min(weight);
+                $body
+            }
+            $crate::program::EdgeOp::Copy => {
+                let $apply = |value: u32, _weight: tigr_graph::Weight| value;
+                $body
+            }
+            $crate::program::EdgeOp::AddUnit => {
+                let $apply = |value: u32, _weight: tigr_graph::Weight| value.saturating_add(1);
+                $body
+            }
+            $crate::program::EdgeOp::AddWeightCapped(cap) => {
+                let $apply = move |value: u32, weight: tigr_graph::Weight| {
+                    let cand = value.saturating_add(weight);
+                    if cand > cap {
+                        u32::MAX
+                    } else {
+                        cand
+                    }
+                };
+                $body
+            }
+        }
+    };
+}
+pub(crate) use resolve_edge_op;
+
 /// How a node's value and an edge weight produce the candidate pushed to
 /// the neighbor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -41,21 +82,9 @@ pub enum EdgeOp {
 
 impl EdgeOp {
     /// Applies the edge function.
+    #[inline]
     pub fn apply(self, value: u32, weight: Weight) -> u32 {
-        match self {
-            EdgeOp::AddWeight => value.saturating_add(weight),
-            EdgeOp::MinWeight => value.min(weight),
-            EdgeOp::Copy => value,
-            EdgeOp::AddUnit => value.saturating_add(1),
-            EdgeOp::AddWeightCapped(cap) => {
-                let cand = value.saturating_add(weight);
-                if cand > cap {
-                    u32::MAX
-                } else {
-                    cand
-                }
-            }
-        }
+        resolve_edge_op!(self, |apply| apply(value, weight))
     }
 
     /// Whether the op admits an inert dumb-weight assignment (Corollary

@@ -1,4 +1,4 @@
-//! Atomic per-node value storage.
+//! Per-node value storage.
 //!
 //! GPU vertex-centric kernels update neighbor values with hardware
 //! atomics (`atomicMin` in Algorithm 2). This module mirrors that with an
@@ -6,10 +6,34 @@
 //! discipline the paper requires for pull-based virtual processing
 //! ("updates to the value array are performed with atomic operations",
 //! §4.2).
+//!
+//! The atomics exist because many threads share one array. A host lane
+//! ([`crate::batch`]) has exactly one writer, so its values are a plain
+//! `[u32]`; [`ValueCells`] is what the scatter body in [`crate::kernel`]
+//! is generic over, so both kinds of storage run the same code.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use serde::{Deserialize, Serialize};
+
+/// Evaluates `$body` with `$fold` bound to the [`Fold`] of a runtime
+/// [`Combine`]: one arm per operator, so whatever `$body` calls is
+/// instantiated per operator and the `match` runs once, outside it.
+macro_rules! resolve_combine {
+    ($combine:expr, |$fold:ident| $body:expr) => {
+        match $combine {
+            $crate::state::Combine::Min => {
+                let $fold = $crate::state::KeepMin;
+                $body
+            }
+            $crate::state::Combine::Max => {
+                let $fold = $crate::state::KeepMax;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use resolve_combine;
 
 /// Monotone combining operator of a vertex program.
 ///
@@ -34,11 +58,104 @@ impl Combine {
     }
 
     /// Whether `candidate` strictly improves on `current`.
+    #[inline]
     pub fn improves(self, candidate: u32, current: u32) -> bool {
-        match self {
-            Combine::Min => candidate < current,
-            Combine::Max => candidate > current,
+        resolve_combine!(self, |fold| fold.improves(candidate, current))
+    }
+}
+
+/// A [`Combine`] resolved to a type. A loop instantiated over a `Fold`
+/// holds the operator's compare and read-modify-write themselves, not a
+/// branch that picks them per edge; `resolve_combine!` is the one place
+/// a runtime [`Combine`] turns into one.
+pub trait Fold: Copy {
+    /// Whether `candidate` strictly improves on `current`.
+    fn improves(self, candidate: u32, current: u32) -> bool;
+
+    /// The hardware read-modify-write (`atomicMin`/`atomicMax`) on a
+    /// shared cell; returns the value the cell held before.
+    fn fetch(self, cell: &AtomicU32, candidate: u32) -> u32;
+}
+
+/// [`Combine::Min`] as a [`Fold`].
+#[derive(Clone, Copy, Debug)]
+pub struct KeepMin;
+
+/// [`Combine::Max`] as a [`Fold`].
+#[derive(Clone, Copy, Debug)]
+pub struct KeepMax;
+
+impl Fold for KeepMin {
+    #[inline]
+    fn improves(self, candidate: u32, current: u32) -> bool {
+        candidate < current
+    }
+
+    #[inline]
+    fn fetch(self, cell: &AtomicU32, candidate: u32) -> u32 {
+        cell.fetch_min(candidate, Ordering::Relaxed)
+    }
+}
+
+impl Fold for KeepMax {
+    #[inline]
+    fn improves(self, candidate: u32, current: u32) -> bool {
+        candidate > current
+    }
+
+    #[inline]
+    fn fetch(self, cell: &AtomicU32, candidate: u32) -> u32 {
+        cell.fetch_max(candidate, Ordering::Relaxed)
+    }
+}
+
+/// The value cells a scatter writes — what [`crate::kernel::push_relax`]
+/// is generic over. Many threads share an [`AtomicValues`], so improving
+/// a cell there is a hardware read-modify-write; a host lane is the only
+/// writer of its `[u32]`, so there it is a compare and a store.
+pub trait ValueCells {
+    /// Reads cell `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    fn load(&self, i: usize) -> u32;
+
+    /// Folds `candidate` into cell `i`, returning `true` if the cell
+    /// strictly improved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    fn improve(&mut self, i: usize, candidate: u32, fold: impl Fold) -> bool;
+}
+
+impl ValueCells for &AtomicValues {
+    #[inline]
+    fn load(&self, i: usize) -> u32 {
+        AtomicValues::load(self, i)
+    }
+
+    #[inline]
+    fn improve(&mut self, i: usize, candidate: u32, fold: impl Fold) -> bool {
+        fold.improves(candidate, fold.fetch(&self.values[i], candidate))
+    }
+}
+
+impl ValueCells for &mut [u32] {
+    #[inline]
+    fn load(&self, i: usize) -> u32 {
+        self[i]
+    }
+
+    #[inline]
+    fn improve(&mut self, i: usize, candidate: u32, fold: impl Fold) -> bool {
+        let cell = &mut self[i];
+        let improved = fold.improves(candidate, *cell);
+        if improved {
+            *cell = candidate;
         }
+        improved
     }
 }
 
@@ -100,11 +217,8 @@ impl AtomicValues {
     ///
     /// Panics if `i` is out of bounds.
     pub fn try_improve(&self, i: usize, candidate: u32, combine: Combine) -> bool {
-        let prev = match combine {
-            Combine::Min => self.values[i].fetch_min(candidate, Ordering::Relaxed),
-            Combine::Max => self.values[i].fetch_max(candidate, Ordering::Relaxed),
-        };
-        combine.improves(candidate, prev)
+        let mut cells = self;
+        resolve_combine!(combine, |fold| cells.improve(i, candidate, fold))
     }
 
     /// Copies the current values out.

@@ -17,6 +17,13 @@ echo "== dirty/merged ratio on optimised code =="
 cargo test -q --release --test mutation_integration \
     dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs
 
+echo "== lane driver / plain reference loop on optimised code =="
+# Same idea for the host push driver itself: tier-1 holds it to 2.0x a
+# plain single-writer loop under the test profile's debug assertions; on
+# optimised code the bound is 1.5x.
+cargo test -q --release --test batch_equivalence \
+    lanes_are_the_plain_reference_run_at_no_more_than_1_5x_its_cost -- --nocapture
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

@@ -8,11 +8,15 @@
 //! base+delta view is the same run — rows, values, iterations, edges
 //! touched, and (within 2×) wall clock — as over the merged CSR.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+use common::{assert_lane_is_the_reference_run, reference_push, simulated_push};
 
 use tigr::core::{
     DeltaOverlay, GraphStore, MutableGraph, MutationOp, PrepareSpec, PreparedGraph, Wal,
@@ -177,14 +181,18 @@ fn lane_runs(
     prog: MonotoneProgram,
     sources: impl IntoIterator<Item = Option<u32>>,
 ) -> Vec<MonotoneOutput> {
+    lane_runs_under(rows, prog, sources, &PushOptions::default())
+}
+
+/// [`lane_runs`] under another push schedule.
+fn lane_runs_under(
+    rows: &impl RowView,
+    prog: MonotoneProgram,
+    sources: impl IntoIterator<Item = Option<u32>>,
+    options: &PushOptions,
+) -> Vec<MonotoneOutput> {
     let batch = BatchProgram::from_sources(prog, sources.into_iter().map(|s| s.map(NodeId::new)));
-    run_batch_sequential_push(
-        rows,
-        &batch,
-        &PushOptions::default(),
-        &mut BatchArena::new(),
-    )
-    .lanes
+    run_batch_sequential_push(rows, &batch, options, &mut BatchArena::new()).lanes
 }
 
 /// Opens a weighted RMAT base as a mutable graph over a cache-less
@@ -495,7 +503,13 @@ proptest! {
     /// CSR (values, iteration count, edges touched, convergence) for
     /// every monotone program, and eight fused lanes on the view are
     /// eight solo runs on the view, to the byte. (`GraphSnapshot::view`
-    /// is this `freeze` behind a `OnceLock`.)
+    /// is this `freeze` behind a `OnceLock`.) The driver is compared with
+    /// itself there, so each lane is also held against two loops that
+    /// share nothing with it: the plain reference over the view
+    /// (`iterations`, `edges_touched`) and the simulated push engine over
+    /// the merged CSR (`values`, `converged`) — every edge function, both
+    /// combines, weighted and unit rows, and the BSP full-sweep rounds of
+    /// `lp` beside the served schedule, over patched rows.
     #[test]
     fn lane_driver_over_the_frozen_view_is_the_run_over_the_merged_csr(
         n in 2..24u32,
@@ -503,6 +517,7 @@ proptest! {
         raw_base in vec((0..24u32, 0..24u32, 1..16u32), 0..96),
         raw_ops in vec((0..8u8, 0..64u32, 0..64u32, 1..16u32), 1..64),
         seed in 0..1024u32,
+        rounds in 1..6usize,
     ) {
         let mut builder = CsrBuilder::new(n as usize);
         for &(u, v, w) in &raw_base {
@@ -539,22 +554,30 @@ proptest! {
 
         let total = view.num_nodes() as u32;
         let sources: Vec<u32> = (0..8).map(|i| (seed + i * 5) % total).collect();
-        for prog in [
+        let programs = [
             MonotoneProgram::BFS,
             MonotoneProgram::SSSP,
             MonotoneProgram::SSWP,
             MonotoneProgram::CC,
             MonotoneProgram::KHOP,
-        ] {
-            let lane_sources: Vec<Option<u32>> = sources
-                .iter()
-                .map(|&s| (prog.name != MonotoneProgram::CC.name).then_some(s))
-                .collect();
-            let fused = lane_runs(&view, prog, lane_sources.iter().copied());
+            common::paths_program(20),
+        ];
+        let schedules = [PushOptions::default(), common::bsp_rounds(rounds)];
+        for (prog, options) in programs.iter().flat_map(|&p| schedules.iter().map(move |o| (p, o))) {
+            let lane_sources: Vec<Option<u32>> =
+                sources.iter().map(|&s| prog.needs_source().then_some(s)).collect();
+            let fused = lane_runs_under(&view, prog, lane_sources.iter().copied(), options);
             for (lane, &source) in fused.iter().zip(&lane_sources) {
-                let label = format!("{}/{source:?}", prog.name);
-                let solo = lane_runs(&view, prog, [source]).remove(0);
-                let on_merged = lane_runs(&merged, prog, [source]).remove(0);
+                let label = format!("{}/{:?}/{source:?}", prog.name, options.sync);
+                let solo = lane_runs_under(&view, prog, [source], options).remove(0);
+                let on_merged = lane_runs_under(&merged, prog, [source], options).remove(0);
+                let source = source.map(NodeId::new);
+                assert_lane_is_the_reference_run(
+                    lane,
+                    &reference_push(&view, prog, source, options),
+                    &simulated_push(&merged, prog, source, options),
+                    &label,
+                );
                 for (other, what) in [(&solo, "solo on the view"), (&on_merged, "merged CSR")] {
                     prop_assert_eq!(&lane.values, &other.values, "{}: values vs {}", label, what);
                     prop_assert_eq!(
@@ -575,10 +598,13 @@ proptest! {
     }
 }
 
-/// Milliseconds of the median of `runs`.
-fn median_ms(mut runs: Vec<std::time::Duration>) -> f64 {
-    runs.sort_unstable();
-    runs[runs.len() / 2].as_secs_f64() * 1e3
+/// Milliseconds of the fastest of `runs`. The other tests of this binary
+/// run beside the timed loop on the same cores, and whatever they add to a
+/// sample they only add; with a run down to ≈ 5 ms, the median of five let
+/// one burst through in twenty (a ratio of 1.89 where the undisturbed one
+/// is 1.00–1.05), hence the fastest of fifteen.
+fn fastest_ms(runs: Vec<std::time::Duration>) -> f64 {
+    runs.into_iter().min().expect("timed runs").as_secs_f64() * 1e3
 }
 
 /// The case the frozen benchmark workload steers around (removing edges
@@ -628,7 +654,7 @@ fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
     let source = g.nodes().max_by_key(|&u| g.out_degree(u)).map(NodeId::raw);
 
     let (mut dirty, mut clean) = (Vec::new(), Vec::new());
-    for _ in 0..5 {
+    for _ in 0..15 {
         let started = std::time::Instant::now();
         let on_view = lane_runs(&view, MonotoneProgram::SSSP, [source]).remove(0);
         dirty.push(started.elapsed());
@@ -640,7 +666,7 @@ fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
         assert_eq!(on_view.edges_touched, on_merged.edges_touched);
         assert!(on_view.edges_touched > m / 2, "source reaches too little");
     }
-    let (dirty, clean) = (median_ms(dirty), median_ms(clean));
+    let (dirty, clean) = (fastest_ms(dirty), fastest_ms(clean));
     let ratio = dirty / clean;
     println!("dirty sssp {dirty:.2} ms / merged CSR {clean:.2} ms = {ratio:.2}");
     assert!(

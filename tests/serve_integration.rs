@@ -633,12 +633,21 @@ fn same_epoch_dirty_queries_fuse_and_match_their_solo_and_compacted_answers() {
 /// is cached, and a batchmate's lane is untouched.
 ///
 /// The graph is a rail — path edges `i → i+1` with chords `i → i+2` —
-/// on which `sssp` from node 0 is tens of thousands of iterations of a
-/// few microseconds each: a long run made of short steps, so "stopped
+/// on which `sssp` from node 0 is tens of thousands of iterations of
+/// about a microsecond each: a long run made of short steps, so "stopped
 /// within an iteration of the deadline" shows on the clock.
+///
+/// The rail is sized so the full run is well over ten deadlines long
+/// (25–100 ms against 2 ms). It used to be a quarter of this length and
+/// still take 70 ms: a lane's next-frontier bitmap was atomic, and every
+/// iteration swapped (`xchg`) all `n / 64` of its words to drain a
+/// frontier of two nodes — a high-diameter graph paid O(n/64) locked
+/// operations per iteration whatever its frontier held. With the bitmap
+/// plain memory that rail ran in 6–10 ms and `doomed_run * 4 < full_run`
+/// failed one run in three.
 #[test]
 fn a_dirty_sssp_deadline_firing_mid_run_stops_the_lane_and_spares_its_batchmates() {
-    const N: u32 = 1 << 15;
+    const N: u32 = 1 << 17;
     let mut builder = CsrBuilder::new(N as usize);
     for i in 0..N - 1 {
         builder.weighted_edge(i, i + 1, 1);
