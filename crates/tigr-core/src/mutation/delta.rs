@@ -15,16 +15,19 @@
 //! the base as a [`RowView`] — an untouched row costs one bit test and
 //! is the base's own slice, a patched row is a frozen slice — so the
 //! host push driver runs over base+delta exactly as it runs over a CSR.
-//! [`DeltaOverlay::merged_csr`] rebuilds a full CSR through
-//! [`CsrBuilder`] with its default canonical ordering — byte-identical
-//! to building the merged edge list from scratch, which is what makes
-//! compaction's differential guarantee hold. The builder's order within
-//! a row is `(dst, weight)` too, so over a builder-built base the view's
-//! rows are the merged CSR's rows, edge for edge.
+//! [`OverlayView::merged_csr`] materializes that view into a standalone
+//! CSR by walking its rows — byte-identical to building the merged edge
+//! list from scratch through `CsrBuilder`, which is what makes
+//! compaction's differential guarantee hold: the builder's canonical
+//! order is `(src, dst, weight)`, a walk over rows `0..n` is already
+//! `src` order, frozen rows are sorted by `(dst, weight)`, and a base row
+//! that is not (weights assigned by position to parallel edges) is
+//! sorted on its own. Equal keys are equal edges, so any sort yields the
+//! same bytes.
 
 use std::collections::{HashMap, HashSet};
 
-use tigr_graph::{Csr, CsrBuilder, Edge, NodeId, RowView, Weight};
+use tigr_graph::{Csr, Edge, NodeId, RowView, Weight};
 
 use super::{MutationError, MutationOp};
 
@@ -275,38 +278,29 @@ impl DeltaOverlay {
         }
     }
 
-    /// The full visible edge list (order unspecified; the builder
-    /// canonicalizes).
+    /// The full visible edge list (order unspecified; a builder
+    /// canonicalizes), read off the frozen rows.
     pub fn merged_edges(&self, base: &Csr) -> Vec<Edge> {
+        let frozen = self.freeze(base);
+        let view = frozen.view(base);
         let mut edges = Vec::with_capacity(self.num_edges(base));
-        for u in 0..self.base_nodes as u32 {
-            let node = NodeId::new(u);
-            for e in base.edge_start(node)..base.edge_end(node) {
-                if !self.removed.contains(&(e as u64)) {
-                    let w = if self.weighted {
-                        self.effective_weight(base, e as u64)
-                    } else {
-                        1
-                    };
-                    edges.push(Edge::new(node, base.edge_target(e), w));
-                }
-            }
-        }
-        for (&u, list) in &self.added {
-            for &(v, w) in list {
-                edges.push(Edge::new(NodeId::new(u), NodeId::new(v), w));
-            }
+        for src in (0..self.num_nodes()).map(NodeId::from_index) {
+            let (targets, weights) = view.row(src);
+            edges.extend(
+                targets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &dst)| Edge::new(src, dst, weights.map_or(1, |w| w[i]))),
+            );
         }
         edges
     }
 
-    /// Materializes base+delta into a standalone CSR through
-    /// [`CsrBuilder`]'s default canonical ordering — byte-identical to
-    /// building the same edge list from scratch.
+    /// Freezes and materializes in one call (see
+    /// [`OverlayView::merged_csr`]); a caller that already holds the
+    /// frozen rows materializes its view instead.
     pub fn merged_csr(&self, base: &Csr) -> Csr {
-        let mut b = CsrBuilder::from_edges(self.num_nodes(), self.merged_edges(base));
-        b.force_weighted(self.weighted);
-        b.build()
+        self.freeze(base).view(base).merged_csr()
     }
 }
 
@@ -347,6 +341,53 @@ pub struct OverlayView<'a> {
     rows: &'a PatchedRows,
 }
 
+impl OverlayView<'_> {
+    /// Materializes base+delta into a standalone CSR, byte-identical to
+    /// building the merged edge list through `CsrBuilder`'s canonical
+    /// `(src, dst, weight)` order: rows are copied in node order, a
+    /// patched row from the index and every other row from the base, and
+    /// the rare row not already sorted by `(dst, weight)` is sorted on
+    /// its own. No edge list, no hash probe, no global sort.
+    pub fn merged_csr(&self) -> Csr {
+        let nodes = || (0..self.num_nodes()).map(NodeId::from_index);
+        let mut row_ptr = Vec::with_capacity(self.num_nodes() + 1);
+        row_ptr.push(0);
+        let mut m = 0;
+        for u in nodes() {
+            m += self.out_degree(u);
+            row_ptr.push(m);
+        }
+        let mut col_idx = Vec::with_capacity(m);
+        let mut weights = self.base.is_weighted().then(|| Vec::with_capacity(m));
+        let mut unsorted: Vec<(NodeId, Weight)> = Vec::new();
+        for u in nodes() {
+            let (targets, row_weights) = self.row(u);
+            let sorted = match row_weights {
+                None => targets.is_sorted(),
+                Some(w) => {
+                    (1..targets.len()).all(|i| (targets[i - 1], w[i - 1]) <= (targets[i], w[i]))
+                }
+            };
+            if sorted {
+                col_idx.extend_from_slice(targets);
+                if let (Some(out), Some(w)) = (&mut weights, row_weights) {
+                    out.extend_from_slice(w);
+                }
+                continue;
+            }
+            unsorted.clear();
+            unsorted
+                .extend((0..targets.len()).map(|i| (targets[i], row_weights.map_or(1, |w| w[i]))));
+            unsorted.sort_unstable();
+            col_idx.extend(unsorted.iter().map(|&(v, _)| v));
+            if let Some(out) = &mut weights {
+                out.extend(unsorted.iter().map(|&(_, w)| w));
+            }
+        }
+        Csr::from_parts(row_ptr, col_idx, weights)
+    }
+}
+
 impl RowView for OverlayView<'_> {
     fn num_nodes(&self) -> usize {
         self.rows.num_nodes
@@ -372,6 +413,7 @@ impl RowView for OverlayView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tigr_graph::CsrBuilder;
 
     /// Every row of `view` as `(src, dst, weight)` triples, in row
     /// order.
@@ -555,5 +597,58 @@ mod tests {
         // The view's rows are the materialized CSR's rows, edge for
         // edge and in the same order.
         assert_eq!(rows(&d.freeze(&base).view(&base)), rows(&merged));
+
+        // The row walk is the builder's merge, byte for byte, on every
+        // delta shape. Parallel edges whose weights were assigned by
+        // position leave row 0 of this base unsorted by `(dst, weight)`.
+        let positional = Csr::from_parts(
+            vec![0, 3, 4, 4, 6],
+            [1, 1, 2, 2, 0, 0].map(NodeId::new).to_vec(),
+            Some(vec![9, 2, 7, 1, 4, 3]),
+        );
+        let parallel_unit = CsrBuilder::new(4)
+            .edge(0, 1)
+            .edge(0, 1)
+            .edge(1, 2)
+            .edge(3, 0)
+            .build();
+        let weighted_ops = [
+            MutationOp::RemoveEdge { u: 0, v: 1 }, // hides the w = 9 twin only
+            MutationOp::SetWeight { u: 3, v: 0, w: 8 },
+            MutationOp::RemoveEdge { u: 1, v: 2 }, // empties row 1
+            MutationOp::AddNode { nodes: 6 },
+            MutationOp::AddEdge { u: 5, v: 0, w: 3 },
+            MutationOp::AddEdge { u: 2, v: 5, w: 2 },
+        ];
+        let unit_ops = [
+            MutationOp::RemoveEdge { u: 0, v: 1 },
+            MutationOp::RemoveEdge { u: 3, v: 0 }, // empties row 3
+            MutationOp::AddNode { nodes: 5 },
+            MutationOp::AddEdge { u: 4, v: 4, w: 1 },
+            MutationOp::AddEdge { u: 0, v: 3, w: 1 },
+        ];
+        for (base, ops) in [
+            (&positional, &weighted_ops[..]),
+            (&positional, &[]),
+            (&base, &weighted_ops[..]),
+            (&parallel_unit, &unit_ops[..]),
+            (&parallel_unit, &[]),
+        ] {
+            let mut d = DeltaOverlay::new(base);
+            for &op in ops {
+                assert!(d.apply(base, op).unwrap(), "{op:?}");
+            }
+            let mut builder = CsrBuilder::from_edges(d.num_nodes(), d.merged_edges(base));
+            builder.force_weighted(base.is_weighted());
+            assert_eq!(d.merged_csr(base), builder.build(), "{ops:?}");
+            assert_eq!(d.merged_edges(base).len(), d.num_edges(base));
+        }
+        // The unsorted row came out sorted, its hidden twin gone.
+        let mut d = DeltaOverlay::new(&positional);
+        d.apply(&positional, weighted_ops[0]).unwrap();
+        assert_eq!(
+            rows(&d.merged_csr(&positional))[..2],
+            [(0, 1, 2), (0, 2, 7)]
+        );
     }
 }

@@ -34,7 +34,9 @@
 //! point recovers the same visible graph: (1) write the compacted
 //! artifact, (2) atomically update the `MANIFEST` pointer in the
 //! original WAL dir, (3) atomically rewrite the WAL to the
-//! post-snapshot tail. Replay of a *stale* (pre-reset) WAL over a
+//! post-snapshot tail, (4) unlink the compacted artifact the old base
+//! came from. A step that fails before (3) fails the compaction with
+//! the WAL intact. Replay of a *stale* (pre-reset) WAL over a
 //! compacted base is state-convergent by construction: `AddEdge` of a
 //! visible edge and `RemoveEdge` of an absent edge are skips, and
 //! `AddNode` carries a target node count rather than an increment.

@@ -17,22 +17,30 @@
 //!
 //! Every apply batch is fsync'd to the WAL *before* the in-memory
 //! overlay changes, so an acknowledged mutation survives a crash.
-//! Compaction's durable steps are ordered (fresh artifact → `MANIFEST`
-//! pointer → WAL reset) such that a crash between any two recovers the
-//! same visible graph: replaying a stale (pre-reset) WAL over the
-//! compacted base is state-convergent because every [`MutationOp`] is
-//! idempotent against a base that already absorbed it.
+//! Compaction takes four durable steps in a fixed order, each only after
+//! the one before it is on disk: (1) the fresh artifact is written,
+//! fsync'd and renamed into place; (2) the `MANIFEST` is atomically
+//! repointed at it; (3) the WAL is rewritten to the racing tail; (4) the
+//! compacted artifact the old base came from is unlinked. A failure in
+//! step 1 or 2 fails the compaction with the WAL and the serving state
+//! untouched — the log is dropped only once a `MANIFEST` durably names
+//! an artifact that holds its ops. A crash after step 1 leaves an
+//! unnamed orphan file and recovers old base + full WAL; after step 2,
+//! the fresh base + the stale WAL, which is state-convergent because
+//! every [`MutationOp`] is idempotent against a base that already
+//! absorbed it; after step 3, the fresh base + the tail, with the
+//! superseded artifact left behind as the one orphan a crash can cost.
+//! The original prepare-keyed artifact is never unlinked: it is the
+//! spec's cache entry and owns the WAL directory.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-use tigr_graph::io::{encode_csr, fnv1a64};
-
-use crate::store::{wal_dir_for, GraphStore, PreparedGraph, ViewPlan};
+use crate::store::{carries_lineage, wal_dir_for, GraphStore, PreparedGraph, ViewPlan};
 
 use super::delta::{DeltaOverlay, OverlayView, PatchedRows};
 use super::wal::{MutationOp, Wal};
@@ -146,15 +154,15 @@ impl GraphSnapshot {
     ///
     /// [`MutationError::Graph`] when re-preparing the merged CSR fails.
     pub fn merged(&self) -> Result<Arc<PreparedGraph>, MutationError> {
-        let Some(delta) = &self.delta else {
+        if self.is_clean() {
             return Ok(Arc::clone(&self.base));
-        };
+        }
         let mut slot = self.merged.lock().unwrap();
         if let Some(m) = &*slot {
             return Ok(Arc::clone(m));
         }
-        let csr = delta.merged_csr(self.base.graph());
-        let prepared = Arc::new(GraphStore::disabled().materialize(csr, self.plan)?);
+        let view = self.view().expect("a dirty snapshot has a view");
+        let prepared = Arc::new(GraphStore::disabled().materialize(view.merged_csr(), self.plan)?);
         *slot = Some(Arc::clone(&prepared));
         Ok(prepared)
     }
@@ -173,6 +181,19 @@ struct Inner {
     /// next mutation — repeat readers of an unchanged graph share one
     /// `Arc`.
     cached: Option<Arc<GraphSnapshot>>,
+    /// The compacted artifact `base` came from, when it is this
+    /// lineage's own to unlink once the next compaction supersedes it
+    /// (never the original artifact, never a file without this lineage
+    /// in its canonical string).
+    compacted: Option<PathBuf>,
+}
+
+/// What makes a mutable graph durable: the `MANIFEST` in the *original*
+/// artifact's WAL dir, and that artifact's key — the lineage every
+/// compaction product of this graph carries in its canonical string.
+struct Lineage {
+    manifest: PathBuf,
+    key: String,
 }
 
 /// A prepared graph that accepts online mutations: WAL-durable writes,
@@ -182,9 +203,9 @@ pub struct MutableGraph {
     plan: ViewPlan,
     inner: Mutex<Inner>,
     wal: Mutex<Wal>,
-    /// `MANIFEST` path in the *original* artifact's WAL dir (fixed at
-    /// open; `None` for cache-less stores, which are ephemeral anyway).
-    manifest: Option<PathBuf>,
+    /// Fixed at open; `None` for cache-less stores, which are ephemeral
+    /// anyway.
+    lineage: Option<Lineage>,
     compacting: AtomicBool,
     compactions: AtomicU64,
     last_compaction_ms: AtomicU64,
@@ -227,10 +248,14 @@ impl MutableGraph {
             ));
         }
         let plan = ViewPlan::from_prepared(&base);
-        let (wal_path, manifest) = match &base.report().artifact {
+        let (wal_path, lineage) = match &base.report().artifact {
             Some(artifact) => {
                 let dir = wal_dir_for(artifact);
-                (dir.join(WAL_FILE), Some(dir.join(MANIFEST_FILE)))
+                let lineage = Lineage {
+                    manifest: dir.join(MANIFEST_FILE),
+                    key: base.report().key.clone(),
+                };
+                (dir.join(WAL_FILE), Some(lineage))
             }
             None => {
                 // Cache-less stores get an ephemeral per-open log: there
@@ -248,13 +273,19 @@ impl MutableGraph {
         };
 
         let mut base = Arc::new(base);
-        if let Some(manifest_path) = manifest.as_deref().filter(|p| p.exists()) {
+        let mut compacted = None;
+        if let Some(lineage) = lineage.as_ref().filter(|l| l.manifest.exists()) {
+            let manifest_path = &lineage.manifest;
             match read_manifest(manifest_path) {
                 Ok((key, canonical)) => match store.cache_dir() {
                     Some(dir) => {
                         let artifact = dir.join(format!("{key}.tigr"));
                         match store.open_materialized(&artifact, plan, &canonical) {
-                            Ok(compacted) => base = Arc::new(compacted),
+                            Ok(redirected) => {
+                                base = Arc::new(redirected);
+                                compacted =
+                                    carries_lineage(&canonical, &lineage.key).then_some(artifact);
+                            }
                             Err(e) => eprintln!(
                                 "tigr: compacted artifact {} unusable ({e}); \
                                  replaying full WAL over the original base",
@@ -300,9 +331,10 @@ impl MutableGraph {
                 ops,
                 epoch,
                 cached: None,
+                compacted,
             }),
             wal: Mutex::new(wal),
-            manifest,
+            lineage,
             compacting: AtomicBool::new(false),
             compactions: AtomicU64::new(0),
             last_compaction_ms: AtomicU64::new(0),
@@ -363,9 +395,16 @@ impl MutableGraph {
     /// Pins the current state. Cheap for repeat readers: the snapshot is
     /// cached until the next mutation or compaction.
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
+        self.pin().0
+    }
+
+    /// [`MutableGraph::snapshot`] plus the sequence number of the last
+    /// logged op the snapshot reflects, read under the same lock.
+    fn pin(&self) -> (Arc<GraphSnapshot>, Option<u64>) {
         let mut inner = self.inner.lock().unwrap();
+        let high_seq = inner.ops.last().map(|&(seq, _)| seq);
         if let Some(s) = &inner.cached {
-            return Arc::clone(s);
+            return (Arc::clone(s), high_seq);
         }
         let snap = Arc::new(GraphSnapshot {
             base: Arc::clone(&inner.base),
@@ -380,22 +419,27 @@ impl MutableGraph {
         let mut registry = self.snapshots.lock().unwrap();
         registry.retain(|w| w.strong_count() > 0);
         registry.push(Arc::downgrade(&snap));
-        snap
+        (snap, high_seq)
     }
 
     /// Merges base+delta into a fresh CSR, re-runs preparation over it
     /// (re-splitting virtual nodes whose degree crossed `K`, §4.1),
-    /// seals a new artifact, and swaps it in as the serving base.
-    /// Mutations that land while the merge runs survive as the new
-    /// (much smaller) delta. In-flight snapshots are untouched — their
-    /// epochs drain by refcount.
+    /// seals a new artifact, and swaps it in as the serving base; the
+    /// compacted artifact it supersedes is unlinked. Mutations that land
+    /// while the merge runs survive as the new (much smaller) delta.
+    /// In-flight snapshots are untouched — their epochs drain by
+    /// refcount, and a base mapped from the unlinked file stays mapped.
     ///
     /// # Errors
     ///
     /// [`MutationError::Busy`] when a compaction is already running;
-    /// [`MutationError::Graph`] when re-preparation fails (the serving
-    /// state is unchanged); [`MutationError::Io`] when the WAL reset
-    /// fails after the swap was otherwise committed.
+    /// [`MutationError::Graph`] when the fresh artifact cannot be
+    /// written and [`MutationError::Io`] when the `MANIFEST` cannot name
+    /// it — the WAL and the serving state are unchanged either way, no
+    /// acknowledged mutation is lost; [`MutationError::Io`] too when the
+    /// WAL reset fails after the `MANIFEST` was repointed (the serving
+    /// state is unchanged and a restart replays the stale log over the
+    /// fresh base).
     pub fn compact(&self) -> Result<CompactionStats, MutationError> {
         if self.compacting.swap(true, Ordering::AcqRel) {
             return Err(MutationError::Busy);
@@ -407,28 +451,42 @@ impl MutableGraph {
 
     fn compact_locked(&self) -> Result<CompactionStats, MutationError> {
         let started = Instant::now();
-        // Pin the merge input without holding the lock during the
-        // (potentially long) merge + re-prepare.
-        let (base, delta, high_seq) = {
-            let inner = self.inner.lock().unwrap();
-            if inner.delta.is_empty() {
-                return Ok(CompactionStats {
-                    wall_ms: 0,
-                    delta_edges_before: 0,
-                    delta_edges_after: 0,
-                    epoch: inner.epoch,
-                });
-            }
-            (
-                Arc::clone(&inner.base),
-                inner.delta.clone(),
-                inner.ops.last().map(|&(seq, _)| seq),
-            )
+        // Pin the merge input as any reader would, so the (potentially
+        // long) merge + re-prepare hold no lock — and reuse the rows a
+        // dirty query already froze.
+        let (pinned, high_seq) = self.pin();
+        let Some(view) = pinned.view() else {
+            return Ok(CompactionStats {
+                wall_ms: 0,
+                delta_edges_before: 0,
+                delta_edges_after: 0,
+                epoch: pinned.epoch(),
+            });
         };
-        let delta_edges_before = delta.delta_edges();
-        let merged = delta.merged_csr(base.graph());
-        let canonical = self.plan.canonical(fnv1a64(&encode_csr(&merged)));
-        let fresh = Arc::new(self.store.materialize(merged, self.plan)?);
+        let delta_edges_before = pinned.delta_edges();
+        let lineage_key = self.lineage.as_ref().map(|l| l.key.as_str());
+        let sealed = self.store.seal(view.merged_csr(), self.plan, lineage_key);
+        // Durable step 1: the artifact itself. Without it nothing below
+        // may happen — the WAL is the only copy of the delta.
+        let durable = match (&self.lineage, &sealed.prepared.report().artifact) {
+            (Some(lineage), Some(artifact)) => {
+                sealed.written?;
+                Some((lineage, artifact.clone()))
+            }
+            (Some(_), None) => {
+                return Err(MutationError::Io(io::Error::other(
+                    "the base has a WAL directory but the store has no cache dir to seal into",
+                )))
+            }
+            // Ephemeral: no restart will look for this graph.
+            (None, _) => {
+                if let Err(e) = &sealed.written {
+                    eprintln!("tigr: failed to write compacted artifact ({e})");
+                }
+                None
+            }
+        };
+        let fresh = Arc::new(sealed.prepared);
 
         let mut inner = self.inner.lock().unwrap();
         // Ops that raced the merge become the new delta.
@@ -445,24 +503,14 @@ impl MutableGraph {
             }
         }
 
-        // Durable step 2 (the artifact itself was step 1): point the
-        // original WAL dir at the fresh artifact. Written only when the
-        // artifact really exists — a failed artifact write must not
-        // redirect recovery at nothing.
-        if let (Some(manifest), Some(artifact)) = (&self.manifest, &fresh.report().artifact) {
-            if artifact.exists() {
-                if let Err(e) = write_manifest(manifest, &fresh.report().key, &canonical) {
-                    eprintln!(
-                        "tigr: failed to write MANIFEST {} ({e}); \
-                         recovery will replay the full WAL",
-                        manifest.display()
-                    );
-                }
-            }
+        // Durable step 2: point the original WAL dir at the fresh
+        // artifact.
+        if let Some((lineage, _)) = &durable {
+            write_manifest(&lineage.manifest, &fresh.report().key, &sealed.canonical)?;
         }
-        // Durable step 3: shrink the WAL to the racing tail. Old
-        // records are safe to drop only now — the manifest redirect (or
-        // full-WAL replay if it failed) covers every earlier crash.
+        // Durable step 3: shrink the WAL to the racing tail. Old records
+        // are safe to drop only now — the artifact the MANIFEST names
+        // holds them.
         self.wal.lock().unwrap().reset(&tail)?;
 
         let delta_edges_after = new_delta.delta_edges();
@@ -472,7 +520,26 @@ impl MutableGraph {
         inner.epoch += 1;
         inner.cached = None;
         let epoch = inner.epoch;
+        // A delta that nets out to nothing re-seals the very file the
+        // base came from: then there is nothing superseded to unlink.
+        let superseded = durable.and_then(|(_, artifact)| {
+            inner
+                .compacted
+                .replace(artifact.clone())
+                .filter(|old| *old != artifact)
+        });
         drop(inner);
+
+        // Durable step 4, last: nothing on disk names the superseded
+        // artifact any more. Readers still holding it keep their pages.
+        if let Some(path) = superseded {
+            if let Err(e) = fs::remove_file(&path) {
+                eprintln!(
+                    "tigr: could not unlink superseded artifact {} ({e})",
+                    path.display()
+                );
+            }
+        }
 
         let wall_ms = started.elapsed().as_millis() as u64;
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -762,6 +829,44 @@ mod tests {
         // base: same visible graph, empty delta.
         assert_eq!(reopened.delta_edges(), 0);
         assert_eq!(reopened.snapshot().merged().unwrap().graph(), &expected);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_compacted_artifact_without_lineage_is_served_but_never_unlinked() {
+        // What a commit older than lineage keys left on disk: a MANIFEST
+        // naming a content-keyed artifact that any other lineage with
+        // the same CSR and plan would name too.
+        let dir = temp_dir("legacy");
+        let store = GraphStore::new(Some(dir.clone()));
+        let base = store.prepare(&spec()).unwrap();
+        let manifest = wal_dir_for(base.report().artifact.as_ref().unwrap()).join(MANIFEST_FILE);
+        let mut delta = DeltaOverlay::new(base.graph());
+        for op in ops(base.graph()) {
+            delta.apply(base.graph(), op).unwrap();
+        }
+        let legacy = store.seal(
+            delta.merged_csr(base.graph()),
+            ViewPlan::from_prepared(&base),
+            None,
+        );
+        legacy.written.unwrap();
+        let legacy_path = legacy.prepared.report().artifact.clone().unwrap();
+        write_manifest(&manifest, &legacy.prepared.report().key, &legacy.canonical).unwrap();
+
+        let mg = MutableGraph::open(store, base).unwrap();
+        assert!(mg.snapshot().is_clean());
+        assert_eq!(mg.snapshot().base().graph(), legacy.prepared.graph());
+        let add = |u, v| mg.apply(&[MutationOp::AddEdge { u, v, w: 2 }]).unwrap();
+        assert_eq!(add(5, 6).applied, 1);
+        mg.compact().unwrap();
+        assert!(legacy_path.exists());
+        // From here on the lineage owns, and unlinks, what it writes.
+        let owned = mg.snapshot().base().report().artifact.clone().unwrap();
+        assert_eq!(add(65, 5).applied, 1);
+        mg.compact().unwrap();
+        assert!(!owned.exists());
+        assert!(legacy_path.exists());
         fs::remove_dir_all(&dir).ok();
     }
 

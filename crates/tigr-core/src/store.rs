@@ -278,14 +278,19 @@ impl ViewPlan {
     /// Canonical artifact-spec string for a materialized CSR with this
     /// plan; `csr_hash` is an FNV-1a of the encoded CSR bytes, so the
     /// key tracks graph content exactly like file-source prepare keys.
-    pub(crate) fn canonical(self, csr_hash: u64) -> String {
+    /// A compaction product also carries its `lineage` — the key of the
+    /// prepare-keyed artifact whose `MANIFEST` will name it — so two
+    /// mutable graphs that compact to byte-identical CSRs never share,
+    /// and so never delete, each other's file.
+    fn canonical(self, csr_hash: u64, lineage: Option<&str>) -> String {
         let overlay = match self.virtual_k {
             Some(k) if self.coalesced => format!("{k}:coalesced"),
             Some(k) => format!("{k}:consecutive"),
             None => "none".into(),
         };
+        let lineage = lineage.map_or(String::new(), |key| format!("|lineage={key}"));
         format!(
-            "tigr-compact-v1|csr={csr_hash:016x}|virtual={overlay}|transpose={}",
+            "tigr-compact-v1|csr={csr_hash:016x}|virtual={overlay}|transpose={}{lineage}",
             self.transpose as u8
         )
     }
@@ -788,7 +793,8 @@ impl GraphStore {
 
         if let Some(path) = &artifact {
             ensure_wal_dir(path);
-            match write_artifact(path, &prepared, &canonical) {
+            let csr = Section::new(SECTION_CSR, io::encode_csr(&prepared.graph));
+            match write_artifact(path, &prepared, &canonical, csr) {
                 Ok(()) if self.mmap == MmapMode::On => {
                     // The policy demands mapped storage: swap the just
                     // built heap views for borrowed views of the artifact
@@ -818,14 +824,33 @@ impl GraphStore {
     /// Materializes an in-memory CSR into a [`PreparedGraph`], rebuilding
     /// the derived views `plan` names and — when caching is enabled —
     /// sealing the result into a fresh `TIGRCSR2` artifact (with its WAL
-    /// directory) keyed by the CSR's content. This is the compaction
-    /// path: base+delta has already been merged into `graph`, and the
-    /// virtual overlay is rebuilt from scratch, so nodes whose degree
-    /// crossed `K` under mutation are re-split exactly as a cold prepare
-    /// of the merged edge list would split them.
+    /// directory) keyed by the CSR's content. The virtual overlay is
+    /// rebuilt from scratch, so nodes whose degree crossed `K` are split
+    /// exactly as a cold prepare of the same edge list would split them.
+    /// A failed artifact write is reported on stderr and the in-memory
+    /// views are returned all the same.
     pub fn materialize(&self, graph: Csr, plan: ViewPlan) -> Result<PreparedGraph> {
+        let sealed = self.seal(graph, plan, None);
+        if let (Some(path), Err(e)) = (&sealed.prepared.report.artifact, &sealed.written) {
+            eprintln!(
+                "tigr: failed to write materialized artifact {} ({e})",
+                path.display()
+            );
+        }
+        Ok(sealed.prepared)
+    }
+
+    /// The compaction path behind [`GraphStore::materialize`]: base+delta
+    /// has already been merged into `graph`. The CSR is encoded and
+    /// hashed once — its section checksum is the content hash in the
+    /// canonical string, and the same section goes to the writer as it
+    /// is. With a `lineage` (the original artifact's key) the product is
+    /// that mutable graph's alone and gets no WAL directory of its own:
+    /// its log stays beside the original.
+    pub(crate) fn seal(&self, graph: Csr, plan: ViewPlan, lineage: Option<&str>) -> Sealed {
         let started = Instant::now();
-        let canonical = plan.canonical(fnv1a64(&io::encode_csr(&graph)));
+        let csr = Section::new(SECTION_CSR, io::encode_csr(&graph));
+        let canonical = plan.canonical(csr.checksum(), lineage);
         let key = format!("{:016x}", fnv1a64(canonical.as_bytes()));
         let artifact = self
             .cache_dir
@@ -877,19 +902,23 @@ impl GraphStore {
         };
         prepared.finish_open(OpenMode::Built, self.verify, started);
 
-        if let Some(path) = &artifact {
-            ensure_wal_dir(path);
-            if let Err(e) = write_artifact(path, &prepared, &canonical) {
-                eprintln!(
-                    "tigr: failed to write compacted artifact {} ({e})",
-                    path.display()
-                );
+        let written = match &artifact {
+            Some(path) => {
+                if lineage.is_none() {
+                    ensure_wal_dir(path);
+                }
+                write_artifact(path, &prepared, &canonical, csr)
             }
+            None => Ok(()),
+        };
+        Sealed {
+            prepared,
+            canonical,
+            written,
         }
-        Ok(prepared)
     }
 
-    /// Re-opens an artifact previously sealed by [`GraphStore::materialize`]
+    /// Re-opens an artifact previously sealed by [`GraphStore::seal`]
     /// (compaction's MANIFEST redirect path). The embedded spec echo must
     /// match `canonical` — a mismatch (stale manifest, evicted-and-reused
     /// key) is an error the caller downgrades to replaying the full WAL
@@ -923,9 +952,24 @@ impl GraphStore {
             transposes_built: 0,
             overlays_built: 0,
         };
-        ensure_wal_dir(artifact);
         Ok(prepared)
     }
+}
+
+/// What [`GraphStore::seal`] produced: the views, the canonical string
+/// the artifact echoes (a `MANIFEST` repeats it), and whether the
+/// artifact is durably on disk (`Ok` too when the store has no cache).
+pub(crate) struct Sealed {
+    pub(crate) prepared: PreparedGraph,
+    pub(crate) canonical: String,
+    pub(crate) written: Result<()>,
+}
+
+/// Whether `canonical` (a compaction product's spec echo, as a `MANIFEST`
+/// repeats it) carries the lineage `key` — [`ViewPlan::canonical`]'s
+/// suffix, recognised here so the format lives in one module.
+pub(crate) fn carries_lineage(canonical: &str, key: &str) -> bool {
+    canonical.ends_with(&format!("|lineage={key}"))
 }
 
 /// The WAL directory paired with an artifact path: `<key>.tigr` keeps
@@ -1219,14 +1263,21 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Writes the artifact atomically (uniquely named temp file + rename) so
 /// a concurrent reader never observes a partial container and same-key
-/// racers never clobber each other's in-progress temp file.
-fn write_artifact(path: &Path, prepared: &PreparedGraph, canonical: &str) -> Result<()> {
+/// racers never clobber each other's in-progress temp file. `csr` is
+/// `prepared.graph` already encoded and hashed by the caller, who needed
+/// that hash first; every other section is encoded and hashed here, once.
+fn write_artifact(
+    path: &Path,
+    prepared: &PreparedGraph,
+    canonical: &str,
+    csr: Section,
+) -> Result<()> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
     let mut sections = vec![
         Section::new(SECTION_SPEC, canonical.as_bytes().to_vec()),
-        Section::new(SECTION_CSR, io::encode_csr(&prepared.graph)),
+        csr,
     ];
     if let Some(rev) = &prepared.transpose {
         sections.push(Section::new(SECTION_TRANSPOSE, io::encode_csr(rev)));
@@ -1365,7 +1416,10 @@ mod tests {
         let bytes_a = fs::read(a.report().artifact.as_ref().unwrap()).unwrap();
         let bytes_b = fs::read(b.report().artifact.as_ref().unwrap()).unwrap();
         assert_eq!(bytes_a, bytes_b);
-        assert!(!bytes_a.is_empty());
+        // ... and across commits: the digest of this artifact as the
+        // commit before the container writer stopped re-hashing wrote it.
+        assert_eq!(bytes_a.len(), 74_890);
+        assert_eq!(fnv1a64(&bytes_a), 0xf481_687e_09bc_9576);
         fs::remove_dir_all(&dir_a).ok();
         fs::remove_dir_all(&dir_b).ok();
     }

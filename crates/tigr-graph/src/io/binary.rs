@@ -84,19 +84,36 @@ pub const SECTION_TRANSFORM: u32 = 5;
 /// collision guard.
 pub const SECTION_SPEC: u32 = 6;
 
-/// One typed section of a `TIGRCSR2` container.
+/// One typed section of a `TIGRCSR2` container: a payload and the
+/// FNV-1a-64 checksum the section table records for it. The checksum is
+/// computed once — when the section is made, or checked once when it is
+/// read — and [`write_container`] writes it as carried, so a payload is
+/// never hashed twice on its way to disk.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Section {
     /// Section type tag (`SECTION_*`).
     pub id: u32,
-    /// Raw payload bytes.
+    /// Raw payload bytes. Changing them after construction leaves a
+    /// stale checksum behind, which every reader rejects.
     pub payload: Vec<u8>,
+    checksum: u64,
 }
 
 impl Section {
-    /// Convenience constructor.
+    /// A section over `payload`, hashing it once.
     pub fn new(id: u32, payload: Vec<u8>) -> Self {
-        Section { id, payload }
+        let checksum = fnv1a64(&payload);
+        Section {
+            id,
+            payload,
+            checksum,
+        }
+    }
+
+    /// [`fnv1a64`] of the payload — for a CSR section also the content
+    /// hash that keys a compacted artifact.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
     }
 }
 
@@ -121,7 +138,9 @@ fn to_usize(value: u64, what: &'static str) -> Result<usize> {
     usize::try_from(value).map_err(|_| GraphError::Overflow { value, what })
 }
 
-/// Writes `sections` as a `TIGRCSR2` container.
+/// Writes `sections` as a `TIGRCSR2` container: the table (with each
+/// section's carried checksum) first, then the payloads streamed in
+/// table order — no payload is hashed or copied here.
 ///
 /// # Errors
 ///
@@ -148,7 +167,7 @@ pub fn write_container<W: Write>(sections: &[Section], writer: W) -> Result<()> 
         header.put_u32_le(0);
         header.put_u64_le(offset as u64);
         header.put_u64_le(s.payload.len() as u64);
-        header.put_u64_le(fnv1a64(&s.payload));
+        header.put_u64_le(s.checksum);
         offset = align8(offset + s.payload.len());
     }
     out.write_all(&header)?;
@@ -188,11 +207,11 @@ pub fn parse_container(bytes: &[u8]) -> Result<Vec<Section>> {
     let refs = parse_section_table(bytes)?;
     let mut sections = Vec::with_capacity(refs.len());
     for r in refs {
-        let payload = bytes[r.offset..r.offset + r.len].to_vec();
-        if fnv1a64(&payload) != r.checksum {
+        let section = Section::new(r.id, bytes[r.offset..r.offset + r.len].to_vec());
+        if section.checksum != r.checksum {
             return Err(GraphError::Checksum { section: r.id });
         }
-        sections.push(Section { id: r.id, payload });
+        sections.push(section);
     }
     Ok(sections)
 }
@@ -862,6 +881,37 @@ mod tests {
             let _len = cur.get_u64_le();
             let _sum = cur.get_u64_le();
         }
+    }
+
+    #[test]
+    fn container_bytes_are_the_documented_layout() {
+        // A reference encoder written from the module docs alone: the
+        // writer must produce these bytes whoever computed the checksums.
+        let sections = [
+            Section::new(SECTION_SPEC, b"spec echo".to_vec()),
+            Section::new(SECTION_CSR, encode_csr(&sample(true))),
+        ];
+        let mut expected = Vec::new();
+        expected.put_slice(b"TIGRCSR2");
+        expected.put_u32_le(2);
+        expected.put_u32_le(sections.len() as u32);
+        let mut offset = (16 + 32 * sections.len()).div_ceil(8) * 8;
+        for s in &sections {
+            expected.put_u32_le(s.id);
+            expected.put_u32_le(0);
+            expected.put_u64_le(offset as u64);
+            expected.put_u64_le(s.payload.len() as u64);
+            expected.put_u64_le(fnv1a64(&s.payload));
+            offset = (offset + s.payload.len()).div_ceil(8) * 8;
+        }
+        for s in &sections {
+            expected.resize(expected.len().div_ceil(8) * 8, 0);
+            expected.put_slice(&s.payload);
+        }
+        let mut written = Vec::new();
+        write_container(&sections, &mut written).unwrap();
+        assert_eq!(written, expected);
+        assert_eq!(sections[1].checksum(), fnv1a64(&sections[1].payload));
     }
 
     #[test]

@@ -17,6 +17,12 @@ echo "== dirty/merged ratio on optimised code =="
 cargo test -q --release --test mutation_integration \
     dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs
 
+echo "== streamed merge / builder merge on optimised code =="
+# And for compaction's merge: a walk over rows that are already sorted
+# must cost under half of CsrBuilder over the merged edge list.
+cargo test -q --release --test mutation_integration \
+    streamed_merge_costs_under_half_the_builder_merge -- --nocapture
+
 echo "== lane driver / plain reference loop on optimised code =="
 # Same idea for the host push driver itself: tier-1 holds it to 2.0x a
 # plain single-writer loop under the test profile's debug assertions; on
@@ -276,11 +282,13 @@ echo "mmap smoke: mapped run and mapped serve answer byte-equal to the decoded r
 echo "== mutation smoke =="
 # A --mutable daemon must serve the delta (the checksum moves off the
 # freshly-prepared reference after a mutation), survive a forced
-# compaction with byte-equal answers and a drained overlay, and account
-# for it all in `query stats`.
+# compaction with byte-equal answers and a drained overlay, account
+# for it all in `query stats`, and after a second compaction hold the
+# original artifact plus exactly one compacted one in its cache dir.
 mu_port_file="$cache_dir/mu_port.txt"
+mu_cache="$cache_dir/mu_cache"
 cargo run --release -q -p tigr-cli --bin tigr -- serve --graph "$graph_file" --name smoke \
-    --port 0 --port-file "$mu_port_file" --workers 1 --mutable > /dev/null &
+    --port 0 --port-file "$mu_port_file" --workers 1 --mutable --cache-dir "$mu_cache" > /dev/null &
 mu_pid=$!
 trap 'kill "$mu_pid" 2>/dev/null || true; rm -rf "$cache_dir"' EXIT
 for _ in $(seq 1 100); do [ -s "$mu_port_file" ] && break; sleep 0.1; done
@@ -313,9 +321,14 @@ echo "$post_stats" | grep -q "overlay         0 wal records / 0 delta edges" \
     || { echo "mutation smoke: delta not drained"; echo "$post_stats"; exit 1; }
 echo "$post_stats" | grep -q "compactions     1 (last" \
     || { echo "mutation smoke: compaction not counted"; echo "$post_stats"; exit 1; }
+mu_mutate add-edge --u 1 --v 2000 --w 1 > /dev/null
+mu_mutate compact > /dev/null
+mu_artifacts="$(find "$mu_cache" -maxdepth 1 -name '*.tigr' | wc -l)"
+[ "$mu_artifacts" -eq 2 ] \
+    || { echo "mutation smoke: $mu_artifacts artifacts after two compactions, expected 2"; ls "$mu_cache"; exit 1; }
 kill "$mu_pid"
 wait "$mu_pid" 2>/dev/null || true
-echo "mutation smoke: delta served, compaction preserved answers and drained the overlay"
+echo "mutation smoke: delta served, compactions preserved answers, drained the overlay and left one compacted artifact"
 
 echo "== benchmark quick =="
 # The harness under benchmark/ is a workspace of its own that compiles

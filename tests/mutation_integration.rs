@@ -4,12 +4,17 @@
 //! are isolated from later mutations, the compacted artifact answers
 //! {bfs, sssp, cc, pr} byte-equal to preparing the final edge list from
 //! scratch across every backend, concurrent mutate+query load leaks no
-//! overlay generations, and the host lane driver over a snapshot's
+//! overlay generations, the host lane driver over a snapshot's
 //! base+delta view is the same run — rows, values, iterations, edges
-//! touched, and (within 2×) wall clock — as over the merged CSR.
+//! touched, and (within 2×) wall clock — as over the merged CSR, the
+//! streamed merge is the builder's merge at under half its cost, and a
+//! compaction's durable steps (artifact → `MANIFEST` → WAL reset →
+//! unlink) lose nothing at any crash point or failed write and leave
+//! one compacted artifact behind.
 
 mod common;
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,14 +24,15 @@ use proptest::prelude::*;
 use common::{assert_lane_is_the_reference_run, reference_push, simulated_push};
 
 use tigr::core::{
-    DeltaOverlay, GraphStore, MutableGraph, MutationOp, PrepareSpec, PreparedGraph, Wal,
+    DeltaOverlay, GraphStore, MmapMode, MutableGraph, MutationError, MutationOp, PrepareSpec,
+    PreparedGraph, Wal,
 };
 use tigr::engine::{
     run_batch_sequential_push, Algo, BackendKind, BatchArena, BatchProgram, MonotoneOutput,
     Pipeline,
 };
 use tigr::graph::RowView;
-use tigr::{CsrBuilder, Edge, Engine, MonotoneProgram, NodeId, PushOptions};
+use tigr::{Csr, CsrBuilder, Edge, Engine, MonotoneProgram, NodeId, PushOptions};
 
 /// A unique scratch directory per call (no timestamps: process id +
 /// counter keep parallel test binaries apart).
@@ -497,8 +503,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The read-side index makes base+delta *the merged graph*: for a
-    /// random builder-built base and a random op sequence, the frozen
-    /// view's rows are `merged_csr`'s rows edge for edge, the lane
+    /// random base and a random op sequence, the streamed `merged_csr`
+    /// is the CSR `CsrBuilder` builds from the merged edge list, byte for
+    /// byte — also over a `positional` base, whose parallel edges got
+    /// their weights by position and so sit out of `(dst, weight)` order
+    /// — the frozen view's rows are its rows edge for edge, the lane
     /// driver over the view takes the very run it takes over the merged
     /// CSR (values, iteration count, edges touched, convergence) for
     /// every monotone program, and eight fused lanes on the view are
@@ -514,6 +523,7 @@ proptest! {
     fn lane_driver_over_the_frozen_view_is_the_run_over_the_merged_csr(
         n in 2..24u32,
         weighted in any::<bool>(),
+        positional in any::<bool>(),
         raw_base in vec((0..24u32, 0..24u32, 1..16u32), 0..96),
         raw_ops in vec((0..8u8, 0..64u32, 0..64u32, 1..16u32), 1..64),
         seed in 0..1024u32,
@@ -528,7 +538,10 @@ proptest! {
             }
         }
         builder.force_weighted(weighted);
-        let base = builder.build();
+        let mut base = builder.build();
+        if weighted && positional {
+            base = base.with_weights_from(|e| 1 + (e as u32 * 7 + seed) % 15);
+        }
         let base_edges: Vec<(u32, u32)> =
             base.edges().map(|e| (e.src.raw(), e.dst.raw())).collect();
 
@@ -546,10 +559,27 @@ proptest! {
         let frozen = overlay.freeze(&base);
         let view = frozen.view(&base);
         let merged = overlay.merged_csr(&base);
+        prop_assert_eq!(&view.merged_csr(), &merged);
 
+        let mut from_edges = CsrBuilder::from_edges(nodes as usize, overlay.merged_edges(&base));
+        from_edges.force_weighted(weighted);
+        prop_assert_eq!(&merged, &from_edges.build());
+
+        // An unpatched row of a positional base is the base's own slice,
+        // in the base's order; every other row is the merged CSR's.
         prop_assert_eq!(view.num_nodes(), merged.num_nodes());
         for u in merged.nodes() {
-            prop_assert_eq!(view.row(u), merged.row(u), "row {}", u.raw());
+            let pairs = |(targets, weights): (&[NodeId], Option<&[u32]>)| {
+                let mut pairs: Vec<(NodeId, u32)> =
+                    (0..targets.len()).map(|i| (targets[i], weights.map_or(1, |w| w[i]))).collect();
+                pairs.sort_unstable();
+                pairs
+            };
+            if weighted && positional {
+                prop_assert_eq!(pairs(view.row(u)), pairs(merged.row(u)), "row {}", u.raw());
+            } else {
+                prop_assert_eq!(view.row(u), merged.row(u), "row {}", u.raw());
+            }
         }
 
         let total = view.num_nodes() as u32;
@@ -607,21 +637,11 @@ fn fastest_ms(runs: Vec<std::time::Duration>) -> f64 {
     runs.into_iter().min().expect("timed runs").as_secs_f64() * 1e3
 }
 
-/// The case the frozen benchmark workload steers around (removing edges
-/// already folded into the base): once a snapshot's delta hides base
-/// edges, a dirty `sssp` must still cost about what the same query costs
-/// on the materialized merged CSR — the patched rows are frozen slices,
-/// not a hash probe per base edge. `scripts/verify.sh` runs this under
-/// `--release` too, so the ratio also holds on optimized code.
-#[test]
-fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
-    let mutable = mutable_fixture("rmat:15:16", 3);
-    let base = Arc::clone(mutable.snapshot().base());
-    let g = base.graph();
+/// A ≈ 2 k-edge delta over `g`: 2 048 adds between pseudo-random
+/// endpoints, then 64 removes of base edges spread evenly over the edge
+/// array.
+fn delta_2k_ops(g: &Csr) -> Vec<MutationOp> {
     let (n, m) = (g.num_nodes() as u64, g.num_edges() as u64);
-
-    // 2 048 adds between pseudo-random endpoints, then 64 removes of
-    // base edges spread evenly over the edge array.
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move |bound: u64| {
         state = state
@@ -644,7 +664,22 @@ fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
             v: e.dst.raw(),
         }
     }));
-    let summary = mutable.apply(&ops).unwrap();
+    ops
+}
+
+/// The case the frozen benchmark workload steers around (removing edges
+/// already folded into the base): once a snapshot's delta hides base
+/// edges, a dirty `sssp` must still cost about what the same query costs
+/// on the materialized merged CSR — the patched rows are frozen slices,
+/// not a hash probe per base edge. `scripts/verify.sh` runs this under
+/// `--release` too, so the ratio also holds on optimized code.
+#[test]
+fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
+    let mutable = mutable_fixture("rmat:15:16", 3);
+    let base = Arc::clone(mutable.snapshot().base());
+    let g = base.graph();
+    let m = g.num_edges() as u64;
+    let summary = mutable.apply(&delta_2k_ops(g)).unwrap();
     assert!(summary.applied >= 2048, "{summary:?}");
 
     let snapshot = mutable.snapshot();
@@ -673,4 +708,377 @@ fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
         ratio <= 2.0,
         "dirty sssp took {ratio:.2}x the merged-CSR run (bound 2.0)"
     );
+}
+
+/// A compaction's merge is a walk over rows that are already sorted, not
+/// an edge list sorted from scratch: on the same graph and delta the
+/// streamed `merged_csr` (freeze included) must cost under half of
+/// `CsrBuilder` over the merged edge list, and produce its bytes.
+/// `scripts/verify.sh` runs this under `--release` too.
+#[test]
+fn streamed_merge_costs_under_half_the_builder_merge() {
+    let spec = PrepareSpec::generated("rmat:15:16", 3).with_uniform_weights(1, 32, 4);
+    let g = GraphStore::disabled().prepare(&spec).unwrap().into_graph();
+    let mut overlay = DeltaOverlay::new(&g);
+    for op in delta_2k_ops(&g) {
+        overlay.apply(&g, op).unwrap();
+    }
+    assert!(overlay.delta_edges() >= 2048);
+
+    let (mut streamed, mut built) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        let started = std::time::Instant::now();
+        let by_rows = overlay.merged_csr(&g);
+        streamed.push(started.elapsed());
+        let started = std::time::Instant::now();
+        let mut builder = CsrBuilder::from_edges(overlay.num_nodes(), overlay.merged_edges(&g));
+        builder.force_weighted(true);
+        let by_builder = builder.build();
+        built.push(started.elapsed());
+        assert_eq!(by_rows, by_builder);
+    }
+    let (streamed, built) = (fastest_ms(streamed), fastest_ms(built));
+    let ratio = streamed / built;
+    println!("streamed merge {streamed:.2} ms / builder merge {built:.2} ms = {ratio:.2}");
+    assert!(
+        ratio <= 0.5,
+        "streamed merge took {ratio:.2}x the builder merge (bound 0.5)"
+    );
+}
+
+/// The small weighted graph the artifact life-cycle tests mutate, with
+/// every derived view a compaction has to rebuild.
+fn lifecycle_spec() -> PrepareSpec {
+    PrepareSpec::generated("ba:64:3", 11)
+        .with_uniform_weights(1, 16, 5)
+        .with_virtual(4, true)
+        .with_transpose(true)
+}
+
+/// A restart: prepare `spec` over `dir` (a cache hit on the original
+/// artifact once it exists) and open it for mutation.
+fn restart(dir: &Path, spec: &PrepareSpec, mmap: MmapMode) -> MutableGraph {
+    let store = GraphStore::new(Some(dir.to_path_buf())).with_mmap(mmap);
+    let prepared = store.prepare(spec).unwrap();
+    MutableGraph::open(store, prepared).unwrap()
+}
+
+/// The graph `mutable` serves right now, as one CSR.
+fn served(mutable: &MutableGraph) -> Csr {
+    mutable.snapshot().merged().unwrap().graph().clone()
+}
+
+/// Names of the `*.tigr` files in a cache dir, sorted.
+fn artifacts(dir: &Path) -> Vec<String> {
+    let mut found: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".tigr"))
+        .collect();
+    found.sort();
+    found
+}
+
+/// Copies a cache dir, WAL dirs included.
+fn copy_cache(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let target = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_cache(&path, &target);
+        } else {
+            std::fs::copy(&path, &target).unwrap();
+        }
+    }
+}
+
+/// A batch that changes `g` whatever `g` is: one of its edges removed,
+/// one re-weighted, a node grown with an edge each way.
+fn round_ops(g: &Csr, round: u32) -> Vec<MutationOp> {
+    let edges: Vec<Edge> = g.edges().collect();
+    let gone = edges[(round as usize * 7) % edges.len()];
+    let heavier = edges[(round as usize * 11 + 3) % edges.len()];
+    let fresh = g.num_nodes() as u32;
+    vec![
+        MutationOp::RemoveEdge {
+            u: gone.src.raw(),
+            v: gone.dst.raw(),
+        },
+        MutationOp::SetWeight {
+            u: heavier.src.raw(),
+            v: heavier.dst.raw(),
+            w: heavier.weight + 1 + round,
+        },
+        MutationOp::AddNode { nodes: fresh + 1 },
+        MutationOp::AddEdge {
+            u: fresh,
+            v: round % fresh,
+            w: 3,
+        },
+        MutationOp::AddEdge {
+            u: round % fresh,
+            v: fresh,
+            w: 4,
+        },
+    ]
+}
+
+/// However many compactions ran, the cache dir holds the original
+/// artifact and exactly one compacted one — the superseded file is
+/// unlinked, nothing else is left behind — and a restart after each
+/// serves the graph the compaction sealed.
+#[test]
+fn compactions_leave_the_original_and_one_compacted_artifact() {
+    let dir = scratch_dir("lifecycle");
+    let spec = lifecycle_spec();
+    let mut mutable = restart(&dir, &spec, MmapMode::Auto);
+    let original = artifacts(&dir);
+    assert_eq!(original.len(), 1);
+
+    for round in 0..4 {
+        let before = served(&mutable);
+        let ops = if round < 3 {
+            round_ops(&before, round)
+        } else {
+            // A delta that nets out to nothing: the compaction re-seals
+            // the very file the base came from and must not unlink it.
+            let e = before.edges().next().unwrap();
+            let (u, v) = (e.src.raw(), e.dst.raw());
+            vec![
+                MutationOp::RemoveEdge { u, v },
+                MutationOp::AddEdge { u, v, w: e.weight },
+            ]
+        };
+        assert!(mutable.apply(&ops).unwrap().applied >= 2);
+        let expected = served(&mutable);
+        assert_eq!(expected == before, round == 3);
+
+        let stats = mutable.compact().unwrap();
+        assert!(stats.delta_edges_before > 0);
+        assert_eq!(stats.delta_edges_after, 0);
+        let on_disk = artifacts(&dir);
+        assert_eq!(on_disk.len(), 2, "round {round}: {on_disk:?}");
+        assert!(on_disk.contains(&original[0]));
+        // Original artifact, its WAL dir, the compacted artifact: no
+        // temp file, no WAL dir for a compaction product.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+
+        drop(mutable);
+        mutable = restart(&dir, &spec, MmapMode::Auto);
+        assert!(mutable.snapshot().is_clean());
+        assert_eq!(mutable.wal_len(), 0);
+        assert_eq!(served(&mutable), expected, "round {round}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The durable order is artifact → `MANIFEST` → WAL reset → unlink. The
+/// on-disk state after each step — built by layering the files a
+/// finished compaction left over a copy of the directory taken before
+/// it — recovers the identical graph.
+#[test]
+fn every_crash_point_of_a_compaction_recovers_the_same_graph() {
+    let live = scratch_dir("crash-live");
+    let spec = lifecycle_spec();
+    let mutable = restart(&live, &spec, MmapMode::Auto);
+    // One compaction first, so the one under test has a MANIFEST to
+    // repoint and a compacted artifact to supersede.
+    mutable.apply(&round_ops(&served(&mutable), 0)).unwrap();
+    mutable.compact().unwrap();
+    mutable.apply(&round_ops(&served(&mutable), 1)).unwrap();
+    let expected = served(&mutable);
+
+    let crashed = scratch_dir("crash-state");
+    copy_cache(&live, &crashed);
+    mutable.compact().unwrap();
+    drop(mutable);
+
+    let (before, after) = (artifacts(&crashed), artifacts(&live));
+    let only_in = |a: &[String], b: &[String]| {
+        let mut names = a.iter().filter(|name| !b.contains(name));
+        let name = names.next().expect("one artifact differs").clone();
+        assert!(names.next().is_none(), "{before:?} -> {after:?}");
+        name
+    };
+    let (fresh, superseded) = (only_in(&after, &before), only_in(&before, &after));
+    let wal_dir = std::fs::read_dir(&live)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.is_dir())
+        .unwrap();
+    let wal_dir = Path::new(wal_dir.file_name().unwrap());
+
+    let recovers = |step: &str| {
+        let recovered = restart(&crashed, &spec, MmapMode::Auto);
+        assert_eq!(served(&recovered), expected, "crash after: {step}");
+    };
+    let step = |file: &Path| {
+        std::fs::copy(live.join(file), crashed.join(file)).unwrap();
+    };
+    recovers("nothing");
+    step(Path::new(&fresh));
+    recovers("fresh artifact written");
+    step(&wal_dir.join("MANIFEST"));
+    recovers("MANIFEST repointed");
+    step(&wal_dir.join("delta.log"));
+    recovers("WAL reset");
+    std::fs::remove_file(crashed.join(&superseded)).unwrap();
+    recovers("superseded artifact unlinked");
+    // ... which is the state the live run ended in.
+    assert_eq!(artifacts(&crashed), after);
+    std::fs::remove_dir_all(&live).ok();
+    std::fs::remove_dir_all(&crashed).ok();
+}
+
+/// A failed artifact write fails the compaction and costs nothing that
+/// was acknowledged: the WAL is kept, the serving state is unchanged, a
+/// restart replays every op, and the next compaction succeeds.
+#[test]
+fn a_failed_artifact_write_keeps_every_acknowledged_mutation() {
+    let spec = lifecycle_spec();
+    let adds =
+        [(1, 60, 2), (2, 61, 3), (3, 62, 4)].map(|(u, v, w)| MutationOp::AddEdge { u, v, w });
+
+    // Keys are deterministic: a twin directory run tells which file the
+    // compaction is about to write.
+    let twin_dir = scratch_dir("failed-write-twin");
+    let twin = restart(&twin_dir, &spec, MmapMode::Auto);
+    let original = artifacts(&twin_dir);
+    assert_eq!(twin.apply(&adds).unwrap().applied, 3);
+    twin.compact().unwrap();
+    let fresh = artifacts(&twin_dir)
+        .into_iter()
+        .find(|a| !original.contains(a))
+        .unwrap();
+
+    let dir = scratch_dir("failed-write");
+    let mutable = restart(&dir, &spec, MmapMode::Auto);
+    let base_edges = mutable.snapshot().num_edges();
+    assert_eq!(mutable.apply(&adds).unwrap().applied, 3);
+    // A non-empty directory where the artifact goes: the rename fails.
+    let blocker = dir.join(&fresh);
+    std::fs::create_dir_all(blocker.join("occupied")).unwrap();
+
+    let err = mutable.compact().unwrap_err();
+    assert!(matches!(err, MutationError::Graph(_)), "{err}");
+    assert_eq!(mutable.wal_len(), 3);
+    assert_eq!(mutable.delta_edges(), 3);
+    assert_eq!(mutable.compactions(), 0);
+    assert_eq!(mutable.snapshot().num_edges(), base_edges + 3);
+    drop(mutable);
+
+    let reopened = restart(&dir, &spec, MmapMode::Auto);
+    assert_eq!(reopened.wal_len(), 3);
+    assert_eq!(reopened.snapshot().num_edges(), base_edges + 3);
+    assert_eq!(served(&reopened), served(&twin));
+
+    std::fs::remove_dir_all(&blocker).unwrap();
+    reopened.compact().unwrap();
+    assert_eq!(artifacts(&dir), artifacts(&twin_dir));
+    drop(reopened);
+    assert_eq!(served(&restart(&dir, &spec, MmapMode::Auto)), served(&twin));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&twin_dir).ok();
+}
+
+/// Unlinking the superseded artifact takes nothing from a reader that
+/// pinned it: a snapshot taken before the compaction — here with its
+/// base *mapped from the file that gets unlinked* — answers the same
+/// afterwards.
+#[test]
+fn a_pinned_snapshot_outlives_the_unlink_of_the_artifact_under_it() {
+    let dir = scratch_dir("pinned");
+    let spec = lifecycle_spec();
+    let mutable = restart(&dir, &spec, MmapMode::On);
+    mutable.apply(&round_ops(&served(&mutable), 0)).unwrap();
+    mutable.compact().unwrap();
+    drop(mutable);
+
+    // After a restart the base is mapped from the compacted artifact.
+    let mutable = restart(&dir, &spec, MmapMode::On);
+    let clean = mutable.snapshot();
+    let compacted = clean.base().report().artifact.clone().unwrap();
+    assert_eq!(artifacts(&dir).len(), 2);
+    if cfg!(all(
+        unix,
+        target_pointer_width = "64",
+        target_endian = "little"
+    )) {
+        assert!(clean.base().is_mapped());
+    }
+    let clean_edges: Vec<Edge> = clean.base().graph().edges().collect();
+    mutable.apply(&round_ops(clean.base().graph(), 1)).unwrap();
+    let dirty = mutable.snapshot();
+    let source = Some(clean_edges[0].src.raw());
+    let dirty_answer = lane_runs(&dirty.view().unwrap(), MonotoneProgram::SSSP, [source]).remove(0);
+
+    mutable.compact().unwrap();
+    assert!(!compacted.exists(), "superseded artifact still on disk");
+    assert_eq!(artifacts(&dir).len(), 2);
+
+    // Both pinned snapshots still read the unlinked file's pages.
+    assert_eq!(
+        clean.base().graph().edges().collect::<Vec<_>>(),
+        clean_edges
+    );
+    let after = lane_runs(&dirty.view().unwrap(), MonotoneProgram::SSSP, [source]).remove(0);
+    assert_eq!(after.values, dirty_answer.values);
+    assert_eq!(after.edges_touched, dirty_answer.edges_touched);
+    // ... and the dirty one is the graph the compaction sealed.
+    assert_eq!(
+        dirty.merged().unwrap().graph(),
+        mutable.snapshot().base().graph()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two mutable graphs whose compactions produce byte-identical CSRs
+/// under one plan (one edge list prepared from two source files) never
+/// share an artifact, so neither can delete the other's.
+#[test]
+fn lineages_with_identical_compactions_keep_their_own_artifacts() {
+    let dir = scratch_dir("lineages");
+    let (file_a, file_b) = (dir.join("a.el"), dir.join("b.el"));
+    std::fs::write(&file_a, "0 1\n0 2\n1 2\n2 3\n3 0\n").unwrap();
+    std::fs::write(&file_b, "# the same edges\n3 0\n2 3\n1 2\n0 2\n0 1\n").unwrap();
+    let spec = |file: &Path| {
+        PrepareSpec::from_file(file)
+            .with_virtual(2, true)
+            .with_transpose(true)
+    };
+    let a = restart(&dir, &spec(&file_a), MmapMode::Auto);
+    let b = restart(&dir, &spec(&file_b), MmapMode::Auto);
+    assert_eq!(served(&a), served(&b));
+    assert_eq!(artifacts(&dir).len(), 2);
+
+    let ops = [
+        MutationOp::AddEdge { u: 1, v: 3, w: 1 },
+        MutationOp::RemoveEdge { u: 0, v: 2 },
+    ];
+    for lineage in [&a, &b] {
+        lineage.apply(&ops).unwrap();
+        lineage.compact().unwrap();
+    }
+    let artifact_of = |m: &MutableGraph| m.snapshot().base().report().artifact.clone().unwrap();
+    let (compacted_a, compacted_b) = (artifact_of(&a), artifact_of(&b));
+    assert_eq!(a.snapshot().base().graph(), b.snapshot().base().graph());
+    assert_ne!(compacted_a, compacted_b);
+    assert_eq!(artifacts(&dir).len(), 4);
+
+    // A's next compaction unlinks A's own compacted artifact only.
+    a.apply(&[MutationOp::AddEdge { u: 3, v: 1, w: 1 }])
+        .unwrap();
+    a.compact().unwrap();
+    assert!(!compacted_a.exists());
+    assert!(compacted_b.exists());
+    assert_eq!(artifacts(&dir).len(), 4);
+
+    let expected_b = served(&b);
+    drop(b);
+    let b = restart(&dir, &spec(&file_b), MmapMode::Auto);
+    assert!(b.snapshot().is_clean());
+    assert_eq!(artifact_of(&b), compacted_b);
+    assert_eq!(served(&b), expected_b);
+    std::fs::remove_dir_all(&dir).ok();
 }
