@@ -101,6 +101,24 @@ impl Args {
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// Rejects any flag or switch not in `known`, so a misspelt or
+    /// retired flag is an error instead of being silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unknown flag found.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .find(|name| !known.contains(&name.as_str()))
+        {
+            Some(name) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +168,20 @@ mod tests {
         assert!(Args::parse(&toks("--k"))
             .unwrap_err()
             .contains("requires a value"));
+    }
+
+    #[test]
+    fn unknown_flags_and_switches_are_named() {
+        let a = Args::parse(&toks("--k 1 --report")).unwrap();
+        assert!(a.reject_unknown(&["k", "report"]).is_ok());
+        assert_eq!(
+            a.reject_unknown(&["report"]).unwrap_err(),
+            "unknown flag --k"
+        );
+        assert_eq!(
+            a.reject_unknown(&["k"]).unwrap_err(),
+            "unknown flag --report"
+        );
     }
 
     #[test]

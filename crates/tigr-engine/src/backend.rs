@@ -2,8 +2,8 @@
 //! the work-stealing CPU pool, and a deterministic sequential sweep.
 //!
 //! The [`Backend`] trait closes the Plan → Kernel → Backend loop: a plan
-//! describes *what* to run (representation, direction, frontier,
-//! schedule), the [`crate::kernel`] module owns the single per-edge relax
+//! describes *what* to run (direction, frontier, sync, worker count),
+//! the [`crate::kernel`] module owns the single per-edge relax
 //! loop, and a backend decides *where* the iterations execute. All three
 //! backends validate the plan against the paper's theorems before
 //! launching and produce the same [`MonotoneOutput`] shape, so
@@ -374,12 +374,27 @@ impl Backend for WarpSim {
 }
 
 /// The wall-clock CPU backend over the persistent work-stealing pool.
-/// Push runs the dedicated solo engine; pull and auto route through the
-/// one-lane case of the parallel batched executor, which carries the
-/// pool's gather side and the Beamer density switch. Architectural
-/// metrics are absent, so the returned report is empty.
+/// Every run — push, pull or auto — is the one-lane case of the pooled
+/// batched executor, which carries the pool's gather side and the
+/// Beamer density switch. Architectural metrics are absent, so the
+/// returned report is empty.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuPool;
+
+/// A solo `CpuPool` run: the `K = 1` batch of
+/// [`run_batch_cpu_pool`], fed the caller's prebuilt transpose when it
+/// holds one (prepared graphs), so a pull sweep builds none.
+pub(crate) fn run_pool_solo(
+    rep: &Representation<'_>,
+    pull: Option<&Csr>,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    plan: &ExecutionPlan,
+) -> MonotoneOutput {
+    let batch = BatchProgram::solo(prog, source, plan.cancel.clone());
+    let mut out = run_batch_cpu_pool(rep, pull, &batch, plan, &mut BatchArena::new());
+    out.lanes.pop().expect("one lane in, one lane out")
+}
 
 impl Backend for CpuPool {
     fn name(&self) -> &'static str {
@@ -393,43 +408,8 @@ impl Backend for CpuPool {
         source: Option<NodeId>,
         plan: &ExecutionPlan,
     ) -> Result<MonotoneOutput, EngineError> {
-        let mut plan = plan.clone();
-        plan.backend = BackendKind::CpuPool;
         plan.validate(rep, &prog)?;
-        if plan.direction != Direction::Push {
-            // Pull and auto share the batched executor's gather side;
-            // K = 1 degenerates to a solo run.
-            let batch = BatchProgram::solo(prog, source, plan.cancel.clone());
-            let mut arena = BatchArena::new();
-            let mut out = run_batch_cpu_pool(rep, None, &batch, &plan, &mut arena);
-            return Ok(out.lanes.pop().expect("one lane in, one lane out"));
-        }
-        let cancel = &plan.cancel;
-        let out = match rep {
-            Representation::Virtual { graph, overlay } => {
-                crate::cpu_parallel::run_cpu_virtual_cancellable(
-                    graph, overlay, prog, source, &plan.cpu, cancel,
-                )
-            }
-            Representation::Physical(t) => crate::cpu_parallel::run_cpu_with_cancellable(
-                t.graph(),
-                prog,
-                source,
-                &plan.cpu,
-                cancel,
-            ),
-            Representation::Original(g) | Representation::OnTheFly { graph: g, .. } => {
-                crate::cpu_parallel::run_cpu_with_cancellable(g, prog, source, &plan.cpu, cancel)
-            }
-        };
-        Ok(MonotoneOutput {
-            values: out.values,
-            report: SimReport::new(),
-            converged: !out.cancelled,
-            edges_touched: out.edges_touched,
-            directions: vec![Direction::Push; out.iterations],
-            cancelled: out.cancelled,
-        })
+        Ok(run_pool_solo(rep, None, prog, source, plan))
     }
 }
 

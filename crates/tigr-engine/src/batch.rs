@@ -40,18 +40,19 @@
 //!   different iterations, SoA lets finished lanes drop out without
 //!   holes, and a lane's output is a straight copy (a solo run's is a
 //!   move, `run_solo_sequential_push`).
-//! * [`run_batch_cpu_pool`] — the parallel executor (DESIGN.md §13).
-//!   Values are interleaved **lane-major per node**
-//!   (`values[v * K + lane]`), so one edge walk relaxes every live
-//!   lane over contiguous memory; sweeps run on the work-stealing pool
-//!   under any [`crate::cpu_parallel::CpuSchedule`], the per-sweep
-//!   direction follows the Beamer density rule over the **merged**
-//!   live-lane frontier (one transpose pass gathers for all lanes when
-//!   it is dense), and per-worker scratch lives in [`BatchArena`].
-//!   Its contract is *value* equality with the solo sequential run —
-//!   `values`, checksum, `converged`, `cancelled` — while iteration
-//!   and edge counts reflect the fused schedule, exactly like the solo
-//!   CpuPool backend relative to Sequential.
+//! * [`run_batch_cpu_pool`] — the pooled executor (DESIGN.md §8), and
+//!   the only one: a solo `CpuPool` run is its `K = 1` batch. Values are
+//!   interleaved **lane-major per node** (`values[v * K + lane]`), so
+//!   one edge walk relaxes every live lane over contiguous memory;
+//!   sweeps run on the work-stealing pool, partitioned by the
+//!   representation (virtual nodes by count, anything else by
+//!   edge-balanced `row_ptr` cuts); the per-sweep direction follows the
+//!   Beamer density rule over the **merged** live-lane frontier (one
+//!   transpose pass gathers for all lanes when it is dense), and
+//!   per-worker scratch lives in [`BatchArena`]. Its contract is
+//!   *value* equality with the solo sequential run — `values`,
+//!   checksum, `converged`, `cancelled` — while iteration and edge
+//!   counts reflect the fused schedule.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -61,13 +62,12 @@ use tigr_core::{CancelToken, VirtualGraph};
 use tigr_graph::{reverse::transpose, Csr, NodeId, RowView};
 use tigr_sim::SimReport;
 
-use crate::cpu_parallel::{balanced_cuts, count_bounds, CpuSchedule};
 use crate::frontier::{drain_words, FrontierBuilder};
 use crate::kernel::{
     csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, slice_edges, NoMirror,
 };
 use crate::plan::{Direction, ExecutionPlan};
-use crate::pool::{with_pool, EpochRunner};
+use crate::pool::{balanced_cuts, count_bounds, with_pool};
 use crate::program::{InitKind, MonotoneProgram};
 use crate::push::{MonotoneOutput, PushOptions, SyncMode};
 use crate::representation::Representation;
@@ -577,7 +577,7 @@ fn init_lane(
 
 /// Sweep-body dispatch codes for [`BatchSweepState::process`]: the pool
 /// body is fixed at spawn, so the driver publishes the mode of each
-/// epoch through an atomic (the CPU PageRank driver's phase pattern).
+/// epoch through an atomic.
 const MODE_PUSH_LIST: u8 = 0;
 const MODE_PUSH_FULL: u8 = 1;
 const MODE_PUSH_VLIST: u8 = 2;
@@ -788,21 +788,24 @@ struct LaneCtl {
     done: bool,
 }
 
-/// Runs `batch` over `rep` on the work-stealing CPU pool: one fused
-/// sweep over the merged live-lane frontier relaxes every lane per
-/// edge through the interleaved lane-major value buffer, partitioned
-/// by the plan's [`CpuSchedule`], with the per-sweep direction chosen
-/// by the Beamer α/β density rule over the merged frontier (when the
-/// plan says [`Direction::Auto`] and the representation licenses a
-/// pull side — the same rules as the solo auto driver). `pull`
-/// supplies a prebuilt transpose; otherwise one is built lazily on the
-/// first pull sweep.
+/// Runs `batch` over `rep` on the work-stealing CPU pool — every
+/// `CpuPool` monotone run, solo (`K = 1`) or batched. One fused sweep
+/// over the merged live-lane frontier relaxes every lane per edge
+/// through the interleaved lane-major value buffer, with the per-sweep
+/// direction chosen by the Beamer α/β density rule over the merged
+/// frontier (when the plan says [`Direction::Auto`] and the
+/// representation licenses a pull side — the same rules as the
+/// simulator's auto driver). The partition follows the representation:
+/// a virtual overlay's degree-bounded nodes are split by count, anything
+/// else by edge-balanced cuts of `row_ptr` (the active list's degree
+/// prefix on worklist sweeps, the transpose's `row_ptr` on pull sweeps).
+/// `pull` supplies a prebuilt transpose; otherwise one is built lazily
+/// on the first pull sweep.
 ///
 /// The contract is **value equality** with the solo sequential run:
 /// per-lane `values`, `converged`, and `cancelled` match, while
 /// iteration and edge counts reflect the fused schedule (merged
-/// frontiers, relaxed intra-sweep visibility, direction switching) —
-/// exactly the solo CpuPool backend's contract versus Sequential.
+/// frontiers, relaxed intra-sweep visibility, direction switching).
 /// Callers are expected to have validated the plan
 /// ([`ExecutionPlan::validate`]) against this representation first.
 ///
@@ -849,18 +852,13 @@ pub fn run_batch_cpu_pool(
         _ => Direction::Push,
     };
 
-    // Virtual-node scheduling: the representation's own overlay, or
-    // one built for the virtual schedule over a flat representation.
-    let built_overlay;
+    // Virtual nodes are the work items when the representation has
+    // them: each covers at most K edges, so a count split is already
+    // edge-balanced to within K.
     let overlay: Option<&VirtualGraph> = match rep {
         Representation::Virtual { overlay, .. } => Some(overlay),
-        _ if plan.cpu.schedule == CpuSchedule::Virtual => {
-            built_overlay = VirtualGraph::new(g, plan.cpu.virtual_k.max(1));
-            Some(&built_overlay)
-        }
         _ => None,
     };
-    let edge_balanced = plan.cpu.schedule == CpuSchedule::EdgeBalanced;
 
     arena.ensure_parallel(k, n, threads);
     let BatchArena {
@@ -1007,18 +1005,14 @@ pub fn run_batch_cpu_pool(
             match dir {
                 Direction::Pull => {
                     if state.rev_ext.is_none() && state.rev_built.read().unwrap().is_none() {
-                        let rev = transpose(g);
-                        *state.rev_built.write().unwrap() = Some(rev);
+                        *state.rev_built.write().unwrap() = Some(build_transpose(g));
                     }
-                    if edge_balanced && rev_prefix.is_none() {
+                    let prefix = rev_prefix.get_or_insert_with(|| {
                         let guard = state.rev_built.read().unwrap();
                         let rev = state.rev_ext.or(guard.as_ref()).expect("transpose exists");
-                        rev_prefix = Some(rev.row_ptr().iter().map(|&e| e as u64).collect());
-                    }
-                    match &rev_prefix {
-                        Some(p) => balanced_cuts(p, &mut bounds),
-                        None => count_bounds(n, &mut bounds),
-                    }
+                        rev.row_ptr().iter().map(|&e| e as u64).collect()
+                    });
+                    balanced_cuts(prefix, &mut bounds);
                     if worklist {
                         let mut bits = state.bits.write().unwrap();
                         bits.clear();
@@ -1041,18 +1035,14 @@ pub fn run_batch_cpu_pool(
                             count_bounds(nitems, &mut bounds);
                             state.mode.store(MODE_PUSH_VLIST, Ordering::Relaxed);
                         } else {
-                            if edge_balanced {
-                                degree_prefix.clear();
-                                degree_prefix.push(0);
-                                let mut acc = 0u64;
-                                for &v in union_active.iter() {
-                                    acc += g.out_degree(NodeId::new(v)) as u64;
-                                    degree_prefix.push(acc);
-                                }
-                                balanced_cuts(&degree_prefix, &mut bounds);
-                            } else {
-                                count_bounds(union_active.len(), &mut bounds);
+                            degree_prefix.clear();
+                            degree_prefix.push(0);
+                            let mut acc = 0u64;
+                            for &v in union_active.iter() {
+                                acc += g.out_degree(NodeId::new(v)) as u64;
+                                degree_prefix.push(acc);
                             }
+                            balanced_cuts(&degree_prefix, &mut bounds);
                             let mut it = state.items.write().unwrap();
                             it.clear();
                             it.extend_from_slice(union_active);
@@ -1066,14 +1056,10 @@ pub fn run_batch_cpu_pool(
                                 state.mode.store(MODE_PUSH_VFULL, Ordering::Relaxed);
                             }
                             None => {
-                                if edge_balanced {
-                                    let p = fwd_prefix.get_or_insert_with(|| {
-                                        g.row_ptr().iter().map(|&e| e as u64).collect()
-                                    });
-                                    balanced_cuts(p, &mut bounds);
-                                } else {
-                                    count_bounds(n, &mut bounds);
-                                }
+                                let p = fwd_prefix.get_or_insert_with(|| {
+                                    g.row_ptr().iter().map(|&e| e as u64).collect()
+                                });
+                                balanced_cuts(p, &mut bounds);
                                 state.mode.store(MODE_PUSH_FULL, Ordering::Relaxed);
                             }
                         }
@@ -1124,12 +1110,26 @@ pub fn run_batch_cpu_pool(
     BatchOutput { lanes, sweeps }
 }
 
+/// The transpose a pull sweep builds when the caller supplied none.
+fn build_transpose(g: &Csr) -> Csr {
+    #[cfg(test)]
+    tests::TRANSPOSES_BUILT.with(|c| c.set(c.get() + 1));
+    transpose(g)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::{Backend, Sequential};
     use crate::plan::ExecutionPlan;
+    use std::cell::Cell;
     use tigr_graph::generators::{barabasi_albert, with_uniform_weights, BarabasiAlbertConfig};
+
+    thread_local! {
+        /// Transposes the pooled executor built on this thread: a
+        /// supplied one must leave it untouched.
+        pub(crate) static TRANSPOSES_BUILT: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn fixture() -> Csr {
         let g = barabasi_albert(
@@ -1228,37 +1228,42 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_solo_values_across_directions_and_schedules() {
-        use crate::cpu_parallel::{CpuOptions, CpuSchedule};
-        use crate::plan::{BackendKind, Direction};
+    fn parallel_batch_matches_solo_values_across_directions_and_representations() {
+        use crate::plan::{BackendKind, CpuOptions, Direction};
         let g = fixture();
-        let rep = Representation::Original(&g);
+        let plain = VirtualGraph::new(&g, 4);
+        let coalesced = VirtualGraph::coalesced(&g, 4);
+        let reps = [
+            Representation::Original(&g),
+            Representation::Virtual {
+                graph: &g,
+                overlay: &plain,
+            },
+            Representation::Virtual {
+                graph: &g,
+                overlay: &coalesced,
+            },
+        ];
         let sources = [0u32, 17, 17, 250];
         for prog in [MonotoneProgram::SSSP, MonotoneProgram::SSWP] {
             let batch =
                 BatchProgram::from_sources(prog, sources.iter().map(|&s| Some(NodeId::new(s))));
-            let references: Vec<MonotoneOutput> =
-                sources.iter().map(|&s| solo(&rep, prog, Some(s))).collect();
+            let references: Vec<MonotoneOutput> = sources
+                .iter()
+                .map(|&s| solo(&reps[0], prog, Some(s)))
+                .collect();
             for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
-                for sched in [
-                    CpuSchedule::NodeChunk,
-                    CpuSchedule::EdgeBalanced,
-                    CpuSchedule::Virtual,
-                ] {
+                for rep in &reps {
                     let plan = ExecutionPlan {
                         backend: BackendKind::CpuPool,
                         direction: dir,
-                        cpu: CpuOptions {
-                            threads: 2,
-                            schedule: sched,
-                            ..CpuOptions::default()
-                        },
+                        cpu: CpuOptions { threads: 2 },
                         ..ExecutionPlan::default()
                     };
                     let mut arena = BatchArena::new();
-                    let out = run_batch_cpu_pool(&rep, None, &batch, &plan, &mut arena);
+                    let out = run_batch_cpu_pool(rep, None, &batch, &plan, &mut arena);
                     for (i, reference) in references.iter().enumerate() {
-                        let label = format!("{}/{}/{dir:?}/{sched:?}", prog.name, sources[i]);
+                        let label = format!("{}/{}/{dir:?}/{}", prog.name, sources[i], rep.label());
                         // The parallel sweep reaches the same unique
                         // fixpoint; iteration and edge counts may
                         // differ from the solo schedule.
@@ -1273,8 +1278,7 @@ mod tests {
 
     #[test]
     fn retain_cap_releases_wide_batch_storage_on_the_next_batch() {
-        use crate::cpu_parallel::CpuOptions;
-        use crate::plan::BackendKind;
+        use crate::plan::{BackendKind, CpuOptions};
         let g = fixture();
         let rep = Representation::Original(&g);
         let n = g.num_nodes();
@@ -1319,10 +1323,7 @@ mod tests {
         // same budget.
         let plan = ExecutionPlan {
             backend: BackendKind::CpuPool,
-            cpu: CpuOptions {
-                threads: 2,
-                ..CpuOptions::default()
-            },
+            cpu: CpuOptions { threads: 2 },
             ..ExecutionPlan::default()
         };
         let mut par = BatchArena::with_retain_cap(cap);

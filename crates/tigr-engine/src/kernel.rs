@@ -1,8 +1,8 @@
 //! The single edge-relaxation inner loop (§5, Algorithm 2 lines 6–10).
 //!
 //! Every driver in this crate — simulated push ([`crate::push`]),
-//! simulated pull ([`crate::pull`]), the wall-clock CPU engine
-//! ([`crate::cpu_parallel`]), PageRank and betweenness centrality
+//! simulated pull ([`crate::pull`]), the host lane drivers
+//! ([`crate::batch`]), PageRank and betweenness centrality
 //! ([`crate::algorithms`]) — routes its per-edge work through
 //! [`relax_kernel`]. The loop is parameterized along two axes:
 //!

@@ -43,12 +43,11 @@ pub mod addr;
 pub mod algorithms;
 pub mod backend;
 pub mod batch;
-pub mod cpu_parallel;
 pub mod frontier;
 pub mod kernel;
 pub mod operators;
 pub mod plan;
-pub mod pool;
+mod pool;
 mod program;
 mod pull;
 mod push;
@@ -64,11 +63,6 @@ pub use backend::{Backend, CpuPool, Sequential, WarpSim};
 pub use batch::{
     run_batch_cpu_pool, run_batch_sequential_push, BatchArena, BatchLane, BatchOutput, BatchProgram,
 };
-pub use cpu_parallel::{
-    default_threads, run_cpu, run_cpu_pr, run_cpu_pr_cancellable, run_cpu_virtual,
-    run_cpu_virtual_cancellable, run_cpu_with, run_cpu_with_cancellable, CpuOptions, CpuPrOutput,
-    CpuRunOutput, CpuSchedule, ScheduleStats,
-};
 pub use frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep, DENSE_FRACTION};
 pub use kernel::{
     csr_edges, pull_gather, push_relax, relax_kernel, slice_edges, walk_segments, AccessMirror,
@@ -78,7 +72,9 @@ pub use operators::{
     AdvanceRelax, AdvanceSpace, Algo, ComputeStep, GraphOperator, OperatorCaps, Pipeline,
     PipelineOutput, PipelineSpecError,
 };
-pub use plan::{AutoOptions, BackendKind, Direction, ExecutionPlan, PlanError};
+pub use plan::{
+    default_threads, AutoOptions, BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError,
+};
 pub use program::{EdgeOp, InitKind, MonotoneProgram};
 pub use pull::{run_monotone_pull, run_monotone_pull_cancellable, PullOptions};
 pub use push::{run_monotone, run_monotone_cancellable, MonotoneOutput, PushOptions, SyncMode};

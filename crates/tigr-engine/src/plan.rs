@@ -1,6 +1,5 @@
-//! Execution plans: representation × direction × frontier × schedule as
-//! *data*, validated against the paper's correctness theorems before
-//! anything runs.
+//! Execution plans: backend × direction × frontier as *data*, validated
+//! against the paper's correctness theorems before anything runs.
 //!
 //! A [`ExecutionPlan`] is assembled by [`crate::Engine`]'s builder
 //! methods (or literally) and handed to a [`crate::backend::Backend`].
@@ -15,15 +14,11 @@
 //! * **Corollary 4 analog** — pull over a *physical* (UDT) split is
 //!   rejected: the split vertices are real nodes with rewired in-edges,
 //!   so gathering over them computes a different fixpoint.
-//! * `CpuSchedule::Virtual` needs a virtual view to chunk by; a plan
-//!   that disables overlay construction (`virtual_k == 0`) without
-//!   supplying one is rejected up front instead of silently degrading.
 
 use std::fmt;
 
 use tigr_core::CancelToken;
 
-use crate::cpu_parallel::{CpuOptions, CpuSchedule};
 use crate::operators::Pipeline;
 use crate::program::MonotoneProgram;
 use crate::push::PushOptions;
@@ -103,7 +98,8 @@ pub enum BackendKind {
     /// metrics, values via shared atomics.
     #[default]
     WarpSim,
-    /// The persistent work-stealing CPU pool: wall-clock numbers.
+    /// The persistent work-stealing CPU pool: wall-clock numbers. Every
+    /// monotone run is a lane of [`crate::batch::run_batch_cpu_pool`].
     /// (PageRank, betweenness and fixed-round pipelines need one
     /// accumulation order and run as the sequential host loop.)
     CpuPool,
@@ -133,8 +129,33 @@ impl BackendKind {
     }
 }
 
+/// Options of the [`BackendKind::CpuPool`] executor. How a sweep is cut
+/// into work is not an option: the partition follows the representation
+/// (virtual nodes by count, anything else by edge-balanced `row_ptr`
+/// cuts — see [`crate::batch::run_batch_cpu_pool`]).
+#[derive(Clone, Copy, Debug)]
+pub struct CpuOptions {
+    /// Worker threads; must be at least 1.
+    pub threads: usize,
+}
+
+impl Default for CpuOptions {
+    fn default() -> CpuOptions {
+        CpuOptions {
+            threads: default_threads(),
+        }
+    }
+}
+
+/// Number of worker threads matching the host's parallelism.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// A fully specified execution: backend × direction × the existing
-/// frontier/sync knobs ([`PushOptions`]) × CPU scheduling
+/// frontier/sync knobs ([`PushOptions`]) × CPU worker count
 /// ([`CpuOptions`]). Representation stays a per-run argument — one plan
 /// runs against many graphs.
 #[derive(Clone, Debug, Default)]
@@ -147,7 +168,7 @@ pub struct ExecutionPlan {
     pub auto: AutoOptions,
     /// Frontier mode, sync mode, worklist toggle, iteration cap.
     pub push: PushOptions,
-    /// CPU worker count, schedule, and virtual-chunk size.
+    /// CPU pool worker count.
     pub cpu: CpuOptions,
     /// Cooperative cancellation token, polled by every backend driver at
     /// iteration boundaries. The default ([`CancelToken::never`]) costs
@@ -182,13 +203,6 @@ impl ExecutionPlan {
             // Auto degrades to push where pull would be invalid, so it
             // never errors on direction grounds.
             Direction::Push | Direction::Auto => {}
-        }
-        if self.backend == BackendKind::CpuPool
-            && self.cpu.schedule == CpuSchedule::Virtual
-            && self.cpu.virtual_k == 0
-            && !matches!(rep, Representation::Virtual { .. })
-        {
-            return Err(PlanError::VirtualScheduleWithoutView);
         }
         Ok(())
     }
@@ -241,10 +255,6 @@ pub enum PlanError {
         /// Name of the offending program.
         program: &'static str,
     },
-    /// `CpuSchedule::Virtual` with overlay construction disabled
-    /// (`virtual_k == 0`) and no virtual representation supplied:
-    /// there is nothing to chunk by.
-    VirtualScheduleWithoutView,
     /// The chosen backend has no pull path. No built-in backend
     /// triggers this today (the CPU pool gained a pull side with the
     /// batched executor); retained for future backends.
@@ -286,11 +296,6 @@ impl fmt::Display for PlanError {
                 "pull direction over a split representation partitions each node's in-edge \
                  fold across threads; Theorem 3 requires an associative combine, which \
                  program `{program}` does not provide"
-            ),
-            PlanError::VirtualScheduleWithoutView => write!(
-                f,
-                "CpuSchedule::Virtual with virtual_k = 0 and no virtual representation: \
-                 there is no virtual view to schedule by"
             ),
             PlanError::PullUnsupportedOnBackend { backend } => {
                 write!(f, "backend `{backend}` has no pull execution path")
@@ -378,46 +383,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, PlanError::PullOverPhysical);
         assert!(err.to_string().contains("physically split"));
-    }
-
-    #[test]
-    fn virtual_schedule_needs_a_view() {
-        let g = star_graph(32);
-        let plan = ExecutionPlan {
-            backend: BackendKind::CpuPool,
-            cpu: CpuOptions {
-                schedule: CpuSchedule::Virtual,
-                virtual_k: 0,
-                ..CpuOptions::default()
-            },
-            ..ExecutionPlan::default()
-        };
-        assert_eq!(
-            plan.validate(&Representation::Original(&g), &MonotoneProgram::CC),
-            Err(PlanError::VirtualScheduleWithoutView)
-        );
-        // With a chunk size the engine can build its own overlay.
-        let ok = ExecutionPlan {
-            cpu: CpuOptions {
-                virtual_k: 64,
-                ..plan.cpu
-            },
-            ..plan.clone()
-        };
-        assert!(ok
-            .validate(&Representation::Original(&g), &MonotoneProgram::CC)
-            .is_ok());
-        // Or the caller supplies the virtual view directly.
-        let ov = VirtualGraph::new(&g, 4);
-        assert!(plan
-            .validate(
-                &Representation::Virtual {
-                    graph: &g,
-                    overlay: &ov
-                },
-                &MonotoneProgram::CC
-            )
-            .is_ok());
     }
 
     #[test]

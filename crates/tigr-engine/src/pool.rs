@@ -1,7 +1,8 @@
 //! Persistent worker pool with barrier-synchronized BSP epochs and
-//! chunked work-stealing.
+//! chunked work-stealing — the executor under
+//! [`crate::batch::run_batch_cpu_pool`].
 //!
-//! The CPU engine's BSP loop runs many short epochs (one per frontier
+//! The pooled BSP loop runs many short epochs (one per frontier
 //! iteration); spawning OS threads inside that loop costs more than the
 //! relaxation work of a sparse iteration. [`with_pool`] instead spawns
 //! the workers **once per run**: each epoch is a pair of barrier phases
@@ -18,37 +19,15 @@
 //! instead of pinning its owner (the load-balance argument of the
 //! paper's §4, applied to CPU scheduling).
 //!
-//! [`SpawnPerEpoch`] is the legacy executor kept as the ablation
-//! baseline: it implements the same [`EpochRunner`] contract by spawning
-//! scoped threads every epoch and never steals — exactly the engine's
-//! historical behavior, so benchmarks can quantify what the pool buys.
+//! The initial ranges come from the representation, not from a knob:
+//! `balanced_cuts` over a CSR's `row_ptr` (or an active list's degree
+//! prefix) gives every worker ≈ equal edges, and `count_bounds` splits
+//! degree-bounded virtual nodes — already edge-balanced to within `K` —
+//! by count.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
-
-/// Executes BSP epochs over per-worker index ranges.
-///
-/// `bounds[w]` is worker `w`'s initial `[lo, hi)` slice of an abstract
-/// index space; how indices map to work items (physical nodes, active
-/// list slots, virtual nodes) is the caller's business. `run_epoch`
-/// returns only after every index of every range has been processed by
-/// exactly one worker.
-pub trait EpochRunner: Sync {
-    /// Number of workers (and required length of `bounds`).
-    fn workers(&self) -> usize;
-
-    /// Runs one epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds.len() != self.workers()` or a range has
-    /// `lo > hi`.
-    fn run_epoch(&self, bounds: &[(usize, usize)]);
-
-    /// Cumulative chunks claimed from another worker's range.
-    fn steals(&self) -> u64;
-}
 
 /// One worker's share of an epoch: a monotone claim cursor over
 /// `[next, end)`. Owner and thieves all claim with `fetch_add`.
@@ -64,30 +43,20 @@ struct Shared<'b> {
     /// Entered twice per epoch (release + join) by workers and driver.
     barrier: Barrier,
     stop: AtomicBool,
-    steals: AtomicU64,
     body: &'b (dyn Fn(usize, Range<usize>) + Sync),
 }
 
-/// The persistent pool: driver-side handle implementing [`EpochRunner`].
+/// The persistent pool's driver-side handle.
 ///
 /// Constructed by [`with_pool`]; workers live for the whole closure.
 pub struct WorkerPool<'b> {
     shared: Shared<'b>,
 }
 
-impl std::fmt::Debug for WorkerPool<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.shared.queues.len())
-            .field("steals", &self.shared.steals.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 /// Spawns `threads` workers executing `body(worker_id, index_range)` for
 /// every claimed chunk, runs `driver` with the pool handle, then shuts
 /// the workers down. No thread is spawned after this returns control to
-/// `driver` — each [`EpochRunner::run_epoch`] call only cycles the
+/// `driver` — each [`WorkerPool::run_epoch`] call only cycles the
 /// already-running workers through a barrier pair.
 ///
 /// # Panics
@@ -111,7 +80,6 @@ pub fn with_pool<R>(
             chunk: AtomicUsize::new(1),
             barrier: Barrier::new(threads + 1),
             stop: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
             body,
         },
     };
@@ -143,21 +111,16 @@ fn worker_loop(me: usize, shared: &Shared<'_>) {
             break;
         }
         let chunk = shared.chunk.load(Ordering::Relaxed);
-        let mut stolen = 0u64;
-        while let Some((range, theft)) = claim(shared, me, chunk) {
-            stolen += theft as u64;
+        while let Some(range) = claim(shared, me, chunk) {
             (shared.body)(me, range);
-        }
-        if stolen > 0 {
-            shared.steals.fetch_add(stolen, Ordering::Relaxed);
         }
         shared.barrier.wait(); // epoch join
     }
 }
 
 /// Claims the next chunk: own queue first, then other queues
-/// round-robin. Returns the claimed range and whether it was stolen.
-fn claim(shared: &Shared<'_>, me: usize, chunk: usize) -> Option<(Range<usize>, bool)> {
+/// round-robin.
+fn claim(shared: &Shared<'_>, me: usize, chunk: usize) -> Option<Range<usize>> {
     let nq = shared.queues.len();
     for i in 0..nq {
         let q = &shared.queues[(me + i) % nq];
@@ -167,7 +130,7 @@ fn claim(shared: &Shared<'_>, me: usize, chunk: usize) -> Option<(Range<usize>, 
         }
         let lo = q.next.fetch_add(chunk, Ordering::Relaxed);
         if lo < end {
-            return Some((lo..(lo + chunk).min(end), i != 0));
+            return Some(lo..(lo + chunk).min(end));
         }
     }
     None
@@ -179,12 +142,18 @@ fn chunk_size(total: usize, workers: usize) -> usize {
     (total / (workers * 8)).clamp(1, 2048)
 }
 
-impl EpochRunner for WorkerPool<'_> {
-    fn workers(&self) -> usize {
-        self.shared.queues.len()
-    }
-
-    fn run_epoch(&self, bounds: &[(usize, usize)]) {
+impl WorkerPool<'_> {
+    /// Runs one epoch. `bounds[w]` is worker `w`'s initial `[lo, hi)`
+    /// slice of an abstract index space; how indices map to work items
+    /// (physical nodes, active-list slots, virtual nodes) is the
+    /// caller's business. Returns only after every index of every range
+    /// has been processed by exactly one worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one bound per worker, or if a range has
+    /// `lo > hi`.
+    pub fn run_epoch(&self, bounds: &[(usize, usize)]) {
         let sh = &self.shared;
         assert_eq!(bounds.len(), sh.queues.len(), "one bound per worker");
         let mut total = 0;
@@ -201,61 +170,38 @@ impl EpochRunner for WorkerPool<'_> {
         sh.barrier.wait(); // release
         sh.barrier.wait(); // join
     }
+}
 
-    fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+/// Contiguous equal-item-count partition: for items that are already
+/// weight-balanced, like degree-bounded virtual nodes.
+pub(crate) fn count_bounds(total: usize, bounds: &mut [(usize, usize)]) {
+    let chunk = total.div_ceil(bounds.len()).max(1);
+    for (w, b) in bounds.iter_mut().enumerate() {
+        *b = ((w * chunk).min(total), ((w + 1) * chunk).min(total));
     }
 }
 
-/// The legacy executor: spawns scoped threads **every epoch**, one per
-/// non-empty range, with no stealing — the engine's historical
-/// node-chunk behavior, preserved as the scheduling-ablation baseline.
-pub struct SpawnPerEpoch<'b> {
-    threads: usize,
-    body: &'b (dyn Fn(usize, Range<usize>) + Sync),
-}
-
-impl std::fmt::Debug for SpawnPerEpoch<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpawnPerEpoch")
-            .field("threads", &self.threads)
-            .finish()
+/// Contiguous partition of `prefix.len() - 1` items so every part covers
+/// ≈ equal weight, where `prefix[i]` is the total weight of items
+/// `0..i` (e.g. `Csr::row_ptr`: equal *edge* counts per part).
+pub(crate) fn balanced_cuts(prefix: &[u64], bounds: &mut [(usize, usize)]) {
+    let parts = bounds.len();
+    let items = prefix.len() - 1;
+    let total = prefix[items];
+    if total == 0 {
+        count_bounds(items, bounds);
+        return;
     }
-}
-
-impl<'b> SpawnPerEpoch<'b> {
-    /// A spawning executor with `threads` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(threads: usize, body: &'b (dyn Fn(usize, Range<usize>) + Sync)) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        SpawnPerEpoch { threads, body }
-    }
-}
-
-impl EpochRunner for SpawnPerEpoch<'_> {
-    fn workers(&self) -> usize {
-        self.threads
-    }
-
-    fn run_epoch(&self, bounds: &[(usize, usize)]) {
-        assert_eq!(bounds.len(), self.threads, "one bound per worker");
-        std::thread::scope(|scope| {
-            for (w, &(lo, hi)) in bounds.iter().enumerate() {
-                assert!(lo <= hi, "invalid bound [{lo}, {hi})");
-                if lo >= hi {
-                    continue;
-                }
-                let body = self.body;
-                scope.spawn(move || body(w, lo..hi));
-            }
-        });
-    }
-
-    fn steals(&self) -> u64 {
-        0
+    let mut prev = 0usize;
+    for (w, b) in bounds.iter_mut().enumerate() {
+        let hi = if w + 1 == parts {
+            items
+        } else {
+            let target = total * (w as u64 + 1) / parts as u64;
+            prefix.partition_point(|&c| c < target).min(items).max(prev)
+        };
+        *b = (prev, hi);
+        prev = hi;
     }
 }
 
@@ -265,7 +211,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     /// Every index of every bound is processed exactly once.
-    fn coverage_check(runner: &dyn EpochRunner, hits: &[AtomicU64], bounds: &[(usize, usize)]) {
+    fn coverage_check(runner: &WorkerPool<'_>, hits: &[AtomicU64], bounds: &[(usize, usize)]) {
         runner.run_epoch(bounds);
         for (i, h) in hits.iter().enumerate() {
             let expected = bounds.iter().any(|&(lo, hi)| lo <= i && i < hi) as u64;
@@ -282,7 +228,6 @@ mod tests {
             }
         };
         with_pool(4, &body, |pool| {
-            assert_eq!(pool.workers(), 4);
             // Even split, hub-heavy split, empty epoch, tiny epoch.
             coverage_check(
                 pool,
@@ -301,21 +246,21 @@ mod tests {
 
     #[test]
     fn skewed_bounds_are_stolen() {
-        let done = AtomicU64::new(0);
-        let body = |_w: usize, r: Range<usize>| {
-            done.fetch_add(r.len() as u64, Ordering::Relaxed);
+        let done: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
+        let body = |w: usize, r: Range<usize>| {
+            done[w].fetch_add(r.len() as u64, Ordering::Relaxed);
             // Yield the core between claims so sibling workers get
             // scheduled mid-epoch even on a single-CPU host.
             std::thread::sleep(std::time::Duration::from_micros(200));
         };
-        let steals = with_pool(4, &body, |pool| {
+        with_pool(4, &body, |pool| {
             // All work on worker 0: the others must steal (each claim is
             // chunked, so a 10k-item queue yields many chunks).
             pool.run_epoch(&[(0, 10_000), (0, 0), (0, 0), (0, 0)]);
-            pool.steals()
         });
-        assert_eq!(done.load(Ordering::Relaxed), 10_000);
-        assert!(steals > 0, "idle workers never stole");
+        let done: Vec<u64> = done.iter().map(|d| d.load(Ordering::Relaxed)).collect();
+        assert_eq!(done.iter().sum::<u64>(), 10_000);
+        assert!(done[1..].iter().any(|&d| d > 0), "idle workers never stole");
     }
 
     #[test]
@@ -340,25 +285,22 @@ mod tests {
             assert_eq!(w, 0);
             sum.fetch_add(r.len() as u64, Ordering::Relaxed);
         };
-        with_pool(1, &body, |pool| {
-            pool.run_epoch(&[(5, 25)]);
-            assert_eq!(pool.steals(), 0, "nothing to steal from");
-        });
+        with_pool(1, &body, |pool| pool.run_epoch(&[(5, 25)]));
         assert_eq!(sum.load(Ordering::Relaxed), 20);
     }
 
     #[test]
-    fn spawn_per_epoch_matches_contract_without_steals() {
-        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        let body = |_w: usize, r: Range<usize>| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        let runner = SpawnPerEpoch::new(3, &body);
-        assert_eq!(runner.workers(), 3);
-        coverage_check(&runner, &hits, &[(0, 90), (90, 95), (95, 100)]);
-        assert_eq!(runner.steals(), 0);
+    fn balanced_cuts_split_by_weight() {
+        // Items with weights 10, 0, 0, 0, 10: two parts should split the
+        // hub items apart instead of 3-vs-2 by count.
+        let prefix = [0u64, 10, 10, 10, 10, 20];
+        let mut bounds = vec![(0, 0); 2];
+        balanced_cuts(&prefix, &mut bounds);
+        assert_eq!(bounds, vec![(0, 1), (1, 5)]);
+        // Degenerate: all weight zero falls back to count split.
+        let mut bounds = vec![(0, 0); 2];
+        balanced_cuts(&[0u64, 0, 0, 0, 0], &mut bounds);
+        assert_eq!(bounds, vec![(0, 2), (2, 4)]);
     }
 
     #[test]

@@ -12,17 +12,13 @@ use tigr_graph::Csr;
 use tigr_core::{CancelToken, PreparedGraph};
 
 use crate::algorithms::{bc, pr};
-use crate::backend::{run_sim_plan, Backend, CpuPool, PullSide, Sequential};
-use crate::cpu_parallel::{
-    run_cpu_pr_cancellable, run_cpu_with_cancellable, CpuOptions, CpuPrOutput, CpuRunOutput,
-    CpuSchedule,
-};
+use crate::backend::{run_pool_solo, run_sim_plan, Backend, PullSide, Sequential};
 use crate::frontier::FrontierMode;
 use crate::kernel::HostLoop;
 use crate::operators::{
     mask_above, predecessors, triangle_counts, ComputeStep, Pipeline, PipelineBody, PipelineOutput,
 };
-use crate::plan::{BackendKind, Direction, ExecutionPlan, PlanError};
+use crate::plan::{BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError};
 use crate::program::MonotoneProgram;
 use crate::push::{MonotoneOutput, PushOptions, SyncMode};
 use crate::representation::Representation;
@@ -154,18 +150,10 @@ impl Engine {
         self
     }
 
-    /// Overrides the wall-clock CPU path's options (threads, frontier,
-    /// scheduling policy) used by [`Engine::run_cpu`] and
-    /// [`Engine::cpu_pagerank`].
+    /// Overrides the [`BackendKind::CpuPool`] options (its worker
+    /// count).
     pub fn with_cpu_options(mut self, options: CpuOptions) -> Self {
         self.plan.cpu = options;
-        self
-    }
-
-    /// Selects the CPU work-distribution policy (shorthand for setting
-    /// `schedule` on the CPU options).
-    pub fn with_cpu_schedule(mut self, schedule: CpuSchedule) -> Self {
-        self.plan.cpu.schedule = schedule;
         self
     }
 
@@ -195,7 +183,7 @@ impl Engine {
         &self.plan.push
     }
 
-    /// The plan's CPU-path options.
+    /// The plan's CPU-pool options.
     pub fn cpu_options(&self) -> &CpuOptions {
         &self.plan.cpu
     }
@@ -237,7 +225,8 @@ impl Engine {
     /// The one backend dispatch every monotone entry point — legacy
     /// programs and operator pipelines alike — funnels through, so
     /// pipeline-built analytics are byte-equal to the pre-operator
-    /// engines by construction.
+    /// engines by construction. A prepared transpose feeds the pull
+    /// sweeps of both backends that have them.
     fn dispatch_monotone(
         &self,
         rep: &Representation<'_>,
@@ -251,17 +240,23 @@ impl Engine {
             BackendKind::WarpSim => Ok(run_sim_plan(
                 &self.sim, rep, pull_side, prog, source, &self.plan,
             )),
-            BackendKind::CpuPool => CpuPool.run_monotone(rep, prog, source, &self.plan),
+            BackendKind::CpuPool => Ok(run_pool_solo(
+                rep,
+                pull_side.map(|ps| ps.reverse),
+                prog,
+                source,
+                &self.plan,
+            )),
             BackendKind::Sequential => Sequential.run_monotone(rep, prog, source, &self.plan),
         }
     }
 
     /// Runs a monotone program over a [`PreparedGraph`]: the
     /// representation is derived from the prepared views
-    /// ([`Representation::from_prepared`]), and — on the simulator
-    /// backend — a prepared transpose (plus mirrored overlay) feeds the
-    /// pull/auto drivers directly, so a cache-warm run performs no
-    /// transpose or overlay construction at all.
+    /// ([`Representation::from_prepared`]), and a prepared transpose
+    /// (plus mirrored overlay, on the simulator) feeds the pull/auto
+    /// drivers directly, so a cache-warm run performs no transpose or
+    /// overlay construction at all.
     ///
     /// # Errors
     ///
@@ -617,10 +612,9 @@ impl Engine {
     /// PageRank (see [`crate::algorithms::pr::run`] for the contract),
     /// on the plan's backend: `WarpSim` meters the kernels on the
     /// simulator; every other backend runs the same driver as a host
-    /// loop — bit-identical ranks, no report. The pool's sweeps are
-    /// racy-order float adds, so `CpuPool` degrades to that sequential
-    /// loop here, as [`Engine::run_rounds`] degrades it;
-    /// [`Engine::cpu_pagerank`] is the explicit parallel entry.
+    /// loop — bit-identical ranks, no report. Pooled sweeps would be
+    /// racy-order float adds, so `CpuPool` runs that sequential loop
+    /// too, as [`Engine::run_rounds`] degrades it.
     ///
     /// # Errors
     ///
@@ -642,27 +636,6 @@ impl Engine {
                 pr::run_cancellable(&HostLoop, rep, out_degrees, options, cancel)
             }
         })
-    }
-
-    /// Runs a monotone program on the wall-clock CPU path (no simulator)
-    /// with the plan's CPU options — threads, frontier, and the
-    /// [`CpuSchedule`] work-distribution policy all apply.
-    ///
-    /// # Panics
-    ///
-    /// See [`crate::cpu_parallel::run_cpu_with`].
-    pub fn run_cpu(&self, g: &Csr, prog: MonotoneProgram, source: Option<NodeId>) -> CpuRunOutput {
-        run_cpu_with_cancellable(g, prog, source, &self.plan.cpu, &self.plan.cancel)
-    }
-
-    /// Runs push-mode PageRank on the wall-clock CPU path with the
-    /// plan's CPU options.
-    ///
-    /// # Panics
-    ///
-    /// See [`crate::cpu_parallel::run_cpu_pr`].
-    pub fn cpu_pagerank(&self, g: &Csr, options: &pr::PrOptions) -> CpuPrOutput {
-        run_cpu_pr_cancellable(g, options, &self.plan.cpu, &self.plan.cancel)
     }
 
     /// Single-source betweenness centrality, dispatched on the plan's
@@ -806,22 +779,80 @@ mod tests {
     }
 
     #[test]
-    fn engine_cpu_path_honors_schedule() {
+    fn cpu_pool_matches_the_simulator_at_every_thread_count() {
         let g = tigr_graph::generators::grid_2d(8, 8);
         let rep = Representation::Original(&g);
         let sim = Engine::new(GpuConfig::tiny())
             .bfs(&rep, NodeId::new(0))
             .unwrap();
-        for schedule in crate::cpu_parallel::CpuSchedule::ALL {
-            let engine = Engine::new(GpuConfig::tiny()).with_cpu_schedule(schedule);
-            assert_eq!(engine.cpu_options().schedule, schedule);
-            let out = engine.run_cpu(&g, MonotoneProgram::BFS, Some(NodeId::new(0)));
-            assert_eq!(out.values, sim.values, "{}", schedule.label());
-            assert_eq!(out.sched.schedule, schedule);
+        for threads in [1, 2, 3] {
+            let engine = Engine::new(GpuConfig::tiny())
+                .with_backend(BackendKind::CpuPool)
+                .with_cpu_options(CpuOptions { threads });
+            assert_eq!(engine.cpu_options().threads, threads);
+            let out = engine.bfs(&rep, NodeId::new(0)).unwrap();
+            assert_eq!(out.values, sim.values, "threads={threads}");
+            assert!(out.converged && !out.cancelled, "threads={threads}");
         }
-        let pr_out = Engine::default().cpu_pagerank(&g, &pr::PrOptions::default());
-        assert!(pr_out.converged);
-        assert!((pr_out.ranks.iter().sum::<f32>() - 1.0).abs() < 1e-3);
+    }
+
+    /// Push, pull and auto on the pool all stop at the plan's cap.
+    #[test]
+    fn cpu_pool_honours_the_iteration_cap_in_every_direction() {
+        let g = tigr_graph::generators::grid_2d(8, 8);
+        let rep = Representation::Original(&g);
+        for direction in Direction::ALL {
+            let out = Engine::new(GpuConfig::tiny())
+                .with_backend(BackendKind::CpuPool)
+                .with_direction(direction)
+                .with_cpu_options(CpuOptions { threads: 2 })
+                .with_options(PushOptions {
+                    max_iterations: 1,
+                    ..PushOptions::default()
+                })
+                .bfs(&rep, NodeId::new(0))
+                .unwrap();
+            assert!(!out.converged, "{}", direction.label());
+            assert!(!out.cancelled, "{}", direction.label());
+            assert_eq!(out.directions.len(), 1, "{}", direction.label());
+        }
+    }
+
+    /// A prepared transpose reaches the pool's pull sweeps: a prepared
+    /// run builds none, where the same query over the bare CSR builds
+    /// its own.
+    #[test]
+    fn cpu_pool_prepared_runs_reuse_the_prepared_transpose() {
+        use crate::batch::tests::TRANSPOSES_BUILT;
+        let built = || TRANSPOSES_BUILT.with(|c| c.get());
+        let store = tigr_core::GraphStore::disabled();
+        let spec = tigr_core::PrepareSpec::generated("rmat:8:6", 5)
+            .with_uniform_weights(1, 9, 2)
+            .with_transpose(true);
+        let prepared = store.prepare(&spec).unwrap();
+        let engine = Engine::new(GpuConfig::tiny())
+            .with_backend(BackendKind::CpuPool)
+            .with_direction(Direction::Pull)
+            .with_cpu_options(CpuOptions { threads: 2 });
+        let src = Some(NodeId::new(0));
+        let before = built();
+        let prep = engine
+            .run_prepared(&prepared, MonotoneProgram::SSSP, src)
+            .unwrap();
+        let pipe = engine
+            .run_prepared_pipeline(&prepared, &crate::operators::Pipeline::sssp(), src)
+            .unwrap();
+        assert_eq!(built(), before, "a prepared run rebuilt the transpose");
+        let bare = engine
+            .run_program(
+                &Representation::Original(prepared.graph()),
+                MonotoneProgram::SSSP,
+                src,
+            )
+            .unwrap();
+        assert_eq!(built(), before + 1);
+        assert_eq!(prep.values, bare.values);
+        assert_eq!(pipe.values, bare.values);
     }
 
     #[test]
@@ -960,25 +991,24 @@ mod tests {
         let rep = Representation::Original(&g);
         let token = CancelToken::new();
         token.cancel();
-        for backend in [
-            BackendKind::WarpSim,
-            BackendKind::CpuPool,
-            BackendKind::Sequential,
-        ] {
+        let cells = [BackendKind::WarpSim, BackendKind::Sequential]
+            .map(|backend| (backend, Direction::Push))
+            .into_iter()
+            .chain(Direction::ALL.map(|d| (BackendKind::CpuPool, d)));
+        for (backend, direction) in cells {
+            let label = format!("{}/{}", backend.label(), direction.label());
             let engine = Engine::new(GpuConfig::tiny())
                 .with_backend(backend)
+                .with_direction(direction)
                 .with_cancel(token.clone());
             let out = engine.bfs(&rep, NodeId::new(0)).unwrap();
-            assert!(out.cancelled, "{}", backend.label());
-            assert!(!out.converged, "{}", backend.label());
+            assert!(out.cancelled, "{label}");
+            assert!(!out.converged, "{label}");
+            assert!(out.directions.is_empty(), "{label}");
             // Cancellation at iteration zero leaves the initial values:
             // the source is 0, everything else unreached.
-            assert_eq!(out.values[0], 0, "{}", backend.label());
-            assert!(
-                out.values[1..].iter().all(|&v| v == u32::MAX),
-                "{}",
-                backend.label()
-            );
+            assert_eq!(out.values[0], 0, "{label}");
+            assert!(out.values[1..].iter().all(|&v| v == u32::MAX), "{label}");
         }
     }
 
@@ -1000,10 +1030,14 @@ mod tests {
             .pagerank(&rep, &pr::out_degrees(&g), &pr::PrOptions::default())
             .unwrap();
         assert!(pr_out.cancelled && !pr_out.converged);
-        let cpu_pr = engine.cpu_pagerank(&g, &pr::PrOptions::default());
-        assert!(cpu_pr.cancelled && !cpu_pr.converged);
-        let cpu = engine.run_cpu(&g, MonotoneProgram::BFS, Some(NodeId::new(0)));
-        assert!(cpu.cancelled);
+        let pool = Engine::new(GpuConfig::tiny())
+            .with_backend(BackendKind::CpuPool)
+            .with_cancel(token);
+        let pool_pr = pool
+            .pagerank(&rep, &pr::out_degrees(&g), &pr::PrOptions::default())
+            .unwrap();
+        assert!(pool_pr.cancelled && !pool_pr.converged);
+        assert!(pool.betweenness(&rep, NodeId::new(0)).unwrap().cancelled);
     }
 
     #[test]

@@ -649,10 +649,7 @@ impl ServerCore {
             Engine::default()
                 .with_backend(BackendKind::CpuPool)
                 .with_direction(Direction::Auto)
-                .with_cpu_options(CpuOptions {
-                    threads,
-                    ..CpuOptions::default()
-                })
+                .with_cpu_options(CpuOptions { threads })
                 .with_device_memory(u64::MAX)
         } else {
             Engine::default()

@@ -36,9 +36,6 @@ cargo test -q --workspace
 echo "== benches compile =="
 cargo bench --workspace --no-run
 
-echo "== cpu-schedule ablation smoke =="
-cargo run --release -p tigr-bench --bin ablation_cpu_schedule -- --smoke
-
 echo "== direction ablation smoke =="
 cargo run --release -p tigr-bench --bin ablation_direction -- --smoke
 
@@ -71,6 +68,26 @@ echo "$warm" | grep -q "cache           hit" \
 echo "$warm" | grep -q "prep work       0 transforms, 0 transposes, 0 overlays" \
     || { echo "cache smoke: second run rebuilt derived views"; echo "$warm"; exit 1; }
 echo "cache smoke: warm run loaded every view from the artifact"
+
+echo "== cpu pool smoke =="
+# `tigr run --cpu` is the CpuPool backend on the same Engine/prepared path
+# as every other run: every verb in every direction must print the value
+# summary (first line, plus the checksum line where there is one) of the
+# run without --cpu.
+tigr_run() { cargo run --release -q -p tigr-cli --bin tigr -- run "$@"; }
+summary() { echo "$1" | head -n 1; echo "$1" | grep "^checksum" || true; }
+for verb in sssp cc pr bc; do
+    for dir in push pull auto; do
+        ref="$(tigr_run "$verb" --graph "$graph_file" --direction "$dir")"
+        got="$(tigr_run "$verb" --graph "$graph_file" --cpu --threads 2 --direction "$dir" --stats)"
+        [ "$(summary "$ref")" = "$(summary "$got")" ] || {
+            echo "cpu pool smoke: $verb --direction $dir diverged"
+            diff <(summary "$ref") <(summary "$got")
+            exit 1
+        }
+    done
+done
+echo "cpu pool smoke: sssp/cc/pr/bc x push/pull/auto on the pool match the simulator"
 
 echo "== serve smoke =="
 # One query per served algorithm against an ephemeral-port daemon; the

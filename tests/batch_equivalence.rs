@@ -7,17 +7,16 @@
 //!   value arrays, same iteration counts, same convergence flags, same
 //!   `edges_touched`, same FNV-1a64 checksums.
 //! - **Value equality** for every other cell of the execution matrix
-//!   ({Sequential, CpuPool} × {push, pull, auto} × {node-chunk,
-//!   edge-balanced, virtual} × thread counts): same fixpoint values,
+//!   ({Sequential, CpuPool} × {push, pull, auto} × {flat CSR, plain
+//!   overlay, coalesced overlay} × thread counts): same fixpoint values,
 //!   checksums, and convergence, while iteration and edge counts are
 //!   schedule-dependent (merged frontiers, relaxed intra-sweep
 //!   visibility). Parallel cells must also reproduce their values
 //!   exactly on re-run through a warm arena.
 //!
 //! Duplicate sources inside one batch, the K=1 degenerate batch, arena
-//! reuse across batches, and typed plan errors (virtual schedule
-//! without a view, pull needing associativity) are all part of the
-//! property set.
+//! reuse across batches, and typed plan errors (pull needing
+//! associativity) are all part of the property set.
 //!
 //! The byte-equality properties compare the driver with itself, so they
 //! also hold every lane against two loops that share nothing with it
@@ -36,8 +35,8 @@ use proptest::prelude::*;
 use common::{assert_lane_is_the_reference_run, reference_push, simulated_push};
 use tigr::engine::batch::{BatchArena, BatchLane, BatchOutput, BatchProgram};
 use tigr::engine::{
-    run_batch_sequential_push, BackendKind, CpuOptions, CpuSchedule, Direction, EngineError,
-    MonotoneOutput, PlanError,
+    run_batch_sequential_push, BackendKind, CpuOptions, Direction, EngineError, MonotoneOutput,
+    PlanError,
 };
 use tigr::graph::generators::{rmat, with_uniform_weights, RmatConfig};
 use tigr::server::checksum;
@@ -192,15 +191,13 @@ fn lane_sources(prog: MonotoneProgram, picks: &[u32], nodes: u32) -> Vec<Option<
 }
 
 /// One batched run through a fully specified execution-plan cell of
-/// the matrix: backend × direction × CPU schedule × thread count.
-#[allow(clippy::too_many_arguments)]
+/// the matrix: representation × backend × direction × thread count.
 fn batched_cell(
-    g: &Csr,
+    rep: &Representation<'_>,
     prog: MonotoneProgram,
     sources: &[Option<NodeId>],
     backend: BackendKind,
     direction: Direction,
-    schedule: CpuSchedule,
     threads: usize,
     arena: &mut BatchArena,
 ) -> Result<BatchOutput, EngineError> {
@@ -211,12 +208,8 @@ fn batched_cell(
     Engine::default()
         .with_backend(backend)
         .with_direction(direction)
-        .with_cpu_options(CpuOptions {
-            threads,
-            schedule,
-            ..CpuOptions::default()
-        })
-        .run_batch(&Representation::Original(g), &batch, arena)
+        .with_cpu_options(CpuOptions { threads })
+        .run_batch(rep, &batch, arena)
 }
 
 /// Value-level equality: the lane reached the reference fixpoint with
@@ -236,11 +229,6 @@ fn assert_value_equal(lane: &MonotoneOutput, reference: &MonotoneOutput, label: 
 }
 
 const DIRECTIONS: [Direction; 3] = [Direction::Push, Direction::Pull, Direction::Auto];
-const SCHEDULES: [CpuSchedule; 3] = [
-    CpuSchedule::NodeChunk,
-    CpuSchedule::EdgeBalanced,
-    CpuSchedule::Virtual,
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -343,50 +331,58 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The execution matrix: {Sequential, CpuPool} × {push, pull,
-    /// auto} × {node-chunk, edge-balanced, virtual} × random source
-    /// vectors. Every cell must reach the sequential push reference
-    /// fixpoint per lane (values, checksums, convergence); the
-    /// parallel cells are additionally re-run through a warm arena and
-    /// must reproduce their values exactly — determinism does not
-    /// depend on thread count or retained state.
+    /// auto} × {flat CSR, plain overlay, coalesced overlay} × threads
+    /// {1, 2, 3} × random source vectors. Every cell must reach the
+    /// sequential push reference fixpoint per lane (values, checksums,
+    /// convergence); the parallel cells are additionally re-run through
+    /// a warm arena and must reproduce their values exactly —
+    /// determinism does not depend on thread count, partition or
+    /// retained state.
     #[test]
     fn execution_matrix_reaches_the_sequential_fixpoint(
         g in arb_graph(30, 120),
         algo in 0usize..4,
         picks in vec(0u32..10_000, 1..6),
-        threads in 1usize..3,
+        k in 1u32..8,
     ) {
         let prog = PROGRAMS[algo];
         let sources = lane_sources(prog, &picks, g.num_nodes() as u32);
         let refs: Vec<MonotoneOutput> = sources.iter().map(|&s| solo(&g, prog, s)).collect();
+        let plain = VirtualGraph::new(&g, k);
+        let coal = VirtualGraph::coalesced(&g, k);
+        let reps = [
+            ("original", Representation::Original(&g)),
+            ("virtual", Representation::Virtual { graph: &g, overlay: &plain }),
+            ("virtual+", Representation::Virtual { graph: &g, overlay: &coal }),
+        ];
         for direction in DIRECTIONS {
-            // Sequential backend (schedule-independent): push and auto
-            // take the lockstep batched sweep, pull runs lanes solo.
+            // Sequential backend: push and auto take the lockstep
+            // batched sweep, pull runs lanes solo.
             let mut arena = BatchArena::new();
             let out = batched_cell(
-                &g, prog, &sources,
-                BackendKind::Sequential, direction, CpuSchedule::EdgeBalanced, 1,
+                &reps[0].1, prog, &sources,
+                BackendKind::Sequential, direction, 1,
                 &mut arena,
             ).unwrap();
             for (i, reference) in refs.iter().enumerate() {
                 let label = format!("sequential/{}/{direction:?} lane {i}", prog.name);
                 assert_value_equal(&out.lanes[i], reference, &label);
             }
-            for schedule in SCHEDULES {
+            for ((label, rep), threads) in reps.iter().flat_map(|r| [1, 2, 3].map(|t| (r, t))) {
                 let mut arena = BatchArena::new();
                 let out = batched_cell(
-                    &g, prog, &sources,
-                    BackendKind::CpuPool, direction, schedule, threads,
+                    rep, prog, &sources,
+                    BackendKind::CpuPool, direction, threads,
                     &mut arena,
                 ).unwrap();
                 let again = batched_cell(
-                    &g, prog, &sources,
-                    BackendKind::CpuPool, direction, schedule, threads,
+                    rep, prog, &sources,
+                    BackendKind::CpuPool, direction, threads,
                     &mut arena,
                 ).unwrap();
                 for (i, reference) in refs.iter().enumerate() {
                     let label = format!(
-                        "cpupool/{}/{direction:?}/{schedule:?}/t{threads} lane {i}",
+                        "cpupool/{}/{direction:?}/{label}/t{threads} lane {i}",
                         prog.name
                     );
                     assert_value_equal(&out.lanes[i], reference, &label);
@@ -637,40 +633,6 @@ mod seed_corpus {
                 &format!("clique lane {i}"),
             );
         }
-    }
-
-    /// An unplannable batch fails with the same typed error as a solo
-    /// run, before any lane executes: a virtual chunking schedule with
-    /// overlay construction disabled and no virtual view to chunk by.
-    #[test]
-    fn virtual_schedule_without_view_is_a_typed_error() {
-        let g = path_graph(8);
-        let batch = BatchProgram {
-            prog: MonotoneProgram::BFS,
-            lanes: vec![BatchLane::new(Some(NodeId::new(0)))],
-        };
-        let err = Engine::default()
-            .with_backend(BackendKind::CpuPool)
-            .with_cpu_options(CpuOptions {
-                threads: 2,
-                schedule: CpuSchedule::Virtual,
-                virtual_k: 0,
-                ..CpuOptions::default()
-            })
-            .run_batch(
-                &Representation::Original(&g),
-                &batch,
-                &mut BatchArena::new(),
-            );
-        assert!(
-            matches!(
-                err,
-                Err(EngineError::InvalidPlan(
-                    PlanError::VirtualScheduleWithoutView
-                ))
-            ),
-            "{err:?}"
-        );
     }
 
     /// Pull over a virtual split partitions a node's in-edge fold

@@ -4,7 +4,7 @@
 //! compute the same fixpoints.
 
 use tigr::baselines::{Baseline, CushaMode};
-use tigr::engine::{run_cpu, MonotoneProgram};
+use tigr::engine::{BackendKind, CpuOptions, MonotoneProgram};
 use tigr::graph::datasets;
 use tigr::graph::properties as oracle;
 use tigr::{Engine, NodeId, Representation, VirtualGraph};
@@ -52,8 +52,12 @@ fn five_implementations_one_sssp_answer() {
         .unwrap();
     assert_eq!(tigr_out.values, expect, "Tigr-V+ disagrees");
 
-    let cpu = run_cpu(&g, MonotoneProgram::SSSP, Some(src), 4);
-    assert_eq!(cpu.values, expect, "CPU path disagrees");
+    let cpu = Engine::default()
+        .with_backend(BackendKind::CpuPool)
+        .with_cpu_options(CpuOptions { threads: 4 })
+        .sssp(&Representation::Original(&g), src)
+        .unwrap();
+    assert_eq!(cpu.values, expect, "CPU pool disagrees");
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! representation — original CSR, each physical split topology, and both
 //! virtual overlay layouts — every frontier mode must reach exactly the
 //! full-sweep fixpoint for every monotone program, while never
-//! attempting more edge relaxations. The CPU-parallel path is held to
-//! the same contract across thread counts.
+//! attempting more edge relaxations. The CPU pool is held to the same
+//! contract on every representation, direction and thread count.
 //!
 //! Each proptest below runs 24 random hubbed graphs through *all*
 //! program × transform × mode combinations, so every combination sees
@@ -13,8 +13,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use tigr::engine::{
-    run_cpu_virtual, run_cpu_with, run_monotone, BackendKind, CpuOptions, CpuSchedule, Direction,
-    EdgeOp, Engine, EngineError, FrontierMode, MonotoneProgram, PlanError, PushOptions, SyncMode,
+    run_monotone, BackendKind, CpuOptions, Direction, EdgeOp, Engine, EngineError, FrontierMode,
+    MonotoneOutput, MonotoneProgram, PlanError, PushOptions, SyncMode,
 };
 use tigr::{
     circular_transform, clique_transform, star_transform, udt_transform, Csr, CsrBuilder,
@@ -147,6 +147,10 @@ proptest! {
         }
     }
 
+    /// The pool's partition follows the representation — edge-balanced
+    /// `row_ptr` cuts on the flat CSR, virtual nodes on either overlay
+    /// layout — and no cut, thread count or direction may move the
+    /// fixpoint of a sequential full sweep.
     #[test]
     fn cpu_schedules_match_sequential_sweep(
         g in arb_hubbed_graph(32, 140),
@@ -154,51 +158,43 @@ proptest! {
         k in 1u32..8,
     ) {
         let src = NodeId::new(src % g.num_nodes() as u32);
+        let plain = VirtualGraph::new(&g, k);
+        let coal = VirtualGraph::coalesced(&g, k);
+        let reps = [
+            ("original", Representation::Original(&g)),
+            ("virtual", Representation::Virtual { graph: &g, overlay: &plain }),
+            ("virtual+", Representation::Virtual { graph: &g, overlay: &coal }),
+        ];
         for prog in PROGRAMS {
             let source = prog.needs_source().then_some(src);
-            // The reference: a sequential (1-thread, no-steal) full sweep
-            // over the original representation.
-            let seq = run_cpu_with(&g, prog, source, &cpu_opts(1, false, CpuSchedule::NodeChunk));
-            for schedule in CpuSchedule::ALL {
-                for frontier in [false, true] {
-                    for threads in [1usize, 4] {
-                        let mut o = cpu_opts(threads, frontier, schedule);
-                        o.virtual_k = k.max(1);
-                        let out = run_cpu_with(&g, prog, source, &o);
-                        prop_assert_eq!(
-                            &out.values, &seq.values,
-                            "{}/{}/frontier={}/threads={} diverged from sequential sweep",
-                            prog.name, schedule.label(), frontier, threads
-                        );
-                        // The strict work-saving bound holds only for the
-                        // deterministic single-thread run: under relaxed
-                        // sync with real threads, a stale value read can
-                        // re-activate an already-settled node and touch a
-                        // few extra edges beyond the full-sweep count.
-                        if frontier && threads == 1 {
-                            prop_assert!(
-                                out.edges_touched <= seq.edges_touched,
-                                "{}/{}/threads={}: frontier touched {} edges, full sweep {}",
-                                prog.name, schedule.label(), threads,
-                                out.edges_touched, seq.edges_touched
+            let seq = sequential_full_sweep(&g, prog, source);
+            for (label, rep) in &reps {
+                for direction in Direction::ALL {
+                    for worklist in [false, true] {
+                        for threads in THREADS {
+                            let out = pool_run(rep, prog, source, direction, worklist, threads);
+                            prop_assert_eq!(
+                                &out.values, &seq.values,
+                                "{}/{}/{}/worklist={}/threads={} diverged from sequential sweep",
+                                prog.name, label, direction.label(), worklist, threads
                             );
+                            prop_assert!(out.converged && !out.cancelled);
+                            // The strict work-saving bound holds only for
+                            // the deterministic single-thread push run:
+                            // with real threads, a stale value read can
+                            // re-activate a settled node and touch a few
+                            // edges beyond the full-sweep count.
+                            if worklist && threads == 1 && direction == Direction::Push {
+                                prop_assert!(
+                                    out.edges_touched <= seq.edges_touched,
+                                    "{}/{}: worklist touched {} edges, full sweep {}",
+                                    prog.name, label, out.edges_touched, seq.edges_touched
+                                );
+                            }
                         }
-                        prop_assert_eq!(out.sched.worker_edges.len(), threads);
-                        prop_assert_eq!(
-                            out.sched.worker_edges.iter().sum::<u64>(),
-                            out.edges_touched
-                        );
                     }
                 }
             }
-            // A prebuilt coalesced overlay must reach the same fixpoint
-            // as the internally built consecutive one.
-            let coal = VirtualGraph::coalesced(&g, k.max(1));
-            let out = run_cpu_virtual(&g, &coal, prog, source, &cpu_opts(3, true, CpuSchedule::Virtual));
-            prop_assert_eq!(
-                &out.values, &seq.values,
-                "{} on coalesced overlay diverged from sequential sweep", prog.name
-            );
         }
     }
 
@@ -209,20 +205,30 @@ proptest! {
     fn cpu_schedules_are_deterministic_across_runs(
         g in arb_hubbed_graph(28, 120),
         src in 0u32..28,
+        k in 1u32..8,
     ) {
         let src = NodeId::new(src % g.num_nodes() as u32);
+        let plain = VirtualGraph::new(&g, k);
+        let coal = VirtualGraph::coalesced(&g, k);
+        let reps = [
+            ("original", Representation::Original(&g)),
+            ("virtual", Representation::Virtual { graph: &g, overlay: &plain }),
+            ("virtual+", Representation::Virtual { graph: &g, overlay: &coal }),
+        ];
         for prog in [MonotoneProgram::SSSP, MonotoneProgram::CC] {
             let source = prog.needs_source().then_some(src);
-            for schedule in [CpuSchedule::EdgeBalanced, CpuSchedule::Virtual] {
-                for frontier in [false, true] {
-                    let o = cpu_opts(4, frontier, schedule);
-                    let first = run_cpu_with(&g, prog, source, &o);
-                    for _ in 0..2 {
-                        let again = run_cpu_with(&g, prog, source, &o);
-                        prop_assert_eq!(
-                            &again.values, &first.values,
-                            "{}/{}/frontier={} nondeterministic", prog.name, schedule.label(), frontier
-                        );
+            for (label, rep) in &reps {
+                for direction in Direction::ALL {
+                    for threads in THREADS {
+                        let first = pool_run(rep, prog, source, direction, true, threads);
+                        for _ in 0..2 {
+                            let again = pool_run(rep, prog, source, direction, true, threads);
+                            prop_assert_eq!(
+                                &again.values, &first.values,
+                                "{}/{}/{}/threads={} nondeterministic",
+                                prog.name, label, direction.label(), threads
+                            );
+                        }
                     }
                 }
             }
@@ -230,13 +236,34 @@ proptest! {
     }
 }
 
-fn cpu_opts(threads: usize, frontier: bool, schedule: CpuSchedule) -> CpuOptions {
-    CpuOptions {
-        threads,
-        frontier,
-        schedule,
-        ..CpuOptions::default()
-    }
+const THREADS: [usize; 3] = [1, 2, 3];
+
+/// The reference: a sequential full sweep over the original CSR — no
+/// simulator, no worklist, no parallelism.
+fn sequential_full_sweep(g: &Csr, prog: MonotoneProgram, source: Option<NodeId>) -> MonotoneOutput {
+    Engine::new(GpuConfig::tiny())
+        .with_backend(BackendKind::Sequential)
+        .with_options(opts(false, FrontierMode::Auto))
+        .run_program(&Representation::Original(g), prog, source)
+        .unwrap()
+}
+
+/// One solo run on the CPU pool.
+fn pool_run(
+    rep: &Representation<'_>,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    direction: Direction,
+    worklist: bool,
+    threads: usize,
+) -> MonotoneOutput {
+    Engine::new(GpuConfig::tiny())
+        .with_backend(BackendKind::CpuPool)
+        .with_direction(direction)
+        .with_options(opts(worklist, FrontierMode::Auto))
+        .with_cpu_options(CpuOptions { threads })
+        .run_program(rep, prog, source)
+        .unwrap()
 }
 
 proptest! {
@@ -246,7 +273,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Plan-matrix differential: every backend × direction × frontier
-    /// mode × CPU schedule × representation must reach exactly the
+    /// mode × CPU thread count × representation must reach exactly the
     /// fixpoint of a sequential push full sweep, and the combinations
     /// the theorems rule out must fail as *typed* plan errors, not
     /// wrong answers.
@@ -269,11 +296,7 @@ proptest! {
             for (label, rep) in &reps {
                 // Reference: a sequential push full sweep — no simulator,
                 // no worklist, no parallelism.
-                let reference = Engine::new(GpuConfig::tiny())
-                    .with_backend(BackendKind::Sequential)
-                    .with_options(opts(false, FrontierMode::Auto))
-                    .run_program(rep, prog, source)
-                    .unwrap();
+                let reference = sequential_full_sweep(&g, prog, source);
 
                 // Warp simulator: direction × frontier mode.
                 for direction in Direction::ALL {
@@ -291,21 +314,17 @@ proptest! {
                     }
                 }
 
-                // CPU pool: direction × schedule. Pull and auto run
-                // through the batched executor's gather side (every
-                // program here has an associative combine, so pull is
-                // licensed on all three representations).
+                // CPU pool: direction × threads, every run a lane of the
+                // batched executor (every program here has an
+                // associative combine, so pull is licensed on all three
+                // representations).
                 for direction in Direction::ALL {
-                    for schedule in CpuSchedule::ALL {
-                        let engine = Engine::new(GpuConfig::tiny())
-                            .with_backend(BackendKind::CpuPool)
-                            .with_direction(direction)
-                            .with_cpu_options(cpu_opts(2, true, schedule));
-                        let out = engine.run_program(rep, prog, source).unwrap();
+                    for threads in THREADS {
+                        let out = pool_run(rep, prog, source, direction, true, threads);
                         prop_assert_eq!(
                             &out.values, &reference.values,
-                            "cpupool/{}/{}/{}/{} diverged",
-                            prog.name, label, direction.label(), schedule.label()
+                            "cpupool/{}/{}/{}/t{} diverged",
+                            prog.name, label, direction.label(), threads
                         );
                     }
                 }

@@ -2,7 +2,7 @@
 //! analytic re-expressed as an advance/filter/compute [`Pipeline`]
 //! must be **byte-equal** to the legacy entry points
 //! (`run_program`/`pagerank`/`betweenness`) across the full
-//! backend × direction × frontier × schedule matrix, and each of the
+//! backend × direction × frontier × thread-count matrix, and each of the
 //! four new workloads (khop, bounded paths, label propagation,
 //! triangle counting) is checked against an independent in-test
 //! oracle rather than against the engine that produced it.
@@ -11,8 +11,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use tigr::engine::{
-    pr, BackendKind, CpuOptions, CpuSchedule, Direction, Engine, EngineError, FrontierMode,
-    MonotoneProgram, Pipeline, PlanError, PrMode, PrOptions, PushOptions, SyncMode,
+    pr, BackendKind, CpuOptions, Direction, Engine, EngineError, FrontierMode, MonotoneProgram,
+    Pipeline, PlanError, PrMode, PrOptions, PushOptions, SyncMode,
 };
 use tigr::{
     udt_transform, Csr, CsrBuilder, DumbWeight, Edge, NodeId, Representation, VirtualGraph,
@@ -39,15 +39,6 @@ fn opts(worklist: bool, frontier: FrontierMode) -> PushOptions {
         sort_frontier_by_degree: false,
         sync: SyncMode::Relaxed,
         max_iterations: 100_000,
-    }
-}
-
-fn cpu_opts(threads: usize, schedule: CpuSchedule) -> CpuOptions {
-    CpuOptions {
-        threads,
-        frontier: true,
-        schedule,
-        ..CpuOptions::default()
     }
 }
 
@@ -158,7 +149,8 @@ fn float_bits(values: &[f32]) -> Vec<u32> {
 proptest! {
     // Each case multiplies out to a few hundred engine runs; a modest
     // case count keeps the suite fast while every backend × direction
-    // × frontier × schedule combination still sees double-digit graphs.
+    // × frontier × thread-count combination still sees double-digit
+    // graphs.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Tentpole pin: the four monotone analytics expressed as operator
@@ -172,10 +164,12 @@ proptest! {
         src in 0u32..22,
     ) {
         let src = NodeId::new(src % g.num_nodes() as u32);
+        let plain = VirtualGraph::new(&g, k);
         let overlay = VirtualGraph::coalesced(&g, k);
         let reps = [
             ("original", Representation::Original(&g)),
-            ("virtual", Representation::Virtual { graph: &g, overlay: &overlay }),
+            ("virtual", Representation::Virtual { graph: &g, overlay: &plain }),
+            ("virtual+", Representation::Virtual { graph: &g, overlay: &overlay }),
         ];
         for prog in PROGRAMS {
             let pipeline = prog.pipeline();
@@ -198,19 +192,19 @@ proptest! {
                         prop_assert_eq!(out.iterations, legacy.directions.len() as u64);
                     }
                 }
-                // CPU pool: direction × schedule.
+                // CPU pool: direction × threads.
                 for direction in Direction::ALL {
-                    for schedule in CpuSchedule::ALL {
+                    for threads in [1, 2, 3] {
                         let engine = Engine::new(GpuConfig::tiny())
                             .with_backend(BackendKind::CpuPool)
                             .with_direction(direction)
-                            .with_cpu_options(cpu_opts(2, schedule));
+                            .with_cpu_options(CpuOptions { threads });
                         let legacy = engine.run_program(rep, prog, source).unwrap();
                         let out = engine.run_pipeline(rep, &pipeline, source).unwrap();
                         prop_assert_eq!(
                             &out.values, &legacy.values,
-                            "cpupool/{}/{}/{}/{} pipeline diverged from run_program",
-                            prog.name, label, direction.label(), schedule.label()
+                            "cpupool/{}/{}/{}/t{} pipeline diverged from run_program",
+                            prog.name, label, direction.label(), threads
                         );
                         prop_assert_eq!(out.converged, legacy.converged);
                     }

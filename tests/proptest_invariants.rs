@@ -4,13 +4,14 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use tigr::core::correctness;
-use tigr::engine::{run_cpu, MonotoneProgram};
+use tigr::core::{correctness, GraphStore, ViewPlan};
+use tigr::engine::batch::{BatchArena, BatchProgram};
+use tigr::engine::{BackendKind, CpuOptions, Direction, MonotoneOutput, MonotoneProgram};
 use tigr::graph::properties as oracle;
 use tigr::graph::reverse::transpose;
 use tigr::{
     circular_transform, clique_transform, star_transform, udt_transform, Csr, CsrBuilder,
-    DumbWeight, Edge, NodeId, VirtualGraph,
+    DumbWeight, Edge, Engine, NodeId, Representation, VirtualGraph,
 };
 
 /// Strategy: an arbitrary weighted directed graph with up to `n` nodes
@@ -43,6 +44,15 @@ fn arb_hubbed_graph(n: usize, m: usize) -> impl Strategy<Value = Csr> {
         b.force_weighted(true);
         b.build()
     })
+}
+
+/// `prog` from `src` on the CPU pool with two workers.
+fn cpu_pool(g: &Csr, prog: MonotoneProgram, src: NodeId) -> MonotoneOutput {
+    Engine::default()
+        .with_backend(BackendKind::CpuPool)
+        .with_cpu_options(CpuOptions { threads: 2 })
+        .run_program(&Representation::Original(g), prog, Some(src))
+        .unwrap()
 }
 
 proptest! {
@@ -144,15 +154,45 @@ proptest! {
     #[test]
     fn cpu_engine_sssp_matches_dijkstra(g in arb_graph(40, 200), src in 0u32..40) {
         let src = NodeId::new(src % g.num_nodes() as u32);
-        let out = run_cpu(&g, MonotoneProgram::SSSP, Some(src), 2);
+        let out = cpu_pool(&g, MonotoneProgram::SSSP, src);
         prop_assert_eq!(out.values, oracle::dijkstra(&g, src));
     }
 
     #[test]
     fn cpu_engine_sswp_matches_widest_path(g in arb_graph(40, 200), src in 0u32..40) {
         let src = NodeId::new(src % g.num_nodes() as u32);
-        let out = run_cpu(&g, MonotoneProgram::SSWP, Some(src), 2);
+        let out = cpu_pool(&g, MonotoneProgram::SSWP, src);
         prop_assert_eq!(out.values, oracle::widest_path(&g, src));
+    }
+
+    /// A solo `CpuPool` run *is* the `K = 1` lane of the pooled batch
+    /// executor, prepared transpose and overlay included.
+    #[test]
+    fn cpu_pool_solo_run_is_its_one_lane_batch(
+        g in arb_graph(40, 200),
+        src in 0u32..40,
+        k in 1u32..8,
+        coalesced in any::<bool>(),
+        direction in 0usize..3,
+        threads in 1usize..4,
+    ) {
+        let src = NodeId::new(src % g.num_nodes() as u32);
+        let plan = ViewPlan { virtual_k: Some(k), coalesced, transpose: true };
+        let prepared = GraphStore::disabled().materialize(g, plan).unwrap();
+        let engine = Engine::default()
+            .with_backend(BackendKind::CpuPool)
+            .with_direction(Direction::ALL[direction])
+            .with_cpu_options(CpuOptions { threads });
+        let solo = engine.run_prepared(&prepared, MonotoneProgram::SSSP, Some(src)).unwrap();
+        let batch = BatchProgram::from_sources(MonotoneProgram::SSSP, [Some(src)]);
+        let lane = engine
+            .run_prepared_batch(&prepared, &batch, &mut BatchArena::new())
+            .unwrap()
+            .lanes
+            .remove(0);
+        prop_assert_eq!(&solo.values, &lane.values);
+        prop_assert_eq!(solo.converged, lane.converged);
+        prop_assert_eq!(solo.cancelled, lane.cancelled);
     }
 
     #[test]
