@@ -1,17 +1,12 @@
 //! The six graph analytics of the paper's evaluation (§6.1): BFS, CC,
 //! SSSP, SSWP, BC, and PR.
 //!
-//! The four monotone analytics are thin wrappers over
-//! [`crate::push::run_monotone`]; PageRank and betweenness centrality
-//! have dedicated multi-kernel drivers.
+//! The four monotone analytics are [`crate::MonotoneProgram`]s run by
+//! [`crate::run_monotone`] (or [`crate::Engine`]); PageRank and
+//! betweenness centrality have dedicated multi-kernel drivers here.
 
 pub mod bc;
-pub mod bfs;
-pub mod cc;
-pub mod dobfs;
 pub mod pr;
-pub mod sssp;
-pub mod sswp;
 
 /// Identifier of one of the paper's six analytics, used by the benchmark
 /// harness to iterate Table 4's rows.

@@ -66,10 +66,11 @@ use crate::frontier::{drain_words, FrontierBuilder};
 use crate::kernel::{
     csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, slice_edges, NoMirror,
 };
-use crate::plan::{Direction, ExecutionPlan};
+use crate::monotone::MonotoneOutput;
+use crate::plan::{Direction, DirectionSwitch, ExecutionPlan};
 use crate::pool::{balanced_cuts, count_bounds, with_pool};
 use crate::program::{InitKind, MonotoneProgram};
-use crate::push::{MonotoneOutput, PushOptions, SyncMode};
+use crate::push::{PushOptions, SyncMode};
 use crate::representation::Representation;
 use crate::state::AtomicValues;
 
@@ -794,8 +795,8 @@ struct LaneCtl {
 /// through the interleaved lane-major value buffer, with the per-sweep
 /// direction chosen by the Beamer α/β density rule over the merged
 /// frontier (when the plan says [`Direction::Auto`] and the
-/// representation licenses a pull side — the same rules as the
-/// simulator's auto driver). The partition follows the representation:
+/// representation licenses a pull side — the same rules as
+/// [`crate::run_monotone`]). The partition follows the representation:
 /// a virtual overlay's degree-bounded nodes are split by count, anything
 /// else by edge-balanced cuts of `row_ptr` (the active list's degree
 /// prefix on worklist sweeps, the transpose's `row_ptr` on pull sweeps).
@@ -831,26 +832,9 @@ pub fn run_batch_cpu_pool(
     }
     let threads = plan.cpu.threads.max(1);
     let worklist = plan.push.worklist;
-
-    // Direction capabilities, mirroring the solo auto driver: pull
-    // needs the whole-node gather (Original) or Theorem 3 associativity
-    // over virtual views; physical splits and on-the-fly mapping have
-    // no CPU gather side.
-    let can_pull = match rep {
-        Representation::Original(_) => true,
-        Representation::Virtual { .. } => prog.associative,
-        Representation::Physical(_) | Representation::OnTheFly { .. } => false,
-    };
-    let forced = match plan.direction {
-        // A forced pull was licensed by plan validation.
-        Direction::Pull => Direction::Pull,
-        Direction::Auto
-            if worklist && plan.push.sync != SyncMode::Bsp && can_pull && plan.auto.alpha > 0.0 =>
-        {
-            Direction::Auto
-        }
-        _ => Direction::Push,
-    };
+    // The solo driver's degrade rules; a forced pull was licensed by
+    // plan validation.
+    let forced = plan.effective_direction(rep, &prog);
 
     // Virtual nodes are the work items when the representation has
     // them: each covers at most K edges, so a count split is already
@@ -937,15 +921,7 @@ pub fn run_batch_cpu_pool(
     let mut degree_prefix: Vec<u64> = Vec::new();
     let mut fwd_prefix: Option<Vec<u64>> = None;
     let mut rev_prefix: Option<Vec<u64>> = None;
-    // Out-edges not yet owned by any merged frontier: the denominator
-    // of the density switch.
-    let mut remaining = g.num_edges() as u64;
-    let out_edges = |nodes: &[u32]| -> u64 {
-        nodes
-            .iter()
-            .map(|&v| g.out_degree(NodeId::new(v)) as u64)
-            .sum()
-    };
+    let mut switch = (forced == Direction::Auto).then(|| DirectionSwitch::new(g, plan.auto));
 
     let body = |w: usize, r: Range<usize>| state.process(w, r);
     with_pool(threads, &body, |pool| {
@@ -979,18 +955,10 @@ pub fn run_batch_cpu_pool(
                 break;
             }
 
-            let dir = match forced {
-                Direction::Auto => {
-                    let frontier_edges = out_edges(union_active);
-                    let pull_now = frontier_edges as f64 * plan.auto.alpha > remaining as f64
-                        && union_active.len() > n.div_ceil(plan.auto.beta.max(1.0) as usize).max(1);
-                    if pull_now {
-                        Direction::Pull
-                    } else {
-                        Direction::Push
-                    }
-                }
-                d => d,
+            let dir = match &switch {
+                Some(switch) if switch.pull_now(union_active, n) => Direction::Pull,
+                Some(_) => Direction::Push,
+                None => forced,
             };
             sweeps += 1;
             for &l in &live_buf {
@@ -1070,8 +1038,8 @@ pub fn run_batch_cpu_pool(
 
             if worklist {
                 state.union_next.drain_into(union_active);
-                if forced == Direction::Auto {
-                    remaining = remaining.saturating_sub(out_edges(union_active));
+                if let Some(switch) = &mut switch {
+                    switch.retire(union_active);
                 }
             }
             for &l in &live_buf {
@@ -1110,8 +1078,24 @@ pub fn run_batch_cpu_pool(
     BatchOutput { lanes, sweeps }
 }
 
-/// The transpose a pull sweep builds when the caller supplied none.
-fn build_transpose(g: &Csr) -> Csr {
+/// A solo `CpuPool` run: the `K = 1` batch of [`run_batch_cpu_pool`],
+/// fed the caller's prebuilt transpose when it holds one (prepared
+/// graphs), so a pull sweep builds none.
+pub(crate) fn run_pool_solo(
+    rep: &Representation<'_>,
+    pull: Option<&Csr>,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    plan: &ExecutionPlan,
+) -> MonotoneOutput {
+    let batch = BatchProgram::solo(prog, source, plan.cancel.clone());
+    let mut out = run_batch_cpu_pool(rep, pull, &batch, plan, &mut BatchArena::new());
+    out.lanes.pop().expect("one lane in, one lane out")
+}
+
+/// The transpose a gather builds when the caller supplied none — every
+/// lazily built transpose in the engine comes from here.
+pub(crate) fn build_transpose(g: &Csr) -> Csr {
     #[cfg(test)]
     tests::TRANSPOSES_BUILT.with(|c| c.set(c.get() + 1));
     transpose(g)
@@ -1120,14 +1104,14 @@ fn build_transpose(g: &Csr) -> Csr {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::backend::{Backend, Sequential};
-    use crate::plan::ExecutionPlan;
+    use crate::plan::BackendKind;
+    use crate::runner::Engine;
     use std::cell::Cell;
     use tigr_graph::generators::{barabasi_albert, with_uniform_weights, BarabasiAlbertConfig};
 
     thread_local! {
-        /// Transposes the pooled executor built on this thread: a
-        /// supplied one must leave it untouched.
+        /// Transposes [`build_transpose`] built on this thread: a run
+        /// handed a prepared one must leave it untouched.
         pub(crate) static TRANSPOSES_BUILT: Cell<usize> = const { Cell::new(0) };
     }
 
@@ -1143,19 +1127,26 @@ pub(crate) mod tests {
         with_uniform_weights(&g, 1, 31, 5)
     }
 
+    /// A solo run of the `Sequential` backend under `options`.
+    fn sequential(
+        rep: &Representation<'_>,
+        prog: MonotoneProgram,
+        source: Option<u32>,
+        options: PushOptions,
+    ) -> MonotoneOutput {
+        Engine::default()
+            .with_backend(BackendKind::Sequential)
+            .with_options(options)
+            .run_program(rep, prog, source.map(NodeId::new))
+            .unwrap()
+    }
+
     fn solo(
         rep: &Representation<'_>,
         prog: MonotoneProgram,
         source: Option<u32>,
     ) -> MonotoneOutput {
-        Sequential
-            .run_monotone(
-                rep,
-                prog,
-                source.map(NodeId::new),
-                &ExecutionPlan::default(),
-            )
-            .unwrap()
+        sequential(rep, prog, source, PushOptions::default())
     }
 
     fn assert_lane_equal(lane: &MonotoneOutput, solo: &MonotoneOutput, label: &str) {
@@ -1229,7 +1220,7 @@ pub(crate) mod tests {
 
     #[test]
     fn parallel_batch_matches_solo_values_across_directions_and_representations() {
-        use crate::plan::{BackendKind, CpuOptions, Direction};
+        use crate::plan::{CpuOptions, Direction};
         let g = fixture();
         let plain = VirtualGraph::new(&g, 4);
         let coalesced = VirtualGraph::coalesced(&g, 4);
@@ -1278,7 +1269,7 @@ pub(crate) mod tests {
 
     #[test]
     fn retain_cap_releases_wide_batch_storage_on_the_next_batch() {
-        use crate::plan::{BackendKind, CpuOptions};
+        use crate::plan::CpuOptions;
         let g = fixture();
         let rep = Representation::Original(&g);
         let n = g.num_nodes();
@@ -1347,10 +1338,6 @@ pub(crate) mod tests {
             max_iterations: 2,
             ..PushOptions::default()
         };
-        let plan = ExecutionPlan {
-            push: options,
-            ..ExecutionPlan::default()
-        };
         let batch = BatchProgram::from_sources(
             MonotoneProgram::SSSP,
             [Some(NodeId::new(0)), Some(NodeId::new(100))],
@@ -1358,9 +1345,7 @@ pub(crate) mod tests {
         let mut arena = BatchArena::new();
         let out = run_batch_sequential_push(&g, &batch, &options, &mut arena);
         for (lane, src) in out.lanes.iter().zip([0u32, 100]) {
-            let reference = Sequential
-                .run_monotone(&rep, MonotoneProgram::SSSP, Some(NodeId::new(src)), &plan)
-                .unwrap();
+            let reference = sequential(&rep, MonotoneProgram::SSSP, Some(src), options);
             assert_lane_equal(lane, &reference, &format!("capped/{src}"));
             assert!(lane.directions.len() <= 2);
         }
@@ -1398,10 +1383,6 @@ pub(crate) mod tests {
             worklist: false,
             ..PushOptions::default()
         };
-        let plan = ExecutionPlan {
-            push: options,
-            ..ExecutionPlan::default()
-        };
         let batch = BatchProgram::from_sources(
             MonotoneProgram::SSSP,
             [Some(NodeId::new(0)), Some(NodeId::new(9))],
@@ -1409,9 +1390,7 @@ pub(crate) mod tests {
         let mut arena = BatchArena::new();
         let out = run_batch_sequential_push(&g, &batch, &options, &mut arena);
         for (lane, src) in out.lanes.iter().zip([0u32, 9]) {
-            let reference = Sequential
-                .run_monotone(&rep, MonotoneProgram::SSSP, Some(NodeId::new(src)), &plan)
-                .unwrap();
+            let reference = sequential(&rep, MonotoneProgram::SSSP, Some(src), options);
             assert_lane_equal(lane, &reference, &format!("dense/{src}"));
         }
     }
@@ -1420,7 +1399,7 @@ pub(crate) mod tests {
     /// independent loop — on every monotone program, relaxed and BSP.
     #[test]
     fn lanes_match_the_simulated_push_engine() {
-        use crate::push::run_monotone;
+        use crate::monotone::run_monotone;
         use tigr_graph::generators::{rmat, RmatConfig};
         use tigr_sim::{GpuConfig, GpuSimulator};
         let unit = rmat(&RmatConfig::graph500(8, 6), 97);
@@ -1441,8 +1420,12 @@ pub(crate) mod tests {
                 (&weighted, MonotoneProgram::SSSP, src),
                 (&weighted, MonotoneProgram::SSWP, src),
             ] {
-                let expect =
-                    run_monotone(&sim, &Representation::Original(g), prog, source, &options);
+                let plan = ExecutionPlan {
+                    push: options,
+                    ..ExecutionPlan::default()
+                };
+                let rep = Representation::Original(g);
+                let expect = run_monotone(&sim, &rep, None, prog, source, &plan).unwrap();
                 let batch = BatchProgram::from_sources(prog, [source, source]);
                 let out = run_batch_sequential_push(g, &batch, &options, &mut BatchArena::new());
                 for lane in &out.lanes {

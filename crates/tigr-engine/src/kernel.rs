@@ -1,8 +1,8 @@
 //! The single edge-relaxation inner loop (§5, Algorithm 2 lines 6–10).
 //!
-//! Every driver in this crate — simulated push ([`crate::push`]),
-//! simulated pull ([`crate::pull`]), the host lane drivers
-//! ([`crate::batch`]), PageRank and betweenness centrality
+//! Every driver in this crate — the monotone driver
+//! ([`crate::run_monotone`]) with its push and pull sweeps, the host lane
+//! drivers ([`crate::batch`]), PageRank and betweenness centrality
 //! ([`crate::algorithms`]) — routes its per-edge work through
 //! [`relax_kernel`]. The loop is parameterized along two axes:
 //!
@@ -16,8 +16,8 @@
 //!
 //! One level up, a [`Launcher`] decides how a whole sweep of such
 //! threads runs: replayed warp by warp on the [`GpuSimulator`], or as a
-//! plain loop ([`HostLoop`]). PageRank and betweenness are written once
-//! over it.
+//! plain loop ([`HostLoop`]). The monotone driver, PageRank and
+//! betweenness are written once over it.
 //!
 //! On top of the raw loop sit the two monotone functor bodies,
 //! [`push_relax`] (scatter: one atomic per improving edge) and
@@ -122,9 +122,10 @@ impl AccessMirror for NoMirror {
 }
 
 /// How a kernel sweep — `body(tid, mirror)` for every `tid` of a grid —
-/// is launched, mirrored and accumulated. The multi-kernel drivers
-/// ([`crate::algorithms::pr`], [`crate::algorithms::bc`]) are generic
-/// over it, so their arithmetic exists once:
+/// is launched, mirrored and accumulated. The drivers
+/// ([`crate::run_monotone`], [`crate::algorithms::pr`],
+/// [`crate::algorithms::bc`]) are generic over it, so their arithmetic
+/// exists once:
 ///
 /// * [`GpuSimulator`] records a [`Lane`] per thread and replays warps —
 ///   the paper's meter. Replay may run on several host threads, so

@@ -1,18 +1,20 @@
 //! Vertex-centric graph-processing engine over the GPU simulator.
 //!
 //! This crate is the paper's "lightweight GPU graph processing engine"
-//! (§5): a push-based BSP driver with active-frontier worklist
-//! scheduling (dense bitmap / sparse compacted list, density-switched —
-//! see [`frontier`]) and synchronization-relaxation optimizations, able
-//! to schedule over four representations
-//! — the original CSR, a physically split graph (`Tigr-UDT`), a virtual
-//! node array (`Tigr-V` / `Tigr-V+`), and dynamic on-the-fly mapping —
-//! plus the six analytics of the evaluation: BFS, CC, SSSP, SSWP, BC,
-//! and PR.
+//! (§5): one monotone driver ([`run_monotone`]) with active-frontier
+//! worklist scheduling (dense bitmap / sparse compacted list,
+//! density-switched — see [`frontier`]), synchronization relaxation, and
+//! a per-iteration push/pull direction choice, able to schedule over
+//! four representations — the original CSR, a physically split graph
+//! (`Tigr-UDT`), a virtual node array (`Tigr-V` / `Tigr-V+`), and dynamic
+//! on-the-fly mapping — plus the six analytics of the evaluation: BFS,
+//! CC, SSSP, SSWP, BC, and PR.
 //!
-//! Everything executes for real on host memory while the
-//! [`tigr_sim`] simulator accounts warp-lockstep timing, coalescing, and
-//! warp efficiency.
+//! Everything executes for real on host memory. Every driver is generic
+//! over a [`Launcher`]: on the [`tigr_sim`] simulator it accounts
+//! warp-lockstep timing, coalescing, and warp efficiency; on
+//! [`HostLoop`] the same bodies run as plain loops. [`Engine`] picks the
+//! executor from the plan's [`BackendKind`].
 //!
 //! # Example
 //!
@@ -41,10 +43,10 @@
 
 pub mod addr;
 pub mod algorithms;
-pub mod backend;
 pub mod batch;
 pub mod frontier;
 pub mod kernel;
+mod monotone;
 pub mod operators;
 pub mod plan;
 mod pool;
@@ -56,10 +58,8 @@ mod runner;
 mod state;
 
 pub use algorithms::bc::{self, BcOutput};
-pub use algorithms::dobfs::{self, DoBfsOptions, DoBfsOutput};
 pub use algorithms::pr::{self, PrMode, PrOptions, PrOutput};
-pub use algorithms::{bfs, cc, sssp, sswp, Analytic};
-pub use backend::{Backend, CpuPool, Sequential, WarpSim};
+pub use algorithms::Analytic;
 pub use batch::{
     run_batch_cpu_pool, run_batch_sequential_push, BatchArena, BatchLane, BatchOutput, BatchProgram,
 };
@@ -68,6 +68,7 @@ pub use kernel::{
     csr_edges, pull_gather, push_relax, relax_kernel, slice_edges, walk_segments, AccessMirror,
     EdgeFlow, EdgeRef, GatherFilter, HostLoop, Launcher, NoMirror,
 };
+pub use monotone::{run_monotone, MonotoneOutput, PullSide};
 pub use operators::{
     AdvanceRelax, AdvanceSpace, Algo, ComputeStep, GraphOperator, OperatorCaps, Pipeline,
     PipelineOutput, PipelineSpecError,
@@ -76,8 +77,7 @@ pub use plan::{
     default_threads, AutoOptions, BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError,
 };
 pub use program::{EdgeOp, InitKind, MonotoneProgram};
-pub use pull::{run_monotone_pull, run_monotone_pull_cancellable, PullOptions};
-pub use push::{run_monotone, run_monotone_cancellable, MonotoneOutput, PushOptions, SyncMode};
+pub use push::{PushOptions, SyncMode};
 pub use representation::Representation;
 pub use runner::{Engine, EngineError};
 pub use state::{AtomicFloats, AtomicValues, Combine, Fold, KeepMax, KeepMin, ValueCells};

@@ -2,9 +2,9 @@
 //! against the paper's correctness theorems before anything runs.
 //!
 //! A [`ExecutionPlan`] is assembled by [`crate::Engine`]'s builder
-//! methods (or literally) and handed to a [`crate::backend::Backend`].
-//! Validation encodes what the paper proves rather than what a comment
-//! promises:
+//! methods (or literally) and handed to [`crate::run_monotone`] or one of
+//! the host executors in [`crate::batch`]. Validation encodes what the
+//! paper proves rather than what a comment promises:
 //!
 //! * **Theorem 3** — pull/gather over a split (virtual or on-the-fly)
 //!   representation partitions a node's in-edge fold across threads, so
@@ -18,13 +18,12 @@
 use std::fmt;
 
 use tigr_core::CancelToken;
+use tigr_graph::{Csr, NodeId};
 
 use crate::operators::Pipeline;
 use crate::program::MonotoneProgram;
-use crate::push::PushOptions;
+use crate::push::{PushOptions, SyncMode};
 use crate::representation::Representation;
-
-use tigr_graph::NodeId;
 
 /// Traversal direction of a plan: which side of each edge does the work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -89,6 +88,48 @@ impl Default for AutoOptions {
     }
 }
 
+/// Beamer's α/β density switch over a forward graph, with its
+/// bookkeeping: the out-edges no frontier has owned yet. The one rule
+/// every [`Direction::Auto`] driver consults before each sweep.
+pub(crate) struct DirectionSwitch<'a> {
+    graph: &'a Csr,
+    auto: AutoOptions,
+    /// Out-edges not yet owned by any frontier: the denominator of the
+    /// switch.
+    remaining: u64,
+}
+
+impl<'a> DirectionSwitch<'a> {
+    /// A switch over `graph` before its first sweep.
+    pub(crate) fn new(graph: &'a Csr, auto: AutoOptions) -> Self {
+        DirectionSwitch {
+            graph,
+            auto,
+            remaining: graph.num_edges() as u64,
+        }
+    }
+
+    fn out_edges(&self, nodes: &[u32]) -> u64 {
+        nodes
+            .iter()
+            .map(|&v| self.graph.out_degree(NodeId::new(v)) as u64)
+            .sum()
+    }
+
+    /// Whether the sweep over `frontier` (of `n` value slots) gathers:
+    /// its out-edges outweigh `1 / alpha` of the remaining ones, and it
+    /// spans more than `n / beta` nodes.
+    pub(crate) fn pull_now(&self, frontier: &[u32], n: usize) -> bool {
+        self.out_edges(frontier) as f64 * self.auto.alpha > self.remaining as f64
+            && frontier.len() > n.div_ceil(self.auto.beta.max(1.0) as usize).max(1)
+    }
+
+    /// Retires the out-edges of the frontier the last sweep produced.
+    pub(crate) fn retire(&mut self, next: &[u32]) {
+        self.remaining = self.remaining.saturating_sub(self.out_edges(next));
+    }
+}
+
 /// Which executor runs the plan. The simulator is the paper's meter and
 /// only `WarpSim` touches it: the other two construct no
 /// [`tigr_sim::Lane`] for any pipeline body.
@@ -104,7 +145,12 @@ pub enum BackendKind {
     /// accumulation order and run as the sequential host loop.)
     CpuPool,
     /// Single-threaded deterministic sweeps: the differential-testing
-    /// reference, and the plan the server runs.
+    /// reference, and the plan the server runs. Push and auto run the
+    /// host lane driver's push schedule (auto's fixpoint is push's); pull
+    /// runs [`crate::run_monotone`] on [`crate::HostLoop`] over the same
+    /// transpose view the simulator gathers over, so it equals a
+    /// `WarpSim` pull run on a sequential simulator ([`crate::Engine::new`])
+    /// in everything but the (empty) report.
     Sequential,
 }
 
@@ -180,8 +226,8 @@ pub struct ExecutionPlan {
 
 impl ExecutionPlan {
     /// Checks the plan against `rep` and `prog` per the paper's
-    /// theorems. Called by every backend before launching; exposed so
-    /// callers can validate eagerly.
+    /// theorems. Called by every entry point before launching; exposed
+    /// so callers can validate eagerly.
     pub fn validate(
         &self,
         rep: &Representation<'_>,
@@ -205,6 +251,36 @@ impl ExecutionPlan {
             Direction::Push | Direction::Auto => {}
         }
         Ok(())
+    }
+
+    /// The direction a run of `prog` over `rep` takes, after the degrade
+    /// rules: a forced pull stays pull (validation licensed it), and auto
+    /// runs push when the hybrid has nothing to optimize or the theorems
+    /// license no pull side — no worklist, BSP double buffering, a
+    /// physical split or on-the-fly mapping, a non-associative program
+    /// over a virtual view (Theorem 3), or `alpha <= 0`.
+    pub(crate) fn effective_direction(
+        &self,
+        rep: &Representation<'_>,
+        prog: &MonotoneProgram,
+    ) -> Direction {
+        let can_pull = match rep {
+            Representation::Original(_) => true,
+            Representation::Virtual { .. } => prog.associative,
+            Representation::Physical(_) | Representation::OnTheFly { .. } => false,
+        };
+        match self.direction {
+            Direction::Pull => Direction::Pull,
+            Direction::Auto
+                if self.push.worklist
+                    && self.push.sync != SyncMode::Bsp
+                    && can_pull
+                    && self.auto.alpha > 0.0 =>
+            {
+                Direction::Auto
+            }
+            _ => Direction::Push,
+        }
     }
 
     /// Checks the plan against a [`Pipeline`]'s typed operator
@@ -255,13 +331,6 @@ pub enum PlanError {
         /// Name of the offending program.
         program: &'static str,
     },
-    /// The chosen backend has no pull path. No built-in backend
-    /// triggers this today (the CPU pool gained a pull side with the
-    /// batched executor); retained for future backends.
-    PullUnsupportedOnBackend {
-        /// Label of the backend that cannot pull.
-        backend: &'static str,
-    },
     /// The pipeline needs a source node and none was supplied.
     MissingSource {
         /// Name of the offending pipeline.
@@ -297,9 +366,6 @@ impl fmt::Display for PlanError {
                  fold across threads; Theorem 3 requires an associative combine, which \
                  program `{program}` does not provide"
             ),
-            PlanError::PullUnsupportedOnBackend { backend } => {
-                write!(f, "backend `{backend}` has no pull execution path")
-            }
             PlanError::MissingSource { pipeline } => {
                 write!(f, "pipeline `{pipeline}` requires a source node")
             }

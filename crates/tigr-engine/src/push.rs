@@ -1,7 +1,9 @@
-//! Push-based BSP iteration driver (Figure 2, Algorithm 2, Algorithm 3).
+//! The push (scatter) sweep shapes of the monotone driver (Figure 2,
+//! Algorithm 2, Algorithm 3), and the options that configure them.
 //!
-//! The driver runs a [`MonotoneProgram`] over any [`Representation`] on
-//! the simulated GPU, with the two engine optimizations of §5:
+//! [`crate::run_monotone`] launches one of these per push iteration, on
+//! any [`Launcher`], over any [`Representation`], with the two engine
+//! optimizations of §5:
 //!
 //! * **worklist** — only active nodes are processed per iteration;
 //! * **synchronization relaxation** — values written in the current
@@ -12,14 +14,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use tigr_core::{CancelToken, EdgeCursor};
+use tigr_core::EdgeCursor;
 use tigr_graph::{Csr, NodeId};
-use tigr_sim::{GpuSimulator, KernelMetrics, Lane, SimReport};
+use tigr_sim::KernelMetrics;
 
 use crate::addr::{frontier_addr, frontier_bit_addr, row_ptr_addr, value_addr, FLAG_ADDR};
 use crate::frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep};
-use crate::kernel::{csr_edges, push_relax, walk_segments};
-use crate::plan::Direction;
+use crate::kernel::{csr_edges, push_relax, walk_segments, AccessMirror, Launcher};
 use crate::program::MonotoneProgram;
 use crate::representation::Representation;
 use crate::state::AtomicValues;
@@ -70,31 +71,6 @@ impl Default for PushOptions {
     }
 }
 
-/// Result of a monotone push run.
-#[derive(Clone, Debug)]
-pub struct MonotoneOutput {
-    /// Final per-slot values (length = `rep.num_value_slots()`). For
-    /// physical representations, project with
-    /// [`tigr_core::TransformedGraph::project_values`].
-    pub values: Vec<u32>,
-    /// Per-iteration simulator metrics.
-    pub report: SimReport,
-    /// `false` if the run hit `max_iterations` before converging.
-    pub converged: bool,
-    /// Total edges whose relaxation was attempted across all iterations
-    /// — the work-efficiency metric frontier scheduling reduces.
-    pub edges_touched: u64,
-    /// Direction each iteration ran in (same length as the report's
-    /// iterations). All `Push` here; the `Auto` plan driver mixes pull
-    /// iterations in.
-    pub directions: Vec<Direction>,
-    /// `true` if a [`CancelToken`] fired at an iteration boundary before
-    /// the run converged. The values then hold the consistent monotone
-    /// prefix reached so far (never a torn write), and `converged` is
-    /// `false`.
-    pub cancelled: bool,
-}
-
 /// Shared per-iteration state threaded through the kernels.
 pub(crate) struct IterCtx<'a> {
     pub(crate) graph: &'a Csr,
@@ -110,10 +86,10 @@ pub(crate) struct IterCtx<'a> {
 /// Scatter body shared by every representation: reads the slot's value
 /// and routes its edge range through the [`crate::kernel`] relax loop
 /// (Algorithm 2 lines 3, 6–10; Algorithm 3 for strided cursors), with
-/// each memory access mirrored onto the simulator lane.
+/// each memory access mirrored onto the launcher's lane.
 #[inline]
-fn process_slot(
-    lane: &mut Lane,
+fn process_slot<M: AccessMirror>(
+    lane: &mut M,
     ctx: &IterCtx<'_>,
     slot: usize,
     edges: impl Iterator<Item = usize>,
@@ -146,27 +122,27 @@ fn process_slot(
 }
 
 /// One full (non-worklist) sweep over all nodes of the representation.
-pub(crate) fn full_sweep(
-    sim: &GpuSimulator,
+pub(crate) fn full_sweep<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     ctx: &IterCtx<'_>,
 ) -> KernelMetrics {
     match rep {
-        Representation::Original(g) => sim.launch(g.num_nodes(), |tid, lane| {
+        Representation::Original(g) => launcher.launch(g.num_nodes(), |tid, lane| {
             lane.load(row_ptr_addr(tid), 8);
             let v = NodeId::from_index(tid);
             process_slot(lane, ctx, tid, g.edge_start(v)..g.edge_end(v));
         }),
         Representation::Physical(t) => {
             let g = t.graph();
-            sim.launch(g.num_nodes(), |tid, lane| {
+            launcher.launch(g.num_nodes(), |tid, lane| {
                 lane.load(row_ptr_addr(tid), 8);
                 let v = NodeId::from_index(tid);
                 process_slot(lane, ctx, tid, g.edge_start(v)..g.edge_end(v));
             })
         }
         Representation::Virtual { overlay, .. } => {
-            sim.launch(overlay.num_virtual_nodes(), |tid, lane| {
+            launcher.launch(overlay.num_virtual_nodes(), |tid, lane| {
                 // nodeId = virtualNodes[tid].physicalNodeId (Alg. 2 line 2).
                 lane.load(crate::addr::vnode_addr(tid), 8);
                 let vn = overlay.vnode(tid);
@@ -174,7 +150,7 @@ pub(crate) fn full_sweep(
             })
         }
         Representation::OnTheFly { graph, mapper } => {
-            sim.launch(mapper.num_threads(), |tid, lane| {
+            launcher.launch(mapper.num_threads(), |tid, lane| {
                 otf_block(lane, ctx, graph, mapper, tid);
             })
         }
@@ -183,8 +159,8 @@ pub(crate) fn full_sweep(
 
 /// Dynamic-mapping kernel: thread `tid` resolves its edge block and
 /// walks it segment by segment through the shared relax loop.
-fn otf_block(
-    lane: &mut Lane,
+fn otf_block<M: AccessMirror>(
+    lane: &mut M,
     ctx: &IterCtx<'_>,
     graph: &Csr,
     mapper: &tigr_core::OnTheFlyMapper,
@@ -207,27 +183,27 @@ fn otf_block(
 /// frontier's representation: sparse launches one thread per active
 /// (virtual) node off the compacted list; dense launches one thread per
 /// (virtual) node, each exiting after a bitmap-word load when inactive.
-pub(crate) fn worklist_sweep(
-    sim: &GpuSimulator,
+pub(crate) fn worklist_sweep<L: Launcher>(
+    launcher: &L,
     rep: &Representation<'_>,
     ctx: &IterCtx<'_>,
     frontier: &Frontier,
 ) -> KernelMetrics {
     match rep {
-        Representation::Original(g) => sweep_csr(sim, g, ctx, frontier),
-        Representation::Physical(t) => sweep_csr(sim, t.graph(), ctx, frontier),
+        Representation::Original(g) => sweep_csr(launcher, g, ctx, frontier),
+        Representation::Physical(t) => sweep_csr(launcher, t.graph(), ctx, frontier),
         Representation::Virtual { overlay, .. } => match frontier.rep() {
             FrontierRep::Sparse => {
                 // Expand active physical nodes into their virtual
                 // families and charge the compaction pass that a GPU
                 // implementation pays.
                 let active = overlay.expand_active(frontier.nodes());
-                let mut metrics = sim.launch(frontier.len(), |tid, lane| {
+                let mut metrics = launcher.launch(frontier.len(), |tid, lane| {
                     lane.load(frontier_addr(tid), 4);
                     lane.compute(2);
                     lane.store(frontier_addr(tid), 4);
                 });
-                let work = sim.launch(active.len(), |tid, lane| {
+                let work = launcher.launch(active.len(), |tid, lane| {
                     let vid = active[tid] as usize;
                     lane.load(frontier_addr(tid), 4);
                     lane.load(crate::addr::vnode_addr(vid), 8);
@@ -237,7 +213,7 @@ pub(crate) fn worklist_sweep(
                 metrics.merge(&work);
                 metrics
             }
-            FrontierRep::Dense => sim.launch(overlay.num_virtual_nodes(), |tid, lane| {
+            FrontierRep::Dense => launcher.launch(overlay.num_virtual_nodes(), |tid, lane| {
                 // No expansion or compaction: every virtual node checks
                 // its physical node's bit and exits when inactive.
                 lane.load(crate::addr::vnode_addr(tid), 8);
@@ -251,24 +227,29 @@ pub(crate) fn worklist_sweep(
         Representation::OnTheFly { .. } => {
             // Dynamic mapping has no stored node identity to enqueue on:
             // fall back to full sweeps (documented limitation).
-            full_sweep(sim, rep, ctx)
+            full_sweep(launcher, rep, ctx)
         }
     }
 }
 
 /// Worklist sweep over a plain CSR (original or physically split).
-fn sweep_csr(sim: &GpuSimulator, g: &Csr, ctx: &IterCtx<'_>, frontier: &Frontier) -> KernelMetrics {
+fn sweep_csr<L: Launcher>(
+    launcher: &L,
+    g: &Csr,
+    ctx: &IterCtx<'_>,
+    frontier: &Frontier,
+) -> KernelMetrics {
     match frontier.rep() {
         FrontierRep::Sparse => {
             let nodes = frontier.nodes();
-            sim.launch(nodes.len(), |tid, lane| {
+            launcher.launch(nodes.len(), |tid, lane| {
                 lane.load(frontier_addr(tid), 4);
                 let v = NodeId::new(nodes[tid]);
                 lane.load(row_ptr_addr(v.index()), 8);
                 process_slot(lane, ctx, v.index(), g.edge_start(v)..g.edge_end(v));
             })
         }
-        FrontierRep::Dense => sim.launch(g.num_nodes(), |tid, lane| {
+        FrontierRep::Dense => launcher.launch(g.num_nodes(), |tid, lane| {
             lane.load(frontier_bit_addr(tid), 4);
             if frontier.contains(tid) {
                 let v = NodeId::from_index(tid);
@@ -279,121 +260,17 @@ fn sweep_csr(sim: &GpuSimulator, g: &Csr, ctx: &IterCtx<'_>, frontier: &Frontier
     }
 }
 
-/// Runs `prog` over `rep` to convergence.
-///
-/// # Panics
-///
-/// Panics if the program needs a source and none is given, or the source
-/// is out of range for the representation's value slots.
-pub fn run_monotone(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &PushOptions,
-) -> MonotoneOutput {
-    run_monotone_cancellable(sim, rep, prog, source, options, &CancelToken::never())
-}
-
-/// [`run_monotone`] with a cooperative cancellation hook: `cancel` is
-/// polled once per BSP iteration, before the sweep launches, so a fired
-/// token stops the run at the last completed iteration — the values are
-/// the consistent monotone prefix reached so far.
-///
-/// # Panics
-///
-/// See [`run_monotone`].
-pub fn run_monotone_cancellable(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &PushOptions,
-    cancel: &CancelToken,
-) -> MonotoneOutput {
-    let n = rep.num_value_slots();
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let mut report = SimReport::new();
-    let mut converged = false;
-    let edges_touched = AtomicU64::new(0);
-
-    let next = options.worklist.then(|| FrontierBuilder::new(n));
-    let mut frontier = Frontier::from_active(n, prog.initial_frontier(n, source), options.frontier);
-    let mut prev_snapshot: Option<Vec<u32>> = match options.sync {
-        SyncMode::Bsp => Some(values.snapshot()),
-        SyncMode::Relaxed => None,
-    };
-
-    let mut cancelled = false;
-    for _ in 0..options.max_iterations {
-        if options.worklist && frontier.is_empty() {
-            converged = true;
-            break;
-        }
-        if cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        let changed = AtomicBool::new(false);
-        let ctx = IterCtx {
-            graph: rep.graph(),
-            prog,
-            values: &values,
-            prev: prev_snapshot.as_deref(),
-            changed: &changed,
-            next_frontier: next.as_ref(),
-            edges_touched: &edges_touched,
-        };
-        let threads = if options.worklist {
-            match frontier.rep() {
-                FrontierRep::Sparse => frontier.len(),
-                FrontierRep::Dense => rep.full_threads(),
-            }
-        } else {
-            rep.full_threads()
-        };
-        let metrics = if options.worklist {
-            worklist_sweep(sim, rep, &ctx, &frontier)
-        } else {
-            full_sweep(sim, rep, &ctx)
-        };
-        report.push(threads, metrics);
-
-        if let Some(next) = &next {
-            frontier = next.take(options.frontier);
-            if options.sort_frontier_by_degree {
-                // Batch similar degrees into the same warps; ties broken
-                // by id for determinism.
-                frontier.sort_by_degree(rep.graph());
-            }
-        }
-        if !changed.load(Ordering::Relaxed) {
-            converged = true;
-            break;
-        }
-        if let Some(prev) = &mut prev_snapshot {
-            *prev = values.snapshot();
-        }
-    }
-
-    let directions = vec![Direction::Push; report.num_iterations()];
-    MonotoneOutput {
-        values: values.snapshot(),
-        report,
-        converged,
-        edges_touched: edges_touched.into_inner(),
-        directions,
-        cancelled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tigr_core::{udt_transform, DumbWeight, OnTheFlyMapper, VirtualGraph};
+    use crate::monotone::{run_monotone, MonotoneOutput};
+    use crate::plan::ExecutionPlan;
+    use tigr_core::{
+        circular_transform, star_transform, udt_transform, DumbWeight, OnTheFlyMapper, VirtualGraph,
+    };
     use tigr_graph::generators::{barabasi_albert, with_uniform_weights, BarabasiAlbertConfig};
-    use tigr_graph::properties::dijkstra;
-    use tigr_sim::GpuConfig;
+    use tigr_graph::properties::{dijkstra, widest_path};
+    use tigr_sim::{GpuConfig, GpuSimulator};
 
     fn fixture() -> Csr {
         let g = barabasi_albert(
@@ -407,8 +284,19 @@ mod tests {
         with_uniform_weights(&g, 1, 32, 2)
     }
 
-    fn sim() -> GpuSimulator {
-        GpuSimulator::new(GpuConfig::default())
+    /// A push run on a fresh sequential simulator.
+    fn run(
+        rep: &Representation<'_>,
+        prog: MonotoneProgram,
+        source: Option<NodeId>,
+        options: &PushOptions,
+    ) -> MonotoneOutput {
+        let sim = GpuSimulator::new(GpuConfig::default());
+        let plan = ExecutionPlan {
+            push: *options,
+            ..ExecutionPlan::default()
+        };
+        run_monotone(&sim, rep, None, prog, source, &plan).unwrap()
     }
 
     fn opts(worklist: bool, sync: SyncMode) -> PushOptions {
@@ -423,19 +311,23 @@ mod tests {
 
     #[test]
     fn sssp_on_original_matches_dijkstra_all_modes() {
-        let g = fixture();
-        let expect = dijkstra(&g, NodeId::new(0));
-        for worklist in [false, true] {
-            for sync in [SyncMode::Relaxed, SyncMode::Bsp] {
-                let out = run_monotone(
-                    &sim(),
-                    &Representation::Original(&g),
-                    MonotoneProgram::SSSP,
-                    Some(NodeId::new(0)),
-                    &opts(worklist, sync),
-                );
-                assert!(out.converged);
-                assert_eq!(out.values, expect, "worklist={worklist} sync={sync:?}");
+        // The second graph leaves two nodes unreachable: they stay at ∞.
+        let unreachable = tigr_graph::CsrBuilder::new(4)
+            .weighted_edge(0, 1, 3)
+            .build();
+        for g in [fixture(), unreachable] {
+            let expect = dijkstra(&g, NodeId::new(0));
+            for worklist in [false, true] {
+                for sync in [SyncMode::Relaxed, SyncMode::Bsp] {
+                    let out = run(
+                        &Representation::Original(&g),
+                        MonotoneProgram::SSSP,
+                        Some(NodeId::new(0)),
+                        &opts(worklist, sync),
+                    );
+                    assert!(out.converged);
+                    assert_eq!(out.values, expect, "worklist={worklist} sync={sync:?}");
+                }
             }
         }
     }
@@ -446,8 +338,7 @@ mod tests {
         let expect = dijkstra(&g, NodeId::new(0));
         for overlay in [VirtualGraph::new(&g, 4), VirtualGraph::coalesced(&g, 4)] {
             for worklist in [false, true] {
-                let out = run_monotone(
-                    &sim(),
+                let out = run(
                     &Representation::Virtual {
                         graph: &g,
                         overlay: &overlay,
@@ -463,28 +354,31 @@ mod tests {
     }
 
     #[test]
-    fn sssp_on_physical_udt_matches_dijkstra() {
+    fn sssp_on_physical_splits_matches_dijkstra() {
         let g = fixture();
         let expect = dijkstra(&g, NodeId::new(0));
-        let t = udt_transform(&g, 4, DumbWeight::Zero);
-        assert!(t.num_split_nodes() > 0);
-        let out = run_monotone(
-            &sim(),
-            &Representation::Physical(&t),
-            MonotoneProgram::SSSP,
-            Some(NodeId::new(0)),
-            &opts(true, SyncMode::Relaxed),
-        );
-        assert!(out.converged);
-        assert_eq!(t.project_values(&out.values), expect);
+        for t in [
+            udt_transform(&g, 4, DumbWeight::Zero),
+            star_transform(&g, 4, DumbWeight::Zero),
+            circular_transform(&g, 4, DumbWeight::Zero),
+        ] {
+            assert!(t.num_split_nodes() > 0);
+            let out = run(
+                &Representation::Physical(&t),
+                MonotoneProgram::SSSP,
+                Some(NodeId::new(0)),
+                &opts(true, SyncMode::Relaxed),
+            );
+            assert!(out.converged);
+            assert_eq!(t.project_values(&out.values), expect, "{}", t.topology());
+        }
     }
 
     #[test]
     fn sssp_on_the_fly_matches_dijkstra() {
         let g = fixture();
         let expect = dijkstra(&g, NodeId::new(0));
-        let out = run_monotone(
-            &sim(),
+        let out = run(
             &Representation::OnTheFly {
                 graph: &g,
                 mapper: OnTheFlyMapper::new(&g, 4),
@@ -507,7 +401,7 @@ mod tests {
         let overlay = VirtualGraph::new(&g, 3);
         let o = opts(false, SyncMode::Bsp);
         let run = |rep: &Representation<'_>| {
-            run_monotone(&sim(), rep, MonotoneProgram::SSSP, Some(NodeId::new(0)), &o)
+            run(rep, MonotoneProgram::SSSP, Some(NodeId::new(0)), &o)
                 .report
                 .num_iterations()
         };
@@ -529,15 +423,13 @@ mod tests {
         let g = fixture();
         let overlay = VirtualGraph::new(&g, 4);
         let o = opts(false, SyncMode::Bsp);
-        let orig = run_monotone(
-            &sim(),
+        let orig = run(
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
             &o,
         );
-        let virt = run_monotone(
-            &sim(),
+        let virt = run(
             &Representation::Virtual {
                 graph: &g,
                 overlay: &overlay,
@@ -559,15 +451,13 @@ mod tests {
         let g = fixture();
         let o_full = opts(false, SyncMode::Relaxed);
         let o_wl = opts(true, SyncMode::Relaxed);
-        let full = run_monotone(
-            &sim(),
+        let full = run(
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
             &o_full,
         );
-        let wl = run_monotone(
-            &sim(),
+        let wl = run(
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
@@ -585,8 +475,7 @@ mod tests {
     fn cc_labels_match_components() {
         let g = fixture(); // symmetric -> weak components meaningful
         let expect = tigr_graph::properties::connected_components(&g);
-        let out = run_monotone(
-            &sim(),
+        let out = run(
             &Representation::Original(&g),
             MonotoneProgram::CC,
             None,
@@ -596,40 +485,87 @@ mod tests {
     }
 
     #[test]
-    fn sswp_matches_oracle_on_virtual() {
+    fn sswp_matches_oracle_on_every_representation() {
         let g = fixture();
-        let expect = tigr_graph::properties::widest_path(&g, NodeId::new(0));
+        let src = Some(NodeId::new(0));
+        let expect = widest_path(&g, NodeId::new(0));
         let overlay = VirtualGraph::coalesced(&g, 4);
-        let out = run_monotone(
-            &sim(),
-            &Representation::Virtual {
+        let options = opts(true, SyncMode::Relaxed);
+        for rep in [
+            Representation::Original(&g),
+            Representation::Virtual {
                 graph: &g,
                 overlay: &overlay,
             },
+        ] {
+            let out = run(&rep, MonotoneProgram::SSWP, src, &options);
+            assert_eq!(out.values, expect, "{}", rep.label());
+        }
+        // Physical splits need infinite dumb weights (Corollary 3); zero
+        // ones tighten the bottleneck of every split path.
+        let sound = udt_transform(&g, 4, DumbWeight::Infinity);
+        let out = run(
+            &Representation::Physical(&sound),
             MonotoneProgram::SSWP,
-            Some(NodeId::new(0)),
-            &opts(true, SyncMode::Relaxed),
+            src,
+            &options,
         );
-        assert_eq!(out.values, expect);
+        assert_eq!(sound.project_values(&out.values), expect);
+        let unsound = udt_transform(&g, 4, DumbWeight::Zero);
+        let out = run(
+            &Representation::Physical(&unsound),
+            MonotoneProgram::SSWP,
+            src,
+            &options,
+        );
+        assert_ne!(unsound.project_values(&out.values), expect);
     }
 
     #[test]
-    fn bfs_levels_match_oracle() {
-        let g = fixture();
-        let expect: Vec<u32> = tigr_graph::properties::bfs_levels(&g, NodeId::new(5))
+    fn bfs_levels_match_oracle_on_every_representation() {
+        let g = fixture().without_weights();
+        let src = NodeId::new(5);
+        let expect: Vec<u32> = tigr_graph::properties::bfs_levels(&g, src)
             .into_iter()
             .map(|l| if l == usize::MAX { u32::MAX } else { l as u32 })
             .collect();
-        // BFS ignores weights: run on the unweighted topology.
-        let unweighted = g.without_weights();
-        let out = run_monotone(
-            &sim(),
-            &Representation::Original(&unweighted),
+        let options = opts(true, SyncMode::Relaxed);
+        let overlay = VirtualGraph::coalesced(&g, 10);
+        for rep in [
+            Representation::Original(&g),
+            Representation::Virtual {
+                graph: &g,
+                overlay: &overlay,
+            },
+        ] {
+            let out = run(&rep, MonotoneProgram::BFS, Some(src), &options);
+            assert_eq!(out.values, expect, "{}", rep.label());
+        }
+        // Physical: unit weights + zero dumb weights preserve levels.
+        let t = udt_transform(&g.with_weights_from(|_| 1), 4, DumbWeight::Zero);
+        let out = run(
+            &Representation::Physical(&t),
             MonotoneProgram::BFS,
-            Some(NodeId::new(5)),
-            &opts(true, SyncMode::Relaxed),
+            Some(src),
+            &options,
         );
-        assert_eq!(out.values, expect);
+        assert_eq!(t.project_values(&out.values), expect);
+    }
+
+    #[test]
+    fn bfs_iterations_track_eccentricity_with_worklist() {
+        // With a worklist the frontier advances exactly one level per
+        // iteration, plus the final iteration that improves nothing.
+        let g = tigr_graph::generators::grid_2d(5, 5);
+        let src = NodeId::new(0);
+        let out = run(
+            &Representation::Original(&g),
+            MonotoneProgram::BFS,
+            Some(src),
+            &PushOptions::default(),
+        );
+        let ecc = tigr_graph::stats::eccentricity(&g, src);
+        assert_eq!(out.report.num_iterations(), ecc + 1);
     }
 
     #[test]
@@ -640,8 +576,7 @@ mod tests {
         let g = fixture();
         let src = NodeId::new(0);
         let run = |sort: bool| {
-            run_monotone(
-                &sim(),
+            run(
                 &Representation::Original(&g),
                 MonotoneProgram::SSSP,
                 Some(src),
@@ -670,8 +605,7 @@ mod tests {
     #[test]
     fn max_iterations_caps_run() {
         let g = fixture();
-        let out = run_monotone(
-            &sim(),
+        let out = run(
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
@@ -692,8 +626,7 @@ mod tests {
         let g = fixture();
         let src = NodeId::new(0);
         let run = |worklist: bool, mode: FrontierMode| {
-            run_monotone(
-                &sim(),
+            run(
                 &Representation::Original(&g),
                 MonotoneProgram::SSSP,
                 Some(src),
@@ -729,8 +662,7 @@ mod tests {
         let expect = dijkstra(&g, src);
         for overlay in [VirtualGraph::new(&g, 4), VirtualGraph::coalesced(&g, 4)] {
             for mode in [FrontierMode::Dense, FrontierMode::Sparse] {
-                let out = run_monotone(
-                    &sim(),
+                let out = run(
                     &Representation::Virtual {
                         graph: &g,
                         overlay: &overlay,
@@ -756,8 +688,7 @@ mod tests {
     #[test]
     fn full_sweep_counts_every_edge_every_iteration() {
         let g = fixture();
-        let out = run_monotone(
-            &sim(),
+        let out = run(
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
@@ -777,8 +708,7 @@ mod tests {
         let coal = VirtualGraph::coalesced(&g, 10);
         let o = opts(false, SyncMode::Bsp);
         let run = |ov: &VirtualGraph| {
-            run_monotone(
-                &sim(),
+            run(
                 &Representation::Virtual {
                     graph: &g,
                     overlay: ov,

@@ -1,26 +1,25 @@
 //! The engine facade: a builder assembling an [`ExecutionPlan`],
 //! device-memory checks, and one-call runs of each analytic.
 
+use std::cell::OnceCell;
 use std::error::Error as StdError;
 use std::fmt;
 
+use tigr_core::{CancelToken, PreparedGraph};
 use tigr_graph::NodeId;
 use tigr_sim::{DeviceMemory, GpuConfig, GpuSimulator, OutOfMemory};
 
-use tigr_graph::Csr;
-
-use tigr_core::{CancelToken, PreparedGraph};
-
 use crate::algorithms::{bc, pr};
-use crate::backend::{run_pool_solo, run_sim_plan, Backend, PullSide, Sequential};
+use crate::batch::{build_transpose, run_pool_solo, run_solo_sequential_push};
 use crate::frontier::FrontierMode;
 use crate::kernel::HostLoop;
+use crate::monotone::{pull_view, run_monotone, MonotoneOutput, PullSide};
 use crate::operators::{
     mask_above, predecessors, triangle_counts, ComputeStep, Pipeline, PipelineBody, PipelineOutput,
 };
 use crate::plan::{BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError};
 use crate::program::MonotoneProgram;
-use crate::push::{MonotoneOutput, PushOptions, SyncMode};
+use crate::push::{PushOptions, SyncMode};
 use crate::representation::Representation;
 
 /// Errors an engine run can produce.
@@ -219,36 +218,40 @@ impl Engine {
     ) -> Result<MonotoneOutput, EngineError> {
         self.check_footprint(rep)?;
         self.plan.validate(rep, &prog)?;
-        self.dispatch_monotone(rep, None, prog, source)
+        self.dispatch_monotone(rep, None, prog, source, &self.plan)
     }
 
-    /// The one backend dispatch every monotone entry point — legacy
-    /// programs and operator pipelines alike — funnels through, so
+    /// The one backend dispatch every single-run monotone entry point —
+    /// legacy programs, operator pipelines, fixed-round schedules and the
+    /// lanes of an unfused batch alike — funnels through, so
     /// pipeline-built analytics are byte-equal to the pre-operator
-    /// engines by construction. A prepared transpose feeds the pull
-    /// sweeps of both backends that have them.
+    /// engines by construction. A prepared transpose feeds every pull
+    /// sweep.
     fn dispatch_monotone(
         &self,
         rep: &Representation<'_>,
-        pull_side: Option<PullSide<'_>>,
+        pull: Option<PullSide<'_>>,
         prog: MonotoneProgram,
         source: Option<NodeId>,
+        plan: &ExecutionPlan,
     ) -> Result<MonotoneOutput, EngineError> {
-        match self.plan.backend {
-            // The engine owns the simulator, so it dispatches directly
-            // rather than constructing a throwaway WarpSim.
-            BackendKind::WarpSim => Ok(run_sim_plan(
-                &self.sim, rep, pull_side, prog, source, &self.plan,
-            )),
-            BackendKind::CpuPool => Ok(run_pool_solo(
-                rep,
-                pull_side.map(|ps| ps.reverse),
-                prog,
-                source,
-                &self.plan,
-            )),
-            BackendKind::Sequential => Sequential.run_monotone(rep, prog, source, &self.plan),
-        }
+        Ok(match plan.backend {
+            BackendKind::WarpSim => run_monotone(&self.sim, rep, pull, prog, source, plan)?,
+            BackendKind::Sequential if plan.direction == Direction::Pull => {
+                run_monotone(&HostLoop, rep, pull, prog, source, plan)?
+            }
+            // Auto's fixpoint equals push's; the sequential reference
+            // keeps the simpler schedule. A solo push run is the lane
+            // driver's K = 1 case, over the representation's CSR
+            // (virtual overlays share the fixpoint and are ignored;
+            // physical splits use their split CSR and slots).
+            BackendKind::Sequential => {
+                run_solo_sequential_push(rep.graph(), prog, source, plan.cancel.clone(), &plan.push)
+            }
+            BackendKind::CpuPool => {
+                run_pool_solo(rep, pull.map(|side| side.reverse), prog, source, plan)
+            }
+        })
     }
 
     /// Runs a monotone program over a [`PreparedGraph`]: the
@@ -270,11 +273,7 @@ impl Engine {
         let rep = Representation::from_prepared(prepared);
         self.check_footprint(&rep)?;
         self.plan.validate(&rep, &prog)?;
-        let pull_side = prepared.transpose().map(|reverse| PullSide {
-            reverse,
-            overlay: prepared.rev_overlay(),
-        });
-        self.dispatch_monotone(&rep, pull_side, prog, source)
+        self.dispatch_monotone(&rep, PullSide::of(prepared), prog, source, &self.plan)
     }
 
     /// Runs an operator [`Pipeline`] under the assembled plan: the
@@ -321,24 +320,20 @@ impl Engine {
         if let PipelineBody::PageRank(options) = &pipeline.body {
             return Ok(self.pagerank_prepared(prepared, options)?.into());
         }
-        let pull_side = prepared.transpose().map(|reverse| PullSide {
-            reverse,
-            overlay: prepared.rev_overlay(),
-        });
-        self.run_pipeline_validated(&rep, pull_side, pipeline, source)
+        self.run_pipeline_validated(&rep, PullSide::of(prepared), pipeline, source)
     }
 
     fn run_pipeline_validated(
         &self,
         rep: &Representation<'_>,
-        pull_side: Option<PullSide<'_>>,
+        pull: Option<PullSide<'_>>,
         pipeline: &Pipeline,
         source: Option<NodeId>,
     ) -> Result<PipelineOutput, EngineError> {
         match &pipeline.body {
             PipelineBody::Monotone { prog, rounds, post } => {
                 let out = match rounds {
-                    None => self.dispatch_monotone(rep, pull_side, *prog, source)?,
+                    None => self.dispatch_monotone(rep, pull, *prog, source, &self.plan)?,
                     Some(rounds) => self.run_rounds(rep, *prog, source, *rounds)?,
                 };
                 let mut values = out.values;
@@ -365,7 +360,7 @@ impl Engine {
                 let out = if options.mode == pr::PrMode::Pull {
                     // The pull driver gathers over the transpose; build
                     // it here (the prepared path reuses cached views).
-                    let rev = tigr_graph::reverse::transpose(g);
+                    let rev = build_transpose(g);
                     self.pagerank(&Representation::Original(&rev), &degrees, options)?
                 } else {
                     self.pagerank(rep, &degrees, options)?
@@ -409,10 +404,7 @@ impl Engine {
         if plan.backend == BackendKind::CpuPool {
             plan.backend = BackendKind::Sequential;
         }
-        match plan.backend {
-            BackendKind::WarpSim => Ok(run_sim_plan(&self.sim, rep, None, prog, source, &plan)),
-            _ => Sequential.run_monotone(rep, prog, source, &plan),
-        }
+        self.dispatch_monotone(rep, None, prog, source, &plan)
     }
 
     /// Runs a batched multi-source monotone program: every lane of
@@ -430,8 +422,8 @@ impl Engine {
     /// push (and auto, whose fixpoint equals push's) via the host lane
     /// driver [`crate::batch::run_batch_sequential_push`], whose lane
     /// outputs are **byte**-equal to solo sequential push runs (those
-    /// are its `K = 1` case); a forced pull plan runs each lane's solo
-    /// sequential pull schedule.
+    /// are its `K = 1` case); a forced pull plan runs each lane as its
+    /// solo sequential pull run.
     ///
     /// # Errors
     ///
@@ -447,7 +439,7 @@ impl Engine {
 
     /// Runs a batched multi-source monotone program over a
     /// [`PreparedGraph`] (see [`Engine::run_batch`]); a prepared
-    /// transpose feeds the parallel executor's pull sweeps directly.
+    /// transpose feeds every pull sweep directly.
     ///
     /// # Errors
     ///
@@ -460,7 +452,7 @@ impl Engine {
     ) -> Result<crate::batch::BatchOutput, EngineError> {
         self.run_batch_inner(
             &Representation::from_prepared(prepared),
-            prepared.transpose(),
+            PullSide::of(prepared),
             batch,
             arena,
         )
@@ -469,7 +461,7 @@ impl Engine {
     fn run_batch_inner(
         &self,
         rep: &Representation<'_>,
-        pull: Option<&Csr>,
+        pull: Option<PullSide<'_>>,
         batch: &crate::batch::BatchProgram,
         arena: &mut crate::batch::BatchArena,
     ) -> Result<crate::batch::BatchOutput, EngineError> {
@@ -483,9 +475,27 @@ impl Engine {
         plan.validate(rep, &batch.prog)?;
         match plan.backend {
             BackendKind::CpuPool => Ok(crate::batch::run_batch_cpu_pool(
-                rep, pull, batch, &plan, arena,
+                rep,
+                pull.map(|side| side.reverse),
+                batch,
+                &plan,
+                arena,
             )),
-            _ if plan.direction == Direction::Pull => run_lanes_solo(rep, batch, &plan),
+            _ if plan.direction == Direction::Pull => {
+                // No fused gather on the sequential path: each lane is
+                // its own solo run under its own token.
+                let lanes = batch
+                    .lanes
+                    .iter()
+                    .map(|lane| {
+                        let mut lane_plan = plan.clone();
+                        lane_plan.cancel = lane.cancel.clone();
+                        self.dispatch_monotone(rep, pull, batch.prog, lane.source, &lane_plan)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let sweeps = lanes.iter().map(|l| l.directions.len()).max().unwrap_or(0);
+                Ok(crate::batch::BatchOutput { lanes, sweeps })
+            }
             _ => Ok(crate::batch::run_batch_sequential_push(
                 rep.graph(),
                 batch,
@@ -516,33 +526,15 @@ impl Engine {
                 options,
             );
         }
-        let rev_owned;
-        let rev = match prepared.transpose() {
-            Some(rev) => rev,
-            None => {
-                rev_owned = tigr_graph::reverse::transpose(prepared.graph());
-                &rev_owned
-            }
-        };
-        let rov_owned;
-        let rep = match (prepared.overlay(), prepared.rev_overlay()) {
-            (Some(_), Some(rov)) => Representation::Virtual {
-                graph: rev,
-                overlay: rov,
+        let forward = match prepared.overlay() {
+            Some(overlay) => Representation::Virtual {
+                graph: prepared.graph(),
+                overlay,
             },
-            (Some(ov), None) => {
-                rov_owned = if ov.is_coalesced() {
-                    tigr_core::VirtualGraph::coalesced(rev, ov.k())
-                } else {
-                    tigr_core::VirtualGraph::new(rev, ov.k())
-                };
-                Representation::Virtual {
-                    graph: rev,
-                    overlay: &rov_owned,
-                }
-            }
-            _ => Representation::Original(rev),
+            None => Representation::Original(prepared.graph()),
         };
+        let (built, built_overlay) = (OnceCell::new(), OnceCell::new());
+        let rep = pull_view(&forward, PullSide::of(prepared), &built, &built_overlay);
         self.pagerank(&rep, &out_degrees, options)
     }
 
@@ -614,7 +606,7 @@ impl Engine {
     /// simulator; every other backend runs the same driver as a host
     /// loop — bit-identical ranks, no report. Pooled sweeps would be
     /// racy-order float adds, so `CpuPool` runs that sequential loop
-    /// too, as [`Engine::run_rounds`] degrades it.
+    /// too, as a fixed-round pipeline degrades it.
     ///
     /// # Errors
     ///
@@ -689,25 +681,6 @@ impl From<bc::BcOutput> for PipelineOutput {
             cancelled: out.cancelled,
         }
     }
-}
-
-/// Sequential batch fallback for plans with no fused executor (forced
-/// pull): each lane runs its solo sequential schedule under its own
-/// cancellation token, so outputs are trivially byte-equal to solo
-/// runs.
-fn run_lanes_solo(
-    rep: &Representation<'_>,
-    batch: &crate::batch::BatchProgram,
-    plan: &ExecutionPlan,
-) -> Result<crate::batch::BatchOutput, EngineError> {
-    let mut lanes = Vec::with_capacity(batch.lanes.len());
-    for lane in &batch.lanes {
-        let mut lane_plan = plan.clone();
-        lane_plan.cancel = lane.cancel.clone();
-        lanes.push(Sequential.run_monotone(rep, batch.prog, lane.source, &lane_plan)?);
-    }
-    let sweeps = lanes.iter().map(|l| l.directions.len()).max().unwrap_or(0);
-    Ok(crate::batch::BatchOutput { lanes, sweeps })
 }
 
 #[cfg(test)]
@@ -818,41 +791,61 @@ mod tests {
         }
     }
 
-    /// A prepared transpose reaches the pool's pull sweeps: a prepared
-    /// run builds none, where the same query over the bare CSR builds
-    /// its own.
+    /// A prepared transpose reaches every backend's pull sweeps: a
+    /// prepared run builds none, where the same query over the bare CSR
+    /// builds its own — once for a forced pull, at most once for auto
+    /// (only if the density switch ever gathers).
     #[test]
-    fn cpu_pool_prepared_runs_reuse_the_prepared_transpose() {
+    fn prepared_runs_reuse_the_prepared_transpose_on_every_backend() {
         use crate::batch::tests::TRANSPOSES_BUILT;
         let built = || TRANSPOSES_BUILT.with(|c| c.get());
         let store = tigr_core::GraphStore::disabled();
-        let spec = tigr_core::PrepareSpec::generated("rmat:8:6", 5)
-            .with_uniform_weights(1, 9, 2)
-            .with_transpose(true);
-        let prepared = store.prepare(&spec).unwrap();
-        let engine = Engine::new(GpuConfig::tiny())
-            .with_backend(BackendKind::CpuPool)
-            .with_direction(Direction::Pull)
-            .with_cpu_options(CpuOptions { threads: 2 });
-        let src = Some(NodeId::new(0));
-        let before = built();
-        let prep = engine
-            .run_prepared(&prepared, MonotoneProgram::SSSP, src)
-            .unwrap();
-        let pipe = engine
-            .run_prepared_pipeline(&prepared, &crate::operators::Pipeline::sssp(), src)
-            .unwrap();
-        assert_eq!(built(), before, "a prepared run rebuilt the transpose");
-        let bare = engine
-            .run_program(
-                &Representation::Original(prepared.graph()),
-                MonotoneProgram::SSSP,
-                src,
-            )
-            .unwrap();
-        assert_eq!(built(), before + 1);
-        assert_eq!(prep.values, bare.values);
-        assert_eq!(pipe.values, bare.values);
+        for virtual_k in [None, Some(4)] {
+            let mut spec = tigr_core::PrepareSpec::generated("rmat:8:6", 5)
+                .with_uniform_weights(1, 9, 2)
+                .with_transpose(true);
+            if let Some(k) = virtual_k {
+                spec = spec.with_virtual(k, true);
+            }
+            let prepared = store.prepare(&spec).unwrap();
+            let bare = Representation::from_prepared(&prepared);
+            let src = Some(NodeId::new(0));
+            for backend in [
+                BackendKind::WarpSim,
+                BackendKind::Sequential,
+                BackendKind::CpuPool,
+            ] {
+                for direction in [Direction::Pull, Direction::Auto] {
+                    let label = format!("{}/{}/{virtual_k:?}", backend.label(), direction.label());
+                    let engine = Engine::new(GpuConfig::tiny())
+                        .with_backend(backend)
+                        .with_direction(direction)
+                        .with_cpu_options(CpuOptions { threads: 2 });
+                    let before = built();
+                    let prep = engine
+                        .run_prepared(&prepared, MonotoneProgram::SSSP, src)
+                        .unwrap();
+                    let pipe = engine
+                        .run_prepared_pipeline(&prepared, &crate::operators::Pipeline::sssp(), src)
+                        .unwrap();
+                    assert_eq!(
+                        built(),
+                        before,
+                        "{label}: a prepared run rebuilt the transpose"
+                    );
+                    let raw = engine
+                        .run_program(&bare, MonotoneProgram::SSSP, src)
+                        .unwrap();
+                    let gathered = raw.directions.contains(&Direction::Pull);
+                    assert_eq!(built(), before + usize::from(gathered), "{label}");
+                    if direction == Direction::Pull {
+                        assert!(gathered, "{label}");
+                    }
+                    assert_eq!(prep.values, raw.values, "{label}");
+                    assert_eq!(pipe.values, raw.values, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

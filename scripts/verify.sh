@@ -365,6 +365,10 @@ for workload in serve_hot mutate_dirty; do
 done
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== engine docs (deny warnings) =="
+# A doc link to a deleted or private name fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc -p tigr-engine --no-deps
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

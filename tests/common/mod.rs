@@ -7,7 +7,9 @@
 
 #![allow(dead_code)]
 
-use tigr::engine::{run_monotone, Combine, EdgeOp, InitKind, MonotoneOutput, SyncMode};
+use tigr::engine::{
+    run_monotone, Combine, EdgeOp, ExecutionPlan, InitKind, MonotoneOutput, SyncMode,
+};
 use tigr::graph::RowView;
 use tigr::{
     Csr, GpuConfig, GpuSimulator, MonotoneProgram, NodeId, PushOptions, Representation, Weight,
@@ -149,7 +151,12 @@ pub fn simulated_push(
     options: &PushOptions,
 ) -> MonotoneOutput {
     let sim = GpuSimulator::new(GpuConfig::default());
-    run_monotone(&sim, &Representation::Original(g), prog, source, options)
+    let rep = Representation::Original(g);
+    let plan = ExecutionPlan {
+        push: *options,
+        ..ExecutionPlan::default()
+    };
+    run_monotone(&sim, &rep, None, prog, source, &plan).unwrap()
 }
 
 /// Asserts that a lane of the host driver is the run both independent

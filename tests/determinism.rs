@@ -2,10 +2,19 @@
 //! repeated executions and host-parallelism levels, and generation is
 //! seed-stable — the properties the benchmark harness relies on.
 
-use tigr::engine::{run_monotone, FrontierMode, MonotoneProgram, PushOptions, SyncMode};
+use tigr::engine::{
+    run_monotone, ExecutionPlan, FrontierMode, MonotoneProgram, PushOptions, SyncMode,
+};
 use tigr::graph::datasets;
 use tigr::{NodeId, Representation, VirtualGraph};
 use tigr_sim::{GpuConfig, GpuSimulator};
+
+fn plan(push: PushOptions) -> ExecutionPlan {
+    ExecutionPlan {
+        push,
+        ..ExecutionPlan::default()
+    }
+}
 
 fn bsp_opts(worklist: bool) -> PushOptions {
     PushOptions {
@@ -33,10 +42,12 @@ fn bsp_runs_are_bit_identical_across_repeats_and_threads() {
                 graph: &g,
                 overlay: &overlay,
             },
+            None,
             MonotoneProgram::SSSP,
             Some(src),
-            &bsp_opts(true),
+            &plan(bsp_opts(true)),
         )
+        .unwrap()
     };
 
     let a = run(1);
@@ -72,10 +83,12 @@ fn relaxed_mode_converges_to_the_same_values_regardless_of_schedule() {
         run_monotone(
             &sim,
             &Representation::Original(&g),
+            None,
             MonotoneProgram::SSSP,
             Some(src),
-            &PushOptions::default(),
+            &ExecutionPlan::default(),
         )
+        .unwrap()
         .values
     };
     assert_eq!(run(1), run(8));
@@ -106,29 +119,33 @@ fn frontier_runs_are_deterministic_over_seed_corpus() {
             FrontierMode::Dense,
             FrontierMode::Sparse,
         ] {
-            let opts = PushOptions {
+            let opts = plan(PushOptions {
                 frontier: mode,
                 ..bsp_opts(true)
-            };
+            });
             let run = |host_threads: usize| {
                 let sim = GpuSimulator::new(GpuConfig::default()).with_host_threads(host_threads);
                 let orig = run_monotone(
                     &sim,
                     &Representation::Original(&g),
+                    None,
                     MonotoneProgram::SSSP,
                     Some(src),
                     &opts,
-                );
+                )
+                .unwrap();
                 let virt = run_monotone(
                     &sim,
                     &Representation::Virtual {
                         graph: &g,
                         overlay: &overlay,
                     },
+                    None,
                     MonotoneProgram::SSSP,
                     Some(src),
                     &opts,
-                );
+                )
+                .unwrap();
                 (orig, virt)
             };
             let (a_o, a_v) = run(1);

@@ -13,8 +13,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use tigr::engine::{
-    run_monotone, BackendKind, CpuOptions, Direction, EdgeOp, Engine, EngineError, FrontierMode,
-    MonotoneOutput, MonotoneProgram, PlanError, PushOptions, SyncMode,
+    run_monotone, BackendKind, CpuOptions, Direction, EdgeOp, Engine, EngineError, ExecutionPlan,
+    FrontierMode, MonotoneOutput, MonotoneProgram, PlanError, PushOptions, SyncMode,
 };
 use tigr::{
     circular_transform, clique_transform, star_transform, udt_transform, Csr, CsrBuilder,
@@ -43,6 +43,22 @@ fn opts(worklist: bool, frontier: FrontierMode) -> PushOptions {
         sync: SyncMode::Relaxed,
         max_iterations: 100_000,
     }
+}
+
+/// A simulated push run of `prog` under `opts(worklist, frontier)`.
+fn simulated(
+    sim: &GpuSimulator,
+    rep: &Representation<'_>,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    worklist: bool,
+    frontier: FrontierMode,
+) -> MonotoneOutput {
+    let plan = ExecutionPlan {
+        push: opts(worklist, frontier),
+        ..ExecutionPlan::default()
+    };
+    run_monotone(sim, rep, None, prog, source, &plan).unwrap()
 }
 
 /// The dumb weight that keeps `prog` exact on a physically split graph:
@@ -94,9 +110,9 @@ proptest! {
         for prog in PROGRAMS {
             let source = prog.needs_source().then_some(src);
             for (label, rep) in &reps {
-                let full = run_monotone(&sim, rep, prog, source, &opts(false, FrontierMode::Auto));
+                let full = simulated(&sim, rep, prog, source, false, FrontierMode::Auto);
                 for mode in MODES {
-                    let out = run_monotone(&sim, rep, prog, source, &opts(true, mode));
+                    let out = simulated(&sim, rep, prog, source, true, mode);
                     prop_assert_eq!(
                         &out.values, &full.values,
                         "{}/{}/{} diverged from full sweep", prog.name, label, mode.label()
@@ -130,9 +146,9 @@ proptest! {
                 ("clique", clique_transform(&g, k, dumb)),
             ] {
                 let rep = Representation::Physical(&t);
-                let full = run_monotone(&sim, &rep, prog, source, &opts(false, FrontierMode::Auto));
+                let full = simulated(&sim, &rep, prog, source, false, FrontierMode::Auto);
                 for mode in MODES {
-                    let out = run_monotone(&sim, &rep, prog, source, &opts(true, mode));
+                    let out = simulated(&sim, &rep, prog, source, true, mode);
                     prop_assert_eq!(
                         &out.values, &full.values,
                         "{}/{}/{} diverged from full sweep", prog.name, label, mode.label()

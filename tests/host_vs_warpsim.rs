@@ -1,11 +1,13 @@
-//! Differential suite for the two launchers of the PageRank and
-//! betweenness drivers: the wall-clock host loop (what `Sequential` and
-//! `CpuPool` plans run) must agree with the simulator's sequential
-//! replay **to the bit** — ranks/centralities, `iterations`, `converged`
-//! and `cancelled` — on every representation, because the two visit
-//! threads in the same order and `f32` accumulation order is the only
-//! thing that could tell them apart. Every committed checksum, the
-//! server's cached answers and `plan_fingerprint` rest on this.
+//! Differential suite for the two launchers of the drivers written once
+//! over a `Launcher` — the monotone driver, PageRank and betweenness: the
+//! wall-clock host loop (what `Sequential` and `CpuPool` plans run for
+//! `pr`/`bc`, and `Sequential` for a forced pull) must agree with the
+//! simulator's sequential replay **to the bit** — values or
+//! ranks/centralities, iteration counts and directions, edge counts,
+//! `converged` and `cancelled` — on every representation, because the
+//! two visit threads in the same order and `f32` accumulation order is
+//! the only thing that could tell them apart. Every committed checksum,
+//! the server's cached answers and `plan_fingerprint` rest on this.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,7 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tigr::core::{CancelToken, DumbWeight, OnTheFlyMapper};
 use tigr::engine::{
-    bc, pr, AtomicFloats, BackendKind, BcOutput, HostLoop, Launcher, PrMode, PrOptions, PrOutput,
+    bc, pr, run_monotone, AtomicFloats, BackendKind, BcOutput, Direction, ExecutionPlan, HostLoop,
+    Launcher, MonotoneOutput, MonotoneProgram, PrMode, PrOptions, PrOutput, PushOptions,
 };
 use tigr::graph::reverse::transpose;
 use tigr::sim::KernelMetrics;
@@ -38,9 +41,28 @@ fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Csr> {
     })
 }
 
-/// Runs `check` on each of the four representations PageRank runs on,
-/// over `g` with bound `k`.
-fn for_each_pr_representation(
+/// [`arb_graph`] with a weight in `1..=32` on every edge.
+fn arb_weighted_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Csr> {
+    (
+        arb_graph(max_nodes, max_edges),
+        vec(1..33u32, max_edges..max_edges + 1),
+    )
+        .prop_map(|(g, weights)| {
+            let mut weights = weights.into_iter().cycle();
+            g.with_weights_from(|_| weights.next().expect("cycled"))
+        })
+}
+
+const PROGRAMS: [MonotoneProgram; 4] = [
+    MonotoneProgram::BFS,
+    MonotoneProgram::SSSP,
+    MonotoneProgram::SSWP,
+    MonotoneProgram::CC,
+];
+
+/// Runs `check` on each of the four representations PageRank and the
+/// monotone driver's gathers run on, over `g` with bound `k`.
+fn for_each_representation(
     g: &Csr,
     k: u32,
     mut check: impl FnMut(&Representation<'_>) -> Result<(), TestCaseError>,
@@ -76,12 +98,51 @@ proptest! {
         let rev = transpose(&g);
         for (mode, graph) in [(PrMode::Push, &g), (PrMode::Pull, &rev)] {
             let options = PrOptions { mode, max_iterations, ..PrOptions::default() };
-            for_each_pr_representation(graph, KS[k], |rep| {
+            for_each_representation(graph, KS[k], |rep| {
                 let host = pr::run(&HostLoop, rep, &degrees, &options);
                 let warp = pr::run(&sim, rep, &degrees, &options);
                 let answer = |o: &PrOutput| (bits(&o.ranks), o.iterations, o.converged, o.cancelled);
                 prop_assert_eq!(answer(&host), answer(&warp), "{:?} on {}", mode, rep.label());
                 prop_assert_eq!(warp.iterations, warp.report.num_iterations());
+                prop_assert_eq!(host.report.num_iterations(), 0);
+                Ok(())
+            })?;
+        }
+    }
+
+    #[test]
+    fn monotone_host_equals_warpsim_in_every_direction(
+        g in arb_weighted_graph(28, 120),
+        k in 0usize..3,
+        prog in 0usize..4,
+        source in 0u32..1000,
+        worklist in any::<bool>(),
+        weighted in any::<bool>(),
+    ) {
+        prop_assume!(g.num_nodes() > 0);
+        // Unweighted BFS is where auto's gathers take the bottom-up
+        // early exit.
+        let g = if weighted { g } else { g.without_weights() };
+        let prog = PROGRAMS[prog];
+        let source = prog.needs_source().then(|| NodeId::new(source % g.num_nodes() as u32));
+        let sim = GpuSimulator::new(GpuConfig::tiny());
+        for direction in Direction::ALL {
+            let plan = ExecutionPlan {
+                direction,
+                push: PushOptions { worklist, ..PushOptions::default() },
+                ..ExecutionPlan::default()
+            };
+            for_each_representation(&g, KS[k], |rep| {
+                let host = run_monotone(&HostLoop, rep, None, prog, source, &plan).unwrap();
+                let warp = run_monotone(&sim, rep, None, prog, source, &plan).unwrap();
+                let answer = |o: &MonotoneOutput| {
+                    (o.values.clone(), o.directions.clone(), o.edges_touched, o.converged, o.cancelled)
+                };
+                prop_assert_eq!(
+                    answer(&host), answer(&warp),
+                    "{} {} on {}", prog.name, direction.label(), rep.label()
+                );
+                prop_assert_eq!(warp.report.num_iterations(), warp.directions.len());
                 prop_assert_eq!(host.report.num_iterations(), 0);
                 Ok(())
             })?;
@@ -220,6 +281,62 @@ fn betweenness_cancels_between_levels() {
     let done = cut(&HostLoop, &rep, full.iterations);
     assert!(!done.cancelled);
     assert_eq!(bits(&done.centrality), bits(&full.centrality));
+}
+
+/// The monotone driver polls its token before every iteration, and a
+/// flat CSR runs one kernel per iteration in either direction, so a
+/// token that fires after `k` kernels stops both launchers at exactly `k`
+/// iterations — holding the same consistent value prefix.
+#[test]
+fn monotone_runs_cancel_between_iterations() {
+    let g = fixture();
+    let rep = Representation::Original(&g);
+    let sim = GpuSimulator::new(GpuConfig::tiny());
+
+    fn cut<L: Launcher>(
+        inner: &L,
+        rep: &Representation<'_>,
+        direction: Direction,
+        budget: usize,
+    ) -> MonotoneOutput {
+        let token = CancelToken::new();
+        let launcher = CancelAfter {
+            inner,
+            token: token.clone(),
+            budget: AtomicUsize::new(budget),
+        };
+        let plan = ExecutionPlan {
+            direction,
+            cancel: token,
+            ..ExecutionPlan::default()
+        };
+        run_monotone(
+            &launcher,
+            rep,
+            None,
+            MonotoneProgram::BFS,
+            Some(NodeId::new(0)),
+            &plan,
+        )
+        .unwrap()
+    }
+    for direction in Direction::ALL {
+        let full = cut(&HostLoop, &rep, direction, usize::MAX);
+        let iterations = full.directions.len();
+        assert!(full.converged && iterations > 3, "{}", direction.label());
+        for budget in [1, iterations / 2, iterations - 1] {
+            let label = format!("{}/{budget}", direction.label());
+            let host = cut(&HostLoop, &rep, direction, budget);
+            let warp = cut(&sim, &rep, direction, budget);
+            for out in [&host, &warp] {
+                assert!(out.cancelled && !out.converged, "{label}");
+                assert_eq!(out.directions.len(), budget, "{label}");
+            }
+            assert_eq!(host.values, warp.values, "{label}");
+            assert_eq!(host.directions, warp.directions, "{label}");
+            assert_eq!(host.edges_touched, warp.edges_touched, "{label}");
+        }
+    }
 }
 
 fn pagerank_over_a_physical_split<L: Launcher>(launcher: &L) {

@@ -1,11 +1,12 @@
 //! Push and pull drivers must reach identical fixpoints — the
 //! cross-scheme differential test over all programs and overlays.
 
-use tigr::engine::{run_monotone, run_monotone_pull, MonotoneProgram, PullOptions, PushOptions};
+use tigr::engine::{
+    run_monotone, Direction, ExecutionPlan, MonotoneOutput, MonotoneProgram, PullSide,
+};
 use tigr::graph::datasets;
 use tigr::graph::reverse::transpose;
-use tigr::{NodeId, Representation, VirtualGraph};
-use tigr_sim::{GpuConfig, GpuSimulator};
+use tigr::{GpuConfig, GpuSimulator, NodeId, Representation, VirtualGraph};
 
 fn fixture() -> (tigr::Csr, tigr::Csr) {
     let g = datasets::by_name("pokec")
@@ -15,11 +16,34 @@ fn fixture() -> (tigr::Csr, tigr::Csr) {
     (g, rev)
 }
 
+fn plan(direction: Direction) -> ExecutionPlan {
+    ExecutionPlan {
+        direction,
+        ..ExecutionPlan::default()
+    }
+}
+
+/// A `direction` run on a host-parallel simulator.
+fn run(
+    rep: &Representation<'_>,
+    pull: Option<PullSide<'_>>,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    direction: Direction,
+) -> MonotoneOutput {
+    let sim = GpuSimulator::new_parallel(GpuConfig::default());
+    run_monotone(&sim, rep, pull, prog, source, &plan(direction)).unwrap()
+}
+
 #[test]
 fn push_and_pull_agree_on_every_monotone_program() {
     let (g, rev) = fixture();
-    let sim = GpuSimulator::new_parallel(GpuConfig::default());
     let src = NodeId::new(0);
+    let rep = Representation::Original(&g);
+    let side = PullSide {
+        reverse: &rev,
+        overlay: None,
+    };
 
     for prog in [
         MonotoneProgram::SSSP,
@@ -28,20 +52,8 @@ fn push_and_pull_agree_on_every_monotone_program() {
         MonotoneProgram::CC,
     ] {
         let source = prog.needs_source().then_some(src);
-        let push = run_monotone(
-            &sim,
-            &Representation::Original(&g),
-            prog,
-            source,
-            &PushOptions::default(),
-        );
-        let pull = run_monotone_pull(
-            &sim,
-            &Representation::Original(&rev),
-            prog,
-            source,
-            &PullOptions::default(),
-        );
+        let push = run(&rep, None, prog, source, Direction::Push);
+        let pull = run(&rep, Some(side), prog, source, Direction::Pull);
         assert!(push.converged && pull.converged, "{}", prog.name);
         assert_eq!(push.values, pull.values, "{} differs", prog.name);
     }
@@ -50,26 +62,31 @@ fn push_and_pull_agree_on_every_monotone_program() {
 #[test]
 fn pull_over_coalesced_overlay_agrees() {
     let (g, rev) = fixture();
-    let sim = GpuSimulator::new_parallel(GpuConfig::default());
-    let src = NodeId::new(0);
-    let overlay = VirtualGraph::coalesced(&rev, 10);
+    let src = Some(NodeId::new(0));
+    let forward = VirtualGraph::coalesced(&g, 10);
+    let backward = VirtualGraph::coalesced(&rev, 10);
+    let side = PullSide {
+        reverse: &rev,
+        overlay: Some(&backward),
+    };
 
-    let push = run_monotone(
-        &sim,
+    let push = run(
         &Representation::Original(&g),
+        None,
         MonotoneProgram::SSSP,
-        Some(src),
-        &PushOptions::default(),
+        src,
+        Direction::Push,
     );
-    let pull = run_monotone_pull(
-        &sim,
-        &Representation::Virtual {
-            graph: &rev,
-            overlay: &overlay,
-        },
+    let rep = Representation::Virtual {
+        graph: &g,
+        overlay: &forward,
+    };
+    let pull = run(
+        &rep,
+        Some(side),
         MonotoneProgram::SSSP,
-        Some(src),
-        &PullOptions::default(),
+        src,
+        Direction::Pull,
     );
     assert_eq!(push.values, pull.values);
 }
@@ -77,26 +94,29 @@ fn pull_over_coalesced_overlay_agrees() {
 #[test]
 fn pull_over_otf_mapping_agrees() {
     let (g, rev) = fixture();
-    let sim = GpuSimulator::new_parallel(GpuConfig::default());
-    let src = NodeId::new(3);
+    let src = Some(NodeId::new(3));
+    let side = PullSide {
+        reverse: &rev,
+        overlay: None,
+    };
 
-    let push = run_monotone(
-        &sim,
+    let push = run(
         &Representation::Original(&g),
+        None,
         MonotoneProgram::SSWP,
-        Some(src),
-        &PushOptions::default(),
+        src,
+        Direction::Push,
     );
-    let mapper = tigr::core::OnTheFlyMapper::new(&rev, 10);
-    let pull = run_monotone_pull(
-        &sim,
-        &Representation::OnTheFly {
-            graph: &rev,
-            mapper,
-        },
+    let rep = Representation::OnTheFly {
+        graph: &g,
+        mapper: tigr::core::OnTheFlyMapper::new(&g, 10),
+    };
+    let pull = run(
+        &rep,
+        Some(side),
         MonotoneProgram::SSWP,
-        Some(src),
-        &PullOptions::default(),
+        src,
+        Direction::Pull,
     );
     assert_eq!(push.values, pull.values);
 }
@@ -104,23 +124,19 @@ fn pull_over_otf_mapping_agrees() {
 #[test]
 fn direction_optimizing_bfs_agrees_with_both() {
     let (g, rev) = fixture();
-    let sim = GpuSimulator::new_parallel(GpuConfig::default());
-    let src = NodeId::new(0);
+    let src = Some(NodeId::new(0));
+    // BFS counts hops: run it on the unweighted topology, where the
+    // bottom-up steps may stop at the first parent found.
+    let (g, rev) = (g.without_weights(), rev.without_weights());
+    let rep = Representation::Original(&g);
+    let side = PullSide {
+        reverse: &rev,
+        overlay: None,
+    };
 
-    let push = run_monotone(
-        &sim,
-        &Representation::Original(&g.without_weights()),
-        MonotoneProgram::BFS,
-        Some(src),
-        &PushOptions::default(),
-    );
-    let hybrid = tigr::engine::dobfs::run(
-        &sim,
-        &g,
-        &rev,
-        None,
-        src,
-        &tigr::engine::DoBfsOptions::default(),
-    );
-    assert_eq!(push.values, hybrid.levels);
+    let push = run(&rep, None, MonotoneProgram::BFS, src, Direction::Push);
+    let pull = run(&rep, Some(side), MonotoneProgram::BFS, src, Direction::Pull);
+    let hybrid = run(&rep, Some(side), MonotoneProgram::BFS, src, Direction::Auto);
+    assert_eq!(push.values, pull.values);
+    assert_eq!(push.values, hybrid.values);
 }
