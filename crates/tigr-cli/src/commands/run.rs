@@ -88,11 +88,13 @@ pub fn run(args: &Args) -> CmdResult {
 
     // Describe everything this run derives from the input as one
     // PrepareSpec, so the store can cache it all in a single artifact.
+    // On the host, PageRank in either direction gathers over the
+    // transpose.
     let needs_transpose = match algo {
         Algo::Bfs | Algo::Sssp | Algo::Sswp | Algo::Cc | Algo::Khop | Algo::Paths => {
             direction != Direction::Push
         }
-        Algo::Pr => direction == Direction::Pull,
+        Algo::Pr => direction == Direction::Pull || cpu,
         _ => false,
     };
     let mut spec = PrepareSpec::from_file(&path).with_transpose(needs_transpose);

@@ -16,10 +16,12 @@
 //! threads in `tid` order, so every `f32` sum adds its terms in the same
 //! order and ranks, iteration count and flags agree **to the bit** on
 //! every representation (pull mode included: one partial per virtual
-//! node either way).
+//! node either way). Both kernels read a node's share `rank / max(outdeg,
+//! 1)`, divided once per node per iteration. A push run also equals, to
+//! the bit, a gather over the plain transpose (see [`PrMode::Push`]).
 
 use tigr_core::CancelToken;
-use tigr_graph::{Csr, NodeId};
+use tigr_graph::Csr;
 use tigr_sim::{KernelMetrics, SimReport};
 
 use crate::addr::{aux_addr, row_ptr_addr, value_addr, vnode_addr};
@@ -36,6 +38,18 @@ pub enum PrMode {
     /// edge — Tigr's scheme (the representation is built over the forward
     /// graph). Simple, but atomic-heavy: the reason Tigr-V+ loses PR to
     /// pull-based CuSha in Table 4.
+    ///
+    /// The simulator always runs it as that scatter. The engine's host
+    /// backends, handed a prepared transpose, run it as a [`PrMode::Pull`]
+    /// gather over the plain transpose instead, with the same bits:
+    /// threads run in `tid` order and every unsplit view hands them the
+    /// edges in ascending-source order (overlay families are contiguous
+    /// and ordered by physical node in both layouts; on-the-fly blocks
+    /// walk the edge array in order), so each accumulator receives its
+    /// shares in ascending-source order — the order in which
+    /// [`tigr_graph::reverse::transpose`] lists an in-row and a row gather
+    /// adds it. Only one source's parallel edges can trade places, and
+    /// they carry equal shares.
     #[default]
     Push,
     /// Gather `rank/outdeg` along *in*-edges, one atomic add per virtual
@@ -144,6 +158,11 @@ pub fn run_cancellable<L: Launcher>(
     }
 
     let ranks = AtomicFloats::new(n, 1.0 / n as f32);
+    // What one node sends along each out-edge: divided once per node per
+    // iteration, never per edge.
+    let share_of = |v: usize, rank: f32| rank / out_degrees[v].max(1) as f32;
+    let shares = AtomicFloats::new(n, 0.0);
+    (0..n).for_each(|v| shares.store(v, share_of(v, ranks.load(v))));
     let accum = AtomicFloats::new(n, 0.0);
 
     for _ in 0..options.max_iterations {
@@ -155,8 +174,8 @@ pub fn run_cancellable<L: Launcher>(
 
         // Scatter/gather kernel.
         let mut metrics = match options.mode {
-            PrMode::Push => push_kernel(launcher, rep, &ranks, &accum, out_degrees),
-            PrMode::Pull => pull_kernel(launcher, rep, &ranks, &accum, out_degrees),
+            PrMode::Push => push_kernel(launcher, rep, &shares, &accum, out_degrees),
+            PrMode::Pull => pull_kernel(launcher, rep, &shares, &accum),
         };
 
         // Dangling mass (host reduction mirrored as a small kernel).
@@ -177,6 +196,7 @@ pub fn run_cancellable<L: Launcher>(
             let new = base + options.damping * accum.load(v);
             let old = ranks.load(v);
             ranks.store(v, new);
+            shares.store(v, share_of(v, new));
             launcher.add(&delta, 0, (new - old).abs());
             m.compute(3);
             m.store(value_addr(v), 4);
@@ -201,7 +221,7 @@ pub fn run_cancellable<L: Launcher>(
 fn push_kernel<L: Launcher>(
     launcher: &L,
     rep: &Representation<'_>,
-    ranks: &AtomicFloats,
+    shares: &AtomicFloats,
     accum: &AtomicFloats,
     out_degrees: &[u32],
 ) -> KernelMetrics {
@@ -209,11 +229,10 @@ fn push_kernel<L: Launcher>(
     let scatter = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
         m.load(value_addr(slot), 4);
         m.load(aux_addr(1, slot), 4);
-        let deg = out_degrees[slot];
-        if deg == 0 {
+        if out_degrees[slot] == 0 {
             return;
         }
-        let share = ranks.load(slot) / deg as f32;
+        let share = shares.load(slot);
         m.compute(1);
         relax_kernel(m, csr_targets(g, edges), |m, edge| {
             launcher.add(accum, edge.target, share);
@@ -229,9 +248,8 @@ fn push_kernel<L: Launcher>(
 fn pull_kernel<L: Launcher>(
     launcher: &L,
     rep: &Representation<'_>,
-    ranks: &AtomicFloats,
+    shares: &AtomicFloats,
     accum: &AtomicFloats,
-    out_degrees: &[u32],
 ) -> KernelMetrics {
     let g = rep.graph(); // the transpose: edges lead to in-neighbors
     let gather = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
@@ -241,8 +259,7 @@ fn pull_kernel<L: Launcher>(
             let src = edge.target;
             m.load(value_addr(src), 4);
             m.load(aux_addr(1, src), 4);
-            let deg = out_degrees[src].max(1);
-            partial += ranks.load(src) / deg as f32;
+            partial += shares.load(src);
             m.compute(2);
             any = true;
             EdgeFlow::Continue
@@ -264,11 +281,13 @@ fn launch_over<L: Launcher>(
     body: impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync,
 ) -> KernelMetrics {
     match rep {
-        Representation::Original(g) => launcher.launch(g.num_nodes(), |tid, m| {
-            m.load(row_ptr_addr(tid), 8);
-            let v = NodeId::from_index(tid);
-            body(m, tid, (g.edge_start(v)..g.edge_end(v)).into());
-        }),
+        Representation::Original(g) => {
+            let rows = g.row_ptr(); // sliced once: no accessor call per node
+            launcher.launch(g.num_nodes(), |tid, m| {
+                m.load(row_ptr_addr(tid), 8);
+                body(m, tid, (rows[tid]..rows[tid + 1]).into());
+            })
+        }
         Representation::Virtual { overlay, .. } => {
             launcher.launch(overlay.num_virtual_nodes(), |tid, m| {
                 m.load(vnode_addr(tid), 8);

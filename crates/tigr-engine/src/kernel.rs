@@ -558,9 +558,10 @@ pub fn csr_targets<'a>(
     g: &'a Csr,
     indices: impl Iterator<Item = usize> + 'a,
 ) -> impl Iterator<Item = EdgeRef> + 'a {
+    let targets = g.col_idx(); // sliced once: no accessor call per edge
     indices.map(move |e| EdgeRef {
         index: e,
-        target: g.edge_target(e).index(),
+        target: targets[e].index(),
         weight: 1,
     })
 }

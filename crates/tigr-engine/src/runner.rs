@@ -10,7 +10,7 @@ use tigr_graph::NodeId;
 use tigr_sim::{DeviceMemory, GpuConfig, GpuSimulator, OutOfMemory};
 
 use crate::algorithms::{bc, pr};
-use crate::batch::{build_transpose, run_pool_solo, run_solo_sequential_push};
+use crate::batch::{run_pool_solo, run_solo_sequential_push};
 use crate::frontier::FrontierMode;
 use crate::kernel::HostLoop;
 use crate::monotone::{pull_view, run_monotone, MonotoneOutput, PullSide};
@@ -317,9 +317,6 @@ impl Engine {
         let rep = Representation::from_prepared(prepared);
         self.check_footprint(&rep)?;
         self.plan.validate_pipeline(&rep, pipeline, source)?;
-        if let PipelineBody::PageRank(options) = &pipeline.body {
-            return Ok(self.pagerank_prepared(prepared, options)?.into());
-        }
         self.run_pipeline_validated(&rep, PullSide::of(prepared), pipeline, source)
     }
 
@@ -354,19 +351,7 @@ impl Engine {
                     cancelled: out.cancelled,
                 })
             }
-            PipelineBody::PageRank(options) => {
-                let g = rep.graph();
-                let degrees = pr::out_degrees(g);
-                let out = if options.mode == pr::PrMode::Pull {
-                    // The pull driver gathers over the transpose; build
-                    // it here (the prepared path reuses cached views).
-                    let rev = build_transpose(g);
-                    self.pagerank(&Representation::Original(&rev), &degrees, options)?
-                } else {
-                    self.pagerank(rep, &degrees, options)?
-                };
-                Ok(out.into())
-            }
+            PipelineBody::PageRank(options) => Ok(self.pagerank_over(rep, pull, options)?.into()),
             PipelineBody::Betweenness => {
                 let src = source.expect("validated: bc requires a source");
                 Ok(self.betweenness(rep, src)?.into())
@@ -507,35 +492,55 @@ impl Engine {
 
     /// PageRank over a [`PreparedGraph`]. Pull mode gathers along
     /// in-edges: the prepared transpose (and mirrored overlay) is used
-    /// when present, and built on the fly otherwise.
+    /// when present, and built on the fly otherwise. A host push run
+    /// over a prepared transpose is the gather (see [`pr::PrMode::Push`]).
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::OutOfMemory`] if the representation exceeds
-    /// the device budget.
+    /// [`EngineError::OutOfMemory`] if the representation exceeds the
+    /// device budget, or [`EngineError::InvalidPlan`] over a physical
+    /// split: UDT changes the out-degrees PageRank divides by.
     pub fn pagerank_prepared(
         &self,
         prepared: &PreparedGraph,
         options: &pr::PrOptions,
     ) -> Result<pr::PrOutput, EngineError> {
-        let out_degrees = pr::out_degrees(prepared.graph());
-        if options.mode != pr::PrMode::Pull {
-            return self.pagerank(
-                &Representation::from_prepared(prepared),
-                &out_degrees,
-                options,
-            );
+        let rep = Representation::from_prepared(prepared);
+        self.plan
+            .validate_pipeline(&rep, &Pipeline::pagerank(*options), None)?;
+        self.pagerank_over(&rep, PullSide::of(prepared), options)
+    }
+
+    /// The one PageRank dispatch of the pipeline and prepared entry
+    /// points, over the forward view `rep` and whatever transpose side
+    /// the caller holds. Pull gathers over `rep` mirrored onto the
+    /// transpose, building what `pull` lacks. A push on a host backend
+    /// with a transpose at hand runs as the gather over the plain
+    /// transpose — the same terms in the same order, so the same bits
+    /// (see [`pr::PrMode::Push`]). The simulator always scatters: that
+    /// is the paper's meter.
+    fn pagerank_over(
+        &self,
+        rep: &Representation<'_>,
+        pull: Option<PullSide<'_>>,
+        options: &pr::PrOptions,
+    ) -> Result<pr::PrOutput, EngineError> {
+        let degrees = pr::out_degrees(rep.graph());
+        match (options.mode, pull) {
+            (pr::PrMode::Push, Some(side)) if self.plan.backend != BackendKind::WarpSim => {
+                let gather = pr::PrOptions {
+                    mode: pr::PrMode::Pull,
+                    ..*options
+                };
+                self.pagerank(&Representation::Original(side.reverse), &degrees, &gather)
+            }
+            (pr::PrMode::Push, _) => self.pagerank(rep, &degrees, options),
+            (pr::PrMode::Pull, _) => {
+                let (built, built_overlay) = (OnceCell::new(), OnceCell::new());
+                let view = pull_view(rep, pull, &built, &built_overlay);
+                self.pagerank(&view, &degrees, options)
+            }
         }
-        let forward = match prepared.overlay() {
-            Some(overlay) => Representation::Virtual {
-                graph: prepared.graph(),
-                overlay,
-            },
-            None => Representation::Original(prepared.graph()),
-        };
-        let (built, built_overlay) = (OnceCell::new(), OnceCell::new());
-        let rep = pull_view(&forward, PullSide::of(prepared), &built, &built_overlay);
-        self.pagerank(&rep, &out_degrees, options)
     }
 
     /// Runs an arbitrary monotone program (alias of
@@ -976,6 +981,82 @@ mod tests {
             .unwrap();
         let without_views = engine.pagerank_prepared(&bare, &options).unwrap();
         assert_eq!(with_views.ranks, without_views.ranks);
+    }
+
+    /// A host push `pr` over a prepared transpose gathers over it and
+    /// builds none; over a prepared graph without one it scatters, and
+    /// builds none either. Every backend returns the simulator's bits.
+    #[test]
+    fn host_push_pagerank_gathers_over_the_prepared_transpose() {
+        use crate::batch::tests::TRANSPOSES_BUILT;
+        let built = || TRANSPOSES_BUILT.with(|c| c.get());
+        let store = tigr_core::GraphStore::disabled();
+        let options = pr::PrOptions::default();
+        for transpose in [true, false] {
+            let spec = tigr_core::PrepareSpec::generated("rmat:8:6", 5)
+                .with_virtual(4, true)
+                .with_transpose(transpose);
+            let prepared = store.prepare(&spec).unwrap();
+            let warp = Engine::new(GpuConfig::tiny())
+                .pagerank_prepared(&prepared, &options)
+                .unwrap();
+            assert_eq!(warp.iterations, warp.report.num_iterations());
+            for backend in [BackendKind::Sequential, BackendKind::CpuPool] {
+                let label = format!("{}/transpose={transpose}", backend.label());
+                let engine = Engine::new(GpuConfig::tiny()).with_backend(backend);
+                let before = built();
+                let host = engine.pagerank_prepared(&prepared, &options).unwrap();
+                let served = engine
+                    .run_prepared_pipeline(&prepared, &Pipeline::pagerank(options), None)
+                    .unwrap();
+                assert_eq!(built(), before, "{label}: built a transpose");
+                assert_eq!(float_bits(&host.ranks), float_bits(&warp.ranks), "{label}");
+                assert_eq!(served.values, float_bits(&warp.ranks), "{label}");
+                assert_eq!(host.iterations, warp.iterations, "{label}");
+            }
+        }
+    }
+
+    /// UDT changes the out-degrees PageRank divides by: over a physically
+    /// split prepared graph every backend and mode refuses, as the
+    /// pipeline entry point does.
+    #[test]
+    fn pagerank_over_a_physical_split_is_an_invalid_plan() {
+        let store = tigr_core::GraphStore::disabled();
+        let spec = tigr_core::PrepareSpec::generated("rmat:8:6", 3)
+            .with_transform(
+                tigr_core::TransformKind::Udt,
+                Some(4),
+                tigr_core::DumbWeight::Unweighted,
+            )
+            .with_transpose(true);
+        let prepared = store.prepare(&spec).unwrap();
+        let refused = |err: EngineError| {
+            matches!(
+                err,
+                EngineError::InvalidPlan(PlanError::NotSplitInvariant { pipeline: "pr" })
+            )
+        };
+        for backend in [
+            BackendKind::WarpSim,
+            BackendKind::Sequential,
+            BackendKind::CpuPool,
+        ] {
+            let engine = Engine::new(GpuConfig::tiny()).with_backend(backend);
+            for mode in [pr::PrMode::Push, pr::PrMode::Pull] {
+                let options = pr::PrOptions {
+                    mode,
+                    ..pr::PrOptions::default()
+                };
+                let label = format!("{}/{mode:?}", backend.label());
+                let err = engine.pagerank_prepared(&prepared, &options).unwrap_err();
+                assert!(refused(err), "{label}");
+                let err = engine
+                    .run_prepared_pipeline(&prepared, &Pipeline::pagerank(options), None)
+                    .unwrap_err();
+                assert!(refused(err), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,13 @@ echo "== lane driver / plain reference loop on optimised code =="
 cargo test -q --release --test batch_equivalence \
     lanes_are_the_plain_reference_run_at_no_more_than_1_5x_its_cost -- --nocapture
 
+echo "== host pr / plain reference gather on optimised code =="
+# And for PageRank: a host push `pr` over a prepared transpose runs as the
+# gather, and must cost what a plain gather loop costs — 1.5x under the
+# test profile, 1.3x optimised.
+cargo test -q --release --test host_vs_warpsim \
+    host_pagerank_costs_what_a_plain_gather_costs -- --nocapture
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

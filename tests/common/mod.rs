@@ -8,7 +8,7 @@
 #![allow(dead_code)]
 
 use tigr::engine::{
-    run_monotone, Combine, EdgeOp, ExecutionPlan, InitKind, MonotoneOutput, SyncMode,
+    run_monotone, Combine, EdgeOp, ExecutionPlan, InitKind, MonotoneOutput, PrOptions, SyncMode,
 };
 use tigr::graph::RowView;
 use tigr::{
@@ -185,4 +185,60 @@ pub fn assert_lane_is_the_reference_run(
     );
     assert_eq!(lane.converged, reference.converged, "{label}: converged");
     assert!(!lane.cancelled, "{label}: cancelled");
+}
+
+/// One run of [`reference_pagerank`].
+#[derive(Debug)]
+pub struct ReferenceRanks {
+    pub ranks: Vec<f32>,
+    pub iterations: usize,
+    pub converged: bool,
+}
+
+/// PageRank written the plain way, as a gather: a `Vec<f32>` of per-node
+/// shares `rank / max(outdeg, 1)`, one partial sum per in-row of
+/// `reverse` (the transpose of the graph `out_degrees` belong to). Its
+/// `f32` arithmetic is the power iteration's, term for term and in the
+/// same order, so its ranks are the engine's to the bit.
+pub fn reference_pagerank(
+    reverse: &Csr,
+    out_degrees: &[u32],
+    options: &PrOptions,
+) -> ReferenceRanks {
+    let n = reverse.num_nodes();
+    let (rows, sources) = (reverse.row_ptr(), reverse.col_idx());
+    let (d, nf) = (options.damping, n as f32);
+    let share = |v: usize, rank: f32| rank / out_degrees[v].max(1) as f32;
+    let mut ranks = vec![1.0 / nf; n];
+    let mut shares: Vec<f32> = (0..n).map(|v| share(v, ranks[v])).collect();
+    let (mut iterations, mut converged) = (0, n == 0);
+    while !converged && iterations < options.max_iterations {
+        let mut dangling = 0.0f64;
+        for v in 0..n {
+            if out_degrees[v] == 0 {
+                dangling += f64::from(ranks[v]);
+            }
+        }
+        let base = (1.0 - d) / nf + d * (dangling as f32) / nf;
+        let mut delta = 0.0f32;
+        for (t, rank) in ranks.iter_mut().enumerate() {
+            let mut partial = 0.0f32;
+            for s in &sources[rows[t]..rows[t + 1]] {
+                partial += shares[s.index()];
+            }
+            let new = base + d * partial;
+            delta += (new - *rank).abs();
+            *rank = new;
+        }
+        for (v, s) in shares.iter_mut().enumerate() {
+            *s = share(v, ranks[v]);
+        }
+        iterations += 1;
+        converged = delta < options.tolerance;
+    }
+    ReferenceRanks {
+        ranks,
+        iterations,
+        converged,
+    }
 }

@@ -1,18 +1,22 @@
-//! Golden digests of the simulated monotone engine — the paper's meter.
+//! Golden digests of the simulated engine — the paper's meter.
 //! Every cell of graph × representation × program × plan is pinned by
 //! one FNV-1a64 digest over all a run reports: `values`, `converged`,
 //! `cancelled`, `edges_touched`, `directions`, and every iteration's
 //! thread count and kernel counters. A plan the cell rejects is pinned
-//! by its typed error instead. A refactor of the simulated drivers must
-//! leave every digest where it is.
+//! by its typed error instead. PageRank and betweenness, the two float
+//! drivers, are pinned the same way: every rank, centrality, σ and level
+//! bit, the iteration count, the flags and the whole report. A refactor
+//! of the simulated drivers must leave every digest where it is.
 
 use tigr::core::{CancelToken, DumbWeight, OnTheFlyMapper};
 use tigr::engine::{
-    run_monotone, Direction, EngineError, ExecutionPlan, FrontierMode, MonotoneOutput,
-    MonotoneProgram, PushOptions, SyncMode,
+    bc, pr, run_monotone, BcOutput, Direction, EngineError, ExecutionPlan, FrontierMode,
+    MonotoneOutput, MonotoneProgram, PrMode, PrOptions, PrOutput, PushOptions, SyncMode,
 };
 use tigr::graph::generators::{rmat, star_graph, with_uniform_weights, RmatConfig};
-use tigr::{udt_transform, GpuConfig, GpuSimulator, NodeId, Representation, VirtualGraph};
+use tigr::graph::reverse::transpose;
+use tigr::sim::SimReport;
+use tigr::{udt_transform, Csr, GpuConfig, GpuSimulator, NodeId, Representation, VirtualGraph};
 
 /// The one call under test.
 fn run_cell(
@@ -42,6 +46,30 @@ impl Fnv {
             self.word(x);
         }
     }
+
+    fn floats(&mut self, xs: &[f32]) {
+        self.words(xs.iter().map(|x| u64::from(x.to_bits())));
+    }
+
+    /// Every iteration's thread count and kernel counters.
+    fn report(&mut self, report: &SimReport) {
+        self.word(report.iterations.len() as u64);
+        for it in &report.iterations {
+            let m = &it.metrics;
+            self.word(it.threads as u64);
+            for counter in [
+                m.cycles,
+                m.instructions,
+                m.issued_slots,
+                m.mem_transactions,
+                m.atomic_ops,
+                m.warps,
+            ] {
+                self.word(counter);
+            }
+            self.words(m.sm_cycles.iter().copied());
+        }
+    }
 }
 
 fn digest(result: Result<MonotoneOutput, EngineError>) -> u64 {
@@ -58,22 +86,7 @@ fn digest(result: Result<MonotoneOutput, EngineError>) -> u64 {
                 Direction::Pull => 1,
                 Direction::Auto => 2,
             }));
-            h.word(out.report.iterations.len() as u64);
-            for it in &out.report.iterations {
-                let m = &it.metrics;
-                h.word(it.threads as u64);
-                for counter in [
-                    m.cycles,
-                    m.instructions,
-                    m.issued_slots,
-                    m.mem_transactions,
-                    m.atomic_ops,
-                    m.warps,
-                ] {
-                    h.word(counter);
-                }
-                h.words(m.sm_cycles.iter().copied());
-            }
+            h.report(&out.report);
         }
         Err(EngineError::InvalidPlan(e)) => {
             h.word(1);
@@ -169,15 +182,20 @@ const PROGRAMS: [MonotoneProgram; 4] = [
     MonotoneProgram::CC,
 ];
 
-/// Every cell's label and digest, in table order.
-fn cells() -> Vec<(String, u64)> {
-    let graphs = [
+/// The graph axis: a weighted R-MAT and a 1 024-leaf star.
+fn graphs() -> [(&'static str, Csr); 2] {
+    [
         (
             "rmat",
             with_uniform_weights(&rmat(&RmatConfig::graph500(8, 8), 11), 1, 32, 12),
         ),
         ("star", star_graph(1025)),
-    ];
+    ]
+}
+
+/// Every cell's label and digest, in table order.
+fn cells() -> Vec<(String, u64)> {
+    let graphs = graphs();
     let plans = plans();
     let mut cells = Vec::new();
     for (graph, g) in &graphs {
@@ -256,14 +274,104 @@ fn cells() -> Vec<(String, u64)> {
     cells
 }
 
-#[test]
-fn simulated_monotone_runs_match_their_golden_digests() {
-    let cells = cells();
-    assert_eq!(cells.len(), GOLDEN.len(), "cell count");
+/// The unsplit views the float drivers run over, at `K = 4`.
+fn float_views<'a>(
+    g: &'a Csr,
+    plain: &'a VirtualGraph,
+    coalesced: &'a VirtualGraph,
+) -> [(&'static str, Representation<'a>); 4] {
+    [
+        ("original", Representation::Original(g)),
+        (
+            "virtual",
+            Representation::Virtual {
+                graph: g,
+                overlay: plain,
+            },
+        ),
+        (
+            "virtual+",
+            Representation::Virtual {
+                graph: g,
+                overlay: coalesced,
+            },
+        ),
+        (
+            "otf",
+            Representation::OnTheFly {
+                graph: g,
+                mapper: OnTheFlyMapper::new(g, 4),
+            },
+        ),
+    ]
+}
+
+fn pr_digest(out: &PrOutput) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.floats(&out.ranks);
+    h.word(out.iterations as u64);
+    h.word(u64::from(out.converged));
+    h.word(u64::from(out.cancelled));
+    h.report(&out.report);
+    h.0
+}
+
+fn bc_digest(out: &BcOutput) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.floats(&out.centrality);
+    h.floats(&out.sigma);
+    h.words(out.levels.iter().map(|&l| u64::from(l)));
+    h.word(out.iterations as u64);
+    h.word(u64::from(out.cancelled));
+    h.report(&out.report);
+    h.0
+}
+
+/// Every float cell's label and digest: PageRank push over the forward
+/// graph and pull over its transpose, on each unsplit view, at three
+/// iteration caps; betweenness from two sources over the flat CSR and
+/// both overlays.
+fn float_cells() -> Vec<(String, u64)> {
+    let sim = GpuSimulator::new(GpuConfig::default());
+    let mut cells = Vec::new();
+    for (graph, g) in &graphs() {
+        let degrees = pr::out_degrees(g);
+        let rev = transpose(g);
+        for (mode, over) in [(PrMode::Push, g), (PrMode::Pull, &rev)] {
+            let plain = VirtualGraph::new(over, 4);
+            let coalesced = VirtualGraph::coalesced(over, 4);
+            for (rep_label, rep) in &float_views(over, &plain, &coalesced) {
+                for max_iterations in [1, 5, PrOptions::default().max_iterations] {
+                    let options = PrOptions {
+                        mode,
+                        max_iterations,
+                        ..PrOptions::default()
+                    };
+                    let label = format!("{graph}/{rep_label}/pr/{mode:?}/{max_iterations}");
+                    let out = pr::run(&sim, rep, &degrees, &options);
+                    cells.push((label, pr_digest(&out)));
+                }
+            }
+        }
+        let plain = VirtualGraph::new(g, 4);
+        let coalesced = VirtualGraph::coalesced(g, 4);
+        for (rep_label, rep) in &float_views(g, &plain, &coalesced)[..3] {
+            for source in [0, 7] {
+                let label = format!("{graph}/{rep_label}/bc/{source}");
+                let out = bc::run(&sim, rep, NodeId::new(source));
+                cells.push((label, bc_digest(&out)));
+            }
+        }
+    }
+    cells
+}
+
+fn assert_pinned(cells: &[(String, u64)], golden: &[u64]) {
+    assert_eq!(cells.len(), golden.len(), "cell count");
     let moved: Vec<String> = cells
         .iter()
-        .zip(GOLDEN)
-        .filter(|((_, got), pinned)| got != pinned)
+        .zip(golden)
+        .filter(|((_, got), pinned)| got != *pinned)
         .map(|((label, got), pinned)| format!("{label}: {got:#018x}, pinned {pinned:#018x}"))
         .collect();
     assert!(
@@ -273,6 +381,16 @@ fn simulated_monotone_runs_match_their_golden_digests() {
         cells.len(),
         moved.join("\n")
     );
+}
+
+#[test]
+fn simulated_monotone_runs_match_their_golden_digests() {
+    assert_pinned(&cells(), &GOLDEN);
+}
+
+#[test]
+fn simulated_pagerank_and_betweenness_match_their_golden_digests() {
+    assert_pinned(&float_cells(), &FLOAT_GOLDEN);
 }
 
 /// The digest of every cell, in [`cells`] order, as the simulated
@@ -381,4 +499,26 @@ const GOLDEN: [u64; 406] = [
     0x94d949430b607f2e, 0x774a98d7a6391ca7, 0x77745efbb45dd35a, 0x4cc52a4a206e7e7b,
     0x52d02089d1ea7d2f, 0x3314877e5fa08a29, 0x52d02089d1ea7d2f, 0x3d63bc8fcbfea14d,
     0x52d02089d1ea7d2f, 0x2df976aee452d6e8,
+];
+
+/// The digest of every cell, in [`float_cells`] order, as the simulated
+/// PageRank and betweenness drivers produced them before the host run of
+/// a push `pr` became a gather over the transpose.
+#[rustfmt::skip]
+const FLOAT_GOLDEN: [u64; 60] = [
+    0x760311f224151502, 0xe4e3b66313fa1260, 0x413171d4382e48f8, 0x03ee0d8c2bf2c827,
+    0xe43358dbe8c39e21, 0x8ccb4aca088f9bd0, 0x9efe059775050a47, 0xe1d6e02742dcf55d,
+    0xdb4cc773ad1b08f0, 0x647aca636774d4df, 0xff5b850a4321f089, 0x9ed18408a867c7b0,
+    0x05fe7e38924bbb18, 0x58fec74919e01baa, 0x5bb4e7c41af24640, 0xf143fe81d17d0de0,
+    0xf515f4532d0a0d26, 0x41c6a06849ece3f2, 0xf41f466783f0012c, 0xc72d4632e49e1367,
+    0x4c12a939e0537c53, 0xf7ba1e332daa6644, 0x52740e3feb6ee23d, 0x03d5d1378c389113,
+    0xe7c257ab483a21ca, 0xacb7c95457602fad, 0x384ced989c310705, 0x74023eba4246ae0b,
+    0xacbce641247e2991, 0x58dbc164aec47ca0, 0xc7a1c2eab27157a6, 0x2f3fc17f5ab908d6,
+    0x2f3fc17f5ab908d6, 0x9e1167ba3e49c04a, 0x6a21ac4adaccb8da, 0x6a21ac4adaccb8da,
+    0xdc6684e7b77019e0, 0x31ffd8e3ee9107be, 0x31ffd8e3ee9107be, 0xefacee6dc56fc38b,
+    0x30203d67ac69c2b2, 0x30203d67ac69c2b2, 0x028fd29f4b99e197, 0x78a8803296291c82,
+    0x78a8803296291c82, 0x028fd29f4b99e197, 0x78a8803296291c82, 0x78a8803296291c82,
+    0x028fd29f4b99e197, 0x78a8803296291c82, 0x78a8803296291c82, 0xf4ff96bb0430ed9a,
+    0xad2aa03730e87732, 0xad2aa03730e87732, 0xaeae0fe71531b44d, 0xb943a9547260e346,
+    0x7576995e60af0df3, 0xb943a9547260e346, 0xf777ff7dbd073407, 0xb943a9547260e346,
 ];
