@@ -1,6 +1,6 @@
 //! `tigr run <analytic> --graph <file>` — run an analytic on the
-//! simulated GPU (or, with `--cpu`, on the host's work-stealing pool),
-//! optionally through a virtual transformation.
+//! simulated GPU (or, with `--cpu`, on the host executor), optionally
+//! through a virtual transformation.
 //!
 //! Inputs resolve through the [`tigr_core::GraphStore`] artifact layer:
 //! with `--cache-dir` (or `TIGR_CACHE_DIR`) set, the loaded graph and
@@ -11,8 +11,8 @@
 
 use tigr_core::{CancelToken, PrepareSpec};
 use tigr_engine::{
-    default_threads, pr, Algo, BackendKind, CpuOptions, Direction, Engine, FrontierMode,
-    MonotoneProgram, Pipeline, PrMode, PushOptions, Representation,
+    pr, Algo, BackendKind, Direction, Engine, FrontierMode, MonotoneProgram, Pipeline, PrMode,
+    PushOptions, Representation,
 };
 use tigr_graph::NodeId;
 use tigr_sim::GpuConfig;
@@ -74,13 +74,10 @@ pub fn run(args: &Args) -> CmdResult {
         ))?,
         None => Direction::Push,
     };
-    // --cpu runs the analytic on the CpuPool backend with --threads
-    // workers instead of the simulator: same plan, same prepared views.
+    // --cpu runs the analytic on the host executor instead of the
+    // simulator: same plan, same prepared views. One source is one lane,
+    // so there is nothing to deal across threads.
     let cpu = args.switch("cpu");
-    let threads: usize = args.flag_or("threads", default_threads())?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     let virtual_k: Option<u32> = args
         .flag("virtual")
         .map(|k| k.parse().map_err(|_| "invalid --virtual K".to_string()))
@@ -136,7 +133,6 @@ pub fn run(args: &Args) -> CmdResult {
         } else {
             BackendKind::WarpSim
         })
-        .with_cpu_options(CpuOptions { threads })
         .with_options(PushOptions {
             worklist,
             frontier,
@@ -339,9 +335,9 @@ pub fn run(args: &Args) -> CmdResult {
         rep.label()
     ));
     if cpu {
-        // The pool has no architectural meter: wall clock it is.
+        // The host has no architectural meter: wall clock it is.
         out.push_str(&format!(
-            "backend         cpupool ({threads} threads)\nwall time       {:.3} ms\n",
+            "backend         cpupool\nwall time       {:.3} ms\n",
             elapsed.as_secs_f64() * 1e3
         ));
     } else {
@@ -383,7 +379,6 @@ const FLAGS: &[&str] = &[
     "mmap",
     "verify",
     "cpu",
-    "threads",
 ];
 
 const USAGE: &str = "usage: tigr run <bfs|sssp|sswp|cc|pr|bc|khop|paths|lp|tc> --graph <file> \
@@ -391,7 +386,7 @@ const USAGE: &str = "usage: tigr run <bfs|sssp|sswp|cc|pr|bc|khop|paths|lp|tc> -
 [--direction push|pull|auto] \
 [--frontier auto|dense|sparse|off] [--deadline-ms MS] [--report] [--stats] \
 [--cache-dir DIR] [--mmap on|off|auto] [--verify eager|lazy] \
-[--cpu [--threads N]]";
+[--cpu]";
 
 #[cfg(test)]
 mod tests {
@@ -479,19 +474,17 @@ mod tests {
     }
 
     #[test]
-    fn cpu_path_reports_backend_threads_and_stats() {
+    fn cpu_path_reports_backend_and_stats() {
         let path = fixture();
-        let out = run(&parse(&format!(
-            "sssp --graph {path} --cpu --threads 2 --stats"
-        )))
-        .unwrap();
+        let out = run(&parse(&format!("sssp --graph {path} --cpu --stats"))).unwrap();
         assert!(out.contains("sssp from 0:"), "{out}");
-        assert!(out.contains("backend         cpupool (2 threads)"), "{out}");
+        assert!(out.contains("backend         cpupool\n"), "{out}");
         assert!(out.contains("wall time"), "{out}");
         assert!(out.contains("cache           "), "{out}");
         assert!(!out.contains("sim cycles"), "{out}");
-        let err = run(&parse(&format!("bfs --graph {path} --cpu --threads 0"))).unwrap_err();
-        assert!(err.contains("--threads must be at least 1"), "{err}");
+        // A single-source run has no lanes to deal: no thread knob.
+        let err = run(&parse(&format!("bfs --graph {path} --cpu --threads 2"))).unwrap_err();
+        assert!(err.contains("unknown flag --threads"), "{err}");
     }
 
     #[test]
@@ -523,7 +516,7 @@ mod tests {
             for d in ["push", "pull", "auto"] {
                 let cmd = format!("{verb} --graph {path} --direction {d}");
                 let sim = run(&parse(&cmd)).unwrap();
-                let cpu = run(&parse(&format!("{cmd} --cpu --threads 2"))).unwrap();
+                let cpu = run(&parse(&format!("{cmd} --cpu"))).unwrap();
                 assert!(cpu.contains("backend         cpupool"), "{cmd}: {cpu}");
                 assert_eq!(summary(&cpu), summary(&sim), "{cmd}");
             }
@@ -531,7 +524,7 @@ mod tests {
         for cmd in ["khop --limit 2", "paths --limit 40", "lp --limit 3", "tc"] {
             let cmd = format!("{cmd} --graph {path}");
             let sim = run(&parse(&cmd)).unwrap();
-            let cpu = run(&parse(&format!("{cmd} --cpu --threads 2"))).unwrap();
+            let cpu = run(&parse(&format!("{cmd} --cpu"))).unwrap();
             assert_eq!(summary(&cpu), summary(&sim), "{cmd}");
         }
     }

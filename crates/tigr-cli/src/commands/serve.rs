@@ -58,7 +58,9 @@ pub fn run(args: &Args) -> CmdResult {
         return Err("--batch-max must be at least 1 (1 disables batching)".into());
     }
     if config.kernel_threads == 0 {
-        return Err("--kernel-threads must be at least 1 (1 runs the sequential plan)".into());
+        return Err(
+            "--kernel-threads must be at least 1 (1 runs every lane on its executor)".into(),
+        );
     }
 
     let mut spec = PrepareSpec::from_file(&path);
@@ -105,10 +107,9 @@ pub fn run(args: &Args) -> CmdResult {
     let mode = if mutable { " [mutable]" } else { "" };
     println!(
         "serving {name} ({nodes} nodes, {edges} edges){mode} on {addr_text}\n\
-         executors {} x {} kernel threads ({}) | queue {} | cache {} entries | batch {} (wait {} us)",
+         executors {} x {} kernel threads | queue {} | cache {} entries | batch {} (wait {} us)",
         config.executor_count(),
         config.kernel_threads,
-        config.plan_fingerprint(),
         config.queue_capacity,
         config.cache_capacity,
         config.batch_max,
@@ -144,7 +145,9 @@ const USAGE: &str = "usage: tigr serve --graph <file> [--name N] \
 [--batch-max N] [--batch-wait-us US] \
 [--mutable [--compact-threshold N]] \
 [--virtual K [--coalesced]] [--duration SECS] [--cache-dir DIR] \
-[--mmap on|off|auto] [--verify eager|lazy]";
+[--mmap on|off|auto] [--verify eager|lazy]
+  --kernel-threads N  threads each executor deals a fused batch's lanes across (default 1);
+                      every answer is byte-identical whatever N is";
 
 #[cfg(test)]
 mod tests {

@@ -233,29 +233,13 @@ impl FrontierBuilder {
         self.len() == 0
     }
 
-    /// Drains the builder's active ids into `out` (cleared first) in
-    /// ascending order, resetting all bits — the allocation-free variant
-    /// of [`FrontierBuilder::take`] for drivers that only need the work
-    /// list, not a full [`Frontier`].
-    pub fn drain_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(self.count.swap(0, Ordering::Relaxed));
-        drain_words(self.bits.iter().map(|w| w.swap(0, Ordering::Relaxed)), out);
-    }
-
-    /// Resets every bit without materializing the active ids — the
-    /// defensive re-initialization arenas run before reusing a builder.
-    pub fn clear(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        for word in &self.bits {
-            word.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Drains the builder into a [`Frontier`], clearing all bits.
     pub fn take(&self, mode: FrontierMode) -> Frontier {
-        let mut active = Vec::new();
-        self.drain_into(&mut active);
+        let mut active = Vec::with_capacity(self.count.swap(0, Ordering::Relaxed));
+        drain_words(
+            self.bits.iter().map(|w| w.swap(0, Ordering::Relaxed)),
+            &mut active,
+        );
         let rep = choose_rep(mode, active.len(), self.n);
         let mut bitmap = vec![0u64; self.n.div_ceil(64)];
         for &v in &active {

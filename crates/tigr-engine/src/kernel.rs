@@ -2,7 +2,7 @@
 //!
 //! Every driver in this crate — the monotone driver
 //! ([`crate::run_monotone`]) with its push and pull sweeps, the host lane
-//! drivers ([`crate::batch`]), PageRank and betweenness centrality
+//! driver ([`crate::batch`]), PageRank and betweenness centrality
 //! ([`crate::algorithms`]) — routes its per-edge work through
 //! [`relax_kernel`]. The loop is parameterized along two axes:
 //!
@@ -31,10 +31,10 @@
 //! per-edge loop a body in which each is a type — the edge function and
 //! the combine of the program, where a destination's current value is
 //! read, the edge iterator. It is generic over the [`ValueCells`] it
-//! writes as well: the shared [`AtomicValues`] of the simulator and the
-//! pooled executors (a hardware read-modify-write per improving edge,
-//! Algorithm 2 line 9), or the `&mut [u32]` a host lane owns (a compare
-//! and a store). Mirror charges are issued by the body, not by the cells,
+//! writes as well: the shared [`AtomicValues`] of [`crate::run_monotone`],
+//! simulated or on [`HostLoop`] (a hardware read-modify-write per
+//! improving edge, Algorithm 2 line 9), or the `&mut [u32]` a host lane
+//! owns (a compare and a store). Mirror charges are issued by the body, not by the cells,
 //! so they are the same call for call whatever it is instantiated over.
 
 use tigr_core::VirtualNode;
@@ -374,89 +374,6 @@ pub fn pull_gather<M: AccessMirror>(
     touched
 }
 
-/// Lane-fused scatter for batched execution: relaxes `edges` **once**
-/// for every lane in `lanes`, whose hoisted source values sit in `dv`
-/// (parallel arrays). Destination values are interleaved lane-major,
-/// `values[target * k + lane]`, so the inner per-lane loop walks
-/// contiguous memory. `on_improve(lane, target)` runs once per newly
-/// improving `(lane, edge)` pair.
-///
-/// This is the wall-clock CPU batch kernel — no [`AccessMirror`]
-/// parameter, because the simulator never runs fused batches.
-///
-/// Returns the number of edges walked (each counted once, however many
-/// lanes it relaxed).
-#[inline]
-pub fn push_relax_lanes(
-    prog: MonotoneProgram,
-    values: &AtomicValues,
-    k: usize,
-    lanes: &[u32],
-    dv: &[u32],
-    edges: impl Iterator<Item = EdgeRef>,
-    mut on_improve: impl FnMut(usize, usize),
-) -> u64 {
-    debug_assert_eq!(lanes.len(), dv.len());
-    let mut touched = 0u64;
-    for edge in edges {
-        touched += 1;
-        let base = edge.target * k;
-        for (&lane, &d) in lanes.iter().zip(dv) {
-            let cand = prog.edge_op.apply(d, edge.weight);
-            let slot = base + lane as usize;
-            let cur = values.load(slot);
-            if prog.combine.improves(cand, cur) && values.try_improve(slot, cand, prog.combine) {
-                on_improve(lane as usize, edge.target);
-            }
-        }
-    }
-    touched
-}
-
-/// Lane-fused gather for batched execution: folds `edges` (in-edges of
-/// one node, i.e. a transpose range) **once** for every lane in
-/// `lanes`, reading interleaved lane-major `values[source * k + lane]`
-/// and accumulating into `best` (parallel to `lanes`, pre-seeded with
-/// the gathering node's current per-lane values). With `filter_bits`,
-/// edges whose source is not set in the merged-frontier bitmap are
-/// skipped for every lane.
-///
-/// The caller publishes `best` with one `try_improve` per lane — the
-/// Theorem 3 single-atomic gather scheme, K lanes wide.
-///
-/// Returns the number of edges folded (filtered edges not counted).
-#[inline]
-pub fn pull_gather_lanes(
-    prog: MonotoneProgram,
-    values: &AtomicValues,
-    k: usize,
-    lanes: &[u32],
-    edges: impl Iterator<Item = EdgeRef>,
-    filter_bits: Option<&[u64]>,
-    best: &mut [u32],
-) -> u64 {
-    debug_assert_eq!(lanes.len(), best.len());
-    let mut touched = 0u64;
-    for edge in edges {
-        if let Some(bits) = filter_bits {
-            if bits[edge.target / 64] & (1 << (edge.target % 64)) == 0 {
-                continue;
-            }
-        }
-        touched += 1;
-        let base = edge.target * k;
-        for (i, &lane) in lanes.iter().enumerate() {
-            let cand = prog
-                .edge_op
-                .apply(values.load(base + lane as usize), edge.weight);
-            if prog.combine.improves(cand, best[i]) {
-                best[i] = cand;
-            }
-        }
-    }
-    touched
-}
-
 /// Walks a contiguous global edge range `[lo, hi)` that may span node
 /// boundaries — the on-the-fly mapping shape (Algorithm 4) — invoking
 /// `body` once per `(owning node, edge subrange)` segment and charging
@@ -774,86 +691,6 @@ mod tests {
         );
         assert_eq!(touched, 0, "claimed slot folds nothing");
         assert_eq!(values.load(0), 3);
-    }
-
-    #[test]
-    fn push_relax_lanes_fuses_one_edge_walk() {
-        let g = CsrBuilder::new(3)
-            .weighted_edge(0, 1, 4)
-            .weighted_edge(0, 2, 2)
-            .build();
-        // Two live lanes out of k = 3, interleaved values[v * 3 + lane].
-        let values = AtomicValues::from_values(vec![
-            0,
-            u32::MAX,
-            5, // node 0: lane0=0, lane2=5
-            u32::MAX,
-            u32::MAX,
-            6, // node 1
-            1,
-            u32::MAX,
-            u32::MAX, // node 2
-        ]);
-        let mut improved = Vec::new();
-        let touched = push_relax_lanes(
-            MonotoneProgram::SSSP,
-            &values,
-            3,
-            &[0, 2],
-            &[0, 5],
-            csr_edges(&g, 0..2),
-            |lane, t| improved.push((lane, t)),
-        );
-        assert_eq!(touched, 2, "two edges walked once each");
-        // lane 0: 0+4 improves node1 (MAX), 0+2 improves node2? cur=1, no.
-        // lane 2: 5+4=9 improves node1's 6? no. 5+2=7 vs node2 MAX: yes.
-        assert_eq!(improved, vec![(0, 1), (2, 2)]);
-        assert_eq!(values.load(3), 4, "node 1, lane 0");
-        assert_eq!(values.load(8), 7, "node 2, lane 2");
-        assert_eq!(values.load(5), 6, "node 1, lane 2 kept the better 6");
-    }
-
-    #[test]
-    fn pull_gather_lanes_folds_and_filters() {
-        // Transpose view: node 0 gathers from 1 (w=3) and 2 (w=1).
-        let rev = CsrBuilder::new(3)
-            .weighted_edge(0, 1, 3)
-            .weighted_edge(0, 2, 1)
-            .build();
-        let values = AtomicValues::from_values(vec![
-            u32::MAX,
-            u32::MAX, // node 0, lanes {0,1}
-            2,
-            7, // node 1
-            5,
-            0, // node 2
-        ]);
-        let mut best = vec![u32::MAX, u32::MAX];
-        let touched = pull_gather_lanes(
-            MonotoneProgram::SSSP,
-            &values,
-            2,
-            &[0, 1],
-            csr_edges(&rev, 0..2),
-            None,
-            &mut best,
-        );
-        assert_eq!(touched, 2);
-        assert_eq!(best, vec![5, 1], "min(2+3, 5+1) and min(7+3, 0+1)");
-        // Bitmap admitting only node 2 skips the fold from node 1.
-        let bits = [0b100u64];
-        let mut best = vec![u32::MAX, u32::MAX];
-        let touched = pull_gather_lanes(
-            MonotoneProgram::SSSP,
-            &values,
-            2,
-            &[0, 1],
-            csr_edges(&rev, 0..2),
-            Some(&bits),
-            &mut best,
-        );
-        assert_eq!(touched, 1);
-        assert_eq!(best, vec![6, 1]);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod kernel;
 mod monotone;
 pub mod operators;
 pub mod plan;
-mod pool;
 mod program;
 mod pull;
 mod push;
@@ -60,9 +59,7 @@ mod state;
 pub use algorithms::bc::{self, BcOutput};
 pub use algorithms::pr::{self, PrMode, PrOptions, PrOutput};
 pub use algorithms::Analytic;
-pub use batch::{
-    run_batch_cpu_pool, run_batch_sequential_push, BatchArena, BatchLane, BatchOutput, BatchProgram,
-};
+pub use batch::{run_batch_push, BatchArena, BatchLane, BatchOutput, BatchProgram};
 pub use frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep, DENSE_FRACTION};
 pub use kernel::{
     csr_edges, pull_gather, push_relax, relax_kernel, slice_edges, walk_segments, AccessMirror,

@@ -191,8 +191,29 @@ pub fn run_monotone<L: Launcher>(
     plan: &ExecutionPlan,
 ) -> Result<MonotoneOutput, PlanError> {
     plan.validate(rep, &prog)?;
-    let direction = plan.effective_direction(rep, &prog);
     let options = &plan.push;
+    // A forced pull stays pull (validation licensed it); auto runs push
+    // when the hybrid has nothing to optimize or the theorems license no
+    // pull side — no worklist, BSP double buffering, a physical split or
+    // on-the-fly mapping, a non-associative program over a virtual view
+    // (Theorem 3), or `alpha <= 0`.
+    let can_pull = match rep {
+        Representation::Original(_) => true,
+        Representation::Virtual { .. } => prog.associative,
+        Representation::Physical(_) | Representation::OnTheFly { .. } => false,
+    };
+    let direction = match plan.direction {
+        Direction::Auto
+            if options.worklist
+                && options.sync != SyncMode::Bsp
+                && can_pull
+                && plan.auto.alpha > 0.0 =>
+        {
+            Direction::Auto
+        }
+        Direction::Auto => Direction::Push,
+        forced => forced,
+    };
     let g = rep.graph();
     let n = rep.num_value_slots();
     let mode = match direction {

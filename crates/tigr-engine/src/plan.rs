@@ -2,8 +2,8 @@
 //! against the paper's correctness theorems before anything runs.
 //!
 //! A [`ExecutionPlan`] is assembled by [`crate::Engine`]'s builder
-//! methods (or literally) and handed to [`crate::run_monotone`] or one of
-//! the host executors in [`crate::batch`]. Validation encodes what the
+//! methods (or literally) and handed to [`crate::run_monotone`] or the
+//! host lane driver in [`crate::batch`]. Validation encodes what the
 //! paper proves rather than what a comment promises:
 //!
 //! * **Theorem 3** — pull/gather over a split (virtual or on-the-fly)
@@ -22,7 +22,7 @@ use tigr_graph::{Csr, NodeId};
 
 use crate::operators::Pipeline;
 use crate::program::MonotoneProgram;
-use crate::push::{PushOptions, SyncMode};
+use crate::push::PushOptions;
 use crate::representation::Representation;
 
 /// Traversal direction of a plan: which side of each edge does the work.
@@ -139,10 +139,11 @@ pub enum BackendKind {
     /// metrics, values via shared atomics.
     #[default]
     WarpSim,
-    /// The persistent work-stealing CPU pool: wall-clock numbers. Every
-    /// monotone run is a lane of [`crate::batch::run_batch_cpu_pool`].
-    /// (PageRank, betweenness and fixed-round pipelines need one
-    /// accumulation order and run as the sequential host loop.)
+    /// The host executor with threads: `Sequential`, except that a
+    /// batch's lanes are dealt across [`CpuOptions::threads`] workers
+    /// (see [`crate::batch`]). A lane is the unit of parallelism, so
+    /// every answer — solo run or batch lane, any verb — is byte-equal
+    /// to `Sequential`'s.
     CpuPool,
     /// Single-threaded deterministic sweeps: the differential-testing
     /// reference, and the plan the server runs. Push and auto run the
@@ -175,13 +176,11 @@ impl BackendKind {
     }
 }
 
-/// Options of the [`BackendKind::CpuPool`] executor. How a sweep is cut
-/// into work is not an option: the partition follows the representation
-/// (virtual nodes by count, anything else by edge-balanced `row_ptr`
-/// cuts — see [`crate::batch::run_batch_cpu_pool`]).
+/// Options of the [`BackendKind::CpuPool`] executor.
 #[derive(Clone, Copy, Debug)]
 pub struct CpuOptions {
-    /// Worker threads; must be at least 1.
+    /// Workers a batch's lanes are dealt across, in contiguous chunks
+    /// (`0` counts as 1). A solo run is one lane and uses one.
     pub threads: usize,
 }
 
@@ -214,7 +213,7 @@ pub struct ExecutionPlan {
     pub auto: AutoOptions,
     /// Frontier mode, sync mode, worklist toggle, iteration cap.
     pub push: PushOptions,
-    /// CPU pool worker count.
+    /// Workers a `CpuPool` batch's lanes are dealt across.
     pub cpu: CpuOptions,
     /// Cooperative cancellation token, polled by every backend driver at
     /// iteration boundaries. The default ([`CancelToken::never`]) costs
@@ -251,36 +250,6 @@ impl ExecutionPlan {
             Direction::Push | Direction::Auto => {}
         }
         Ok(())
-    }
-
-    /// The direction a run of `prog` over `rep` takes, after the degrade
-    /// rules: a forced pull stays pull (validation licensed it), and auto
-    /// runs push when the hybrid has nothing to optimize or the theorems
-    /// license no pull side — no worklist, BSP double buffering, a
-    /// physical split or on-the-fly mapping, a non-associative program
-    /// over a virtual view (Theorem 3), or `alpha <= 0`.
-    pub(crate) fn effective_direction(
-        &self,
-        rep: &Representation<'_>,
-        prog: &MonotoneProgram,
-    ) -> Direction {
-        let can_pull = match rep {
-            Representation::Original(_) => true,
-            Representation::Virtual { .. } => prog.associative,
-            Representation::Physical(_) | Representation::OnTheFly { .. } => false,
-        };
-        match self.direction {
-            Direction::Pull => Direction::Pull,
-            Direction::Auto
-                if self.push.worklist
-                    && self.push.sync != SyncMode::Bsp
-                    && can_pull
-                    && self.auto.alpha > 0.0 =>
-            {
-                Direction::Auto
-            }
-            _ => Direction::Push,
-        }
     }
 
     /// Checks the plan against a [`Pipeline`]'s typed operator
@@ -453,8 +422,7 @@ mod tests {
 
     #[test]
     fn cpu_pool_pull_is_licensed() {
-        // The pool gained a gather side with the batched executor:
-        // pull over an unsplit representation validates like
+        // CpuPool pull over an unsplit representation validates like
         // Sequential, and the Theorem 3 obligations still apply over
         // split views.
         let g = star_graph(8);

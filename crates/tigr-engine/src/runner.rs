@@ -10,7 +10,7 @@ use tigr_graph::NodeId;
 use tigr_sim::{DeviceMemory, GpuConfig, GpuSimulator, OutOfMemory};
 
 use crate::algorithms::{bc, pr};
-use crate::batch::{run_pool_solo, run_solo_sequential_push};
+use crate::batch::{chunk_len, deal, run_batch_push, run_solo_sequential_push};
 use crate::frontier::FrontierMode;
 use crate::kernel::HostLoop;
 use crate::monotone::{pull_view, run_monotone, MonotoneOutput, PullSide};
@@ -149,8 +149,8 @@ impl Engine {
         self
     }
 
-    /// Overrides the [`BackendKind::CpuPool`] options (its worker
-    /// count).
+    /// Overrides the [`BackendKind::CpuPool`] options (how many workers
+    /// a batch's lanes are dealt across).
     pub fn with_cpu_options(mut self, options: CpuOptions) -> Self {
         self.plan.cpu = options;
         self
@@ -226,7 +226,8 @@ impl Engine {
     /// lanes of an unfused batch alike — funnels through, so
     /// pipeline-built analytics are byte-equal to the pre-operator
     /// engines by construction. A prepared transpose feeds every pull
-    /// sweep.
+    /// sweep. Both host backends run a solo run alike: it is one lane,
+    /// and a lane is what `CpuPool` deals across its workers.
     fn dispatch_monotone(
         &self,
         rep: &Representation<'_>,
@@ -237,19 +238,16 @@ impl Engine {
     ) -> Result<MonotoneOutput, EngineError> {
         Ok(match plan.backend {
             BackendKind::WarpSim => run_monotone(&self.sim, rep, pull, prog, source, plan)?,
-            BackendKind::Sequential if plan.direction == Direction::Pull => {
+            _ if plan.direction == Direction::Pull => {
                 run_monotone(&HostLoop, rep, pull, prog, source, plan)?
             }
-            // Auto's fixpoint equals push's; the sequential reference
-            // keeps the simpler schedule. A solo push run is the lane
-            // driver's K = 1 case, over the representation's CSR
-            // (virtual overlays share the fixpoint and are ignored;
-            // physical splits use their split CSR and slots).
-            BackendKind::Sequential => {
+            // Auto's fixpoint equals push's; the host keeps the simpler
+            // schedule. A solo push run is the lane driver's K = 1 case,
+            // over the representation's CSR (virtual overlays share the
+            // fixpoint and are ignored; physical splits use their split
+            // CSR and slots).
+            _ => {
                 run_solo_sequential_push(rep.graph(), prog, source, plan.cancel.clone(), &plan.push)
-            }
-            BackendKind::CpuPool => {
-                run_pool_solo(rep, pull.map(|side| side.reverse), prog, source, plan)
             }
         })
     }
@@ -371,9 +369,7 @@ impl Engine {
     /// Runs a monotone program for exactly `rounds` synchronous (BSP)
     /// full sweeps — the label-propagation schedule. The pipeline pins
     /// push + BSP + no worklist so the per-round state is the classic
-    /// Jacobi iteration on every backend; the CPU pool (whose sweeps
-    /// are relaxed-only) degrades to the sequential reference, exactly
-    /// as the batch former degrades the simulator.
+    /// Jacobi iteration on every backend.
     fn run_rounds(
         &self,
         rep: &Representation<'_>,
@@ -386,9 +382,6 @@ impl Engine {
         plan.push.worklist = false;
         plan.push.sync = SyncMode::Bsp;
         plan.push.max_iterations = rounds;
-        if plan.backend == BackendKind::CpuPool {
-            plan.backend = BackendKind::Sequential;
-        }
         self.dispatch_monotone(rep, None, prog, source, &plan)
     }
 
@@ -398,17 +391,14 @@ impl Engine {
     /// [`crate::batch`]). Per-lane cancellation comes from the lanes
     /// themselves, not the engine's plan token.
     ///
-    /// The plan's backend picks the executor. [`BackendKind::CpuPool`]
-    /// runs the parallel lane-fused executor
-    /// ([`crate::batch::run_batch_cpu_pool`]): sweeps on the
-    /// work-stealing pool, per-sweep Beamer direction switching over
-    /// the merged frontier, lane outputs *value*-equal to solo runs.
-    /// Any other backend runs the deterministic sequential reference —
-    /// push (and auto, whose fixpoint equals push's) via the host lane
-    /// driver [`crate::batch::run_batch_sequential_push`], whose lane
-    /// outputs are **byte**-equal to solo sequential push runs (those
-    /// are its `K = 1` case); a forced pull plan runs each lane as its
-    /// solo sequential pull run.
+    /// Every backend runs the host lane driver (the simulator has no
+    /// batched path). Push and auto (whose fixpoint equals push's) run
+    /// [`run_batch_push`]; a forced pull runs each lane as its solo
+    /// pull run. [`BackendKind::CpuPool`] deals the lanes in contiguous
+    /// chunks across its [`CpuOptions::threads`] workers; every other
+    /// backend runs them on the calling thread. Either way every lane's
+    /// output is **byte**-equal to its solo run, whatever the thread
+    /// count or the batchmates.
     ///
     /// # Errors
     ///
@@ -451,43 +441,44 @@ impl Engine {
         arena: &mut crate::batch::BatchArena,
     ) -> Result<crate::batch::BatchOutput, EngineError> {
         self.check_footprint(rep)?;
-        let mut plan = self.plan.clone();
-        if plan.backend == BackendKind::WarpSim {
-            // The simulator has no batched path; the sequential
-            // reference preserves its per-lane semantics.
-            plan.backend = BackendKind::Sequential;
-        }
+        let plan = &self.plan;
         plan.validate(rep, &batch.prog)?;
-        match plan.backend {
-            BackendKind::CpuPool => Ok(crate::batch::run_batch_cpu_pool(
-                rep,
-                pull.map(|side| side.reverse),
-                batch,
-                &plan,
-                arena,
-            )),
-            _ if plan.direction == Direction::Pull => {
-                // No fused gather on the sequential path: each lane is
-                // its own solo run under its own token.
-                let lanes = batch
-                    .lanes
-                    .iter()
-                    .map(|lane| {
-                        let mut lane_plan = plan.clone();
-                        lane_plan.cancel = lane.cancel.clone();
-                        self.dispatch_monotone(rep, pull, batch.prog, lane.source, &lane_plan)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let sweeps = lanes.iter().map(|l| l.directions.len()).max().unwrap_or(0);
-                Ok(crate::batch::BatchOutput { lanes, sweeps })
-            }
-            _ => Ok(crate::batch::run_batch_sequential_push(
+        let threads = match plan.backend {
+            BackendKind::CpuPool => plan.cpu.threads,
+            _ => 1,
+        };
+        if plan.direction != Direction::Pull {
+            return Ok(run_batch_push(
                 rep.graph(),
                 batch,
                 &plan.push,
+                threads,
                 arena,
-            )),
+            ));
         }
+        // No fused gather: each lane is its own solo pull run under its
+        // own token.
+        let chunks = deal(
+            batch.lanes.chunks(chunk_len(batch.lanes.len(), threads)),
+            |lanes| {
+                lanes
+                    .iter()
+                    .map(|lane| {
+                        let lane_plan = ExecutionPlan {
+                            cancel: lane.cancel.clone(),
+                            ..plan.clone()
+                        };
+                        run_monotone(&HostLoop, rep, pull, batch.prog, lane.source, &lane_plan)
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+            },
+        );
+        let mut lanes = Vec::with_capacity(batch.lanes.len());
+        for chunk in chunks {
+            lanes.extend(chunk?);
+        }
+        let sweeps = lanes.iter().map(|l| l.directions.len()).max().unwrap_or(0);
+        Ok(crate::batch::BatchOutput { lanes, sweeps })
     }
 
     /// PageRank over a [`PreparedGraph`]. Pull mode gathers along
@@ -608,10 +599,9 @@ impl Engine {
 
     /// PageRank (see [`crate::algorithms::pr::run`] for the contract),
     /// on the plan's backend: `WarpSim` meters the kernels on the
-    /// simulator; every other backend runs the same driver as a host
-    /// loop — bit-identical ranks, no report. Pooled sweeps would be
-    /// racy-order float adds, so `CpuPool` runs that sequential loop
-    /// too, as a fixed-round pipeline degrades it.
+    /// simulator; both host backends run the same driver as a host
+    /// loop — bit-identical ranks, no report. (A PageRank is one run,
+    /// not a batch of lanes, so `CpuPool` has nothing to deal.)
     ///
     /// # Errors
     ///

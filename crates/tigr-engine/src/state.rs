@@ -228,14 +228,6 @@ impl AtomicValues {
             .map(|v| v.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Resets every slot to `v` — the allocation-free re-initialization
-    /// path batch arenas use to recycle value arrays across runs.
-    pub fn fill(&self, v: u32) {
-        for slot in &self.values {
-            slot.store(v, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A shared array of atomically-accumulated `f32` values (σ/δ/rank

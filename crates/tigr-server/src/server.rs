@@ -10,14 +10,13 @@
 //! 2. *Plan*: a batch executor pops one job and drains compatible
 //!    queued jobs (same graph × same algorithm, up to `batch_max`)
 //!    into one fused batch; every monotone query — batched or
-//!    singleton — carries its own cancel token into a lane. With
-//!    `kernel_threads = 1` the batch executes the deterministic
-//!    `Sequential` push schedule; with more, it runs on the parallel
-//!    `CpuPool` backend with per-iteration push/pull direction
-//!    selection (values identical, iteration counts may differ).
-//! 3. *Backend*: the engine advances all lanes of the batch in
-//!    lockstep over the shared [`PreparedGraph`] (see
-//!    [`tigr_engine::batch`]); tokens are polled at iteration
+//!    singleton — carries its own cancel token into a lane.
+//! 3. *Backend*: the host lane driver advances the batch's lanes in
+//!    lockstep over the shared [`PreparedGraph`] (or a dirty
+//!    snapshot's base+delta rows), dealt in contiguous chunks across
+//!    `kernel_threads` threads (see [`tigr_engine::batch`]); every
+//!    answer is byte-equal whatever the thread count, values and
+//!    iteration counts alike. Tokens are polled at iteration
 //!    boundaries, so an expired deadline surfaces as a consistent
 //!    monotone prefix that the server then *discards* — that client
 //!    gets `deadline-exceeded`, never partial values, and its
@@ -48,8 +47,8 @@ use tigr_core::{
     CancelToken, GraphSnapshot, MutableGraph, MutationError, MutationOp, PreparedGraph,
 };
 use tigr_engine::{
-    operators, run_batch_sequential_push, BackendKind, BatchArena, BatchLane, BatchProgram,
-    CpuOptions, Direction, Engine, EngineError, MonotoneProgram, Pipeline,
+    operators, run_batch_push, BackendKind, BatchArena, BatchLane, BatchProgram, Engine,
+    EngineError, MonotoneProgram, Pipeline, PushOptions, Representation,
 };
 use tigr_graph::NodeId;
 
@@ -71,15 +70,13 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Batch executors pulling from the admission queue (`0` = derive
     /// from `workers / kernel_threads`, min 1). Each executor owns its
-    /// own [`BatchArena`] and, when `kernel_threads > 1`, its own
-    /// kernel thread pool.
+    /// own [`BatchArena`].
     pub executors: usize,
-    /// Kernel threads per executor. `1` (the default) runs the
-    /// deterministic sequential push schedule — byte-identical to
-    /// `tigr run`. `> 1` runs batches on the parallel `CpuPool`
-    /// backend with per-iteration push/pull direction selection;
-    /// values still match the sequential path exactly, but iteration
-    /// counts may differ (see `tigr_engine::batch`).
+    /// Threads each executor deals a batch's lanes across, in
+    /// contiguous chunks (`1`, the default, runs every lane on the
+    /// executor itself; a one-lane batch never spawns). Answers are
+    /// byte-equal whatever the count — values, iterations, checksums
+    /// (see `tigr_engine::batch`).
     pub kernel_threads: usize,
     /// Bounded admission-queue capacity; pushes beyond it are rejected
     /// with `queue-full`.
@@ -125,17 +122,6 @@ impl ServerConfig {
             self.executors
         } else {
             (self.workers / self.kernel_threads.max(1)).max(1)
-        }
-    }
-
-    /// The cache-key plan fingerprint for this configuration. Results
-    /// from the two execution plans are value-identical but carry
-    /// different iteration counts, so they never share cache entries.
-    pub fn plan_fingerprint(&self) -> &'static str {
-        if self.kernel_threads > 1 {
-            "cpupool:auto"
-        } else {
-            "sequential:push"
         }
     }
 }
@@ -641,60 +627,29 @@ impl ServerCore {
         self.stats
             .record_batch(lane_jobs.iter().map(Vec::len).sum::<usize>() as u64);
         let batch = BatchProgram { prog, lanes };
-        let threads = self.config.kernel_threads.max(1);
-        let engine = if threads > 1 {
-            // Parallel direction-aware executor: one CpuPool sweep
-            // relaxes every live lane, switching push/pull per
-            // iteration on aggregate frontier density.
-            Engine::default()
-                .with_backend(BackendKind::CpuPool)
-                .with_direction(Direction::Auto)
-                .with_cpu_options(CpuOptions { threads })
-                .with_device_memory(u64::MAX)
-        } else {
-            Engine::default()
-                .with_backend(BackendKind::Sequential)
-                .with_device_memory(u64::MAX)
-        };
+        let (threads, options) = (self.config.kernel_threads, PushOptions::default());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             match pinned.as_ref().and_then(|s| s.view()) {
                 // A dirty snapshot's rows are base + delta: the lane
                 // driver walks the pinned view (its index frozen by the
                 // first query of the epoch) where a clean batch walks
-                // the CSR — sequentially, whatever `kernel_threads` is.
-                Some(view) => Ok(run_batch_sequential_push(
-                    &view,
-                    &batch,
-                    engine.options(),
-                    arena,
-                )),
-                None => engine.run_prepared_batch(&prepared, &batch, arena),
+                // the CSR.
+                Some(view) => run_batch_push(&view, &batch, &options, threads, arena),
+                None => {
+                    let rows = Representation::from_prepared(&prepared).graph();
+                    run_batch_push(rows, &batch, &options, threads, arena)
+                }
             }
         }));
-        let out = match outcome {
-            Ok(Ok(out)) => out,
-            Ok(Err(e)) => {
-                for job in lane_jobs.into_iter().flatten() {
-                    self.stats.record_failed();
-                    job.slot.set(match &e {
-                        EngineError::InvalidPlan(p) => {
-                            Response::error(ErrorCode::InvalidPlan, p.to_string())
-                        }
-                        other => Response::error(ErrorCode::Internal, other.to_string()),
-                    });
-                }
-                return;
+        let Ok(out) = outcome else {
+            for job in lane_jobs.into_iter().flatten() {
+                self.stats.record_failed();
+                job.slot.set(Response::error(
+                    ErrorCode::Internal,
+                    "query execution panicked",
+                ));
             }
-            Err(_) => {
-                for job in lane_jobs.into_iter().flatten() {
-                    self.stats.record_failed();
-                    job.slot.set(Response::error(
-                        ErrorCode::Internal,
-                        "query execution panicked",
-                    ));
-                }
-                return;
-            }
+            return;
         };
         for (lane_out, jobs) in out.lanes.into_iter().zip(lane_jobs) {
             if lane_out.cancelled {
@@ -822,7 +777,7 @@ impl ServerCore {
             algo: job.request.algo,
             source: job.request.source,
             limit: job.request.limit,
-            plan: self.config.plan_fingerprint(),
+            plan: "host",
             epoch: job.epoch(),
         }
     }
@@ -1294,7 +1249,6 @@ mod tests {
             ..ServerConfig::default()
         });
         assert_eq!(par.config().executor_count(), 2);
-        assert_eq!(par.config().plan_fingerprint(), "cpupool:auto");
         for (algo, source) in [
             (Algo::Bfs, Some(3)),
             (Algo::Sssp, Some(3)),
@@ -1311,10 +1265,10 @@ mod tests {
                 Response::Query(q) => q,
                 other => panic!("{other:?}"),
             };
-            // Same fixpoint, whatever the schedule: values (and hence
-            // checksums) are byte-equal; iteration counts may differ.
+            // Dealing lanes across threads changes no byte of a reply.
             assert_eq!(a.values, b.values, "{algo:?}");
             assert_eq!(a.checksum, b.checksum, "{algo:?}");
+            assert_eq!(a.iterations, b.iterations, "{algo:?}");
         }
         let stats = match par.submit(Request::Stats) {
             Response::Stats(s) => s,

@@ -77,16 +77,16 @@ echo "$warm" | grep -q "prep work       0 transforms, 0 transposes, 0 overlays" 
 echo "cache smoke: warm run loaded every view from the artifact"
 
 echo "== cpu pool smoke =="
-# `tigr run --cpu` is the CpuPool backend on the same Engine/prepared path
-# as every other run: every verb in every direction must print the value
-# summary (first line, plus the checksum line where there is one) of the
-# run without --cpu.
+# `tigr run --cpu` is the host executor (the CpuPool backend) on the same
+# Engine/prepared path as every other run: every verb in every direction
+# must print the value summary (first line, plus the checksum line where
+# there is one) of the run without --cpu.
 tigr_run() { cargo run --release -q -p tigr-cli --bin tigr -- run "$@"; }
 summary() { echo "$1" | head -n 1; echo "$1" | grep "^checksum" || true; }
 for verb in sssp cc pr bc; do
     for dir in push pull auto; do
         ref="$(tigr_run "$verb" --graph "$graph_file" --direction "$dir")"
-        got="$(tigr_run "$verb" --graph "$graph_file" --cpu --threads 2 --direction "$dir" --stats)"
+        got="$(tigr_run "$verb" --graph "$graph_file" --cpu --direction "$dir" --stats)"
         [ "$(summary "$ref")" = "$(summary "$got")" ] || {
             echo "cpu pool smoke: $verb --direction $dir diverged"
             diff <(summary "$ref") <(summary "$got")
@@ -94,7 +94,7 @@ for verb in sssp cc pr bc; do
         }
     done
 done
-echo "cpu pool smoke: sssp/cc/pr/bc x push/pull/auto on the pool match the simulator"
+echo "cpu pool smoke: sssp/cc/pr/bc x push/pull/auto on the host executor match the simulator"
 
 echo "== serve smoke =="
 # One query per served algorithm against an ephemeral-port daemon; the
@@ -173,9 +173,9 @@ echo "== batch smoke =="
 # Byte-equality across the batch former: the same query cells answered
 # by an unbatched daemon (--batch-max 1), by a batching daemon fed
 # concurrently (--batch-max 8, generous linger so the in-flight burst
-# fuses), and by a parallel batching daemon (--kernel-threads 2, the
-# CpuPool direction-switching plan) must print identical checksum
-# lines.
+# fuses), and by a batching daemon that deals each batch's lanes across
+# two threads (--kernel-threads 2) must print identical replies: the
+# first line (which carries the iteration count) and the checksum line.
 ub_port_file="$cache_dir/ub_port.txt"
 b_port_file="$cache_dir/b_port.txt"
 p_port_file="$cache_dir/p_port.txt"
@@ -200,13 +200,16 @@ b_addr="$(cat "$b_port_file")"
 p_addr="$(cat "$p_port_file")"
 cells="bfs:0 bfs:9 sssp:0 sssp:9 sswp:4 cc:-"
 cell_args() { [ "$1" = "-" ] && echo "" || echo "--source $1"; }
+# What must not depend on batching or threads: the first line (node and
+# iteration counts) and the checksum line.
+reply_lines() { awk 'NR == 1 || /^checksum/'; }
 # Reference answers from the unbatched daemon, one at a time.
 for cell in $cells; do
     algo="${cell%%:*}"; src="${cell##*:}"
     # shellcheck disable=SC2046
     cargo run --release -q -p tigr-cli --bin tigr -- query "$algo" --graph-name smoke \
         $(cell_args "$src") --no-cache --addr "$ub_addr" \
-        | grep "^checksum" > "$cache_dir/ref_${algo}_${src}.txt"
+        | reply_lines > "$cache_dir/ref_${algo}_${src}.txt"
 done
 # The same cells against the sequential and the parallel batching
 # daemons, all in flight at once so each single executor must answer
@@ -219,7 +222,7 @@ for kind in got par; do
         # shellcheck disable=SC2046
         cargo run --release -q -p tigr-cli --bin tigr -- query "$algo" --graph-name smoke \
             $(cell_args "$src") --no-cache --addr "$addr" \
-            | grep "^checksum" > "$cache_dir/${kind}_${algo}_${src}.txt" &
+            | reply_lines > "$cache_dir/${kind}_${algo}_${src}.txt" &
         qpids="$qpids $!"
     done
     for p in $qpids; do
@@ -228,9 +231,11 @@ for kind in got par; do
     for cell in $cells; do
         algo="${cell%%:*}"; src="${cell##*:}"
         [ -s "$cache_dir/ref_${algo}_${src}.txt" ] && [ -s "$cache_dir/${kind}_${algo}_${src}.txt" ] \
-            || { echo "batch smoke: missing checksum for $algo source $src ($kind)"; exit 1; }
+            || { echo "batch smoke: missing reply for $algo source $src ($kind)"; exit 1; }
+        [ "$(wc -l < "$cache_dir/${kind}_${algo}_${src}.txt")" -eq 2 ] \
+            || { echo "batch smoke: reply lacks its checksum for $algo source $src ($kind)"; exit 1; }
         cmp -s "$cache_dir/ref_${algo}_${src}.txt" "$cache_dir/${kind}_${algo}_${src}.txt" || {
-            echo "batch smoke: checksum diverged for $algo source $src ($kind)"
+            echo "batch smoke: reply diverged for $algo source $src ($kind)"
             paste "$cache_dir/ref_${algo}_${src}.txt" "$cache_dir/${kind}_${algo}_${src}.txt"
             exit 1
         }
@@ -245,7 +250,7 @@ echo "$p_stats" | grep -q "6 received / 6 completed / 0 rejected / 0 failed" \
     || { echo "batch smoke: unexpected parallel-daemon stats"; echo "$p_stats"; exit 1; }
 kill "$ub_pid" "$b_pid" "$p_pid"
 wait "$ub_pid" "$b_pid" "$p_pid" 2>/dev/null || true
-echo "batch smoke: batched answers (sequential and kernel-threads 2) byte-equal to the unbatched daemon"
+echo "batch smoke: batched answers (kernel-threads 1 and 2) equal the unbatched daemon's, iterations and checksums"
 
 echo "== coldstart ablation smoke =="
 # Compile-and-run gate for the zero-copy bench; asserts mapped-vs-decoded

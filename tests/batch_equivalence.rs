@@ -1,18 +1,20 @@
 //! Differential proptest harness for batched multi-source execution,
 //! with two equality regimes:
 //!
-//! - **Byte equality** for the sequential push batch: a K-lane
-//!   [`BatchProgram`] run over a random graph must match K independent
-//!   sequential single-source runs observable-for-observable — same
-//!   value arrays, same iteration counts, same convergence flags, same
-//!   `edges_touched`, same FNV-1a64 checksums.
-//! - **Value equality** for every other cell of the execution matrix
-//!   ({Sequential, CpuPool} × {push, pull, auto} × {flat CSR, plain
-//!   overlay, coalesced overlay} × thread counts): same fixpoint values,
-//!   checksums, and convergence, while iteration and edge counts are
-//!   schedule-dependent (merged frontiers, relaxed intra-sweep
-//!   visibility). Parallel cells must also reproduce their values
-//!   exactly on re-run through a warm arena.
+//! - **Byte equality** for the push batch: a K-lane [`BatchProgram`] run
+//!   over a random graph must match K independent sequential
+//!   single-source runs observable-for-observable — same value arrays,
+//!   same per-iteration directions, same convergence and cancellation
+//!   flags, same `edges_touched`, same FNV-1a64 checksums. The same
+//!   holds between backends: every `CpuPool` cell of the execution
+//!   matrix (its lanes dealt across 1–3 threads) is byte-equal to the
+//!   `Sequential` cell of the same representation and direction, fewer
+//!   or more lanes than threads, duplicate, cancelled and capped lanes
+//!   included.
+//! - **Value equality** between directions: a `Sequential` pull or auto
+//!   cell reaches the push reference's fixpoint values, checksums and
+//!   convergence, while its iteration and edge counts are those of the
+//!   gather.
 //!
 //! Duplicate sources inside one batch, the K=1 degenerate batch, arena
 //! reuse across batches, and typed plan errors (pull needing
@@ -33,10 +35,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use common::{assert_lane_is_the_reference_run, reference_push, simulated_push};
+use tigr::core::CancelToken;
 use tigr::engine::batch::{BatchArena, BatchLane, BatchOutput, BatchProgram};
 use tigr::engine::{
-    run_batch_sequential_push, BackendKind, CpuOptions, Direction, EngineError, MonotoneOutput,
-    PlanError,
+    run_batch_push, BackendKind, CpuOptions, Direction, EngineError, MonotoneOutput, PlanError,
 };
 use tigr::graph::generators::{rmat, with_uniform_weights, RmatConfig};
 use tigr::server::checksum;
@@ -167,11 +169,7 @@ fn assert_byte_equal(lane: &MonotoneOutput, reference: &MonotoneOutput, label: &
         checksum(&reference.values),
         "{label}: checksum"
     );
-    assert_eq!(
-        lane.directions.len(),
-        reference.directions.len(),
-        "{label}: iterations"
-    );
+    assert_eq!(lane.directions, reference.directions, "{label}: directions");
     assert_eq!(lane.converged, reference.converged, "{label}: converged");
     assert_eq!(lane.cancelled, reference.cancelled, "{label}: cancelled");
     assert_eq!(
@@ -191,32 +189,39 @@ fn lane_sources(prog: MonotoneProgram, picks: &[u32], nodes: u32) -> Vec<Option<
 }
 
 /// One batched run through a fully specified execution-plan cell of
-/// the matrix: representation × backend × direction × thread count.
+/// the matrix: representation × backend × direction × thread count ×
+/// push schedule.
 fn batched_cell(
     rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    sources: &[Option<NodeId>],
+    batch: &BatchProgram,
     backend: BackendKind,
     direction: Direction,
     threads: usize,
+    options: &PushOptions,
     arena: &mut BatchArena,
 ) -> Result<BatchOutput, EngineError> {
-    let batch = BatchProgram {
-        prog,
-        lanes: sources.iter().map(|&s| BatchLane::new(s)).collect(),
-    };
     Engine::default()
         .with_backend(backend)
         .with_direction(direction)
         .with_cpu_options(CpuOptions { threads })
-        .run_batch(rep, &batch, arena)
+        .with_options(*options)
+        .run_batch(rep, batch, arena)
+}
+
+/// A `CpuPool` batch against the `Sequential` one: every lane byte-equal,
+/// and the same number of fused sweeps.
+fn assert_batch_byte_equal(pool: &BatchOutput, seq: &BatchOutput, label: &str) {
+    assert_eq!(pool.lanes.len(), seq.lanes.len(), "{label}: lanes");
+    assert_eq!(pool.sweeps, seq.sweeps, "{label}: sweeps");
+    for (i, (lane, want)) in pool.lanes.iter().zip(&seq.lanes).enumerate() {
+        assert_byte_equal(lane, want, &format!("{label} lane {i}"));
+    }
 }
 
 /// Value-level equality: the lane reached the reference fixpoint with
 /// the same convergence outcome. Iteration and edge counts are *not*
-/// compared — merged frontiers and relaxed intra-sweep visibility make
-/// them schedule-dependent (only the pure sequential push batch is
-/// byte-equal; see [`assert_byte_equal`]).
+/// compared — a gather touches other edges in other iterations than the
+/// push reference (see [`assert_byte_equal`] for everything else).
 fn assert_value_equal(lane: &MonotoneOutput, reference: &MonotoneOutput, label: &str) {
     assert_eq!(lane.values, reference.values, "{label}: values");
     assert_eq!(
@@ -332,12 +337,12 @@ proptest! {
 
     /// The execution matrix: {Sequential, CpuPool} × {push, pull,
     /// auto} × {flat CSR, plain overlay, coalesced overlay} × threads
-    /// {1, 2, 3} × random source vectors. Every cell must reach the
-    /// sequential push reference fixpoint per lane (values, checksums,
-    /// convergence); the parallel cells are additionally re-run through
-    /// a warm arena and must reproduce their values exactly —
-    /// determinism does not depend on thread count, partition or
-    /// retained state.
+    /// {1, 2, 3} × random source vectors. Every `Sequential` cell reaches
+    /// the sequential push reference fixpoint per lane (values,
+    /// checksums, convergence). Every `CpuPool` cell — and its re-run
+    /// through a warm arena — is byte-equal to the `Sequential` cell of
+    /// the same representation and direction: dealing lanes across
+    /// threads changes nothing a lane reports.
     #[test]
     fn execution_matrix_reaches_the_sequential_fixpoint(
         g in arb_graph(30, 120),
@@ -347,6 +352,8 @@ proptest! {
     ) {
         let prog = PROGRAMS[algo];
         let sources = lane_sources(prog, &picks, g.num_nodes() as u32);
+        let batch = BatchProgram::from_sources(prog, sources.iter().copied());
+        let served = PushOptions::default();
         let refs: Vec<MonotoneOutput> = sources.iter().map(|&s| solo(&g, prog, s)).collect();
         let plain = VirtualGraph::new(&g, k);
         let coal = VirtualGraph::coalesced(&g, k);
@@ -356,41 +363,87 @@ proptest! {
             ("virtual+", Representation::Virtual { graph: &g, overlay: &coal }),
         ];
         for direction in DIRECTIONS {
-            // Sequential backend: push and auto take the lockstep
-            // batched sweep, pull runs lanes solo.
-            let mut arena = BatchArena::new();
-            let out = batched_cell(
-                &reps[0].1, prog, &sources,
-                BackendKind::Sequential, direction, 1,
-                &mut arena,
-            ).unwrap();
-            for (i, reference) in refs.iter().enumerate() {
-                let label = format!("sequential/{}/{direction:?} lane {i}", prog.name);
-                assert_value_equal(&out.lanes[i], reference, &label);
-            }
-            for ((label, rep), threads) in reps.iter().flat_map(|r| [1, 2, 3].map(|t| (r, t))) {
-                let mut arena = BatchArena::new();
-                let out = batched_cell(
-                    rep, prog, &sources,
-                    BackendKind::CpuPool, direction, threads,
-                    &mut arena,
-                ).unwrap();
-                let again = batched_cell(
-                    rep, prog, &sources,
-                    BackendKind::CpuPool, direction, threads,
-                    &mut arena,
+            for (label, rep) in &reps {
+                // Sequential backend: push and auto take the lockstep
+                // batched sweep, pull runs lanes solo.
+                let seq = batched_cell(
+                    rep, &batch, BackendKind::Sequential, direction, 1, &served,
+                    &mut BatchArena::new(),
                 ).unwrap();
                 for (i, reference) in refs.iter().enumerate() {
-                    let label = format!(
-                        "cpupool/{}/{direction:?}/{label}/t{threads} lane {i}",
-                        prog.name
-                    );
-                    assert_value_equal(&out.lanes[i], reference, &label);
-                    prop_assert_eq!(
-                        &out.lanes[i].values, &again.lanes[i].values,
-                        "{} rerun determinism", label
-                    );
+                    let label = format!("sequential/{}/{direction:?}/{label} lane {i}", prog.name);
+                    assert_value_equal(&seq.lanes[i], reference, &label);
                 }
+                for threads in [1, 2, 3] {
+                    let mut arena = BatchArena::new();
+                    let label = format!("cpupool/{}/{direction:?}/{label}/t{threads}", prog.name);
+                    for run in ["fresh", "warm"] {
+                        let out = batched_cell(
+                            rep, &batch, BackendKind::CpuPool, direction, threads, &served,
+                            &mut arena,
+                        ).unwrap();
+                        assert_batch_byte_equal(&out, &seq, &format!("{label} {run}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dealing edge cases: two to nine lanes against one to three
+    /// threads (fewer lanes than threads, and more), a duplicated
+    /// source, one lane cancelled before its first iteration, and an
+    /// iteration cap of 2 that stops lanes short of their fixpoint. In
+    /// every direction each `CpuPool` lane is byte-equal to the
+    /// `Sequential` lane, and the cancelled lane reports exactly that.
+    #[test]
+    fn cpu_pool_deals_lanes_byte_equal_to_sequential(
+        g in arb_graph(30, 120),
+        algo in 0usize..6,
+        mut picks in vec(0u32..10_000, 1..9),
+        doomed in 0usize..9,
+        capped in any::<bool>(),
+    ) {
+        let prog = PROGRAMS[algo];
+        picks.push(picks[0]);
+        let sources = lane_sources(prog, &picks, g.num_nodes() as u32);
+        let doomed = doomed % sources.len();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let batch = BatchProgram {
+            prog,
+            lanes: sources
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| match i == doomed {
+                    true => BatchLane::with_cancel(s, cancelled.clone()),
+                    false => BatchLane::new(s),
+                })
+                .collect(),
+        };
+        let mut options = PushOptions::default();
+        if capped {
+            options.max_iterations = 2;
+        }
+        let rep = Representation::Original(&g);
+        for direction in DIRECTIONS {
+            let seq = batched_cell(
+                &rep, &batch, BackendKind::Sequential, direction, 1, &options,
+                &mut BatchArena::new(),
+            ).unwrap();
+            let gone = &seq.lanes[doomed];
+            prop_assert!(gone.cancelled && !gone.converged && gone.directions.is_empty());
+            let mut arena = BatchArena::new();
+            for threads in [1, 2, 3] {
+                let out = batched_cell(
+                    &rep, &batch, BackendKind::CpuPool, direction, threads, &options,
+                    &mut arena,
+                ).unwrap();
+                let label = format!(
+                    "{}/{direction:?}/k{}/t{threads}/cap {capped}",
+                    prog.name,
+                    sources.len()
+                );
+                assert_batch_byte_equal(&out, &seq, &label);
             }
         }
     }
@@ -431,7 +484,7 @@ fn lanes_are_the_plain_reference_run_at_no_more_than_1_5x_its_cost() {
     let mut arena = BatchArena::new();
     let mut lane = |g: &Csr, prog, source, options: &PushOptions| {
         let batch = BatchProgram::from_sources(prog, [source]);
-        run_batch_sequential_push(g, &batch, options, &mut arena)
+        run_batch_push(g, &batch, options, 1, &mut arena)
             .lanes
             .remove(0)
     };

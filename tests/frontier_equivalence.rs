@@ -163,10 +163,8 @@ proptest! {
         }
     }
 
-    /// The pool's partition follows the representation — edge-balanced
-    /// `row_ptr` cuts on the flat CSR, virtual nodes on either overlay
-    /// layout — and no cut, thread count or direction may move the
-    /// fixpoint of a sequential full sweep.
+    /// A solo `CpuPool` run over any representation, thread count or
+    /// direction reaches the fixpoint of a sequential full sweep.
     #[test]
     fn cpu_schedules_match_sequential_sweep(
         g in arb_hubbed_graph(32, 140),
@@ -214,9 +212,8 @@ proptest! {
         }
     }
 
-    /// Work-stealing and edge-balanced cuts change only *which worker*
-    /// relaxes an edge: repeated runs of the same configuration must
-    /// produce bit-identical value arrays.
+    /// Repeated `CpuPool` runs of the same configuration produce
+    /// bit-identical value arrays, whatever the thread count.
     #[test]
     fn cpu_schedules_are_deterministic_across_runs(
         g in arb_hubbed_graph(28, 120),
@@ -264,7 +261,7 @@ fn sequential_full_sweep(g: &Csr, prog: MonotoneProgram, source: Option<NodeId>)
         .unwrap()
 }
 
-/// One solo run on the CPU pool.
+/// One solo run on the `CpuPool` backend.
 fn pool_run(
     rep: &Representation<'_>,
     prog: MonotoneProgram,

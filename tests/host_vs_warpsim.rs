@@ -1,13 +1,13 @@
 //! Differential suite for the two launchers of the drivers written once
 //! over a `Launcher` — the monotone driver, PageRank and betweenness: the
 //! wall-clock host loop (what `Sequential` and `CpuPool` plans run for
-//! `pr`/`bc`, and `Sequential` for a forced pull) must agree with the
+//! `pr`/`bc` and a forced pull) must agree with the
 //! simulator's sequential replay **to the bit** — values or
 //! ranks/centralities, iteration counts and directions, edge counts,
 //! `converged` and `cancelled` — on every representation, because the
 //! two visit threads in the same order and `f32` accumulation order is
-//! the only thing that could tell them apart. Every committed checksum,
-//! the server's cached answers and `plan_fingerprint` rest on this. So
+//! the only thing that could tell them apart. Every committed checksum
+//! and the server's cached answers rest on this. So
 //! does the host's push `pr` over a prepared transpose, which runs as a
 //! gather over it: the theorem that licenses that is checked here too,
 //! along with its cost against a plain reference gather.

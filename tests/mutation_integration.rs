@@ -6,8 +6,10 @@
 //! scratch across every backend, concurrent mutate+query load leaks no
 //! overlay generations, the host lane driver over a snapshot's
 //! base+delta view is the same run — rows, values, iterations, edges
-//! touched, and (within 2×) wall clock — as over the merged CSR, the
-//! streamed merge is the builder's merge at under half its cost, and a
+//! touched, and (within 2×) wall clock — as over the merged CSR, a
+//! server dealing dirty lanes across two threads answers what a
+//! one-thread server does, the streamed merge is the builder's merge at
+//! under half its cost, and a
 //! compaction's durable steps (artifact → `MANIFEST` → WAL reset →
 //! unlink) lose nothing at any crash point or failed write and leave
 //! one compacted artifact behind.
@@ -28,8 +30,7 @@ use tigr::core::{
     PreparedGraph, Wal,
 };
 use tigr::engine::{
-    run_batch_sequential_push, Algo, BackendKind, BatchArena, BatchProgram, MonotoneOutput,
-    Pipeline,
+    run_batch_push, Algo, BackendKind, BatchArena, BatchProgram, MonotoneOutput, Pipeline,
 };
 use tigr::graph::RowView;
 use tigr::{Csr, CsrBuilder, Edge, Engine, MonotoneProgram, NodeId, PushOptions};
@@ -183,7 +184,7 @@ fn wal_replay_regression_corpus() {
 /// The host lane driver over `rows` — a CSR or a snapshot's base+delta
 /// view — one lane per source, under the server's push options.
 fn lane_runs(
-    rows: &impl RowView,
+    rows: &(impl RowView + Sync),
     prog: MonotoneProgram,
     sources: impl IntoIterator<Item = Option<u32>>,
 ) -> Vec<MonotoneOutput> {
@@ -192,13 +193,13 @@ fn lane_runs(
 
 /// [`lane_runs`] under another push schedule.
 fn lane_runs_under(
-    rows: &impl RowView,
+    rows: &(impl RowView + Sync),
     prog: MonotoneProgram,
     sources: impl IntoIterator<Item = Option<u32>>,
     options: &PushOptions,
 ) -> Vec<MonotoneOutput> {
     let batch = BatchProgram::from_sources(prog, sources.into_iter().map(|s| s.map(NodeId::new)));
-    run_batch_sequential_push(rows, &batch, options, &mut BatchArena::new()).lanes
+    run_batch_push(rows, &batch, options, 1, &mut BatchArena::new()).lanes
 }
 
 /// Opens a weighted RMAT base as a mutable graph over a cache-less
@@ -460,6 +461,81 @@ fn concurrent_mutation_and_queries_leak_no_epochs() {
     );
     let final_snapshot = mutable.snapshot();
     assert_eq!(final_snapshot.num_nodes(), nodes as usize + 40);
+}
+
+/// A `--kernel-threads 2` server deals a dirty batch's lanes across two
+/// threads and answers exactly what a one-thread server does: values
+/// and iteration counts, lane by lane. The queries arrive together so
+/// each server's one executor fuses them into batches.
+#[test]
+fn dirty_batches_dealt_across_kernel_threads_answer_like_one_thread() {
+    use std::sync::Barrier;
+    use tigr::server::{QueryRequest, Request, Response, ServerConfig, ServerCore};
+
+    let mutable = mutable_fixture("rmat:9:8", 17);
+    let nodes = mutable.snapshot().num_nodes() as u32;
+    let mut ops = vec![MutationOp::AddNode { nodes: nodes + 2 }];
+    for i in 0..64u32 {
+        ops.push(MutationOp::AddEdge {
+            u: i * 7 % nodes,
+            v: (i * 13 + 5) % (nodes + 2),
+            w: 1 + i % 9,
+        });
+    }
+    mutable.apply(&ops).unwrap();
+    assert!(!mutable.snapshot().is_clean());
+
+    let core = |kernel_threads| {
+        let core = ServerCore::new(ServerConfig {
+            executors: 1,
+            kernel_threads,
+            cache_capacity: 0,
+            batch_max: 8,
+            batch_wait_us: 300_000,
+            ..ServerConfig::default()
+        });
+        core.add_mutable_graph("g", Arc::clone(&mutable));
+        core
+    };
+    let sources: Vec<u32> = (0..6).map(|i| i * 37 % nodes).collect();
+    let answers = |core: &ServerCore, algo: Algo| -> Vec<(Vec<u32>, u64)> {
+        let gate = Barrier::new(sources.len());
+        std::thread::scope(|s| {
+            let handles: Vec<_> = sources
+                .iter()
+                .map(|&src| {
+                    let gate = &gate;
+                    s.spawn(move || {
+                        let mut req = QueryRequest::new("g", algo, Some(src));
+                        req.include_values = true;
+                        gate.wait();
+                        match core.submit(Request::Query(req)) {
+                            Response::Query(q) => (q.values.unwrap(), q.iterations),
+                            other => panic!("{algo:?} from {src}: {other:?}"),
+                        }
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    };
+    let (one, two) = (core(1), core(2));
+    for algo in [Algo::Bfs, Algo::Sssp] {
+        let want = answers(&one, algo);
+        let got = answers(&two, algo);
+        for ((src, want), got) in sources.iter().zip(&want).zip(&got) {
+            assert_eq!(got.0, want.0, "{algo:?} from {src}: values");
+            assert_eq!(got.1, want.1, "{algo:?} from {src}: iterations");
+        }
+    }
+    for core in [&one, &two] {
+        match core.submit(Request::Stats) {
+            Response::Stats(stats) => assert!(stats.max_batch > 1, "no batch fused: {stats:?}"),
+            other => panic!("{other:?}"),
+        }
+    }
+    one.shutdown();
+    two.shutdown();
 }
 
 /// Decodes one generated `(kind, a, b, w)` tuple into a mutation aimed

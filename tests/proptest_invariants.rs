@@ -165,8 +165,8 @@ proptest! {
         prop_assert_eq!(out.values, oracle::widest_path(&g, src));
     }
 
-    /// A solo `CpuPool` run *is* the `K = 1` lane of the pooled batch
-    /// executor, prepared transpose and overlay included.
+    /// A solo `CpuPool` run *is* the `K = 1` lane of a `CpuPool` batch,
+    /// prepared transpose and overlay included, to the byte.
     #[test]
     fn cpu_pool_solo_run_is_its_one_lane_batch(
         g in arb_graph(40, 200),
@@ -191,6 +191,8 @@ proptest! {
             .lanes
             .remove(0);
         prop_assert_eq!(&solo.values, &lane.values);
+        prop_assert_eq!(&solo.directions, &lane.directions);
+        prop_assert_eq!(solo.edges_touched, lane.edges_touched);
         prop_assert_eq!(solo.converged, lane.converged);
         prop_assert_eq!(solo.cancelled, lane.cancelled);
     }
