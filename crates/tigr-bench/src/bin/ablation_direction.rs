@@ -158,7 +158,9 @@ fn main() {
                     })
                     .with_direction(direction);
                 let t = Instant::now();
-                let out = engine.run_program(&rep, prog, Some(src)).unwrap();
+                let out = engine
+                    .run_pipeline(&rep, &prog.pipeline(), Some(src))
+                    .unwrap();
                 let wall_ms = t.elapsed().as_secs_f64() * 1e3;
                 match &reference {
                     None => reference = Some(out.values.clone()),

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use tigr_bench::{cycles_to_ms, max_degree_source, prepare_input, print_table, BenchConfig};
 use tigr_core::{PreparedGraph, VirtualGraph};
-use tigr_engine::{Engine, FrontierMode, MonotoneOutput, PushOptions, Representation};
+use tigr_engine::{Engine, FrontierMode, Pipeline, PipelineOutput, PushOptions, Representation};
 use tigr_sim::GpuConfig;
 
 fn engine_with(worklist: bool, frontier: FrontierMode) -> Engine {
@@ -25,7 +25,7 @@ fn engine_with(worklist: bool, frontier: FrontierMode) -> Engine {
     })
 }
 
-fn row(label: &str, out: &MonotoneOutput, wall: f64) -> Vec<String> {
+fn row(label: &str, out: &PipelineOutput, wall: f64) -> Vec<String> {
     vec![
         label.to_string(),
         out.report.num_iterations().to_string(),
@@ -81,7 +81,9 @@ fn main() {
         let run = |worklist: bool, mode: FrontierMode| {
             let engine = engine_with(worklist, mode);
             let t = Instant::now();
-            let out = engine.sssp(&rep, src).unwrap();
+            let out = engine
+                .run_pipeline(&rep, &Pipeline::sssp(), Some(src))
+                .unwrap();
             (out, t.elapsed().as_secs_f64() * 1e3)
         };
 
@@ -117,7 +119,9 @@ fn main() {
             overlay: &ov,
         };
         let t = Instant::now();
-        let vout = engine_with(true, cfg.frontier).sssp(&vrep, src).unwrap();
+        let vout = engine_with(true, cfg.frontier)
+            .run_pipeline(&vrep, &Pipeline::sssp(), Some(src))
+            .unwrap();
         let vwall = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             vout.values, full.values,

@@ -6,7 +6,7 @@
 
 use tigr_bench::{cycles_to_ms, load_datasets_one, print_table, BenchConfig};
 use tigr_core::{udt_transform, DumbWeight, VirtualGraph};
-use tigr_engine::{Engine, PushOptions, Representation};
+use tigr_engine::{Engine, Pipeline, PushOptions, Representation};
 use tigr_sim::GpuConfig;
 
 fn main() {
@@ -17,8 +17,9 @@ fn main() {
     );
     let d = load_datasets_one(&cfg, "livejournal");
     let g = &d.weighted;
-    let src = d.source();
+    let src = Some(d.source());
     let engine = Engine::parallel(GpuConfig::default()).with_options(PushOptions::default());
+    let sssp = |rep: &Representation<'_>| engine.run_pipeline(rep, &Pipeline::sssp(), src).unwrap();
 
     let ks = [4u32, 8, 10, 16, 32, 64, 128];
 
@@ -26,19 +27,14 @@ fn main() {
     let mut phys_cycles = Vec::new();
     for &k in &ks {
         let ov = VirtualGraph::coalesced(g, k);
-        let v = engine
-            .sssp(
-                &Representation::Virtual {
-                    graph: g,
-                    overlay: &ov,
-                },
-                src,
-            )
-            .unwrap();
+        let v = sssp(&Representation::Virtual {
+            graph: g,
+            overlay: &ov,
+        });
         virt_cycles.push(v.report.total_cycles());
 
         let t = udt_transform(g, k.max(2), DumbWeight::Zero);
-        let p = engine.sssp(&Representation::Physical(&t), src).unwrap();
+        let p = sssp(&Representation::Physical(&t));
         phys_cycles.push(p.report.total_cycles());
     }
 

@@ -8,7 +8,7 @@
 
 use tigr_bench::{cycles_to_ms, load_datasets, print_table, BenchConfig};
 use tigr_core::{k_select, OnTheFlyMapper, VirtualGraph};
-use tigr_engine::{Engine, FrontierMode, PushOptions, Representation, SyncMode};
+use tigr_engine::{Engine, FrontierMode, Pipeline, PushOptions, Representation, SyncMode};
 use tigr_sim::GpuConfig;
 
 fn main() {
@@ -32,23 +32,19 @@ fn main() {
     let mut rows = Vec::new();
     for d in &datasets {
         let g = &d.weighted;
-        let src = d.source();
+        let sssp = |rep: &Representation<'_>| {
+            let out = engine.run_pipeline(rep, &Pipeline::sssp(), Some(d.source()));
+            out.unwrap()
+        };
 
         let overlay = VirtualGraph::new(g, k);
-        let vna = engine
-            .sssp(
-                &Representation::Virtual {
-                    graph: g,
-                    overlay: &overlay,
-                },
-                src,
-            )
-            .unwrap();
+        let vna = sssp(&Representation::Virtual {
+            graph: g,
+            overlay: &overlay,
+        });
 
         let mapper = OnTheFlyMapper::new(g, k);
-        let otf = engine
-            .sssp(&Representation::OnTheFly { graph: g, mapper }, src)
-            .unwrap();
+        let otf = sssp(&Representation::OnTheFly { graph: g, mapper });
         assert_eq!(vna.values, otf.values, "designs must agree on results");
 
         rows.push(vec![

@@ -9,7 +9,7 @@
 
 use tigr_bench::{load_datasets_one, print_table, BenchConfig};
 use tigr_core::VirtualGraph;
-use tigr_engine::{Engine, PushOptions, Representation};
+use tigr_engine::{Engine, Pipeline, PushOptions, Representation};
 use tigr_sim::{GpuConfig, TimingModel};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     );
     let d = load_datasets_one(&cfg, "livejournal");
     let g = &d.weighted;
-    let src = d.source();
+    let src = Some(d.source());
     let overlay = VirtualGraph::coalesced(g, 10);
 
     let mut rows = Vec::new();
@@ -33,16 +33,13 @@ fn main() {
             ..GpuConfig::default()
         })
         .with_options(PushOptions::default());
-        let base = engine.sssp(&Representation::Original(g), src).unwrap();
-        let tigr = engine
-            .sssp(
-                &Representation::Virtual {
-                    graph: g,
-                    overlay: &overlay,
-                },
-                src,
-            )
-            .unwrap();
+        let sssp = |rep: &Representation<'_>| engine.run_pipeline(rep, &Pipeline::sssp(), src);
+        let base = sssp(&Representation::Original(g)).unwrap();
+        let tigr = sssp(&Representation::Virtual {
+            graph: g,
+            overlay: &overlay,
+        })
+        .unwrap();
         assert_eq!(base.values, tigr.values);
         rows.push(vec![
             label.to_string(),

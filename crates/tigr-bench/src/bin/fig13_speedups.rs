@@ -6,7 +6,7 @@
 
 use tigr_bench::{cycles_to_ms, geomean, load_datasets, print_table, BenchConfig};
 use tigr_core::{k_select, udt_transform, DumbWeight, VirtualGraph};
-use tigr_engine::{Engine, PushOptions, Representation};
+use tigr_engine::{Engine, Pipeline, PushOptions, Representation};
 use tigr_sim::GpuConfig;
 
 fn main() {
@@ -23,41 +23,31 @@ fn main() {
 
     for d in &datasets {
         let g = &d.weighted;
-        let src = d.source();
+        let src = Some(d.source());
+        let sssp = |rep: &Representation<'_>| {
+            let out = engine.run_pipeline(rep, &Pipeline::sssp(), src);
+            out.expect("every representation fits")
+        };
 
-        let base = engine
-            .sssp(&Representation::Original(g), src)
-            .expect("baseline fits");
+        let base = sssp(&Representation::Original(g));
         let base_cycles = base.report.total_cycles();
 
         let k_udt = k_select::physical_k(g);
         let t = udt_transform(g, k_udt, DumbWeight::Zero);
-        let udt = engine
-            .sssp(&Representation::Physical(&t), src)
-            .expect("udt fits");
+        let udt = sssp(&Representation::Physical(&t));
 
         let k_v = k_select::VIRTUAL_K;
         let ov = VirtualGraph::new(g, k_v);
-        let v = engine
-            .sssp(
-                &Representation::Virtual {
-                    graph: g,
-                    overlay: &ov,
-                },
-                src,
-            )
-            .expect("virtual fits");
+        let v = sssp(&Representation::Virtual {
+            graph: g,
+            overlay: &ov,
+        });
 
         let ovc = VirtualGraph::coalesced(g, k_v);
-        let vp = engine
-            .sssp(
-                &Representation::Virtual {
-                    graph: g,
-                    overlay: &ovc,
-                },
-                src,
-            )
-            .expect("virtual+ fits");
+        let vp = sssp(&Representation::Virtual {
+            graph: g,
+            overlay: &ovc,
+        });
 
         let speedup = |cycles: u64| base_cycles as f64 / cycles as f64;
         let (su, sv, svp) = (

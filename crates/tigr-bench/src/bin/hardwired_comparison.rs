@@ -7,7 +7,7 @@
 use tigr_baselines::{delta_stepping_sssp, hooking_cc};
 use tigr_bench::{cycles_to_ms, load_datasets, print_table, BenchConfig};
 use tigr_core::{k_select, VirtualGraph};
-use tigr_engine::{Engine, MonotoneProgram, Representation};
+use tigr_engine::{Engine, Pipeline, Representation};
 use tigr_sim::GpuConfig;
 
 fn main() {
@@ -27,27 +27,22 @@ fn main() {
         let overlay = VirtualGraph::coalesced(&d.graph, k_select::VIRTUAL_K);
 
         let delta = delta_stepping_sssp(&sim, &d.weighted, src, 0);
+        let weighted = Representation::Virtual {
+            graph: &d.weighted,
+            overlay: &overlay_w,
+        };
         let tigr_sssp = engine
-            .sssp(
-                &Representation::Virtual {
-                    graph: &d.weighted,
-                    overlay: &overlay_w,
-                },
-                src,
-            )
+            .run_pipeline(&weighted, &Pipeline::sssp(), Some(src))
             .unwrap();
         assert_eq!(delta.values, tigr_sssp.values);
 
         let hook = hooking_cc(&sim, &d.graph);
+        let unweighted = Representation::Virtual {
+            graph: &d.graph,
+            overlay: &overlay,
+        };
         let tigr_cc = engine
-            .run(
-                &Representation::Virtual {
-                    graph: &d.graph,
-                    overlay: &overlay,
-                },
-                MonotoneProgram::CC,
-                None,
-            )
+            .run_pipeline(&unweighted, &Pipeline::cc(), None)
             .unwrap();
 
         rows.push(vec![

@@ -13,7 +13,9 @@
 use tigr_baselines::Baseline;
 use tigr_bench::{cycles_to_ms, load_datasets, print_table, BenchConfig, Cell, DatasetInstance};
 use tigr_core::{k_select, VirtualGraph};
-use tigr_engine::{pr, Engine, EngineError, MonotoneProgram, PrMode, PrOptions, Representation};
+use tigr_engine::{
+    Engine, EngineError, MonotoneProgram, Pipeline, PrMode, PrOptions, Representation,
+};
 use tigr_graph::Csr;
 use tigr_sim::GpuSimulator;
 
@@ -185,19 +187,13 @@ fn tigr_vplus(
 
     let to_cell = |cycles: u64| Cell::Ms(cycles_to_ms(cycles));
     let result = match (prog, alg) {
-        (Some(p), _) => engine
-            .run(&rep, p, source)
-            .map(|o| to_cell(o.report.total_cycles())),
-        (None, "pr") => engine
-            .pagerank(&rep, &pr::out_degrees(g), &pr_options())
-            .map(|o| to_cell(o.report.total_cycles())),
-        (None, "bc") => engine
-            .betweenness(&rep, bc_source)
-            .map(|o| to_cell(o.report.total_cycles())),
+        (Some(p), _) => engine.run_pipeline(&rep, &p.pipeline(), source),
+        (None, "pr") => engine.run_pipeline(&rep, &Pipeline::pagerank(pr_options()), None),
+        (None, "bc") => engine.run_pipeline(&rep, &Pipeline::betweenness(), Some(bc_source)),
         _ => return Cell::Missing,
     };
     match result {
-        Ok(c) => c,
+        Ok(o) => to_cell(o.report.total_cycles()),
         Err(EngineError::OutOfMemory(_)) => Cell::Oom,
         Err(_) => Cell::Missing,
     }

@@ -11,7 +11,7 @@
 
 use tigr_bench::{load_datasets_one, print_table, BenchConfig};
 use tigr_core::{udt_transform, DumbWeight, VirtualGraph};
-use tigr_engine::{Engine, FrontierMode, MonotoneOutput, PushOptions, Representation, SyncMode};
+use tigr_engine::{Engine, FrontierMode, Pipeline, PushOptions, Representation, SyncMode};
 use tigr_sim::GpuConfig;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     );
     let d = load_datasets_one(&cfg, "livejournal");
     let g = &d.weighted;
-    let src = d.source();
+    let src = Some(d.source());
     let k = 8;
 
     let t = udt_transform(g, k, DumbWeight::Zero);
@@ -41,29 +41,17 @@ fn main() {
             // sparse representation.
             frontier: FrontierMode::Sparse,
         });
-        let runs: Vec<(&str, MonotoneOutput)> = vec![
-            (
-                "original",
-                engine.sssp(&Representation::Original(g), src).unwrap(),
-            ),
-            (
-                "physical",
-                engine.sssp(&Representation::Physical(&t), src).unwrap(),
-            ),
-            (
-                "virtual",
-                engine
-                    .sssp(
-                        &Representation::Virtual {
-                            graph: g,
-                            overlay: &ov,
-                        },
-                        src,
-                    )
-                    .unwrap(),
-            ),
+        let virt = Representation::Virtual {
+            graph: g,
+            overlay: &ov,
+        };
+        let runs = [
+            ("original", Representation::Original(g)),
+            ("physical", Representation::Physical(&t)),
+            ("virtual", virt),
         ];
-        for (name, out) in runs {
+        for (name, rep) in runs {
+            let out = engine.run_pipeline(&rep, &Pipeline::sssp(), src).unwrap();
             let total = out.report.total();
             let suffix = match (worklist, sorted) {
                 (false, _) => "",

@@ -1,6 +1,8 @@
 //! `tigr run <analytic> --graph <file>` — run an analytic on the
 //! simulated GPU (or, with `--cpu`, on the host executor), optionally
-//! through a virtual transformation.
+//! through a virtual transformation. Every verb is one
+//! [`Engine::run_prepared_pipeline`] call and prints its value summary,
+//! `checksum`, iterations and meter.
 //!
 //! Inputs resolve through the [`tigr_core::GraphStore`] artifact layer:
 //! with `--cache-dir` (or `TIGR_CACHE_DIR`) set, the loaded graph and
@@ -11,8 +13,8 @@
 
 use tigr_core::{CancelToken, PrepareSpec};
 use tigr_engine::{
-    pr, Algo, BackendKind, Direction, Engine, FrontierMode, MonotoneProgram, Pipeline, PrMode,
-    PushOptions, Representation,
+    Algo, BackendKind, Direction, Engine, FrontierMode, Pipeline, PrMode, PrOptions, PushOptions,
+    Representation,
 };
 use tigr_graph::NodeId;
 use tigr_sim::GpuConfig;
@@ -127,7 +129,14 @@ pub fn run(args: &Args) -> CmdResult {
         return Err(format!("--source {source} out of range"));
     }
 
-    let engine = Engine::parallel(GpuConfig::default())
+    // The parallel warp replay reorders racing f32 adds: PageRank and
+    // BC keep the sequential replay, whose bits are the served answer's.
+    let engine = if matches!(algo, Algo::Pr | Algo::Bc) {
+        Engine::new(GpuConfig::default())
+    } else {
+        Engine::parallel(GpuConfig::default())
+    };
+    let engine = engine
         .with_backend(if cpu {
             BackendKind::CpuPool
         } else {
@@ -140,200 +149,119 @@ pub fn run(args: &Args) -> CmdResult {
         })
         .with_direction(direction)
         .with_cancel(cancel.clone());
-    let rep = Representation::from_prepared(&prepared);
+    // PageRank has no density switch: pull gathers over the prepared
+    // transpose, auto means push.
+    let pipeline = match algo {
+        Algo::Pr if direction == Direction::Pull => Pipeline::pagerank(PrOptions {
+            mode: PrMode::Pull,
+            ..PrOptions::default()
+        }),
+        _ => Pipeline::for_algo(algo, limit).map_err(|e| e.to_string())?,
+    };
     let started = std::time::Instant::now();
-
-    // The operator-pipeline workloads (k-hop, bounded paths, label
-    // propagation, triangle counting) report value summaries and
-    // iteration counts; the six paper analytics below keep their full
-    // simulator reports.
-    if matches!(algo, Algo::Khop | Algo::Paths | Algo::Lp | Algo::Tc) {
-        let pipeline = Pipeline::for_algo(algo, limit).map_err(|e| e.to_string())?;
-        let src = algo.needs_source().then_some(source);
-        let result = engine
-            .run_prepared_pipeline(&prepared, &pipeline, src)
-            .map_err(|e| e.to_string())?;
-        if result.cancelled {
-            return Err(timeout_message(format!(
-                "{} stopped after {} iterations",
-                algo.label(),
-                result.iterations
-            )));
-        }
-        let mut out = String::new();
-        match algo {
-            Algo::Khop => {
-                let k = limit.expect("arity checked above");
-                let reached = result.values.iter().filter(|&&v| v != u32::MAX).count();
-                out.push_str(&format!(
-                    "khop from {source}: {reached} nodes within {k} hops\n"
-                ));
-            }
-            Algo::Paths => {
-                let n = result.values.len() / 2;
-                let (dist, pred) = result.values.split_at(n);
-                let reached = dist.iter().filter(|&&d| d != u32::MAX).count();
-                let tree_edges = (0..n)
-                    .filter(|&v| dist[v] != u32::MAX && pred[v] != v as u32)
-                    .count();
-                out.push_str(&format!(
-                    "paths from {source}: {reached} nodes within cost {}, {tree_edges} tree edges\n",
-                    limit.expect("arity checked above"),
-                ));
-            }
-            Algo::Lp => {
-                let mut labels = result.values.clone();
-                labels.sort_unstable();
-                labels.dedup();
-                out.push_str(&format!(
-                    "lp after {} rounds: {} distinct labels\n",
-                    limit.expect("arity checked above"),
-                    labels.len()
-                ));
-            }
-            Algo::Tc => {
-                let corners: u64 = result.values.iter().map(|&c| u64::from(c)).sum();
-                out.push_str(&format!(
-                    "tc: {} triangles ({corners} corner incidences)\n",
-                    corners / 3
-                ));
-            }
-            _ => unreachable!(),
-        }
-        out.push_str(&format!(
-            "representation  {}\niterations      {}\n",
-            rep.label(),
+    let result = engine
+        .run_prepared_pipeline(&prepared, &pipeline, algo.needs_source().then_some(source))
+        .map_err(|e| e.to_string())?;
+    let elapsed = started.elapsed();
+    if result.cancelled {
+        return Err(timeout_message(format!(
+            "{analytic} stopped after {} iterations",
             result.iterations
-        ));
-        if args.switch("stats") {
-            out.push_str(&format_prepare_report(&prepared));
-        }
-        return Ok(out);
+        )));
     }
-
-    let mut out = String::new();
-    let (report, iterations) = match algo {
-        Algo::Bfs | Algo::Sssp | Algo::Sswp | Algo::Cc => {
-            let prog = match algo {
-                Algo::Bfs => MonotoneProgram::BFS,
-                Algo::Sssp => MonotoneProgram::SSSP,
-                Algo::Sswp => MonotoneProgram::SSWP,
-                _ => MonotoneProgram::CC,
-            };
-            let src = prog.needs_source().then_some(source);
-            let result = engine
-                .run_prepared(&prepared, prog, src)
-                .map_err(|e| e.to_string())?;
-            if result.cancelled {
-                return Err(timeout_message(format!(
-                    "{analytic} stopped after {} iterations",
-                    result.directions.len()
-                )));
-            }
-            let finite = result
-                .values
-                .iter()
-                .filter(|&&v| v != u32::MAX && v != 0)
-                .count();
-            // Same digest, over the same per-original-node values, as a
-            // served query's `checksum` line.
-            let projected = prepared
-                .transformed()
-                .map(|t| t.project_values(&result.values));
-            out.push_str(&format!(
-                "{analytic} from {source}: {} nodes with non-trivial values\nchecksum        {:016x}\n",
-                finite,
-                tigr_server::protocol::checksum(projected.as_deref().unwrap_or(&result.values)),
-            ));
-            let pulls = result
-                .directions
-                .iter()
-                .filter(|&&d| d == Direction::Pull)
-                .count();
-            let direction_line = match direction {
-                Direction::Auto => format!(
-                    "auto ({} push / {} pull)",
-                    result.directions.len() - pulls,
-                    pulls
-                ),
-                other => other.label().to_string(),
-            };
-            out.push_str(&format!(
-                "direction       {direction_line}\nfrontier        {}\nedges touched   {}\n",
-                if worklist { frontier.label() } else { "off" },
-                result.edges_touched,
-            ));
-            (result.report, result.directions.len())
-        }
+    // Same digest, over the same per-original-node values, as a served
+    // query's `checksum` line.
+    let projected = prepared
+        .transformed()
+        .map(|t| t.project_values(&result.values));
+    let values = projected.as_deref().unwrap_or(&result.values);
+    let limit = limit.unwrap_or_default();
+    let top = || {
+        values
+            .iter()
+            .map(|&v| f32::from_bits(v))
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty graph")
+    };
+    let reached = |vals: &[u32]| vals.iter().filter(|&&v| v != u32::MAX).count();
+    let mut out = match algo {
+        Algo::Bfs | Algo::Sssp | Algo::Sswp | Algo::Cc => format!(
+            "{analytic} from {source}: {} nodes with non-trivial values\n",
+            values.iter().filter(|&&v| v != u32::MAX && v != 0).count()
+        ),
         Algo::Pr => {
-            // Pull-mode PR gathers along in-edges: the prepared
-            // transpose (and mirrored overlay) feeds it directly
-            // (PageRank has no density switch, so auto means push here).
-            let options = pr::PrOptions {
-                mode: if direction == Direction::Pull {
-                    PrMode::Pull
-                } else {
-                    PrMode::Push
-                },
-                ..pr::PrOptions::default()
+            let (top, rank) = top();
+            let mode = if direction == Direction::Pull {
+                "pull"
+            } else {
+                "push"
             };
-            let result = engine
-                .pagerank_prepared(&prepared, &options)
-                .map_err(|e| e.to_string())?;
-            if result.cancelled {
-                return Err(timeout_message(format!(
-                    "pagerank stopped after {} iterations",
-                    result.iterations
-                )));
-            }
-            let (top, rank) = result
-                .ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .expect("non-empty graph");
-            out.push_str(&format!(
-                "pagerank: top node {top} (rank {rank:.6})\ndirection       {}\n",
-                if options.mode == PrMode::Pull {
-                    "pull"
-                } else {
-                    "push"
-                }
-            ));
-            (result.report, result.iterations)
+            format!("pagerank: top node {top} (rank {rank:.6})\ndirection       {mode}\n")
         }
         Algo::Bc => {
-            let result = engine
-                .betweenness(&rep, source)
-                .map_err(|e| e.to_string())?;
-            if result.cancelled {
-                return Err(timeout_message(format!(
-                    "bc stopped after {} level kernels",
-                    result.iterations
-                )));
-            }
-            let (top, score) = result
-                .centrality
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .expect("non-empty graph");
-            out.push_str(&format!(
-                "bc from {source}: top broker {top} (dependency {score:.2})\n"
-            ));
-            if direction != Direction::Push {
-                out.push_str("direction       push (bc schedules the forward frontier only)\n");
-            }
-            (result.report, result.iterations)
+            let (top, score) = top();
+            format!("bc from {source}: top broker {top} (dependency {score:.2})\n")
         }
-        _ => unreachable!("pipeline workloads returned above"),
+        Algo::Khop => format!(
+            "khop from {source}: {} nodes within {limit} hops\n",
+            reached(values)
+        ),
+        Algo::Paths => {
+            let (dist, pred) = values.split_at(values.len() / 2);
+            let tree_edges = (0..dist.len())
+                .filter(|&v| dist[v] != u32::MAX && pred[v] != v as u32)
+                .count();
+            format!(
+                "paths from {source}: {} nodes within cost {limit}, {tree_edges} tree edges\n",
+                reached(dist)
+            )
+        }
+        Algo::Lp => {
+            let mut labels = values.to_vec();
+            labels.sort_unstable();
+            labels.dedup();
+            format!(
+                "lp after {limit} rounds: {} distinct labels\n",
+                labels.len()
+            )
+        }
+        Algo::Tc => {
+            let corners: u64 = values.iter().map(|&c| u64::from(c)).sum();
+            format!(
+                "tc: {} triangles ({corners} corner incidences)\n",
+                corners / 3
+            )
+        }
     };
-
-    let elapsed = started.elapsed();
     out.push_str(&format!(
-        "representation  {}\niterations      {iterations}\n",
-        rep.label()
+        "checksum        {:016x}\n",
+        tigr_server::protocol::checksum(values)
     ));
+    if !result.directions.is_empty() {
+        let sweeps = result.directions.len();
+        let pulls = result
+            .directions
+            .iter()
+            .filter(|&&d| d == Direction::Pull)
+            .count();
+        let direction_line = match (direction, pulls) {
+            (Direction::Auto, _) => format!("auto ({} push / {pulls} pull)", sweeps - pulls),
+            (_, 0) => "push".to_string(),
+            _ => "pull".to_string(),
+        };
+        out.push_str(&format!(
+            "direction       {direction_line}\nfrontier        {}\nedges touched   {}\n",
+            if worklist { frontier.label() } else { "off" },
+            result.edges_touched,
+        ));
+    }
+    out.push_str(&format!(
+        "representation  {}\niterations      {}\n",
+        Representation::from_prepared(&prepared).label(),
+        result.iterations
+    ));
+    let report = &result.report;
     if cpu {
         // The host has no architectural meter: wall clock it is.
         out.push_str(&format!(
@@ -386,7 +314,10 @@ const USAGE: &str = "usage: tigr run <bfs|sssp|sswp|cc|pr|bc|khop|paths|lp|tc> -
 [--direction push|pull|auto] \
 [--frontier auto|dense|sparse|off] [--deadline-ms MS] [--report] [--stats] \
 [--cache-dir DIR] [--mmap on|off|auto] [--verify eager|lazy] \
-[--cpu]";
+[--cpu]
+sim cycles come from the simulator's parallel warp replay (pr and bc: the sequential replay, \
+whose f32 sums are the served bits); monotone values are exact, but racing enqueues may shift \
+cycles and edges touched by a few per mille run to run";
 
 #[cfg(test)]
 mod tests {
@@ -442,6 +373,10 @@ mod tests {
         .unwrap();
         assert!(out.contains("representation  virtual+"));
         assert!(out.contains("per-iteration cycles"));
+        // The operator workloads meter their sweeps too.
+        let out = run(&parse(&format!("khop --graph {path} --limit 2 --report"))).unwrap();
+        assert!(out.contains("\nedges touched   "), "{out}");
+        assert!(out.contains("\n  iter   0: "), "{out}");
     }
 
     #[test]
@@ -500,8 +435,10 @@ mod tests {
         assert!(err.contains(&format!("unknown flag --{retired}")), "{err}");
     }
 
-    /// `--cpu` answers every verb in every direction — `bc` and pull
-    /// `pr` included — with the simulator run's value summary.
+    /// `--cpu` answers all ten verbs in every direction — `bc`, pull
+    /// `pr` and the operator workloads included — with the simulator
+    /// run's value summary and checksum, and every run prints the shared
+    /// tail: `iterations`, then sim cycles or the host's backend line.
     #[test]
     fn cpu_answers_every_verb_like_the_simulator() {
         let path = fixture();
@@ -512,20 +449,20 @@ mod tests {
                 .map(str::to_string)
                 .collect()
         };
-        for verb in ["bfs", "sssp", "sswp", "cc", "pr", "bc"] {
+        let verbs = ["bfs", "sssp", "sswp", "cc", "pr", "bc"]
+            .into_iter()
+            .chain(["khop --limit 2", "paths --limit 40", "lp --limit 3", "tc"]);
+        for verb in verbs {
             for d in ["push", "pull", "auto"] {
                 let cmd = format!("{verb} --graph {path} --direction {d}");
                 let sim = run(&parse(&cmd)).unwrap();
                 let cpu = run(&parse(&format!("{cmd} --cpu"))).unwrap();
-                assert!(cpu.contains("backend         cpupool"), "{cmd}: {cpu}");
+                assert_eq!(summary(&sim).len(), 2, "{cmd}: no checksum\n{sim}");
+                assert!(sim.contains("\niterations      "), "{cmd}: {sim}");
+                assert!(sim.contains("\nsim cycles      "), "{cmd}: {sim}");
+                assert!(cpu.contains("\nbackend         cpupool\n"), "{cmd}: {cpu}");
                 assert_eq!(summary(&cpu), summary(&sim), "{cmd}");
             }
-        }
-        for cmd in ["khop --limit 2", "paths --limit 40", "lp --limit 3", "tc"] {
-            let cmd = format!("{cmd} --graph {path}");
-            let sim = run(&parse(&cmd)).unwrap();
-            let cpu = run(&parse(&format!("{cmd} --cpu"))).unwrap();
-            assert_eq!(summary(&cpu), summary(&sim), "{cmd}");
         }
     }
 

@@ -75,7 +75,7 @@ commands:
   generate <model> -o <file>             rmat | ba | er | ws | grid | dataset
   transform <topology> -i <in> -o <out>  udt | star | recursive-star | circular | clique
   prepare --graph <file>                 warm the artifact cache for later runs
-  run <analytic> --graph <file>          bfs | sssp | sswp | cc | pr | bc
+  run <analytic> --graph <file>          bfs | sssp | sswp | cc | pr | bc | khop | paths | lp | tc
   serve --graph <file>                   long-lived query daemon (TCP/Unix socket)
   query <verb> --addr HOST:PORT          bfs | sssp | sswp | cc | pr | stats | ping
   mutate <op> --addr HOST:PORT           add-edge | remove-edge | add-node | set-weight | compact

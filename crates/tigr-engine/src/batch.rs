@@ -534,9 +534,8 @@ pub(crate) fn build_transpose(g: &Csr) -> Csr {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::plan::{BackendKind, ExecutionPlan};
+    use crate::plan::ExecutionPlan;
     use crate::representation::Representation;
-    use crate::runner::Engine;
     use std::cell::Cell;
     use tigr_graph::generators::{barabasi_albert, with_uniform_weights, BarabasiAlbertConfig};
 
@@ -558,18 +557,16 @@ pub(crate) mod tests {
         with_uniform_weights(&g, 1, 31, 5)
     }
 
-    /// A solo run of the `Sequential` backend under `options`.
+    /// A solo run of the `Sequential` backend under `options`: the lane
+    /// driver's one-lane case.
     fn sequential(
         rep: &Representation<'_>,
         prog: MonotoneProgram,
         source: Option<u32>,
         options: PushOptions,
     ) -> MonotoneOutput {
-        Engine::default()
-            .with_backend(BackendKind::Sequential)
-            .with_options(options)
-            .run_program(rep, prog, source.map(NodeId::new))
-            .unwrap()
+        let source = source.map(NodeId::new);
+        run_solo_sequential_push(rep.graph(), prog, source, CancelToken::never(), &options)
     }
 
     fn solo(

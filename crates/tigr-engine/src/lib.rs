@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use tigr_engine::{Engine, Representation};
+//! use tigr_engine::{Engine, Pipeline, Representation};
 //! use tigr_core::VirtualGraph;
 //! use tigr_graph::{generators::star_graph, NodeId};
 //!
@@ -27,10 +27,12 @@
 //! let overlay = VirtualGraph::coalesced(&g, 10);
 //! let engine = Engine::default();
 //!
-//! let baseline = engine.bfs(&Representation::Original(&g), NodeId::new(0))?;
-//! let tigr = engine.bfs(
+//! let (bfs, src) = (Pipeline::bfs(), Some(NodeId::new(0)));
+//! let baseline = engine.run_pipeline(&Representation::Original(&g), &bfs, src)?;
+//! let tigr = engine.run_pipeline(
 //!     &Representation::Virtual { graph: &g, overlay: &overlay },
-//!     NodeId::new(0),
+//!     &bfs,
+//!     src,
 //! )?;
 //! assert_eq!(baseline.values, tigr.values);    // same results...
 //! // ...but Tigr keeps the SIMD lanes busy:

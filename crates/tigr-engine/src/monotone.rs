@@ -394,7 +394,7 @@ mod tests {
                             worklist,
                             ..PushOptions::default()
                         })
-                        .sssp(&rep, src)
+                        .run_pipeline(&rep, &MonotoneProgram::SSSP.pipeline(), Some(src))
                         .unwrap();
                     let label = format!("{}/{}/{worklist}", backend.label(), direction.label());
                     assert!(out.converged, "{label}");

@@ -14,11 +14,10 @@
 //! folded capabilities against the representation instead of
 //! special-casing algorithm names.
 //!
-//! The six paper analytics are pipeline constructors over the same
-//! [`MonotoneProgram`]/[`crate::kernel`] machinery they always used —
-//! [`crate::Engine::run_pipeline`] lowers a monotone pipeline onto the
-//! exact legacy dispatch, so outputs are byte-identical on every
-//! backend. Four serving workloads are new pipelines:
+//! [`crate::Engine::run_pipeline`] is the one entry point of every
+//! analytic: the six paper analytics are pipeline constructors over the
+//! [`MonotoneProgram`]/[`crate::kernel`] drivers, and the output carries
+//! the driver's meter. Four serving workloads are new pipelines:
 //!
 //! * [`Pipeline::khop`] — hop counts via [`EdgeOp::AddUnit`] plus a
 //!   [`ComputeStep::MaskAbove`] post-pass (`> k` → unreached).
@@ -33,8 +32,10 @@
 use std::fmt;
 
 use tigr_graph::{Csr, NodeId};
+use tigr_sim::SimReport;
 
 use crate::algorithms::pr::PrOptions;
+use crate::plan::Direction;
 use crate::program::{EdgeOp, InitKind, MonotoneProgram};
 use crate::state::Combine;
 
@@ -626,7 +627,7 @@ impl MonotoneProgram {
 }
 
 /// Result of a pipeline run: final per-node values (already through any
-/// `Compute` post-pass) plus convergence metadata.
+/// `Compute` post-pass), convergence metadata, and the run's meter.
 #[derive(Clone, Debug)]
 pub struct PipelineOutput {
     /// Final values. Monotone analytics: one `u32` per value slot.
@@ -640,6 +641,14 @@ pub struct PipelineOutput {
     pub converged: bool,
     /// Whether a cancellation token fired mid-run.
     pub cancelled: bool,
+    /// Per-kernel simulator metrics; empty off the simulator and for
+    /// compute-only pipelines.
+    pub report: SimReport,
+    /// Edges whose relaxation was attempted (monotone bodies; 0
+    /// otherwise).
+    pub edges_touched: u64,
+    /// Direction of each monotone sweep; empty for PR, BC and TC.
+    pub directions: Vec<Direction>,
 }
 
 /// Applies [`ComputeStep::MaskAbove`]: values above `bound` become

@@ -253,7 +253,7 @@ impl ExecutionPlan {
     }
 
     /// Checks the plan against a [`Pipeline`]'s typed operator
-    /// capabilities: source arity, split-invariance over physical
+    /// capabilities: source range and arity, split-invariance over physical
     /// representations (Corollary 2/3), then — for monotone-bodied
     /// pipelines — the per-program rules of [`ExecutionPlan::validate`]
     /// (Theorem 3 and friends).
@@ -263,6 +263,7 @@ impl ExecutionPlan {
         pipeline: &Pipeline,
         source: Option<NodeId>,
     ) -> Result<(), PlanError> {
+        check_source(rep, source)?;
         if pipeline.needs_source() && source.is_none() {
             return Err(PlanError::MissingSource {
                 pipeline: pipeline.name(),
@@ -285,7 +286,22 @@ impl ExecutionPlan {
     }
 }
 
-/// A plan combination the paper's theorems do not license.
+/// Refuses a `source` that names no value slot of `rep`.
+pub(crate) fn check_source(
+    rep: &Representation<'_>,
+    source: Option<NodeId>,
+) -> Result<(), PlanError> {
+    let slots = rep.num_value_slots();
+    match source {
+        Some(source) if source.index() >= slots => {
+            Err(PlanError::SourceOutOfRange { source, slots })
+        }
+        _ => Ok(()),
+    }
+}
+
+/// A plan combination the paper's theorems do not license, or a query
+/// the representation cannot answer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PlanError {
@@ -319,6 +335,13 @@ pub enum PlanError {
         /// Name of the offending pipeline.
         pipeline: &'static str,
     },
+    /// The source node is not one of the representation's value slots.
+    SourceOutOfRange {
+        /// The requested source.
+        source: NodeId,
+        /// Value slots of the representation.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -346,6 +369,9 @@ impl fmt::Display for PlanError {
                 "pipeline `{pipeline}` is not split-invariant: no dumb-weight assignment \
                  preserves its answer over a physically split (UDT) representation"
             ),
+            PlanError::SourceOutOfRange { source, slots } => {
+                write!(f, "source {source} out of range ({slots} nodes)")
+            }
         }
     }
 }

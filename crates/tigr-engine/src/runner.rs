@@ -7,17 +7,20 @@ use std::fmt;
 
 use tigr_core::{CancelToken, PreparedGraph};
 use tigr_graph::NodeId;
-use tigr_sim::{DeviceMemory, GpuConfig, GpuSimulator, OutOfMemory};
+use tigr_sim::{DeviceMemory, GpuConfig, GpuSimulator, OutOfMemory, SimReport};
 
 use crate::algorithms::{bc, pr};
-use crate::batch::{chunk_len, deal, run_batch_push, run_solo_sequential_push};
+use crate::batch::{
+    chunk_len, deal, run_batch_push, run_solo_sequential_push, BatchArena, BatchOutput,
+    BatchProgram,
+};
 use crate::frontier::FrontierMode;
 use crate::kernel::HostLoop;
 use crate::monotone::{pull_view, run_monotone, MonotoneOutput, PullSide};
 use crate::operators::{
     mask_above, predecessors, triangle_counts, ComputeStep, Pipeline, PipelineBody, PipelineOutput,
 };
-use crate::plan::{BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError};
+use crate::plan::{check_source, BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError};
 use crate::program::MonotoneProgram;
 use crate::push::{PushOptions, SyncMode};
 use crate::representation::Representation;
@@ -65,13 +68,15 @@ impl From<PlanError> for EngineError {
 /// # Example
 ///
 /// ```
-/// use tigr_engine::{Engine, Representation};
+/// use tigr_engine::{Engine, Pipeline, Representation};
 /// use tigr_graph::{CsrBuilder, NodeId};
 ///
 /// let g = CsrBuilder::new(3).weighted_edge(0, 1, 2).weighted_edge(1, 2, 2).build();
 /// let engine = Engine::default();
-/// let out = engine.sssp(&Representation::Original(&g), NodeId::new(0))?;
+/// let rep = Representation::Original(&g);
+/// let out = engine.run_pipeline(&rep, &Pipeline::sssp(), Some(NodeId::new(0)))?;
 /// assert_eq!(out.values, vec![0, 2, 4]);
+/// assert_eq!(out.report.num_iterations() as u64, out.iterations);
 /// # Ok::<(), tigr_engine::EngineError>(())
 /// ```
 #[derive(Debug)]
@@ -97,8 +102,11 @@ impl Engine {
         }
     }
 
-    /// Creates an engine whose simulator replays warps on all host cores
-    /// (identical metrics, faster wall clock).
+    /// Creates an engine whose simulator replays warps on all host cores:
+    /// faster wall clock, identical values. The counters equal the
+    /// sequential replay's only for kernels free of cross-thread races
+    /// (`tigr_sim`'s executor tests pin that); the relax kernels race on
+    /// first-claim enqueues, so cycles may drift by a few per mille.
     pub fn parallel(config: GpuConfig) -> Self {
         Engine {
             sim: GpuSimulator::new_parallel(config),
@@ -177,16 +185,6 @@ impl Engine {
         &self.plan
     }
 
-    /// The plan's push options.
-    pub fn options(&self) -> &PushOptions {
-        &self.plan.push
-    }
-
-    /// The plan's CPU-pool options.
-    pub fn cpu_options(&self) -> &CpuOptions {
-        &self.plan.cpu
-    }
-
     /// Checks `rep` against the configured device budget.
     ///
     /// # Errors
@@ -201,33 +199,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs an arbitrary monotone program under the assembled plan: the
-    /// single entry point every per-algorithm wrapper aliases.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::OutOfMemory`] if the representation exceeds
-    /// the device budget, or [`EngineError::InvalidPlan`] if the plan
-    /// combination is not licensed for `rep`/`prog` (Theorem 3 and
-    /// friends — see [`PlanError`]).
-    pub fn run_program(
-        &self,
-        rep: &Representation<'_>,
-        prog: MonotoneProgram,
-        source: Option<NodeId>,
-    ) -> Result<MonotoneOutput, EngineError> {
-        self.check_footprint(rep)?;
-        self.plan.validate(rep, &prog)?;
-        self.dispatch_monotone(rep, None, prog, source, &self.plan)
-    }
-
     /// The one backend dispatch every single-run monotone entry point —
-    /// legacy programs, operator pipelines, fixed-round schedules and the
-    /// lanes of an unfused batch alike — funnels through, so
-    /// pipeline-built analytics are byte-equal to the pre-operator
-    /// engines by construction. A prepared transpose feeds every pull
-    /// sweep. Both host backends run a solo run alike: it is one lane,
-    /// and a lane is what `CpuPool` deals across its workers.
+    /// [`Engine::run_prepared`], operator pipelines and fixed-round
+    /// schedules alike — funnels through. A prepared transpose feeds
+    /// every pull sweep. Both host backends run a solo run alike: it is
+    /// one lane, and a lane is what `CpuPool` deals across its workers.
     fn dispatch_monotone(
         &self,
         rep: &Representation<'_>,
@@ -257,11 +233,13 @@ impl Engine {
     /// ([`Representation::from_prepared`]), and a prepared transpose
     /// (plus mirrored overlay, on the simulator) feeds the pull/auto
     /// drivers directly, so a cache-warm run performs no transpose or
-    /// overlay construction at all.
+    /// overlay construction at all. Values and meter equal
+    /// `run_prepared_pipeline(prepared, &prog.pipeline(), source)`'s;
+    /// this entry returns the driver's own [`MonotoneOutput`].
     ///
     /// # Errors
     ///
-    /// See [`Engine::run_program`].
+    /// See [`Engine::run_pipeline`].
     pub fn run_prepared(
         &self,
         prepared: &PreparedGraph,
@@ -270,23 +248,28 @@ impl Engine {
     ) -> Result<MonotoneOutput, EngineError> {
         let rep = Representation::from_prepared(prepared);
         self.check_footprint(&rep)?;
-        self.plan.validate(&rep, &prog)?;
+        self.plan
+            .validate_pipeline(&rep, &prog.pipeline(), source)?;
         self.dispatch_monotone(&rep, PullSide::of(prepared), prog, source, &self.plan)
     }
 
-    /// Runs an operator [`Pipeline`] under the assembled plan: the
-    /// algorithm-as-data entry point. Monotone pipelines lower onto the
-    /// exact dispatch [`Engine::run_program`] uses (byte-identical
-    /// outputs); PR/BC pipelines run their dedicated drivers on the
-    /// plan's backend (see [`Engine::pagerank`]) with results
-    /// reinterpreted as bit patterns; compute-only pipelines (triangle
-    /// counting) never traverse at all.
+    /// Runs an operator [`Pipeline`] under the assembled plan: the one
+    /// entry point of every analytic. Monotone pipelines run the
+    /// monotone driver ([`crate::run_monotone`], or the host lane
+    /// driver's one-lane case for a host push); PR/BC pipelines run
+    /// their drivers on the plan's launcher — the simulator meters
+    /// them, both host backends run them as plain loops with the same
+    /// bits — with results reinterpreted as bit patterns; compute-only
+    /// pipelines (triangle counting) never traverse at all. The output
+    /// carries the run's meter: the simulator report, edges touched and
+    /// per-sweep directions.
     ///
     /// # Errors
     ///
     /// [`EngineError::OutOfMemory`] on budget overflow, or
     /// [`EngineError::InvalidPlan`] when the pipeline's typed
-    /// capabilities reject the representation/plan combination (see
+    /// capabilities reject the representation/plan combination or the
+    /// source is out of range (see
     /// [`crate::ExecutionPlan::validate_pipeline`]).
     pub fn run_pipeline(
         &self,
@@ -301,7 +284,8 @@ impl Engine {
 
     /// Runs an operator [`Pipeline`] over a [`PreparedGraph`]; prepared
     /// transpose/overlay views feed the pull and auto paths directly
-    /// (see [`Engine::run_prepared`] and [`Engine::pagerank_prepared`]).
+    /// (see [`Engine::run_prepared`]), and a host push PageRank gathers
+    /// over a prepared transpose.
     ///
     /// # Errors
     ///
@@ -347,18 +331,49 @@ impl Engine {
                     iterations: out.directions.len() as u64,
                     converged: out.converged,
                     cancelled: out.cancelled,
+                    report: out.report,
+                    edges_touched: out.edges_touched,
+                    directions: out.directions,
                 })
             }
-            PipelineBody::PageRank(options) => Ok(self.pagerank_over(rep, pull, options)?.into()),
+            // Neither float driver sweeps a monotone frontier.
+            PipelineBody::PageRank(options) => {
+                let out = self.pagerank_over(rep, pull, options);
+                Ok(PipelineOutput {
+                    values: float_bits(out.ranks),
+                    iterations: out.iterations as u64,
+                    converged: out.converged,
+                    cancelled: out.cancelled,
+                    report: out.report,
+                    edges_touched: 0,
+                    directions: Vec::new(),
+                })
+            }
             PipelineBody::Betweenness => {
                 let src = source.expect("validated: bc requires a source");
-                Ok(self.betweenness(rep, src)?.into())
+                let cancel = &self.plan.cancel;
+                let out = match self.plan.backend {
+                    BackendKind::WarpSim => bc::run_cancellable(&self.sim, rep, src, cancel),
+                    _ => bc::run_cancellable(&HostLoop, rep, src, cancel),
+                };
+                Ok(PipelineOutput {
+                    values: float_bits(out.centrality),
+                    iterations: out.iterations as u64,
+                    converged: !out.cancelled,
+                    cancelled: out.cancelled,
+                    report: out.report,
+                    edges_touched: 0,
+                    directions: Vec::new(),
+                })
             }
             PipelineBody::ComputeOnly(ComputeStep::TriangleCount) => Ok(PipelineOutput {
                 values: triangle_counts(rep.graph()),
                 iterations: 0,
                 converged: true,
                 cancelled: false,
+                report: SimReport::new(),
+                edges_touched: 0,
+                directions: Vec::new(),
             }),
             PipelineBody::ComputeOnly(step) => {
                 unreachable!("{step:?} is not a standalone pipeline")
@@ -402,13 +417,13 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run_program`].
+    /// See [`Engine::run_pipeline`].
     pub fn run_batch(
         &self,
         rep: &Representation<'_>,
-        batch: &crate::batch::BatchProgram,
-        arena: &mut crate::batch::BatchArena,
-    ) -> Result<crate::batch::BatchOutput, EngineError> {
+        batch: &BatchProgram,
+        arena: &mut BatchArena,
+    ) -> Result<BatchOutput, EngineError> {
         self.run_batch_inner(rep, None, batch, arena)
     }
 
@@ -418,31 +433,30 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run_program`].
+    /// See [`Engine::run_pipeline`].
     pub fn run_prepared_batch(
         &self,
         prepared: &PreparedGraph,
-        batch: &crate::batch::BatchProgram,
-        arena: &mut crate::batch::BatchArena,
-    ) -> Result<crate::batch::BatchOutput, EngineError> {
-        self.run_batch_inner(
-            &Representation::from_prepared(prepared),
-            PullSide::of(prepared),
-            batch,
-            arena,
-        )
+        batch: &BatchProgram,
+        arena: &mut BatchArena,
+    ) -> Result<BatchOutput, EngineError> {
+        let rep = Representation::from_prepared(prepared);
+        self.run_batch_inner(&rep, PullSide::of(prepared), batch, arena)
     }
 
     fn run_batch_inner(
         &self,
         rep: &Representation<'_>,
         pull: Option<PullSide<'_>>,
-        batch: &crate::batch::BatchProgram,
-        arena: &mut crate::batch::BatchArena,
-    ) -> Result<crate::batch::BatchOutput, EngineError> {
+        batch: &BatchProgram,
+        arena: &mut BatchArena,
+    ) -> Result<BatchOutput, EngineError> {
         self.check_footprint(rep)?;
         let plan = &self.plan;
         plan.validate(rep, &batch.prog)?;
+        for lane in &batch.lanes {
+            check_source(rep, lane.source)?;
+        }
         let threads = match plan.backend {
             BackendKind::CpuPool => plan.cpu.threads,
             _ => 1,
@@ -478,204 +492,54 @@ impl Engine {
             lanes.extend(chunk?);
         }
         let sweeps = lanes.iter().map(|l| l.directions.len()).max().unwrap_or(0);
-        Ok(crate::batch::BatchOutput { lanes, sweeps })
+        Ok(BatchOutput { lanes, sweeps })
     }
 
-    /// PageRank over a [`PreparedGraph`]. Pull mode gathers along
-    /// in-edges: the prepared transpose (and mirrored overlay) is used
-    /// when present, and built on the fly otherwise. A host push run
-    /// over a prepared transpose is the gather (see [`pr::PrMode::Push`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::OutOfMemory`] if the representation exceeds the
-    /// device budget, or [`EngineError::InvalidPlan`] over a physical
-    /// split: UDT changes the out-degrees PageRank divides by.
-    pub fn pagerank_prepared(
-        &self,
-        prepared: &PreparedGraph,
-        options: &pr::PrOptions,
-    ) -> Result<pr::PrOutput, EngineError> {
-        let rep = Representation::from_prepared(prepared);
-        self.plan
-            .validate_pipeline(&rep, &Pipeline::pagerank(*options), None)?;
-        self.pagerank_over(&rep, PullSide::of(prepared), options)
-    }
-
-    /// The one PageRank dispatch of the pipeline and prepared entry
-    /// points, over the forward view `rep` and whatever transpose side
-    /// the caller holds. Pull gathers over `rep` mirrored onto the
-    /// transpose, building what `pull` lacks. A push on a host backend
-    /// with a transpose at hand runs as the gather over the plain
-    /// transpose — the same terms in the same order, so the same bits
-    /// (see [`pr::PrMode::Push`]). The simulator always scatters: that
-    /// is the paper's meter.
+    /// The one PageRank dispatch, over the forward view `rep` and
+    /// whatever transpose side the caller holds. Pull gathers over `rep`
+    /// mirrored onto the transpose, building what `pull` lacks. A push
+    /// on a host backend with a transpose at hand runs as the gather
+    /// over the plain transpose — the same terms in the same order, so
+    /// the same bits (see [`pr::PrMode::Push`]). The simulator always
+    /// scatters: that is the paper's meter.
     fn pagerank_over(
         &self,
         rep: &Representation<'_>,
         pull: Option<PullSide<'_>>,
         options: &pr::PrOptions,
-    ) -> Result<pr::PrOutput, EngineError> {
+    ) -> pr::PrOutput {
         let degrees = pr::out_degrees(rep.graph());
+        let run = |view: &Representation<'_>, options: &pr::PrOptions| {
+            let cancel = &self.plan.cancel;
+            match self.plan.backend {
+                BackendKind::WarpSim => {
+                    pr::run_cancellable(&self.sim, view, &degrees, options, cancel)
+                }
+                _ => pr::run_cancellable(&HostLoop, view, &degrees, options, cancel),
+            }
+        };
         match (options.mode, pull) {
             (pr::PrMode::Push, Some(side)) if self.plan.backend != BackendKind::WarpSim => {
                 let gather = pr::PrOptions {
                     mode: pr::PrMode::Pull,
                     ..*options
                 };
-                self.pagerank(&Representation::Original(side.reverse), &degrees, &gather)
+                run(&Representation::Original(side.reverse), &gather)
             }
-            (pr::PrMode::Push, _) => self.pagerank(rep, &degrees, options),
+            (pr::PrMode::Push, _) => run(rep, options),
             (pr::PrMode::Pull, _) => {
                 let (built, built_overlay) = (OnceCell::new(), OnceCell::new());
-                let view = pull_view(rep, pull, &built, &built_overlay);
-                self.pagerank(&view, &degrees, options)
+                run(&pull_view(rep, pull, &built, &built_overlay), options)
             }
         }
-    }
-
-    /// Runs an arbitrary monotone program (alias of
-    /// [`Engine::run_program`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_program`].
-    pub fn run(
-        &self,
-        rep: &Representation<'_>,
-        prog: MonotoneProgram,
-        source: Option<NodeId>,
-    ) -> Result<MonotoneOutput, EngineError> {
-        self.run_program(rep, prog, source)
-    }
-
-    /// Single-source shortest paths.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_program`].
-    pub fn sssp(
-        &self,
-        rep: &Representation<'_>,
-        source: NodeId,
-    ) -> Result<MonotoneOutput, EngineError> {
-        self.run_program(rep, MonotoneProgram::SSSP, Some(source))
-    }
-
-    /// Breadth-first search.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_program`].
-    pub fn bfs(
-        &self,
-        rep: &Representation<'_>,
-        source: NodeId,
-    ) -> Result<MonotoneOutput, EngineError> {
-        self.run_program(rep, MonotoneProgram::BFS, Some(source))
-    }
-
-    /// Single-source widest path.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_program`].
-    pub fn sswp(
-        &self,
-        rep: &Representation<'_>,
-        source: NodeId,
-    ) -> Result<MonotoneOutput, EngineError> {
-        self.run_program(rep, MonotoneProgram::SSWP, Some(source))
-    }
-
-    /// Connected components.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_program`].
-    pub fn cc(&self, rep: &Representation<'_>) -> Result<MonotoneOutput, EngineError> {
-        self.run_program(rep, MonotoneProgram::CC, None)
-    }
-
-    /// PageRank (see [`crate::algorithms::pr::run`] for the contract),
-    /// on the plan's backend: `WarpSim` meters the kernels on the
-    /// simulator; both host backends run the same driver as a host
-    /// loop — bit-identical ranks, no report. (A PageRank is one run,
-    /// not a batch of lanes, so `CpuPool` has nothing to deal.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::OutOfMemory`] if the representation exceeds
-    /// the device budget.
-    pub fn pagerank(
-        &self,
-        rep: &Representation<'_>,
-        out_degrees: &[u32],
-        options: &pr::PrOptions,
-    ) -> Result<pr::PrOutput, EngineError> {
-        self.check_footprint(rep)?;
-        let cancel = &self.plan.cancel;
-        Ok(match self.plan.backend {
-            BackendKind::WarpSim => {
-                pr::run_cancellable(&self.sim, rep, out_degrees, options, cancel)
-            }
-            BackendKind::CpuPool | BackendKind::Sequential => {
-                pr::run_cancellable(&HostLoop, rep, out_degrees, options, cancel)
-            }
-        })
-    }
-
-    /// Single-source betweenness centrality, dispatched on the plan's
-    /// backend exactly like [`Engine::pagerank`]; the plan's token is
-    /// polled between levels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::OutOfMemory`] if the representation exceeds
-    /// the device budget.
-    pub fn betweenness(
-        &self,
-        rep: &Representation<'_>,
-        source: NodeId,
-    ) -> Result<bc::BcOutput, EngineError> {
-        self.check_footprint(rep)?;
-        let cancel = &self.plan.cancel;
-        Ok(match self.plan.backend {
-            BackendKind::WarpSim => bc::run_cancellable(&self.sim, rep, source, cancel),
-            BackendKind::CpuPool | BackendKind::Sequential => {
-                bc::run_cancellable(&HostLoop, rep, source, cancel)
-            }
-        })
     }
 }
 
 /// Reinterprets `f32` results as `u32` bit patterns
-/// ([`ComputeStep::FloatBits`]): PR/BC travel the same wire format as
-/// the monotone analytics.
-fn float_bits(values: &[f32]) -> Vec<u32> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-impl From<pr::PrOutput> for PipelineOutput {
-    fn from(out: pr::PrOutput) -> Self {
-        PipelineOutput {
-            values: float_bits(&out.ranks),
-            iterations: out.iterations as u64,
-            converged: out.converged,
-            cancelled: out.cancelled,
-        }
-    }
-}
-
-impl From<bc::BcOutput> for PipelineOutput {
-    fn from(out: bc::BcOutput) -> Self {
-        PipelineOutput {
-            values: float_bits(&out.centrality),
-            iterations: out.iterations as u64,
-            converged: !out.cancelled,
-            cancelled: out.cancelled,
-        }
-    }
+/// ([`ComputeStep::FloatBits`]) in their own buffer: PR/BC travel the
+/// same wire format as the monotone analytics.
+fn float_bits(values: Vec<f32>) -> Vec<u32> {
+    values.into_iter().map(f32::to_bits).collect()
 }
 
 #[cfg(test)]
@@ -689,7 +553,11 @@ mod tests {
         let g = star_graph(10);
         let engine = Engine::new(GpuConfig::tiny());
         let out = engine
-            .sssp(&Representation::Original(&g), NodeId::new(0))
+            .run_pipeline(
+                &Representation::Original(&g),
+                &Pipeline::sssp(),
+                Some(NodeId::new(0)),
+            )
             .unwrap();
         assert_eq!(out.values[1], 1);
     }
@@ -699,7 +567,11 @@ mod tests {
         let g = star_graph(1000);
         let engine = Engine::new(GpuConfig::tiny()).with_device_memory(64);
         let err = engine
-            .sssp(&Representation::Original(&g), NodeId::new(0))
+            .run_pipeline(
+                &Representation::Original(&g),
+                &Pipeline::sssp(),
+                Some(NodeId::new(0)),
+            )
             .unwrap_err();
         assert!(matches!(err, EngineError::OutOfMemory(_)));
         assert!(err.to_string().contains("out of device memory"));
@@ -715,7 +587,9 @@ mod tests {
             overlay: &ov,
         };
         assert!(engine.check_footprint(&rep).is_ok());
-        assert!(engine.bfs(&rep, NodeId::new(0)).is_ok());
+        assert!(engine
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+            .is_ok());
     }
 
     #[test]
@@ -726,15 +600,19 @@ mod tests {
             ..PushOptions::default()
         });
         let rep = Representation::Original(&g);
-        let a = full.bfs(&rep, NodeId::new(0)).unwrap();
+        let a = full
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+            .unwrap();
         for mode in [
             FrontierMode::Auto,
             FrontierMode::Dense,
             FrontierMode::Sparse,
         ] {
             let engine = Engine::new(GpuConfig::tiny()).with_frontier(mode);
-            assert!(engine.options().worklist);
-            let b = engine.bfs(&rep, NodeId::new(0)).unwrap();
+            assert!(engine.plan().push.worklist);
+            let b = engine
+                .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+                .unwrap();
             assert_eq!(a.values, b.values, "mode={}", mode.label());
             assert!(
                 b.edges_touched < a.edges_touched,
@@ -751,14 +629,16 @@ mod tests {
         let g = tigr_graph::generators::grid_2d(8, 8);
         let rep = Representation::Original(&g);
         let sim = Engine::new(GpuConfig::tiny())
-            .bfs(&rep, NodeId::new(0))
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
             .unwrap();
         for threads in [1, 2, 3] {
             let engine = Engine::new(GpuConfig::tiny())
                 .with_backend(BackendKind::CpuPool)
                 .with_cpu_options(CpuOptions { threads });
-            assert_eq!(engine.cpu_options().threads, threads);
-            let out = engine.bfs(&rep, NodeId::new(0)).unwrap();
+            assert_eq!(engine.plan().cpu.threads, threads);
+            let out = engine
+                .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+                .unwrap();
             assert_eq!(out.values, sim.values, "threads={threads}");
             assert!(out.converged && !out.cancelled, "threads={threads}");
         }
@@ -778,7 +658,7 @@ mod tests {
                     max_iterations: 1,
                     ..PushOptions::default()
                 })
-                .bfs(&rep, NodeId::new(0))
+                .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
                 .unwrap();
             assert!(!out.converged, "{}", direction.label());
             assert!(!out.cancelled, "{}", direction.label());
@@ -828,9 +708,7 @@ mod tests {
                         before,
                         "{label}: a prepared run rebuilt the transpose"
                     );
-                    let raw = engine
-                        .run_program(&bare, MonotoneProgram::SSSP, src)
-                        .unwrap();
+                    let raw = engine.run_pipeline(&bare, &Pipeline::sssp(), src).unwrap();
                     let gathered = raw.directions.contains(&Direction::Pull);
                     assert_eq!(built(), before + usize::from(gathered), "{label}");
                     if direction == Direction::Pull {
@@ -849,10 +727,18 @@ mod tests {
         let seq = Engine::new(GpuConfig::default());
         let par = Engine::parallel(GpuConfig::default());
         let a = seq
-            .bfs(&Representation::Original(&g), NodeId::new(0))
+            .run_pipeline(
+                &Representation::Original(&g),
+                &Pipeline::bfs(),
+                Some(NodeId::new(0)),
+            )
             .unwrap();
         let b = par
-            .bfs(&Representation::Original(&g), NodeId::new(0))
+            .run_pipeline(
+                &Representation::Original(&g),
+                &Pipeline::bfs(),
+                Some(NodeId::new(0)),
+            )
             .unwrap();
         assert_eq!(a.values, b.values);
     }
@@ -862,11 +748,13 @@ mod tests {
         let g = tigr_graph::generators::grid_2d(8, 8);
         let rep = Representation::Original(&g);
         let reference = Engine::new(GpuConfig::tiny())
-            .bfs(&rep, NodeId::new(0))
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
             .unwrap();
         for direction in crate::plan::Direction::ALL {
             let engine = Engine::new(GpuConfig::tiny()).with_direction(direction);
-            let out = engine.bfs(&rep, NodeId::new(0)).unwrap();
+            let out = engine
+                .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+                .unwrap();
             assert_eq!(out.values, reference.values, "{}", direction.label());
         }
     }
@@ -877,7 +765,11 @@ mod tests {
         let t = tigr_core::udt_transform(&g, 8, tigr_core::DumbWeight::Zero);
         let engine = Engine::new(GpuConfig::tiny()).with_direction(Direction::Pull);
         let err = engine
-            .bfs(&Representation::Physical(&t), NodeId::new(0))
+            .run_pipeline(
+                &Representation::Physical(&t),
+                &Pipeline::bfs(),
+                Some(NodeId::new(0)),
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -907,7 +799,9 @@ mod tests {
             let prep = engine
                 .run_prepared(&prepared, MonotoneProgram::BFS, Some(NodeId::new(0)))
                 .unwrap();
-            let adhoc = engine.bfs(&adhoc_rep, NodeId::new(0)).unwrap();
+            let adhoc = engine
+                .run_pipeline(&adhoc_rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+                .unwrap();
             assert_eq!(prep.values, adhoc.values, "{}", direction.label());
         }
     }
@@ -952,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn pagerank_prepared_pull_uses_prepared_transpose() {
+    fn pull_pagerank_uses_the_prepared_transpose() {
         let store = tigr_core::GraphStore::disabled();
         let spec = tigr_core::PrepareSpec::generated("rmat:8:6", 3)
             .with_virtual(8, false)
@@ -963,14 +857,19 @@ mod tests {
             ..pr::PrOptions::default()
         };
         let engine = Engine::new(GpuConfig::tiny());
-        let with_views = engine.pagerank_prepared(&prepared, &options).unwrap();
+        let pipeline = Pipeline::pagerank(options);
+        let with_views = engine
+            .run_prepared_pipeline(&prepared, &pipeline, None)
+            .unwrap();
 
         // Same spec without prepared pull views: built on the fly.
         let bare = store
             .prepare(&tigr_core::PrepareSpec::generated("rmat:8:6", 3).with_virtual(8, false))
             .unwrap();
-        let without_views = engine.pagerank_prepared(&bare, &options).unwrap();
-        assert_eq!(with_views.ranks, without_views.ranks);
+        let without_views = engine
+            .run_prepared_pipeline(&bare, &pipeline, None)
+            .unwrap();
+        assert_eq!(with_views.values, without_views.values);
     }
 
     /// A host push `pr` over a prepared transpose gathers over it and
@@ -981,28 +880,27 @@ mod tests {
         use crate::batch::tests::TRANSPOSES_BUILT;
         let built = || TRANSPOSES_BUILT.with(|c| c.get());
         let store = tigr_core::GraphStore::disabled();
-        let options = pr::PrOptions::default();
+        let pipeline = Pipeline::pagerank(pr::PrOptions::default());
         for transpose in [true, false] {
             let spec = tigr_core::PrepareSpec::generated("rmat:8:6", 5)
                 .with_virtual(4, true)
                 .with_transpose(transpose);
             let prepared = store.prepare(&spec).unwrap();
             let warp = Engine::new(GpuConfig::tiny())
-                .pagerank_prepared(&prepared, &options)
+                .run_prepared_pipeline(&prepared, &pipeline, None)
                 .unwrap();
-            assert_eq!(warp.iterations, warp.report.num_iterations());
+            assert_eq!(warp.iterations, warp.report.num_iterations() as u64);
             for backend in [BackendKind::Sequential, BackendKind::CpuPool] {
                 let label = format!("{}/transpose={transpose}", backend.label());
                 let engine = Engine::new(GpuConfig::tiny()).with_backend(backend);
                 let before = built();
-                let host = engine.pagerank_prepared(&prepared, &options).unwrap();
-                let served = engine
-                    .run_prepared_pipeline(&prepared, &Pipeline::pagerank(options), None)
+                let host = engine
+                    .run_prepared_pipeline(&prepared, &pipeline, None)
                     .unwrap();
                 assert_eq!(built(), before, "{label}: built a transpose");
-                assert_eq!(float_bits(&host.ranks), float_bits(&warp.ranks), "{label}");
-                assert_eq!(served.values, float_bits(&warp.ranks), "{label}");
+                assert_eq!(host.values, warp.values, "{label}");
                 assert_eq!(host.iterations, warp.iterations, "{label}");
+                assert_eq!(host.report.num_iterations(), 0, "{label}");
             }
         }
     }
@@ -1039,8 +937,6 @@ mod tests {
                     ..pr::PrOptions::default()
                 };
                 let label = format!("{}/{mode:?}", backend.label());
-                let err = engine.pagerank_prepared(&prepared, &options).unwrap_err();
-                assert!(refused(err), "{label}");
                 let err = engine
                     .run_prepared_pipeline(&prepared, &Pipeline::pagerank(options), None)
                     .unwrap_err();
@@ -1065,7 +961,9 @@ mod tests {
                 .with_backend(backend)
                 .with_direction(direction)
                 .with_cancel(token.clone());
-            let out = engine.bfs(&rep, NodeId::new(0)).unwrap();
+            let out = engine
+                .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+                .unwrap();
             assert!(out.cancelled, "{label}");
             assert!(!out.converged, "{label}");
             assert!(out.directions.is_empty(), "{label}");
@@ -1086,22 +984,24 @@ mod tests {
             let engine = Engine::new(GpuConfig::tiny())
                 .with_direction(direction)
                 .with_cancel(token.clone());
-            let out = engine.bfs(&rep, NodeId::new(0)).unwrap();
+            let out = engine
+                .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+                .unwrap();
             assert!(out.cancelled && !out.converged, "{}", direction.label());
         }
+        let pagerank = Pipeline::pagerank(pr::PrOptions::default());
         let engine = Engine::new(GpuConfig::tiny()).with_cancel(token.clone());
-        let pr_out = engine
-            .pagerank(&rep, &pr::out_degrees(&g), &pr::PrOptions::default())
-            .unwrap();
+        let pr_out = engine.run_pipeline(&rep, &pagerank, None).unwrap();
         assert!(pr_out.cancelled && !pr_out.converged);
         let pool = Engine::new(GpuConfig::tiny())
             .with_backend(BackendKind::CpuPool)
             .with_cancel(token);
-        let pool_pr = pool
-            .pagerank(&rep, &pr::out_degrees(&g), &pr::PrOptions::default())
-            .unwrap();
+        let pool_pr = pool.run_pipeline(&rep, &pagerank, None).unwrap();
         assert!(pool_pr.cancelled && !pool_pr.converged);
-        assert!(pool.betweenness(&rep, NodeId::new(0)).unwrap().cancelled);
+        let bc = pool
+            .run_pipeline(&rep, &Pipeline::betweenness(), Some(NodeId::new(0)))
+            .unwrap();
+        assert!(bc.cancelled);
     }
 
     #[test]
@@ -1109,11 +1009,11 @@ mod tests {
         let g = tigr_graph::generators::grid_2d(8, 8);
         let rep = Representation::Original(&g);
         let plain = Engine::new(GpuConfig::tiny())
-            .bfs(&rep, NodeId::new(0))
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
             .unwrap();
         let inert = Engine::new(GpuConfig::tiny())
             .with_cancel(CancelToken::new())
-            .bfs(&rep, NodeId::new(0))
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
             .unwrap();
         assert!(!inert.cancelled);
         assert!(inert.converged);
@@ -1129,27 +1029,21 @@ mod tests {
             graph: &g,
             overlay: &ov,
         };
-        let degrees = pr::out_degrees(&g);
+        let pagerank = Pipeline::pagerank(pr::PrOptions::default());
+        let (bc, src) = (Pipeline::betweenness(), Some(NodeId::new(1)));
         let warp = Engine::new(GpuConfig::tiny());
-        let warp_pr = warp
-            .pagerank(&rep, &degrees, &pr::PrOptions::default())
-            .unwrap();
-        let warp_bc = warp.betweenness(&rep, NodeId::new(1)).unwrap();
-        assert_eq!(warp_pr.iterations, warp_pr.report.num_iterations());
-        assert_eq!(warp_bc.iterations, warp_bc.report.num_iterations());
+        let warp_pr = warp.run_pipeline(&rep, &pagerank, None).unwrap();
+        let warp_bc = warp.run_pipeline(&rep, &bc, src).unwrap();
+        assert_eq!(warp_pr.iterations, warp_pr.report.num_iterations() as u64);
+        assert_eq!(warp_bc.iterations, warp_bc.report.num_iterations() as u64);
         for backend in [BackendKind::CpuPool, BackendKind::Sequential] {
             let host = Engine::new(GpuConfig::tiny()).with_backend(backend);
-            let host_pr = host
-                .pagerank(&rep, &degrees, &pr::PrOptions::default())
-                .unwrap();
-            assert_eq!(float_bits(&host_pr.ranks), float_bits(&warp_pr.ranks));
+            let host_pr = host.run_pipeline(&rep, &pagerank, None).unwrap();
+            assert_eq!(host_pr.values, warp_pr.values);
             assert_eq!(host_pr.iterations, warp_pr.iterations);
             assert_eq!(host_pr.report.num_iterations(), 0, "no simulator ran");
-            let host_bc = host.betweenness(&rep, NodeId::new(1)).unwrap();
-            assert_eq!(
-                float_bits(&host_bc.centrality),
-                float_bits(&warp_bc.centrality)
-            );
+            let host_bc = host.run_pipeline(&rep, &bc, src).unwrap();
+            assert_eq!(host_bc.values, warp_bc.values);
             assert_eq!(host_bc.iterations, warp_bc.iterations);
             assert_eq!(host_bc.report.num_iterations(), 0, "no simulator ran");
         }
@@ -1160,11 +1054,11 @@ mod tests {
         let g = tigr_graph::generators::grid_2d(6, 6);
         let rep = Representation::Original(&g);
         let warp = Engine::new(GpuConfig::tiny())
-            .bfs(&rep, NodeId::new(0))
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
             .unwrap();
         let seq = Engine::new(GpuConfig::tiny())
             .with_backend(BackendKind::Sequential)
-            .bfs(&rep, NodeId::new(0))
+            .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
             .unwrap();
         assert_eq!(warp.values, seq.values);
         assert_eq!(seq.report.num_iterations(), 0, "no simulator accounting");

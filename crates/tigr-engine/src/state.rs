@@ -262,6 +262,7 @@ impl AtomicFloats {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn load(&self, i: usize) -> f32 {
         f32::from_bits(self.bits[i].load(Ordering::Relaxed))
     }
@@ -271,6 +272,7 @@ impl AtomicFloats {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn store(&self, i: usize, v: f32) {
         self.bits[i].store(v.to_bits(), Ordering::Relaxed);
     }
@@ -280,6 +282,7 @@ impl AtomicFloats {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn fetch_add(&self, i: usize, delta: f32) -> f32 {
         let slot = &self.bits[i];
         let mut current = slot.load(Ordering::Relaxed);

@@ -10,7 +10,7 @@
 //! ```
 
 use tigr::baselines::Baseline;
-use tigr::engine::{pr, MonotoneProgram, PrMode, PrOptions};
+use tigr::engine::{MonotoneProgram, Pipeline, PrMode, PrOptions};
 use tigr::graph::datasets;
 use tigr::{Engine, GpuConfig, GpuSimulator, Representation, VirtualGraph};
 
@@ -46,12 +46,12 @@ fn main() {
             cells.push(ms(r.report.total_cycles()));
         }
         let tigr = engine
-            .run(
+            .run_pipeline(
                 &Representation::Virtual {
                     graph: g,
                     overlay: ov,
                 },
-                prog,
+                &prog.pipeline(),
                 Some(src),
             )
             .unwrap();
@@ -75,13 +75,13 @@ fn main() {
         cells.push(ms(r.report.total_cycles()));
     }
     let tigr = engine
-        .pagerank(
+        .run_pipeline(
             &Representation::Virtual {
                 graph: &graph,
                 overlay: &overlay,
             },
-            &pr::out_degrees(&graph),
-            &opts,
+            &Pipeline::pagerank(opts),
+            None,
         )
         .unwrap();
     cells.push(ms(tigr.report.total_cycles()));

@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use tigr::core::{CacheStatus, GraphStore, PrepareSpec, TransformKind};
+use tigr::engine::Pipeline;
 use tigr::graph::properties;
 use tigr::{DumbWeight, Engine, NodeId, Representation, VirtualGraph};
 
@@ -83,19 +84,21 @@ fn main() {
     let src = NodeId::new(0);
     let expect = properties::dijkstra(graph, src);
     let phys = engine
-        .sssp(
+        .run_pipeline(
             &Representation::Original(warm.transformed().expect("transform").graph()),
-            src,
+            &Pipeline::sssp(),
+            Some(src),
         )
         .expect("runs");
     assert_eq!(&phys.values[..graph.num_nodes()], &expect[..]);
     let virt = engine
-        .sssp(
+        .run_pipeline(
             &Representation::Virtual {
                 graph,
                 overlay: &overlay,
             },
-            src,
+            &Pipeline::sssp(),
+            Some(src),
         )
         .expect("runs");
     assert_eq!(virt.values, expect);

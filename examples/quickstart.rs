@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tigr::engine::pr;
+use tigr::engine::{Pipeline, PrOptions};
 use tigr::graph::generators::{rmat, with_uniform_weights, RmatConfig};
 use tigr::graph::properties::dijkstra;
 use tigr::graph::stats::degree_stats;
@@ -38,19 +38,22 @@ fn main() {
     );
 
     // 3. Run SSSP on the simulated GPU, all three ways.
+    // Every analytic is one operator pipeline; the output carries the
+    // simulator's report alongside the values.
     let engine = Engine::default();
     let src = NodeId::new(0);
-    let base = engine.sssp(&Representation::Original(&graph), src).unwrap();
-    let phys = engine.sssp(&Representation::Physical(&udt), src).unwrap();
-    let virt = engine
-        .sssp(
-            &Representation::Virtual {
-                graph: &graph,
-                overlay: &overlay,
-            },
-            src,
-        )
-        .unwrap();
+    let sssp = |rep: &Representation<'_>| {
+        engine
+            .run_pipeline(rep, &Pipeline::sssp(), Some(src))
+            .unwrap()
+    };
+    let base = sssp(&Representation::Original(&graph));
+    let phys = sssp(&Representation::Physical(&udt));
+    let virtual_rep = Representation::Virtual {
+        graph: &graph,
+        overlay: &overlay,
+    };
+    let virt = sssp(&virtual_rep);
 
     // All agree with Dijkstra.
     let oracle = dijkstra(&graph, src);
@@ -77,22 +80,21 @@ fn main() {
         base.report.total_cycles() as f64 / virt.report.total_cycles() as f64
     );
 
-    // 4. PageRank works on the virtual layer too (Corollary 4).
+    // 4. PageRank works on the virtual layer too (Corollary 4); its ranks
+    // travel as f32 bit patterns.
     let ranks = engine
-        .pagerank(
-            &Representation::Virtual {
-                graph: &graph,
-                overlay: &overlay,
-            },
-            &pr::out_degrees(&graph),
-            &pr::PrOptions::default(),
+        .run_pipeline(
+            &virtual_rep,
+            &Pipeline::pagerank(PrOptions::default()),
+            None,
         )
         .unwrap();
     let top = ranks
-        .ranks
+        .values
         .iter()
+        .map(|&bits| f32::from_bits(bits))
         .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap();
     println!("top PageRank node: {} (rank {:.5})", top.0, top.1);
 }

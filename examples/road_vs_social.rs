@@ -10,6 +10,7 @@
 //! cargo run --release --example road_vs_social
 //! ```
 
+use tigr::engine::Pipeline;
 use tigr::graph::generators::{grid_2d, rmat, with_uniform_weights, RmatConfig};
 use tigr::graph::stats::degree_stats;
 use tigr::graph::Csr;
@@ -20,14 +21,17 @@ fn report(name: &str, g: &Csr, engine: &Engine) {
     let overlay = VirtualGraph::coalesced(g, 10);
     let src = NodeId::new(0);
 
-    let base = engine.sssp(&Representation::Original(g), src).unwrap();
+    let base = engine
+        .run_pipeline(&Representation::Original(g), &Pipeline::sssp(), Some(src))
+        .unwrap();
     let tigr = engine
-        .sssp(
+        .run_pipeline(
             &Representation::Virtual {
                 graph: g,
                 overlay: &overlay,
             },
-            src,
+            &Pipeline::sssp(),
+            Some(src),
         )
         .unwrap();
     assert_eq!(base.values, tigr.values);

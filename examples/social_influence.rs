@@ -11,7 +11,7 @@
 //! cargo run --release --example social_influence
 //! ```
 
-use tigr::engine::{bc, pr};
+use tigr::engine::{bc, Pipeline, PrOptions};
 use tigr::graph::generators::{barabasi_albert, BarabasiAlbertConfig};
 use tigr::graph::stats::degree_stats;
 use tigr::{Engine, NodeId, Representation, VirtualGraph};
@@ -44,9 +44,14 @@ fn main() {
 
     // --- PageRank influencers ---
     let ranks = engine
-        .pagerank(&rep, &pr::out_degrees(&network), &pr::PrOptions::default())
+        .run_pipeline(&rep, &Pipeline::pagerank(PrOptions::default()), None)
         .unwrap();
-    let mut by_rank: Vec<(usize, f32)> = ranks.ranks.iter().copied().enumerate().collect();
+    let mut by_rank: Vec<(usize, f32)> = ranks
+        .values
+        .iter()
+        .map(|&b| f32::from_bits(b))
+        .enumerate()
+        .collect();
     by_rank.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\ntop-5 influencers by PageRank:");
     for (v, r) in by_rank.iter().take(5) {
@@ -77,9 +82,15 @@ fn main() {
 
     // --- What the transformation bought us ---
     let base = engine
-        .bfs(&Representation::Original(&network), NodeId::new(0))
+        .run_pipeline(
+            &Representation::Original(&network),
+            &Pipeline::bfs(),
+            Some(NodeId::new(0)),
+        )
         .unwrap();
-    let tigr = engine.bfs(&rep, NodeId::new(0)).unwrap();
+    let tigr = engine
+        .run_pipeline(&rep, &Pipeline::bfs(), Some(NodeId::new(0)))
+        .unwrap();
     println!(
         "\nBFS sweep efficiency: {:.1}% untransformed -> {:.1}% with Tigr-V+ ({:.2}x faster)",
         100.0 * base.report.warp_efficiency(),

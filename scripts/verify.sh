@@ -51,13 +51,6 @@ echo "== serve ablation smoke =="
 # result-cache hit speedup and cross-cell checksum agreement itself.
 cargo run --release -p tigr-bench --bin ablation_serve -- --smoke
 
-echo "== operator ablation smoke =="
-# Compile-and-run gate for the pipeline layer: values byte-equal to the
-# legacy entry points, the (smoke-relaxed) dispatch-overhead gate, pr/bc
-# on the Sequential backend bit-equal to the simulator, and host pr at
-# least 5x faster than simulated pr — all asserted by the bin itself.
-cargo run --release -p tigr-bench --bin ablation_operators -- --smoke
-
 echo "== prepared-graph cache smoke =="
 # A warmed cache must make the second run pure load: cache hit, zero
 # transform/transpose/overlay construction.
@@ -78,15 +71,23 @@ echo "cache smoke: warm run loaded every view from the artifact"
 
 echo "== cpu pool smoke =="
 # `tigr run --cpu` is the host executor (the CpuPool backend) on the same
-# Engine/prepared path as every other run: every verb in every direction
-# must print the value summary (first line, plus the checksum line where
-# there is one) of the run without --cpu.
+# Engine/prepared path as every other run: all ten verbs in every
+# direction must print the value summary (first line and checksum line)
+# of the run without --cpu.
 tigr_run() { cargo run --release -q -p tigr-cli --bin tigr -- run "$@"; }
-summary() { echo "$1" | head -n 1; echo "$1" | grep "^checksum" || true; }
-for verb in sssp cc pr bc; do
+summary() { echo "$1" | head -n 1; echo "$1" | grep "^checksum"; }
+verb_args() {
+    case "$1" in
+        khop) echo "khop --limit 2" ;; paths) echo "paths --limit 40" ;;
+        lp) echo "lp --limit 4" ;; *) echo "$1" ;;
+    esac
+}
+for verb in bfs sssp sswp cc pr bc khop paths lp tc; do
     for dir in push pull auto; do
-        ref="$(tigr_run "$verb" --graph "$graph_file" --direction "$dir")"
-        got="$(tigr_run "$verb" --graph "$graph_file" --cpu --direction "$dir" --stats)"
+        # shellcheck disable=SC2046
+        ref="$(tigr_run $(verb_args "$verb") --graph "$graph_file" --direction "$dir")"
+        # shellcheck disable=SC2046
+        got="$(tigr_run $(verb_args "$verb") --graph "$graph_file" --cpu --direction "$dir" --stats)"
         [ "$(summary "$ref")" = "$(summary "$got")" ] || {
             echo "cpu pool smoke: $verb --direction $dir diverged"
             diff <(summary "$ref") <(summary "$got")
@@ -94,7 +95,7 @@ for verb in sssp cc pr bc; do
         }
     done
 done
-echo "cpu pool smoke: sssp/cc/pr/bc x push/pull/auto on the host executor match the simulator"
+echo "cpu pool smoke: all ten verbs x push/pull/auto on the host executor match the simulator"
 
 echo "== serve smoke =="
 # One query per served algorithm against an ephemeral-port daemon; the
@@ -152,12 +153,29 @@ check_workload() {
         exit 1
     }
 }
-check_workload "khop(k=2)"    c77b23437990f3a2 khop --source 0 --limit 2
-check_workload "paths(r=40)"  c702c9e40ec90731 paths --source 0 --limit 40
-check_workload "lp(rounds=4)" bae36c08b4cc2b9d lp --limit 4
-check_workload "tc"           ea33e45a1ecf79d6 tc
-check_workload "bc(src=0)"    0589ea599dc7bce9 bc --source 0
-check_workload "pr"           be68482511b3548a pr
+# `tigr run` prints the same checksum, on the simulator and with --cpu.
+check_run() {
+    local label="$1" expect="$2"
+    shift 2
+    local mode out sum
+    for mode in "" --cpu; do
+        # shellcheck disable=SC2086
+        out="$(tigr_run "$@" --graph "$graph_file" $mode)"
+        sum="$(echo "$out" | grep "^checksum" | awk '{print $2}')"
+        [ "$sum" = "$expect" ] || {
+            echo "workload smoke: tigr run $label ${mode:-(simulator)} checksum ${sum:-<none>}, expected $expect"
+            echo "$out"
+            exit 1
+        }
+    done
+}
+check_both() { check_workload "$@"; check_run "$@"; }
+check_both "khop(k=2)"    c77b23437990f3a2 khop --source 0 --limit 2
+check_both "paths(r=40)"  c702c9e40ec90731 paths --source 0 --limit 40
+check_both "lp(rounds=4)" bae36c08b4cc2b9d lp --limit 4
+check_both "tc"           ea33e45a1ecf79d6 tc
+check_both "bc(src=0)"    0589ea599dc7bce9 bc --source 0
+check_both "pr"           be68482511b3548a pr
 w_stats="$(cargo run --release -q -p tigr-cli --bin tigr -- query stats --addr "$w_addr")"
 for line in "algo khop       1 completed" "algo paths      1 completed" \
             "algo lp         1 completed" "algo tc         1 completed" \
@@ -167,7 +185,7 @@ for line in "algo khop       1 completed" "algo paths      1 completed" \
 done
 kill "$w_pid"
 wait "$w_pid" 2>/dev/null || true
-echo "workload smoke: khop/paths/lp/tc/bc/pr served with reference checksums"
+echo "workload smoke: khop/paths/lp/tc/bc/pr served and run (simulator and --cpu) with reference checksums"
 
 echo "== batch smoke =="
 # Byte-equality across the batch former: the same query cells answered

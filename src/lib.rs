@@ -18,6 +18,7 @@
 //!
 //! ```
 //! use tigr::{Engine, NodeId, Representation, VirtualGraph};
+//! use tigr::engine::Pipeline;
 //! use tigr::graph::generators::star_graph;
 //!
 //! // A power-law-extreme input: one node with 10,000 neighbors.
@@ -27,10 +28,12 @@
 //! let overlay = VirtualGraph::coalesced(&g, 10);
 //!
 //! let engine = Engine::default();
-//! let baseline = engine.bfs(&Representation::Original(&g), NodeId::new(0))?;
-//! let tigr = engine.bfs(
+//! let (bfs, src) = (Pipeline::bfs(), Some(NodeId::new(0)));
+//! let baseline = engine.run_pipeline(&Representation::Original(&g), &bfs, src)?;
+//! let tigr = engine.run_pipeline(
 //!     &Representation::Virtual { graph: &g, overlay: &overlay },
-//!     NodeId::new(0),
+//!     &bfs,
+//!     src,
 //! )?;
 //!
 //! // Identical results, far better SIMD utilization.

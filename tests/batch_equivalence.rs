@@ -106,11 +106,19 @@ fn solo_under(
     source: Option<NodeId>,
     options: &PushOptions,
 ) -> MonotoneOutput {
-    Engine::default()
+    let out = Engine::default()
         .with_backend(BackendKind::Sequential)
         .with_options(*options)
-        .run(&Representation::Original(g), prog, source)
-        .unwrap()
+        .run_pipeline(&Representation::Original(g), &prog.pipeline(), source)
+        .unwrap();
+    MonotoneOutput {
+        values: out.values,
+        report: out.report,
+        converged: out.converged,
+        edges_touched: out.edges_touched,
+        directions: out.directions,
+        cancelled: out.cancelled,
+    }
 }
 
 /// One batched run through the engine facade with a caller-owned arena.

@@ -2,10 +2,9 @@
 //! realistic power-law analog, validated against the sequential oracles.
 
 use tigr::core::k_select;
-use tigr::engine::{bc, pr, FrontierMode, MonotoneProgram, PushOptions, SyncMode};
+use tigr::engine::{pr, FrontierMode, MonotoneProgram, Pipeline, PushOptions, SyncMode};
 use tigr::graph::datasets;
 use tigr::graph::properties as oracle;
-use tigr::graph::reverse::transpose;
 use tigr::{DumbWeight, Engine, NodeId, Representation, VirtualGraph};
 
 /// A small but genuinely irregular analog of Pokec.
@@ -25,22 +24,27 @@ fn sssp_agrees_across_all_representations() {
     let expect = oracle::dijkstra(&g, src);
     let engine = engine();
 
-    let base = engine.sssp(&Representation::Original(&g), src).unwrap();
+    let base = engine
+        .run_pipeline(&Representation::Original(&g), &Pipeline::sssp(), Some(src))
+        .unwrap();
     assert_eq!(base.values, expect);
 
     let k = k_select::physical_k(&g);
     let t = tigr::udt_transform(&g, k, DumbWeight::Zero);
-    let phys = engine.sssp(&Representation::Physical(&t), src).unwrap();
+    let phys = engine
+        .run_pipeline(&Representation::Physical(&t), &Pipeline::sssp(), Some(src))
+        .unwrap();
     assert_eq!(t.project_values(&phys.values), expect);
 
     for overlay in [VirtualGraph::new(&g, 10), VirtualGraph::coalesced(&g, 10)] {
         let v = engine
-            .sssp(
+            .run_pipeline(
                 &Representation::Virtual {
                     graph: &g,
                     overlay: &overlay,
                 },
-                src,
+                &Pipeline::sssp(),
+                Some(src),
             )
             .unwrap();
         assert_eq!(v.values, expect);
@@ -55,12 +59,13 @@ fn bfs_and_sswp_agree_with_oracles() {
     let overlay = VirtualGraph::coalesced(&g, 10);
 
     let bfs = engine
-        .bfs(
+        .run_pipeline(
             &Representation::Virtual {
                 graph: &g,
                 overlay: &overlay,
             },
-            src,
+            &Pipeline::bfs(),
+            Some(src),
         )
         .unwrap();
     let expect: Vec<u32> = oracle::bfs_levels(&g, src)
@@ -71,12 +76,13 @@ fn bfs_and_sswp_agree_with_oracles() {
 
     let overlay_w = VirtualGraph::coalesced(&w, 10);
     let sswp = engine
-        .sswp(
+        .run_pipeline(
             &Representation::Virtual {
                 graph: &w,
                 overlay: &overlay_w,
             },
-            src,
+            &Pipeline::sswp(),
+            Some(src),
         )
         .unwrap();
     assert_eq!(sswp.values, oracle::widest_path(&w, src));
@@ -97,15 +103,21 @@ fn cc_component_structure_is_preserved() {
     let engine = engine();
     let overlay = VirtualGraph::new(&sym, 10);
     let out = engine
-        .cc(&Representation::Virtual {
-            graph: &sym,
-            overlay: &overlay,
-        })
+        .run_pipeline(
+            &Representation::Virtual {
+                graph: &sym,
+                overlay: &overlay,
+            },
+            &Pipeline::cc(),
+            None,
+        )
         .unwrap();
     assert_eq!(out.values, expect);
 
     let t = tigr::udt_transform(&sym, 32, DumbWeight::Unweighted);
-    let phys = engine.cc(&Representation::Physical(&t)).unwrap();
+    let phys = engine
+        .run_pipeline(&Representation::Physical(&t), &Pipeline::cc(), None)
+        .unwrap();
     assert_eq!(t.project_values(&phys.values), expect);
 }
 
@@ -120,37 +132,40 @@ fn pagerank_push_and_pull_agree_with_power_iteration() {
         ..pr::PrOptions::default()
     };
 
+    // Push scatters over a coalesced overlay; pull gathers over the
+    // transpose the engine builds, mirrored onto a consecutive one.
     let overlay = VirtualGraph::coalesced(&g, 10);
     let push = engine
-        .pagerank(
+        .run_pipeline(
             &Representation::Virtual {
                 graph: &g,
                 overlay: &overlay,
             },
-            &pr::out_degrees(&g),
-            &opts,
+            &Pipeline::pagerank(opts),
+            None,
         )
         .unwrap();
 
-    let rev = transpose(&g);
-    let overlay_rev = VirtualGraph::new(&rev, 10);
+    let consecutive = VirtualGraph::new(&g, 10);
     let pull = engine
-        .pagerank(
+        .run_pipeline(
             &Representation::Virtual {
-                graph: &rev,
-                overlay: &overlay_rev,
+                graph: &g,
+                overlay: &consecutive,
             },
-            &pr::out_degrees(&g),
-            &pr::PrOptions {
+            &Pipeline::pagerank(pr::PrOptions {
                 mode: pr::PrMode::Pull,
                 ..opts
-            },
+            }),
+            None,
         )
         .unwrap();
 
+    let rank =
+        |out: &tigr::engine::PipelineOutput, v: usize| f64::from(f32::from_bits(out.values[v]));
     for (v, &want) in expect.iter().enumerate() {
-        assert!((push.ranks[v] as f64 - want).abs() < 1e-4, "push rank[{v}]");
-        assert!((pull.ranks[v] as f64 - want).abs() < 1e-4, "pull rank[{v}]");
+        assert!((rank(&push, v) - want).abs() < 1e-4, "push rank[{v}]");
+        assert!((rank(&pull, v) - want).abs() < 1e-4, "pull rank[{v}]");
     }
 }
 
@@ -162,21 +177,21 @@ fn bc_matches_brandes_on_virtual_representation() {
     oracle::brandes_accumulate(&g, src, &mut expect);
 
     let overlay = VirtualGraph::coalesced(&g, 10);
-    let out: bc::BcOutput = engine()
-        .betweenness(
+    let out = engine()
+        .run_pipeline(
             &Representation::Virtual {
                 graph: &g,
                 overlay: &overlay,
             },
-            src,
+            &Pipeline::betweenness(),
+            Some(src),
         )
         .unwrap();
     for (v, &want) in expect.iter().enumerate() {
+        let got = f32::from_bits(out.values[v]);
         assert!(
-            (out.centrality[v] as f64 - want).abs() < 1e-2 * (1.0 + want.abs()),
-            "bc[{v}]: {} vs {}",
-            out.centrality[v],
-            expect[v]
+            (f64::from(got) - want).abs() < 1e-2 * (1.0 + want.abs()),
+            "bc[{v}]: {got} vs {want}"
         );
     }
 }
@@ -196,17 +211,22 @@ fn table8_shape_holds_end_to_end() {
         frontier: FrontierMode::Auto,
     });
 
-    let base = engine.sssp(&Representation::Original(&g), src).unwrap();
+    let base = engine
+        .run_pipeline(&Representation::Original(&g), &Pipeline::sssp(), Some(src))
+        .unwrap();
     let t = tigr::udt_transform(&g, 8, DumbWeight::Zero);
-    let phys = engine.sssp(&Representation::Physical(&t), src).unwrap();
+    let phys = engine
+        .run_pipeline(&Representation::Physical(&t), &Pipeline::sssp(), Some(src))
+        .unwrap();
     let overlay = VirtualGraph::new(&g, 8);
     let virt = engine
-        .sssp(
+        .run_pipeline(
             &Representation::Virtual {
                 graph: &g,
                 overlay: &overlay,
             },
-            src,
+            &Pipeline::sssp(),
+            Some(src),
         )
         .unwrap();
 
@@ -225,19 +245,40 @@ fn every_analytic_runs_on_the_engine_facade() {
     let rep_g = Representation::Original(&g);
     let rep_w = Representation::Original(&w);
 
-    assert!(engine.bfs(&rep_g, src).unwrap().converged);
-    assert!(engine.sssp(&rep_w, src).unwrap().converged);
-    assert!(engine.sswp(&rep_w, src).unwrap().converged);
-    assert!(engine.cc(&rep_g).unwrap().converged);
+    assert!(
+        engine
+            .run_pipeline(&rep_g, &Pipeline::bfs(), Some(src))
+            .unwrap()
+            .converged
+    );
+    assert!(
+        engine
+            .run_pipeline(&rep_w, &Pipeline::sssp(), Some(src))
+            .unwrap()
+            .converged
+    );
+    assert!(
+        engine
+            .run_pipeline(&rep_w, &Pipeline::sswp(), Some(src))
+            .unwrap()
+            .converged
+    );
+    assert!(
+        engine
+            .run_pipeline(&rep_g, &Pipeline::cc(), None)
+            .unwrap()
+            .converged
+    );
+    let pagerank = Pipeline::pagerank(pr::PrOptions::default());
     assert!(!engine
-        .pagerank(&rep_g, &pr::out_degrees(&g), &pr::PrOptions::default())
+        .run_pipeline(&rep_g, &pagerank, None)
         .unwrap()
-        .ranks
+        .values
         .is_empty());
     assert!(!engine
-        .betweenness(&rep_g, src)
+        .run_pipeline(&rep_g, &Pipeline::betweenness(), Some(src))
         .unwrap()
-        .centrality
+        .values
         .is_empty());
 }
 
@@ -246,7 +287,11 @@ fn monotone_program_enum_runs_via_generic_entry() {
     let (g, _) = analog();
     let engine = engine();
     let out = engine
-        .run(&Representation::Original(&g), MonotoneProgram::CC, None)
+        .run_pipeline(
+            &Representation::Original(&g),
+            &MonotoneProgram::CC.pipeline(),
+            None,
+        )
         .unwrap();
     assert_eq!(out.values.len(), g.num_nodes());
 }

@@ -4,7 +4,7 @@
 //! compute the same fixpoints.
 
 use tigr::baselines::{Baseline, CushaMode};
-use tigr::engine::{BackendKind, CpuOptions, MonotoneProgram};
+use tigr::engine::{BackendKind, CpuOptions, MonotoneProgram, Pipeline};
 use tigr::graph::datasets;
 use tigr::graph::properties as oracle;
 use tigr::{Engine, NodeId, Representation, VirtualGraph};
@@ -42,12 +42,13 @@ fn five_implementations_one_sssp_answer() {
     let engine = Engine::parallel(tigr::GpuConfig::default());
     let overlay = VirtualGraph::coalesced(&g, 10);
     let tigr_out = engine
-        .sssp(
+        .run_pipeline(
             &Representation::Virtual {
                 graph: &g,
                 overlay: &overlay,
             },
-            src,
+            &Pipeline::sssp(),
+            Some(src),
         )
         .unwrap();
     assert_eq!(tigr_out.values, expect, "Tigr-V+ disagrees");
@@ -55,7 +56,7 @@ fn five_implementations_one_sssp_answer() {
     let cpu = Engine::default()
         .with_backend(BackendKind::CpuPool)
         .with_cpu_options(CpuOptions { threads: 4 })
-        .sssp(&Representation::Original(&g), src)
+        .run_pipeline(&Representation::Original(&g), &Pipeline::sssp(), Some(src))
         .unwrap();
     assert_eq!(cpu.values, expect, "CPU pool disagrees");
 }

@@ -14,7 +14,8 @@ use proptest::prelude::*;
 
 use tigr::engine::{
     run_monotone, BackendKind, CpuOptions, Direction, EdgeOp, Engine, EngineError, ExecutionPlan,
-    FrontierMode, MonotoneOutput, MonotoneProgram, PlanError, PushOptions, SyncMode,
+    FrontierMode, MonotoneOutput, MonotoneProgram, PipelineOutput, PlanError, PushOptions,
+    SyncMode,
 };
 use tigr::{
     circular_transform, clique_transform, star_transform, udt_transform, Csr, CsrBuilder,
@@ -253,11 +254,11 @@ const THREADS: [usize; 3] = [1, 2, 3];
 
 /// The reference: a sequential full sweep over the original CSR — no
 /// simulator, no worklist, no parallelism.
-fn sequential_full_sweep(g: &Csr, prog: MonotoneProgram, source: Option<NodeId>) -> MonotoneOutput {
+fn sequential_full_sweep(g: &Csr, prog: MonotoneProgram, source: Option<NodeId>) -> PipelineOutput {
     Engine::new(GpuConfig::tiny())
         .with_backend(BackendKind::Sequential)
         .with_options(opts(false, FrontierMode::Auto))
-        .run_program(&Representation::Original(g), prog, source)
+        .run_pipeline(&Representation::Original(g), &prog.pipeline(), source)
         .unwrap()
 }
 
@@ -269,13 +270,13 @@ fn pool_run(
     direction: Direction,
     worklist: bool,
     threads: usize,
-) -> MonotoneOutput {
+) -> PipelineOutput {
     Engine::new(GpuConfig::tiny())
         .with_backend(BackendKind::CpuPool)
         .with_direction(direction)
         .with_options(opts(worklist, FrontierMode::Auto))
         .with_cpu_options(CpuOptions { threads })
-        .run_program(rep, prog, source)
+        .run_pipeline(rep, &prog.pipeline(), source)
         .unwrap()
 }
 
@@ -317,7 +318,7 @@ proptest! {
                         let out = Engine::new(GpuConfig::tiny())
                             .with_direction(direction)
                             .with_options(opts(true, mode))
-                            .run_program(rep, prog, source)
+                            .run_pipeline(rep, &prog.pipeline(), source)
                             .unwrap();
                         prop_assert_eq!(
                             &out.values, &reference.values,
@@ -348,7 +349,7 @@ proptest! {
                         .with_backend(BackendKind::Sequential)
                         .with_direction(direction)
                         .with_options(opts(true, FrontierMode::Auto))
-                        .run_program(rep, prog, source)
+                        .run_pipeline(rep, &prog.pipeline(), source)
                         .unwrap();
                     prop_assert_eq!(
                         &out.values, &reference.values,
@@ -366,7 +367,7 @@ proptest! {
                 let err = Engine::new(GpuConfig::tiny())
                     .with_backend(backend)
                     .with_direction(Direction::Pull)
-                    .run_program(&rep, prog, source)
+                    .run_pipeline(&rep, &prog.pipeline(), source)
                     .unwrap_err();
                 prop_assert!(
                     matches!(err, EngineError::InvalidPlan(PlanError::PullOverPhysical)),

@@ -226,13 +226,12 @@ proptest! {
             for backend in [BackendKind::Sequential, BackendKind::CpuPool] {
                 let engine = Engine::new(GpuConfig::tiny()).with_backend(backend);
                 let label = format!("{} on {}", backend.label(), rep.label());
-                let host = engine.pagerank_prepared(&prepared, &push).unwrap();
-                prop_assert_eq!(answer(&host), answer(&warp), "{}", label);
                 let served = engine
                     .run_prepared_pipeline(&prepared, &Pipeline::pagerank(push), None)
                     .unwrap();
                 prop_assert_eq!(&served.values, &bits(&warp.ranks), "{}", label);
                 prop_assert_eq!(served.iterations as usize, warp.iterations, "{}", label);
+                prop_assert_eq!(served.converged, warp.converged, "{}", label);
             }
         }
     }
@@ -257,18 +256,21 @@ fn host_pagerank_costs_what_a_plain_gather_costs() {
     let rev = prepared.transpose().unwrap();
     let degrees = pr::out_degrees(prepared.graph());
     let options = PrOptions::default();
+    let pipeline = Pipeline::pagerank(options);
     let engine = Engine::new(GpuConfig::default()).with_backend(BackendKind::Sequential);
 
     let (mut engine_ms, mut reference_ms) = (f64::MAX, f64::MAX);
     for _ in 0..7 {
         let started = std::time::Instant::now();
-        let host = engine.pagerank_prepared(&prepared, &options).unwrap();
+        let host = engine
+            .run_prepared_pipeline(&prepared, &pipeline, None)
+            .unwrap();
         engine_ms = engine_ms.min(started.elapsed().as_secs_f64() * 1e3);
         let started = std::time::Instant::now();
         let reference = common::reference_pagerank(rev, &degrees, &options);
         reference_ms = reference_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(bits(&host.ranks), bits(&reference.ranks));
-        assert_eq!(host.iterations, reference.iterations);
+        assert_eq!(host.values, bits(&reference.ranks));
+        assert_eq!(host.iterations as usize, reference.iterations);
         assert!(host.converged && reference.converged);
     }
     let ratio = engine_ms / reference_ms;
@@ -301,21 +303,23 @@ fn a_pre_cancelled_token_stops_both_launchers_at_iteration_zero() {
             .with_backend(backend)
             .with_cancel(token.clone());
         let ranks = engine
-            .pagerank(&rep, &pr::out_degrees(&g), &PrOptions::default())
+            .run_pipeline(&rep, &Pipeline::pagerank(PrOptions::default()), None)
             .unwrap();
         assert!(ranks.cancelled && !ranks.converged, "{}", backend.label());
         assert_eq!(ranks.iterations, 0, "{}", backend.label());
         assert_eq!(
-            ranks.ranks,
-            vec![1.0 / g.num_nodes() as f32; g.num_nodes()],
+            ranks.values,
+            bits(&vec![1.0 / g.num_nodes() as f32; g.num_nodes()]),
             "{}: the initial ranks",
             backend.label()
         );
-        let scores = engine.betweenness(&rep, NodeId::new(0)).unwrap();
+        let scores = engine
+            .run_pipeline(&rep, &Pipeline::betweenness(), Some(NodeId::new(0)))
+            .unwrap();
         assert!(scores.cancelled, "{}", backend.label());
         assert_eq!(scores.iterations, 0, "{}", backend.label());
         assert!(
-            scores.centrality.iter().all(|&c| c == 0.0),
+            scores.values.iter().all(|&c| f32::from_bits(c) == 0.0),
             "{}",
             backend.label()
         );

@@ -1,7 +1,9 @@
 //! Differential pins for the operator-based frontier API: every
-//! analytic re-expressed as an advance/filter/compute [`Pipeline`]
-//! must be **byte-equal** to the legacy entry points
-//! (`run_program`/`pagerank`/`betweenness`) across the full
+//! analytic run as an advance/filter/compute [`Pipeline`] must be
+//! **byte-equal** — values and meter: simulator report, edges touched,
+//! per-sweep directions — to the public driver it lowers onto
+//! (`run_monotone` on the simulator or the host loop, the host lane
+//! driver `run_batch_push`, `pr::run`, `bc::run`) across the full
 //! backend × direction × frontier × thread-count matrix, and each of the
 //! four new workloads (khop, bounded paths, label propagation,
 //! triangle counting) is checked against an independent in-test
@@ -10,9 +12,12 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use tigr::core::{GraphStore, PrepareSpec};
+use tigr::engine::batch::{BatchArena, BatchLane, BatchProgram};
 use tigr::engine::{
-    pr, BackendKind, CpuOptions, Direction, Engine, EngineError, FrontierMode, MonotoneProgram,
-    Pipeline, PlanError, PrMode, PrOptions, PushOptions, SyncMode,
+    bc, pr, run_batch_push, run_monotone, BackendKind, CpuOptions, Direction, Engine, EngineError,
+    FrontierMode, HostLoop, MonotoneOutput, MonotoneProgram, Pipeline, PipelineOutput, PlanError,
+    PrMode, PrOptions, PushOptions, SyncMode,
 };
 use tigr::{
     udt_transform, Csr, CsrBuilder, DumbWeight, Edge, NodeId, Representation, VirtualGraph,
@@ -146,6 +151,60 @@ fn float_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The public driver `engine`'s plan runs a single monotone query on:
+/// the simulator's or the host loop's `run_monotone`, or — for a host
+/// push or auto — the host lane driver's one-lane batch.
+fn driver_run(
+    engine: &Engine,
+    rep: &Representation<'_>,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+) -> MonotoneOutput {
+    let plan = engine.plan();
+    match plan.backend {
+        BackendKind::WarpSim => run_monotone(engine.sim(), rep, None, prog, source, plan).unwrap(),
+        _ if plan.direction == Direction::Pull => {
+            run_monotone(&HostLoop, rep, None, prog, source, plan).unwrap()
+        }
+        _ => {
+            let batch = BatchProgram {
+                prog,
+                lanes: vec![BatchLane::new(source)],
+            };
+            let mut arena = BatchArena::new();
+            run_batch_push(rep.graph(), &batch, &plan.push, 1, &mut arena)
+                .lanes
+                .remove(0)
+        }
+    }
+}
+
+/// Values and the whole meter of a pipeline run equal its driver's.
+fn assert_run_is_the_driver_run(
+    out: &PipelineOutput,
+    driver: &MonotoneOutput,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&out.values, &driver.values, "{}: values", label);
+    prop_assert_eq!(&out.report, &driver.report, "{}: report", label);
+    prop_assert_eq!(
+        out.edges_touched,
+        driver.edges_touched,
+        "{}: edges touched",
+        label
+    );
+    prop_assert_eq!(&out.directions, &driver.directions, "{}: directions", label);
+    prop_assert_eq!(
+        out.iterations,
+        driver.directions.len() as u64,
+        "{}: iterations",
+        label
+    );
+    prop_assert_eq!(out.converged, driver.converged, "{}: converged", label);
+    prop_assert_eq!(out.cancelled, driver.cancelled, "{}: cancelled", label);
+    Ok(())
+}
+
 proptest! {
     // Each case multiplies out to a few hundred engine runs; a modest
     // case count keeps the suite fast while every backend × direction
@@ -153,12 +212,12 @@ proptest! {
     // graphs.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Tentpole pin: the four monotone analytics expressed as operator
-    /// pipelines are byte-equal (values, convergence, iteration count)
-    /// to the legacy `run_program` entry point under every plan the
-    /// engine can execute.
+    /// Tentpole pin: the four monotone analytics run as operator
+    /// pipelines are byte-equal — values and meter — to the public
+    /// driver each plan lowers onto, under every plan the engine can
+    /// execute.
     #[test]
-    fn monotone_pipelines_match_legacy_run_program(
+    fn monotone_pipelines_match_their_drivers(
         g in arb_hubbed_graph(22, 80),
         k in 1u32..8,
         src in 0u32..22,
@@ -175,21 +234,14 @@ proptest! {
             let pipeline = prog.pipeline();
             let source = prog.needs_source().then_some(src);
             for (label, rep) in &reps {
+                let mut cells = Vec::new();
                 // Warp simulator: direction × frontier mode.
                 for direction in Direction::ALL {
                     for mode in MODES {
                         let engine = Engine::new(GpuConfig::tiny())
                             .with_direction(direction)
                             .with_options(opts(true, mode));
-                        let legacy = engine.run_program(rep, prog, source).unwrap();
-                        let out = engine.run_pipeline(rep, &pipeline, source).unwrap();
-                        prop_assert_eq!(
-                            &out.values, &legacy.values,
-                            "warpsim/{}/{}/{}/{} pipeline diverged from run_program",
-                            prog.name, label, direction.label(), mode.label()
-                        );
-                        prop_assert_eq!(out.converged, legacy.converged);
-                        prop_assert_eq!(out.iterations, legacy.directions.len() as u64);
+                        cells.push((format!("warpsim/{}", mode.label()), engine));
                     }
                 }
                 // CPU pool: direction × threads.
@@ -199,14 +251,7 @@ proptest! {
                             .with_backend(BackendKind::CpuPool)
                             .with_direction(direction)
                             .with_cpu_options(CpuOptions { threads });
-                        let legacy = engine.run_program(rep, prog, source).unwrap();
-                        let out = engine.run_pipeline(rep, &pipeline, source).unwrap();
-                        prop_assert_eq!(
-                            &out.values, &legacy.values,
-                            "cpupool/{}/{}/{}/t{} pipeline diverged from run_program",
-                            prog.name, label, direction.label(), threads
-                        );
-                        prop_assert_eq!(out.converged, legacy.converged);
+                        cells.push((format!("cpupool/t{threads}"), engine));
                     }
                 }
                 // Sequential backend: every direction.
@@ -215,14 +260,14 @@ proptest! {
                         .with_backend(BackendKind::Sequential)
                         .with_direction(direction)
                         .with_options(opts(true, FrontierMode::Auto));
-                    let legacy = engine.run_program(rep, prog, source).unwrap();
+                    cells.push(("sequential".to_string(), engine));
+                }
+                for (cell, engine) in &cells {
                     let out = engine.run_pipeline(rep, &pipeline, source).unwrap();
-                    prop_assert_eq!(
-                        &out.values, &legacy.values,
-                        "sequential/{}/{}/{} pipeline diverged from run_program",
-                        prog.name, label, direction.label()
-                    );
-                    prop_assert_eq!(out.converged, legacy.converged);
+                    let driver = driver_run(engine, rep, prog, source);
+                    let direction = engine.plan().direction.label();
+                    let label = format!("{cell}/{}/{label}/{direction}", prog.name);
+                    assert_run_is_the_driver_run(&out, &driver, &label)?;
                 }
             }
         }
@@ -232,34 +277,41 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// PR and BC pipelines carry their `f32` results as bit patterns:
-    /// byte-equal to the legacy float entry points, on both rank
-    /// traversal directions.
+    /// PR and BC pipelines carry their `f32` results as bit patterns and
+    /// the driver's meter: byte-equal to `pr::run` (both rank traversal
+    /// directions) and `bc::run`, on the simulator and the host loop.
     #[test]
-    fn float_pipelines_match_legacy_entry_points(
+    fn float_pipelines_match_pr_and_bc_drivers(
         g in arb_hubbed_graph(20, 70),
         src in 0u32..20,
     ) {
         let src = NodeId::new(src % g.num_nodes() as u32);
-        let engine = Engine::new(GpuConfig::tiny());
         let rep = Representation::Original(&g);
-        let degrees = pr::out_degrees(&g);
-
-        let push = PrOptions::default();
-        let out = engine.run_pipeline(&rep, &Pipeline::pagerank(push), None).unwrap();
-        let legacy = engine.pagerank(&rep, &degrees, &push).unwrap();
-        prop_assert_eq!(&out.values, &float_bits(&legacy.ranks), "push pr diverged");
-        prop_assert_eq!(out.converged, legacy.converged);
-
-        let pull = PrOptions { mode: PrMode::Pull, ..PrOptions::default() };
-        let out = engine.run_pipeline(&rep, &Pipeline::pagerank(pull), None).unwrap();
         let rev = tigr_graph::reverse::transpose(&g);
-        let legacy = engine.pagerank(&Representation::Original(&rev), &degrees, &pull).unwrap();
-        prop_assert_eq!(&out.values, &float_bits(&legacy.ranks), "pull pr diverged");
+        let gather = Representation::Original(&rev);
+        let degrees = pr::out_degrees(&g);
+        let push = PrOptions::default();
+        let pull = PrOptions { mode: PrMode::Pull, ..PrOptions::default() };
+        let sim = Engine::new(GpuConfig::tiny());
+        let host = Engine::new(GpuConfig::tiny()).with_backend(BackendKind::Sequential);
+        let ranks = |out: &pr::PrOutput| (float_bits(&out.ranks), out.report.clone(), out.iterations as u64, out.converged);
+        let scores = |out: &bc::BcOutput| (float_bits(&out.centrality), out.report.clone(), out.iterations as u64, !out.cancelled);
+        let answer = |out: PipelineOutput| {
+            prop_assert!(out.directions.is_empty() && out.edges_touched == 0);
+            Ok((out.values, out.report, out.iterations, out.converged))
+        };
 
-        let out = engine.run_pipeline(&rep, &Pipeline::betweenness(), Some(src)).unwrap();
-        let legacy = engine.betweenness(&rep, src).unwrap();
-        prop_assert_eq!(&out.values, &float_bits(&legacy.centrality), "bc diverged");
+        let run = |engine: &Engine, options| engine.run_pipeline(&rep, &Pipeline::pagerank(options), None).unwrap();
+        prop_assert_eq!(answer(run(&sim, push))?, ranks(&pr::run(sim.sim(), &rep, &degrees, &push)), "sim push pr");
+        prop_assert_eq!(answer(run(&host, push))?, ranks(&pr::run(&HostLoop, &rep, &degrees, &push)), "host push pr");
+        prop_assert_eq!(answer(run(&sim, pull))?, ranks(&pr::run(sim.sim(), &gather, &degrees, &pull)), "sim pull pr");
+        prop_assert_eq!(answer(run(&host, pull))?, ranks(&pr::run(&HostLoop, &gather, &degrees, &pull)), "host pull pr");
+
+        let bc = Pipeline::betweenness();
+        let out = sim.run_pipeline(&rep, &bc, Some(src)).unwrap();
+        prop_assert_eq!(answer(out)?, scores(&bc::run(sim.sim(), &rep, src)), "sim bc");
+        let out = host.run_pipeline(&rep, &bc, Some(src)).unwrap();
+        prop_assert_eq!(answer(out)?, scores(&bc::run(&HostLoop, &rep, src)), "host bc");
     }
 
     /// khop against an engine-free BFS oracle: values are the true hop
@@ -370,7 +422,7 @@ proptest! {
         }
 
         let full = seq.run_pipeline(&rep, &Pipeline::label_propagation(n + 1), None).unwrap();
-        let cc = seq.run_program(&rep, MonotoneProgram::CC, None).unwrap();
+        let cc = seq.run_pipeline(&rep, &Pipeline::cc(), None).unwrap();
         prop_assert_eq!(&full.values, &cc.values, "lp({} rounds) missed the CC fixpoint", n + 1);
         prop_assert!(full.converged, "lp with rounds > diameter must report convergence");
     }
@@ -431,14 +483,24 @@ fn pipeline_capability_violations_are_typed_errors() {
     );
 
     // Theorem 3 boundary for operators: khop's unit-hop relaxation is
-    // not split-invariant, and paths/tc recompute over the original
-    // adjacency — all three are typed rejections on a physical split.
+    // not split-invariant, paths/tc recompute over the original
+    // adjacency, lp snapshots a non-fixpoint round, PageRank divides by
+    // the out-degrees UDT rewrites and BC's split vertices absorb
+    // dependency mass — all typed rejections on a physical split.
     let t = udt_transform(&g, 2, DumbWeight::Zero);
     let rep = Representation::Physical(&t);
+    let pull = PrOptions {
+        mode: PrMode::Pull,
+        ..PrOptions::default()
+    };
     for pipeline in [
         Pipeline::khop(2),
         Pipeline::bounded_paths(5),
         Pipeline::triangle_count(),
+        Pipeline::label_propagation(3),
+        Pipeline::pagerank(PrOptions::default()),
+        Pipeline::pagerank(pull),
+        Pipeline::betweenness(),
     ] {
         let source = pipeline.needs_source().then_some(NodeId::new(0));
         let err = engine.run_pipeline(&rep, &pipeline, source).unwrap_err();
@@ -450,5 +512,65 @@ fn pipeline_capability_violations_are_typed_errors() {
             "{}: expected NotSplitInvariant, got {err}",
             pipeline.name()
         );
+    }
+}
+
+/// A source that names no node is a typed plan error on every entry
+/// point that takes one, on every backend — never a panic.
+#[test]
+fn a_source_out_of_range_is_a_typed_error_on_every_entry() {
+    let store = GraphStore::disabled();
+    let prepared = store
+        .prepare(&PrepareSpec::generated("rmat:6:4", 1).with_transpose(true))
+        .unwrap();
+    let n = prepared.graph().num_nodes();
+    let rep = Representation::Original(prepared.graph());
+    let source = Some(NodeId::from_index(n));
+    let refused = |err: EngineError| {
+        matches!(
+            err,
+            EngineError::InvalidPlan(PlanError::SourceOutOfRange { source, slots })
+                if source.index() == n && slots == n
+        )
+    };
+    for backend in [
+        BackendKind::WarpSim,
+        BackendKind::Sequential,
+        BackendKind::CpuPool,
+    ] {
+        for direction in Direction::ALL {
+            let label = format!("{}/{}", backend.label(), direction.label());
+            let engine = Engine::new(GpuConfig::tiny())
+                .with_backend(backend)
+                .with_direction(direction);
+            for pipeline in [Pipeline::sssp(), Pipeline::betweenness(), Pipeline::khop(2)] {
+                let err = engine.run_pipeline(&rep, &pipeline, source).unwrap_err();
+                assert!(refused(err), "{label}: run_pipeline {}", pipeline.name());
+                let err = engine
+                    .run_prepared_pipeline(&prepared, &pipeline, source)
+                    .unwrap_err();
+                assert!(
+                    refused(err),
+                    "{label}: run_prepared_pipeline {}",
+                    pipeline.name()
+                );
+            }
+            let err = engine
+                .run_prepared(&prepared, MonotoneProgram::BFS, source)
+                .unwrap_err();
+            assert!(refused(err), "{label}: run_prepared");
+            // One bad lane among good ones refuses the whole batch.
+            let batch = BatchProgram {
+                prog: MonotoneProgram::BFS,
+                lanes: vec![BatchLane::new(Some(NodeId::new(0))), BatchLane::new(source)],
+            };
+            let mut arena = BatchArena::new();
+            let err = engine
+                .run_prepared_batch(&prepared, &batch, &mut arena)
+                .unwrap_err();
+            assert!(refused(err), "{label}: run_prepared_batch");
+            let err = engine.run_batch(&rep, &batch, &mut arena).unwrap_err();
+            assert!(refused(err), "{label}: run_batch");
+        }
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use tigr::core::{correctness, GraphStore, ViewPlan};
 use tigr::engine::batch::{BatchArena, BatchProgram};
-use tigr::engine::{BackendKind, CpuOptions, Direction, MonotoneOutput, MonotoneProgram};
+use tigr::engine::{BackendKind, CpuOptions, Direction, MonotoneProgram, PipelineOutput};
 use tigr::graph::properties as oracle;
 use tigr::graph::reverse::transpose;
 use tigr::{
@@ -47,11 +47,11 @@ fn arb_hubbed_graph(n: usize, m: usize) -> impl Strategy<Value = Csr> {
 }
 
 /// `prog` from `src` on the CPU pool with two workers.
-fn cpu_pool(g: &Csr, prog: MonotoneProgram, src: NodeId) -> MonotoneOutput {
+fn cpu_pool(g: &Csr, prog: MonotoneProgram, src: NodeId) -> PipelineOutput {
     Engine::default()
         .with_backend(BackendKind::CpuPool)
         .with_cpu_options(CpuOptions { threads: 2 })
-        .run_program(&Representation::Original(g), prog, Some(src))
+        .run_pipeline(&Representation::Original(g), &prog.pipeline(), Some(src))
         .unwrap()
 }
 
