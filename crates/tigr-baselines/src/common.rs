@@ -1,7 +1,5 @@
 //! Shared framework plumbing and the [`Baseline`] dispatcher.
 
-use serde::{Deserialize, Serialize};
-
 use tigr_engine::{MonotoneProgram, PrOptions, PrOutput};
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{DeviceMemory, GpuSimulator, OutOfMemory, SimReport};
@@ -19,7 +17,7 @@ pub struct FrameworkRun {
 
 /// CuSha's two graph representations (§2 of the CuSha paper; the better
 /// of the two is reported in Table 4).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CushaMode {
     /// G-Shards: full shard entries (src, dst, weight, src-value copy).
     #[default]
@@ -31,7 +29,7 @@ pub enum CushaMode {
 
 /// Uniform handle over the three comparison frameworks, as they appear
 /// in Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Baseline {
     /// Maximum Warp with a fixed virtual-warp width, or `None` to try
     /// all of {2, 4, 8, 16, 32} and keep the fastest (the paper's

@@ -9,8 +9,7 @@
 //! largest graphs; see [`crate::Baseline::footprint_bytes`]).
 
 use std::sync::atomic::{AtomicU32, Ordering};
-
-use crossbeam::queue::SegQueue;
+use std::sync::{Mutex, PoisonError};
 
 use tigr_engine::addr::{edge_addr, frontier_addr, value_addr};
 use tigr_engine::{AtomicFloats, AtomicValues, MonotoneProgram, PrOptions, PrOutput};
@@ -47,7 +46,7 @@ pub fn run_monotone(
 
     while !frontier.is_empty() {
         let work = expand_frontier(g, &frontier);
-        let next = SegQueue::new();
+        let next = Mutex::new(Vec::new());
 
         // Load-balancing scan: Gunrock's advance is preceded by a
         // degree-gather plus prefix-sum over the frontier to give each
@@ -82,7 +81,9 @@ pub fn run_monotone(
             {
                 lane.atomic(value_addr(nbr), 4);
                 if enqueued[nbr].swap(1, Ordering::Relaxed) == 0 {
-                    next.push(nbr as u32);
+                    next.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(nbr as u32);
                     lane.atomic(frontier_addr(nbr), 4);
                 }
             }
@@ -91,7 +92,7 @@ pub fn run_monotone(
         metrics.merge(&advance);
 
         // Filter: compact and reset the dedup flags.
-        let mut nf: Vec<u32> = std::iter::from_fn(|| next.pop()).collect();
+        let mut nf: Vec<u32> = next.into_inner().unwrap_or_else(PoisonError::into_inner);
         let filter = sim.launch(nf.len(), |tid, lane| {
             lane.load(frontier_addr(tid), 4);
             lane.compute(2);

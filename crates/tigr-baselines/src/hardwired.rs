@@ -8,8 +8,7 @@
 //! run here.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-
-use crossbeam::queue::SegQueue;
+use std::sync::{Mutex, PoisonError};
 
 use tigr_engine::addr::{edge_addr, frontier_addr, row_ptr_addr, value_addr};
 use tigr_engine::{AtomicValues, Combine};
@@ -81,7 +80,7 @@ pub fn delta_stepping_sssp(
         // Light-edge phase: relax within the bucket to a fixpoint.
         loop {
             let changed = AtomicBool::new(false);
-            let reinsert = SegQueue::new();
+            let reinsert = Mutex::new(Vec::new());
             let metrics = sim.launch(bucket.len(), |tid, lane| {
                 let v = bucket[tid] as usize;
                 lane.load(frontier_addr(tid), 4);
@@ -103,7 +102,10 @@ pub fn delta_stepping_sssp(
                         lane.atomic(value_addr(nbr), 4);
                         changed.store(true, Ordering::Relaxed);
                         if cand < hi {
-                            reinsert.push(nbr as u32);
+                            reinsert
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .push(nbr as u32);
                         }
                     }
                 }
@@ -112,7 +114,9 @@ pub fn delta_stepping_sssp(
             if !changed.load(Ordering::Relaxed) {
                 break;
             }
-            let mut extra: Vec<u32> = std::iter::from_fn(|| reinsert.pop()).collect();
+            let mut extra: Vec<u32> = reinsert
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
             extra.retain(|&v| {
                 let d = dist.load(v as usize);
                 d >= lo && d < hi

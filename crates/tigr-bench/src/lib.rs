@@ -15,22 +15,20 @@
 //! | `table8_sssp_detail` | Table 8 (SSSP case study) |
 //! | `ablation_k_sweep` | §5 / §6.4 K-sensitivity observations |
 //! | `ablation_frontier` | full-sweep vs active-frontier scheduling |
-//! | `ablation_direction` | push vs pull vs auto traversal direction |
 //! | `ablation_serve` | serving throughput and result-cache cold-vs-hit |
 //!
 //! Run with `cargo run --release -p tigr-bench --bin <name>`. The analog
 //! scale is `1/TIGR_SCALE` of the paper's node counts
 //! (default 256; set `TIGR_SCALE=64` for larger, closer-to-paper runs).
 //! `TIGR_FRONTIER=auto|dense|sparse` selects the worklist scheduling
-//! policy and `TIGR_DIRECTION=push|pull|auto` the traversal direction
-//! for binaries that exercise them.
+//! policy for binaries that exercise it.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
 use tigr_core::{GraphStore, PrepareSpec, PreparedGraph};
-use tigr_engine::{Direction, FrontierMode};
+use tigr_engine::FrontierMode;
 use tigr_graph::datasets::{DatasetSpec, PAPER_DATASETS};
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuConfig, GpuSimulator};
@@ -44,9 +42,6 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Frontier scheduling policy for worklist runs.
     pub frontier: FrontierMode,
-    /// Traversal direction for binaries that run monotone programs
-    /// through an execution plan.
-    pub direction: Direction,
 }
 
 impl Default for BenchConfig {
@@ -55,14 +50,13 @@ impl Default for BenchConfig {
             scale_denominator: 256,
             seed: 2018, // ASPLOS '18
             frontier: FrontierMode::Auto,
-            direction: Direction::Push,
         }
     }
 }
 
 impl BenchConfig {
-    /// Reads `TIGR_SCALE`, `TIGR_SEED`, `TIGR_FRONTIER`, and
-    /// `TIGR_DIRECTION` from the environment.
+    /// Reads `TIGR_SCALE`, `TIGR_SEED` and `TIGR_FRONTIER` from the
+    /// environment.
     pub fn from_env() -> Self {
         let mut cfg = BenchConfig::default();
         if let Ok(s) = std::env::var("TIGR_SCALE") {
@@ -78,11 +72,6 @@ impl BenchConfig {
         if let Ok(s) = std::env::var("TIGR_FRONTIER") {
             if let Some(mode) = FrontierMode::parse(&s) {
                 cfg.frontier = mode;
-            }
-        }
-        if let Ok(s) = std::env::var("TIGR_DIRECTION") {
-            if let Some(d) = Direction::parse(&s) {
-                cfg.direction = d;
             }
         }
         cfg
@@ -280,7 +269,6 @@ mod tests {
         let cfg = BenchConfig::default();
         assert_eq!(cfg.scale_denominator, 256);
         assert_eq!(cfg.device_budget(), (8 << 30) / 256);
-        assert_eq!(cfg.direction, Direction::Push);
         assert_eq!(cfg.frontier, FrontierMode::Auto);
     }
 

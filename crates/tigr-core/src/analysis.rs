@@ -2,8 +2,6 @@
 //! does to a graph's degree distribution (the quantity Figure 1
 //! illustrates).
 
-use serde::{Deserialize, Serialize};
-
 use tigr_graph::stats::degree_stats;
 use tigr_graph::Csr;
 
@@ -14,7 +12,7 @@ use crate::split::{
 use crate::virtual_graph::VirtualGraph;
 
 /// The irregularity effect of one transformation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IrregularityReduction {
     /// Transformation name.
     pub name: &'static str,

@@ -1,13 +1,11 @@
 //! Dumb-weight policies for transformation-introduced edges (§3.3).
 
-use serde::{Deserialize, Serialize};
-
 use tigr_graph::{Weight, INFINITE_WEIGHT};
 
 /// Weight assigned to the edges a physical split transformation
 /// introduces (`E_new` in Theorem 1), chosen so the new edges "contribute
 /// nothing to the calculation".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DumbWeight {
     /// Weight `0`: preserves total path weight, hence distances
     /// (Corollary 2). Correct for SSSP, BFS, and BC.

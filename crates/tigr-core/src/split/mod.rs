@@ -174,23 +174,20 @@ impl TransformedGraph {
     /// topology tag, original counts, the embedded transformed CSR
     /// (length-prefixed), the family-root map, and the new-edge flags.
     pub fn to_section_bytes(&self) -> Vec<u8> {
-        use bytes::BufMut;
         let csr = tigr_graph::io::encode_csr(&self.graph);
         let total_nodes = self.graph.num_nodes();
         let mut buf =
             Vec::with_capacity(32 + csr.len() + total_nodes * 4 + self.new_edge_flags.len());
-        buf.put_u32_le(self.k);
-        buf.put_u32_le(topology_tag(self.topology));
-        buf.put_u64_le(self.original_nodes as u64);
-        buf.put_u64_le(self.num_new_edges as u64);
-        buf.put_u64_le(csr.len() as u64);
-        buf.put_slice(&csr);
+        buf.extend_from_slice(&self.k.to_le_bytes());
+        buf.extend_from_slice(&topology_tag(self.topology).to_le_bytes());
+        buf.extend_from_slice(&(self.original_nodes as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.num_new_edges as u64).to_le_bytes());
+        buf.extend_from_slice(&(csr.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&csr);
         for &r in &self.family_root {
-            buf.put_u32_le(r.raw());
+            buf.extend_from_slice(&r.raw().to_le_bytes());
         }
-        for &f in &self.new_edge_flags {
-            buf.put_u8(f as u8);
-        }
+        buf.extend(self.new_edge_flags.iter().map(|&f| f as u8));
         buf
     }
 
@@ -202,40 +199,43 @@ impl TransformedGraph {
     ///
     /// Returns a description of the violation on malformed input.
     pub fn from_section_bytes(payload: &[u8]) -> Result<Self, String> {
-        use bytes::Buf;
-        let mut cur = payload;
-        if cur.len() < 32 {
-            return Err("truncated transform section".into());
+        let truncated = || "truncated transform section".to_string();
+        if payload.len() < 32 {
+            return Err(truncated());
         }
-        let k = cur.get_u32_le();
-        let tag = cur.get_u32_le();
+        let (k, rest) = payload.split_first_chunk().ok_or_else(truncated)?;
+        let (tag, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let (original_nodes, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let (num_new_edges, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let (csr_len, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let k = u32::from_le_bytes(*k);
+        let tag = u32::from_le_bytes(*tag);
         let topology = topology_name(tag).ok_or_else(|| format!("unknown topology tag {tag}"))?;
-        let original_nodes = cur.get_u64_le() as usize;
-        let num_new_edges = cur.get_u64_le() as usize;
-        let csr_len = cur.get_u64_le() as usize;
-        if (cur.remaining() as u128) < csr_len as u128 {
+        let original_nodes = u64::from_le_bytes(*original_nodes) as usize;
+        let num_new_edges = u64::from_le_bytes(*num_new_edges) as usize;
+        let csr_len = u64::from_le_bytes(*csr_len) as usize;
+        let Some((csr, rest)) = rest.split_at_checked(csr_len) else {
             return Err("truncated embedded CSR".into());
-        }
-        let graph = tigr_graph::io::decode_csr(&cur[..csr_len]).map_err(|e| e.to_string())?;
-        cur = &cur[csr_len..];
+        };
+        let graph = tigr_graph::io::decode_csr(csr).map_err(|e| e.to_string())?;
 
         let total_nodes = graph.num_nodes();
         let num_edges = graph.num_edges();
         let need = total_nodes as u128 * 4 + num_edges as u128;
-        if cur.remaining() as u128 != need {
+        if rest.len() as u128 != need {
             return Err(format!(
                 "transform payload size mismatch: need {need} trailing bytes, have {}",
-                cur.remaining()
+                rest.len()
             ));
         }
-        let mut family_root = Vec::with_capacity(total_nodes);
-        for _ in 0..total_nodes {
-            family_root.push(NodeId::new(cur.get_u32_le()));
-        }
-        let mut new_edge_flags = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            new_edge_flags.push(cur.get_u8() != 0);
-        }
+        let (roots, flags) = rest.split_at(total_nodes * 4);
+        let family_root: Vec<NodeId> = roots
+            .as_chunks()
+            .0
+            .iter()
+            .map(|r| NodeId::new(u32::from_le_bytes(*r)))
+            .collect();
+        let new_edge_flags: Vec<bool> = flags.iter().map(|&f| f != 0).collect();
         if original_nodes > total_nodes
             || num_new_edges > num_edges
             || family_root.iter().any(|r| r.index() >= total_nodes)
@@ -467,7 +467,11 @@ mod tests {
         let g = star_graph(12);
         let t = udt_transform(&g, 3, DumbWeight::Zero);
         let bytes = t.to_section_bytes();
-        assert!(TransformedGraph::from_section_bytes(&bytes[..bytes.len() - 1]).is_err());
+        for cut in 0..bytes.len() {
+            assert!(TransformedGraph::from_section_bytes(&bytes[..cut]).is_err());
+        }
+        let longer = [&bytes[..], &[0]].concat();
+        assert!(TransformedGraph::from_section_bytes(&longer).is_err());
         let mut bad_tag = bytes.clone();
         bad_tag[4] = 99;
         assert!(TransformedGraph::from_section_bytes(&bad_tag).is_err());

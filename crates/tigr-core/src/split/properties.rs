@@ -5,11 +5,9 @@
 //! the `table1_properties` benchmark binary — check the formulas against
 //! graphs actually produced by the transformations.
 
-use serde::{Deserialize, Serialize};
-
 /// Closed-form properties of splitting one node of degree `d` with bound
 /// `K` (one row of Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SplitProperties {
     /// Nodes the split adds.
     pub new_nodes: usize,

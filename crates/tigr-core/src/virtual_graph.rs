@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use tigr_graph::io::binary::MappedContainer;
 use tigr_graph::{ArcSlice, Csr, NodeId, Plain};
 
@@ -24,7 +22,7 @@ use tigr_graph::{ArcSlice, Csr, NodeId, Plain};
 /// Consecutive layout has `stride == 1`; the coalesced layout (§4.4)
 /// uses `stride == family size` so that warp lanes running sibling
 /// virtual nodes touch adjacent memory each step (Figure 12).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(C)]
 pub struct VirtualNode {
     /// The physical node this virtual node maps to (`map_v`, §4.1).
@@ -57,7 +55,7 @@ impl VirtualNode {
 /// layout). The physical graph is *not* stored here — the engine passes
 /// graph and overlay together, mirroring how the CUDA implementation
 /// keeps both arrays on device.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct VirtualGraph {
     vnodes: ArcSlice<VirtualNode>,
     /// `first_vnode[v]..first_vnode[v+1]` indexes the virtual nodes of
@@ -282,21 +280,19 @@ impl VirtualGraph {
     /// then the virtual node array and the family index, all
     /// little-endian.
     pub fn to_section_bytes(&self) -> Vec<u8> {
-        use bytes::BufMut;
         let mut buf = Vec::with_capacity(32 + self.vnodes.len() * 16 + self.first_vnode.len() * 4);
-        buf.put_u32_le(self.k);
-        buf.put_u32_le(self.coalesced as u32);
-        buf.put_u64_le(self.physical_nodes as u64);
-        buf.put_u64_le(self.physical_edges as u64);
-        buf.put_u64_le(self.vnodes.len() as u64);
+        buf.extend_from_slice(&self.k.to_le_bytes());
+        buf.extend_from_slice(&(self.coalesced as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.physical_nodes as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.physical_edges as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.vnodes.len() as u64).to_le_bytes());
         for vn in self.vnodes.iter() {
-            buf.put_u32_le(vn.physical.raw());
-            buf.put_u32_le(vn.first_edge);
-            buf.put_u32_le(vn.stride);
-            buf.put_u32_le(vn.count);
+            for word in [vn.physical.raw(), vn.first_edge, vn.stride, vn.count] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
         }
         for &f in self.first_vnode.iter() {
-            buf.put_u32_le(f);
+            buf.extend_from_slice(&f.to_le_bytes());
         }
         buf
     }
@@ -309,58 +305,21 @@ impl VirtualGraph {
     ///
     /// Returns a description of the violation on malformed input.
     pub fn from_section_bytes(payload: &[u8]) -> Result<Self, String> {
-        use bytes::Buf;
-        let mut cur = payload;
-        if cur.len() < 32 {
-            return Err("truncated overlay section".into());
-        }
-        let k = cur.get_u32_le();
-        let coalesced = match cur.get_u32_le() {
-            0 => false,
-            1 => true,
-            other => return Err(format!("bad coalesced flag {other}")),
-        };
-        let physical_nodes = cur.get_u64_le() as usize;
-        let physical_edges = cur.get_u64_le() as usize;
-        let count = cur.get_u64_le() as usize;
-        let need = count as u128 * 16 + (physical_nodes as u128 + 1) * 4;
-        if cur.remaining() as u128 != need {
-            return Err(format!(
-                "overlay payload size mismatch: need {need} bytes, have {}",
-                cur.remaining()
-            ));
-        }
-        if k == 0 {
-            return Err("overlay has K = 0".into());
-        }
-        let mut vnodes = Vec::with_capacity(count);
-        for _ in 0..count {
-            vnodes.push(VirtualNode {
-                physical: NodeId::new(cur.get_u32_le()),
-                first_edge: cur.get_u32_le(),
-                stride: cur.get_u32_le(),
-                count: cur.get_u32_le(),
-            });
-        }
-        let mut first_vnode = Vec::with_capacity(physical_nodes + 1);
-        for _ in 0..=physical_nodes {
-            first_vnode.push(cur.get_u32_le());
-        }
-        if first_vnode.first() != Some(&0)
-            || first_vnode.last() != Some(&(count as u32))
-            || first_vnode.windows(2).any(|w| w[0] > w[1])
-            || vnodes.iter().any(|v| v.physical.index() >= physical_nodes)
-        {
-            return Err("inconsistent overlay family index".into());
-        }
-        Ok(VirtualGraph {
-            vnodes: vnodes.into(),
-            first_vnode: first_vnode.into(),
-            physical_nodes,
-            physical_edges,
-            k,
-            coalesced,
-        })
+        let (header, arrays) = OverlayHeader::parse(payload)?;
+        let (vnode_bytes, index_bytes) = arrays.split_at(header.count * 16);
+        let (vnode_table, _) = vnode_bytes.as_chunks::<4>().0.as_chunks();
+        let vnodes: Vec<VirtualNode> = vnode_table
+            .iter()
+            .map(|&[physical, first_edge, stride, count]| VirtualNode {
+                physical: NodeId::new(u32::from_le_bytes(physical)),
+                first_edge: u32::from_le_bytes(first_edge),
+                stride: u32::from_le_bytes(stride),
+                count: u32::from_le_bytes(count),
+            })
+            .collect();
+        let (index, _) = index_bytes.as_chunks();
+        let first_vnode: Vec<u32> = index.iter().map(|f| u32::from_le_bytes(*f)).collect();
+        header.finish(vnodes.into(), first_vnode.into(), true)
     }
 
     /// Opens an overlay directly over a mapped container section: the
@@ -382,66 +341,30 @@ impl VirtualGraph {
         section_id: u32,
         validate: bool,
     ) -> Result<Option<Self>, String> {
-        use bytes::Buf;
         let Some(r) = container.section(section_id) else {
             return Ok(None);
         };
-        let payload = container
-            .section_bytes(section_id)
-            .expect("section just found");
+        let seg = container.segment();
+        let payload = &seg.as_bytes()[r.offset..r.offset + r.len];
         #[cfg(target_endian = "little")]
         {
-            let mut cur = payload;
-            if cur.len() < 32 {
-                return Err("truncated overlay section".into());
-            }
-            let k = cur.get_u32_le();
-            let coalesced = match cur.get_u32_le() {
-                0 => false,
-                1 => true,
-                other => return Err(format!("bad coalesced flag {other}")),
-            };
-            let physical_nodes = cur.get_u64_le() as usize;
-            let physical_edges = cur.get_u64_le() as usize;
-            let count = cur.get_u64_le() as usize;
-            let need = count as u128 * 16 + (physical_nodes as u128 + 1) * 4;
-            if cur.remaining() as u128 != need {
-                return Err(format!(
-                    "overlay payload size mismatch: need {need} bytes, have {}",
-                    cur.remaining()
-                ));
-            }
-            if k == 0 {
-                return Err("overlay has K = 0".into());
-            }
-            let seg = container.segment();
-            let vn_off = r.offset + 32;
-            let fv_off = vn_off + count * 16;
+            let (header, _) = OverlayHeader::parse(payload)?;
+            let vn_off = r.offset + OverlayHeader::LEN;
+            let fv_off = vn_off + header.count * 16;
             let views = (
-                ArcSlice::<VirtualNode>::from_segment(std::sync::Arc::clone(seg), vn_off, count),
+                ArcSlice::<VirtualNode>::from_segment(
+                    std::sync::Arc::clone(seg),
+                    vn_off,
+                    header.count,
+                ),
                 ArcSlice::<u32>::from_segment(
                     std::sync::Arc::clone(seg),
                     fv_off,
-                    physical_nodes + 1,
+                    header.physical_nodes + 1,
                 ),
             );
             if let (Some(vnodes), Some(first_vnode)) = views {
-                if validate
-                    && (first_vnode.first() != Some(&0)
-                        || first_vnode.last() != Some(&(count as u32))
-                        || first_vnode.windows(2).any(|w| w[0] > w[1])
-                        || vnodes.iter().any(|v| v.physical.index() >= physical_nodes))
-                {
-                    return Err("inconsistent overlay family index".into());
-                }
-                return Ok(Some(VirtualGraph {
-                    vnodes,
-                    first_vnode,
-                    physical_nodes,
-                    physical_edges,
-                    k,
-                    coalesced,
-                }));
+                return header.finish(vnodes, first_vnode, validate).map(Some);
             }
         }
         Self::from_section_bytes(payload).map(Some)
@@ -488,6 +411,92 @@ impl VirtualGraph {
             return Err(format!("edge {e} not covered"));
         }
         Ok(())
+    }
+}
+
+/// An overlay section's header: `k`, the coalesced flag, the physical
+/// counts and the vnode count. The owned and the mapped decoder both
+/// parse it here and assemble the overlay through [`OverlayHeader::finish`].
+struct OverlayHeader {
+    k: u32,
+    coalesced: bool,
+    physical_nodes: usize,
+    physical_edges: usize,
+    count: usize,
+}
+
+impl OverlayHeader {
+    /// Header bytes at the front of an overlay section payload.
+    const LEN: usize = 32;
+
+    /// Parses the header of an overlay section payload and checks that
+    /// the arrays after it — the vnode table and the family index — have
+    /// exactly the declared size. Returns the header and those arrays.
+    fn parse(payload: &[u8]) -> Result<(Self, &[u8]), String> {
+        let truncated = || "truncated overlay section".to_string();
+        if payload.len() < Self::LEN {
+            return Err(truncated());
+        }
+        let (k, rest) = payload.split_first_chunk().ok_or_else(truncated)?;
+        let (coalesced, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let (physical_nodes, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let (physical_edges, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let (count, arrays) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let k = u32::from_le_bytes(*k);
+        let coalesced = match u32::from_le_bytes(*coalesced) {
+            0 => false,
+            1 => true,
+            other => return Err(format!("bad coalesced flag {other}")),
+        };
+        let physical_nodes = u64::from_le_bytes(*physical_nodes) as usize;
+        let physical_edges = u64::from_le_bytes(*physical_edges) as usize;
+        let count = u64::from_le_bytes(*count) as usize;
+        let need = count as u128 * 16 + (physical_nodes as u128 + 1) * 4;
+        if arrays.len() as u128 != need {
+            return Err(format!(
+                "overlay payload size mismatch: need {need} bytes, have {}",
+                arrays.len()
+            ));
+        }
+        if k == 0 {
+            return Err("overlay has K = 0".into());
+        }
+        let header = OverlayHeader {
+            k,
+            coalesced,
+            physical_nodes,
+            physical_edges,
+            count,
+        };
+        Ok((header, arrays))
+    }
+
+    /// The overlay over its vnode table and family index, after checking
+    /// the family-index invariants when `validate` is set.
+    fn finish(
+        self,
+        vnodes: ArcSlice<VirtualNode>,
+        first_vnode: ArcSlice<u32>,
+        validate: bool,
+    ) -> Result<VirtualGraph, String> {
+        if validate
+            && (first_vnode.first() != Some(&0)
+                || first_vnode.last() != Some(&(self.count as u32))
+                || first_vnode.windows(2).any(|w| w[0] > w[1])
+                || vnodes
+                    .iter()
+                    .any(|v| v.physical.index() >= self.physical_nodes))
+        {
+            return Err("inconsistent overlay family index".into());
+        }
+        Ok(VirtualGraph {
+            vnodes,
+            first_vnode,
+            physical_nodes: self.physical_nodes,
+            physical_edges: self.physical_edges,
+            k: self.k,
+            coalesced: self.coalesced,
+        })
     }
 }
 
@@ -823,7 +832,11 @@ mod tests {
         let g = star_graph(20);
         let vg = VirtualGraph::new(&g, 4);
         let bytes = vg.to_section_bytes();
-        assert!(VirtualGraph::from_section_bytes(&bytes[..bytes.len() - 2]).is_err());
+        for cut in 0..bytes.len() {
+            assert!(VirtualGraph::from_section_bytes(&bytes[..cut]).is_err());
+        }
+        let longer = [&bytes[..], &[0]].concat();
+        assert!(VirtualGraph::from_section_bytes(&longer).is_err());
         let mut bad_flag = bytes.clone();
         bad_flag[4] = 9;
         assert!(VirtualGraph::from_section_bytes(&bad_flag).is_err());

@@ -12,7 +12,7 @@
 //! runs them, and because both visit a level's threads in the same order
 //! σ and δ agree to the bit.
 
-use crossbeam::queue::SegQueue;
+use std::sync::{Mutex, PoisonError};
 
 use tigr_core::CancelToken;
 use tigr_graph::NodeId;
@@ -101,7 +101,7 @@ pub fn run_cancellable<L: Launcher>(
             cancelled = true;
             break;
         }
-        let next = SegQueue::new();
+        let next = Mutex::new(Vec::new());
         let kernel = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
             m.load(aux_addr(2, slot), 4); // sigma[v]
             let sig_v = sigma.load(slot);
@@ -112,7 +112,9 @@ pub fn run_cancellable<L: Launcher>(
                 if levels.load(nbr) == u32::MAX && levels.try_improve(nbr, level + 1, Combine::Min)
                 {
                     m.atomic(value_addr(nbr), 4);
-                    next.push(nbr as u32);
+                    next.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(nbr as u32);
                 }
                 if levels.load(nbr) == level + 1 {
                     launcher.add(&sigma, nbr, sig_v);
@@ -125,7 +127,7 @@ pub fn run_cancellable<L: Launcher>(
         let metrics = launch_frontier(launcher, rep, &frontier, kernel);
         record(frontier.len(), metrics);
 
-        let mut nf: Vec<u32> = std::iter::from_fn(|| next.pop()).collect();
+        let mut nf: Vec<u32> = next.into_inner().unwrap_or_else(PoisonError::into_inner);
         nf.sort_unstable();
         nf.dedup();
         frontier = nf;

@@ -6,8 +6,6 @@
 //! neighbor's slot. PageRank and BC do not fit the monotone mold and get
 //! dedicated drivers ([`crate::algorithms::pr`], [`crate::algorithms::bc`]).
 
-use serde::{Deserialize, Serialize};
-
 use tigr_graph::{NodeId, Weight};
 
 use crate::state::Combine;
@@ -55,7 +53,7 @@ pub(crate) use resolve_edge_op;
 
 /// How a node's value and an edge weight produce the candidate pushed to
 /// the neighbor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EdgeOp {
     /// `candidate = value + weight` (saturating): SSSP paths; BFS with
     /// all-1 weights; zero dumb weights are inert (Corollary 2).
@@ -97,7 +95,7 @@ impl EdgeOp {
 }
 
 /// How per-node values are initialized before iteration 0.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InitKind {
     /// Source gets `0`, everyone else the combine identity (`∞`): SSSP,
     /// BFS.
@@ -111,7 +109,7 @@ pub enum InitKind {
 
 /// A monotone push-based vertex program: the engine-facing description of
 /// one of the paper's analytics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MonotoneProgram {
     /// Short name used in reports ("sssp", "bfs", ...).
     pub name: &'static str,

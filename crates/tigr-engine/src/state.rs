@@ -14,8 +14,6 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Evaluates `$body` with `$fold` bound to the [`Fold`] of a runtime
 /// [`Combine`]: one arm per operator, so whatever `$body` calls is
 /// instantiated per operator and the `match` runs once, outside it.
@@ -40,7 +38,7 @@ pub(crate) use resolve_combine;
 /// Monotonicity is what makes relaxed (non-BSP) execution safe: applying
 /// the operator more often, or with stale candidates, cannot overshoot
 /// the fixpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Combine {
     /// Keep the minimum (SSSP, BFS, CC labels).
     Min,

@@ -11,14 +11,12 @@
 //! Real data can still be used: load any of the graphs with [`crate::io`]
 //! and hand it to the same APIs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::generators::{rmat, with_uniform_weights, RmatConfig};
 use crate::stats::degree_stats;
 
 /// Degree-skew family used to pick RMAT quadrant probabilities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SkewClass {
     /// Social friendship graphs (Pokec, LiveJournal, Orkut): Graph500 skew.
     Social,
@@ -30,7 +28,7 @@ pub enum SkewClass {
 }
 
 /// Static description of one paper dataset plus the recipe for its analog.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset name as used in the paper's tables.
     pub name: &'static str,

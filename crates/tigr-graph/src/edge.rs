@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Edge weight type used by the weighted analytics (SSSP, SSWP).
 ///
 /// Weights are unsigned integers so that the engine can propagate them with
@@ -36,9 +34,7 @@ pub const INFINITE_WEIGHT: Weight = u32::MAX;
 /// assert_eq!(v.raw(), 7u32);
 /// assert_eq!(format!("{v}"), "7");
 /// ```
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 #[repr(transparent)]
 pub struct NodeId(u32);
 
@@ -99,7 +95,7 @@ impl From<NodeId> for u32 {
 /// let e = Edge::new(NodeId::new(0), NodeId::new(1), 5);
 /// assert_eq!(e.reversed().src, NodeId::new(1));
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Edge {
     /// Source endpoint.
     pub src: NodeId,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::builder::CsrBuilder;
 use crate::csr::Csr;
@@ -13,7 +12,7 @@ use crate::csr::Csr;
 /// with probability proportional to their current degree, yielding a
 /// power-law degree distribution with exponent ≈ 3 — the mechanism behind
 /// the "rich get richer" hubs in real social graphs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BarabasiAlbertConfig {
     /// Total number of nodes.
     pub num_nodes: usize,

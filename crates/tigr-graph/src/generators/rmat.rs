@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::builder::CsrBuilder;
 use crate::csr::Csr;
@@ -25,7 +24,7 @@ use crate::edge::{Edge, NodeId};
 /// assert_eq!(g.num_nodes(), 1024);
 /// assert!(g.max_out_degree() > 3 * 8, "RMAT produces hubs");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RmatConfig {
     /// log2 of the number of nodes.
     pub scale: u32,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::builder::CsrBuilder;
 use crate::csr::Csr;
@@ -15,7 +14,7 @@ use crate::csr::Csr;
 /// graphs with near-regular degrees but small diameters — a contrast
 /// point between the lattice and RMAT extremes: Tigr's transformations
 /// are near no-ops here despite the social-like diameter.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WattsStrogatzConfig {
     /// Number of nodes.
     pub num_nodes: usize,

@@ -52,8 +52,6 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
-
 use crate::csr::Csr;
 use crate::edge::NodeId;
 use crate::error::GraphError;
@@ -66,6 +64,8 @@ const FLAG_WEIGHTED: u8 = 1;
 const FORMAT_VERSION: u32 = 2;
 const SECTION_ENTRY_LEN: usize = 32;
 const HEADER_LEN: usize = 16;
+/// Bytes of a CSR section's header: flags, node count, edge count.
+const CSR_HEADER_LEN: usize = 24;
 /// Upper bound on the section count a reader will accept; a corrupted
 /// header cannot make us allocate unboundedly.
 const MAX_SECTIONS: u32 = 1024;
@@ -158,16 +158,16 @@ pub fn write_container<W: Write>(sections: &[Section], writer: W) -> Result<()> 
     let table_end = HEADER_LEN + SECTION_ENTRY_LEN * sections.len();
 
     let mut header = Vec::with_capacity(table_end);
-    header.put_slice(MAGIC_V2);
-    header.put_u32_le(FORMAT_VERSION);
-    header.put_u32_le(sections.len() as u32);
+    header.extend_from_slice(MAGIC_V2);
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut offset = align8(table_end);
     for s in sections {
-        header.put_u32_le(s.id);
-        header.put_u32_le(0);
-        header.put_u64_le(offset as u64);
-        header.put_u64_le(s.payload.len() as u64);
-        header.put_u64_le(s.checksum);
+        header.extend_from_slice(&s.id.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        header.extend_from_slice(&(offset as u64).to_le_bytes());
+        header.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+        header.extend_from_slice(&s.checksum.to_le_bytes());
         offset = align8(offset + s.payload.len());
     }
     out.write_all(&header)?;
@@ -240,43 +240,48 @@ pub struct SectionRef {
 /// geometry and [`GraphError::Overflow`] for offsets that do not fit
 /// the platform's `usize`.
 pub fn parse_section_table(bytes: &[u8]) -> Result<Vec<SectionRef>> {
+    let truncated_header = || GraphError::InvalidFormat("truncated container header".into());
     if bytes.len() < HEADER_LEN {
-        return Err(GraphError::InvalidFormat(
-            "truncated container header".into(),
-        ));
+        return Err(truncated_header());
     }
-    let mut cur = bytes;
-    let mut magic = [0u8; 8];
-    cur.copy_to_slice(&mut magic);
-    if &magic != MAGIC_V2 {
+    let (magic, rest) = bytes
+        .split_first_chunk::<8>()
+        .ok_or_else(truncated_header)?;
+    if magic != MAGIC_V2 {
         return Err(GraphError::InvalidFormat(format!(
             "bad magic {magic:?}, expected TIGRCSR2"
         )));
     }
-    let version = cur.get_u32_le();
+    let (version, rest) = rest.split_first_chunk().ok_or_else(truncated_header)?;
+    let version = u32::from_le_bytes(*version);
     if version != FORMAT_VERSION {
         return Err(GraphError::InvalidFormat(format!(
             "unsupported container version {version} (expected {FORMAT_VERSION})"
         )));
     }
-    let count = cur.get_u32_le();
+    let (count, rest) = rest.split_first_chunk().ok_or_else(truncated_header)?;
+    let count = u32::from_le_bytes(*count);
     if count > MAX_SECTIONS {
         return Err(GraphError::InvalidFormat(format!(
             "section count {count} exceeds limit {MAX_SECTIONS}"
         )));
     }
-    let table_end = HEADER_LEN + SECTION_ENTRY_LEN * count as usize;
-    if bytes.len() < table_end {
-        return Err(GraphError::InvalidFormat("truncated section table".into()));
-    }
+    let table_len = SECTION_ENTRY_LEN * count as usize;
+    let truncated_table = || GraphError::InvalidFormat("truncated section table".into());
+    let table = rest.get(..table_len).ok_or_else(truncated_table)?;
+    let table_end = HEADER_LEN + table_len;
 
     let mut refs = Vec::with_capacity(count as usize);
-    for i in 0..count {
-        let id = cur.get_u32_le();
-        let _reserved = cur.get_u32_le();
-        let offset = cur.get_u64_le();
-        let len = cur.get_u64_le();
-        let checksum = cur.get_u64_le();
+    for (i, entry) in table.chunks_exact(SECTION_ENTRY_LEN).enumerate() {
+        let (id, entry) = entry.split_first_chunk().ok_or_else(truncated_table)?;
+        let (_reserved, entry) = entry.split_first_chunk::<4>().ok_or_else(truncated_table)?;
+        let (offset, entry) = entry.split_first_chunk().ok_or_else(truncated_table)?;
+        let (len, entry) = entry.split_first_chunk().ok_or_else(truncated_table)?;
+        let (checksum, _) = entry.split_first_chunk().ok_or_else(truncated_table)?;
+        let id = u32::from_le_bytes(*id);
+        let offset = u64::from_le_bytes(*offset);
+        let len = u64::from_le_bytes(*len);
+        let checksum = u64::from_le_bytes(*checksum);
         if !offset.is_multiple_of(8) {
             return Err(GraphError::InvalidFormat(format!(
                 "section {i} payload offset {offset} is not 8-byte aligned"
@@ -435,26 +440,7 @@ impl MappedContainer {
             return Ok(None);
         };
         let bytes = &self.segment.as_bytes()[r.offset..r.offset + r.len];
-        let mut cur = bytes;
-        if cur.len() < 24 {
-            return Err(GraphError::InvalidFormat("truncated CSR section".into()));
-        }
-        let flags = cur.get_u64_le();
-        let weighted = flags & FLAG_WEIGHTED as u64 != 0;
-        let n = to_usize(cur.get_u64_le(), "node count")?;
-        let m = to_usize(cur.get_u64_le(), "edge count")?;
-        let need = (n as u128 + 1) * 8 + (m as u128) * 4 + if weighted { m as u128 * 4 } else { 0 };
-        if cur.remaining() as u128 != need {
-            return Err(GraphError::InvalidFormat(format!(
-                "CSR payload size mismatch: need {need} bytes, have {}",
-                cur.remaining()
-            )));
-        }
-        if n == 0 && m > 0 {
-            return Err(GraphError::InvalidFormat(
-                "edges present in zero-node graph".into(),
-            ));
-        }
+        let (weighted, n, m, _) = csr_header(bytes)?;
         #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
         {
             // On-disk u64/u32 little-endian arrays are byte-identical to
@@ -463,7 +449,7 @@ impl MappedContainer {
             // owned (non-page-aligned) backing can legitimately fail the
             // alignment check, in which case the copying decoder below
             // takes over.
-            let row_off = r.offset + 24;
+            let row_off = r.offset + CSR_HEADER_LEN;
             let col_off = row_off + (n + 1) * 8;
             let w_off = col_off + m * 4;
             let seg = || Arc::clone(&self.segment);
@@ -515,26 +501,61 @@ pub fn find_section(sections: &[Section], id: u32) -> Option<&Section> {
 pub fn encode_csr(g: &Csr) -> Vec<u8> {
     let n = g.num_nodes();
     let m = g.num_edges();
-    let mut buf = Vec::with_capacity(24 + (n + 1) * 8 + m * 8);
-    buf.put_u64_le(if g.is_weighted() {
-        FLAG_WEIGHTED as u64
-    } else {
-        0
-    });
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(m as u64);
+    let mut buf = Vec::with_capacity(CSR_HEADER_LEN + (n + 1) * 8 + m * 8);
+    let flags = if g.is_weighted() { FLAG_WEIGHTED } else { 0 };
+    buf.extend_from_slice(&u64::from(flags).to_le_bytes());
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    buf.extend_from_slice(&(m as u64).to_le_bytes());
     for &p in g.row_ptr() {
-        buf.put_u64_le(p as u64);
+        buf.extend_from_slice(&(p as u64).to_le_bytes());
     }
     for &c in g.col_idx() {
-        buf.put_u32_le(c.raw());
+        buf.extend_from_slice(&c.raw().to_le_bytes());
     }
-    if let Some(w) = g.weights() {
-        for &x in w {
-            buf.put_u32_le(x);
-        }
+    for &x in g.weights().into_iter().flatten() {
+        buf.extend_from_slice(&x.to_le_bytes());
     }
     buf
+}
+
+/// Parses a CSR section payload's header — weighted flag, node count,
+/// edge count — and checks that the arrays after it have exactly the
+/// declared size. Returns the header fields and those arrays. Both the
+/// mapped and the owned decoder start here.
+fn csr_header(payload: &[u8]) -> Result<(bool, usize, usize, &[u8])> {
+    let truncated = || GraphError::InvalidFormat("truncated CSR section".into());
+    if payload.len() < CSR_HEADER_LEN {
+        return Err(truncated());
+    }
+    let (flags, rest) = payload.split_first_chunk().ok_or_else(truncated)?;
+    let (n, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+    let (m, arrays) = rest.split_first_chunk().ok_or_else(truncated)?;
+    let weighted = u64::from_le_bytes(*flags) & u64::from(FLAG_WEIGHTED) != 0;
+    let n = to_usize(u64::from_le_bytes(*n), "node count")?;
+    let m = to_usize(u64::from_le_bytes(*m), "edge count")?;
+    check_csr_size(arrays, n, m, weighted, true)?;
+    if n == 0 && m > 0 {
+        return Err(GraphError::InvalidFormat(
+            "edges present in zero-node graph".into(),
+        ));
+    }
+    Ok((weighted, n, m, arrays))
+}
+
+/// Checks the byte budget of a CSR's arrays against the declared
+/// counts: exactly for v2 payloads, at-least for the legacy stream.
+fn check_csr_size(arrays: &[u8], n: usize, m: usize, weighted: bool, exact: bool) -> Result<()> {
+    // Wide arithmetic: corrupted headers can carry absurd counts, and the
+    // size check must reject them rather than overflow.
+    let need = (n as u128 + 1) * 8 + (m as u128) * 4 + if weighted { m as u128 * 4 } else { 0 };
+    let have = arrays.len() as u128;
+    if have < need || (exact && have != need) {
+        return Err(GraphError::InvalidFormat(format!(
+            "CSR payload size mismatch: need {need} bytes, have {}",
+            arrays.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Decodes a CSR section payload, fully validating it before
@@ -548,48 +569,34 @@ pub fn encode_csr(g: &Csr) -> Vec<u8> {
 /// Returns [`GraphError::InvalidFormat`] on any violation — untrusted
 /// input never panics or indexes out of bounds.
 pub fn decode_csr(payload: &[u8]) -> Result<Csr> {
-    let mut cur = payload;
-    if cur.len() < 24 {
-        return Err(GraphError::InvalidFormat("truncated CSR section".into()));
-    }
-    let flags = cur.get_u64_le();
-    let weighted = flags & FLAG_WEIGHTED as u64 != 0;
-    let n = to_usize(cur.get_u64_le(), "node count")?;
-    let m = to_usize(cur.get_u64_le(), "edge count")?;
-    read_csr_arrays(cur, n, m, weighted, true)
+    let (weighted, n, m, arrays) = csr_header(payload)?;
+    read_csr_arrays(arrays, n, m, weighted)
 }
 
-/// Shared tail of the v1 and v2 CSR decoders: validates the byte budget
-/// against the declared counts (exactly for v2 payloads, at-least for
-/// the legacy stream), then the arrays themselves.
-fn read_csr_arrays(mut cur: &[u8], n: usize, m: usize, weighted: bool, exact: bool) -> Result<Csr> {
-    // Wide arithmetic: corrupted headers can carry absurd counts, and the
-    // size check must reject them rather than overflow.
-    let need = (n as u128 + 1) * 8 + (m as u128) * 4 + if weighted { m as u128 * 4 } else { 0 };
-    if (cur.remaining() as u128) < need || (exact && cur.remaining() as u128 != need) {
-        return Err(GraphError::InvalidFormat(format!(
-            "CSR payload size mismatch: need {need} bytes, have {}",
-            cur.remaining()
-        )));
-    }
-
+/// Shared tail of the v1 and v2 CSR decoders: reads the arrays from the
+/// front of `arrays`, whose size the caller has checked, and validates
+/// them.
+fn read_csr_arrays(arrays: &[u8], n: usize, m: usize, weighted: bool) -> Result<Csr> {
+    let (row_bytes, rest) = arrays.split_at((n + 1) * 8);
+    let (col_bytes, rest) = rest.split_at(m * 4);
     let mut row_ptr = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        row_ptr.push(to_usize(cur.get_u64_le(), "row offset")?);
+    for word in row_bytes.as_chunks().0 {
+        row_ptr.push(to_usize(u64::from_le_bytes(*word), "row offset")?);
     }
-    let mut col_idx = Vec::with_capacity(m);
-    for _ in 0..m {
-        col_idx.push(NodeId::new(cur.get_u32_le()));
-    }
-    let weights = if weighted {
-        let mut w = Vec::with_capacity(m);
-        for _ in 0..m {
-            w.push(cur.get_u32_le());
-        }
-        Some(w)
-    } else {
-        None
-    };
+    let col_idx: Vec<NodeId> = col_bytes
+        .as_chunks()
+        .0
+        .iter()
+        .map(|w| NodeId::new(u32::from_le_bytes(*w)))
+        .collect();
+    let weights = weighted.then(|| {
+        rest[..m * 4]
+            .as_chunks()
+            .0
+            .iter()
+            .map(|w| u32::from_le_bytes(*w))
+            .collect()
+    });
 
     // Re-validate through explicit checks rather than the panicking
     // constructor: untrusted input gets format errors.
@@ -600,11 +607,6 @@ fn read_csr_arrays(mut cur: &[u8], n: usize, m: usize, weighted: bool, exact: bo
     {
         return Err(GraphError::InvalidFormat(
             "inconsistent CSR arrays in binary container".into(),
-        ));
-    }
-    if n == 0 && m > 0 {
-        return Err(GraphError::InvalidFormat(
-            "edges present in zero-node graph".into(),
         ));
     }
     Ok(Csr::from_parts(row_ptr, col_idx, weights))
@@ -627,39 +629,15 @@ pub fn write_binary<W: Write>(g: &Csr, writer: W) -> Result<()> {
 ///
 /// Returns [`GraphError::Io`] on write failure.
 pub fn write_binary_v1<W: Write>(g: &Csr, writer: W) -> Result<()> {
+    // The v1 stream is the v2 CSR payload with its 8-byte flags field
+    // narrowed to one byte.
+    let payload = encode_csr(g);
+    let flags = if g.is_weighted() { FLAG_WEIGHTED } else { 0 };
     let mut out = BufWriter::new(writer);
-    let mut header = Vec::with_capacity(25);
-    header.put_slice(MAGIC_V1);
-    header.put_u8(if g.is_weighted() { FLAG_WEIGHTED } else { 0 });
-    header.put_u64_le(g.num_nodes() as u64);
-    header.put_u64_le(g.num_edges() as u64);
-    out.write_all(&header)?;
-
-    let mut buf = Vec::with_capacity(8 * 1024);
-    for &p in g.row_ptr() {
-        buf.put_u64_le(p as u64);
-        flush_if_full(&mut out, &mut buf)?;
-    }
-    for &c in g.col_idx() {
-        buf.put_u32_le(c.raw());
-        flush_if_full(&mut out, &mut buf)?;
-    }
-    if let Some(w) = g.weights() {
-        for &x in w {
-            buf.put_u32_le(x);
-            flush_if_full(&mut out, &mut buf)?;
-        }
-    }
-    out.write_all(&buf)?;
+    out.write_all(MAGIC_V1)?;
+    out.write_all(&[flags])?;
+    out.write_all(&payload[8..])?;
     out.flush()?;
-    Ok(())
-}
-
-fn flush_if_full<W: Write>(out: &mut BufWriter<W>, buf: &mut Vec<u8>) -> Result<()> {
-    if buf.len() >= 8 * 1024 {
-        out.write_all(buf)?;
-        buf.clear();
-    }
     Ok(())
 }
 
@@ -688,22 +666,24 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Csr> {
 
 /// The legacy `TIGRCSR1` reader over raw bytes.
 fn read_binary_v1(bytes: &[u8]) -> Result<Csr> {
-    let mut cur = bytes;
-    if cur.len() < 25 {
-        return Err(GraphError::InvalidFormat("truncated header".into()));
+    let truncated = || GraphError::InvalidFormat("truncated header".into());
+    if bytes.len() < 25 {
+        return Err(truncated());
     }
-    let mut magic = [0u8; 8];
-    cur.copy_to_slice(&mut magic);
-    if &magic != MAGIC_V1 {
+    let (magic, rest) = bytes.split_first_chunk::<8>().ok_or_else(truncated)?;
+    if magic != MAGIC_V1 {
         return Err(GraphError::InvalidFormat(format!(
             "bad magic {magic:?}, expected TIGRCSR1 or TIGRCSR2"
         )));
     }
-    let flags = cur.get_u8();
+    let (&[flags], rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+    let (n, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+    let (m, arrays) = rest.split_first_chunk().ok_or_else(truncated)?;
     let weighted = flags & FLAG_WEIGHTED != 0;
-    let n = to_usize(cur.get_u64_le(), "node count")?;
-    let m = to_usize(cur.get_u64_le(), "edge count")?;
-    read_csr_arrays(cur, n, m, weighted, false)
+    let n = to_usize(u64::from_le_bytes(*n), "node count")?;
+    let m = to_usize(u64::from_le_bytes(*m), "edge count")?;
+    check_csr_size(arrays, n, m, weighted, false)?;
+    read_csr_arrays(arrays, n, m, weighted)
 }
 
 /// Writes `g` to `path` in binary form (v2 container).
@@ -856,6 +836,15 @@ mod tests {
         let mut payload = encode_csr(&g);
         payload[16] = 0xFF;
         assert!(decode_csr(&payload).is_err());
+        // So must every strict prefix and a trailing byte.
+        for weighted in [false, true] {
+            let payload = encode_csr(&sample(weighted));
+            for cut in 0..payload.len() {
+                assert!(decode_csr(&payload[..cut]).is_err(), "cut {cut}");
+            }
+            let longer = [&payload[..], &[0]].concat();
+            assert!(decode_csr(&longer).is_err());
+        }
     }
 
     #[test]
@@ -870,16 +859,10 @@ mod tests {
         let back = read_container(buf.as_slice()).unwrap();
         assert_eq!(back, sections);
         // Every payload sits at an 8-byte-aligned offset.
-        let mut cur = &buf[8..];
-        let _version = cur.get_u32_le();
-        let count = cur.get_u32_le();
-        for _ in 0..count {
-            let _id = cur.get_u32_le();
-            let _r = cur.get_u32_le();
-            let offset = cur.get_u64_le();
+        let count = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
+        for entry in buf[16..16 + 32 * count].chunks_exact(32) {
+            let offset = u64::from_le_bytes(entry[8..16].try_into().unwrap());
             assert_eq!(offset % 8, 0);
-            let _len = cur.get_u64_le();
-            let _sum = cur.get_u64_le();
         }
     }
 
@@ -892,21 +875,21 @@ mod tests {
             Section::new(SECTION_CSR, encode_csr(&sample(true))),
         ];
         let mut expected = Vec::new();
-        expected.put_slice(b"TIGRCSR2");
-        expected.put_u32_le(2);
-        expected.put_u32_le(sections.len() as u32);
+        expected.extend_from_slice(b"TIGRCSR2");
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        expected.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         let mut offset = (16 + 32 * sections.len()).div_ceil(8) * 8;
         for s in &sections {
-            expected.put_u32_le(s.id);
-            expected.put_u32_le(0);
-            expected.put_u64_le(offset as u64);
-            expected.put_u64_le(s.payload.len() as u64);
-            expected.put_u64_le(fnv1a64(&s.payload));
+            expected.extend_from_slice(&s.id.to_le_bytes());
+            expected.extend_from_slice(&0u32.to_le_bytes());
+            expected.extend_from_slice(&(offset as u64).to_le_bytes());
+            expected.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+            expected.extend_from_slice(&fnv1a64(&s.payload).to_le_bytes());
             offset = (offset + s.payload.len()).div_ceil(8) * 8;
         }
         for s in &sections {
             expected.resize(expected.len().div_ceil(8) * 8, 0);
-            expected.put_slice(&s.payload);
+            expected.extend_from_slice(&s.payload);
         }
         let mut written = Vec::new();
         write_container(&sections, &mut written).unwrap();

@@ -9,13 +9,11 @@
 //! executable: how many mirrors does a partitioning create where a
 //! split transformation creates none?
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::edge::NodeId;
 
 /// A partitioning of a graph's edges (or nodes) into `k` parts.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partitioning {
     /// Part id per *edge* (flat edge order).
     pub edge_part: Vec<u32>,

@@ -6,15 +6,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::edge::NodeId;
 
 /// Summary statistics of a graph's out-degree distribution.
 ///
 /// Produced by [`degree_stats`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DegreeStats {
     /// Number of nodes.
     pub num_nodes: usize,

@@ -1,7 +1,6 @@
 //! A minimal JSON reader/writer for the wire protocol.
 //!
-//! The workspace's `serde` resolves to a no-op shim (no registry
-//! access), so the protocol layer carries its own: [`Json`], a tree for
+//! The protocol layer carries its own JSON: [`Json`], a tree for
 //! small messages and the `stats` payload, whose `Display` is the
 //! definition of the wire format (sorted keys, RFC 8259 escapes,
 //! integral numbers without a fraction), and one recursive-descent

@@ -12,8 +12,7 @@
 //!   per-request [`tigr_engine::ExecutionPlan`]s, a source-keyed LRU
 //!   result cache, and p50/p95 serving stats.
 //! * [`Server`] — TCP / Unix-socket front-ends speaking a
-//!   line-delimited JSON protocol (hand-rolled in [`json`]; the
-//!   workspace's `serde` is a no-op shim).
+//!   line-delimited JSON protocol (hand-rolled in [`json`]).
 //! * [`Client`] — the same protocol from the client side, plus an
 //!   in-process transport used by benchmarks.
 //!

@@ -1,14 +1,12 @@
 //! Simulated device configuration and cycle-cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-operation cycle costs of the simulated device.
 ///
 /// The absolute values are nominal — the evaluation compares *relative*
 /// costs between scheduling strategies, which is what the paper's speedup
 /// numbers capture. Defaults approximate a throughput-oriented GPU: memory
 /// transactions dominate, arithmetic is cheap, atomics carry a surcharge.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Cycles per arithmetic/control instruction (per warp step).
     pub compute_cycles: u64,
@@ -39,7 +37,7 @@ impl Default for CostModel {
 }
 
 /// How a warp's lane work is converted into cycles.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TimingModel {
     /// SIMD lockstep (Figure 3): every step costs the *max* over active
     /// lanes, and idle lanes burn issued slots. The real-GPU model and
@@ -60,7 +58,7 @@ pub enum TimingModel {
 /// (1792 cores / 128 cores per SM), 128-byte memory transactions, and a
 /// ~1.2 GHz core clock used only to convert cycles into nominal
 /// milliseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpuConfig {
     /// Threads per warp (32 on NVIDIA hardware).
     pub warp_size: usize,

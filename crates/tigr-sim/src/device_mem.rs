@@ -9,10 +9,8 @@
 use std::error::Error as StdError;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Error returned when an allocation exceeds the remaining device budget.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutOfMemory {
     /// Bytes the failed allocation requested.
     pub requested: u64,
@@ -48,7 +46,7 @@ impl StdError for OutOfMemory {}
 /// assert!(mem.alloc(100).is_ok());
 /// # Ok::<(), tigr_sim::OutOfMemory>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceMemory {
     capacity: u64,
     used: u64,

@@ -8,10 +8,8 @@
 //! its own transaction. Edge-array coalescing exists precisely to reduce
 //! this number.
 
-use serde::{Deserialize, Serialize};
-
 /// Kind of a memory access, determining its simulated cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Plain load.
     Load,
@@ -23,7 +21,7 @@ pub enum AccessKind {
 }
 
 /// One memory access issued by one lane.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// Simulated byte address.
     pub addr: u64,

@@ -1,13 +1,11 @@
 //! Execution metrics: the simulator's analog of a GPU profiler.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate metrics of one simulated kernel launch.
 ///
 /// The fields correspond to the profiler counters the paper reports in
 /// Table 8: total executed instructions, warp execution efficiency, and
 /// the cycle count that stands in for wall-clock time.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelMetrics {
     /// Simulated cycles: busiest-SM total plus launch overhead.
     pub cycles: u64,
@@ -78,7 +76,7 @@ impl KernelMetrics {
 }
 
 /// Metrics of one BSP iteration of a graph algorithm.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IterationTrace {
     /// Iteration index, starting at 0.
     pub iteration: usize,
@@ -90,7 +88,7 @@ pub struct IterationTrace {
 
 /// Full execution report of a multi-iteration graph-algorithm run: what
 /// the engine returns alongside the computed values.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimReport {
     /// One trace per BSP iteration, in order.
     pub iterations: Vec<IterationTrace>,

@@ -1,7 +1,5 @@
 //! Warp-lockstep replay of lane traces.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::GpuConfig;
 use crate::executor::Op;
 use crate::memory::{coalesce_transactions, MemAccess};
@@ -9,7 +7,7 @@ use crate::memory::{coalesce_transactions, MemAccess};
 /// Timing and occupancy of a single simulated warp.
 ///
 /// Produced by the warp-replay step and consumed by the executor's SM accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarpStats {
     /// Cycles this warp occupied its SM.
     pub cycles: u64,

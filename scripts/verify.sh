@@ -43,9 +43,6 @@ cargo test -q --workspace
 echo "== benches compile =="
 cargo bench --workspace --no-run
 
-echo "== direction ablation smoke =="
-cargo run --release -p tigr-bench --bin ablation_direction -- --smoke
-
 echo "== serve ablation smoke =="
 # Also the compile check for the ablation_serve bin; asserts the
 # result-cache hit speedup and cross-cell checksum agreement itself.
@@ -269,11 +266,6 @@ echo "$p_stats" | grep -q "6 received / 6 completed / 0 rejected / 0 failed" \
 kill "$ub_pid" "$b_pid" "$p_pid"
 wait "$ub_pid" "$b_pid" "$p_pid" 2>/dev/null || true
 echo "batch smoke: batched answers (kernel-threads 1 and 2) equal the unbatched daemon's, iterations and checksums"
-
-echo "== coldstart ablation smoke =="
-# Compile-and-run gate for the zero-copy bench; asserts mapped-vs-decoded
-# checksum agreement and the (smoke-relaxed) map-is-faster bar itself.
-cargo run --release -p tigr-bench --bin ablation_coldstart -- --smoke
 
 echo "== mmap smoke =="
 # A mapped warm run must answer identically to the decoded reference

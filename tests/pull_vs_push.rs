@@ -5,8 +5,9 @@ use tigr::engine::{
     run_monotone, Direction, ExecutionPlan, MonotoneOutput, MonotoneProgram, PullSide,
 };
 use tigr::graph::datasets;
+use tigr::graph::generators::{self, RmatConfig};
 use tigr::graph::reverse::transpose;
-use tigr::{GpuConfig, GpuSimulator, NodeId, Representation, VirtualGraph};
+use tigr::{Engine, FrontierMode, GpuConfig, GpuSimulator, NodeId, Representation, VirtualGraph};
 
 fn fixture() -> (tigr::Csr, tigr::Csr) {
     let g = datasets::by_name("pokec")
@@ -139,4 +140,50 @@ fn direction_optimizing_bfs_agrees_with_both() {
     let hybrid = run(&rep, Some(side), MonotoneProgram::BFS, src, Direction::Auto);
     assert_eq!(push.values, pull.values);
     assert_eq!(push.values, hybrid.values);
+}
+
+/// The highest-out-degree node, ties toward the lowest id.
+fn hub(g: &tigr::Csr) -> NodeId {
+    g.nodes()
+        .max_by_key(|&v| (g.out_degree(v), std::cmp::Reverse(v.raw())))
+        .unwrap()
+}
+
+/// BFS from the hub on the deterministic simulator, worklist on.
+fn hub_bfs(g: &tigr::Csr, direction: Direction) -> tigr::engine::PipelineOutput {
+    Engine::new(GpuConfig::default())
+        .with_frontier(FrontierMode::Auto)
+        .with_direction(direction)
+        .run_pipeline(
+            &Representation::Original(g),
+            &MonotoneProgram::BFS.pipeline(),
+            Some(hub(g)),
+        )
+        .unwrap()
+}
+
+/// The direction switch's claim as simulator counts: on a power-law
+/// graph auto BFS pulls through the dense middle levels and touches
+/// over 20× fewer edges than push; on a star, pull gathers the hub's
+/// fan-in in coalesced sweeps and costs over 50× fewer simulated cycles.
+#[test]
+fn direction_switch_cuts_rmat_edges_and_star_cycles() {
+    let rmat = generators::rmat(&RmatConfig::graph500(16, 16), 2018);
+    let push = hub_bfs(&rmat, Direction::Push);
+    let auto = hub_bfs(&rmat, Direction::Auto);
+    assert_eq!(auto.values, push.values);
+    let pulls = auto.directions.iter().filter(|&&d| d == Direction::Pull);
+    assert_eq!((pulls.count(), auto.directions.len()), (3, 5));
+    assert_eq!(
+        (push.edges_touched, auto.edges_touched),
+        (1_039_090, 46_994)
+    );
+
+    let star = generators::star_graph(65_537);
+    let push = hub_bfs(&star, Direction::Push);
+    let pull = hub_bfs(&star, Direction::Pull);
+    assert_eq!(pull.values, push.values);
+    let (push_cycles, pull_cycles) = (push.report.total_cycles(), pull.report.total_cycles());
+    eprintln!("star push/pull sim cycles: {push_cycles}/{pull_cycles}");
+    assert!(push_cycles >= 50 * pull_cycles);
 }
