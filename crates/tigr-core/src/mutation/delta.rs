@@ -5,8 +5,9 @@
 //! per-source vectors, removed base edges are a set of flat edge
 //! indices, and weight changes are an index-keyed override map, so the
 //! memory cost is proportional to the *delta*, not the graph. Those
-//! hash structures are the **write side**: [`DeltaOverlay::apply`] and
-//! its helpers are the only code that probes them per edge.
+//! hash structures are the **write side**: [`DeltaOverlay::install`]
+//! (behind [`DeltaOverlay::apply`]) and its helpers are the only code that
+//! probes them per edge.
 //!
 //! Readers get the merged adjacency two ways. [`DeltaOverlay::freeze`]
 //! builds the **read side** once per snapshot: [`PatchedRows`], a bitmap
@@ -89,39 +90,76 @@ impl DeltaOverlay {
     /// Applies one mutation. `Ok(true)` means the op changed the graph;
     /// `Ok(false)` means it was a well-formed no-op (duplicate add,
     /// remove of an absent edge, ...) — the distinction `ingest` reports
-    /// as applied vs skipped.
+    /// as applied vs skipped. [`DeltaOverlay::validate`] then
+    /// [`DeltaOverlay::install`].
     ///
     /// # Errors
     ///
-    /// [`MutationError::Invalid`] for out-of-range endpoints, weighted
-    /// ops on unweighted graphs, or node-count overflow; the overlay is
-    /// unchanged on error.
+    /// [`MutationError::Invalid`] for out-of-range endpoints or weighted
+    /// ops on unweighted graphs; the overlay is unchanged on error.
     pub fn apply(&mut self, base: &Csr, op: MutationOp) -> Result<bool, MutationError> {
+        self.validate(&[op])?;
+        Ok(self.install(base, op))
+    }
+
+    /// Checks a batch without changing the overlay: `Ok` exactly when
+    /// applying the ops in order would succeed for every one of them.
+    /// Whether an op is well-formed depends on the overlay only through
+    /// its node count, which an `AddNode` earlier in the batch grows, so
+    /// that growth is all this tracks.
+    ///
+    /// # Errors
+    ///
+    /// See [`DeltaOverlay::apply`]: the first malformed op's error.
+    pub fn validate(&self, ops: &[MutationOp]) -> Result<(), MutationError> {
+        let mut nodes = self.num_nodes();
+        for &op in ops {
+            match op {
+                MutationOp::AddEdge { u, v, w } => {
+                    check_endpoints(nodes, u, v)?;
+                    if !self.weighted && w != 1 {
+                        return Err(MutationError::Invalid(format!(
+                            "edge weight {w} on an unweighted graph (only 1 is allowed)"
+                        )));
+                    }
+                }
+                MutationOp::RemoveEdge { u, v } => check_endpoints(nodes, u, v)?,
+                MutationOp::AddNode { nodes: to } => nodes = nodes.max(to as usize),
+                MutationOp::SetWeight { u, v, .. } => {
+                    check_endpoints(nodes, u, v)?;
+                    if !self.weighted {
+                        return Err(MutationError::Invalid(
+                            "set-weight on an unweighted graph".into(),
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Installs one op that [`DeltaOverlay::validate`] accepted (as part
+    /// of a batch whose earlier ops are installed first); returns whether
+    /// it changed the graph.
+    pub fn install(&mut self, base: &Csr, op: MutationOp) -> bool {
         debug_assert_eq!(base.num_nodes(), self.base_nodes);
         match op {
             MutationOp::AddEdge { u, v, w } => {
-                self.check_endpoints(u, v)?;
-                if !self.weighted && w != 1 {
-                    return Err(MutationError::Invalid(format!(
-                        "edge weight {w} on an unweighted graph (only 1 is allowed)"
-                    )));
-                }
                 if self.edge_visible(base, u, v) {
-                    return Ok(false);
+                    return false;
                 }
                 let list = self.added.entry(u).or_default();
                 let pos = list.partition_point(|&(d, dw)| (d, dw) <= (v, w));
                 list.insert(pos, (v, w));
                 self.added_edges += 1;
-                Ok(true)
+                true
             }
             MutationOp::RemoveEdge { u, v } => {
-                self.check_endpoints(u, v)?;
                 if let Some(e) = self.visible_base_edge(base, u, v) {
                     self.removed.insert(e);
                     self.overrides.remove(&e);
                     self.removed_edges += 1;
-                    return Ok(true);
+                    return true;
                 }
                 if let Some(list) = self.added.get_mut(&u) {
                     if let Some(pos) = list.iter().position(|&(d, _)| d == v) {
@@ -130,25 +168,19 @@ impl DeltaOverlay {
                             self.added.remove(&u);
                         }
                         self.added_edges -= 1;
-                        return Ok(true);
+                        return true;
                     }
                 }
-                Ok(false)
+                false
             }
             MutationOp::AddNode { nodes } => {
                 if nodes as usize <= self.num_nodes() {
-                    return Ok(false);
+                    return false;
                 }
                 self.extra_nodes = nodes as usize - self.base_nodes;
-                Ok(true)
+                true
             }
             MutationOp::SetWeight { u, v, w } => {
-                self.check_endpoints(u, v)?;
-                if !self.weighted {
-                    return Err(MutationError::Invalid(
-                        "set-weight on an unweighted graph".into(),
-                    ));
-                }
                 if let Some(e) = self.visible_base_edge(base, u, v) {
                     let changed = self.effective_weight(base, e) != w;
                     if changed {
@@ -158,20 +190,20 @@ impl DeltaOverlay {
                             self.overrides.insert(e, w);
                         }
                     }
-                    return Ok(changed);
+                    return changed;
                 }
                 if let Some(list) = self.added.get_mut(&u) {
                     if let Some(pos) = list.iter().position(|&(d, _)| d == v) {
                         if list[pos].1 == w {
-                            return Ok(false);
+                            return false;
                         }
                         list.remove(pos);
                         let at = list.partition_point(|&(d, dw)| (d, dw) <= (v, w));
                         list.insert(at, (v, w));
-                        return Ok(true);
+                        return true;
                     }
                 }
-                Ok(false)
+                false
             }
         }
     }
@@ -204,18 +236,6 @@ impl DeltaOverlay {
             (base.edge_target(e).raw() == v && !self.removed.contains(&(e as u64)))
                 .then_some(e as u64)
         })
-    }
-
-    fn check_endpoints(&self, u: u32, v: u32) -> Result<(), MutationError> {
-        let n = self.num_nodes();
-        for node in [u, v] {
-            if node as usize >= n {
-                return Err(MutationError::Invalid(format!(
-                    "node {node} out of range for {n} nodes (add-node first)"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Freezes the read-side index over `base`: which rows the delta
@@ -408,6 +428,18 @@ impl RowView for OverlayView<'_> {
             rows.weights.as_deref().map(|w| &w[span]),
         )
     }
+}
+
+/// `Ok` when both endpoints name one of `n` nodes.
+fn check_endpoints(n: usize, u: u32, v: u32) -> Result<(), MutationError> {
+    for node in [u, v] {
+        if node as usize >= n {
+            return Err(MutationError::Invalid(format!(
+                "node {node} out of range for {n} nodes (add-node first)"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

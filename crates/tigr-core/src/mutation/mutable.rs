@@ -171,7 +171,10 @@ impl GraphSnapshot {
 /// Per-epoch mutable state, swapped atomically under one lock.
 struct Inner {
     base: Arc<PreparedGraph>,
-    delta: DeltaOverlay,
+    /// Shared with the dirty snapshots pinned at this epoch; a batch
+    /// writes through `Arc::make_mut`, so it copies the overlay only
+    /// while one of them is still alive.
+    delta: Arc<DeltaOverlay>,
     /// Mirror of the WAL's records since the last compaction (what a
     /// replay would redo), kept so compaction can split off the racing
     /// tail without re-reading the log.
@@ -327,7 +330,7 @@ impl MutableGraph {
             plan,
             inner: Mutex::new(Inner {
                 base,
-                delta,
+                delta: Arc::new(delta),
                 ops,
                 epoch,
                 cached: None,
@@ -359,19 +362,16 @@ impl MutableGraph {
     /// the WAL append fails (the in-memory graph is unchanged).
     pub fn apply(&self, ops: &[MutationOp]) -> Result<ApplySummary, MutationError> {
         let mut inner = self.inner.lock().unwrap();
-        let mut scratch = inner.delta.clone();
-        let mut applied = 0usize;
-        let mut skipped = 0usize;
-        for &op in ops {
-            if scratch.apply(inner.base.graph(), op)? {
-                applied += 1;
-            } else {
-                skipped += 1;
-            }
+        inner.delta.validate(ops)?;
+        if ops.is_empty() {
+            return Ok(ApplySummary {
+                applied: 0,
+                skipped: 0,
+                wal_len: self.wal.lock().unwrap().len(),
+                epoch: inner.epoch,
+            });
         }
-        let wal_len = if ops.is_empty() {
-            self.wal.lock().unwrap().len()
-        } else {
+        let wal_len = {
             let mut wal = self.wal.lock().unwrap();
             let first_seq = wal.append_batch(ops)?;
             for (i, &op) in ops.iter().enumerate() {
@@ -379,10 +379,18 @@ impl MutableGraph {
             }
             wal.len()
         };
-        inner.delta = scratch;
+        // The cached snapshot shares the overlay; dropped first, it costs
+        // no copy unless a reader still holds it.
+        inner.cached = None;
+        let inner = &mut *inner;
+        let delta = Arc::make_mut(&mut inner.delta);
+        let applied = ops
+            .iter()
+            .filter(|&&op| delta.install(inner.base.graph(), op))
+            .count();
+        let skipped = ops.len() - applied;
         if applied > 0 {
             inner.epoch += 1;
-            inner.cached = None;
         }
         Ok(ApplySummary {
             applied,
@@ -408,7 +416,7 @@ impl MutableGraph {
         }
         let snap = Arc::new(GraphSnapshot {
             base: Arc::clone(&inner.base),
-            delta: (!inner.delta.is_empty()).then(|| Arc::new(inner.delta.clone())),
+            delta: (!inner.delta.is_empty()).then(|| Arc::clone(&inner.delta)),
             epoch: inner.epoch,
             plan: self.plan,
             rows: OnceLock::new(),
@@ -515,7 +523,7 @@ impl MutableGraph {
 
         let delta_edges_after = new_delta.delta_edges();
         inner.base = fresh;
-        inner.delta = new_delta;
+        inner.delta = Arc::new(new_delta);
         inner.ops = tail;
         inner.epoch += 1;
         inner.cached = None;
@@ -726,6 +734,59 @@ mod tests {
         assert!(matches!(mg.apply(&bad), Err(MutationError::Invalid(_))));
         assert_eq!(mg.epoch(), 1);
         assert_eq!(mg.wal_len(), 6);
+    }
+
+    #[test]
+    fn a_batch_is_validated_whole_against_its_own_node_growth() {
+        let store = GraphStore::disabled();
+        let mg = MutableGraph::open(store.clone(), store.prepare(&spec()).unwrap()).unwrap();
+        let grow = MutationOp::AddNode { nodes: 70 };
+        let to_new = MutationOp::AddEdge { u: 0, v: 69, w: 1 };
+        let out_of_range = MutationOp::AddEdge { u: 0, v: 70, w: 1 };
+
+        let err = mg.apply(&[grow, to_new, out_of_range]).unwrap_err();
+        assert!(matches!(err, MutationError::Invalid(ref m) if m.contains("node 70")));
+        assert_eq!((mg.epoch(), mg.wal_len(), mg.delta_edges()), (0, 0, 0));
+        assert!(mg.snapshot().is_clean());
+
+        // The edge to node 69 is valid only because the batch grew the
+        // graph first.
+        let summary = mg.apply(&[grow, to_new]).unwrap();
+        assert_eq!((summary.applied, summary.epoch, summary.wal_len), (2, 1, 2));
+        assert_eq!(mg.snapshot().num_nodes(), 70);
+    }
+
+    #[test]
+    fn a_snapshot_pinned_before_a_batch_keeps_its_edges() {
+        use tigr_graph::RowView;
+        let store = GraphStore::disabled();
+        let base = store.prepare(&spec()).unwrap();
+        let first = ops(base.graph());
+        let mg = MutableGraph::open(store, base).unwrap();
+        mg.apply(&first).unwrap();
+        let pinned = mg.snapshot();
+        let (edges, delta_edges) = (pinned.num_edges(), pinned.delta_edges());
+
+        mg.apply(&[MutationOp::AddEdge { u: 65, v: 1, w: 9 }])
+            .unwrap();
+        // Frozen only now, after the batch: the rows are still the
+        // pinned epoch's.
+        let row = |snap: &GraphSnapshot| {
+            let view = snap.view().unwrap();
+            view.row(tigr_graph::NodeId::new(65)).0.to_vec()
+        };
+        assert_eq!(
+            (pinned.num_edges(), pinned.delta_edges()),
+            (edges, delta_edges)
+        );
+        let one = tigr_graph::NodeId::new(1);
+        let old = row(&pinned);
+        assert!(!old.contains(&one));
+        let now = mg.snapshot();
+        assert_eq!(now.num_edges(), edges + 1);
+        let new = row(&now);
+        assert_eq!(new.len(), old.len() + 1);
+        assert!(new.contains(&one));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::builder::CsrBuilder;
 use crate::csr::Csr;
-use crate::edge::{Edge, NodeId};
+use crate::edge::NodeId;
 
 /// Parameters for the RMAT generator (Chakrabarti, Zhan & Faloutsos 2004).
 ///
@@ -108,67 +107,215 @@ impl RmatConfig {
 
 /// Generates an RMAT graph. Deterministic for a given `(config, seed)`.
 ///
+/// Edge `i` is drawn from the `i`-th stretch of one seeded stream, so the
+/// edges can be cut into contiguous chunks and generated in parallel,
+/// each chunk's generator jumped ahead to where the sequential stream
+/// would be ([`StdRng::advance`]). The output is the same bytes at any
+/// thread count. A chunk gets at least 32 768 edges, so a small graph, or
+/// a one-core host, generates on the calling thread alone.
+///
 /// # Panics
 ///
 /// Panics if `config` holds an invalid probability simplex or a scale
 /// larger than 31.
 pub fn rmat(config: &RmatConfig, seed: u64) -> Csr {
-    config.validate();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = config.num_nodes();
-    let m = config.num_edges();
-
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (src, dst) = rmat_edge(config, &mut rng);
-        edges.push(Edge::unweighted(NodeId::new(src), NodeId::new(dst)));
-    }
-
-    let mut b = CsrBuilder::from_edges(n, edges);
-    b.dedup(config.dedup);
-    b.build()
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunks = threads.min(config.num_edges() / MIN_CHUNK_EDGES).max(1);
+    rmat_chunked(config, seed, chunks)
 }
 
-fn rmat_edge(config: &RmatConfig, rng: &mut StdRng) -> (u32, u32) {
-    let mut src = 0u32;
-    let mut dst = 0u32;
-    for level in (0..config.scale).rev() {
-        // Multiplicative noise keeps the expected simplex but perturbs each
-        // level, smoothing the synthetic degree distribution.
-        let mut jitter = |p: f64| {
-            if config.noise > 0.0 {
-                p * (1.0 - config.noise + 2.0 * config.noise * rng.gen::<f64>())
-            } else {
-                p
+/// The fewest edges a chunk is cut to: below this, a thread's start-up
+/// and its generator's jump cost more than the draws they save.
+const MIN_CHUNK_EDGES: usize = 1 << 15;
+
+/// [`rmat`] over at most `chunks` contiguous chunks of edges (one edge
+/// each when there are more chunks than edges). The first chunk runs on
+/// the calling thread.
+pub(crate) fn rmat_chunked(config: &RmatConfig, seed: u64, chunks: usize) -> Csr {
+    config.validate();
+    let m = config.num_edges();
+    let len = m.div_ceil(chunks.max(1)).max(1);
+    let mut pairs = vec![(0u32, 0u32); m];
+    let mut parts = pairs.chunks_mut(len).enumerate();
+    let first = parts.next();
+    std::thread::scope(|scope| {
+        for (i, out) in parts {
+            scope.spawn(move || draw_edges(config, seed, i * len, out));
+        }
+        if let Some((_, out)) = first {
+            draw_edges(config, seed, 0, out);
+        }
+    });
+    assemble(config, &pairs)
+}
+
+/// Fills `out` with edges `start..start + out.len()` of the stream
+/// seeded by `seed`.
+///
+/// Each recursion level draws four noise factors (when `noise > 0`),
+/// then one uniform `r` that picks the quadrant: `q` counts the
+/// cumulative thresholds `r` has passed, and its two bits are the
+/// level's source and destination bits — the same `f64` expressions,
+/// so the same choices, as walking the thresholds with branches.
+fn draw_edges(config: &RmatConfig, seed: u64, start: usize, out: &mut [(u32, u32)]) {
+    let noisy = config.noise > 0.0;
+    let draws_per_edge = u128::from(config.scale) * if noisy { 5 } else { 1 };
+    let mut rng = StdRng::seed_from_u64(seed);
+    rng.advance(start as u128 * draws_per_edge);
+    let (lo, span) = (1.0 - config.noise, 2.0 * config.noise);
+    let d = config.d();
+    for edge in out {
+        let (mut src, mut dst) = (0u32, 0u32);
+        for level in (0..config.scale).rev() {
+            // Multiplicative noise keeps the expected simplex but perturbs
+            // each level, smoothing the synthetic degree distribution.
+            let mut jitter = |p: f64| {
+                if noisy {
+                    p * (lo + span * rng.gen::<f64>())
+                } else {
+                    p
+                }
+            };
+            let (a, b, c, d) = (
+                jitter(config.a),
+                jitter(config.b),
+                jitter(config.c),
+                jitter(d),
+            );
+            let total = a + b + c + d;
+            let r = rng.gen::<f64>() * total;
+            let q = u32::from(r >= a) + u32::from(r >= a + b) + u32::from(r >= a + b + c);
+            src |= (q >> 1) << level;
+            dst |= (q & 1) << level;
+        }
+        *edge = (src, dst);
+    }
+}
+
+/// The CSR of `pairs`: count per source, prefix sum, scatter, then sort
+/// (and with `config.dedup`, deduplicate) each row in place.
+fn assemble(config: &RmatConfig, pairs: &[(u32, u32)]) -> Csr {
+    let n = config.num_nodes();
+    let mut row_ptr = vec![0usize; n + 1];
+    for &(src, _) in pairs {
+        row_ptr[src as usize + 1] += 1;
+    }
+    for v in 0..n {
+        row_ptr[v + 1] += row_ptr[v];
+    }
+    let mut cursor = row_ptr[..n].to_vec();
+    let mut col_idx = vec![NodeId::new(0); pairs.len()];
+    for &(src, dst) in pairs {
+        let at = &mut cursor[src as usize];
+        col_idx[*at] = NodeId::new(dst);
+        *at += 1;
+    }
+    let mut kept = 0;
+    for v in 0..n {
+        let (lo, hi) = (row_ptr[v], row_ptr[v + 1]);
+        col_idx[lo..hi].sort_unstable();
+        if config.dedup {
+            // `kept <= lo`: the compacted rows never overtake the reads.
+            row_ptr[v] = kept;
+            for i in lo..hi {
+                if kept == row_ptr[v] || col_idx[kept - 1] != col_idx[i] {
+                    col_idx[kept] = col_idx[i];
+                    kept += 1;
+                }
             }
-        };
-        let (a, b, c, d) = (
-            jitter(config.a),
-            jitter(config.b),
-            jitter(config.c),
-            jitter(config.d()),
-        );
-        let total = a + b + c + d;
-        let r = rng.gen::<f64>() * total;
-        let bit = 1u32 << level;
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            dst |= bit;
-        } else if r < a + b + c {
-            src |= bit;
-        } else {
-            src |= bit;
-            dst |= bit;
         }
     }
-    (src, dst)
+    if config.dedup {
+        row_ptr[n] = kept;
+        col_idx.truncate(kept);
+    }
+    Csr::from_parts(row_ptr, col_idx, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::degree_stats;
+
+    /// FNV-1a over the CSR's bytes: `row_ptr` as little-endian `u64`s,
+    /// then `col_idx` as little-endian `u32`s.
+    fn digest(g: &Csr) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for &p in g.row_ptr() {
+            eat(&(p as u64).to_le_bytes());
+        }
+        for t in g.col_idx() {
+            eat(&t.raw().to_le_bytes());
+        }
+        h
+    }
+
+    /// The configurations whose generated bytes are pinned: every preset,
+    /// noise off and dedup on, at every scale from 6 to 17 —
+    /// `graph500(17, 16)` seed 1 is the `rmat:17:16` serving graph.
+    fn pinned_cases() -> Vec<(RmatConfig, u64, u64)> {
+        let quiet = |scale, ef| RmatConfig {
+            noise: 0.0,
+            ..RmatConfig::graph500(scale, ef)
+        };
+        let dedup = |cfg: RmatConfig| RmatConfig { dedup: true, ..cfg };
+        vec![
+            (RmatConfig::graph500(6, 16), 1, 0x0ecc_fe53_9d27_88b4),
+            (RmatConfig::graph500(9, 16), 2, 0x125e_05b1_40db_77cb),
+            (RmatConfig::graph500(12, 16), 3, 0xe68a_a788_4bcf_98bf),
+            (RmatConfig::graph500(15, 16), 4, 0xc1c5_ad04_87d3_9313),
+            (RmatConfig::graph500(17, 16), 1, 0x7a61_661a_bc19_7f76),
+            (RmatConfig::heavy_tail(7, 8), 5, 0x4737_05d6_1f1a_c269),
+            (RmatConfig::heavy_tail(10, 8), 6, 0xaae5_87a2_db70_de0b),
+            (RmatConfig::heavy_tail(13, 8), 7, 0x53e4_cbbf_d288_573f),
+            (RmatConfig::heavy_tail(16, 8), 8, 0xa3b9_8cf1_41f3_c873),
+            (quiet(8, 4), 9, 0x48c0_0590_7b44_68e7),
+            (quiet(11, 4), 10, 0x0c6c_daba_ee07_1835),
+            (quiet(14, 4), 11, 0xb6db_8b22_7877_4dbe),
+            (
+                dedup(RmatConfig::graph500(6, 16)),
+                12,
+                0x55de_9116_1c7c_b0b0,
+            ),
+            (
+                dedup(RmatConfig::graph500(12, 16)),
+                13,
+                0x0ad4_c823_43d7_db65,
+            ),
+            (
+                dedup(RmatConfig::heavy_tail(14, 8)),
+                14,
+                0x024c_5d29_9a48_69c4,
+            ),
+        ]
+    }
+
+    #[test]
+    fn generated_bytes_are_pinned() {
+        for (cfg, seed, want) in pinned_cases() {
+            let got = digest(&rmat(&cfg, seed));
+            assert_eq!(got, want, "{cfg:?} seed {seed}: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn chunk_count_never_changes_the_bytes() {
+        for (cfg, seed, want) in pinned_cases().into_iter().filter(|c| c.0.scale <= 15) {
+            for chunks in [1, 2, 3, 7] {
+                let got = digest(&rmat_chunked(&cfg, seed, chunks));
+                assert_eq!(got, want, "{cfg:?} seed {seed} at {chunks} chunks");
+            }
+        }
+        let tiny = RmatConfig::graph500(2, 1);
+        let one = rmat_chunked(&tiny, 4, 1);
+        assert_eq!(rmat_chunked(&tiny, 4, 2 * tiny.num_edges() + 1), one);
+        assert_eq!(rmat(&tiny, 4), one);
+    }
 
     #[test]
     fn produces_declared_sizes() {

@@ -37,6 +37,14 @@ echo "== host pr / plain reference gather on optimised code =="
 cargo test -q --release --test host_vs_warpsim \
     host_pagerank_costs_what_a_plain_gather_costs -- --nocapture
 
+echo "== chunked rmat / sequential reference generator on optimised code =="
+# The R-MAT generator draws its edges in parallel chunks, each jumped
+# ahead to its place in the one seeded stream: it must produce the
+# sequential generator's bytes at no more than 0.6x its cost (0.75x
+# under the test profile's overflow checks).
+cargo test -q --release --test rmat_reference \
+    rmat_costs_under_0_6x_the_sequential_reference -- --nocapture
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

@@ -4,9 +4,21 @@
 //! `StdRng::seed_from_u64`, `Rng::gen::<f64>()`, and
 //! `Rng::gen_range(..)` over integer ranges — on top of a xoshiro256**
 //! generator seeded through SplitMix64. Streams are deterministic per
-//! seed (what the determinism tests require) but intentionally differ
-//! from upstream `rand`'s ChaCha12 streams; nothing in-tree asserts
-//! specific draws.
+//! seed but intentionally differ from upstream `rand`'s ChaCha12 streams.
+//!
+//! The stream itself is pinned in-tree: the R-MAT generator's byte
+//! digests (`tigr-graph`'s `generators::rmat` tests), the simulator's
+//! golden digests (`tests/simulator_golden.rs`) and the checksums
+//! `scripts/verify.sh` compares all move if a single draw does. Changing
+//! the generator, its seeding or a sampling formula here is a change to
+//! every generated graph.
+//!
+//! The one extension beyond `rand` 0.8 is [`rngs::StdRng::advance`], an
+//! exact jump ahead by any number of draws. xoshiro256** is linear over
+//! GF(2), so skipping `k` draws costs a polynomial power modulo its
+//! characteristic polynomial instead of `k` steps. The R-MAT generator
+//! uses it to start each parallel chunk where the sequential stream
+//! would be, which keeps its output byte-identical at any thread count.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -122,9 +134,95 @@ pub mod rngs {
 
     /// The workspace's standard generator: xoshiro256** seeded via
     /// SplitMix64. Deterministic per seed; not cryptographic.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct StdRng {
         s: [u64; 4],
+    }
+
+    /// The characteristic polynomial of the xoshiro256 state transition,
+    /// `x^256 + Σ CHAR_POLY[i / 64] bit (i % 64) · x^i`: the `x^256` term
+    /// is implicit. Re-derived in the tests by Berlekamp–Massey.
+    const CHAR_POLY: [u64; 4] = [
+        0x9d11_6f2b_b0f0_f001,
+        0x0280_002b_cefd_1a5e,
+        0x04b4_edcf_2625_9f85,
+        0x0003_c03c_3f3e_cb19,
+    ];
+
+    /// A polynomial over GF(2) of degree below 256, coefficient `i` in
+    /// bit `i % 64` of word `i / 64`.
+    type Poly = [u64; 4];
+
+    /// `p · x mod CHAR_POLY`.
+    fn times_x(p: Poly) -> Poly {
+        let carry = p[3] >> 63;
+        let mut out = [
+            p[0] << 1,
+            p[1] << 1 | p[0] >> 63,
+            p[2] << 1 | p[1] >> 63,
+            p[3] << 1 | p[2] >> 63,
+        ];
+        if carry == 1 {
+            for (o, c) in out.iter_mut().zip(CHAR_POLY) {
+                *o ^= c;
+            }
+        }
+        out
+    }
+
+    /// `a · b mod CHAR_POLY`.
+    fn mul_mod(a: Poly, mut b: Poly) -> Poly {
+        let mut acc = [0u64; 4];
+        for i in 0..256 {
+            if a[i / 64] >> (i % 64) & 1 == 1 {
+                for (x, y) in acc.iter_mut().zip(b) {
+                    *x ^= y;
+                }
+            }
+            b = times_x(b);
+        }
+        acc
+    }
+
+    /// `x^k mod CHAR_POLY`, by left-to-right square-and-multiply.
+    fn x_pow_mod(k: u128) -> Poly {
+        let mut r: Poly = [1, 0, 0, 0];
+        for bit in (0..128 - k.leading_zeros()).rev() {
+            r = mul_mod(r, r);
+            if k >> bit & 1 == 1 {
+                r = times_x(r);
+            }
+        }
+        r
+    }
+
+    impl StdRng {
+        /// Moves the generator `draws` steps ahead: afterwards it is in
+        /// the state `draws` calls of [`RngCore::next_u64`] would have
+        /// left it in. Costs a fraction of a millisecond for any
+        /// `draws`.
+        ///
+        /// Not part of `rand` 0.8. The state transition `T` is linear
+        /// over GF(2), so `T^k = q(T)` for `q = x^k mod` its
+        /// characteristic polynomial (Cayley–Hamilton); `q(T)·s` is the
+        /// standard jump loop, which XORs together the states `T^i·s`
+        /// of the set coefficients of `q` (Haramoto et al., "Efficient
+        /// jump ahead for F2-linear random number generators", 2008).
+        pub fn advance(&mut self, draws: u128) {
+            let jump = x_pow_mod(draws);
+            let mut acc = [0u64; 4];
+            for word in jump {
+                for bit in 0..64 {
+                    if word >> bit & 1 == 1 {
+                        for (a, s) in acc.iter_mut().zip(self.s) {
+                            *a ^= s;
+                        }
+                    }
+                    self.next_u64();
+                }
+            }
+            self.s = acc;
+        }
     }
 
     fn splitmix64(state: &mut u64) -> u64 {
@@ -161,6 +259,83 @@ pub mod rngs {
             s[2] ^= t;
             s[3] = s[3].rotate_left(45);
             result
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::{StdRng, CHAR_POLY};
+        use crate::{RngCore, SeedableRng};
+
+        #[test]
+        fn advance_is_that_many_draws() {
+            for k in [0u64, 1, 63, 64, 85, 1_000_003] {
+                let mut stepped = StdRng::seed_from_u64(k ^ 0xA5);
+                let mut jumped = stepped.clone();
+                for _ in 0..k {
+                    stepped.next_u64();
+                }
+                jumped.advance(u128::from(k));
+                assert_eq!(jumped, stepped, "k = {k}");
+            }
+        }
+
+        #[test]
+        fn advances_compose() {
+            let (a, b) = ((1u128 << 40) + 12_345, (1u128 << 40) - 777);
+            let mut split = StdRng::seed_from_u64(3);
+            let mut whole = split.clone();
+            split.advance(a);
+            split.advance(b);
+            whole.advance(a + b);
+            assert_eq!(split, whole);
+            assert_ne!(split, StdRng::seed_from_u64(3));
+        }
+
+        /// The embedded polynomial is the minimal polynomial of one state
+        /// bit's sequence, found by Berlekamp–Massey over 512 steps: the
+        /// linear complexity of a full-period xoshiro256 bit is 256, so
+        /// 2 · 256 terms determine it.
+        #[test]
+        fn char_poly_is_the_berlekamp_massey_polynomial() {
+            let mut rng = StdRng::seed_from_u64(11);
+            let bits: Vec<u8> = (0..512)
+                .map(|_| {
+                    let bit = rng.s[0] as u8 & 1;
+                    rng.next_u64();
+                    bit
+                })
+                .collect();
+            // Connection polynomial C(x) = 1 + c_1 x + … + c_L x^L.
+            let (mut c, mut b) = (vec![1u8], vec![1u8]);
+            let (mut len, mut gap) = (0usize, 1usize);
+            for n in 0..bits.len() {
+                let discrepancy = (1..=len).fold(bits[n], |d, i| d ^ (c[i] & bits[n - i]));
+                if discrepancy == 0 {
+                    gap += 1;
+                    continue;
+                }
+                let before = c.clone();
+                c.resize(c.len().max(b.len() + gap), 0);
+                for (i, &bi) in b.iter().enumerate() {
+                    c[i + gap] ^= bi;
+                }
+                if 2 * len <= n {
+                    len = n + 1 - len;
+                    b = before;
+                    gap = 1;
+                } else {
+                    gap += 1;
+                }
+            }
+            assert_eq!(len, 256, "linear complexity");
+            // The characteristic polynomial is C reversed: x^256 · C(1/x).
+            let mut low = [0u64; 4];
+            for (i, &ci) in c.iter().enumerate().take(len + 1).skip(1) {
+                let power = len - i;
+                low[power / 64] |= u64::from(ci) << (power % 64);
+            }
+            assert_eq!(low, CHAR_POLY);
         }
     }
 }

@@ -4,15 +4,21 @@
 //! simulated push engine. The reference pins what goes on the wire —
 //! `values`, `iterations`, `converged` — and `edges_touched`; the
 //! simulator, a second independent loop, pins `values` and `converged`.
+//! Beside them sits the sequential R-MAT generator the chunked one must
+//! reproduce byte for byte.
 
 #![allow(dead_code)]
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tigr::engine::{
     run_monotone, Combine, EdgeOp, ExecutionPlan, InitKind, MonotoneOutput, PrOptions, SyncMode,
 };
+use tigr::graph::generators::RmatConfig;
 use tigr::graph::RowView;
 use tigr::{
-    Csr, GpuConfig, GpuSimulator, MonotoneProgram, NodeId, PushOptions, Representation, Weight,
+    Csr, CsrBuilder, Edge, GpuConfig, GpuSimulator, MonotoneProgram, NodeId, PushOptions,
+    Representation, Weight,
 };
 
 /// The `paths` verb's program: SSSP whose candidates above the radius
@@ -241,4 +247,59 @@ pub fn reference_pagerank(
         iterations,
         converged,
     }
+}
+
+/// R-MAT generation the sequential way: one stream, one branchy walk down
+/// the quadrants per edge, a `Vec<Edge>` through [`CsrBuilder`]. Its
+/// output is what `generators::rmat` must produce at any chunk count.
+pub fn reference_rmat(config: &RmatConfig, seed: u64) -> Csr {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = config.num_nodes();
+    let m = config.num_edges();
+
+    let mut edges = Vec::with_capacity(m);
+    for _ in 0..m {
+        let (src, dst) = rmat_edge(config, &mut rng);
+        edges.push(Edge::unweighted(NodeId::new(src), NodeId::new(dst)));
+    }
+
+    let mut b = CsrBuilder::from_edges(n, edges);
+    b.dedup(config.dedup);
+    b.build()
+}
+
+fn rmat_edge(config: &RmatConfig, rng: &mut StdRng) -> (u32, u32) {
+    let mut src = 0u32;
+    let mut dst = 0u32;
+    for level in (0..config.scale).rev() {
+        // Multiplicative noise keeps the expected simplex but perturbs each
+        // level, smoothing the synthetic degree distribution.
+        let mut jitter = |p: f64| {
+            if config.noise > 0.0 {
+                p * (1.0 - config.noise + 2.0 * config.noise * rng.gen::<f64>())
+            } else {
+                p
+            }
+        };
+        let (a, b, c, d) = (
+            jitter(config.a),
+            jitter(config.b),
+            jitter(config.c),
+            jitter(config.d()),
+        );
+        let total = a + b + c + d;
+        let r = rng.gen::<f64>() * total;
+        let bit = 1u32 << level;
+        if r < a {
+            // top-left: no bits set
+        } else if r < a + b {
+            dst |= bit;
+        } else if r < a + b + c {
+            src |= bit;
+        } else {
+            src |= bit;
+            dst |= bit;
+        }
+    }
+    (src, dst)
 }
