@@ -68,10 +68,7 @@ pub use kernel::{
     EdgeFlow, EdgeRef, GatherFilter, HostLoop, Launcher, NoMirror,
 };
 pub use monotone::{run_monotone, MonotoneOutput, PullSide};
-pub use operators::{
-    AdvanceRelax, AdvanceSpace, Algo, ComputeStep, GraphOperator, OperatorCaps, Pipeline,
-    PipelineOutput, PipelineSpecError,
-};
+pub use operators::{Algo, ComputeStep, Pipeline, PipelineOutput, PipelineSpecError};
 pub use plan::{
     default_threads, AutoOptions, BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError,
 };

@@ -1,18 +1,15 @@
 //! Operator-based algorithm API: an analytic is *data*.
 //!
-//! A [`Pipeline`] is a short sequence of [`GraphOperator`]s — `Advance`
-//! (traverse an edge space, folding candidates into per-node slots),
-//! `Filter` (keep only improved nodes as the next frontier, with
-//! dedup), and `Compute` (a per-vertex post-pass) — in the Gunrock
-//! vocabulary the ROADMAP's "Operator-based algorithm API" item calls
-//! for. Each operator carries typed capabilities ([`OperatorCaps`]):
-//! whether its fold is monotone, whether its combine is associative
-//! (Theorem 3's pull licence), whether a physically split (UDT)
-//! representation preserves its fixpoint (Corollary 2/3's dumb-weight
-//! argument), and whether it needs a transpose. Plan validation
-//! ([`crate::ExecutionPlan::validate_pipeline`]) checks the pipeline's
-//! folded capabilities against the representation instead of
-//! special-casing algorithm names.
+//! A [`Pipeline`] is a name plus the body the engine lowers onto the
+//! kernel layer: a monotone fixpoint (optionally round-capped, optionally
+//! followed by a per-vertex [`ComputeStep`]), the PageRank or betweenness
+//! driver, or a compute-only pass. Everything the engine and the server
+//! ask of a pipeline is derived from that body — whether a physically
+//! split (UDT) representation preserves its answer
+//! ([`Pipeline::split_invariant`], Corollary 2/3's dumb-weight argument,
+//! checked by [`crate::ExecutionPlan::validate_pipeline`]), and whether a
+//! batch lane can run it ([`Pipeline::lane_program`]) — so no caller
+//! special-cases algorithm names.
 //!
 //! [`crate::Engine::run_pipeline`] is the one entry point of every
 //! analytic: the six paper analytics are pipeline constructors over the
@@ -39,46 +36,6 @@ use crate::plan::Direction;
 use crate::program::{EdgeOp, InitKind, MonotoneProgram};
 use crate::state::Combine;
 
-/// The edge space an [`GraphOperator::Advance`] traverses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdvanceSpace {
-    /// Scatter along out-edges (fixed by the algorithm).
-    OutEdges,
-    /// Gather along in-edges over the transpose (fixed by the
-    /// algorithm).
-    InEdges,
-    /// The plan's [`crate::Direction`] picks push (out-edges), pull
-    /// (in-edges), or the Beamer auto switch — and the advance runs
-    /// over virtual-node chunks when the representation is virtual.
-    PlanChosen,
-}
-
-/// What an [`GraphOperator::Advance`] folds along each traversed edge.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AdvanceRelax {
-    /// A monotone `u32` fold through [`EdgeOp::apply`] — the
-    /// `relax_kernel`/`pull_gather` layer. BFS/SSSP/SSWP/CC and the
-    /// k-hop / bounded-path workloads.
-    Monotone {
-        /// Candidate computation along an edge.
-        edge_op: EdgeOp,
-        /// Monotone fold at the destination.
-        combine: Combine,
-        /// Initialization scheme.
-        init: InitKind,
-        /// Whether the combine is associative (Theorem 3).
-        associative: bool,
-    },
-    /// `rank/out_degree` contributions summed at the destination
-    /// (PageRank). Associative but not monotone, and dependent on the
-    /// original out-degrees, which UDT splitting rewrites.
-    RankContribution,
-    /// Level-synchronous shortest-path counting plus dependency
-    /// back-propagation (Brandes betweenness). Sigma sums are
-    /// associative; split vertices would absorb centrality mass.
-    ShortestPathCounts,
-}
-
 /// A per-vertex post-pass at the end of a pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ComputeStep {
@@ -94,9 +51,6 @@ pub enum ComputeStep {
     /// graph (self-loops and multi-edges dropped). Needs the original
     /// adjacency.
     TriangleCount,
-    /// Reinterprets `f32` results as `u32` bit patterns so PR/BC travel
-    /// the same wire format as the monotone analytics.
-    FloatBits,
 }
 
 impl ComputeStep {
@@ -108,112 +62,16 @@ impl ComputeStep {
     }
 }
 
-/// One stage of a [`Pipeline`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum GraphOperator {
-    /// Traverse an edge space, folding candidates into per-node slots.
-    Advance {
-        /// Which edges the advance walks.
-        space: AdvanceSpace,
-        /// What it folds along each edge.
-        relax: AdvanceRelax,
-    },
-    /// Keep only the nodes whose slot improved as the next frontier.
-    Filter {
-        /// Whether a node activated by several improving edges appears
-        /// once (the engine's frontier builder always dedups; `false`
-        /// marks full-sweep pipelines that keep no frontier at all).
-        dedup: bool,
-    },
-    /// A per-vertex post-pass.
-    Compute(ComputeStep),
-}
-
-/// Typed capabilities of one operator; plan validation checks the
-/// pipeline's fold of these against the representation and direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OperatorCaps {
-    /// Values only ever improve under the combine, so relaxed
-    /// (non-BSP) schedules converge to the same fixpoint.
-    pub monotone: bool,
-    /// The fold may be partitioned across threads and merged atomically
-    /// (Theorem 3's licence for pull over split views).
-    pub associative: bool,
-    /// A physically split (UDT) representation with inert dumb weights
-    /// computes the same answer (Corollary 2/3).
-    pub split_invariant: bool,
-    /// The operator walks in-edges and needs a transpose view.
-    pub needs_transpose: bool,
-}
-
-impl OperatorCaps {
-    /// The identity of the capability fold: fully capable.
-    const NEUTRAL: OperatorCaps = OperatorCaps {
-        monotone: true,
-        associative: true,
-        split_invariant: true,
-        needs_transpose: false,
-    };
-
-    fn and(self, other: OperatorCaps) -> OperatorCaps {
-        OperatorCaps {
-            monotone: self.monotone && other.monotone,
-            associative: self.associative && other.associative,
-            split_invariant: self.split_invariant && other.split_invariant,
-            needs_transpose: self.needs_transpose || other.needs_transpose,
-        }
-    }
-}
-
-impl GraphOperator {
-    /// The operator's typed capabilities.
-    pub fn caps(&self) -> OperatorCaps {
-        match self {
-            GraphOperator::Advance { space, relax } => {
-                let needs_transpose = *space == AdvanceSpace::InEdges;
-                match relax {
-                    AdvanceRelax::Monotone {
-                        edge_op,
-                        associative,
-                        ..
-                    } => OperatorCaps {
-                        monotone: true,
-                        associative: *associative,
-                        split_invariant: edge_op.split_invariant(),
-                        needs_transpose,
-                    },
-                    AdvanceRelax::RankContribution => OperatorCaps {
-                        monotone: false,
-                        associative: true,
-                        // UDT rewrites the out-degrees PR divides by.
-                        split_invariant: false,
-                        needs_transpose,
-                    },
-                    AdvanceRelax::ShortestPathCounts => OperatorCaps {
-                        monotone: false,
-                        associative: true,
-                        // Split vertices absorb dependency mass.
-                        split_invariant: false,
-                        needs_transpose,
-                    },
-                }
-            }
-            GraphOperator::Filter { .. } => OperatorCaps::NEUTRAL,
-            GraphOperator::Compute(step) => OperatorCaps {
-                split_invariant: !step.needs_original_adjacency(),
-                ..OperatorCaps::NEUTRAL
-            },
-        }
-    }
-}
-
 /// The algorithm vocabulary the CLI and server share: one table, one
 /// registration point per verb. [`Algo::parse`]/[`Algo::label`] are the
 /// single name ↔ verb mapping; `tigr run`, `tigr query`, and the server
 /// protocol all dispatch through it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algo {
-    /// Breadth-first search (hop levels over unit weights).
+    /// Breadth-first search: SSSP's program ([`EdgeOp::AddWeight`]), so
+    /// its values are hop levels only on an unweighted graph; on a
+    /// weighted one they are shortest-path distances. [`Algo::Khop`]
+    /// counts hops whatever the weights.
     Bfs,
     /// Single-source shortest paths.
     Sssp,
@@ -304,18 +162,6 @@ impl Algo {
         }
     }
 
-    /// Whether the server's batch former may fuse queries of this verb
-    /// into multi-source lanes: monotone fixpoint pipelines whose
-    /// post-pass (if any) is per-lane. PR/BC run dedicated drivers;
-    /// bounded paths needs its adjacency post-pass per lane and label
-    /// propagation pins its own schedule — all solo.
-    pub fn batchable(self) -> bool {
-        matches!(
-            self,
-            Algo::Bfs | Algo::Sssp | Algo::Sswp | Algo::Cc | Algo::Khop
-        )
-    }
-
     /// All known labels, comma-joined — the `unknown-algo` error
     /// payload.
     pub fn known_labels() -> String {
@@ -358,8 +204,8 @@ impl fmt::Display for PipelineSpecError {
 impl std::error::Error for PipelineSpecError {}
 
 /// How [`crate::Engine::run_pipeline`] lowers the pipeline onto the
-/// existing kernel layer. Private: the operator list is the public
-/// description, the body is the compilation target.
+/// existing kernel layer. Private: callers read it through the
+/// capabilities [`Pipeline`] derives from it.
 #[derive(Clone, Debug)]
 pub(crate) enum PipelineBody {
     /// The monotone fixpoint machinery (`relax_kernel`/`pull_gather`),
@@ -378,25 +224,12 @@ pub(crate) enum PipelineBody {
     ComputeOnly(ComputeStep),
 }
 
-/// An algorithm as data: named operator stages plus the compilation
-/// body the engine lowers onto the kernel layer.
+/// An algorithm as data: a name plus the body the engine lowers onto
+/// the kernel layer.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     name: &'static str,
-    ops: Vec<GraphOperator>,
     pub(crate) body: PipelineBody,
-}
-
-fn monotone_advance(prog: &MonotoneProgram) -> GraphOperator {
-    GraphOperator::Advance {
-        space: AdvanceSpace::PlanChosen,
-        relax: AdvanceRelax::Monotone {
-            edge_op: prog.edge_op,
-            combine: prog.combine,
-            init: prog.init,
-            associative: prog.associative,
-        },
-    }
 }
 
 impl Pipeline {
@@ -405,31 +238,58 @@ impl Pipeline {
         self.name
     }
 
-    /// The operator stages, in execution order.
-    pub fn ops(&self) -> &[GraphOperator] {
-        &self.ops
+    /// Whether a physically split (UDT) representation computes the
+    /// same answer (Corollary 2/3). A monotone fixpoint does when its
+    /// edge function admits an inert dumb weight
+    /// ([`EdgeOp::split_invariant`]) and its post-pass reads only values;
+    /// a fixed-round cap (label propagation) never does, since it
+    /// snapshots a non-fixpoint state that split chains retime. PageRank
+    /// divides by the out-degrees UDT rewrites, and split vertices absorb
+    /// betweenness mass. A compute-only pass does when it does not read
+    /// the adjacency.
+    pub fn split_invariant(&self) -> bool {
+        match &self.body {
+            PipelineBody::Monotone { prog, rounds, post } => {
+                prog.edge_op.split_invariant()
+                    && rounds.is_none()
+                    && !post.is_some_and(ComputeStep::needs_original_adjacency)
+            }
+            PipelineBody::PageRank(_) | PipelineBody::Betweenness => false,
+            PipelineBody::ComputeOnly(step) => !step.needs_original_adjacency(),
+        }
     }
 
-    /// The pipeline's capabilities: the fold of its operators', with
-    /// one pipeline-level restriction — a fixed-round cap (label
-    /// propagation) snapshots a non-fixpoint state, which physical
-    /// splitting does not preserve (split chains retime propagation),
-    /// so round-capped pipelines are never split-invariant.
-    pub fn caps(&self) -> OperatorCaps {
-        let mut caps = self
-            .ops
-            .iter()
-            .fold(OperatorCaps::NEUTRAL, |acc, op| acc.and(op.caps()));
-        if matches!(
-            self.body,
+    /// The program one batch lane runs for this pipeline
+    /// ([`crate::BatchProgram`]): `Some` for a monotone fixpoint with no
+    /// round cap whose post-pass, if any, is pointwise
+    /// ([`Pipeline::apply_lane_post`]), so lanes of different pipelines
+    /// over the same program share a run. `None` for every pipeline that
+    /// runs alone.
+    pub fn lane_program(&self) -> Option<MonotoneProgram> {
+        match &self.body {
             PipelineBody::Monotone {
-                rounds: Some(_),
-                ..
-            }
-        ) {
-            caps.split_invariant = false;
+                prog,
+                rounds: None,
+                post: None | Some(ComputeStep::MaskAbove(_)),
+            } => Some(*prog),
+            _ => None,
         }
-        caps
+    }
+
+    /// Applies the pipeline's pointwise post-pass — k-hop's
+    /// [`ComputeStep::MaskAbove`] — to one run's values; every other
+    /// pipeline leaves them as they are. Pointwise, so it commutes with
+    /// projecting a physical split's values back onto the original nodes.
+    pub fn apply_lane_post(&self, values: &mut [u32]) {
+        if let PipelineBody::Monotone {
+            post: Some(ComputeStep::MaskAbove(bound)),
+            ..
+        } = self.body
+        {
+            for v in values.iter_mut().filter(|v| **v > bound) {
+                *v = u32::MAX;
+            }
+        }
     }
 
     /// Whether the pipeline needs a source node.
@@ -439,15 +299,6 @@ impl Pipeline {
             PipelineBody::PageRank(_) => false,
             PipelineBody::Betweenness => true,
             PipelineBody::ComputeOnly(_) => false,
-        }
-    }
-
-    /// The monotone program a monotone-bodied pipeline compiles to,
-    /// for delegation to the per-program plan checks.
-    pub fn monotone_program(&self) -> Option<MonotoneProgram> {
-        match &self.body {
-            PipelineBody::Monotone { prog, .. } => Some(*prog),
-            _ => None,
         }
     }
 
@@ -496,19 +347,8 @@ impl Pipeline {
 
     /// PageRank as a pipeline (ranks travel as `f32` bit patterns).
     pub fn pagerank(options: PrOptions) -> Pipeline {
-        let space = match options.mode {
-            crate::algorithms::pr::PrMode::Push => AdvanceSpace::OutEdges,
-            crate::algorithms::pr::PrMode::Pull => AdvanceSpace::InEdges,
-        };
         Pipeline {
             name: "pr",
-            ops: vec![
-                GraphOperator::Advance {
-                    space,
-                    relax: AdvanceRelax::RankContribution,
-                },
-                GraphOperator::Compute(ComputeStep::FloatBits),
-            ],
             body: PipelineBody::PageRank(options),
         }
     }
@@ -518,13 +358,6 @@ impl Pipeline {
     pub fn betweenness() -> Pipeline {
         Pipeline {
             name: "bc",
-            ops: vec![
-                GraphOperator::Advance {
-                    space: AdvanceSpace::OutEdges,
-                    relax: AdvanceRelax::ShortestPathCounts,
-                },
-                GraphOperator::Compute(ComputeStep::FloatBits),
-            ],
             body: PipelineBody::Betweenness,
         }
     }
@@ -534,14 +367,7 @@ impl Pipeline {
     /// is `k`-independent, so mixed-`k` queries batch soundly — the
     /// mask is per lane.
     pub fn khop(k: u32) -> Pipeline {
-        let mut p = MonotoneProgram::KHOP.pipeline();
-        p.name = "khop";
-        p.ops
-            .push(GraphOperator::Compute(ComputeStep::MaskAbove(k)));
-        if let PipelineBody::Monotone { post, .. } = &mut p.body {
-            *post = Some(ComputeStep::MaskAbove(k));
-        }
-        p
+        MonotoneProgram::KHOP.then(ComputeStep::MaskAbove(k))
     }
 
     /// Bounded-cost path query: SSSP relaxation where candidates above
@@ -556,14 +382,7 @@ impl Pipeline {
             init: InitKind::SourceZero,
             associative: true,
         };
-        let mut p = prog.pipeline();
-        p.name = "paths";
-        p.ops
-            .push(GraphOperator::Compute(ComputeStep::Predecessors));
-        if let PipelineBody::Monotone { post, .. } = &mut p.body {
-            *post = Some(ComputeStep::Predecessors);
-        }
-        p
+        prog.then(ComputeStep::Predecessors)
     }
 
     /// Label propagation: the CC min-label program run for exactly
@@ -581,10 +400,6 @@ impl Pipeline {
         };
         Pipeline {
             name: "lp",
-            ops: vec![
-                monotone_advance(&prog),
-                GraphOperator::Filter { dedup: false },
-            ],
             body: PipelineBody::Monotone {
                 prog,
                 rounds: Some(rounds),
@@ -600,27 +415,34 @@ impl Pipeline {
     pub fn triangle_count() -> Pipeline {
         Pipeline {
             name: "tc",
-            ops: vec![GraphOperator::Compute(ComputeStep::TriangleCount)],
             body: PipelineBody::ComputeOnly(ComputeStep::TriangleCount),
         }
     }
 }
 
 impl MonotoneProgram {
-    /// Lifts the program into its operator pipeline: a plan-chosen
-    /// advance plus a deduplicating filter, the shape every monotone
-    /// analytic shares (Figure 2 / Algorithm 2 as operators).
+    /// Lifts the program into its pipeline: the program run to its
+    /// fixpoint under the plan's direction and frontier (Figure 2 /
+    /// Algorithm 2), named after the program.
     pub fn pipeline(self) -> Pipeline {
         Pipeline {
             name: self.name,
-            ops: vec![
-                monotone_advance(&self),
-                GraphOperator::Filter { dedup: true },
-            ],
             body: PipelineBody::Monotone {
                 prog: self,
                 rounds: None,
                 post: None,
+            },
+        }
+    }
+
+    /// The program's fixpoint followed by `post`.
+    fn then(self, post: ComputeStep) -> Pipeline {
+        Pipeline {
+            name: self.name,
+            body: PipelineBody::Monotone {
+                prog: self,
+                rounds: None,
+                post: Some(post),
             },
         }
     }
@@ -649,16 +471,6 @@ pub struct PipelineOutput {
     pub edges_touched: u64,
     /// Direction of each monotone sweep; empty for PR, BC and TC.
     pub directions: Vec<Direction>,
-}
-
-/// Applies [`ComputeStep::MaskAbove`]: values above `bound` become
-/// unreached.
-pub fn mask_above(values: &mut [u32], bound: u32) {
-    for v in values.iter_mut() {
-        if *v > bound {
-            *v = u32::MAX;
-        }
-    }
 }
 
 /// Applies [`ComputeStep::Predecessors`]: for every node with a finite
@@ -771,37 +583,48 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_caps_fold_per_theory() {
-        // The six analytics: monotone pipelines are split-invariant,
-        // PR/BC are not (degree rewiring / dependency mass).
-        assert!(Pipeline::bfs().caps().split_invariant);
-        assert!(Pipeline::sssp().caps().split_invariant);
-        assert!(Pipeline::sswp().caps().split_invariant);
-        assert!(Pipeline::cc().caps().split_invariant);
-        assert!(
-            !Pipeline::pagerank(PrOptions::default())
-                .caps()
-                .split_invariant
-        );
-        assert!(!Pipeline::betweenness().caps().split_invariant);
-        // khop: AddUnit charges split edges — not split-invariant.
-        assert!(!Pipeline::khop(2).caps().split_invariant);
-        // paths: the capped relaxation is split-invariant, but the
-        // predecessor post-pass reads the adjacency.
-        assert!(!Pipeline::bounded_paths(10).caps().split_invariant);
-        // lp: round caps snapshot non-fixpoint state.
-        assert!(!Pipeline::label_propagation(3).caps().split_invariant);
-        assert!(!Pipeline::triangle_count().caps().split_invariant);
-        // Associativity flows from the program.
-        assert!(Pipeline::bfs().caps().associative);
-        assert!(Pipeline::pagerank(PrOptions::default()).caps().associative);
-        // Pull-mode PR declares its transpose need.
+    fn verb_table_lowers_per_theory() {
+        // Split-invariance: monotone fixpoints with an inert dumb weight
+        // are; PR/BC are not (degree rewiring / dependency mass); khop's
+        // AddUnit charges split edges; paths' capped relaxation is, but
+        // its predecessor post-pass reads the adjacency; lp's round cap
+        // snapshots non-fixpoint state; tc reads the adjacency.
+        // Lanes: exactly the uncapped monotone fixpoints whose post-pass
+        // is pointwise.
+        for (algo, split_invariant, lane) in [
+            (Algo::Bfs, true, Some(MonotoneProgram::BFS)),
+            (Algo::Sssp, true, Some(MonotoneProgram::SSSP)),
+            (Algo::Sswp, true, Some(MonotoneProgram::SSWP)),
+            (Algo::Cc, true, Some(MonotoneProgram::CC)),
+            (Algo::Pr, false, None),
+            (Algo::Bc, false, None),
+            (Algo::Khop, false, Some(MonotoneProgram::KHOP)),
+            (Algo::Paths, false, None),
+            (Algo::Lp, false, None),
+            (Algo::Tc, false, None),
+        ] {
+            let limit = algo.needs_limit().then_some(3);
+            let p = Pipeline::for_algo(algo, limit).unwrap();
+            assert_eq!(p.name(), algo.label());
+            assert_eq!(p.split_invariant(), split_invariant, "{}", algo.label());
+            assert_eq!(p.lane_program(), lane, "{}", algo.label());
+        }
         let pull = Pipeline::pagerank(PrOptions {
             mode: crate::algorithms::pr::PrMode::Pull,
             ..PrOptions::default()
         });
-        assert!(pull.caps().needs_transpose);
-        assert!(!Pipeline::bfs().caps().needs_transpose);
+        assert!(!pull.split_invariant());
+        assert!(pull.lane_program().is_none());
+    }
+
+    #[test]
+    fn lane_post_masks_khop_only() {
+        let mut v = vec![0, 1, 2, 3, u32::MAX];
+        Pipeline::bfs().apply_lane_post(&mut v);
+        Pipeline::bounded_paths(1).apply_lane_post(&mut v);
+        assert_eq!(v, vec![0, 1, 2, 3, u32::MAX]);
+        Pipeline::khop(2).apply_lane_post(&mut v);
+        assert_eq!(v, vec![0, 1, 2, u32::MAX, u32::MAX]);
     }
 
     #[test]
@@ -819,13 +642,6 @@ mod tests {
             let p = Pipeline::for_algo(a, limit).unwrap();
             assert_eq!(p.needs_source(), a.needs_source(), "{}", a.label());
         }
-    }
-
-    #[test]
-    fn mask_above_clamps() {
-        let mut v = vec![0, 2, 3, u32::MAX];
-        mask_above(&mut v, 2);
-        assert_eq!(v, vec![0, 2, u32::MAX, u32::MAX]);
     }
 
     #[test]
@@ -890,25 +706,5 @@ mod tests {
         let sum: u64 = counts.iter().map(|&c| c as u64).sum();
         let oracle = tigr_graph::properties::triangle_count(&g) as u64;
         assert_eq!(sum * 2, oracle);
-    }
-
-    #[test]
-    fn monotone_program_lifts_to_its_named_pipeline() {
-        let p = MonotoneProgram::SSSP.pipeline();
-        assert_eq!(p.name(), "sssp");
-        assert_eq!(p.ops().len(), 2);
-        assert!(matches!(
-            p.ops()[0],
-            GraphOperator::Advance {
-                space: AdvanceSpace::PlanChosen,
-                relax: AdvanceRelax::Monotone {
-                    edge_op: EdgeOp::AddWeight,
-                    ..
-                },
-            }
-        ));
-        assert!(matches!(p.ops()[1], GraphOperator::Filter { dedup: true }));
-        assert_eq!(p.monotone_program(), Some(MonotoneProgram::SSSP));
-        assert!(Pipeline::triangle_count().monotone_program().is_none());
     }
 }

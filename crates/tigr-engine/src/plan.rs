@@ -20,7 +20,7 @@ use std::fmt;
 use tigr_core::CancelToken;
 use tigr_graph::{Csr, NodeId};
 
-use crate::operators::Pipeline;
+use crate::operators::{Pipeline, PipelineBody};
 use crate::program::MonotoneProgram;
 use crate::push::PushOptions;
 use crate::representation::Representation;
@@ -252,18 +252,20 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Checks the plan against a [`Pipeline`]'s typed operator
-    /// capabilities: source range and arity, split-invariance over physical
-    /// representations (Corollary 2/3), then — for monotone-bodied
+    /// Checks the plan against a [`Pipeline`]: source arity,
+    /// split-invariance over physical representations (Corollary 2/3,
+    /// [`Pipeline::split_invariant`]), then — for monotone-bodied
     /// pipelines — the per-program rules of [`ExecutionPlan::validate`]
-    /// (Theorem 3 and friends).
+    /// (Theorem 3 and friends). The source's range is the caller's to
+    /// check against the graph the run reads (every [`crate::Engine`]
+    /// entry checks it against `rep`): a served snapshot may hold more
+    /// nodes than the prepared base its representation comes from.
     pub fn validate_pipeline(
         &self,
         rep: &Representation<'_>,
         pipeline: &Pipeline,
         source: Option<NodeId>,
     ) -> Result<(), PlanError> {
-        check_source(rep, source)?;
         if pipeline.needs_source() && source.is_none() {
             return Err(PlanError::MissingSource {
                 pipeline: pipeline.name(),
@@ -274,13 +276,13 @@ impl ExecutionPlan {
                 pipeline: pipeline.name(),
             });
         }
-        if !pipeline.caps().split_invariant && matches!(rep, Representation::Physical(_)) {
+        if !pipeline.split_invariant() && matches!(rep, Representation::Physical(_)) {
             return Err(PlanError::NotSplitInvariant {
                 pipeline: pipeline.name(),
             });
         }
-        if let Some(prog) = pipeline.monotone_program() {
-            self.validate(rep, &prog)?;
+        if let PipelineBody::Monotone { prog, .. } = &pipeline.body {
+            self.validate(rep, prog)?;
         }
         Ok(())
     }
@@ -326,10 +328,12 @@ pub enum PlanError {
         /// Name of the offending pipeline.
         pipeline: &'static str,
     },
-    /// The pipeline is not split-invariant — no dumb-weight assignment
-    /// preserves its answer (an [`crate::EdgeOp::AddUnit`] advance, a
-    /// compute step reading the original adjacency, or a fixed-round
-    /// snapshot), so running it over a physically split (UDT)
+    /// The pipeline is not split-invariant
+    /// ([`crate::Pipeline::split_invariant`]) — no dumb-weight assignment
+    /// preserves its answer (an [`crate::EdgeOp::AddUnit`] relaxation, a
+    /// compute step reading the original adjacency, a fixed-round
+    /// snapshot, or PageRank's and betweenness's degree-dependent
+    /// drivers), so running it over a physically split (UDT)
     /// representation would compute a different result.
     NotSplitInvariant {
         /// Name of the offending pipeline.

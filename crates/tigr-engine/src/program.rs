@@ -136,7 +136,11 @@ impl MonotoneProgram {
         associative: true,
     };
 
-    /// Breadth-first search: SSSP over unit weights (§3.3).
+    /// Breadth-first search as SSSP over unit weights (§3.3): the same
+    /// edge function ([`EdgeOp::AddWeight`]) as [`MonotoneProgram::SSSP`],
+    /// so it yields hop levels only on an unweighted graph (every weight
+    /// 1); on a weighted graph its values are shortest-path distances.
+    /// [`MonotoneProgram::KHOP`] counts hops whatever the weights.
     pub const BFS: MonotoneProgram = MonotoneProgram {
         name: "bfs",
         edge_op: EdgeOp::AddWeight,

@@ -18,7 +18,7 @@ use crate::frontier::FrontierMode;
 use crate::kernel::HostLoop;
 use crate::monotone::{pull_view, run_monotone, MonotoneOutput, PullSide};
 use crate::operators::{
-    mask_above, predecessors, triangle_counts, ComputeStep, Pipeline, PipelineBody, PipelineOutput,
+    predecessors, triangle_counts, ComputeStep, Pipeline, PipelineBody, PipelineOutput,
 };
 use crate::plan::{check_source, BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError};
 use crate::program::MonotoneProgram;
@@ -247,9 +247,7 @@ impl Engine {
         source: Option<NodeId>,
     ) -> Result<MonotoneOutput, EngineError> {
         let rep = Representation::from_prepared(prepared);
-        self.check_footprint(&rep)?;
-        self.plan
-            .validate_pipeline(&rep, &prog.pipeline(), source)?;
+        self.admit(&rep, &prog.pipeline(), source)?;
         self.dispatch_monotone(&rep, PullSide::of(prepared), prog, source, &self.plan)
     }
 
@@ -277,8 +275,7 @@ impl Engine {
         pipeline: &Pipeline,
         source: Option<NodeId>,
     ) -> Result<PipelineOutput, EngineError> {
-        self.check_footprint(rep)?;
-        self.plan.validate_pipeline(rep, pipeline, source)?;
+        self.admit(rep, pipeline, source)?;
         self.run_pipeline_validated(rep, None, pipeline, source)
     }
 
@@ -297,9 +294,22 @@ impl Engine {
         source: Option<NodeId>,
     ) -> Result<PipelineOutput, EngineError> {
         let rep = Representation::from_prepared(prepared);
-        self.check_footprint(&rep)?;
-        self.plan.validate_pipeline(&rep, pipeline, source)?;
+        self.admit(&rep, pipeline, source)?;
         self.run_pipeline_validated(&rep, PullSide::of(prepared), pipeline, source)
+    }
+
+    /// The checks every single-run entry makes before anything runs:
+    /// the device budget, the source's range over `rep`, and the plan
+    /// gate ([`ExecutionPlan::validate_pipeline`]).
+    fn admit(
+        &self,
+        rep: &Representation<'_>,
+        pipeline: &Pipeline,
+        source: Option<NodeId>,
+    ) -> Result<(), EngineError> {
+        self.check_footprint(rep)?;
+        check_source(rep, source)?;
+        Ok(self.plan.validate_pipeline(rep, pipeline, source)?)
     }
 
     fn run_pipeline_validated(
@@ -316,15 +326,11 @@ impl Engine {
                     Some(rounds) => self.run_rounds(rep, *prog, source, *rounds)?,
                 };
                 let mut values = out.values;
-                match post {
-                    None => {}
-                    Some(ComputeStep::MaskAbove(bound)) => mask_above(&mut values, *bound),
-                    Some(ComputeStep::Predecessors) => {
-                        let src = source.expect("validated: paths requires a source");
-                        let preds = predecessors(rep.graph(), prog.edge_op, &values, src);
-                        values.extend_from_slice(&preds);
-                    }
-                    Some(step) => unreachable!("{step:?} is not a monotone post-pass"),
+                pipeline.apply_lane_post(&mut values);
+                if *post == Some(ComputeStep::Predecessors) {
+                    let src = source.expect("validated: paths requires a source");
+                    let preds = predecessors(rep.graph(), prog.edge_op, &values, src);
+                    values.extend_from_slice(&preds);
                 }
                 Ok(PipelineOutput {
                     values,
@@ -535,9 +541,8 @@ impl Engine {
     }
 }
 
-/// Reinterprets `f32` results as `u32` bit patterns
-/// ([`ComputeStep::FloatBits`]) in their own buffer: PR/BC travel the
-/// same wire format as the monotone analytics.
+/// Reinterprets `f32` results as `u32` bit patterns in their own
+/// buffer: PR/BC travel the same wire format as the monotone analytics.
 fn float_bits(values: Vec<f32>) -> Vec<u32> {
     values.into_iter().map(f32::to_bits).collect()
 }

@@ -145,8 +145,8 @@ fn to_usize(value: u64, what: &'static str) -> Result<usize> {
 /// # Errors
 ///
 /// Returns [`GraphError::Io`] on write failure and
-/// [`GraphError::InvalidFormat`] when more than [`MAX_SECTIONS`] sections
-/// are supplied.
+/// [`GraphError::InvalidFormat`] when more than 1 024 sections (the
+/// readers' limit) are supplied.
 pub fn write_container<W: Write>(sections: &[Section], writer: W) -> Result<()> {
     if sections.len() as u32 > MAX_SECTIONS {
         return Err(GraphError::InvalidFormat(format!(

@@ -2,15 +2,17 @@
 //!
 //! Request flow: **admission → plan → backend → cache** —
 //!
-//! 1. *Admission*: [`ServerCore::submit`] validates the query, arms a
-//!    [`CancelToken`] with the request (or server-default) deadline,
-//!    and offers the job to the bounded [`Bounded`] queue. A full queue
-//!    is a typed `queue-full` rejection, never a block — that is the
-//!    backpressure contract.
-//! 2. *Plan*: a batch executor pops one job and drains compatible
-//!    queued jobs (same graph × same algorithm, up to `batch_max`)
-//!    into one fused batch; every monotone query — batched or
-//!    singleton — carries its own cancel token into a lane.
+//! 1. *Admission*: [`ServerCore::submit`] validates the query, lowers
+//!    its verb onto a [`Pipeline`], arms a [`CancelToken`] with the
+//!    request (or server-default) deadline, and offers the job to the
+//!    bounded [`Bounded`] queue. A full queue is a typed `queue-full`
+//!    rejection, never a block — that is the backpressure contract.
+//! 2. *Plan*: an executor pops one job and drains compatible queued jobs
+//!    (a lane program, same algorithm, graph and epoch, up to
+//!    `batch_max`) into one fused batch, and runs the engine's plan gate
+//!    once for it; every lane query — batched or singleton — carries its
+//!    own cancel token into a lane, and every other verb runs its
+//!    pipeline alone.
 //! 3. *Backend*: the host lane driver advances the batch's lanes in
 //!    lockstep over the shared [`PreparedGraph`] (or a dirty
 //!    snapshot's base+delta rows), dealt in contiguous chunks across
@@ -47,15 +49,15 @@ use tigr_core::{
     CancelToken, GraphSnapshot, MutableGraph, MutationError, MutationOp, PreparedGraph,
 };
 use tigr_engine::{
-    operators, run_batch_push, BackendKind, BatchArena, BatchLane, BatchProgram, Engine,
-    EngineError, MonotoneProgram, Pipeline, PushOptions, Representation,
+    run_batch_push, BackendKind, BatchArena, BatchLane, BatchProgram, Engine, EngineError,
+    Pipeline, PushOptions, Representation,
 };
 use tigr_graph::NodeId;
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::protocol::{
-    checksum, decode_request, write_response, Algo, CompactResult, ErrorCode, MutateResult,
-    QueryRequest, QueryResult, Request, Response, MAX_REQUEST_LINE,
+    checksum, decode_request, write_response, CompactResult, ErrorCode, MutateResult, QueryRequest,
+    QueryResult, Request, Response, MAX_REQUEST_LINE,
 };
 use crate::queue::{Bounded, PushError};
 use crate::stats::{GraphOpenStat, MutationGauges, StatsRecorder};
@@ -137,6 +139,9 @@ enum GraphEntry {
 /// One admitted query waiting for a worker.
 struct Job {
     request: QueryRequest,
+    /// The verb lowered once, at admission: what the executor gates,
+    /// fuses (by its lane program) and runs.
+    pipeline: Pipeline,
     token: CancelToken,
     /// Whether `token` carries a deadline. Deadline-free duplicates may
     /// share a batch lane; a deadline-carrying job always gets a
@@ -477,6 +482,8 @@ impl ServerCore {
                 );
             }
         }
+        let pipeline = Pipeline::for_algo(query.algo, query.limit)
+            .expect("source and limit arity were checked above");
         let deadline_ms = query.deadline_ms.or(self.config.default_deadline_ms);
         let token = match deadline_ms {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
@@ -485,6 +492,7 @@ impl ServerCore {
         let slot = ReplySlot::new();
         let job = Job {
             request: query,
+            pipeline,
             token,
             has_deadline: deadline_ms.is_some(),
             received: Instant::now(),
@@ -518,15 +526,16 @@ impl ServerCore {
         let mut arena = BatchArena::with_retain_cap(2 * self.config.batch_max.max(1));
         let wait = Duration::from_micros(self.config.batch_wait_us);
         // The whole batch forms inside one queue operation: the head
-        // job plus every queued job compatible with it (same graph
-        // name × same algorithm), lingering up to `batch_wait_us` for
-        // stragglers. Atomicity matters — popping the head and
-        // draining followers as two separate steps lets concurrent
-        // workers shred a burst of compatible queries into singleton
-        // batches. Incompatible jobs stay queued for other workers.
+        // job plus every queued job compatible with it (a lane program,
+        // same algorithm, graph name and epoch), lingering up to
+        // `batch_wait_us` for stragglers. Atomicity matters — popping
+        // the head and draining followers as two separate steps lets
+        // concurrent workers shred a burst of compatible queries into
+        // singleton batches. Incompatible jobs stay queued for other
+        // workers; a job without a lane program always runs alone.
         while let Some((batch, formed_in)) =
             self.queue.pop_batch(self.config.batch_max, wait, |a, b| {
-                a.request.algo.batchable()
+                a.pipeline.lane_program().is_some()
                     && a.request.algo == b.request.algo
                     && a.request.graph == b.request.graph
                     && a.epoch() == b.epoch()
@@ -534,39 +543,24 @@ impl ServerCore {
         {
             self.stats
                 .record_formation_wait(formed_in.as_micros() as u64);
-            if !batch[0].request.algo.batchable() {
-                // Non-monotone or post-processed analytics (PR, BC,
-                // paths, lp, tc) cannot share a fused sweep; they keep
-                // the solo executor. The compat check above never fuses
-                // anything with them. (khop batches: its fixpoint is
-                // k-independent, so mixed-k jobs fuse and mask per job.)
-                for job in batch {
-                    let slot = Arc::clone(&job.slot);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(job)));
-                    let response = outcome.unwrap_or_else(|_| {
-                        self.stats.record_failed();
-                        Response::error(ErrorCode::Internal, "query execution panicked")
-                    });
-                    slot.set(response);
-                }
-                continue;
-            }
-            self.execute_batch(batch, &mut arena);
+            self.execute(batch, &mut arena);
         }
     }
 
-    /// Executes one compatible batch of monotone queries as a single
-    /// fused multi-source run and demultiplexes per-lane results to the
-    /// waiting clients. Answers are byte-equal to the solo path: same
-    /// values, iteration counts, and checksums.
+    /// Answers one popped batch — a lone job, or compatible jobs whose
+    /// pipeline has a lane program — and replies to every job in it.
+    /// Fused answers are byte-equal to solo ones: same values, iteration
+    /// counts, and checksums.
     ///
     /// Per-job admission checks (expired-while-queued, cache hits) run
-    /// before lanes form. Deadline-free jobs with identical sources
-    /// coalesce onto one shared lane; a job carrying a deadline gets a
-    /// private lane so its cancellation fails only its own reply.
-    fn execute_batch(&self, jobs: Vec<Job>, arena: &mut BatchArena) {
-        let algo = jobs[0].request.algo;
-        let graph_name = jobs[0].request.graph.clone();
+    /// first. The graph is resolved and the plan gate
+    /// ([`tigr_engine::ExecutionPlan::validate_pipeline`]) runs once for
+    /// the batch. Lane jobs then run as lanes of one fused multi-source
+    /// run: deadline-free jobs with identical sources coalesce onto one
+    /// shared lane, and a job carrying a deadline gets a private lane so
+    /// its cancellation fails only its own reply. A job without a lane
+    /// program runs its pipeline on the engine.
+    fn execute(&self, jobs: Vec<Job>, arena: &mut BatchArena) {
         let mut pending: Vec<Job> = Vec::with_capacity(jobs.len());
         for job in jobs {
             if job.token.is_cancelled() {
@@ -583,190 +577,179 @@ impl ServerCore {
             }
             pending.push(job);
         }
-        if pending.is_empty() {
+        let Some(head) = pending.first() else {
             return;
-        }
+        };
+        let (pinned, source) = (head.pinned.clone(), head.request.source.map(NodeId::new));
         // Jobs pinned to a snapshot run over it — the pin, not the
         // registry, is authoritative, so a compaction swapping the
-        // registry entry mid-flight changes nothing here.
-        let pinned = pending[0].pinned.clone();
+        // registry entry mid-flight changes nothing here. Static graphs
+        // re-resolve from the registry (the graph may have been replaced
+        // since admission, but a fresh Arc is still valid).
         let prepared = match &pinned {
             Some(snapshot) => Arc::clone(snapshot.base()),
-            None => match self.graphs.lock().unwrap().get(&graph_name) {
+            None => match self.graphs.lock().unwrap().get(&head.request.graph) {
                 Some(GraphEntry::Static(p)) => Arc::clone(p),
                 Some(GraphEntry::Mutable(m)) => Arc::clone(m.snapshot().base()),
                 None => {
-                    for job in pending {
-                        self.stats.record_failed();
-                        job.slot.set(Response::error(
-                            ErrorCode::UnknownGraph,
-                            format!("graph {graph_name:?} was unregistered"),
-                        ));
-                    }
-                    return;
-                }
-            },
-        };
-        let prog = monotone_program(algo);
-        let mut lanes: Vec<BatchLane> = Vec::new();
-        let mut lane_jobs: Vec<Vec<Job>> = Vec::new();
-        let mut shared: HashMap<Option<u32>, usize> = HashMap::new();
-        for job in pending {
-            let source = job.request.source.map(NodeId::new);
-            if job.has_deadline {
-                lanes.push(BatchLane::with_cancel(source, job.token.clone()));
-                lane_jobs.push(vec![job]);
-            } else if let Some(&lane) = shared.get(&job.request.source) {
-                lane_jobs[lane].push(job);
-            } else {
-                shared.insert(job.request.source, lanes.len());
-                lanes.push(BatchLane::new(source));
-                lane_jobs.push(vec![job]);
-            }
-        }
-        self.stats
-            .record_batch(lane_jobs.iter().map(Vec::len).sum::<usize>() as u64);
-        let batch = BatchProgram { prog, lanes };
-        let (threads, options) = (self.config.kernel_threads, PushOptions::default());
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            match pinned.as_ref().and_then(|s| s.view()) {
-                // A dirty snapshot's rows are base + delta: the lane
-                // driver walks the pinned view (its index frozen by the
-                // first query of the epoch) where a clean batch walks
-                // the CSR.
-                Some(view) => run_batch_push(&view, &batch, &options, threads, arena),
-                None => {
-                    let rows = Representation::from_prepared(&prepared).graph();
-                    run_batch_push(rows, &batch, &options, threads, arena)
-                }
-            }
-        }));
-        let Ok(out) = outcome else {
-            for job in lane_jobs.into_iter().flatten() {
-                self.stats.record_failed();
-                job.slot.set(Response::error(
-                    ErrorCode::Internal,
-                    "query execution panicked",
-                ));
-            }
-            return;
-        };
-        for (lane_out, jobs) in out.lanes.into_iter().zip(lane_jobs) {
-            if lane_out.cancelled {
-                // The poisoned lane is discarded and never cached; its
-                // batchmates are unaffected.
-                for job in jobs {
-                    self.stats.record_failed();
-                    job.slot.set(Response::error(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline expired during execution; partial state discarded",
-                    ));
-                }
-                continue;
-            }
-            let iterations = lane_out.directions.len() as u64;
-            let base = match prepared.transformed() {
-                Some(t) => t.project_values(&lane_out.values),
-                None => lane_out.values,
-            };
-            let base_sum = checksum(&base);
-            let base = Arc::new(base);
-            // Per-k variants of this lane's answer (khop only): the
-            // fused run computed unbounded hop counts, so jobs with
-            // different k share a lane and each mask is applied here,
-            // after projection (masking and projection commute
-            // pointwise).
-            let mut variants: Vec<(u32, Arc<Vec<u32>>, u64)> = Vec::new();
-            for job in jobs {
-                let (values, sum) = if algo == Algo::Khop {
-                    let k = job.request.limit.expect("khop admission requires a limit");
-                    match variants.iter().find(|(limit, ..)| *limit == k) {
-                        Some((_, v, s)) => (Arc::clone(v), *s),
-                        None => {
-                            let mut v = base.as_ref().clone();
-                            operators::mask_above(&mut v, k);
-                            let s = checksum(&v);
-                            let v = Arc::new(v);
-                            variants.push((k, Arc::clone(&v), s));
-                            (v, s)
-                        }
-                    }
-                } else {
-                    (Arc::clone(&base), base_sum)
-                };
-                let answer = CachedResult {
-                    values,
-                    iterations,
-                    checksum: sum,
-                };
-                job.slot.set(self.finish_query(&job, answer, false));
-            }
-        }
-    }
-
-    fn execute(&self, job: Job) -> Response {
-        let query = &job.request;
-        if job.token.is_cancelled() {
-            self.stats.record_failed();
-            return Response::error(ErrorCode::DeadlineExceeded, "deadline expired while queued");
-        }
-        if let Some(hit) = self.cache_hit(&job) {
-            return hit;
-        }
-        // A dirty pinned snapshot is base + delta. Only order-dependent
-        // verbs get here (monotone ones batch over the snapshot's view);
-        // they lazily materialize the merged graph, cached on the
-        // snapshot.
-        if let Some(snapshot) = job.pinned.as_ref().filter(|s| !s.is_clean()) {
-            return match snapshot.merged() {
-                Ok(merged) => self.execute_prepared(&job, &merged),
-                Err(e) => {
-                    self.stats.record_failed();
-                    mutation_error(e)
-                }
-            };
-        }
-        // Clean snapshots run over their pinned base; static graphs
-        // re-resolve from the registry (the graph may have been
-        // replaced since admission, but a fresh Arc is still valid).
-        let prepared = match job.pinned.as_ref() {
-            Some(snapshot) => Arc::clone(snapshot.base()),
-            None => match self.graphs.lock().unwrap().get(&query.graph) {
-                Some(GraphEntry::Static(p)) => Arc::clone(p),
-                Some(GraphEntry::Mutable(m)) => Arc::clone(m.snapshot().base()),
-                None => {
-                    self.stats.record_failed();
-                    return Response::error(
+                    let error = Response::error(
                         ErrorCode::UnknownGraph,
-                        format!("graph {:?} was unregistered", query.graph),
+                        format!("graph {:?} was unregistered", head.request.graph),
                     );
+                    return self.fail(&pending, error);
                 }
             },
         };
-        self.execute_prepared(&job, &prepared)
+        // Every job runs the deterministic sequential plan; a solo run
+        // polls the head's token. Sources were range-checked at admission
+        // against the pinned snapshot, which a mutation may have grown
+        // past its base.
+        let engine = Engine::default()
+            .with_backend(BackendKind::Sequential)
+            .with_device_memory(u64::MAX)
+            .with_cancel(head.token.clone());
+        let rep = Representation::from_prepared(&prepared);
+        if let Err(e) = engine
+            .plan()
+            .validate_pipeline(&rep, &head.pipeline, source)
+        {
+            return self.fail(&pending, engine_error(e.into()));
+        }
+        let (groups, runs) = match head.pipeline.lane_program() {
+            Some(prog) => {
+                let mut lanes: Vec<BatchLane> = Vec::new();
+                let mut groups: Vec<Vec<Job>> = Vec::new();
+                let mut shared: HashMap<Option<u32>, usize> = HashMap::new();
+                for job in pending {
+                    let source = job.request.source.map(NodeId::new);
+                    if job.has_deadline {
+                        lanes.push(BatchLane::with_cancel(source, job.token.clone()));
+                        groups.push(vec![job]);
+                    } else if let Some(&lane) = shared.get(&job.request.source) {
+                        groups[lane].push(job);
+                    } else {
+                        shared.insert(job.request.source, lanes.len());
+                        lanes.push(BatchLane::new(source));
+                        groups.push(vec![job]);
+                    }
+                }
+                self.stats
+                    .record_batch(groups.iter().map(Vec::len).sum::<usize>() as u64);
+                let batch = BatchProgram { prog, lanes };
+                let (threads, options) = (self.config.kernel_threads, PushOptions::default());
+                let runs = catch_unwind(AssertUnwindSafe(|| {
+                    let out = match pinned.as_ref().and_then(|s| s.view()) {
+                        // A dirty snapshot's rows are base + delta: the
+                        // lane driver walks the pinned view (its index
+                        // frozen by the first query of the epoch) where a
+                        // clean batch walks the CSR.
+                        Some(view) => run_batch_push(&view, &batch, &options, threads, arena),
+                        None => run_batch_push(rep.graph(), &batch, &options, threads, arena),
+                    };
+                    out.lanes
+                        .into_iter()
+                        .map(|lane| {
+                            if lane.cancelled {
+                                Err(deadline_exceeded())
+                            } else {
+                                Ok((lane.values, lane.directions.len() as u64))
+                            }
+                        })
+                        .collect()
+                }));
+                (groups, runs)
+            }
+            None => {
+                let pipeline = &pending[0].pipeline;
+                let run = || {
+                    // A dirty pinned snapshot is base + delta; a solo
+                    // pipeline runs over the merged graph, materialized
+                    // lazily and cached on the snapshot.
+                    let merged = pinned.as_ref().filter(|s| !s.is_clean());
+                    let merged = merged.map(|s| s.merged()).transpose();
+                    let merged = merged.map_err(mutation_error)?;
+                    let graph = merged.as_deref().unwrap_or(&prepared);
+                    let out = engine
+                        .run_prepared_pipeline(graph, pipeline, source)
+                        .map_err(engine_error)?;
+                    // Every pipeline body polls the token between its
+                    // iterations (BC between levels) and reports a fired
+                    // one through the output.
+                    if out.cancelled {
+                        return Err(deadline_exceeded());
+                    }
+                    Ok((out.values, out.iterations))
+                };
+                let runs = catch_unwind(AssertUnwindSafe(|| vec![run()]));
+                (vec![pending], runs)
+            }
+        };
+        let Ok(runs) = runs else {
+            let error = Response::error(ErrorCode::Internal, "query execution panicked");
+            return self.fail(groups.iter().flatten(), error);
+        };
+        for (run, jobs) in runs.into_iter().zip(groups) {
+            match run {
+                // A cancelled lane's partial state is discarded and never
+                // cached; its batchmates are unaffected.
+                Err(error) => self.fail(&jobs, error),
+                Ok((values, iterations)) => {
+                    // Pipelines whose post-pass appends extra sections
+                    // (bounded paths: distances then predecessors) are
+                    // only valid on representations that keep original
+                    // node identity, which the gate enforces — so
+                    // projecting here is always section-safe.
+                    let values = match prepared.transformed() {
+                        Some(t) => t.project_values(&values),
+                        None => values,
+                    };
+                    self.reply(jobs, values, iterations);
+                }
+            }
+        }
     }
 
-    fn execute_prepared(&self, job: &Job, prepared: &PreparedGraph) -> Response {
-        let query = &job.request;
-        match run_query(
-            prepared,
-            query.algo,
-            query.source,
-            query.limit,
-            job.token.clone(),
-        ) {
-            Ok((values, iterations)) => {
-                let answer = CachedResult {
+    /// Replies to the jobs that share one run's projected `values`.
+    /// Each takes its pipeline's pointwise post-pass (k-hop's mask; the
+    /// fixpoint is `k`-independent, so mixed-`k` jobs share a lane), and
+    /// jobs with equal `limit` share one answer: every distinct limit but
+    /// the last masks its own copy, the last takes `values` itself.
+    fn reply(&self, jobs: Vec<Job>, mut values: Vec<u32>, iterations: u64) {
+        let mut limits: Vec<Option<u32>> = jobs.iter().map(|job| job.request.limit).collect();
+        limits.sort_unstable();
+        limits.dedup();
+        let answers: Vec<CachedResult> = limits
+            .iter()
+            .enumerate()
+            .map(|(i, &limit)| {
+                let mut values = if i + 1 == limits.len() {
+                    std::mem::take(&mut values)
+                } else {
+                    values.clone()
+                };
+                let job = jobs.iter().find(|job| job.request.limit == limit);
+                job.expect("every limit is some job's")
+                    .pipeline
+                    .apply_lane_post(&mut values);
+                CachedResult {
                     checksum: checksum(&values),
                     values: Arc::new(values),
                     iterations,
-                };
-                self.finish_query(job, answer, false)
-            }
-            Err(error) => {
-                self.stats.record_failed();
-                error
-            }
+                }
+            })
+            .collect();
+        for job in jobs {
+            let i = limits.binary_search(&job.request.limit);
+            let answer = answers[i.expect("every job's limit is listed")].clone();
+            job.slot.set(self.finish_query(&job, answer, false));
+        }
+    }
+
+    /// Fails every one of `jobs` with the one typed `error`.
+    fn fail<'a>(&self, jobs: impl IntoIterator<Item = &'a Job>, error: Response) {
+        for job in jobs {
+            self.stats.record_failed();
+            job.slot.set(error.clone());
         }
     }
 
@@ -851,65 +834,20 @@ impl Drop for ServerCore {
     }
 }
 
-/// Executes one analytic over a prepared graph with the server's
-/// deterministic plan, by lowering the shared [`Algo`] verb onto its
-/// operator [`Pipeline`] — every verb the protocol speaks is served by
-/// this one path. Returns per-original-node values (physical transforms
-/// are projected back) and the iteration count, or a typed error
-/// response.
-fn run_query(
-    prepared: &PreparedGraph,
-    algo: Algo,
-    source: Option<u32>,
-    limit: Option<u32>,
-    token: CancelToken,
-) -> Result<(Vec<u32>, u64), Response> {
-    let engine = Engine::default()
-        .with_backend(BackendKind::Sequential)
-        .with_device_memory(u64::MAX)
-        .with_cancel(token);
-    let deadline = || {
-        Response::error(
-            ErrorCode::DeadlineExceeded,
-            "deadline expired during execution; partial state discarded",
-        )
-    };
-    let pipeline = Pipeline::for_algo(algo, limit)
-        .map_err(|e| Response::error(ErrorCode::BadRequest, e.to_string()))?;
-    let out = engine
-        .run_prepared_pipeline(prepared, &pipeline, source.map(NodeId::new))
-        .map_err(|e| match e {
-            EngineError::InvalidPlan(p) => Response::error(ErrorCode::InvalidPlan, p.to_string()),
-            other => Response::error(ErrorCode::Internal, other.to_string()),
-        })?;
-    // Every pipeline body polls the token between its iterations (BC
-    // between levels) and reports a fired one through the output.
-    if out.cancelled {
-        return Err(deadline());
-    }
-    // Pipelines whose post-pass appends extra sections (bounded paths:
-    // distances then predecessors) are only valid on representations
-    // that keep original node identity, which `validate_pipeline`
-    // enforces — so projecting here is always section-safe.
-    let values = match prepared.transformed() {
-        Some(t) => t.project_values(&out.values),
-        None => out.values,
-    };
-    Ok((values, out.iterations))
+/// The reply to a run whose deadline fired: its partial state is
+/// discarded.
+fn deadline_exceeded() -> Response {
+    Response::error(
+        ErrorCode::DeadlineExceeded,
+        "deadline expired during execution; partial state discarded",
+    )
 }
 
-/// The monotone program behind a batchable [`Algo`] verb.
-fn monotone_program(algo: Algo) -> MonotoneProgram {
-    match algo {
-        Algo::Bfs => MonotoneProgram::BFS,
-        Algo::Sssp => MonotoneProgram::SSSP,
-        Algo::Sswp => MonotoneProgram::SSWP,
-        Algo::Cc => MonotoneProgram::CC,
-        // The k-hop fixpoint is k-independent (true hop counts); each
-        // job masks its own k after projection, so mixed-k jobs share
-        // lanes like any other monotone batch.
-        Algo::Khop => MonotoneProgram::KHOP,
-        other => unreachable!("{other:?} never enters the batch path"),
+/// Folds an [`EngineError`] into the typed protocol vocabulary.
+fn engine_error(e: EngineError) -> Response {
+    match e {
+        EngineError::InvalidPlan(p) => Response::error(ErrorCode::InvalidPlan, p.to_string()),
+        other => Response::error(ErrorCode::Internal, other.to_string()),
     }
 }
 
@@ -1111,7 +1049,9 @@ fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tigr_core::{GraphStore, PrepareSpec};
+    use crate::protocol::Algo;
+    use tigr_core::{DumbWeight, GraphStore, PrepareSpec, TransformKind};
+    use tigr_engine::MonotoneProgram;
 
     fn small_core(config: ServerConfig) -> Arc<ServerCore> {
         let store = GraphStore::disabled();
@@ -1420,7 +1360,7 @@ mod tests {
             .into_iter()
             .map(|(k, s)| solo(k, s))
             .collect();
-        // Drive execute_batch directly with a mixed-k fused batch: two
+        // Drive the executor directly with a mixed-k fused batch: two
         // jobs share source 3 (one lane) with different k.
         let jobs: Vec<Job> = [(2u32, 3u32), (5, 3), (2, 7)]
             .into_iter()
@@ -1429,6 +1369,7 @@ mod tests {
                 request.cache = false;
                 request.include_values = true;
                 Job {
+                    pipeline: Pipeline::khop(k),
                     request,
                     token: CancelToken::never(),
                     has_deadline: false,
@@ -1440,7 +1381,7 @@ mod tests {
             .collect();
         let slots: Vec<Arc<ReplySlot>> = jobs.iter().map(|j| Arc::clone(&j.slot)).collect();
         let mut arena = BatchArena::with_retain_cap(4);
-        core.execute_batch(jobs, &mut arena);
+        core.execute(jobs, &mut arena);
         for (slot, reference) in slots.iter().zip(expect) {
             let got = match slot.wait() {
                 Response::Query(q) => q,
@@ -1449,6 +1390,63 @@ mod tests {
             assert_eq!(got.values, reference.values);
             assert_eq!(got.checksum, reference.checksum);
             assert_eq!(got.iterations, reference.iterations);
+        }
+        core.shutdown();
+    }
+
+    #[test]
+    fn split_graphs_refuse_khop_on_every_path_and_serve_bfs_exactly() {
+        // A UDT split charges AddUnit's hop for every split edge, so a
+        // served k-hop over it is a typed refusal — alone or fused into
+        // lanes — as bounded paths is; bfs/sssp answer the unsplit graph.
+        let store = GraphStore::disabled();
+        let spec = PrepareSpec::generated("star:200", 0);
+        let plain = store.prepare(&spec).unwrap();
+        let udt = spec.with_transform(TransformKind::Udt, Some(4), DumbWeight::Zero);
+        let core = ServerCore::new(ServerConfig::default());
+        core.add_graph("udt", Arc::new(store.prepare(&udt).unwrap()));
+        let refused = |response: Response, pipeline: &'static str| match response {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::InvalidPlan, "{pipeline}");
+                let plan_error = tigr_engine::PlanError::NotSplitInvariant { pipeline };
+                assert_eq!(e.message, plan_error.to_string());
+            }
+            other => panic!("{pipeline}: {other:?}"),
+        };
+        let khop = |source: u32| QueryRequest::new("udt", Algo::Khop, Some(source)).with_limit(1);
+        refused(core.submit(Request::Query(khop(0))), "khop");
+        let paths = QueryRequest::new("udt", Algo::Paths, Some(0)).with_limit(1);
+        refused(core.submit(Request::Query(paths)), "paths");
+        let jobs: Vec<Job> = [0, 1]
+            .into_iter()
+            .map(|source| Job {
+                pipeline: Pipeline::khop(1),
+                request: khop(source),
+                token: CancelToken::never(),
+                has_deadline: false,
+                received: Instant::now(),
+                slot: ReplySlot::new(),
+                pinned: None,
+            })
+            .collect();
+        let slots: Vec<Arc<ReplySlot>> = jobs.iter().map(|j| Arc::clone(&j.slot)).collect();
+        core.execute(jobs, &mut BatchArena::new());
+        for slot in slots {
+            refused(slot.wait(), "khop");
+        }
+        let engine = Engine::default().with_backend(BackendKind::Sequential);
+        for algo in [Algo::Bfs, Algo::Sssp] {
+            let mut req = QueryRequest::new("udt", algo, Some(0));
+            req.include_values = true;
+            let served = match core.submit(Request::Query(req)) {
+                Response::Query(q) => q,
+                other => panic!("{algo:?}: {other:?}"),
+            };
+            let pipeline = Pipeline::for_algo(algo, None).unwrap();
+            let direct = engine
+                .run_prepared_pipeline(&plain, &pipeline, Some(NodeId::new(0)))
+                .unwrap();
+            assert_eq!(served.values, Some(direct.values), "{algo:?}");
         }
         core.shutdown();
     }

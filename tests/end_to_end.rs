@@ -283,7 +283,7 @@ fn every_analytic_runs_on_the_engine_facade() {
 }
 
 #[test]
-fn monotone_program_enum_runs_via_generic_entry() {
+fn cc_program_runs_via_generic_pipeline_entry() {
     let (g, _) = analog();
     let engine = engine();
     let out = engine
