@@ -40,7 +40,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-use crate::store::{carries_lineage, wal_dir_for, GraphStore, PreparedGraph, ViewPlan};
+use crate::store::{
+    carries_lineage, replace_file, wal_dir_for, GraphStore, PreparedGraph, ViewPlan,
+};
 
 use super::delta::{DeltaOverlay, OverlayView, PatchedRows};
 use super::wal::{MutationOp, Wal};
@@ -473,7 +475,7 @@ impl MutableGraph {
         };
         let delta_edges_before = pinned.delta_edges();
         let lineage_key = self.lineage.as_ref().map(|l| l.key.as_str());
-        let sealed = self.store.seal(view.merged_csr(), self.plan, lineage_key);
+        let sealed = self.store.seal(view.merged_csr(), self.plan, lineage_key)?;
         // Durable step 1: the artifact itself. Without it nothing below
         // may happen — the WAL is the only copy of the delta.
         let durable = match (&self.lineage, &sealed.prepared.report().artifact) {
@@ -637,15 +639,10 @@ fn read_manifest(path: &Path) -> std::io::Result<(String, String)> {
 /// pointer.
 fn write_manifest(path: &Path, key: &str, canonical: &str) -> std::io::Result<()> {
     let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-    let mut file = fs::File::create(&tmp)?;
-    writeln!(file, "{key}")?;
-    writeln!(file, "{canonical}")?;
-    file.sync_all()?;
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::File::open(dir)?.sync_all()?;
-    }
-    Ok(())
+    replace_file(path, &tmp, |file| {
+        writeln!(file, "{key}")?;
+        writeln!(file, "{canonical}")
+    })
 }
 
 #[cfg(test)]
@@ -906,11 +903,13 @@ mod tests {
         for op in ops(base.graph()) {
             delta.apply(base.graph(), op).unwrap();
         }
-        let legacy = store.seal(
-            delta.merged_csr(base.graph()),
-            ViewPlan::from_prepared(&base),
-            None,
-        );
+        let legacy = store
+            .seal(
+                delta.merged_csr(base.graph()),
+                ViewPlan::from_prepared(&base),
+                None,
+            )
+            .unwrap();
         legacy.written.unwrap();
         let legacy_path = legacy.prepared.report().artifact.clone().unwrap();
         write_manifest(&manifest, &legacy.prepared.report().key, &legacy.canonical).unwrap();

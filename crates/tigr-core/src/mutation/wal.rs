@@ -21,6 +21,8 @@ use std::path::{Path, PathBuf};
 
 use tigr_graph::io::fnv1a64;
 
+use crate::store::replace_file;
+
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"TIGRWAL1";
 const WAL_VERSION: u32 = 1;
@@ -284,13 +286,7 @@ impl Wal {
             encode_record(&mut buf, *seq, op);
         }
         let tmp = self.path.with_extension("log.tmp");
-        let mut tmp_file = File::create(&tmp)?;
-        tmp_file.write_all(&buf)?;
-        tmp_file.sync_all()?;
-        fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            File::open(dir)?.sync_all()?;
-        }
+        replace_file(&self.path, &tmp, |file| file.write_all(&buf))?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::End(0))?;
         self.file = file;

@@ -33,6 +33,7 @@ pub use udt::udt_transform;
 
 use std::fmt;
 
+use tigr_graph::io::binary::{SectionParts, SECTION_CSR, SECTION_TRANSFORM};
 use tigr_graph::{Csr, CsrBuilder, Edge, NodeId, Weight};
 
 use crate::dumb_weights::DumbWeight;
@@ -170,29 +171,27 @@ impl TransformedGraph {
         values[..self.original_nodes].to_vec()
     }
 
-    /// Encodes the transform as a `TIGRCSR2` section payload: `k`, a
-    /// topology tag, original counts, the embedded transformed CSR
-    /// (length-prefixed), the family-root map, and the new-edge flags.
-    pub fn to_section_bytes(&self) -> Vec<u8> {
-        let csr = tigr_graph::io::encode_csr(&self.graph);
-        let total_nodes = self.graph.num_nodes();
-        let mut buf =
-            Vec::with_capacity(32 + csr.len() + total_nodes * 4 + self.new_edge_flags.len());
-        buf.extend_from_slice(&self.k.to_le_bytes());
-        buf.extend_from_slice(&topology_tag(self.topology).to_le_bytes());
-        buf.extend_from_slice(&(self.original_nodes as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.num_new_edges as u64).to_le_bytes());
-        buf.extend_from_slice(&(csr.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&csr);
-        for &r in &self.family_root {
-            buf.extend_from_slice(&r.raw().to_le_bytes());
-        }
-        buf.extend(self.new_edge_flags.iter().map(|&f| f as u8));
-        buf
+    /// The transform as its `TIGRCSR2` section: `k`, a topology tag,
+    /// original counts, the embedded transformed CSR (length-prefixed),
+    /// the family-root map, and the new-edge flags — the arrays borrowed
+    /// in place.
+    pub fn section(&self) -> SectionParts<'_> {
+        let csr = SectionParts::csr(SECTION_CSR, &self.graph);
+        let mut header = Vec::with_capacity(32);
+        header.extend_from_slice(&self.k.to_le_bytes());
+        header.extend_from_slice(&topology_tag(self.topology).to_le_bytes());
+        header.extend_from_slice(&(self.original_nodes as u64).to_le_bytes());
+        header.extend_from_slice(&(self.num_new_edges as u64).to_le_bytes());
+        header.extend_from_slice(&(csr.len() as u64).to_le_bytes());
+        SectionParts::new(SECTION_TRANSFORM)
+            .bytes(header)
+            .extend(csr)
+            .u32_words(&self.family_root)
+            .flags(&self.new_edge_flags)
     }
 
     /// Decodes a transform from a section payload produced by
-    /// [`TransformedGraph::to_section_bytes`], validating the embedded
+    /// [`TransformedGraph::section`], validating the embedded
     /// CSR and every auxiliary array before construction.
     ///
     /// # Errors
@@ -447,7 +446,7 @@ mod tests {
     fn section_bytes_round_trip() {
         let g = star_graph(20); // hub degree 19
         let t = udt_transform(&g, 4, DumbWeight::Zero);
-        let bytes = t.to_section_bytes();
+        let bytes = t.section().to_vec();
         let back = TransformedGraph::from_section_bytes(&bytes).unwrap();
         assert_eq!(back.graph(), t.graph());
         assert_eq!(back.original_nodes(), t.original_nodes());
@@ -466,7 +465,7 @@ mod tests {
     fn section_bytes_reject_corruption() {
         let g = star_graph(12);
         let t = udt_transform(&g, 3, DumbWeight::Zero);
-        let bytes = t.to_section_bytes();
+        let bytes = t.section().to_vec();
         for cut in 0..bytes.len() {
             assert!(TransformedGraph::from_section_bytes(&bytes[..cut]).is_err());
         }

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tigr_graph::io::{
-    self, find_section, fnv1a64, MappedContainer, Section, VerifyMode, SECTION_CSR,
+    self, find_section, fnv1a64, MappedContainer, SectionParts, VerifyMode, SECTION_CSR,
     SECTION_OVERLAY, SECTION_REV_OVERLAY, SECTION_SPEC, SECTION_TRANSFORM, SECTION_TRANSPOSE,
 };
 use tigr_graph::reverse::transpose;
@@ -484,6 +484,25 @@ impl PreparedGraph {
         self.segment.as_ref()
     }
 
+    /// The artifact sections of every view, CSR first, each array
+    /// borrowed in place.
+    fn sections(&self) -> Vec<SectionParts<'_>> {
+        let mut sections = vec![SectionParts::csr(SECTION_CSR, &self.graph)];
+        sections.extend(
+            self.transpose
+                .as_ref()
+                .map(|t| SectionParts::csr(SECTION_TRANSPOSE, t)),
+        );
+        sections.extend(self.overlay.as_ref().map(|vg| vg.section(SECTION_OVERLAY)));
+        sections.extend(
+            self.rev_overlay
+                .as_ref()
+                .map(|vg| vg.section(SECTION_REV_OVERLAY)),
+        );
+        sections.extend(self.transformed.as_ref().map(TransformedGraph::section));
+        sections
+    }
+
     /// Sums mapped-vs-heap bytes across every view.
     fn tally_bytes(&self) -> (usize, usize) {
         let mut mapped = self.graph.mapped_bytes();
@@ -711,23 +730,10 @@ impl GraphStore {
             }
         }
 
-        let mut report = PrepareReport {
-            cache: if artifact.is_some() {
-                CacheStatus::Miss
-            } else {
-                CacheStatus::Disabled
-            },
-            key,
-            artifact: artifact.clone(),
-            transforms_built: 0,
-            transposes_built: 0,
-            overlays_built: 0,
-        };
-
         if cancel.is_cancelled() {
             return Err(GraphError::Cancelled);
         }
-        let build_started = Instant::now();
+        let started = Instant::now();
         let mut graph = match &spec.source {
             GraphSource::File(path) => parse_graph_bytes(path, &file_bytes.unwrap())?,
             GraphSource::Generated { tag, seed } => generate_from_tag(tag, *seed)?,
@@ -740,61 +746,25 @@ impl GraphStore {
             return Err(GraphError::Cancelled);
         }
         let transformed = spec.transform.as_ref().map(|t| {
-            report.transforms_built += 1;
             let k = t.k.unwrap_or_else(|| k_select::physical_k(&graph));
             t.kind.apply(&graph, k, t.dumb)
         });
-        if cancel.is_cancelled() {
-            return Err(GraphError::Cancelled);
-        }
-        let overlay = spec.virtual_k.map(|k| {
-            report.overlays_built += 1;
-            if spec.coalesced {
-                VirtualGraph::coalesced(&graph, k)
-            } else {
-                VirtualGraph::new(&graph, k)
-            }
-        });
-        if cancel.is_cancelled() {
-            return Err(GraphError::Cancelled);
-        }
-        let rev = if spec.transpose {
-            report.transposes_built += 1;
-            Some(transpose(&graph))
-        } else {
-            None
+        let plan = ViewPlan {
+            virtual_k: spec.virtual_k,
+            coalesced: spec.coalesced,
+            transpose: spec.transpose,
         };
-        if cancel.is_cancelled() {
-            return Err(GraphError::Cancelled);
-        }
-        let rev_overlay = match (&rev, spec.virtual_k) {
-            (Some(rev), Some(k)) => {
-                report.overlays_built += 1;
-                Some(if spec.coalesced {
-                    VirtualGraph::coalesced(rev, k)
-                } else {
-                    VirtualGraph::new(rev, k)
-                })
-            }
-            _ => None,
-        };
-
-        let mut prepared = PreparedGraph {
+        let built = self.derive_and_write(
             graph,
-            transpose: rev,
-            overlay,
-            rev_overlay,
             transformed,
-            report,
-            segment: None,
-            open: PLACEHOLDER_OPEN,
-        };
-        prepared.finish_open(OpenMode::Built, self.verify, build_started);
-
+            plan,
+            cancel,
+            started,
+            Echo::Spec(&canonical),
+        )?;
+        let prepared = built.prepared;
         if let Some(path) = &artifact {
-            ensure_wal_dir(path);
-            let csr = Section::new(SECTION_CSR, io::encode_csr(&prepared.graph));
-            match write_artifact(path, &prepared, &canonical, csr) {
+            match built.written {
                 Ok(()) if self.mmap == MmapMode::On => {
                     // The policy demands mapped storage: swap the just
                     // built heap views for borrowed views of the artifact
@@ -830,8 +800,8 @@ impl GraphStore {
     /// A failed artifact write is reported on stderr and the in-memory
     /// views are returned all the same.
     pub fn materialize(&self, graph: Csr, plan: ViewPlan) -> Result<PreparedGraph> {
-        let sealed = self.seal(graph, plan, None);
-        if let (Some(path), Err(e)) = (&sealed.prepared.report.artifact, &sealed.written) {
+        let sealed = self.seal(graph, plan, None)?;
+        if let (Some(path), Err(e)) = (&sealed.prepared.report().artifact, &sealed.written) {
             eprintln!(
                 "tigr: failed to write materialized artifact {} ({e})",
                 path.display()
@@ -841,81 +811,117 @@ impl GraphStore {
     }
 
     /// The compaction path behind [`GraphStore::materialize`]: base+delta
-    /// has already been merged into `graph`. The CSR is encoded and
-    /// hashed once — its section checksum is the content hash in the
-    /// canonical string, and the same section goes to the writer as it
-    /// is. With a `lineage` (the original artifact's key) the product is
-    /// that mutable graph's alone and gets no WAL directory of its own:
-    /// its log stays beside the original.
-    pub(crate) fn seal(&self, graph: Csr, plan: ViewPlan, lineage: Option<&str>) -> Sealed {
-        let started = Instant::now();
-        let csr = Section::new(SECTION_CSR, io::encode_csr(&graph));
-        let canonical = plan.canonical(csr.checksum(), lineage);
+    /// has already been merged into `graph`. The artifact is keyed by the
+    /// CSR section's checksum, taken in the same parallel pass that
+    /// hashes every other section. With a `lineage` (the original
+    /// artifact's key) the product is that mutable graph's alone and gets
+    /// no WAL directory of its own: its log stays beside the original.
+    pub(crate) fn seal(&self, graph: Csr, plan: ViewPlan, lineage: Option<&str>) -> Result<Sealed> {
+        self.derive_and_write(
+            graph,
+            None,
+            plan,
+            &CancelToken::never(),
+            Instant::now(),
+            Echo::Compacted(lineage),
+        )
+    }
+
+    /// The one build path behind [`GraphStore::prepare`] and
+    /// [`GraphStore::seal`]: derives the overlay, transpose and reverse
+    /// overlay `plan` names over `graph` (polling `cancel` before each),
+    /// then — when the store caches — hashes every section in parallel
+    /// and streams the artifact from the views' own arrays. `echo` names
+    /// the artifact; `started` is when building `graph` began.
+    fn derive_and_write(
+        &self,
+        graph: Csr,
+        transformed: Option<TransformedGraph>,
+        plan: ViewPlan,
+        cancel: &CancelToken,
+        started: Instant,
+        echo: Echo<'_>,
+    ) -> Result<Sealed> {
+        let overlay_of = |g: &Csr, k| {
+            if plan.coalesced {
+                VirtualGraph::coalesced(g, k)
+            } else {
+                VirtualGraph::new(g, k)
+            }
+        };
+        let step = || {
+            if cancel.is_cancelled() {
+                Err(GraphError::Cancelled)
+            } else {
+                Ok(())
+            }
+        };
+        step()?;
+        let overlay = plan.virtual_k.map(|k| overlay_of(&graph, k));
+        step()?;
+        let rev = plan.transpose.then(|| transpose(&graph));
+        step()?;
+        let rev_overlay = rev
+            .as_ref()
+            .zip(plan.virtual_k)
+            .map(|(t, k)| overlay_of(t, k));
+
+        let mut prepared = PreparedGraph {
+            graph,
+            transpose: rev,
+            overlay,
+            rev_overlay,
+            transformed,
+            report: placeholder_report(),
+            segment: None,
+            open: PLACEHOLDER_OPEN,
+        };
+        prepared.finish_open(OpenMode::Built, self.verify, started);
+
+        let sections = prepared.sections();
+        let cache = self.cache_dir.is_some();
+        let (canonical, sums) = match echo {
+            Echo::Spec(canonical) if cache => (canonical.to_owned(), io::checksums(&sections)),
+            Echo::Spec(canonical) => (canonical.to_owned(), Vec::new()),
+            Echo::Compacted(lineage) => {
+                // The CSR section's checksum keys the product; with no
+                // cache it is the only one needed.
+                let sums = io::checksums(if cache { &sections } else { &sections[..1] });
+                (plan.canonical(sums[0], lineage), sums)
+            }
+        };
         let key = format!("{:016x}", fnv1a64(canonical.as_bytes()));
         let artifact = self
             .cache_dir
             .as_ref()
             .map(|d| d.join(format!("{key}.tigr")));
-
-        let overlay = plan.virtual_k.map(|k| {
-            if plan.coalesced {
-                VirtualGraph::coalesced(&graph, k)
-            } else {
-                VirtualGraph::new(&graph, k)
+        let written = match &artifact {
+            Some(path) => {
+                if !matches!(echo, Echo::Compacted(Some(_))) {
+                    ensure_wal_dir(path);
+                }
+                write_artifact(path, &canonical, sections, &sums)
             }
-        });
-        let rev = if plan.transpose {
-            Some(transpose(&graph))
-        } else {
-            None
+            None => Ok(()),
         };
-        let rev_overlay = match (&rev, plan.virtual_k) {
-            (Some(rev), Some(k)) => Some(if plan.coalesced {
-                VirtualGraph::coalesced(rev, k)
-            } else {
-                VirtualGraph::new(rev, k)
-            }),
-            _ => None,
-        };
-
-        let report = PrepareReport {
+        prepared.report = PrepareReport {
             cache: if artifact.is_some() {
                 CacheStatus::Miss
             } else {
                 CacheStatus::Disabled
             },
             key,
-            artifact: artifact.clone(),
-            transforms_built: 0,
-            transposes_built: rev.is_some() as u32,
-            overlays_built: overlay.is_some() as u32 + rev_overlay.is_some() as u32,
+            artifact,
+            transforms_built: prepared.transformed.is_some() as u32,
+            transposes_built: prepared.transpose.is_some() as u32,
+            overlays_built: prepared.overlay.is_some() as u32
+                + prepared.rev_overlay.is_some() as u32,
         };
-        let mut prepared = PreparedGraph {
-            graph,
-            transpose: rev,
-            overlay,
-            rev_overlay,
-            transformed: None,
-            report,
-            segment: None,
-            open: PLACEHOLDER_OPEN,
-        };
-        prepared.finish_open(OpenMode::Built, self.verify, started);
-
-        let written = match &artifact {
-            Some(path) => {
-                if lineage.is_none() {
-                    ensure_wal_dir(path);
-                }
-                write_artifact(path, &prepared, &canonical, csr)
-            }
-            None => Ok(()),
-        };
-        Sealed {
+        Ok(Sealed {
             prepared,
             canonical,
             written,
-        }
+        })
     }
 
     /// Re-opens an artifact previously sealed by [`GraphStore::seal`]
@@ -954,6 +960,15 @@ impl GraphStore {
         };
         Ok(prepared)
     }
+}
+
+/// What names a derived artifact: its spec echo, which the key hashes.
+enum Echo<'a> {
+    /// A prepare's canonical spec string, known before anything is built.
+    Spec(&'a str),
+    /// A compaction product's, keyed by the CSR section's checksum and
+    /// carrying the lineage of the mutable graph it belongs to, if any.
+    Compacted(Option<&'a str>),
 }
 
 /// What [`GraphStore::seal`] produced: the views, the canonical string
@@ -1261,56 +1276,61 @@ fn load_artifact_decoded(
 /// the same key.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Writes the artifact atomically (uniquely named temp file + rename) so
-/// a concurrent reader never observes a partial container and same-key
-/// racers never clobber each other's in-progress temp file. `csr` is
-/// `prepared.graph` already encoded and hashed by the caller, who needed
-/// that hash first; every other section is encoded and hashed here, once.
+/// Writes the artifact atomically through a uniquely named temp file
+/// (see [`replace_file`]), so a concurrent reader never observes a
+/// partial container and same-key racers never clobber each other's
+/// in-progress temp file. `views` are `prepared`'s sections with their
+/// `checksums`; the spec echo `canonical` goes first.
 fn write_artifact(
     path: &Path,
-    prepared: &PreparedGraph,
     canonical: &str,
-    csr: Section,
+    views: Vec<SectionParts<'_>>,
+    checksums: &[u64],
 ) -> Result<()> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
-    let mut sections = vec![
-        Section::new(SECTION_SPEC, canonical.as_bytes().to_vec()),
-        csr,
-    ];
-    if let Some(rev) = &prepared.transpose {
-        sections.push(Section::new(SECTION_TRANSPOSE, io::encode_csr(rev)));
-    }
-    if let Some(vg) = &prepared.overlay {
-        sections.push(Section::new(SECTION_OVERLAY, vg.to_section_bytes()));
-    }
-    if let Some(vg) = &prepared.rev_overlay {
-        sections.push(Section::new(SECTION_REV_OVERLAY, vg.to_section_bytes()));
-    }
-    if let Some(t) = &prepared.transformed {
-        sections.push(Section::new(SECTION_TRANSFORM, t.to_section_bytes()));
-    }
+    let mut sections = vec![SectionParts::new(SECTION_SPEC).bytes(canonical.as_bytes())];
+    sections.extend(views);
+    let mut sums = vec![fnv1a64(canonical.as_bytes())];
+    sums.extend_from_slice(checksums);
     let tmp = path.with_extension(format!(
         "tmp{}-{}",
         std::process::id(),
         TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
-    // Durability, not just atomicity: fsync the temp file before the
-    // rename (so the rename never publishes a name for unwritten data)
-    // and fsync the directory after it (so the rename itself survives a
-    // crash). Without these a power loss can leave a valid-looking path
-    // whose artifact bytes were lost with the page cache — exactly the
-    // kind of torn artifact the checksum layer would then reject on
-    // every subsequent open.
-    let file = fs::File::create(&tmp)?;
-    io::write_container(&sections, &file)?;
-    file.sync_all()?;
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::File::open(dir)?.sync_all()?;
+    replace_file(path, &tmp, |file| {
+        io::write_sections(&sections, &sums, file)
+    })
+}
+
+/// Replaces `path` durably and atomically: `write` fills the fresh file
+/// `tmp`, which is fsync'd before it is renamed over `path` (so the
+/// rename never publishes a name for unwritten data), and the directory
+/// is fsync'd after (so the rename itself survives a crash). Without
+/// these a power loss can leave a valid-looking path whose bytes were
+/// lost with the page cache. On any failure `tmp` is unlinked: a failed
+/// write leaves no file behind.
+pub(crate) fn replace_file<E: From<std::io::Error>>(
+    path: &Path,
+    tmp: &Path,
+    write: impl FnOnce(&mut fs::File) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    let publish = || {
+        let mut file = fs::File::create(tmp)?;
+        write(&mut file)?;
+        file.sync_all()?;
+        fs::rename(tmp, path)?;
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            fs::File::open(dir)?.sync_all()?;
+        }
+        Ok(())
+    };
+    let published = publish();
+    if published.is_err() {
+        let _ = fs::remove_file(tmp);
     }
-    Ok(())
+    published
 }
 
 #[cfg(test)]

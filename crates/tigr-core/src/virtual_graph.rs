@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use tigr_graph::io::binary::MappedContainer;
+use tigr_graph::io::binary::{MappedContainer, SectionParts};
 use tigr_graph::{ArcSlice, Csr, NodeId, Plain};
 
 /// One entry of the virtual node array.
@@ -275,30 +275,25 @@ impl VirtualGraph {
         transformed as f64 / original as f64
     }
 
-    /// Encodes the overlay as a `TIGRCSR2` section payload (see
-    /// `tigr_graph::io::binary`): `k`, coalesced flag, physical counts,
-    /// then the virtual node array and the family index, all
-    /// little-endian.
-    pub fn to_section_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32 + self.vnodes.len() * 16 + self.first_vnode.len() * 4);
-        buf.extend_from_slice(&self.k.to_le_bytes());
-        buf.extend_from_slice(&(self.coalesced as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.physical_nodes as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.physical_edges as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.vnodes.len() as u64).to_le_bytes());
-        for vn in self.vnodes.iter() {
-            for word in [vn.physical.raw(), vn.first_edge, vn.stride, vn.count] {
-                buf.extend_from_slice(&word.to_le_bytes());
-            }
-        }
-        for &f in self.first_vnode.iter() {
-            buf.extend_from_slice(&f.to_le_bytes());
-        }
-        buf
+    /// The overlay as `TIGRCSR2` section `id` (see
+    /// `tigr_graph::io::binary`): `k`, coalesced flag, physical counts
+    /// and the vnode count, then the virtual node array and the family
+    /// index, all little-endian — the arrays borrowed in place.
+    pub fn section(&self, id: u32) -> SectionParts<'_> {
+        let mut header = Vec::with_capacity(OverlayHeader::LEN);
+        header.extend_from_slice(&self.k.to_le_bytes());
+        header.extend_from_slice(&(self.coalesced as u32).to_le_bytes());
+        header.extend_from_slice(&(self.physical_nodes as u64).to_le_bytes());
+        header.extend_from_slice(&(self.physical_edges as u64).to_le_bytes());
+        header.extend_from_slice(&(self.vnodes.len() as u64).to_le_bytes());
+        SectionParts::new(id)
+            .bytes(header)
+            .u32_words(&self.vnodes)
+            .u32_words(&self.first_vnode)
     }
 
     /// Decodes an overlay from a section payload produced by
-    /// [`VirtualGraph::to_section_bytes`], validating sizes and the
+    /// [`VirtualGraph::section`], validating sizes and the
     /// family-index invariants before construction.
     ///
     /// # Errors
@@ -631,6 +626,7 @@ impl OnTheFlyMapper {
 mod tests {
     use super::*;
     use tigr_graph::generators::{rmat, star_graph, RmatConfig};
+    use tigr_graph::io::binary::SECTION_OVERLAY;
     use tigr_graph::CsrBuilder;
 
     #[test]
@@ -820,7 +816,7 @@ mod tests {
     fn section_bytes_round_trip() {
         let g = rmat(&RmatConfig::graph500(9, 8), 7);
         for vg in [VirtualGraph::new(&g, 6), VirtualGraph::coalesced(&g, 6)] {
-            let bytes = vg.to_section_bytes();
+            let bytes = vg.section(SECTION_OVERLAY).to_vec();
             let back = VirtualGraph::from_section_bytes(&bytes).unwrap();
             assert_eq!(back, vg);
             back.validate_against(&g).unwrap();
@@ -831,7 +827,7 @@ mod tests {
     fn section_bytes_reject_corruption() {
         let g = star_graph(20);
         let vg = VirtualGraph::new(&g, 4);
-        let bytes = vg.to_section_bytes();
+        let bytes = vg.section(SECTION_OVERLAY).to_vec();
         for cut in 0..bytes.len() {
             assert!(VirtualGraph::from_section_bytes(&bytes[..cut]).is_err());
         }
@@ -849,17 +845,14 @@ mod tests {
 
     #[test]
     fn overlay_opens_zero_copy_from_a_container_section() {
-        use tigr_graph::io::binary::{write_container, Section, VerifyMode, SECTION_OVERLAY};
+        use tigr_graph::io::binary::{checksums, write_sections, VerifyMode};
         use tigr_graph::Segment;
 
         let g = rmat(&RmatConfig::graph500(9, 8), 7);
         let vg = VirtualGraph::coalesced(&g, 6);
         let mut buf = Vec::new();
-        write_container(
-            &[Section::new(SECTION_OVERLAY, vg.to_section_bytes())],
-            &mut buf,
-        )
-        .unwrap();
+        let sections = [vg.section(SECTION_OVERLAY)];
+        write_sections(&sections, &checksums(&sections), &mut buf).unwrap();
         let c = MappedContainer::from_segment(
             std::sync::Arc::new(Segment::from(buf)),
             VerifyMode::Eager,

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::chunked;
 use crate::csr::Csr;
 use crate::edge::NodeId;
 
@@ -119,34 +120,20 @@ impl RmatConfig {
 /// Panics if `config` holds an invalid probability simplex or a scale
 /// larger than 31.
 pub fn rmat(config: &RmatConfig, seed: u64) -> Csr {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let chunks = threads.min(config.num_edges() / MIN_CHUNK_EDGES).max(1);
-    rmat_chunked(config, seed, chunks)
+    rmat_chunked(config, seed, chunked::edge_chunks(config.num_edges()))
 }
 
-/// The fewest edges a chunk is cut to: below this, a thread's start-up
-/// and its generator's jump cost more than the draws they save.
-const MIN_CHUNK_EDGES: usize = 1 << 15;
-
 /// [`rmat`] over at most `chunks` contiguous chunks of edges (one edge
-/// each when there are more chunks than edges). The first chunk runs on
-/// the calling thread.
+/// each when there are more chunks than edges), assembled over at most
+/// `chunks` source ranges. The first chunk runs on the calling thread.
 pub(crate) fn rmat_chunked(config: &RmatConfig, seed: u64, chunks: usize) -> Csr {
     config.validate();
     let m = config.num_edges();
     let len = m.div_ceil(chunks.max(1)).max(1);
     let mut pairs = vec![(0u32, 0u32); m];
-    let mut parts = pairs.chunks_mut(len).enumerate();
-    let first = parts.next();
-    std::thread::scope(|scope| {
-        for (i, out) in parts {
-            scope.spawn(move || draw_edges(config, seed, i * len, out));
-        }
-        if let Some((_, out)) = first {
-            draw_edges(config, seed, 0, out);
-        }
-    });
-    assemble(config, &pairs)
+    let parts: Vec<_> = pairs.chunks_mut(len).enumerate().collect();
+    chunked::run(parts, |(i, out)| draw_edges(config, seed, i * len, out));
+    assemble(config, &pairs, chunks)
 }
 
 /// Fills `out` with edges `start..start + out.len()` of the stream
@@ -192,9 +179,12 @@ fn draw_edges(config: &RmatConfig, seed: u64, start: usize, out: &mut [(u32, u32
     }
 }
 
-/// The CSR of `pairs`: count per source, prefix sum, scatter, then sort
-/// (and with `config.dedup`, deduplicate) each row in place.
-fn assemble(config: &RmatConfig, pairs: &[(u32, u32)]) -> Csr {
+/// The CSR of `pairs`: count per source, prefix sum, then per source
+/// range (at most `chunks`, balanced on out-degree) a scatter of that
+/// range's pairs in order and a sort — with `config.dedup`, a
+/// deduplication — of each of its rows in place. Deduplicated ranges
+/// are closed up afterwards on the calling thread.
+fn assemble(config: &RmatConfig, pairs: &[(u32, u32)], chunks: usize) -> Csr {
     let n = config.num_nodes();
     let mut row_ptr = vec![0usize; n + 1];
     for &(src, _) in pairs {
@@ -205,29 +195,59 @@ fn assemble(config: &RmatConfig, pairs: &[(u32, u32)]) -> Csr {
     }
     let mut cursor = row_ptr[..n].to_vec();
     let mut col_idx = vec![NodeId::new(0); pairs.len()];
-    for &(src, dst) in pairs {
-        let at = &mut cursor[src as usize];
-        col_idx[*at] = NodeId::new(dst);
-        *at += 1;
-    }
-    let mut kept = 0;
-    for v in 0..n {
-        let (lo, hi) = (row_ptr[v], row_ptr[v + 1]);
-        col_idx[lo..hi].sort_unstable();
-        if config.dedup {
-            // `kept <= lo`: the compacted rows never overtake the reads.
-            row_ptr[v] = kept;
-            for i in lo..hi {
-                if kept == row_ptr[v] || col_idx[kept - 1] != col_idx[i] {
-                    col_idx[kept] = col_idx[i];
-                    kept += 1;
+
+    let rows = chunked::row_bounds(&row_ptr, chunks);
+    let edges: Vec<usize> = rows.iter().map(|&v| row_ptr[v]).collect();
+    // What each range keeps after deduplication.
+    let mut kept = vec![0; rows.len() - 1];
+    let jobs: Vec<_> = rows
+        .iter()
+        .zip(&edges)
+        .zip(chunked::split_at_bounds(&mut row_ptr[..n], &rows))
+        .zip(chunked::split_at_bounds(&mut cursor, &rows))
+        .zip(chunked::split_at_bounds(&mut col_idx, &edges))
+        .zip(kept.iter_mut())
+        .map(|(((((&lo, &base), starts), cursor), cols), kept)| {
+            (lo, base, starts, cursor, cols, kept)
+        })
+        .collect();
+    chunked::run(jobs, |(lo, base, starts, cursor, cols, kept)| {
+        for &(src, dst) in pairs {
+            let s = (src as usize).wrapping_sub(lo);
+            if s < cursor.len() {
+                cols[cursor[s] - base] = NodeId::new(dst);
+                cursor[s] += 1;
+            }
+        }
+        let mut k = 0;
+        for (start, &end) in starts.iter_mut().zip(cursor.iter()) {
+            let (from, to) = (*start - base, end - base);
+            cols[from..to].sort_unstable();
+            if config.dedup {
+                // `k <= from`: the compacted rows never overtake the reads.
+                *start = base + k;
+                let first = k;
+                for i in from..to {
+                    if k == first || cols[k - 1] != cols[i] {
+                        cols[k] = cols[i];
+                        k += 1;
+                    }
                 }
             }
         }
-    }
+        *kept = k;
+    });
     if config.dedup {
-        row_ptr[n] = kept;
-        col_idx.truncate(kept);
+        let mut total = 0;
+        for ((range, &base), &kept) in rows.windows(2).zip(&edges).zip(&kept) {
+            col_idx.copy_within(base..base + kept, total);
+            for start in &mut row_ptr[range[0]..range[1]] {
+                *start = *start - base + total;
+            }
+            total += kept;
+        }
+        row_ptr[n] = total;
+        col_idx.truncate(total);
     }
     Csr::from_parts(row_ptr, col_idx, None)
 }
@@ -315,6 +335,34 @@ mod tests {
         let one = rmat_chunked(&tiny, 4, 1);
         assert_eq!(rmat_chunked(&tiny, 4, 2 * tiny.num_edges() + 1), one);
         assert_eq!(rmat(&tiny, 4), one);
+    }
+
+    #[test]
+    fn assemble_chunk_count_never_changes_the_csr() {
+        for dedup in [false, true] {
+            let config = RmatConfig {
+                dedup,
+                ..RmatConfig::heavy_tail(9, 8)
+            };
+            let mut pairs = vec![(0, 0); config.num_edges()];
+            draw_edges(&config, 17, 0, &mut pairs);
+            // The plain way: an edge list through the builder.
+            let mut b = crate::CsrBuilder::from_edges(
+                config.num_nodes(),
+                pairs
+                    .iter()
+                    .map(|&(s, d)| crate::Edge::unweighted(NodeId::new(s), NodeId::new(d))),
+            );
+            b.dedup(dedup);
+            let want = b.build();
+            for chunks in [1, 2, 3, 7] {
+                assert_eq!(
+                    assemble(&config, &pairs, chunks),
+                    want,
+                    "dedup {dedup}, {chunks} chunks"
+                );
+            }
+        }
     }
 
     #[test]

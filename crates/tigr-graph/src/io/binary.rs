@@ -45,17 +45,24 @@
 //! `tigr-core`.
 //!
 //! Writing is deterministic: the same sections always produce
-//! byte-identical files, which the artifact cache relies on.
+//! byte-identical files, which the artifact cache relies on. There is
+//! one writer, [`write_sections`]: a section goes to it as
+//! [`SectionParts`] — its header bytes and its arrays borrowed as they
+//! sit in memory — so nothing is copied into a payload buffer on the way
+//! to disk, and [`checksums`] hashes the sections on every core first.
 
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::chunked;
 use crate::csr::Csr;
 use crate::edge::NodeId;
 use crate::error::GraphError;
-use crate::segment::{ArcSlice, Segment};
+use crate::segment::{ArcSlice, Plain, Segment};
 use crate::Result;
 
 const MAGIC_V1: &[u8; 8] = b"TIGRCSR1";
@@ -69,6 +76,11 @@ const CSR_HEADER_LEN: usize = 24;
 /// Upper bound on the section count a reader will accept; a corrupted
 /// header cannot make us allocate unboundedly.
 const MAX_SECTIONS: u32 = 1024;
+/// Sections smaller than this are hashed on the calling thread: a
+/// thread costs more to start than hashing a megabyte saves.
+const MIN_SPAWN_BYTES: usize = 1 << 20;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Section id: the primary CSR (always present).
 pub const SECTION_CSR: u32 = 1;
@@ -84,11 +96,9 @@ pub const SECTION_TRANSFORM: u32 = 5;
 /// collision guard.
 pub const SECTION_SPEC: u32 = 6;
 
-/// One typed section of a `TIGRCSR2` container: a payload and the
-/// FNV-1a-64 checksum the section table records for it. The checksum is
-/// computed once — when the section is made, or checked once when it is
-/// read — and [`write_container`] writes it as carried, so a payload is
-/// never hashed twice on its way to disk.
+/// One typed section of a `TIGRCSR2` container as read back: a payload
+/// and the FNV-1a-64 checksum the section table records for it, checked
+/// once when it is read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Section {
     /// Section type tag (`SECTION_*`).
@@ -110,21 +120,188 @@ impl Section {
         }
     }
 
-    /// [`fnv1a64`] of the payload — for a CSR section also the content
-    /// hash that keys a compacted artifact.
+    /// [`fnv1a64`] of the payload.
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
 }
 
+/// One section on its way into a container: its id and the parts whose
+/// concatenation is its payload. Headers are a few owned bytes; arrays
+/// are borrowed as they sit in memory (on a big-endian or 32-bit target
+/// an array part is encoded once into its little-endian bytes instead).
+#[derive(Debug)]
+pub struct SectionParts<'a> {
+    /// Section type tag (`SECTION_*`).
+    pub id: u32,
+    parts: Vec<Cow<'a, [u8]>>,
+}
+
+impl<'a> SectionParts<'a> {
+    /// A section with an empty payload.
+    pub fn new(id: u32) -> Self {
+        SectionParts {
+            id,
+            parts: Vec::new(),
+        }
+    }
+
+    /// The CSR section of `g`: flags, node count and edge count, then
+    /// `row_ptr` as little-endian `u64`s, `col_idx` and (when weighted)
+    /// the weights as little-endian `u32`s.
+    pub fn csr(id: u32, g: &'a Csr) -> Self {
+        let flags = if g.is_weighted() { FLAG_WEIGHTED } else { 0 };
+        let mut header = Vec::with_capacity(CSR_HEADER_LEN);
+        header.extend_from_slice(&u64::from(flags).to_le_bytes());
+        header.extend_from_slice(&(g.num_nodes() as u64).to_le_bytes());
+        header.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
+        let section = SectionParts::new(id)
+            .bytes(header)
+            .u64_words(g.row_ptr())
+            .u32_words(g.col_idx());
+        match g.weights() {
+            Some(w) => section.u32_words(w),
+            None => section,
+        }
+    }
+
+    /// Appends raw bytes.
+    pub fn bytes(mut self, bytes: impl Into<Cow<'a, [u8]>>) -> Self {
+        self.parts.push(bytes.into());
+        self
+    }
+
+    /// Appends `values` as little-endian `u32` words. `T` must be made of
+    /// `u32` words (`u32`, [`NodeId`], or a `#[repr(C)]` struct of them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `T`'s size is not a multiple of four bytes.
+    pub fn u32_words<T: Plain>(self, values: &'a [T]) -> Self {
+        assert!(
+            std::mem::size_of::<T>().is_multiple_of(4),
+            "not a type of u32 words"
+        );
+        let bytes = plain_bytes(values);
+        #[cfg(target_endian = "little")]
+        return self.bytes(bytes);
+        #[cfg(not(target_endian = "little"))]
+        return self.bytes(
+            bytes
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .flat_map(|w| u32::from_ne_bytes(*w).to_le_bytes())
+                .collect::<Vec<u8>>(),
+        );
+    }
+
+    /// Appends offsets as little-endian `u64`s.
+    pub fn u64_words(self, values: &'a [usize]) -> Self {
+        #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
+        return self.bytes(plain_bytes(values));
+        #[cfg(not(all(target_endian = "little", target_pointer_width = "64")))]
+        return self.bytes(
+            values
+                .iter()
+                .flat_map(|&v| (v as u64).to_le_bytes())
+                .collect::<Vec<u8>>(),
+        );
+    }
+
+    /// Appends flags as one byte each, `0` or `1`.
+    pub fn flags(self, values: &'a [bool]) -> Self {
+        // SAFETY: a `bool` is one byte holding 0 or 1, and every byte is
+        // a valid `u8`; the slice covers exactly `values`' bytes.
+        let bytes = unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), values.len()) };
+        self.bytes(bytes)
+    }
+
+    /// Appends every part of `other` (a section embedded in this one).
+    pub fn extend(mut self, other: SectionParts<'a>) -> Self {
+        self.parts.extend(other.parts);
+        self
+    }
+
+    /// Payload length in bytes.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(|p| p.len()).sum()
+    }
+
+    /// `true` when the payload is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// [`fnv1a64`] of the payload, hashed part by part.
+    pub fn checksum(&self) -> u64 {
+        self.parts
+            .iter()
+            .fold(FNV_OFFSET, |h, part| fnv1a64_extend(h, part))
+    }
+
+    /// The payload as one buffer.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.parts.concat()
+    }
+}
+
+/// The bytes of `values` as they sit in memory.
+fn plain_bytes<T: Plain>(values: &[T]) -> &[u8] {
+    // SAFETY: a `Plain` type has no padding, so every byte of the slice
+    // is initialized; `u8` needs no alignment, and the length is the
+    // slice's size in bytes.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
 /// FNV-1a 64-bit hash — the per-section checksum and the cache-key hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64-bit hash in state `h` over `bytes`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The [`SectionParts::checksum`] of every section, in order. FNV-1a is
+/// serial inside a section, so the sections are dealt across
+/// [`std::thread::available_parallelism`] scoped threads, biggest first
+/// to the least loaded; sections under a megabyte, and every section on
+/// a one-core host, are hashed on the calling thread. The threads only
+/// write the caller's result slots.
+pub fn checksums(sections: &[SectionParts]) -> Vec<u64> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut sums = vec![0u64; sections.len()];
+    let mut jobs: Vec<_> = sections.iter().zip(sums.iter_mut()).collect();
+    jobs.sort_by_key(|(s, _)| Reverse(s.len()));
+    // Bin 0 takes the small sections; the first non-empty bin runs on
+    // the calling thread.
+    let mut bins: Vec<(usize, Vec<_>)> = (0..threads).map(|_| (0, Vec::new())).collect();
+    for (section, sum) in jobs {
+        let len = section.len();
+        let bin = if len < MIN_SPAWN_BYTES {
+            0
+        } else {
+            (0..threads).min_by_key(|&b| bins[b].0).unwrap_or(0)
+        };
+        bins[bin].0 += len;
+        bins[bin].1.push((section, sum));
+    }
+    let bins = bins
+        .into_iter()
+        .map(|(_, bin)| bin)
+        .filter(|bin| !bin.is_empty());
+    chunked::run(bins.collect(), |bin| {
+        for (section, sum) in bin {
+            *sum = section.checksum();
+        }
+    });
+    sums
 }
 
 fn align8(x: usize) -> usize {
@@ -138,20 +315,27 @@ fn to_usize(value: u64, what: &'static str) -> Result<usize> {
     usize::try_from(value).map_err(|_| GraphError::Overflow { value, what })
 }
 
-/// Writes `sections` as a `TIGRCSR2` container: the table (with each
-/// section's carried checksum) first, then the payloads streamed in
-/// table order — no payload is hashed or copied here.
+/// Writes `sections` as a `TIGRCSR2` container: the table with
+/// `checksums[i]` recorded for `sections[i]` (see [`checksums`]), then
+/// every section's parts streamed in table order — nothing is hashed or
+/// copied here.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::Io`] on write failure and
 /// [`GraphError::InvalidFormat`] when more than 1 024 sections (the
-/// readers' limit) are supplied.
-pub fn write_container<W: Write>(sections: &[Section], writer: W) -> Result<()> {
-    if sections.len() as u32 > MAX_SECTIONS {
+/// readers' limit) are supplied or the checksums do not pair up with
+/// the sections.
+pub fn write_sections<W: Write>(
+    sections: &[SectionParts],
+    checksums: &[u64],
+    writer: W,
+) -> Result<()> {
+    if sections.len() as u32 > MAX_SECTIONS || checksums.len() != sections.len() {
         return Err(GraphError::InvalidFormat(format!(
-            "too many sections: {} > {MAX_SECTIONS}",
-            sections.len()
+            "cannot write {} sections with {} checksums (at most {MAX_SECTIONS})",
+            sections.len(),
+            checksums.len()
         )));
     }
     let mut out = BufWriter::new(writer);
@@ -162,25 +346,43 @@ pub fn write_container<W: Write>(sections: &[Section], writer: W) -> Result<()> 
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut offset = align8(table_end);
-    for s in sections {
+    for (s, checksum) in sections.iter().zip(checksums) {
+        let len = s.len();
         header.extend_from_slice(&s.id.to_le_bytes());
         header.extend_from_slice(&0u32.to_le_bytes());
         header.extend_from_slice(&(offset as u64).to_le_bytes());
-        header.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
-        header.extend_from_slice(&s.checksum.to_le_bytes());
-        offset = align8(offset + s.payload.len());
+        header.extend_from_slice(&(len as u64).to_le_bytes());
+        header.extend_from_slice(&checksum.to_le_bytes());
+        offset = align8(offset + len);
     }
     out.write_all(&header)?;
 
     let mut cursor = table_end;
     for s in sections {
         let start = align8(cursor);
-        out.write_all(&vec![0u8; start - cursor])?;
-        out.write_all(&s.payload)?;
-        cursor = start + s.payload.len();
+        out.write_all(&[0u8; 8][..start - cursor])?;
+        for part in &s.parts {
+            out.write_all(part)?;
+        }
+        cursor = start + s.len();
     }
     out.flush()?;
     Ok(())
+}
+
+/// Writes already-encoded `sections` through [`write_sections`], each
+/// with the checksum it carries.
+///
+/// # Errors
+///
+/// See [`write_sections`].
+pub fn write_container<W: Write>(sections: &[Section], writer: W) -> Result<()> {
+    let parts: Vec<_> = sections
+        .iter()
+        .map(|s| SectionParts::new(s.id).bytes(&s.payload[..]))
+        .collect();
+    let sums: Vec<u64> = sections.iter().map(Section::checksum).collect();
+    write_sections(&parts, &sums, writer)
 }
 
 /// Reads a `TIGRCSR2` container, validating the header, the section
@@ -496,26 +698,10 @@ pub fn find_section(sections: &[Section], id: u32) -> Option<&Section> {
     sections.iter().find(|s| s.id == id)
 }
 
-/// Encodes `g` as a CSR section payload (flags, counts, `row_ptr`,
-/// `col_idx`, optional weights — all little-endian).
+/// Encodes `g` as one CSR section payload buffer (see
+/// [`SectionParts::csr`], which the container writer streams instead).
 pub fn encode_csr(g: &Csr) -> Vec<u8> {
-    let n = g.num_nodes();
-    let m = g.num_edges();
-    let mut buf = Vec::with_capacity(CSR_HEADER_LEN + (n + 1) * 8 + m * 8);
-    let flags = if g.is_weighted() { FLAG_WEIGHTED } else { 0 };
-    buf.extend_from_slice(&u64::from(flags).to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(m as u64).to_le_bytes());
-    for &p in g.row_ptr() {
-        buf.extend_from_slice(&(p as u64).to_le_bytes());
-    }
-    for &c in g.col_idx() {
-        buf.extend_from_slice(&c.raw().to_le_bytes());
-    }
-    for &x in g.weights().into_iter().flatten() {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf
+    SectionParts::csr(SECTION_CSR, g).to_vec()
 }
 
 /// Parses a CSR section payload's header — weighted flag, node count,
@@ -619,7 +805,8 @@ fn read_csr_arrays(arrays: &[u8], n: usize, m: usize, weighted: bool) -> Result<
 ///
 /// Returns [`GraphError::Io`] on write failure.
 pub fn write_binary<W: Write>(g: &Csr, writer: W) -> Result<()> {
-    write_container(&[Section::new(SECTION_CSR, encode_csr(g))], writer)
+    let sections = [SectionParts::csr(SECTION_CSR, g)];
+    write_sections(&sections, &checksums(&sections), writer)
 }
 
 /// Serializes `g` into the legacy `TIGRCSR1` layout. Kept for

@@ -23,10 +23,11 @@ pub mod edge_list;
 pub mod matrix_market;
 
 pub use binary::{
-    decode_csr, encode_csr, find_section, fnv1a64, load_binary, parse_container,
+    checksums, decode_csr, encode_csr, find_section, fnv1a64, load_binary, parse_container,
     parse_section_table, read_binary, read_container, save_binary, write_binary, write_binary_v1,
-    write_container, MappedContainer, Section, SectionRef, VerifyMode, SECTION_CSR,
-    SECTION_OVERLAY, SECTION_REV_OVERLAY, SECTION_SPEC, SECTION_TRANSFORM, SECTION_TRANSPOSE,
+    write_container, write_sections, MappedContainer, Section, SectionParts, SectionRef,
+    VerifyMode, SECTION_CSR, SECTION_OVERLAY, SECTION_REV_OVERLAY, SECTION_SPEC, SECTION_TRANSFORM,
+    SECTION_TRANSPOSE,
 };
 pub use dimacs::{load_dimacs, parse_dimacs, write_dimacs};
 pub use edge_list::{load_edge_list, parse_edge_list, write_edge_list};

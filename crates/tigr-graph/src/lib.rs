@@ -47,6 +47,7 @@
 #![warn(missing_debug_implementations)]
 
 mod builder;
+mod chunked;
 mod csr;
 mod edge;
 mod error;

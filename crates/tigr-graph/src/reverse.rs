@@ -3,6 +3,7 @@
 //! The pull-based scheme (§2.1, §3.1 footnote 3) propagates values along
 //! *incoming* edges, so the engine needs the transpose of the push CSR.
 
+use crate::chunked;
 use crate::csr::Csr;
 use crate::edge::NodeId;
 
@@ -22,39 +23,64 @@ use crate::edge::NodeId;
 /// assert_eq!(t.neighbors(NodeId::new(2)), &[NodeId::new(0), NodeId::new(1)]);
 /// ```
 pub fn transpose(g: &Csr) -> Csr {
+    transpose_chunked(g, chunked::edge_chunks(g.num_edges()))
+}
+
+/// [`transpose`] over at most `chunks` destination ranges holding about
+/// as many in-edges each. Every range's rows are filled by one job (the
+/// first on the calling thread) that scans all edges in source order
+/// and keeps those landing in its range, so each in-neighbor list comes
+/// out sorted by source — the same bytes at any chunk count.
+pub(crate) fn transpose_chunked(g: &Csr, chunks: usize) -> Csr {
     let n = g.num_nodes();
     let m = g.num_edges();
 
     // Counting sort by destination: O(|V| + |E|).
     let mut row_ptr = vec![0usize; n + 1];
-    for e in 0..m {
-        row_ptr[g.edge_target(e).index() + 1] += 1;
+    for dst in g.col_idx() {
+        row_ptr[dst.index() + 1] += 1;
     }
     for i in 0..n {
         row_ptr[i + 1] += row_ptr[i];
     }
 
-    let mut cursor = row_ptr.clone();
+    let mut cursor = row_ptr[..n].to_vec();
     let mut col_idx = vec![NodeId::default(); m];
-    let mut weights = if g.is_weighted() {
-        Some(vec![0u32; m])
-    } else {
-        None
-    };
+    let mut weights = g.is_weighted().then(|| vec![0u32; m]);
 
-    // Walk edges in flat order; since sources are non-decreasing in flat
-    // order, each in-neighbor list comes out sorted by source.
-    for src in g.nodes() {
-        for (off, &dst) in g.neighbors(src).iter().enumerate() {
-            let e = g.edge_start(src) + off;
-            let slot = cursor[dst.index()];
-            cursor[dst.index()] += 1;
-            col_idx[slot] = src;
-            if let Some(w) = &mut weights {
-                w[slot] = g.weight(e);
+    let rows = chunked::row_bounds(&row_ptr, chunks);
+    let edges: Vec<usize> = rows.iter().map(|&v| row_ptr[v]).collect();
+    let weight_pieces: Vec<Option<&mut [u32]>> = match &mut weights {
+        Some(w) => chunked::split_at_bounds(w, &edges)
+            .into_iter()
+            .map(Some)
+            .collect(),
+        None => (1..rows.len()).map(|_| None).collect(),
+    };
+    let jobs: Vec<_> = rows
+        .iter()
+        .zip(&edges)
+        .zip(chunked::split_at_bounds(&mut cursor, &rows))
+        .zip(chunked::split_at_bounds(&mut col_idx, &edges))
+        .zip(weight_pieces)
+        .map(|((((&lo, &base), cursor), cols), weights)| (lo, base, cursor, cols, weights))
+        .collect();
+    chunked::run(jobs, |(lo, base, cursor, cols, mut weights)| {
+        let (sources, targets, edge_weights) = (g.row_ptr(), g.col_idx(), g.weights());
+        for (src, row) in sources.windows(2).enumerate() {
+            for e in row[0]..row[1] {
+                let d = targets[e].index().wrapping_sub(lo);
+                if d < cursor.len() {
+                    let slot = cursor[d] - base;
+                    cursor[d] += 1;
+                    cols[slot] = NodeId::new(src as u32);
+                    if let (Some(w), Some(from)) = (weights.as_deref_mut(), edge_weights) {
+                        w[slot] = from[e];
+                    }
+                }
             }
         }
-    }
+    });
 
     Csr::from_parts(row_ptr, col_idx, weights)
 }
@@ -125,6 +151,45 @@ mod tests {
         let t = transpose(&g);
         assert_eq!(t.num_nodes(), 0);
         assert_eq!(t.num_edges(), 0);
+    }
+
+    /// The transpose the plain way: every edge reversed, stably sorted
+    /// by its new source.
+    fn reference_transpose(g: &Csr) -> Csr {
+        let mut reversed: Vec<(NodeId, NodeId, u32)> = g
+            .nodes()
+            .flat_map(|src| (g.edge_start(src)..g.edge_end(src)).map(move |e| (src, e)))
+            .map(|(src, e)| (g.edge_target(e), src, g.weight(e)))
+            .collect();
+        reversed.sort_by_key(|&(dst, _, _)| dst);
+        let mut row_ptr = vec![0usize; g.num_nodes() + 1];
+        for &(dst, _, _) in &reversed {
+            row_ptr[dst.index() + 1] += 1;
+        }
+        for i in 0..g.num_nodes() {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let col_idx = reversed.iter().map(|&(_, src, _)| src).collect();
+        let weights = g
+            .is_weighted()
+            .then(|| reversed.iter().map(|&(_, _, w)| w).collect());
+        Csr::from_parts(row_ptr, col_idx, weights)
+    }
+
+    #[test]
+    fn chunk_count_never_changes_the_transpose() {
+        let rmat = crate::generators::rmat(&crate::generators::RmatConfig::graph500(10, 8), 3);
+        let weighted = crate::generators::with_uniform_weights(&rmat, 1, 64, 5);
+        let star = crate::generators::star_graph(300);
+        let empty = CsrBuilder::new(0).build();
+        let isolated = CsrBuilder::new(6).edge(4, 1).build();
+        for g in [&rmat, &weighted, &star, &empty, &isolated] {
+            let want = reference_transpose(g);
+            for chunks in [1, 2, 3, 7] {
+                assert_eq!(transpose_chunked(g, chunks), want, "{chunks} chunks");
+            }
+            assert_eq!(transpose(g), want);
+        }
     }
 
     #[test]

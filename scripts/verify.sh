@@ -45,6 +45,13 @@ echo "== chunked rmat / sequential reference generator on optimised code =="
 cargo test -q --release --test rmat_reference \
     rmat_costs_under_0_6x_the_sequential_reference -- --nocapture
 
+echo "== streamed artifact / buffered reference encoder on optimised code =="
+# The artifact writer streams every section from the views' own arrays
+# and hashes the sections on every core: it must write the buffered
+# encoder's bytes at no more than 0.75x its cost (one core reads ≈ 0.55).
+cargo test -q --release --test artifact_cost \
+    streaming_the_artifact_costs_under_0_75x_the_buffered_reference -- --nocapture
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

@@ -4,17 +4,22 @@
 //! simulated push engine. The reference pins what goes on the wire —
 //! `values`, `iterations`, `converged` — and `edges_touched`; the
 //! simulator, a second independent loop, pins `values` and `converged`.
-//! Beside them sits the sequential R-MAT generator the chunked one must
-//! reproduce byte for byte.
+//! Beside them sit the sequential R-MAT generator the chunked one must
+//! reproduce byte for byte, and the buffer-building artifact encoder the
+//! streaming writer must reproduce byte for byte.
 
 #![allow(dead_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{BufWriter, Write};
 use tigr::engine::{
     run_monotone, Combine, EdgeOp, ExecutionPlan, InitKind, MonotoneOutput, PrOptions, SyncMode,
 };
+
+use tigr::core::{TransformedGraph, VirtualGraph};
 use tigr::graph::generators::RmatConfig;
+use tigr::graph::io::Section;
 use tigr::graph::RowView;
 use tigr::{
     Csr, CsrBuilder, Edge, GpuConfig, GpuSimulator, MonotoneProgram, NodeId, PushOptions,
@@ -302,4 +307,121 @@ fn rmat_edge(config: &RmatConfig, rng: &mut StdRng) -> (u32, u32) {
         }
     }
     (src, dst)
+}
+
+/// A CSR section payload built into one buffer: flags, counts,
+/// `row_ptr`, `col_idx`, optional weights — all little-endian.
+pub fn encode_csr(g: &Csr) -> Vec<u8> {
+    let n = g.num_nodes();
+    let m = g.num_edges();
+    let mut buf = Vec::with_capacity(24 + (n + 1) * 8 + m * 8);
+    let flags = if g.is_weighted() { 1u8 } else { 0 };
+    buf.extend_from_slice(&u64::from(flags).to_le_bytes());
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    buf.extend_from_slice(&(m as u64).to_le_bytes());
+    for &p in g.row_ptr() {
+        buf.extend_from_slice(&(p as u64).to_le_bytes());
+    }
+    for &c in g.col_idx() {
+        buf.extend_from_slice(&c.raw().to_le_bytes());
+    }
+    for &x in g.weights().into_iter().flatten() {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+    buf
+}
+
+/// An overlay section payload built into one buffer: `k`, coalesced
+/// flag, physical counts, then the virtual node array and the family
+/// index, all little-endian.
+pub fn overlay_section_bytes(vg: &VirtualGraph) -> Vec<u8> {
+    let n = vg.num_physical_nodes();
+    let first_vnode: Vec<u32> = (0..n as u32)
+        .map(|v| vg.vnode_range(NodeId::new(v)).start as u32)
+        .chain([vg.num_virtual_nodes() as u32])
+        .collect();
+    // Every physical edge is covered by exactly one virtual node.
+    let physical_edges: usize = vg.vnodes().iter().map(|vn| vn.count as usize).sum();
+    let mut buf = Vec::with_capacity(32 + vg.vnodes().len() * 16 + first_vnode.len() * 4);
+    buf.extend_from_slice(&vg.k().to_le_bytes());
+    buf.extend_from_slice(&(vg.is_coalesced() as u32).to_le_bytes());
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    buf.extend_from_slice(&(physical_edges as u64).to_le_bytes());
+    buf.extend_from_slice(&(vg.vnodes().len() as u64).to_le_bytes());
+    for vn in vg.vnodes().iter() {
+        for word in [vn.physical.raw(), vn.first_edge, vn.stride, vn.count] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    for &f in first_vnode.iter() {
+        buf.extend_from_slice(&f.to_le_bytes());
+    }
+    buf
+}
+
+/// A transform section payload built into one buffer: `k`, a topology
+/// tag, original counts, the embedded transformed CSR (length-prefixed),
+/// the family-root map, and the new-edge flags.
+pub fn transform_section_bytes(t: &TransformedGraph) -> Vec<u8> {
+    let csr = encode_csr(t.graph());
+    let total_nodes = t.graph().num_nodes();
+    let new_edge_flags: Vec<bool> = (0..t.graph().num_edges())
+        .map(|e| t.is_new_edge(e))
+        .collect();
+    let mut buf = Vec::with_capacity(32 + csr.len() + total_nodes * 4 + new_edge_flags.len());
+    buf.extend_from_slice(&t.k().to_le_bytes());
+    buf.extend_from_slice(&topology_tag(t.topology()).to_le_bytes());
+    buf.extend_from_slice(&(t.original_nodes() as u64).to_le_bytes());
+    buf.extend_from_slice(&(t.num_new_edges() as u64).to_le_bytes());
+    buf.extend_from_slice(&(csr.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&csr);
+    for r in t.graph().nodes().map(|v| t.family_root(v)) {
+        buf.extend_from_slice(&r.raw().to_le_bytes());
+    }
+    buf.extend(new_edge_flags.iter().map(|&f| f as u8));
+    buf
+}
+
+fn topology_tag(name: &str) -> u32 {
+    match name {
+        "udt" => 1,
+        "star" => 2,
+        "recursive-star" => 3,
+        "circular" => 4,
+        "clique" => 5,
+        _ => 0,
+    }
+}
+
+/// A `TIGRCSR2` container of buffered sections: the table with each
+/// section's checksum, then the payloads at 8-aligned offsets.
+pub fn write_container<W: Write>(sections: &[Section], writer: W) -> std::io::Result<()> {
+    let align8 = |x: usize| x.div_ceil(8) * 8;
+    let mut out = BufWriter::new(writer);
+    let table_end = 16 + 32 * sections.len();
+
+    let mut header = Vec::with_capacity(table_end);
+    header.extend_from_slice(b"TIGRCSR2");
+    header.extend_from_slice(&2u32.to_le_bytes());
+    header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut offset = align8(table_end);
+    for s in sections {
+        header.extend_from_slice(&s.id.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        header.extend_from_slice(&(offset as u64).to_le_bytes());
+        header.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+        header.extend_from_slice(&s.checksum().to_le_bytes());
+        offset = align8(offset + s.payload.len());
+    }
+    out.write_all(&header)?;
+
+    let mut cursor = table_end;
+    for s in sections {
+        let start = align8(cursor);
+        out.write_all(&vec![0u8; start - cursor])?;
+        out.write_all(&s.payload)?;
+        cursor = start + s.payload.len();
+    }
+    out.flush()?;
+    Ok(())
 }

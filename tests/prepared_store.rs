@@ -297,3 +297,33 @@ fn corrupt_artifact_is_detected_and_rebuilt() {
     assert_eq!(again.report().cache, CacheStatus::Hit);
     assert_eq!(again.graph(), cold.graph());
 }
+
+#[test]
+fn a_failed_artifact_write_keeps_the_built_views_and_no_temp_file() {
+    let dir = std::env::temp_dir().join("tigr_it_failed_artifact_write");
+    fs::remove_dir_all(&dir).ok();
+    let spec = base_spec();
+    let reference = GraphStore::disabled().prepare(&spec).unwrap();
+    // A directory where the artifact belongs: renaming the written temp
+    // file over it fails.
+    let artifact = dir.join(format!("{}.tigr", reference.report().key));
+    fs::create_dir_all(artifact.join("occupied")).unwrap();
+
+    let built = GraphStore::new(Some(dir.clone())).prepare(&spec).unwrap();
+    assert_eq!(built.report().cache, CacheStatus::Miss);
+    assert_eq!(built.graph(), reference.graph());
+    assert_eq!(built.transpose(), reference.transpose());
+    assert_eq!(built.overlay(), reference.overlay());
+    assert_eq!(built.rev_overlay(), reference.rev_overlay());
+    assert!(artifact.join("occupied").is_dir());
+    let leftovers: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.contains("tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
