@@ -18,7 +18,7 @@ fn main() {
     let d = load_datasets_one(&cfg, "livejournal");
     let g = &d.weighted;
     let src = Some(d.source());
-    let engine = Engine::parallel(GpuConfig::default()).with_options(PushOptions::default());
+    let engine = Engine::new(GpuConfig::default()).with_options(PushOptions::default());
     let sssp = |rep: &Representation<'_>| engine.run_pipeline(rep, &Pipeline::sssp(), src).unwrap();
 
     let ks = [4u32, 8, 10, 16, 32, 64, 128];

@@ -20,7 +20,7 @@ fn main() {
     let datasets = load_datasets(&cfg);
     // Both designs process all nodes per iteration here: on-the-fly
     // mapping has no per-node identity to worklist on.
-    let engine = Engine::parallel(GpuConfig::default()).with_options(PushOptions {
+    let engine = Engine::new(GpuConfig::default()).with_options(PushOptions {
         worklist: false,
         sort_frontier_by_degree: false,
         sync: SyncMode::Relaxed,

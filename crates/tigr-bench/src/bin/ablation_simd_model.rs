@@ -28,7 +28,7 @@ fn main() {
         ("SIMD lockstep", TimingModel::SimdLockstep),
         ("ideal MIMD", TimingModel::IdealMimd),
     ] {
-        let engine = Engine::parallel(GpuConfig {
+        let engine = Engine::new(GpuConfig {
             timing,
             ..GpuConfig::default()
         })

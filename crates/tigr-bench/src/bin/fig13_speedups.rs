@@ -16,7 +16,7 @@ fn main() {
         cfg.scale_denominator
     );
     let datasets = load_datasets(&cfg);
-    let engine = Engine::parallel(GpuConfig::default()).with_options(PushOptions::default());
+    let engine = Engine::new(GpuConfig::default()).with_options(PushOptions::default());
 
     let mut rows = Vec::new();
     let (mut s_udt, mut s_v, mut s_vp) = (Vec::new(), Vec::new(), Vec::new());

@@ -18,7 +18,7 @@ fn main() {
     );
     let datasets = load_datasets(&cfg);
     let sim = cfg.simulator();
-    let engine = Engine::parallel(GpuConfig::default());
+    let engine = Engine::new(GpuConfig::default());
 
     let mut rows = Vec::new();
     for d in &datasets {

@@ -183,7 +183,7 @@ fn tigr_vplus(
         graph: g,
         overlay: &overlay,
     };
-    let engine = Engine::parallel(*sim.config()).with_device_memory(budget);
+    let engine = Engine::new(*sim.config()).with_device_memory(budget);
 
     let to_cell = |cycles: u64| Cell::Ms(cycles_to_ms(cycles));
     let result = match (prog, alg) {

@@ -32,7 +32,7 @@ fn main() {
     // The third configuration batches similar degrees into warps, which
     // is what lifts the paper's original+worklist efficiency to 60.53%.
     for (worklist, sorted) in [(false, false), (true, false), (true, true)] {
-        let engine = Engine::parallel(GpuConfig::default()).with_options(PushOptions {
+        let engine = Engine::new(GpuConfig::default()).with_options(PushOptions {
             worklist,
             sort_frontier_by_degree: sorted,
             sync: SyncMode::Relaxed,

@@ -83,9 +83,11 @@ impl BenchConfig {
         8 * 1024 * 1024 * 1024 / self.scale_denominator.max(1)
     }
 
-    /// A parallel simulator with the default (P4000-like) configuration.
+    /// A sequential simulator with the default (P4000-like)
+    /// configuration: its warp replay is deterministic, so every table a
+    /// bin prints is the same from run to run.
     pub fn simulator(&self) -> GpuSimulator {
-        GpuSimulator::new_parallel(GpuConfig::default())
+        GpuSimulator::new(GpuConfig::default())
     }
 }
 

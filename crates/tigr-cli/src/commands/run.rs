@@ -24,6 +24,9 @@ use crate::commands::{format_prepare_report, store_from_args, timeout_message, C
 
 /// Runs the `run` command.
 pub fn run(args: &Args) -> CmdResult {
+    if args.switch("help") {
+        return Ok(format!("{USAGE}\n"));
+    }
     args.reject_unknown(FLAGS)
         .map_err(|e| format!("{e}\n{USAGE}"))?;
     let analytic = args.positional(0).ok_or(USAGE)?;
@@ -317,7 +320,8 @@ const USAGE: &str = "usage: tigr run <bfs|sssp|sswp|cc|pr|bc|khop|paths|lp|tc> -
 [--cpu]
 sim cycles come from the simulator's parallel warp replay (pr and bc: the sequential replay, \
 whose f32 sums are the served bits); monotone values are exact, but racing enqueues may shift \
-cycles and edges touched by a few per mille run to run";
+cycles and edges touched by a few per mille run to run. Reproducible metrics come from the \
+sequential replay: pr and bc here, and every tigr-bench table and figure";
 
 #[cfg(test)]
 mod tests {
@@ -377,6 +381,13 @@ mod tests {
         let out = run(&parse(&format!("khop --graph {path} --limit 2 --report"))).unwrap();
         assert!(out.contains("\nedges touched   "), "{out}");
         assert!(out.contains("\n  iter   0: "), "{out}");
+    }
+
+    #[test]
+    fn help_names_the_reproducible_replay() {
+        let out = run(&parse("--help")).unwrap();
+        assert!(out.starts_with("usage: tigr run"), "{out}");
+        assert!(out.contains("Reproducible metrics come from the sequential replay"));
     }
 
     #[test]

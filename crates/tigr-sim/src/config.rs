@@ -65,6 +65,7 @@ pub struct GpuConfig {
     /// Number of streaming multiprocessors warps are distributed over.
     pub num_sms: usize,
     /// Size in bytes of one memory transaction (cache line / segment).
+    /// Must be a power of two, so a segment is an address shifted right.
     pub cacheline_bytes: u64,
     /// Cycle costs.
     pub cost: CostModel,
@@ -116,11 +117,16 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the warp size, SM count, cache line, or clock is zero.
+    /// Panics if the warp size, SM count, cache line, or clock is zero,
+    /// or if the cache line is not a power of two.
     pub fn validate(&self) {
         assert!(self.warp_size > 0, "warp size must be positive");
         assert!(self.num_sms > 0, "SM count must be positive");
         assert!(self.cacheline_bytes > 0, "cache line must be positive");
+        assert!(
+            self.cacheline_bytes.is_power_of_two(),
+            "cache line must be a power of two"
+        );
         assert!(self.clock_hz > 0.0, "clock must be positive");
     }
 }
@@ -157,6 +163,16 @@ mod tests {
     fn zero_warp_size_rejected() {
         GpuConfig {
             warp_size: 0,
+            ..GpuConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line must be a power of two")]
+    fn non_power_of_two_cache_line_rejected() {
+        GpuConfig {
+            cacheline_bytes: 96,
             ..GpuConfig::default()
         }
         .validate();

@@ -5,7 +5,7 @@ use std::num::NonZeroUsize;
 use crate::config::GpuConfig;
 use crate::memory::{AccessKind, MemAccess};
 use crate::metrics::KernelMetrics;
-use crate::warp::replay_warp;
+use crate::warp::WarpReplay;
 
 /// One operation recorded by a lane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,7 +24,10 @@ pub(crate) enum Op {
 /// addresses (see [`GpuSimulator::launch`]).
 #[derive(Debug, Default)]
 pub struct Lane {
+    /// The traces of the warp's lanes recorded so far, back to back.
     ops: Vec<Op>,
+    /// Where this lane's trace starts in `ops`.
+    start: usize,
 }
 
 impl Lane {
@@ -33,11 +36,12 @@ impl Lane {
     /// Consecutive `compute` calls fuse into one lockstep step of weight
     /// `n₁ + n₂`; memory accesses break the fusion, which keeps lanes with
     /// identical control flow aligned step-for-step.
+    #[inline]
     pub fn compute(&mut self, n: u64) {
         if n == 0 {
             return;
         }
-        if let Some(Op::Compute(w)) = self.ops.last_mut() {
+        if let Some(Op::Compute(w)) = self.ops[self.start..].last_mut() {
             *w += n;
         } else {
             self.ops.push(Op::Compute(n));
@@ -45,6 +49,7 @@ impl Lane {
     }
 
     /// Records a load of `bytes` bytes at simulated address `addr`.
+    #[inline]
     pub fn load(&mut self, addr: u64, bytes: u64) {
         self.ops.push(Op::Mem(MemAccess {
             addr,
@@ -54,6 +59,7 @@ impl Lane {
     }
 
     /// Records a store of `bytes` bytes at simulated address `addr`.
+    #[inline]
     pub fn store(&mut self, addr: u64, bytes: u64) {
         self.ops.push(Op::Mem(MemAccess {
             addr,
@@ -63,6 +69,7 @@ impl Lane {
     }
 
     /// Records an atomic read-modify-write (e.g. `atomicMin`) at `addr`.
+    #[inline]
     pub fn atomic(&mut self, addr: u64, bytes: u64) {
         self.ops.push(Op::Mem(MemAccess {
             addr,
@@ -71,28 +78,19 @@ impl Lane {
         }));
     }
 
-    /// Number of operations recorded so far.
+    /// Number of operations this lane has recorded so far.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.ops.len() - self.start
     }
 
-    /// `true` if no operations have been recorded.
+    /// `true` if this lane has recorded no operation.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.ops.clear();
+        self.len() == 0
     }
 
     #[cfg(test)]
     pub(crate) fn ops(&self) -> &[Op] {
-        &self.ops
-    }
-
-    #[cfg(test)]
-    pub(crate) fn take_ops(&mut self) -> Vec<Op> {
-        std::mem::take(&mut self.ops)
+        &self.ops[self.start..]
     }
 }
 
@@ -223,20 +221,21 @@ impl GpuSimulator {
             sm_cycles: vec![0; self.config.num_sms],
             ..KernelMetrics::default()
         };
-        let mut lanes: Vec<Vec<Op>> = vec![Vec::new(); ws];
+        // One warp's lanes record back to back into `recorder.ops`; lane
+        // `i`'s trace ends at `ends[i]`.
         let mut recorder = Lane::default();
+        let mut ends: Vec<usize> = Vec::with_capacity(ws);
+        let mut replay = WarpReplay::new(&self.config);
 
         for warp in warp_lo..warp_hi {
-            for (lane_idx, lane_ops) in lanes.iter_mut().enumerate() {
-                lane_ops.clear();
-                let tid = warp * ws + lane_idx;
-                if tid < num_threads {
-                    recorder.clear();
-                    kernel(tid, &mut recorder);
-                    std::mem::swap(lane_ops, &mut recorder.ops);
-                }
+            recorder.ops.clear();
+            ends.clear();
+            for tid in warp * ws..((warp + 1) * ws).min(num_threads) {
+                recorder.start = recorder.ops.len();
+                kernel(tid, &mut recorder);
+                ends.push(recorder.ops.len());
             }
-            let stats = replay_warp(&lanes, &self.config);
+            let stats = replay.replay(&recorder.ops, &ends);
             metrics.warps += 1;
             metrics.instructions += stats.useful_slots;
             metrics.issued_slots += stats.issued_slots;
@@ -275,7 +274,17 @@ mod tests {
         let mut lane = Lane::default();
         lane.compute(0);
         assert!(lane.is_empty());
-        let _ = lane.take_ops();
+    }
+
+    #[test]
+    fn lane_does_not_fuse_into_the_previous_lanes_trace() {
+        let mut lane = Lane::default();
+        lane.compute(2);
+        lane.start = lane.ops.len();
+        assert!(lane.is_empty());
+        lane.compute(3);
+        assert_eq!(lane.ops(), &[Op::Compute(3)]);
+        assert_eq!(lane.len(), 1);
     }
 
     #[test]

@@ -71,6 +71,15 @@ impl MemAccess {
 /// atomics to the same segment still serialize their RMW part, hence they
 /// are tallied per access, not per segment).
 ///
+/// The simulator's warp replay counts every step through the same
+/// coalescer, so this is the one definition of a transaction count.
+///
+/// # Panics
+///
+/// Panics if `cacheline_bytes` is not a power of two — the rule
+/// [`GpuConfig::validate`](crate::GpuConfig::validate) enforces, which
+/// makes a segment `addr >> log2(line)`.
+///
 /// # Example
 ///
 /// ```
@@ -85,22 +94,125 @@ impl MemAccess {
 /// assert_eq!(coalesce_transactions(&strided, 128).0, 4);
 /// ```
 pub fn coalesce_transactions(accesses: &[MemAccess], cacheline_bytes: u64) -> (u64, u64) {
-    debug_assert!(cacheline_bytes > 0);
-    let mut segments: Vec<u64> = Vec::with_capacity(accesses.len());
-    let mut atomics = 0u64;
+    let mut coalescer = Coalescer::new(cacheline_bytes);
+    let mut step = coalescer.step();
     for a in accesses {
-        if a.kind == AccessKind::Atomic {
-            atomics += 1;
-        }
-        let first = a.addr / cacheline_bytes;
-        let last = (a.addr + a.bytes.max(1) - 1) / cacheline_bytes;
-        for seg in first..=last {
-            segments.push(seg);
+        step.push(a);
+    }
+    step.finish().unwrap_or((0, 0))
+}
+
+/// The buffer behind [`coalesce_transactions`]: a step's segments, kept
+/// from one step to the next so a step allocates nothing once the largest
+/// has been seen.
+#[derive(Debug)]
+pub(crate) struct Coalescer {
+    line_shift: u32,
+    segments: Vec<u64>,
+}
+
+impl Coalescer {
+    /// A coalescer for `cacheline_bytes`-byte segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cacheline_bytes` is not a power of two.
+    pub(crate) fn new(cacheline_bytes: u64) -> Self {
+        assert!(
+            cacheline_bytes.is_power_of_two(),
+            "cache line must be a power of two"
+        );
+        Coalescer {
+            line_shift: cacheline_bytes.trailing_zeros(),
+            segments: Vec::new(),
         }
     }
-    segments.sort_unstable();
-    segments.dedup();
-    (segments.len() as u64, atomics)
+
+    /// Starts coalescing one step's accesses.
+    #[inline]
+    pub(crate) fn step(&mut self) -> Step<'_> {
+        Step {
+            line_shift: self.line_shift,
+            coalescer: self,
+            last: None,
+            ascending: true,
+            atomics: 0,
+        }
+    }
+
+    /// Pushes the segments `from..=last` of an access that straddles
+    /// lines: out of line, so the one-segment path keeps its registers.
+    #[cold]
+    #[inline(never)]
+    fn push_span(&mut self, from: u64, last: u64) {
+        self.segments.extend(from..=last);
+    }
+
+    /// The distinct values in `segments`, sorted in place and counted
+    /// where a value differs from its neighbour.
+    fn count_unsorted(&mut self) -> u64 {
+        self.segments.sort_unstable();
+        1 + self
+            .segments
+            .windows(2)
+            .filter(|pair| pair[0] != pair[1])
+            .count() as u64
+    }
+}
+
+/// One step's accesses being coalesced: its segments go into the
+/// coalescer's buffer, the rest is kept here, where the compiler can hold
+/// it in registers.
+#[derive(Debug)]
+pub(crate) struct Step<'c> {
+    coalescer: &'c mut Coalescer,
+    line_shift: u32,
+    /// The last segment pushed.
+    last: Option<u64>,
+    /// Whether the segments pushed so far ascend.
+    ascending: bool,
+    atomics: u64,
+}
+
+impl Step<'_> {
+    /// Adds the segments `a` touches — at least one: a zero-byte access
+    /// counts as one byte — except one equal to the segment pushed just
+    /// before it, which it cannot add to the count.
+    #[inline]
+    pub(crate) fn push(&mut self, a: &MemAccess) {
+        self.atomics += u64::from(a.kind == AccessKind::Atomic);
+        let first = a.addr >> self.line_shift;
+        let last = (a.addr + a.bytes.max(1) - 1) >> self.line_shift;
+        if let Some(prev) = self.last {
+            self.ascending &= prev <= first;
+        }
+        let repeat = self.last == Some(first);
+        if first == last {
+            if !repeat {
+                self.coalescer.segments.push(first);
+            }
+        } else {
+            self.coalescer.push_span(first + u64::from(repeat), last);
+        }
+        self.last = Some(last);
+    }
+
+    /// `(transactions, atomics)` of the step, `None` if it pushed no
+    /// access: the distinct segments pushed — their number if they ascend
+    /// (no two equal ones are neighbours), else counted after a sort —
+    /// and the atomic accesses.
+    #[inline]
+    pub(crate) fn finish(self) -> Option<(u64, u64)> {
+        self.last?;
+        let coalescer = self.coalescer;
+        let distinct = if self.ascending {
+            coalescer.segments.len() as u64
+        } else {
+            coalescer.count_unsorted()
+        };
+        coalescer.segments.clear();
+        Some((distinct, self.atomics))
+    }
 }
 
 #[cfg(test)]
@@ -171,5 +283,37 @@ mod tests {
         // 17..21 and 21..25 both lie inside [16, 32).
         let acc = vec![MemAccess::load4(17), MemAccess::load4(21)];
         assert_eq!(coalesce_transactions(&acc, 16).0, 1);
+    }
+
+    #[test]
+    fn a_step_starts_empty_after_the_last() {
+        let mut c = Coalescer::new(16);
+        let mut step = c.step();
+        step.push(&MemAccess::atomic4(40));
+        step.push(&MemAccess::load4(0));
+        step.push(&MemAccess::load4(40));
+        assert_eq!(step.finish(), Some((2, 1)));
+        assert_eq!(c.step().finish(), None);
+        let mut step = c.step();
+        step.push(&MemAccess::load4(8));
+        assert_eq!(step.finish(), Some((1, 0)));
+    }
+
+    #[test]
+    fn unsorted_steps_count_each_segment_once() {
+        let mut c = Coalescer::new(128);
+        for round in 0..3u64 {
+            let mut step = c.step();
+            for i in (0..200u64).rev() {
+                step.push(&MemAccess::load4((i % 50) * 128 + round));
+            }
+            assert_eq!(step.finish(), Some((50, 0)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line must be a power of two")]
+    fn non_power_of_two_line_rejected() {
+        coalesce_transactions(&[MemAccess::load4(0)], 96);
     }
 }

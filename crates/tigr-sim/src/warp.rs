@@ -1,8 +1,8 @@
 //! Warp-lockstep replay of lane traces.
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, TimingModel};
 use crate::executor::Op;
-use crate::memory::{coalesce_transactions, MemAccess};
+use crate::memory::{AccessKind, Coalescer};
 
 /// Timing and occupancy of a single simulated warp.
 ///
@@ -24,111 +24,192 @@ pub struct WarpStats {
     pub steps: u64,
 }
 
-/// Replays the per-lane traces of one warp in lockstep and returns its
-/// stats.
+/// Replays warps: the scratch one host thread reuses for every warp it
+/// replays — the coalescer's segment buffer and the list of lanes still
+/// running — so a step allocates nothing.
 ///
-/// Semantics, mirroring SIMD hardware (Figure 3 of the paper):
-///
-/// * The warp executes `max(len(trace))` steps; at step `k`, every lane
-///   with a `k`-th operation is active, the rest idle.
-/// * A step's *compute* component costs `max` over active compute weights
-///   (lanes with fewer pending instructions stall).
-/// * A step's *memory* component groups all active lanes' accesses into
-///   aligned cache-line transactions ([`coalesce_transactions`]).
-/// * Idle lanes still consume issued slots — that is precisely the warp
-///   inefficiency Tigr removes by regularizing degrees.
-pub(crate) fn replay_warp(lanes: &[Vec<Op>], config: &GpuConfig) -> WarpStats {
-    match config.timing {
-        crate::config::TimingModel::SimdLockstep => replay_lockstep(lanes, config),
-        crate::config::TimingModel::IdealMimd => replay_mimd(lanes, config),
-    }
+/// A warp arrives as its lanes' traces back to back in one buffer: lane
+/// `i`'s ops are `ops[ends[i - 1]..ends[i]]` (from `0` for lane 0).
+#[derive(Debug)]
+pub(crate) struct WarpReplay<'c> {
+    config: &'c GpuConfig,
+    coalescer: Coalescer,
+    /// `(start, len)` in `ops` of each lane that still has an op, in lane
+    /// order.
+    active: Vec<(usize, usize)>,
 }
 
-fn replay_lockstep(lanes: &[Vec<Op>], config: &GpuConfig) -> WarpStats {
-    let steps = lanes.iter().map(|l| l.len()).max().unwrap_or(0);
-    let mut stats = WarpStats {
-        steps: steps as u64,
-        ..WarpStats::default()
-    };
-    let mut step_accesses: Vec<MemAccess> = Vec::with_capacity(config.warp_size);
+impl<'c> WarpReplay<'c> {
+    /// Scratch for replaying warps under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cacheline_bytes` is not a power of two.
+    pub(crate) fn new(config: &'c GpuConfig) -> Self {
+        WarpReplay {
+            config,
+            coalescer: Coalescer::new(config.cacheline_bytes),
+            active: Vec::with_capacity(config.warp_size),
+        }
+    }
 
-    for k in 0..steps {
-        step_accesses.clear();
-        let mut max_compute = 0u64;
-        let mut useful = 0u64;
-        for lane in lanes {
-            match lane.get(k) {
-                Some(Op::Compute(w)) => {
-                    max_compute = max_compute.max(*w);
-                    useful += w;
-                }
-                Some(Op::Mem(a)) => {
-                    step_accesses.push(*a);
-                    useful += 1;
-                }
-                None => {}
+    /// Replays the per-lane traces of one warp in lockstep and returns
+    /// its stats.
+    ///
+    /// Semantics, mirroring SIMD hardware (Figure 3 of the paper):
+    ///
+    /// * The warp executes `max(len(trace))` steps; at step `k`, every
+    ///   lane with a `k`-th operation is active, the rest idle.
+    /// * A step's *compute* component costs `max` over active compute
+    ///   weights (lanes with fewer pending instructions stall).
+    /// * A step's *memory* component groups all active lanes' accesses
+    ///   into aligned cache-line transactions ([`coalesce_transactions`]).
+    /// * Idle lanes still consume issued slots — that is precisely the
+    ///   warp inefficiency Tigr removes by regularizing degrees.
+    ///
+    /// [`coalesce_transactions`]: crate::coalesce_transactions
+    pub(crate) fn replay(&mut self, ops: &[Op], ends: &[usize]) -> WarpStats {
+        self.active.clear();
+        let mut start = 0;
+        for &end in ends {
+            if end > start {
+                self.active.push((start, end - start));
             }
+            start = end;
         }
-
-        let mut step_weight = 0u64;
-        if max_compute > 0 {
-            stats.cycles += max_compute * config.cost.compute_cycles;
-            step_weight += max_compute;
+        match self.config.timing {
+            TimingModel::SimdLockstep => self.lockstep(ops),
+            TimingModel::IdealMimd => self.mimd(ops),
         }
-        if !step_accesses.is_empty() {
-            let (tx, atomics) = coalesce_transactions(&step_accesses, config.cacheline_bytes);
-            stats.cycles +=
-                tx * config.cost.mem_transaction_cycles + atomics * config.cost.atomic_extra_cycles;
-            stats.mem_transactions += tx;
-            stats.atomic_ops += atomics;
-            step_weight = step_weight.max(1);
-        }
-
-        stats.useful_slots += useful;
-        stats.issued_slots += config.warp_size as u64 * step_weight;
     }
-    stats
-}
 
-/// The MIMD ablation: no lockstep — useful work is spread evenly over
-/// the lanes, memory still pays per-access transactions (no warp-level
-/// coalescing opportunity either; each access is its own transaction).
-fn replay_mimd(lanes: &[Vec<Op>], config: &GpuConfig) -> WarpStats {
-    let mut stats = WarpStats::default();
-    let mut compute = 0u64;
-    for lane in lanes {
-        for op in lane {
-            match op {
-                Op::Compute(w) => {
-                    compute += w;
-                    stats.useful_slots += w;
-                }
-                Op::Mem(a) => {
-                    stats.mem_transactions += 1;
-                    if a.kind == crate::memory::AccessKind::Atomic {
-                        stats.atomic_ops += 1;
+    /// The lockstep replay at the cost of the active lanes: a step walks
+    /// only the lanes that still have an op (kept in lane order, so a
+    /// coalesced step's segments arrive ascending). An idle lane adds
+    /// nothing to a step but its issued slots, which `charge_step` counts
+    /// for the whole warp, so every count is the one stepping all lanes
+    /// gives.
+    fn lockstep(&mut self, ops: &[Op]) -> WarpStats {
+        let WarpReplay {
+            config,
+            coalescer,
+            active,
+        } = self;
+        let mut stats = WarpStats {
+            steps: active.iter().map(|&(_, len)| len).max().unwrap_or(0) as u64,
+            ..WarpStats::default()
+        };
+        let mut k = 0;
+        while !active.is_empty() {
+            // The active set holds until its shortest lane runs out.
+            let end = active.iter().map(|&(_, len)| len).min().unwrap_or(k);
+            for step in k..end {
+                let mut max_compute = 0u64;
+                let mut useful = 0u64;
+                let mut accesses = coalescer.step();
+                for &(start, _) in active.iter() {
+                    match &ops[start + step] {
+                        Op::Compute(w) => {
+                            max_compute = max_compute.max(*w);
+                            useful += w;
+                        }
+                        Op::Mem(a) => {
+                            accesses.push(a);
+                            useful += 1;
+                        }
                     }
-                    stats.useful_slots += 1;
+                }
+                let memory = accesses.finish();
+                charge_step(&mut stats, config, max_compute, memory, useful);
+            }
+            k = end;
+            active.retain(|&(_, len)| len > end);
+        }
+        stats
+    }
+
+    /// The MIMD ablation: no lockstep — useful work is spread evenly over
+    /// the lanes, memory still pays per-access transactions (no
+    /// warp-level coalescing opportunity either; each access is its own
+    /// transaction).
+    fn mimd(&self, ops: &[Op]) -> WarpStats {
+        let config = self.config;
+        let mut stats = WarpStats::default();
+        let mut compute = 0u64;
+        for &(start, len) in &self.active {
+            for op in &ops[start..start + len] {
+                match op {
+                    Op::Compute(w) => {
+                        compute += w;
+                        stats.useful_slots += w;
+                    }
+                    Op::Mem(a) => {
+                        stats.mem_transactions += 1;
+                        if a.kind == AccessKind::Atomic {
+                            stats.atomic_ops += 1;
+                        }
+                        stats.useful_slots += 1;
+                    }
                 }
             }
+            stats.steps = stats.steps.max(len as u64);
         }
-        stats.steps = stats.steps.max(lane.len() as u64);
+        stats.issued_slots = stats.useful_slots;
+        stats.cycles = compute.div_ceil(config.warp_size as u64) * config.cost.compute_cycles
+            + stats.mem_transactions.div_ceil(config.warp_size as u64)
+                * config.cost.mem_transaction_cycles
+            + stats.atomic_ops * config.cost.atomic_extra_cycles / config.warp_size.max(1) as u64;
+        stats
     }
-    stats.issued_slots = stats.useful_slots;
-    stats.cycles = compute.div_ceil(config.warp_size as u64) * config.cost.compute_cycles
-        + stats.mem_transactions.div_ceil(config.warp_size as u64)
-            * config.cost.mem_transaction_cycles
-        + stats.atomic_ops * config.cost.atomic_extra_cycles / config.warp_size.max(1) as u64;
-    stats
+}
+
+/// Charges one lockstep step: `max_compute` is the widest compute op of
+/// the active lanes, `memory` the step's coalesced `(transactions,
+/// atomics)` if any lane accessed memory, `useful` the lane-slots it
+/// executed. The step issues `warp_size` slots per unit of its weight.
+#[inline]
+fn charge_step(
+    stats: &mut WarpStats,
+    config: &GpuConfig,
+    max_compute: u64,
+    memory: Option<(u64, u64)>,
+    useful: u64,
+) {
+    let mut step_weight = 0u64;
+    if max_compute > 0 {
+        stats.cycles += max_compute * config.cost.compute_cycles;
+        step_weight += max_compute;
+    }
+    if let Some((tx, atomics)) = memory {
+        stats.cycles +=
+            tx * config.cost.mem_transaction_cycles + atomics * config.cost.atomic_extra_cycles;
+        stats.mem_transactions += tx;
+        stats.atomic_ops += atomics;
+        step_weight = step_weight.max(1);
+    }
+    stats.useful_slots += useful;
+    stats.issued_slots += config.warp_size as u64 * step_weight;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::AccessKind;
+    use crate::memory::MemAccess;
 
     fn cfg() -> GpuConfig {
         GpuConfig::tiny() // warp 4, line 16, mem 4 cyc, atomic +2, compute 1
+    }
+
+    fn replay_warp(lanes: &[Vec<Op>], config: &GpuConfig) -> WarpStats {
+        let ops: Vec<Op> = lanes.concat();
+        let ends: Vec<usize> = lanes
+            .iter()
+            .scan(0, |end, lane| {
+                *end += lane.len();
+                Some(*end)
+            })
+            .collect();
+        WarpReplay::new(config).replay(&ops, &ends)
     }
 
     fn compute(w: u64) -> Op {
@@ -216,7 +297,7 @@ mod tests {
     #[test]
     fn mimd_ablation_has_no_lockstep_waste() {
         let mut cfg = cfg();
-        cfg.timing = crate::config::TimingModel::IdealMimd;
+        cfg.timing = TimingModel::IdealMimd;
         // Wildly skewed lanes: MIMD shares the work perfectly.
         let lanes = vec![
             vec![compute(97)],
@@ -229,14 +310,14 @@ mod tests {
         assert_eq!(s.issued_slots, 100, "no idle slots under MIMD");
         assert_eq!(s.cycles, 25, "100 instructions over 4 lanes");
         // Under lockstep the same trace costs 97 cycles.
-        let lockstep = replay_lockstep(&lanes, &GpuConfig::tiny());
+        let lockstep = replay_warp(&lanes, &GpuConfig::tiny());
         assert_eq!(lockstep.cycles, 97);
     }
 
     #[test]
     fn mimd_counts_memory_per_access() {
         let mut cfg = cfg();
-        cfg.timing = crate::config::TimingModel::IdealMimd;
+        cfg.timing = TimingModel::IdealMimd;
         let lanes: Vec<Vec<Op>> = (0..4u64).map(|i| vec![load(i * 4)]).collect();
         let s = replay_warp(&lanes, &cfg);
         assert_eq!(s.mem_transactions, 4, "no coalescing under MIMD");

@@ -52,6 +52,13 @@ echo "== streamed artifact / buffered reference encoder on optimised code =="
 cargo test -q --release --test artifact_cost \
     streaming_the_artifact_costs_under_0_75x_the_buffered_reference -- --nocapture
 
+echo "== warp replay / all-lanes reference replay on optimised code =="
+# The simulator replays a warp at the cost of its active lanes: it must
+# produce the all-lanes replay's metrics at no more than 0.75x its cost on
+# skewed and on balanced warps.
+cargo test -q --release --test sim_replay_cost \
+    replay_costs_under_0_75x_the_reference -- --nocapture
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

@@ -5,8 +5,10 @@
 //! `values`, `iterations`, `converged` — and `edges_touched`; the
 //! simulator, a second independent loop, pins `values` and `converged`.
 //! Beside them sit the sequential R-MAT generator the chunked one must
-//! reproduce byte for byte, and the buffer-building artifact encoder the
-//! streaming writer must reproduce byte for byte.
+//! reproduce byte for byte, the buffer-building artifact encoder the
+//! streaming writer must reproduce byte for byte, and the warp replay
+//! that stepped every lane of a warp, whose counters the simulator's must
+//! equal.
 
 #![allow(dead_code)]
 
@@ -21,6 +23,7 @@ use tigr::core::{TransformedGraph, VirtualGraph};
 use tigr::graph::generators::RmatConfig;
 use tigr::graph::io::Section;
 use tigr::graph::RowView;
+use tigr::sim::{AccessKind, KernelMetrics, Lane, MemAccess, TimingModel, WarpStats};
 use tigr::{
     Csr, CsrBuilder, Edge, GpuConfig, GpuSimulator, MonotoneProgram, NodeId, PushOptions,
     Representation, Weight,
@@ -424,4 +427,227 @@ pub fn write_container<W: Write>(sections: &[Section], writer: W) -> std::io::Re
     }
     out.flush()?;
     Ok(())
+}
+
+/// What a kernel records on: the simulator's [`Lane`] or the
+/// reference's [`RefLane`], so one kernel body drives both.
+pub trait Recorder {
+    fn compute(&mut self, n: u64);
+    fn load(&mut self, addr: u64, bytes: u64);
+    fn store(&mut self, addr: u64, bytes: u64);
+    fn atomic(&mut self, addr: u64, bytes: u64);
+}
+
+impl Recorder for Lane {
+    fn compute(&mut self, n: u64) {
+        Lane::compute(self, n);
+    }
+    fn load(&mut self, addr: u64, bytes: u64) {
+        Lane::load(self, addr, bytes);
+    }
+    fn store(&mut self, addr: u64, bytes: u64) {
+        Lane::store(self, addr, bytes);
+    }
+    fn atomic(&mut self, addr: u64, bytes: u64) {
+        Lane::atomic(self, addr, bytes);
+    }
+}
+
+/// One operation of a drawn lane trace, recorded by [`play`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceOp {
+    Compute(u64),
+    Load(u64, u64),
+    Store(u64, u64),
+    Atomic(u64, u64),
+}
+
+/// Records `trace` on `lane`.
+pub fn play(trace: &[TraceOp], lane: &mut impl Recorder) {
+    for op in trace {
+        match *op {
+            TraceOp::Compute(n) => lane.compute(n),
+            TraceOp::Load(addr, bytes) => lane.load(addr, bytes),
+            TraceOp::Store(addr, bytes) => lane.store(addr, bytes),
+            TraceOp::Atomic(addr, bytes) => lane.atomic(addr, bytes),
+        }
+    }
+}
+
+/// One recorded operation of the reference simulator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum RefOp {
+    Compute(u64),
+    Mem(MemAccess),
+}
+
+/// The reference recorder: `Lane`'s rule — consecutive computes fuse, a
+/// zero compute records nothing — over a `Vec` of its own.
+#[derive(Debug, Default)]
+pub struct RefLane {
+    ops: Vec<RefOp>,
+}
+
+impl RefLane {
+    fn access(&mut self, addr: u64, bytes: u64, kind: AccessKind) {
+        self.ops.push(RefOp::Mem(MemAccess { addr, bytes, kind }));
+    }
+}
+
+impl Recorder for RefLane {
+    fn compute(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        if let Some(RefOp::Compute(w)) = self.ops.last_mut() {
+            *w += n;
+        } else {
+            self.ops.push(RefOp::Compute(n));
+        }
+    }
+    fn load(&mut self, addr: u64, bytes: u64) {
+        self.access(addr, bytes, AccessKind::Load);
+    }
+    fn store(&mut self, addr: u64, bytes: u64) {
+        self.access(addr, bytes, AccessKind::Store);
+    }
+    fn atomic(&mut self, addr: u64, bytes: u64) {
+        self.access(addr, bytes, AccessKind::Atomic);
+    }
+}
+
+/// The simulator's launch written the plain way, run sequentially: every
+/// lane recorded into a `Vec` of its own, every step visiting all of
+/// them, every step's accesses coalesced into a fresh buffer by division,
+/// sort and dedup. Shares no code with `tigr_sim`.
+pub fn reference_launch<F>(config: &GpuConfig, num_threads: usize, kernel: F) -> KernelMetrics
+where
+    F: Fn(usize, &mut RefLane),
+{
+    let ws = config.warp_size;
+    let mut metrics = KernelMetrics {
+        sm_cycles: vec![0; config.num_sms],
+        ..KernelMetrics::default()
+    };
+    let mut lanes: Vec<Vec<RefOp>> = vec![Vec::new(); ws];
+    let mut recorder = RefLane::default();
+    for warp in 0..num_threads.div_ceil(ws) {
+        for (lane_idx, lane_ops) in lanes.iter_mut().enumerate() {
+            lane_ops.clear();
+            let tid = warp * ws + lane_idx;
+            if tid < num_threads {
+                recorder.ops.clear();
+                kernel(tid, &mut recorder);
+                std::mem::swap(lane_ops, &mut recorder.ops);
+            }
+        }
+        let stats = match config.timing {
+            TimingModel::SimdLockstep => reference_lockstep(&lanes, config),
+            TimingModel::IdealMimd => reference_mimd(&lanes, config),
+        };
+        metrics.warps += 1;
+        metrics.instructions += stats.useful_slots;
+        metrics.issued_slots += stats.issued_slots;
+        metrics.mem_transactions += stats.mem_transactions;
+        metrics.atomic_ops += stats.atomic_ops;
+        metrics.sm_cycles[warp % config.num_sms] += stats.cycles;
+    }
+    metrics.cycles =
+        metrics.sm_cycles.iter().copied().max().unwrap_or(0) + config.cost.kernel_launch_cycles;
+    metrics
+}
+
+fn reference_lockstep(lanes: &[Vec<RefOp>], config: &GpuConfig) -> WarpStats {
+    let steps = lanes.iter().map(|l| l.len()).max().unwrap_or(0);
+    let mut stats = WarpStats {
+        steps: steps as u64,
+        ..WarpStats::default()
+    };
+    let mut step_accesses: Vec<MemAccess> = Vec::with_capacity(config.warp_size);
+
+    for k in 0..steps {
+        step_accesses.clear();
+        let mut max_compute = 0u64;
+        let mut useful = 0u64;
+        for lane in lanes {
+            match lane.get(k) {
+                Some(RefOp::Compute(w)) => {
+                    max_compute = max_compute.max(*w);
+                    useful += w;
+                }
+                Some(RefOp::Mem(a)) => {
+                    step_accesses.push(*a);
+                    useful += 1;
+                }
+                None => {}
+            }
+        }
+
+        let mut step_weight = 0u64;
+        if max_compute > 0 {
+            stats.cycles += max_compute * config.cost.compute_cycles;
+            step_weight += max_compute;
+        }
+        if !step_accesses.is_empty() {
+            let (tx, atomics) = reference_coalesce(&step_accesses, config.cacheline_bytes);
+            stats.cycles +=
+                tx * config.cost.mem_transaction_cycles + atomics * config.cost.atomic_extra_cycles;
+            stats.mem_transactions += tx;
+            stats.atomic_ops += atomics;
+            step_weight = step_weight.max(1);
+        }
+
+        stats.useful_slots += useful;
+        stats.issued_slots += config.warp_size as u64 * step_weight;
+    }
+    stats
+}
+
+fn reference_mimd(lanes: &[Vec<RefOp>], config: &GpuConfig) -> WarpStats {
+    let mut stats = WarpStats::default();
+    let mut compute = 0u64;
+    for lane in lanes {
+        for op in lane {
+            match op {
+                RefOp::Compute(w) => {
+                    compute += w;
+                    stats.useful_slots += w;
+                }
+                RefOp::Mem(a) => {
+                    stats.mem_transactions += 1;
+                    if a.kind == AccessKind::Atomic {
+                        stats.atomic_ops += 1;
+                    }
+                    stats.useful_slots += 1;
+                }
+            }
+        }
+        stats.steps = stats.steps.max(lane.len() as u64);
+    }
+    stats.issued_slots = stats.useful_slots;
+    stats.cycles = compute.div_ceil(config.warp_size as u64) * config.cost.compute_cycles
+        + stats.mem_transactions.div_ceil(config.warp_size as u64)
+            * config.cost.mem_transaction_cycles
+        + stats.atomic_ops * config.cost.atomic_extra_cycles / config.warp_size.max(1) as u64;
+    stats
+}
+
+/// `(transactions, atomics)` of one step's accesses: the distinct
+/// `cacheline_bytes` segments they touch, by division, sort and dedup.
+fn reference_coalesce(accesses: &[MemAccess], cacheline_bytes: u64) -> (u64, u64) {
+    let mut segments: Vec<u64> = Vec::with_capacity(accesses.len());
+    let mut atomics = 0u64;
+    for a in accesses {
+        if a.kind == AccessKind::Atomic {
+            atomics += 1;
+        }
+        let first = a.addr / cacheline_bytes;
+        let last = (a.addr + a.bytes.max(1) - 1) / cacheline_bytes;
+        for seg in first..=last {
+            segments.push(seg);
+        }
+    }
+    segments.sort_unstable();
+    segments.dedup();
+    (segments.len() as u64, atomics)
 }

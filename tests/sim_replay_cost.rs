@@ -1,0 +1,117 @@
+//! The simulator's launch against the plain all-lanes replay
+//! (`common::reference_launch`): the same metrics, at a fraction of the
+//! cost. The guard is the only test in this binary, so no other test
+//! competes for the core it times.
+
+mod common;
+
+use std::time::Instant;
+
+use common::{reference_launch, Recorder};
+use tigr_sim::{GpuConfig, GpuSimulator, KernelMetrics};
+
+const LANES: usize = 32768;
+const NODES: u64 = 1 << 16;
+const EDGES: u64 = 0x1000_0000;
+const VALUES: u64 = 0x2000_0000;
+
+/// SplitMix64's finalizer: the kernels' deterministic "graph".
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// A push-relax lane over `degree` edges, the engine's shape: the row
+/// pointer, then per edge the entry load at `edge(j)`, the candidate
+/// arithmetic, the target's value load and, for an edge that improves
+/// its target (one in eight if `improving`), the `atomicMin`.
+fn relax(
+    lane: &mut impl Recorder,
+    tid: usize,
+    degree: u64,
+    edge: impl Fn(u64) -> u64,
+    improving: bool,
+) {
+    lane.load(tid as u64 * 8, 8);
+    for j in 0..degree {
+        let h = mix((tid as u64) << 32 | j);
+        let target = VALUES + (h % NODES) * 4;
+        lane.load(EDGES + edge(j) * 8, 8);
+        lane.compute(2);
+        lane.load(target, 4);
+        if improving && h >> 61 == 0 {
+            lane.atomic(target, 4);
+        }
+    }
+}
+
+/// The original CSR's rows: power-law degrees (most lanes one or two
+/// edges, a hub now and then), each row's edges contiguous.
+fn skewed_rows() -> Vec<u64> {
+    let mut row_ptr = vec![0u64];
+    for tid in 0..LANES as u64 {
+        let u = (mix(!tid) >> 11) as f64 / (1u64 << 53) as f64;
+        let degree = (1.0 / (0.002 + 0.998 * u)).powf(1.2) as u64;
+        row_ptr.push(row_ptr[tid as usize] + degree);
+    }
+    row_ptr
+}
+
+fn skewed(row_ptr: &[u64], tid: usize, lane: &mut impl Recorder) {
+    let start = row_ptr[tid];
+    relax(lane, tid, row_ptr[tid + 1] - start, |j| start + j, true);
+}
+
+/// Tigr-V+'s warps: ten edges per virtual node, laid out coalesced (a
+/// warp's `j`-th edges side by side), none improving, so every lane runs
+/// the same steps.
+fn vplus(tid: usize, lane: &mut impl Recorder) {
+    let (warp, slot) = (tid as u64 / 32, tid as u64 % 32);
+    relax(lane, tid, 10, |j| (warp * 10 + j) * 32 + slot, false);
+}
+
+/// Fastest of nine interleaved runs of `replay` and of `reference`,
+/// whose metrics must agree; fails if the first costs over 0.75 times the
+/// second optimised, 0.9 times under the test profile's overflow checks.
+fn guard(name: &str, replay: impl Fn() -> KernelMetrics, reference: impl Fn() -> KernelMetrics) {
+    let (mut replay_ms, mut reference_ms) = (f64::MAX, f64::MAX);
+    for _ in 0..9 {
+        let started = Instant::now();
+        let replayed = replay();
+        replay_ms = replay_ms.min(started.elapsed().as_secs_f64() * 1e3);
+        let started = Instant::now();
+        let expected = reference();
+        reference_ms = reference_ms.min(started.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(replayed, expected, "{name}: metrics differ");
+    }
+    let ratio = replay_ms / reference_ms;
+    let bound = if cfg!(debug_assertions) { 0.9 } else { 0.75 };
+    println!("{name}: replay {replay_ms:.2} ms / reference {reference_ms:.2} ms = {ratio:.2}");
+    assert!(
+        ratio <= bound,
+        "{name}: replay took {ratio:.2}x the reference (bound {bound})"
+    );
+}
+
+/// A sequential launch of the skewed and of the balanced kernel at no
+/// more than 0.75x the reference's cost each, on the default device.
+/// Optimised, on one core or two, skewed reads ≈ 0.3 and balanced
+/// ≈ 0.70–0.74: a step whose segments arrive out of order (the balanced
+/// warps' scattered target loads) is sorted in both replays.
+#[test]
+fn replay_costs_under_0_75x_the_reference() {
+    let config = GpuConfig::default();
+    let sim = GpuSimulator::new(config);
+    let rows = skewed_rows();
+    guard(
+        "skewed",
+        || sim.launch(LANES, |tid, lane| skewed(&rows, tid, lane)),
+        || reference_launch(&config, LANES, |tid, lane| skewed(&rows, tid, lane)),
+    );
+    guard(
+        "balanced",
+        || sim.launch(LANES, vplus),
+        || reference_launch(&config, LANES, vplus),
+    );
+}
