@@ -276,16 +276,26 @@ impl ExecutionPlan {
                 pipeline: pipeline.name(),
             });
         }
-        if !pipeline.split_invariant() && matches!(rep, Representation::Physical(_)) {
-            return Err(PlanError::NotSplitInvariant {
-                pipeline: pipeline.name(),
-            });
-        }
+        check_split_invariance(rep, pipeline.split_invariant(), pipeline.name())?;
         if let PipelineBody::Monotone { prog, .. } = &pipeline.body {
             self.validate(rep, prog)?;
         }
         Ok(())
     }
+}
+
+/// Refuses a run over a physically split (UDT) `rep` of what is not
+/// split-invariant ([`crate::Pipeline::split_invariant`]; for a bare
+/// program, [`crate::EdgeOp::split_invariant`]): Corollary 2/3.
+pub(crate) fn check_split_invariance(
+    rep: &Representation<'_>,
+    split_invariant: bool,
+    pipeline: &'static str,
+) -> Result<(), PlanError> {
+    if !split_invariant && matches!(rep, Representation::Physical(_)) {
+        return Err(PlanError::NotSplitInvariant { pipeline });
+    }
+    Ok(())
 }
 
 /// Refuses a `source` that names no value slot of `rep`.

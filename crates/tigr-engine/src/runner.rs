@@ -20,7 +20,10 @@ use crate::monotone::{pull_view, run_monotone, MonotoneOutput, PullSide};
 use crate::operators::{
     predecessors, triangle_counts, ComputeStep, Pipeline, PipelineBody, PipelineOutput,
 };
-use crate::plan::{check_source, BackendKind, CpuOptions, Direction, ExecutionPlan, PlanError};
+use crate::plan::{
+    check_source, check_split_invariance, BackendKind, CpuOptions, Direction, ExecutionPlan,
+    PlanError,
+};
 use crate::program::MonotoneProgram;
 use crate::push::{PushOptions, SyncMode};
 use crate::representation::Representation;
@@ -459,7 +462,9 @@ impl Engine {
     ) -> Result<BatchOutput, EngineError> {
         self.check_footprint(rep)?;
         let plan = &self.plan;
-        plan.validate(rep, &batch.prog)?;
+        let prog = &batch.prog;
+        check_split_invariance(rep, prog.edge_op.split_invariant(), prog.name)?;
+        plan.validate(rep, prog)?;
         for lane in &batch.lanes {
             check_source(rep, lane.source)?;
         }

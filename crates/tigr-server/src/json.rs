@@ -11,11 +11,20 @@
 //!
 //! The reader's cost is linear in the line: a string is copied in whole
 //! runs up to the next `"` or `\` (the input is already `&str`, so
-//! nothing between them needs validating), and a plain integer of up to
-//! 15 digits is accumulated directly instead of going through
+//! nothing between them needs validating), and a lone number that is a
+//! plain integer is accumulated directly instead of going through
 //! `str::parse::<f64>`. Containers nest at most [`MAX_DEPTH`] deep;
 //! past that the line is a typed [`ParseError`] ("nesting too deep"),
 //! so no line from the wire can overflow a connection thread's stack.
+//!
+//! Integers are handled a word at a time, with no branch on how many
+//! digits they have. The writer counts a number's digits from its
+//! leading zeros, forms eight ASCII digits in one `u64` by
+//! multiply-shifts, and stores a `values` element as one fixed 16-byte
+//! word plus a comma. The reader finds the elements of a `[u32]` member
+//! from a 64-byte block's mask of non-digits and converts each with
+//! three multiply-adds; an element off that path (spaced, signed,
+//! fractional, out of range) alone goes through the number reader.
 //!
 //! The grammar is written once, in the crate-private `Reader`:
 //! [`parse`] drives it to build a tree, and [`crate::protocol`] drives
@@ -240,18 +249,141 @@ pub(crate) fn push_u64(out: &mut Vec<u8>, n: u64) {
         out.extend_from_slice((n as f64).to_string().as_bytes());
         return;
     }
-    let mut buf = [b'0'; 16];
-    let mut at = buf.len();
-    let mut rest = n;
-    loop {
-        at -= 1;
-        buf[at] += (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+    // n < 2^53 < 10^16, so the high eight digits fit a `u32`.
+    let high = (n / 100_000_000) as u32;
+    let len = if high == 0 {
+        digit_count(n as u32)
+    } else {
+        8 + digit_count(high)
+    };
+    out.extend_from_slice(&digit_word(n, len).to_le_bytes()[..len]);
+}
+
+/// Appends `values` as the JSON array [`Json`]'s `Display` prints for
+/// them. The buffer is sized once for the widest spelling and cut back
+/// at the end; in between, each value is one fixed 16-byte store of its
+/// digits and a comma byte after them, and the cursor advances past the
+/// comma.
+pub(crate) fn push_u32_array(out: &mut Vec<u8>, values: &[u32]) {
+    let start = out.len();
+    // Ten digits and a comma per value, the bracket, and the last
+    // store's reach past its comma.
+    out.resize(start + 11 * values.len() + 17, 0);
+    out[start] = b'[';
+    let mut at = start + 1;
+    for &v in values {
+        let len = digit_count(v);
+        let word = out[at..]
+            .first_chunk_mut::<16>()
+            .expect("the buffer holds the widest spelling");
+        *word = digit_word(v.into(), len).to_le_bytes();
+        word[len] = b',';
+        at += len + 1;
     }
-    out.extend_from_slice(&buf[at..]);
+    // The last comma — or, for no values, the byte after `[` — closes.
+    let end = at + usize::from(values.is_empty());
+    out[end - 1] = b']';
+    out.truncate(end);
+}
+
+/// `(n + DIGIT_COUNT[⌊log2 n⌋]) >> 32` is the number of decimal digits
+/// of a `u32` `n`. Entry `i` is `(d + 1) << 32` less `10^d`, for the `d`
+/// digits of `2^i`: the add carries into `d + 1` exactly when
+/// `n ≥ 10^d`. Past `u32::MAX` no power of ten is reached, and the entry
+/// is plain `d << 32`.
+const DIGIT_COUNT: [u64; 32] = {
+    let mut table = [0; 32];
+    let mut i = 0;
+    while i < 32 {
+        let (mut digits, mut power) = (1, 10);
+        while power <= 1 << i {
+            digits += 1;
+            power *= 10;
+        }
+        table[i] = if power > u32::MAX as u64 {
+            digits << 32
+        } else {
+            ((digits + 1) << 32) - power
+        };
+        i += 1;
+    }
+    table
+};
+
+/// How many decimal digits `n` has (one for zero), without a branch.
+#[inline]
+fn digit_count(n: u32) -> usize {
+    let log2 = 31 - (n | 1).leading_zeros();
+    ((u64::from(n) + DIGIT_COUNT[log2 as usize]) >> 32) as usize
+}
+
+/// The digits of `n < 10^8` as eight ASCII bytes, zero-padded on the
+/// left, the first digit in the low byte (so `to_le_bytes` spells them
+/// in order). Each step splits every lane of the word in two with a
+/// multiply-shift and halves the lane width: 4 + 4 digits in 32-bit
+/// lanes, then 2 + 2 in 16-bit lanes, then 1 + 1 in bytes. No lane
+/// carries into or borrows from the next, and the word is lanes, not a
+/// number: the arithmetic is written wrapping, as in [`parse8`].
+#[inline]
+fn ascii8(n: u64) -> u64 {
+    let x = (n / 10_000) | ((n % 10_000) << 32);
+    // ⌊v · 10486 / 2^20⌋ = ⌊v / 100⌋ for every v < 10^4.
+    let hundreds = (x.wrapping_mul(10_486) >> 20) & 0x0000_007f_0000_007f;
+    let x = hundreds | (x.wrapping_sub(hundreds.wrapping_mul(100)) << 16);
+    // ⌊v · 103 / 2^10⌋ = ⌊v / 10⌋ for every v < 100.
+    let tens = (x.wrapping_mul(103) >> 10) & 0x000f_000f_000f_000f;
+    let x = tens | (x.wrapping_sub(tens.wrapping_mul(10)) << 8);
+    x | 0x3030_3030_3030_3030
+}
+
+/// The `len` digits of `n < 10^16` (`len` ≥ its digit count) in the low
+/// bytes of a word, in order: sixteen zero-padded ASCII digits, shifted
+/// past the padding.
+#[inline]
+fn digit_word(n: u64, len: usize) -> u128 {
+    let padded = u128::from(ascii8(n / 100_000_000)) | (u128::from(ascii8(n % 100_000_000)) << 64);
+    padded >> (8 * (16 - len))
+}
+
+/// Bit `i` set where byte `i` of `w` is not an ASCII digit. Per byte,
+/// `b ^ b'0'` is the digit's value for a digit and at least 10 for any
+/// other byte; adding `0x76` to its low seven bits sets the high bit from
+/// 10 up without carrying into the next byte, and one multiply gathers
+/// the eight high bits into the top byte.
+fn non_digit_bits(w: u64) -> u64 {
+    const ZEROS: u64 = u64::from_ne_bytes([b'0'; 8]);
+    const LOW_SEVEN: u64 = u64::from_ne_bytes([0x7f; 8]);
+    const TO_TEN: u64 = u64::from_ne_bytes([0x80 - 10; 8]);
+    const HIGH_BITS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let x = w ^ ZEROS;
+    let high = (((x & LOW_SEVEN) + TO_TEN) | x) & HIGH_BITS;
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56
+}
+
+/// For an element of `len` digits that ends a 10-byte window, the bytes
+/// of the window that hold it: of the first two (as a little-endian
+/// `u16`), and of the last eight (as a `u64`).
+const ELEMENT_BYTES: [(u16, u64); 11] = {
+    let mut masks = [(0, 0); 11];
+    let mut len = 1;
+    while len <= 10 {
+        masks[len] = match len {
+            ..=7 => (0, u64::MAX << (8 * (8 - len))),
+            8 => (0, u64::MAX),
+            9 => (0xff00, u64::MAX),
+            _ => (0xffff, u64::MAX),
+        };
+        len += 1;
+    }
+    masks
+};
+
+/// The value of eight ASCII digits, the first in the low byte, in three
+/// multiply-adds: pairs of digits, then pairs of pairs, then the halves.
+fn parse8(w: u64) -> u64 {
+    let w = ((w & 0x0f0f_0f0f_0f0f_0f0f).wrapping_mul((10 << 8) | 1)) >> 8;
+    let w = ((w & 0x00ff_00ff_00ff_00ff).wrapping_mul((100 << 16) | 1)) >> 16;
+    ((w & 0x0000_ffff_0000_ffff).wrapping_mul((10_000 << 32) | 1)) >> 32
 }
 
 /// A parse failure with a byte offset into the input.
@@ -465,8 +597,10 @@ impl<'a> Reader<'a> {
     }
 
     /// If the next value is an array, calls `element` with the cursor
-    /// on each element, which `element` must consume. Any other value
-    /// is read and dropped, and `false` returned.
+    /// on each element, which `element` must consume. It may read the
+    /// elements and commas after it too (the `values` reader does, with
+    /// [`Self::u32_run`]) as long as it stops just past an element. Any
+    /// other value is read and dropped, and `false` returned.
     pub(crate) fn array(
         &mut self,
         element: impl FnMut(&mut Self) -> Result<(), ParseError>,
@@ -568,6 +702,65 @@ impl<'a> Reader<'a> {
             self.pos += 1;
         }
         Ok(cp)
+    }
+
+    /// With the cursor on an element of an array of `u32`s, reads the
+    /// run of elements spelled as plain digits directly followed by `,`
+    /// or `]`. Each step tests eight bytes for non-digits, a 64-byte
+    /// block at a time: every non-digit ends an element, so the elements
+    /// come off the block's mask without a byte loop, and each converts
+    /// from the window of bytes before its end
+    /// ([`Reader::digits_to`]). Returns `true` on the `]` that closes the
+    /// array, and `false` on the first byte of an element the run does
+    /// not own — anything but a plain integer of 1–10 digits up to
+    /// `u32::MAX` followed by `,` or `]`, or one in the last 64 bytes of
+    /// the input — which is the caller's to read.
+    pub(crate) fn u32_run(&mut self, out: &mut Vec<u32>) -> bool {
+        let bytes = self.input.as_bytes();
+        let mut block_at = self.pos;
+        while let Some(block) = bytes.get(block_at..).and_then(<[u8]>::first_chunk::<64>) {
+            let mut ends = 0;
+            for (i, word) in block.as_chunks::<8>().0.iter().enumerate() {
+                ends |= non_digit_bits(u64::from_le_bytes(*word)) << (8 * i);
+            }
+            while ends != 0 {
+                let end = block_at + ends.trailing_zeros() as usize;
+                ends &= ends - 1;
+                let Some(value) = self.digits_to(end) else {
+                    self.skip_ws();
+                    return false;
+                };
+                out.push(value);
+                if bytes[end] == b']' {
+                    self.pos = end;
+                    return true;
+                }
+                self.pos = end + 1;
+            }
+            block_at += 64;
+        }
+        self.skip_ws();
+        false
+    }
+
+    /// The element from the cursor to the non-digit at `end`, if it is
+    /// 1–10 digits up to `u32::MAX` ended by `,` or `]`. It is read from
+    /// the ten bytes before `end`, with the bytes before the element
+    /// masked off: the last eight by [`parse8`], the first two as the
+    /// digits above 10^8.
+    fn digits_to(&self, end: usize) -> Option<u32> {
+        let bytes = self.input.as_bytes();
+        let len = end - self.pos;
+        if !(1..=10).contains(&len) || !matches!(bytes[end], b',' | b']') {
+            return None;
+        }
+        let window = bytes.get(end.checked_sub(10)?..)?.first_chunk::<10>()?;
+        let [tens, ones, low @ ..] = *window;
+        let (keep_high, keep_low) = ELEMENT_BYTES[len];
+        let high = u64::from(u16::from_le_bytes([tens, ones]) & keep_high & 0x0f0f);
+        let value = ((high & 0xf) * 10 + (high >> 8)) * 100_000_000
+            + parse8(u64::from_le_bytes(low) & keep_low);
+        u32::try_from(value).ok()
     }
 
     /// Reads a number if the next value is one; consumes nothing
@@ -690,6 +883,42 @@ mod tests {
     fn whitespace_and_nesting() {
         let v = parse(" { \"a\" : [ 1 , { \"b\" : null } ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn integers_are_spelled_at_every_digit_boundary() {
+        let mut numbers = vec![0, u64::from(u32::MAX), (1 << 53) - 1];
+        for k in 1..=15 {
+            numbers.extend([10u64.pow(k) - 1, 10u64.pow(k)]);
+        }
+        for i in 1..53 {
+            numbers.extend([(1u64 << i) - 1, 1 << i]);
+        }
+        for n in numbers {
+            let text = n.to_string();
+            if let Ok(small) = u32::try_from(n) {
+                assert_eq!(digit_count(small), text.len(), "{n}");
+            }
+            let mut out = Vec::new();
+            push_u64(&mut out, n);
+            assert_eq!(out, text.as_bytes(), "{n}");
+        }
+    }
+
+    #[test]
+    fn non_digit_bits_flag_exactly_the_non_digits() {
+        for b in 0..=u8::MAX {
+            for at in 0..8 {
+                let mut word = *b"01234567";
+                word[at] = b;
+                let want = if b.is_ascii_digit() { 0 } else { 1 << at };
+                assert_eq!(
+                    non_digit_bits(u64::from_le_bytes(word)),
+                    want,
+                    "{b:#x} at {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@
 use std::fmt;
 use std::io::Write as _;
 
-use crate::json::{parse_except, push_escaped, push_u64, Json, ParseError, Reader};
+use crate::json::{parse_except, push_escaped, push_u32_array, push_u64, Json, ParseError, Reader};
 use crate::stats::StatsSnapshot;
 
 /// Longest request line a connection accepts, in bytes without the
@@ -586,13 +586,20 @@ fn read_ops(r: &mut Reader<'_>) -> Result<OpsMember, ParseError> {
 }
 
 /// Reads the `values` member of a reply — `[<u32>...]` by the grammar —
-/// straight into a `Vec<u32>`. `None` if the member is not an array of
-/// in-range integral numbers (it is still consumed, so a syntax error
-/// behind it is still reported).
+/// straight into a `Vec<u32>`. Runs of plain digits are read a 64-byte
+/// block at a time (`Reader::u32_run`); an element the run does not
+/// own — spaced, signed, fractional, out of range, not a number — alone
+/// goes through the grammar's own number and value readers, and the run
+/// resumes after it. `None` if the member is not an array of in-range
+/// integral numbers (it is still consumed, so a syntax error behind it
+/// is still reported).
 fn read_values(r: &mut Reader<'_>) -> Result<Option<Vec<u32>>, ParseError> {
     let mut values = Vec::new();
     let mut typed = true;
     let is_array = r.array(|r| {
+        if r.u32_run(&mut values) {
+            return Ok(());
+        }
         let entry = match r.try_number()? {
             Some(n) => f64_as_u32(n),
             None => r.value().map(|_| None)?,
@@ -778,7 +785,7 @@ pub(crate) fn write_response(out: &mut Vec<u8>, resp: &Response) {
                 None => o.key("source").extend_from_slice(b"null"),
             }
             if let Some(values) = &q.values {
-                write_array(o.key("values"), values, |out, &v| push_u64(out, v.into()));
+                push_u32_array(o.key("values"), values);
             }
             o.num("wall_us", q.wall_us);
         }

@@ -1033,7 +1033,9 @@ fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl 
                     Ok(request) => core.submit(request),
                     Err(error) => Response::Error(error),
                 },
-                Err(_) => break,
+                // Unlike an oversized line, this one's end is known: answer
+                // it and read the next.
+                Err(_) => Response::error(ErrorCode::BadRequest, "request line is not valid UTF-8"),
             }
         };
         reply.clear();

@@ -59,6 +59,13 @@ echo "== warp replay / all-lanes reference replay on optimised code =="
 cargo test -q --release --test sim_replay_cost \
     replay_costs_under_0_75x_the_reference -- --nocapture
 
+echo "== word-at-a-time values codec / digit loops on optimised code =="
+# A 131 072-value reply's `values` are written and read eight digits per
+# step: encoding and decoding must each cost no more than 0.6x the
+# digit-at-a-time loops they replaced (0.8x under the test profile).
+cargo test -q --release --test values_codec_cost \
+    values_codec_costs_under_0_6x_the_digit_loops -- --nocapture
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

@@ -35,7 +35,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use common::{assert_lane_is_the_reference_run, reference_push, simulated_push};
-use tigr::core::CancelToken;
+use tigr::core::{CancelToken, GraphStore, PrepareSpec, TransformKind};
 use tigr::engine::batch::{BatchArena, BatchLane, BatchOutput, BatchProgram};
 use tigr::engine::{
     run_batch_push, BackendKind, CpuOptions, Direction, EngineError, MonotoneOutput, PlanError,
@@ -43,8 +43,8 @@ use tigr::engine::{
 use tigr::graph::generators::{rmat, with_uniform_weights, RmatConfig};
 use tigr::server::checksum;
 use tigr::{
-    Csr, CsrBuilder, Edge, Engine, MonotoneProgram, NodeId, PushOptions, Representation, SyncMode,
-    VirtualGraph,
+    Csr, CsrBuilder, DumbWeight, Edge, Engine, MonotoneProgram, NodeId, PushOptions,
+    Representation, SyncMode, VirtualGraph,
 };
 
 /// Every edge function and both combines: `AddWeight`/min (bfs, sssp),
@@ -728,5 +728,46 @@ mod seed_corpus {
             ),
             "{err:?}"
         );
+    }
+}
+
+/// A UDT split charges `AddUnit`'s hop on every split edge, so a batch
+/// of k-hop lanes over a physically split graph is refused as its solo
+/// pipeline is (Corollary 2/3), while sssp lanes over the same graph
+/// answer the unsplit graph's distances.
+#[test]
+fn batches_over_a_udt_split_refuse_khop_and_run_sssp() {
+    let store = GraphStore::disabled();
+    let spec = PrepareSpec::generated("star:200", 0).with_uniform_weights(1, 64, 3);
+    let plain = store.prepare(&spec).unwrap();
+    let split = store
+        .prepare(&spec.with_transform(TransformKind::Udt, Some(4), DumbWeight::Zero))
+        .unwrap();
+    let sources = [Some(NodeId::new(0)), Some(NodeId::new(7))];
+    let engine = Engine::default();
+    let run = |prepared, prog| {
+        let batch = BatchProgram::from_sources(prog, sources);
+        engine.run_prepared_batch(prepared, &batch, &mut BatchArena::new())
+    };
+    let refused = run(&split, MonotoneProgram::KHOP);
+    assert!(
+        matches!(
+            refused,
+            Err(EngineError::InvalidPlan(PlanError::NotSplitInvariant {
+                pipeline: "khop"
+            }))
+        ),
+        "{refused:?}"
+    );
+    let rep = Representation::from_prepared(&split);
+    let batch = BatchProgram::from_sources(MonotoneProgram::KHOP, sources);
+    assert!(engine
+        .run_batch(&rep, &batch, &mut BatchArena::new())
+        .is_err());
+    let over_split = run(&split, MonotoneProgram::SSSP).unwrap();
+    let over_plain = run(&plain, MonotoneProgram::SSSP).unwrap();
+    let nodes = plain.graph().num_nodes();
+    for (split, plain) in over_split.lanes.iter().zip(&over_plain.lanes) {
+        assert_eq!(split.values[..nodes], plain.values[..nodes]);
     }
 }

@@ -8,7 +8,8 @@
 //! reproduce byte for byte, the buffer-building artifact encoder the
 //! streaming writer must reproduce byte for byte, and the warp replay
 //! that stepped every lane of a warp, whose counters the simulator's must
-//! equal.
+//! equal, and the digit-at-a-time `values` text codec the wire's word-at-
+//! a-time one must outrun.
 
 #![allow(dead_code)]
 
@@ -650,4 +651,112 @@ fn reference_coalesce(accesses: &[MemAccess], cacheline_bytes: u64) -> (u64, u64
     segments.sort_unstable();
     segments.dedup();
     (segments.len() as u64, atomics)
+}
+
+/// Appends the `values` array as the wire codec wrote it a digit at a
+/// time: `json::push_u64`'s divide-by-ten loop behind a comma per
+/// element, straight into the line's buffer.
+pub fn reference_write_values(out: &mut Vec<u8>, values: &[u32]) {
+    out.push(b'[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        reference_push_u64(out, v.into());
+    }
+    out.push(b']');
+}
+
+fn reference_push_u64(out: &mut Vec<u8>, n: u64) {
+    if n >= 1 << 53 {
+        out.extend_from_slice((n as f64).to_string().as_bytes());
+        return;
+    }
+    let mut buf = [b'0'; 16];
+    let mut at = buf.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        buf[at] += (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// A `values` array read as the wire codec read it a digit at a time:
+/// the container loop, `Reader::number`'s digit loop (a plain integer of
+/// up to 15 digits accumulated directly, anything else through
+/// `str::parse::<f64>`) and the `u32` range rule. `None` for anything
+/// the reference does not read as `[<u32>...]`.
+pub fn reference_read_values(text: &str) -> Option<Vec<u32>> {
+    let bytes = text.as_bytes();
+    let skip_ws = |at: &mut usize| {
+        while matches!(bytes.get(*at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            *at += 1;
+        }
+    };
+    let mut at = 0;
+    skip_ws(&mut at);
+    if bytes.get(at) != Some(&b'[') {
+        return None;
+    }
+    at += 1;
+    skip_ws(&mut at);
+    let mut values = Vec::new();
+    if bytes.get(at) == Some(&b']') {
+        return Some(values);
+    }
+    loop {
+        let n = reference_number(text, &mut at)?;
+        let v = n as u32;
+        if f64::from(v) != n {
+            return None;
+        }
+        values.push(v);
+        skip_ws(&mut at);
+        match bytes.get(at) {
+            Some(b',') => at += 1,
+            Some(b']') => return Some(values),
+            _ => return None,
+        }
+        skip_ws(&mut at);
+    }
+}
+
+fn reference_number(text: &str, pos: &mut usize) -> Option<f64> {
+    let bytes = text.as_bytes();
+    let start = *pos;
+    let negative = bytes.get(start) == Some(&b'-');
+    let digits_start = start + usize::from(negative);
+    let mut at = digits_start;
+    let mut int: u64 = 0;
+    while let Some(d @ b'0'..=b'9') = bytes.get(at) {
+        int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+        at += 1;
+    }
+    *pos = at;
+    if (1..=15).contains(&(at - digits_start)) && !matches!(bytes.get(at), Some(b'.' | b'e' | b'E'))
+    {
+        let n = int as f64;
+        return Some(if negative { -n } else { n });
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+    }
+    text[start..*pos].parse::<f64>().ok()
 }

@@ -848,3 +848,21 @@ fn an_oversized_request_line_is_refused_while_reading_and_the_connection_closed(
     Client::connect_tcp(&addr).unwrap().ping().unwrap();
     server.shutdown();
 }
+
+#[test]
+fn an_invalid_utf8_request_line_gets_bad_request_and_the_connection_serves_on() {
+    let (server, addr) = small_tcp_server();
+    let mut stream = BufReader::new(TcpStream::connect(&addr).unwrap());
+    // Both lines in one write: the bad line's end is known, so the ping
+    // behind it is read and answered on the same connection.
+    let reply = raw_roundtrip(&mut stream, b"\xff\xfe\n{\"op\":\"ping\"}\n")
+        .expect("the invalid line is answered");
+    assert!(
+        reply.contains("\"bad-request\"") && reply.contains("not valid UTF-8"),
+        "{reply}"
+    );
+    let mut pong = String::new();
+    stream.read_line(&mut pong).unwrap();
+    assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+    server.shutdown();
+}

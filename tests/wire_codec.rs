@@ -967,3 +967,160 @@ fn parse_time_is_linear_in_the_line() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// (f) Digit boundaries: `values` are written and read a word at a time,
+// so every digit count, every spelling the word loop hands back to the
+// grammar, and every cut near the array's end is pinned to the tree.
+// ---------------------------------------------------------------------
+
+/// `9, 10, 99, 100, …, 999_999_999, 1_000_000_000` and `u32::MAX`: each
+/// digit count from 1 to 10, at both of its ends.
+fn digit_boundaries() -> Vec<u32> {
+    let mut values = vec![0];
+    for k in 1..=9 {
+        values.extend([10u32.pow(k) - 1, 10u32.pow(k)]);
+    }
+    values.extend([u32::MAX - 1, u32::MAX]);
+    values
+}
+
+/// A reply line whose `values` are `elements` spelled as given; with
+/// `pad`, a long member follows, so even the last elements are read
+/// with a full word past them.
+fn values_line(elements: &str, pad: bool) -> String {
+    let pad = if pad {
+        format!(",\"pad\":\"{}\"", "p".repeat(80))
+    } else {
+        String::new()
+    };
+    format!(r#"{{"ok":true,"algo":"cc","graph":"g","checksum":"0","values":{elements}{pad}}}"#)
+}
+
+#[test]
+fn every_digit_count_encodes_byte_equal_and_decodes_like_the_tree_walk() {
+    let boundaries = digit_boundaries();
+    // Alone, and among enough neighbours that every element is read
+    // with a full block behind it.
+    let long: Vec<u32> = (0..8).flat_map(|_| boundaries.iter().copied()).collect();
+    for values in [boundaries.clone(), long] {
+        let resp = Response::Query(QueryResult {
+            algo: Algo::Sssp,
+            graph: "g".into(),
+            source: Some(0),
+            nodes: values.len() as u64,
+            iterations: 1,
+            checksum: 0,
+            cached: false,
+            wall_us: 0,
+            values: Some(values),
+        });
+        let line = encode_response(&resp);
+        assert_eq!(line, ref_encode_response(&resp));
+        assert_eq!(decode_response(&line), Ok(resp.clone()));
+        assert_eq!(ref_decode_response(&line), Ok(resp));
+    }
+}
+
+#[test]
+fn off_word_spellings_decode_like_the_tree_walk() {
+    let filler: Vec<String> = digit_boundaries().iter().map(u32::to_string).collect();
+    let filler = filler.join(",");
+    let cases = [
+        "007",
+        "-0",
+        "-1",
+        " 5 ",
+        "\t6\n",
+        "4294967296",
+        "00000000001",
+        "12345678901",
+        "99999999999",
+        "1.0",
+        "1e3",
+        "2.5e1",
+        "1.5",
+        "\"x\"",
+        "[]",
+        "[1]",
+        "null",
+        "",
+    ];
+    for case in cases {
+        for elements in [
+            format!("[{case}]"),
+            format!("[{case},{filler}]"),
+            format!("[{filler},{case}]"),
+            format!("[{filler},{case},{filler}]"),
+            format!("[{filler} ,{case}, {filler}]"),
+        ] {
+            for pad in [false, true] {
+                let line = values_line(&elements, pad);
+                assert_same_decode(&line, decode_response(&line), ref_decode_response(&line))
+                    .unwrap();
+            }
+        }
+    }
+    for elements in ["[]", "[[1]]", "[ ]", "[ 1 , 2 ]", "[1,,2]", "[1,]"] {
+        for pad in [false, true] {
+            let line = values_line(elements, pad);
+            assert_same_decode(&line, decode_response(&line), ref_decode_response(&line)).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_values_array_cut_in_its_last_16_bytes_decodes_like_the_tree_walk() {
+    let values: Vec<u32> = (0..6).flat_map(|_| digit_boundaries()).collect();
+    let array = format!(
+        "[{}]",
+        values
+            .iter()
+            .map(u32::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    for cut in array.len() - 16..array.len() {
+        let cut_array = &array[..cut];
+        for pad in [false, true] {
+            // The line ends inside the array …
+            let line = values_line(cut_array, pad);
+            let line = &line[..line.find(cut_array).unwrap() + cut_array.len()];
+            assert_same_decode(line, decode_response(line), ref_decode_response(line)).unwrap();
+            // … or the array closes early, its last element cut short.
+            let closed = format!("{}]", cut_array.trim_end_matches(','));
+            let line = values_line(&closed, pad);
+            assert_same_decode(&line, decode_response(&line), ref_decode_response(&line)).unwrap();
+        }
+    }
+}
+
+#[test]
+fn counters_at_every_power_of_ten_and_at_2_pow_53_encode_byte_equal() {
+    let mut counters = vec![
+        0,
+        1,
+        1 << 32,
+        (1 << 53) - 1,
+        1 << 53,
+        (1 << 53) + 1,
+        u64::MAX,
+    ];
+    for k in 1..=19 {
+        counters.extend([10u64.pow(k) - 1, 10u64.pow(k)]);
+    }
+    for n in counters {
+        let resp = Response::Mutate(MutateResult {
+            graph: "g".into(),
+            applied: n,
+            skipped: n / 3,
+            wal_len: n / 7,
+            epoch: n,
+        });
+        let line = encode_response(&resp);
+        assert_eq!(line, ref_encode_response(&resp), "{n}");
+        if n < 1 << 53 {
+            assert_eq!(decode_response(&line), Ok(resp), "{n}");
+        }
+    }
+}
