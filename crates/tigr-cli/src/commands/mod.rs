@@ -35,28 +35,22 @@ pub fn timeout_message(detail: impl std::fmt::Display) -> String {
 
 /// The artifact store every graph-consuming command resolves inputs
 /// through: `--cache-dir DIR` wins, then the `TIGR_CACHE_DIR`
-/// environment variable; with neither, caching is off. `--mmap
-/// on|off|auto` sets the map-vs-decode policy (over the `TIGR_MMAP`
-/// environment default) and `--verify eager|lazy` the artifact
-/// verification level (over `TIGR_VERIFY`).
+/// environment variable; with neither, caching is off. `--verify
+/// eager|lazy` sets the artifact verification level (over
+/// `TIGR_VERIFY`).
 ///
 /// # Errors
 ///
-/// Returns a message for an unrecognized `--mmap` or `--verify` value.
+/// Returns a message for an unrecognized `--verify` value.
 pub fn store_from_args(args: &Args) -> Result<GraphStore, String> {
     let mut store = match args.flag("cache-dir") {
         Some(dir) => {
-            // An explicit cache dir still honours the environment's map
-            // and verify policy as the baseline.
+            // An explicit cache dir still honours the environment's
+            // verify policy as the baseline.
             GraphStore::from_env().with_cache_dir(Some(dir.into()))
         }
         None => GraphStore::from_env(),
     };
-    if let Some(v) = args.flag("mmap") {
-        let mode = tigr_core::MmapMode::parse(v)
-            .ok_or_else(|| format!("invalid value `{v}` for --mmap (expected on|off|auto)"))?;
-        store = store.with_mmap(mode);
-    }
     if let Some(v) = args.flag("verify") {
         let mode = VerifyMode::parse(v)
             .ok_or_else(|| format!("invalid value `{v}` for --verify (expected eager|lazy)"))?;

@@ -107,7 +107,7 @@ pub fn run(args: &Args) -> CmdResult {
 const USAGE: &str = "usage: tigr prepare --graph <file> [--virtual K [--coalesced]] \
 [--transform udt|star|recursive-star|circular|clique [--k K] [--dumb zero|inf|none]] \
 [--direction push|pull|auto] [--deadline-ms MS] [--cache-dir DIR] \
-[--mmap on|off|auto] [--verify eager|lazy]";
+[--verify eager|lazy]";
 
 #[cfg(test)]
 mod tests {

@@ -132,14 +132,10 @@ pub fn run(args: &Args) -> CmdResult {
         return Err(format!("--source {source} out of range"));
     }
 
-    // The parallel warp replay reorders racing f32 adds: PageRank and
-    // BC keep the sequential replay, whose bits are the served answer's.
-    let engine = if matches!(algo, Algo::Pr | Algo::Bc) {
-        Engine::new(GpuConfig::default())
-    } else {
-        Engine::parallel(GpuConfig::default())
-    };
-    let engine = engine
+    // The sequential warp replay: a parallel one races the relax
+    // kernels, so iterations, edges touched and cycles (and PageRank's
+    // and BC's f32 sums) would change from run to run.
+    let engine = Engine::new(GpuConfig::default())
         .with_backend(if cpu {
             BackendKind::CpuPool
         } else {
@@ -307,7 +303,6 @@ const FLAGS: &[&str] = &[
     "report",
     "stats",
     "cache-dir",
-    "mmap",
     "verify",
     "cpu",
 ];
@@ -316,12 +311,10 @@ const USAGE: &str = "usage: tigr run <bfs|sssp|sswp|cc|pr|bc|khop|paths|lp|tc> -
 [--source N] [--limit K|RADIUS|ROUNDS] [--virtual K [--coalesced]] \
 [--direction push|pull|auto] \
 [--frontier auto|dense|sparse|off] [--deadline-ms MS] [--report] [--stats] \
-[--cache-dir DIR] [--mmap on|off|auto] [--verify eager|lazy] \
-[--cpu]
-sim cycles come from the simulator's parallel warp replay (pr and bc: the sequential replay, \
-whose f32 sums are the served bits); monotone values are exact, but racing enqueues may shift \
-cycles and edges touched by a few per mille run to run. Reproducible metrics come from the \
-sequential replay: pr and bc here, and every tigr-bench table and figure";
+[--cache-dir DIR] [--verify eager|lazy] [--cpu]
+sim cycles come from the simulator's sequential warp replay, so two runs of one command print \
+the same iterations, edges touched and cycles. Reproducible metrics come from the sequential \
+replay: every verb here, and every tigr-bench table and figure";
 
 #[cfg(test)]
 mod tests {
@@ -538,17 +531,30 @@ mod tests {
             warm.contains("prep work       0 transforms, 0 transposes, 0 overlays"),
             "{warm}"
         );
-        // The cached run computes the same answer. (Edges touched and
-        // simulator counters are not compared: `--direction auto` on the
-        // parallel replay reorders racing relaxations run to run.)
-        let answer = |s: &str| {
+        // The cached run prints what the cold one printed, schedule and
+        // simulator counters included; only the cache lines differ.
+        let run_lines = |s: &str| {
             s.lines()
-                .filter(|l| l.starts_with("sssp from") || l.starts_with("checksum"))
+                .filter(|l| !l.starts_with("cache") && !l.starts_with("prep work"))
                 .map(str::to_string)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(answer(&cold).len(), 2, "{cold}");
-        assert_eq!(answer(&cold), answer(&warm));
+        assert!(cold.contains("\nedges touched   "), "{cold}");
+        assert_eq!(run_lines(&cold), run_lines(&warm));
+    }
+
+    /// Every verb replays sequentially, so repeated runs of one command
+    /// print the same bytes: iterations, edges touched and sim cycles
+    /// included, even where `--direction auto` switches mid-run.
+    #[test]
+    fn repeated_runs_print_identical_output() {
+        let path = fixture();
+        let cmd = format!("sssp --graph {path} --direction auto --virtual 8");
+        let first = run(&parse(&cmd)).unwrap();
+        assert!(first.contains("\nsim cycles      "), "{first}");
+        for _ in 1..5 {
+            assert_eq!(run(&parse(&cmd)).unwrap(), first, "{cmd}");
+        }
     }
 
     #[test]

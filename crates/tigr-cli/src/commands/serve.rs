@@ -145,7 +145,7 @@ const USAGE: &str = "usage: tigr serve --graph <file> [--name N] \
 [--batch-max N] [--batch-wait-us US] \
 [--mutable [--compact-threshold N]] \
 [--virtual K [--coalesced]] [--duration SECS] [--cache-dir DIR] \
-[--mmap on|off|auto] [--verify eager|lazy]
+[--verify eager|lazy]
   --kernel-threads N  threads each executor deals a fused batch's lanes across (default 1);
                       every answer is byte-identical whatever N is";
 

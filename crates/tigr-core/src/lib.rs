@@ -63,7 +63,7 @@ pub use split::{
     TransformedGraph,
 };
 pub use store::{
-    CacheStatus, GraphSource, GraphStore, MmapMode, OpenInfo, OpenMode, PrepareReport, PrepareSpec,
+    CacheStatus, GraphSource, GraphStore, OpenInfo, OpenMode, PrepareReport, PrepareSpec,
     PreparedGraph, TransformKind, TransformSpec, ViewPlan,
 };
 pub use virtual_graph::{EdgeCursor, OnTheFlyMapper, VirtualGraph, VirtualNode};

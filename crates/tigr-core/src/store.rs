@@ -34,8 +34,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tigr_graph::io::{
-    self, find_section, fnv1a64, MappedContainer, SectionParts, VerifyMode, SECTION_CSR,
-    SECTION_OVERLAY, SECTION_REV_OVERLAY, SECTION_SPEC, SECTION_TRANSFORM, SECTION_TRANSPOSE,
+    self, fnv1a64, MappedContainer, SectionParts, VerifyMode, SECTION_CSR, SECTION_OVERLAY,
+    SECTION_REV_OVERLAY, SECTION_SPEC, SECTION_TRANSFORM, SECTION_TRANSPOSE,
 };
 use tigr_graph::reverse::transpose;
 use tigr_graph::{generators, Csr, GraphError, Result, Segment};
@@ -296,51 +296,15 @@ impl ViewPlan {
     }
 }
 
-/// Map-vs-decode policy for opening cached artifacts (see
-/// [`GraphStore::with_mmap`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MmapMode {
-    /// Always serve cache hits from a memory mapping, and re-open the
-    /// freshly written artifact by map after a miss so the process ends
-    /// up on mapped storage either way.
-    On,
-    /// Never map: cache hits are decoded into owned heap arrays.
-    Off,
-    /// Map on cache hit, keep the in-memory views just built on a miss
-    /// (skipping a redundant re-open). The default.
-    #[default]
-    Auto,
-}
-
-impl MmapMode {
-    /// Parses `on` / `off` / `auto` (as accepted by `--mmap` and the
-    /// `TIGR_MMAP` environment variable).
-    pub fn parse(s: &str) -> Option<MmapMode> {
-        match s {
-            "on" => Some(MmapMode::On),
-            "off" => Some(MmapMode::Off),
-            "auto" => Some(MmapMode::Auto),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`on` / `off` / `auto`).
-    pub fn label(self) -> &'static str {
-        match self {
-            MmapMode::On => "on",
-            MmapMode::Off => "off",
-            MmapMode::Auto => "auto",
-        }
-    }
-}
-
 /// How a [`PreparedGraph`]'s views ended up in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpenMode {
     /// Views borrow a memory-mapped artifact; payload bytes were never
     /// copied onto the heap.
     Mapped,
-    /// Views were decoded from an artifact into owned heap arrays.
+    /// Views were decoded from an artifact into owned heap arrays,
+    /// because the platform has no `mmap` or alignment defeated the
+    /// in-place view.
     Decoded,
     /// Views were derived from the source (cache miss or caching off).
     Built,
@@ -566,18 +530,15 @@ impl fmt::Debug for PreparedGraph {
 #[derive(Clone, Debug)]
 pub struct GraphStore {
     cache_dir: Option<PathBuf>,
-    mmap: MmapMode,
     verify: VerifyMode,
 }
 
 impl GraphStore {
     /// Store caching under `cache_dir` (`None` disables caching), with
-    /// the default map policy ([`MmapMode::Auto`]) and eager
-    /// verification.
+    /// eager verification.
     pub fn new(cache_dir: Option<PathBuf>) -> Self {
         GraphStore {
             cache_dir,
-            mmap: MmapMode::default(),
             verify: VerifyMode::default(),
         }
     }
@@ -588,37 +549,24 @@ impl GraphStore {
     }
 
     /// Store configured from the environment: `TIGR_CACHE_DIR` for the
-    /// cache directory, `TIGR_MMAP` (`on`/`off`/`auto`) for the map
-    /// policy, and `TIGR_VERIFY` (`eager`/`lazy`) for artifact
+    /// cache directory and `TIGR_VERIFY` (`eager`/`lazy`) for artifact
     /// verification. Unset or unrecognized values fall back to the
     /// defaults.
     pub fn from_env() -> Self {
-        let mmap = std::env::var("TIGR_MMAP")
-            .ok()
-            .and_then(|s| MmapMode::parse(&s))
-            .unwrap_or_default();
         let verify = std::env::var("TIGR_VERIFY")
             .ok()
             .and_then(|s| VerifyMode::parse(&s))
             .unwrap_or_default();
         GraphStore {
             cache_dir: std::env::var_os("TIGR_CACHE_DIR").map(PathBuf::from),
-            mmap,
             verify,
         }
     }
 
-    /// Replaces the cache directory, keeping the map and verify policy.
+    /// Replaces the cache directory, keeping the verify policy.
     #[must_use]
     pub fn with_cache_dir(mut self, cache_dir: Option<PathBuf>) -> Self {
         self.cache_dir = cache_dir;
-        self
-    }
-
-    /// Sets the map-vs-decode policy for artifact opens.
-    #[must_use]
-    pub fn with_mmap(mut self, mode: MmapMode) -> Self {
-        self.mmap = mode;
         self
     }
 
@@ -634,19 +582,15 @@ impl GraphStore {
         self.cache_dir.as_deref()
     }
 
-    /// The configured map-vs-decode policy.
-    pub fn mmap(&self) -> MmapMode {
-        self.mmap
-    }
-
     /// The configured verification level.
     pub fn verify(&self) -> VerifyMode {
         self.verify
     }
 
-    /// Resolves `spec` into a [`PreparedGraph`]: loads a cached artifact
+    /// Resolves `spec` into a [`PreparedGraph`]: maps a cached artifact
     /// when one matches, otherwise loads/generates the graph, builds the
-    /// requested views, and (if caching is enabled) writes the artifact.
+    /// requested views, and (if caching is enabled) writes the artifact,
+    /// keeping the views it just built.
     ///
     /// A corrupt or stale artifact is treated as a miss and rebuilt; the
     /// condition is reported on stderr but never fails the call.
@@ -694,16 +638,16 @@ impl GraphStore {
             .cache_dir
             .as_ref()
             .map(|d| d.join(format!("{key}.tigr")));
+        let plan = ViewPlan {
+            virtual_k: spec.virtual_k,
+            coalesced: spec.coalesced,
+            transpose: spec.transpose,
+        };
 
         if let Some(path) = &artifact {
             if path.exists() {
-                match load_artifact(
-                    path,
-                    spec,
-                    &canonical,
-                    self.mmap != MmapMode::Off,
-                    self.verify,
-                ) {
+                let transform = spec.transform.is_some();
+                match load_artifact(path, plan, transform, &canonical, self.verify) {
                     Ok(mut prepared) => {
                         prepared.report = PrepareReport {
                             cache: CacheStatus::Hit,
@@ -749,11 +693,6 @@ impl GraphStore {
             let k = t.k.unwrap_or_else(|| k_select::physical_k(&graph));
             t.kind.apply(&graph, k, t.dumb)
         });
-        let plan = ViewPlan {
-            virtual_k: spec.virtual_k,
-            coalesced: spec.coalesced,
-            transpose: spec.transpose,
-        };
         let built = self.derive_and_write(
             graph,
             transformed,
@@ -762,33 +701,13 @@ impl GraphStore {
             started,
             Echo::Spec(&canonical),
         )?;
-        let prepared = built.prepared;
-        if let Some(path) = &artifact {
-            match built.written {
-                Ok(()) if self.mmap == MmapMode::On => {
-                    // The policy demands mapped storage: swap the just
-                    // built heap views for borrowed views of the artifact
-                    // that was just written. Any failure keeps the built
-                    // views — the result is identical either way.
-                    match load_artifact(path, spec, &canonical, true, self.verify) {
-                        Ok(mut mapped) => {
-                            mapped.report = prepared.report.clone();
-                            return Ok(mapped);
-                        }
-                        Err(e) => eprintln!(
-                            "tigr: could not re-open artifact {} by map ({e}); keeping built views",
-                            path.display()
-                        ),
-                    }
-                }
-                Ok(()) => {}
-                Err(e) => eprintln!(
-                    "tigr: failed to write cache artifact {} ({e})",
-                    path.display()
-                ),
-            }
+        if let (Some(path), Err(e)) = (&artifact, &built.written) {
+            eprintln!(
+                "tigr: failed to write cache artifact {} ({e})",
+                path.display()
+            );
         }
-        Ok(prepared)
+        Ok(built.prepared)
     }
 
     /// Materializes an in-memory CSR into a [`PreparedGraph`], rebuilding
@@ -935,17 +854,7 @@ impl GraphStore {
         plan: ViewPlan,
         canonical: &str,
     ) -> Result<PreparedGraph> {
-        let mut spec = PrepareSpec::generated("materialized", 0).with_transpose(plan.transpose);
-        if let Some(k) = plan.virtual_k {
-            spec = spec.with_virtual(k, plan.coalesced);
-        }
-        let mut prepared = load_artifact(
-            artifact,
-            &spec,
-            canonical,
-            self.mmap != MmapMode::Off,
-            self.verify,
-        )?;
+        let mut prepared = load_artifact(artifact, plan, false, canonical, self.verify)?;
         prepared.report = PrepareReport {
             cache: CacheStatus::Hit,
             key: artifact
@@ -1078,31 +987,8 @@ fn generate_from_tag(tag: &str, seed: u64) -> Result<Csr> {
     }
 }
 
-/// Loads and validates a cached artifact against `spec`: the embedded
-/// canonical string must match, and every view the spec requires must be
-/// present. Any failure is an error the caller downgrades to a miss.
-///
-/// With `mmap` the artifact is opened through [`MappedContainer`] and
-/// the CSR/overlay views borrow the mapping in place (on 64-bit
-/// little-endian targets; elsewhere the container transparently decodes
-/// into owned arrays). Without it the artifact is read and decoded onto
-/// the heap as before.
-fn load_artifact(
-    path: &Path,
-    spec: &PrepareSpec,
-    canonical: &str,
-    mmap: bool,
-    verify: VerifyMode,
-) -> Result<PreparedGraph> {
-    if mmap {
-        load_artifact_mapped(path, spec, canonical, verify)
-    } else {
-        load_artifact_decoded(path, spec, canonical)
-    }
-}
-
-/// Placeholder report installed by the load paths; the caller overwrites
-/// it with the real cache outcome.
+/// Placeholder report installed while views are built or loaded; the
+/// caller overwrites it with the real cache outcome.
 fn placeholder_report() -> PrepareReport {
     PrepareReport {
         cache: CacheStatus::Hit,
@@ -1114,12 +1000,21 @@ fn placeholder_report() -> PrepareReport {
     }
 }
 
-/// The zero-copy open path: map the artifact, validate the section table
-/// (and, under eager verification, every payload checksum), then borrow
-/// the CSR and overlay tables directly from the mapping.
-fn load_artifact_mapped(
+/// Opens a cached artifact and checks it against what the caller needs:
+/// the embedded spec echo must equal `canonical`, and every view `plan`
+/// names (plus the transform section, when `transform`) must be
+/// present. Any failure is an error the caller downgrades to a miss.
+///
+/// The artifact is opened through [`MappedContainer`]: the section table
+/// is validated (and, under eager verification, every payload checksum),
+/// then the CSR and overlay tables borrow the mapping in place. Where the
+/// platform has no `mmap`, or alignment defeats the in-place view, the
+/// container reads into owned memory and the open reports
+/// [`OpenMode::Decoded`].
+fn load_artifact(
     path: &Path,
-    spec: &PrepareSpec,
+    plan: ViewPlan,
+    transform: bool,
     canonical: &str,
     verify: VerifyMode,
 ) -> Result<PreparedGraph> {
@@ -1137,7 +1032,7 @@ fn load_artifact_mapped(
     let graph = container
         .csr(SECTION_CSR)?
         .ok_or_else(|| stale("has no CSR section"))?;
-    let rev = if spec.transpose {
+    let rev = if plan.transpose {
         Some(
             container
                 .csr(SECTION_TRANSPOSE)?
@@ -1147,7 +1042,7 @@ fn load_artifact_mapped(
         None
     };
     let deep_validate = verify == VerifyMode::Eager;
-    let overlay = if spec.virtual_k.is_some() {
+    let overlay = if plan.virtual_k.is_some() {
         let vg = VirtualGraph::from_container(&container, SECTION_OVERLAY, deep_validate)
             .map_err(invalid)?
             .ok_or_else(|| stale("lacks required overlay section"))?;
@@ -1158,7 +1053,7 @@ fn load_artifact_mapped(
     } else {
         None
     };
-    let rev_overlay = match (&rev, spec.virtual_k) {
+    let rev_overlay = match (&rev, plan.virtual_k) {
         (Some(rev), Some(_)) => {
             let vg = VirtualGraph::from_container(&container, SECTION_REV_OVERLAY, deep_validate)
                 .map_err(invalid)?
@@ -1170,7 +1065,7 @@ fn load_artifact_mapped(
         }
         _ => None,
     };
-    let transformed = if spec.transform.is_some() {
+    let transformed = if transform {
         let bytes = container
             .section_bytes(SECTION_TRANSFORM)
             .ok_or_else(|| stale("lacks required transform section"))?;
@@ -1195,79 +1090,6 @@ fn load_artifact_mapped(
         open: PLACEHOLDER_OPEN,
     };
     prepared.finish_open(mode, verify, started);
-    Ok(prepared)
-}
-
-/// The classic open path: read the whole artifact and decode every
-/// section into owned heap arrays. Always verifies eagerly —
-/// [`io::read_container`] hashes every payload as part of parsing.
-fn load_artifact_decoded(
-    path: &Path,
-    spec: &PrepareSpec,
-    canonical: &str,
-) -> Result<PreparedGraph> {
-    let started = Instant::now();
-    let sections = io::read_container(fs::File::open(path)?)?;
-    let stale = |what: &str| GraphError::InvalidFormat(format!("artifact {what}"));
-
-    let echoed =
-        find_section(&sections, SECTION_SPEC).ok_or_else(|| stale("has no spec section"))?;
-    if echoed.payload != canonical.as_bytes() {
-        return Err(stale("spec echo mismatch (stale or hash collision)"));
-    }
-    let csr = find_section(&sections, SECTION_CSR).ok_or_else(|| stale("has no CSR section"))?;
-    let graph = io::decode_csr(&csr.payload)?;
-
-    let rev = if spec.transpose {
-        let s = find_section(&sections, SECTION_TRANSPOSE)
-            .ok_or_else(|| stale("lacks required transpose section"))?;
-        Some(io::decode_csr(&s.payload)?)
-    } else {
-        None
-    };
-    let overlay = if spec.virtual_k.is_some() {
-        let s = find_section(&sections, SECTION_OVERLAY)
-            .ok_or_else(|| stale("lacks required overlay section"))?;
-        let vg = VirtualGraph::from_section_bytes(&s.payload).map_err(GraphError::InvalidFormat)?;
-        if vg.num_physical_nodes() != graph.num_nodes() {
-            return Err(stale("overlay does not match CSR"));
-        }
-        Some(vg)
-    } else {
-        None
-    };
-    let rev_overlay = match (&rev, spec.virtual_k) {
-        (Some(rev), Some(_)) => {
-            let s = find_section(&sections, SECTION_REV_OVERLAY)
-                .ok_or_else(|| stale("lacks required reverse-overlay section"))?;
-            let vg =
-                VirtualGraph::from_section_bytes(&s.payload).map_err(GraphError::InvalidFormat)?;
-            if vg.num_physical_nodes() != rev.num_nodes() {
-                return Err(stale("reverse overlay does not match transpose"));
-            }
-            Some(vg)
-        }
-        _ => None,
-    };
-    let transformed = if spec.transform.is_some() {
-        let s = find_section(&sections, SECTION_TRANSFORM)
-            .ok_or_else(|| stale("lacks required transform section"))?;
-        Some(TransformedGraph::from_section_bytes(&s.payload).map_err(GraphError::InvalidFormat)?)
-    } else {
-        None
-    };
-
-    let mut prepared = PreparedGraph {
-        graph,
-        transpose: rev,
-        overlay,
-        rev_overlay,
-        transformed,
-        report: placeholder_report(),
-        segment: None,
-        open: PLACEHOLDER_OPEN,
-    };
-    prepared.finish_open(OpenMode::Decoded, VerifyMode::Eager, started);
     Ok(prepared)
 }
 
@@ -1594,35 +1416,23 @@ mod tests {
     }
 
     #[test]
-    fn mode_labels_round_trip() {
-        for mode in [MmapMode::On, MmapMode::Off, MmapMode::Auto] {
-            assert_eq!(MmapMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(MmapMode::parse("sometimes"), None);
-        assert_eq!(MmapMode::default(), MmapMode::Auto);
+    fn open_mode_labels() {
         assert_eq!(OpenMode::Mapped.label(), "mapped");
         assert_eq!(OpenMode::Decoded.label(), "decoded");
         assert_eq!(OpenMode::Built.label(), "built");
     }
 
     #[test]
-    fn mapped_hit_equals_decoded_hit() {
+    fn mapped_hit_equals_the_built_miss() {
         let dir = temp_dir("mmap_equiv");
         let spec = full_spec().with_transform(TransformKind::Udt, Some(4), DumbWeight::Zero);
-
-        let off = GraphStore::new(Some(dir.clone())).with_mmap(MmapMode::Off);
-        let built = off.prepare(&spec).unwrap();
+        let store = GraphStore::new(Some(dir.clone()));
+        let built = store.prepare(&spec).unwrap();
+        assert_eq!(built.report().cache, CacheStatus::Miss);
         assert_eq!(built.open_info().mode, OpenMode::Built);
         assert!(built.segment().is_none());
 
-        let decoded = off.prepare(&spec).unwrap();
-        assert_eq!(decoded.report().cache, CacheStatus::Hit);
-        assert_eq!(decoded.open_info().mode, OpenMode::Decoded);
-        assert_eq!(decoded.open_info().mapped_bytes, 0);
-        assert!(decoded.segment().is_none());
-
-        let auto = GraphStore::new(Some(dir.clone()));
-        let mapped = auto.prepare(&spec).unwrap();
+        let mapped = store.prepare(&spec).unwrap();
         assert_eq!(mapped.report().cache, CacheStatus::Hit);
         if zero_copy_target() {
             assert_eq!(mapped.open_info().mode, OpenMode::Mapped);
@@ -1636,30 +1446,14 @@ mod tests {
 
         // The views are value-identical regardless of where the bytes
         // live.
-        assert_eq!(mapped.graph(), decoded.graph());
-        assert_eq!(mapped.transpose(), decoded.transpose());
-        assert_eq!(mapped.overlay(), decoded.overlay());
-        assert_eq!(mapped.rev_overlay(), decoded.rev_overlay());
+        assert_eq!(mapped.graph(), built.graph());
+        assert_eq!(mapped.transpose(), built.transpose());
+        assert_eq!(mapped.overlay(), built.overlay());
+        assert_eq!(mapped.rev_overlay(), built.rev_overlay());
         assert_eq!(
             mapped.transformed().unwrap().graph(),
-            decoded.transformed().unwrap().graph()
+            built.transformed().unwrap().graph()
         );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mmap_on_reopens_mapped_after_miss() {
-        let dir = temp_dir("mmap_on");
-        let store = GraphStore::new(Some(dir.clone())).with_mmap(MmapMode::On);
-        let p = store.prepare(&full_spec()).unwrap();
-        // The miss still reports the build work, but the views come back
-        // mapped from the artifact that was just written.
-        assert_eq!(p.report().cache, CacheStatus::Miss);
-        assert!(p.report().work_items() > 0);
-        if zero_copy_target() {
-            assert_eq!(p.open_info().mode, OpenMode::Mapped);
-            assert!(p.is_mapped());
-        }
         fs::remove_dir_all(&dir).ok();
     }
 

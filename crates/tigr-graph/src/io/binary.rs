@@ -578,10 +578,10 @@ impl MappedContainer {
         let sections = parse_section_table(segment.as_bytes())?;
         if verify == VerifyMode::Eager {
             let bytes = segment.as_bytes();
-            for r in &sections {
-                if fnv1a64(&bytes[r.offset..r.offset + r.len]) != r.checksum {
-                    return Err(GraphError::Checksum { section: r.id });
-                }
+            let part = |r: &SectionRef| SectionParts::new(r.id).bytes(&bytes[r.offset..][..r.len]);
+            let sums = checksums(&sections.iter().map(part).collect::<Vec<_>>());
+            if let Some((r, _)) = sections.iter().zip(sums).find(|(r, s)| *s != r.checksum) {
+                return Err(GraphError::Checksum { section: r.id });
             }
         }
         Ok(MappedContainer {
@@ -638,10 +638,9 @@ impl MappedContainer {
     /// Returns [`GraphError::InvalidFormat`] for malformed payloads and
     /// [`GraphError::Overflow`] for counts beyond the platform.
     pub fn csr(&self, id: u32) -> Result<Option<Csr>> {
-        let Some(r) = self.section(id) else {
+        let (Some(r), Some(bytes)) = (self.section(id), self.section_bytes(id)) else {
             return Ok(None);
         };
-        let bytes = &self.segment.as_bytes()[r.offset..r.offset + r.len];
         let (weighted, n, m, _) = csr_header(bytes)?;
         #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
         {

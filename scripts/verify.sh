@@ -296,57 +296,6 @@ kill "$ub_pid" "$b_pid" "$p_pid"
 wait "$ub_pid" "$b_pid" "$p_pid" 2>/dev/null || true
 echo "batch smoke: batched answers (kernel-threads 1 and 2) equal the unbatched daemon's, iterations and checksums"
 
-echo "== mmap smoke =="
-# A mapped warm run must answer identically to the decoded reference
-# (open mode proven by the stats lines), and a --mmap on daemon must
-# serve the same query checksum as a --mmap off daemon while reporting
-# the mapped open in `query stats`.
-ref_run="$(cargo run --release -q -p tigr-cli --bin tigr -- run sssp --graph "$graph_file" \
-    --direction auto --virtual 8 --stats --cache-dir "$cache_dir" --mmap off)"
-echo "$ref_run" | grep -q "cache open      decoded" \
-    || { echo "mmap smoke: --mmap off did not decode"; echo "$ref_run"; exit 1; }
-mapped_run="$(cargo run --release -q -p tigr-cli --bin tigr -- run sssp --graph "$graph_file" \
-    --direction auto --virtual 8 --stats --cache-dir "$cache_dir" --mmap on)"
-echo "$mapped_run" | grep -q "cache open      mapped" \
-    || { echo "mmap smoke: --mmap on did not map"; echo "$mapped_run"; exit 1; }
-# The answer, not the schedule: `--direction auto` on the parallel replay
-# reorders racing relaxations, so edges touched and iteration counts
-# differ from one run of the same command to the next.
-run_answer() { echo "$1" | grep -E "^(sssp from|checksum)"; }
-[ -n "$(run_answer "$ref_run")" ] \
-    || { echo "mmap smoke: reference run printed no answer lines"; echo "$ref_run"; exit 1; }
-[ "$(run_answer "$ref_run")" = "$(run_answer "$mapped_run")" ] \
-    || { echo "mmap smoke: mapped run diverged from decoded"; diff <(run_answer "$ref_run") <(run_answer "$mapped_run"); exit 1; }
-d_port_file="$cache_dir/d_port.txt"
-m_port_file="$cache_dir/m_port.txt"
-cargo run --release -q -p tigr-cli --bin tigr -- serve --graph "$graph_file" --name smoke \
-    --port 0 --port-file "$d_port_file" --workers 1 --cache-dir "$cache_dir" --mmap off \
-    > /dev/null &
-d_pid=$!
-cargo run --release -q -p tigr-cli --bin tigr -- serve --graph "$graph_file" --name smoke \
-    --port 0 --port-file "$m_port_file" --workers 1 --cache-dir "$cache_dir" --mmap on \
-    > /dev/null &
-m_pid=$!
-trap 'kill "$d_pid" "$m_pid" 2>/dev/null || true; rm -rf "$cache_dir"' EXIT
-for f in "$d_port_file" "$m_port_file"; do
-    for _ in $(seq 1 100); do [ -s "$f" ] && break; sleep 0.1; done
-    [ -s "$f" ] || { echo "mmap smoke: port file never appeared"; exit 1; }
-done
-d_addr="$(cat "$d_port_file")"
-m_addr="$(cat "$m_port_file")"
-ref_sum="$(cargo run --release -q -p tigr-cli --bin tigr -- query sssp --graph-name smoke \
-    --source 0 --addr "$d_addr" | grep "^checksum")"
-served_sum="$(cargo run --release -q -p tigr-cli --bin tigr -- query sssp --graph-name smoke \
-    --source 0 --addr "$m_addr" | grep "^checksum")"
-[ -n "$ref_sum" ] && [ "$ref_sum" = "$served_sum" ] \
-    || { echo "mmap smoke: served checksum diverged"; echo "$ref_sum vs $served_sum"; exit 1; }
-m_stats="$(cargo run --release -q -p tigr-cli --bin tigr -- query stats --addr "$m_addr")"
-echo "$m_stats" | grep -q "graph smoke     mapped" \
-    || { echo "mmap smoke: server did not open the graph mapped"; echo "$m_stats"; exit 1; }
-kill "$d_pid" "$m_pid"
-wait "$d_pid" "$m_pid" 2>/dev/null || true
-echo "mmap smoke: mapped run and mapped serve answer byte-equal to the decoded reference"
-
 echo "== mutation smoke =="
 # A --mutable daemon must serve the delta (the checksum moves off the
 # freshly-prepared reference after a mutation), survive a forced

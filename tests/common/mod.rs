@@ -6,7 +6,8 @@
 //! simulator, a second independent loop, pins `values` and `converged`.
 //! Beside them sit the sequential R-MAT generator the chunked one must
 //! reproduce byte for byte, the buffer-building artifact encoder the
-//! streaming writer must reproduce byte for byte, and the warp replay
+//! streaming writer must reproduce byte for byte, the owned decode a
+//! lazy mapped open must outrun, and the warp replay
 //! that stepped every lane of a warp, whose counters the simulator's must
 //! equal, and the digit-at-a-time `values` text codec the wire's word-at-
 //! a-time one must outrun.
@@ -22,7 +23,10 @@ use tigr::engine::{
 
 use tigr::core::{TransformedGraph, VirtualGraph};
 use tigr::graph::generators::RmatConfig;
-use tigr::graph::io::Section;
+use tigr::graph::io::{
+    decode_csr, find_section, read_container, Section, SECTION_CSR, SECTION_OVERLAY,
+    SECTION_REV_OVERLAY, SECTION_TRANSPOSE,
+};
 use tigr::graph::RowView;
 use tigr::sim::{AccessKind, KernelMetrics, Lane, MemAccess, TimingModel, WarpStats};
 use tigr::{
@@ -428,6 +432,27 @@ pub fn write_container<W: Write>(sections: &[Section], writer: W) -> std::io::Re
     }
     out.flush()?;
     Ok(())
+}
+
+/// An artifact's views decoded onto the heap: CSR, transpose, overlay
+/// and reverse overlay, each present when the artifact carries it.
+pub type DecodedViews = (Csr, Option<Csr>, Option<VirtualGraph>, Option<VirtualGraph>);
+
+/// The owned open of an artifact, from the public container reader: read
+/// the whole file, hash every section, and decode the CSR, the transpose
+/// and both overlays into heap arrays.
+pub fn reference_decode(path: &std::path::Path) -> DecodedViews {
+    let sections = read_container(std::fs::File::open(path).unwrap()).unwrap();
+    let payload = |id| find_section(&sections, id).map(|s| &s.payload[..]);
+    let csr = |id| payload(id).map(|p| decode_csr(p).unwrap());
+    let overlay = |id| payload(id).map(|p| VirtualGraph::from_section_bytes(p).unwrap());
+    let graph = csr(SECTION_CSR).expect("artifact has a CSR section");
+    (
+        graph,
+        csr(SECTION_TRANSPOSE),
+        overlay(SECTION_OVERLAY),
+        overlay(SECTION_REV_OVERLAY),
+    )
 }
 
 /// What a kernel records on: the simulator's [`Lane`] or the

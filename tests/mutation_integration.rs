@@ -26,8 +26,8 @@ use proptest::prelude::*;
 use common::{assert_lane_is_the_reference_run, reference_push, simulated_push};
 
 use tigr::core::{
-    DeltaOverlay, GraphStore, MmapMode, MutableGraph, MutationError, MutationOp, PrepareSpec,
-    PreparedGraph, Wal,
+    DeltaOverlay, GraphStore, MutableGraph, MutationError, MutationOp, PrepareSpec, PreparedGraph,
+    Wal,
 };
 use tigr::engine::{
     run_batch_push, Algo, BackendKind, BatchArena, BatchProgram, MonotoneOutput, Pipeline,
@@ -833,8 +833,8 @@ fn lifecycle_spec() -> PrepareSpec {
 
 /// A restart: prepare `spec` over `dir` (a cache hit on the original
 /// artifact once it exists) and open it for mutation.
-fn restart(dir: &Path, spec: &PrepareSpec, mmap: MmapMode) -> MutableGraph {
-    let store = GraphStore::new(Some(dir.to_path_buf())).with_mmap(mmap);
+fn restart(dir: &Path, spec: &PrepareSpec) -> MutableGraph {
+    let store = GraphStore::new(Some(dir.to_path_buf()));
     let prepared = store.prepare(spec).unwrap();
     MutableGraph::open(store, prepared).unwrap()
 }
@@ -908,7 +908,7 @@ fn round_ops(g: &Csr, round: u32) -> Vec<MutationOp> {
 fn compactions_leave_the_original_and_one_compacted_artifact() {
     let dir = scratch_dir("lifecycle");
     let spec = lifecycle_spec();
-    let mut mutable = restart(&dir, &spec, MmapMode::Auto);
+    let mut mutable = restart(&dir, &spec);
     let original = artifacts(&dir);
     assert_eq!(original.len(), 1);
 
@@ -941,7 +941,7 @@ fn compactions_leave_the_original_and_one_compacted_artifact() {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
 
         drop(mutable);
-        mutable = restart(&dir, &spec, MmapMode::Auto);
+        mutable = restart(&dir, &spec);
         assert!(mutable.snapshot().is_clean());
         assert_eq!(mutable.wal_len(), 0);
         assert_eq!(served(&mutable), expected, "round {round}");
@@ -957,7 +957,7 @@ fn compactions_leave_the_original_and_one_compacted_artifact() {
 fn every_crash_point_of_a_compaction_recovers_the_same_graph() {
     let live = scratch_dir("crash-live");
     let spec = lifecycle_spec();
-    let mutable = restart(&live, &spec, MmapMode::Auto);
+    let mutable = restart(&live, &spec);
     // One compaction first, so the one under test has a MANIFEST to
     // repoint and a compacted artifact to supersede.
     mutable.apply(&round_ops(&served(&mutable), 0)).unwrap();
@@ -986,7 +986,7 @@ fn every_crash_point_of_a_compaction_recovers_the_same_graph() {
     let wal_dir = Path::new(wal_dir.file_name().unwrap());
 
     let recovers = |step: &str| {
-        let recovered = restart(&crashed, &spec, MmapMode::Auto);
+        let recovered = restart(&crashed, &spec);
         assert_eq!(served(&recovered), expected, "crash after: {step}");
     };
     let step = |file: &Path| {
@@ -1019,7 +1019,7 @@ fn a_failed_artifact_write_keeps_every_acknowledged_mutation() {
     // Keys are deterministic: a twin directory run tells which file the
     // compaction is about to write.
     let twin_dir = scratch_dir("failed-write-twin");
-    let twin = restart(&twin_dir, &spec, MmapMode::Auto);
+    let twin = restart(&twin_dir, &spec);
     let original = artifacts(&twin_dir);
     assert_eq!(twin.apply(&adds).unwrap().applied, 3);
     twin.compact().unwrap();
@@ -1029,7 +1029,7 @@ fn a_failed_artifact_write_keeps_every_acknowledged_mutation() {
         .unwrap();
 
     let dir = scratch_dir("failed-write");
-    let mutable = restart(&dir, &spec, MmapMode::Auto);
+    let mutable = restart(&dir, &spec);
     let base_edges = mutable.snapshot().num_edges();
     assert_eq!(mutable.apply(&adds).unwrap().applied, 3);
     // A non-empty directory where the artifact goes: the rename fails.
@@ -1044,7 +1044,7 @@ fn a_failed_artifact_write_keeps_every_acknowledged_mutation() {
     assert_eq!(mutable.snapshot().num_edges(), base_edges + 3);
     drop(mutable);
 
-    let reopened = restart(&dir, &spec, MmapMode::Auto);
+    let reopened = restart(&dir, &spec);
     assert_eq!(reopened.wal_len(), 3);
     assert_eq!(reopened.snapshot().num_edges(), base_edges + 3);
     assert_eq!(served(&reopened), served(&twin));
@@ -1053,7 +1053,7 @@ fn a_failed_artifact_write_keeps_every_acknowledged_mutation() {
     reopened.compact().unwrap();
     assert_eq!(artifacts(&dir), artifacts(&twin_dir));
     drop(reopened);
-    assert_eq!(served(&restart(&dir, &spec, MmapMode::Auto)), served(&twin));
+    assert_eq!(served(&restart(&dir, &spec)), served(&twin));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&twin_dir).ok();
 }
@@ -1066,13 +1066,13 @@ fn a_failed_artifact_write_keeps_every_acknowledged_mutation() {
 fn a_pinned_snapshot_outlives_the_unlink_of_the_artifact_under_it() {
     let dir = scratch_dir("pinned");
     let spec = lifecycle_spec();
-    let mutable = restart(&dir, &spec, MmapMode::On);
+    let mutable = restart(&dir, &spec);
     mutable.apply(&round_ops(&served(&mutable), 0)).unwrap();
     mutable.compact().unwrap();
     drop(mutable);
 
     // After a restart the base is mapped from the compacted artifact.
-    let mutable = restart(&dir, &spec, MmapMode::On);
+    let mutable = restart(&dir, &spec);
     let clean = mutable.snapshot();
     let compacted = clean.base().report().artifact.clone().unwrap();
     assert_eq!(artifacts(&dir).len(), 2);
@@ -1123,8 +1123,8 @@ fn lineages_with_identical_compactions_keep_their_own_artifacts() {
             .with_virtual(2, true)
             .with_transpose(true)
     };
-    let a = restart(&dir, &spec(&file_a), MmapMode::Auto);
-    let b = restart(&dir, &spec(&file_b), MmapMode::Auto);
+    let a = restart(&dir, &spec(&file_a));
+    let b = restart(&dir, &spec(&file_b));
     assert_eq!(served(&a), served(&b));
     assert_eq!(artifacts(&dir).len(), 2);
 
@@ -1152,7 +1152,7 @@ fn lineages_with_identical_compactions_keep_their_own_artifacts() {
 
     let expected_b = served(&b);
     drop(b);
-    let b = restart(&dir, &spec(&file_b), MmapMode::Auto);
+    let b = restart(&dir, &spec(&file_b));
     assert!(b.snapshot().is_clean());
     assert_eq!(artifact_of(&b), compacted_b);
     assert_eq!(served(&b), expected_b);

@@ -4,10 +4,13 @@
 //! section checksums, and identical analytic results across every
 //! backend whether the views were built or loaded.
 
+mod common;
+
 use std::fs;
 use std::time::{Duration, Instant};
 
-use tigr::core::{CacheStatus, GraphStore, MmapMode, OpenMode, PrepareSpec, TransformKind};
+use common::reference_decode;
+use tigr::core::{CacheStatus, GraphStore, OpenMode, PrepareSpec, TransformKind};
 use tigr::engine::{BackendKind, MonotoneProgram};
 use tigr::graph::io::VerifyMode;
 use tigr::{DumbWeight, Engine, GpuConfig, NodeId};
@@ -101,33 +104,26 @@ fn built_and_loaded_views_agree_on_every_backend() {
     }
 }
 
-/// The mapped×decoded equivalence matrix: the same artifact opened as
-/// built views, owned decode, eager map, and lazy map must return
-/// byte-identical values for every algorithm on every backend.
+/// The built×mapped equivalence matrix: the same artifact as the views
+/// a miss built, an eager map, and a lazy map must return byte-identical
+/// values for every algorithm on every backend.
 #[test]
-fn mapped_and_decoded_opens_agree_on_every_algorithm_and_backend() {
+fn built_and_mapped_opens_agree_on_every_algorithm_and_backend() {
     let store = temp_store("tigr_it_prepared_mmap_matrix");
     let spec = base_spec();
     let built = store.prepare(&spec).unwrap();
     assert_eq!(built.open_info().mode, OpenMode::Built);
 
-    let decoded = store
-        .clone()
-        .with_mmap(MmapMode::Off)
-        .prepare(&spec)
-        .unwrap();
     let eager = store.prepare(&spec).unwrap();
     let lazy = store
         .clone()
         .with_verify(VerifyMode::Lazy)
         .prepare(&spec)
         .unwrap();
-    for (label, p) in [("decoded", &decoded), ("eager", &eager), ("lazy", &lazy)] {
+    for (label, p) in [("eager", &eager), ("lazy", &lazy)] {
         assert_eq!(p.report().cache, CacheStatus::Hit, "{label}");
         assert_eq!(p.report().work_items(), 0, "{label}");
     }
-    assert_eq!(decoded.open_info().mode, OpenMode::Decoded);
-    assert_eq!(decoded.open_info().mapped_bytes, 0);
     if zero_copy_target() {
         assert_eq!(eager.open_info().mode, OpenMode::Mapped);
         assert_eq!(lazy.open_info().mode, OpenMode::Mapped);
@@ -150,12 +146,7 @@ fn mapped_and_decoded_opens_agree_on_every_algorithm_and_backend() {
     for (prog_label, prog) in programs {
         let src = (prog_label != "cc").then(|| NodeId::new(0));
         let mut reference: Option<Vec<u32>> = None;
-        for (label, prepared) in [
-            ("built", &built),
-            ("decoded", &decoded),
-            ("eager", &eager),
-            ("lazy", &lazy),
-        ] {
+        for (label, prepared) in [("built", &built), ("eager", &eager), ("lazy", &lazy)] {
             for backend in backends {
                 let engine = Engine::parallel(GpuConfig::default()).with_backend(backend);
                 let out = engine.run_prepared(prepared, prog, src).unwrap();
@@ -174,7 +165,8 @@ fn mapped_and_decoded_opens_agree_on_every_algorithm_and_backend() {
 /// A lazy mapped open validates only the header and section table, so
 /// on a full artifact (rmat scale 16 with weights, coalesced overlay and
 /// transpose; 24 MB) the median of 7 opens is at least 5× faster than
-/// the median decoded open, which reads, hashes and copies every section.
+/// the median of 7 reference decodes (`common::reference_decode`), which
+/// read, hash and copy every section.
 #[test]
 fn lazy_mapped_open_is_five_times_faster_than_a_decoded_open() {
     if !zero_copy_target() {
@@ -186,41 +178,49 @@ fn lazy_mapped_open_is_five_times_faster_than_a_decoded_open() {
         .with_uniform_weights(1, 64, 2018)
         .with_virtual(8, true)
         .with_transpose(true);
-    store.prepare(&spec).unwrap();
-    let median_open = |store: GraphStore| {
+    let cold = store.prepare(&spec).unwrap();
+    let artifact = cold.report().artifact.clone().unwrap();
+    drop(cold);
+    let median = |open: &dyn Fn()| {
         let mut opens: Vec<Duration> = (0..7)
             .map(|_| {
                 let t = Instant::now();
-                let p = store.prepare(&spec).unwrap();
-                let open = t.elapsed();
-                assert_eq!(p.report().cache, CacheStatus::Hit);
-                open
+                open();
+                t.elapsed()
             })
             .collect();
         opens.sort_unstable();
         opens[3]
     };
-    let decoded = median_open(store.clone().with_mmap(MmapMode::Off));
-    let lazy = median_open(store.with_verify(VerifyMode::Lazy));
+    let decoded = median(&|| drop(reference_decode(&artifact)));
+    let lazy_store = store.with_verify(VerifyMode::Lazy);
+    let lazy = median(&|| {
+        let p = lazy_store.prepare(&spec).unwrap();
+        assert_eq!(p.report().cache, CacheStatus::Hit);
+    });
+    // The reference decodes the views the lazy open maps.
+    let (graph, transpose, overlay, rev_overlay) = reference_decode(&artifact);
+    let mapped = lazy_store.prepare(&spec).unwrap();
+    assert_eq!(mapped.graph(), &graph);
+    assert_eq!(mapped.transpose(), transpose.as_ref());
+    assert_eq!(mapped.overlay(), overlay.as_ref());
+    assert_eq!(mapped.rev_overlay(), rev_overlay.as_ref());
     fs::remove_dir_all(std::env::temp_dir().join(name)).ok();
-    eprintln!("median open: decoded {decoded:?}, lazy mapped {lazy:?}");
+    eprintln!("median open: reference decode {decoded:?}, lazy mapped {lazy:?}");
     assert!(decoded >= 5 * lazy, "decoded {decoded:?} vs lazy {lazy:?}");
 }
 
-/// With `--mmap on` a miss builds, writes, and re-opens mapped; payload
-/// corruption is still a typed miss that rebuilds back to a mapped
-/// artifact.
+/// A miss keeps the views it built; payload corruption is a typed miss
+/// that rebuilds, and the rebuilt artifact is mapped by the next hit.
 #[test]
-fn mmap_on_corruption_is_a_miss_that_rebuilds_to_mapped() {
-    let store = temp_store("tigr_it_prepared_mmap_corrupt").with_mmap(MmapMode::On);
+fn corruption_is_a_miss_that_rebuilds_to_a_mapped_hit() {
+    let store = temp_store("tigr_it_prepared_mmap_corrupt");
     let spec = base_spec();
     let cold = store.prepare(&spec).unwrap();
     assert_eq!(cold.report().cache, CacheStatus::Miss);
     assert!(cold.report().work_items() > 0, "miss must report its work");
-    if zero_copy_target() {
-        assert_eq!(cold.open_info().mode, OpenMode::Mapped);
-        assert!(cold.is_mapped());
-    }
+    assert_eq!(cold.open_info().mode, OpenMode::Built);
+    assert!(!cold.is_mapped());
 
     let artifact = cold.report().artifact.clone().unwrap();
     let mut bytes = fs::read(&artifact).unwrap();
@@ -231,12 +231,14 @@ fn mmap_on_corruption_is_a_miss_that_rebuilds_to_mapped() {
     let rebuilt = store.prepare(&spec).unwrap();
     assert_eq!(rebuilt.report().cache, CacheStatus::Miss);
     assert!(rebuilt.report().work_items() > 0);
-    if zero_copy_target() {
-        assert_eq!(rebuilt.open_info().mode, OpenMode::Mapped);
-    }
+    assert_eq!(rebuilt.open_info().mode, OpenMode::Built);
     assert_eq!(rebuilt.graph(), cold.graph());
     let again = store.prepare(&spec).unwrap();
     assert_eq!(again.report().cache, CacheStatus::Hit);
+    if zero_copy_target() {
+        assert_eq!(again.open_info().mode, OpenMode::Mapped);
+        assert!(again.is_mapped());
+    }
     assert_eq!(again.graph(), cold.graph());
 }
 

@@ -537,6 +537,49 @@ fn checksums_are_identical_across_runs_and_worker_counts() {
     }
 }
 
+/// A graph opened from a warm cache is served from the mapped artifact
+/// (where the target can map in place) and answers exactly as the cold
+/// build of the same spec does; `stats` says which open each served.
+#[test]
+fn a_warm_cache_open_is_served_mapped_with_the_cold_builds_answer() {
+    let dir = std::env::temp_dir().join(format!("tigr_it_serve_warm_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = GraphStore::new(Some(dir.clone()));
+    let spec = PrepareSpec::generated("rmat:12:16", 7)
+        .with_uniform_weights(1, 64, 7)
+        .with_virtual(8, true)
+        .with_transpose(true);
+    let cold = store.prepare(&spec).unwrap();
+    let warm = store.prepare(&spec).unwrap();
+    let serve = |prepared: PreparedGraph| {
+        let core = ServerCore::new(ServerConfig::default());
+        core.add_graph("g", Arc::new(prepared));
+        let mut client = Client::local(Arc::clone(&core));
+        let reply = client
+            .query(QueryRequest::new("g", Algo::Sssp, Some(0)))
+            .unwrap();
+        let open = client.stats().unwrap().graphs.remove(0);
+        core.shutdown();
+        (reply.checksum, open)
+    };
+    let (cold_sum, cold_open) = serve(cold);
+    let (warm_sum, warm_open) = serve(warm);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        (cold_open.name.as_str(), cold_open.open.as_str()),
+        ("g", "built")
+    );
+    if cfg!(all(
+        unix,
+        target_pointer_width = "64",
+        target_endian = "little"
+    )) {
+        assert_eq!(warm_open.open, "mapped", "{warm_open:?}");
+        assert!(warm_open.mapped_bytes > 0, "{warm_open:?}");
+    }
+    assert_eq!(warm_sum, cold_sum);
+}
+
 /// An uncached `sssp` from `source` on `graph`.
 fn uncached_sssp(graph: &str, source: u32) -> QueryRequest {
     let mut query = QueryRequest::new(graph, Algo::Sssp, Some(source));

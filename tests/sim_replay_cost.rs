@@ -71,18 +71,27 @@ fn vplus(tid: usize, lane: &mut impl Recorder) {
     relax(lane, tid, 10, |j| (warp * 10 + j) * 32 + slot, false);
 }
 
-/// Fastest of nine interleaved runs of `replay` and of `reference`,
-/// whose metrics must agree; fails if the first costs over 0.75 times the
+/// Fastest of 21 interleaved runs of `replay` and of `reference`, whose
+/// metrics must agree; fails if the first costs over 0.75 times the
 /// second optimised, 0.9 times under the test profile's overflow checks.
+/// Each pair flips which side runs first, so neither always inherits the
+/// other's cache state or a neighbour's burst.
 fn guard(name: &str, replay: impl Fn() -> KernelMetrics, reference: impl Fn() -> KernelMetrics) {
+    let timed = |f: &dyn Fn() -> KernelMetrics, best: &mut f64| {
+        let started = Instant::now();
+        let metrics = f();
+        *best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        metrics
+    };
     let (mut replay_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    for _ in 0..9 {
-        let started = Instant::now();
-        let replayed = replay();
-        replay_ms = replay_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        let started = Instant::now();
-        let expected = reference();
-        reference_ms = reference_ms.min(started.elapsed().as_secs_f64() * 1e3);
+    for pair in 0..21 {
+        let (replayed, expected) = if pair % 2 == 0 {
+            let replayed = timed(&replay, &mut replay_ms);
+            (replayed, timed(&reference, &mut reference_ms))
+        } else {
+            let expected = timed(&reference, &mut reference_ms);
+            (timed(&replay, &mut replay_ms), expected)
+        };
         assert_eq!(replayed, expected, "{name}: metrics differ");
     }
     let ratio = replay_ms / reference_ms;
