@@ -17,6 +17,8 @@ use crate::commands::{format_prepare_report, store_from_args, timeout_message, C
 
 /// Runs the `prepare` command.
 pub fn run(args: &Args) -> CmdResult {
+    args.reject_unknown(FLAGS)
+        .map_err(|e| format!("{e}\n{USAGE}"))?;
     let path: String = args.require("graph").map_err(|_| USAGE.to_string())?;
     // --direction mirrors `tigr run`: pull and auto need the transpose
     // views, push does not. Default auto so the artifact serves every
@@ -103,6 +105,20 @@ pub fn run(args: &Args) -> CmdResult {
         format_prepare_report(&prepared),
     ))
 }
+
+/// Every flag and switch `tigr prepare` reads; anything else is refused.
+const FLAGS: &[&str] = &[
+    "graph",
+    "direction",
+    "virtual",
+    "coalesced",
+    "transform",
+    "k",
+    "dumb",
+    "deadline-ms",
+    "cache-dir",
+    "verify",
+];
 
 const USAGE: &str = "usage: tigr prepare --graph <file> [--virtual K [--coalesced]] \
 [--transform udt|star|recursive-star|circular|clique [--k K] [--dumb zero|inf|none]] \
@@ -204,6 +220,19 @@ mod tests {
         let (path, _) = fixture("tigr_cli_prepare_deadline_test");
         let err = run(&parse(&format!("--graph {path} --deadline-ms 0"))).unwrap_err();
         assert!(err.starts_with(crate::commands::TIMEOUT_PREFIX), "{err}");
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_with_the_usage() {
+        let (path, cache) = fixture("tigr_cli_prepare_unknown_flag_test");
+        let err = run(&parse(&format!(
+            "--graph {path} --cache-dir {cache} --mmap off --bogus 1"
+        )))
+        .unwrap_err();
+        assert!(err.starts_with("unknown flag --"), "{err}");
+        assert!(err.contains("usage: tigr prepare"), "{err}");
+        // No artifact was written: the flag is refused before any work.
+        assert!(std::fs::read_dir(&cache).map_or(true, |mut d| d.next().is_none()));
     }
 
     #[test]

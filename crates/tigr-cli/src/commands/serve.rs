@@ -21,6 +21,8 @@ use crate::commands::{store_from_args, CmdResult};
 
 /// Runs the `serve` command.
 pub fn run(args: &Args) -> CmdResult {
+    args.reject_unknown(FLAGS)
+        .map_err(|e| format!("{e}\n{USAGE}"))?;
     let path: String = args.require("graph").map_err(|_| USAGE.to_string())?;
     let name = match args.flag("name") {
         Some(n) => n.to_string(),
@@ -138,6 +140,30 @@ pub fn run(args: &Args) -> CmdResult {
     Ok(summary)
 }
 
+/// Every flag and switch `tigr serve` reads; anything else is refused.
+const FLAGS: &[&str] = &[
+    "graph",
+    "name",
+    "port",
+    "socket",
+    "port-file",
+    "workers",
+    "executors",
+    "kernel-threads",
+    "queue",
+    "cache-capacity",
+    "default-deadline-ms",
+    "batch-max",
+    "batch-wait-us",
+    "mutable",
+    "compact-threshold",
+    "virtual",
+    "coalesced",
+    "duration",
+    "cache-dir",
+    "verify",
+];
+
 const USAGE: &str = "usage: tigr serve --graph <file> [--name N] \
 [--port P | --socket PATH] [--port-file PATH] [--workers N] \
 [--executors N] [--kernel-threads N] [--queue N] \
@@ -182,6 +208,15 @@ mod tests {
         assert!(err.contains("--kernel-threads"));
         let err = run(&parse(&format!("--graph {path} --compact-threshold 4"))).unwrap_err();
         assert!(err.contains("--mutable"));
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_with_the_usage() {
+        let (path, _) = fixture("tigr_cli_serve_unknown_flag_test");
+        // Refused before the daemon binds or blocks.
+        let err = run(&parse(&format!("--graph {path} --duration 0 --threads 2"))).unwrap_err();
+        assert!(err.starts_with("unknown flag --threads"), "{err}");
+        assert!(err.contains("usage: tigr serve"), "{err}");
     }
 
     #[test]

@@ -164,6 +164,9 @@ pub fn run_cancellable<L: Launcher>(
     let shares = AtomicFloats::new(n, 0.0);
     (0..n).for_each(|v| shares.store(v, share_of(v, ranks.load(v))));
     let accum = AtomicFloats::new(n, 0.0);
+    // The nodes without out-edges, ascending: their ranks are the
+    // dangling mass, summed in node order every iteration.
+    let dangling_nodes: Vec<usize> = (0..n).filter(|&v| out_degrees[v] == 0).collect();
 
     for _ in 0..options.max_iterations {
         if cancel.is_cancelled() {
@@ -180,10 +183,8 @@ pub fn run_cancellable<L: Launcher>(
 
         // Dangling mass (host reduction mirrored as a small kernel).
         let mut dangling = 0.0f64;
-        for (v, &deg) in out_degrees.iter().enumerate() {
-            if deg == 0 {
-                dangling += ranks.load(v) as f64;
-            }
+        for &v in &dangling_nodes {
+            dangling += ranks.load(v) as f64;
         }
         let base =
             (1.0 - options.damping) / n as f32 + options.damping * (dangling as f32) / n as f32;

@@ -12,8 +12,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::protocol::{
-    decode_response, write_request, CompactResult, ErrorCode, MutateResult, MutationOp,
-    ProtocolError, QueryRequest, QueryResult, Request, Response,
+    write_request, CompactResult, ErrorCode, MutateResult, MutationOp, ProtocolError, QueryRequest,
+    QueryResult, Request, Response, ResponseDecoder, STREAM_CHUNK,
 };
 use crate::server::ServerCore;
 use crate::stats::StatsSnapshot;
@@ -58,42 +58,61 @@ enum Transport {
     Unix(Wire<UnixStream>),
 }
 
-/// One socket connection and its two line buffers, reused from request
-/// to request.
+/// One socket connection, its request buffer and its reply decoder,
+/// reused from request to request.
 struct Wire<S> {
     reader: BufReader<S>,
     writer: S,
     line: Vec<u8>,
-    reply: String,
+    reply: ResponseDecoder,
 }
 
 impl<S: Read + Write> Wire<S> {
     fn new(reader: S, writer: S) -> Self {
         Wire {
-            reader: BufReader::new(reader),
+            // A streamed reply arrives in writes of 64 KiB or more: one
+            // `fill_buf` can take a whole one.
+            reader: BufReader::with_capacity(STREAM_CHUNK, reader),
             writer,
             line: Vec::new(),
-            reply: String::new(),
+            reply: ResponseDecoder::new(),
         }
     }
 
     /// Sends the request as one buffer in one write (line and newline
     /// together, so the kernel never holds a trailing fragment back for
-    /// an ACK) and reads one reply line.
+    /// an ACK) and reads one reply line. The reply decoder is handed the
+    /// bytes as each `fill_buf` returns them, so the complete elements of
+    /// a long `values` member are decoded while the rest of the line is
+    /// still in flight (see [`ResponseDecoder`]).
     fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.line.clear();
         write_request(&mut self.line, request);
         self.line.push(b'\n');
         self.writer.write_all(&self.line)?;
         self.writer.flush()?;
-        self.reply.clear();
-        if self.reader.read_line(&mut self.reply)? == 0 {
+        loop {
+            let bytes = match self.reader.fill_buf() {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if bytes.is_empty() {
+                break;
+            }
+            let (taken, whole) = self.reply.push_to_newline(bytes);
+            self.reader.consume(taken);
+            if whole {
+                break;
+            }
+        }
+        if self.reply.is_empty() {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )));
         }
-        Ok(decode_response(&self.reply)?)
+        Ok(self.reply.finish()?)
     }
 }
 

@@ -259,31 +259,30 @@ pub(crate) fn push_u64(out: &mut Vec<u8>, n: u64) {
     out.extend_from_slice(&digit_word(n, len).to_le_bytes()[..len]);
 }
 
-/// Appends `values` as the JSON array [`Json`]'s `Display` prints for
-/// them. The buffer is sized once for the widest spelling and cut back
-/// at the end; in between, each value is one fixed 16-byte store of its
-/// digits and a comma byte after them, and the cursor advances past the
-/// comma.
-pub(crate) fn push_u32_array(out: &mut Vec<u8>, values: &[u32]) {
-    let start = out.len();
-    // Ten digits and a comma per value, the bracket, and the last
-    // store's reach past its comma.
-    out.resize(start + 11 * values.len() + 17, 0);
-    out[start] = b'[';
-    let mut at = start + 1;
-    for &v in values {
-        let len = digit_count(v);
-        let word = out[at..]
-            .first_chunk_mut::<16>()
-            .expect("the buffer holds the widest spelling");
-        *word = digit_word(v.into(), len).to_le_bytes();
-        word[len] = b',';
-        at += len + 1;
+/// Appends each of `values` and a comma after it: the elements of the
+/// JSON array [`Json`]'s `Display` prints for them, each one's comma
+/// included. Each value is one fixed 16-byte store of its digits and a
+/// comma byte after them into a scratch block sized for the widest
+/// spelling, the cursor advancing past the comma; a full block goes to
+/// `out` in one copy of the bytes it holds.
+pub(crate) fn push_u32_elements(out: &mut Vec<u8>, values: &[u32]) {
+    const BLOCK: usize = 256;
+    // Ten digits and a comma per value, and the last store's reach of
+    // five bytes past its comma.
+    let mut block = [0; 11 * BLOCK + 5];
+    for chunk in values.chunks(BLOCK) {
+        let mut at = 0;
+        for &v in chunk {
+            let len = digit_count(v);
+            let word = block[at..]
+                .first_chunk_mut::<16>()
+                .expect("the block holds the widest spelling");
+            *word = digit_word(v.into(), len).to_le_bytes();
+            word[len] = b',';
+            at += len + 1;
+        }
+        out.extend_from_slice(&block[..at]);
     }
-    // The last comma — or, for no values, the byte after `[` — closes.
-    let end = at + usize::from(values.is_empty());
-    out[end - 1] = b']';
-    out.truncate(end);
 }
 
 /// `(n + DIGIT_COUNT[⌊log2 n⌋]) >> 32` is the number of decimal digits
@@ -384,6 +383,72 @@ fn parse8(w: u64) -> u64 {
     let w = ((w & 0x0f0f_0f0f_0f0f_0f0f).wrapping_mul((10 << 8) | 1)) >> 8;
     let w = ((w & 0x00ff_00ff_00ff_00ff).wrapping_mul((100 << 16) | 1)) >> 16;
     ((w & 0x0000_ffff_0000_ffff).wrapping_mul((10_000 << 32) | 1)) >> 32
+}
+
+/// Where [`u32_run`] stopped.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum RunEnd {
+    /// On the `]` that closes the array.
+    Closed,
+    /// On the first byte of an element the run does not own: more input
+    /// cannot change that.
+    Foreign,
+    /// Short of a whole block past the last element read: more input may
+    /// carry the run on.
+    #[default]
+    Short,
+}
+
+/// From `*at`, the first byte of an element of an array of `u32`s, reads
+/// the run of elements spelled as plain digits directly followed by `,`
+/// or `]` into `out`, and leaves `*at` on the first byte not read: the
+/// closing `]`, or the first byte of the next element. Each step tests
+/// eight bytes for non-digits, a 64-byte block at a time: every
+/// non-digit ends an element, so the elements come off the block's mask
+/// without a byte loop, and each converts from the window of bytes
+/// before its end ([`digits_to`]). Only whole blocks are read, so `bytes`
+/// may be a line that is still arriving.
+pub(crate) fn u32_run(bytes: &[u8], at: &mut usize, out: &mut Vec<u32>) -> RunEnd {
+    let mut block_at = *at;
+    while let Some(block) = bytes.get(block_at..).and_then(<[u8]>::first_chunk::<64>) {
+        let mut ends = 0;
+        for (i, word) in block.as_chunks::<8>().0.iter().enumerate() {
+            ends |= non_digit_bits(u64::from_le_bytes(*word)) << (8 * i);
+        }
+        while ends != 0 {
+            let end = block_at + ends.trailing_zeros() as usize;
+            ends &= ends - 1;
+            let Some(value) = digits_to(bytes, *at, end) else {
+                return RunEnd::Foreign;
+            };
+            out.push(value);
+            if bytes[end] == b']' {
+                *at = end;
+                return RunEnd::Closed;
+            }
+            *at = end + 1;
+        }
+        block_at += 64;
+    }
+    RunEnd::Short
+}
+
+/// The element from `start` to the non-digit at `end`, if it is 1–10
+/// digits up to `u32::MAX` ended by `,` or `]`. It is read from the ten
+/// bytes before `end`, with the bytes before the element masked off: the
+/// last eight by [`parse8`], the first two as the digits above 10^8.
+fn digits_to(bytes: &[u8], start: usize, end: usize) -> Option<u32> {
+    let len = end - start;
+    if !(1..=10).contains(&len) || !matches!(bytes[end], b',' | b']') {
+        return None;
+    }
+    let window = bytes.get(end.checked_sub(10)?..)?.first_chunk::<10>()?;
+    let [tens, ones, low @ ..] = *window;
+    let (keep_high, keep_low) = ELEMENT_BYTES[len];
+    let high = u64::from(u16::from_le_bytes([tens, ones]) & keep_high & 0x0f0f);
+    let value = ((high & 0xf) * 10 + (high >> 8)) * 100_000_000
+        + parse8(u64::from_le_bytes(low) & keep_low);
+    u32::try_from(value).ok()
 }
 
 /// A parse failure with a byte offset into the input.
@@ -706,61 +771,29 @@ impl<'a> Reader<'a> {
 
     /// With the cursor on an element of an array of `u32`s, reads the
     /// run of elements spelled as plain digits directly followed by `,`
-    /// or `]`. Each step tests eight bytes for non-digits, a 64-byte
-    /// block at a time: every non-digit ends an element, so the elements
-    /// come off the block's mask without a byte loop, and each converts
-    /// from the window of bytes before its end
-    /// ([`Reader::digits_to`]). Returns `true` on the `]` that closes the
+    /// or `]` ([`u32_run`]). Returns `true` on the `]` that closes the
     /// array, and `false` on the first byte of an element the run does
     /// not own — anything but a plain integer of 1–10 digits up to
     /// `u32::MAX` followed by `,` or `]`, or one in the last 64 bytes of
     /// the input — which is the caller's to read.
     pub(crate) fn u32_run(&mut self, out: &mut Vec<u32>) -> bool {
-        let bytes = self.input.as_bytes();
-        let mut block_at = self.pos;
-        while let Some(block) = bytes.get(block_at..).and_then(<[u8]>::first_chunk::<64>) {
-            let mut ends = 0;
-            for (i, word) in block.as_chunks::<8>().0.iter().enumerate() {
-                ends |= non_digit_bits(u64::from_le_bytes(*word)) << (8 * i);
-            }
-            while ends != 0 {
-                let end = block_at + ends.trailing_zeros() as usize;
-                ends &= ends - 1;
-                let Some(value) = self.digits_to(end) else {
-                    self.skip_ws();
-                    return false;
-                };
-                out.push(value);
-                if bytes[end] == b']' {
-                    self.pos = end;
-                    return true;
-                }
-                self.pos = end + 1;
-            }
-            block_at += 64;
+        let closed = u32_run(self.input.as_bytes(), &mut self.pos, out) == RunEnd::Closed;
+        if !closed {
+            self.skip_ws();
         }
-        self.skip_ws();
-        false
+        closed
     }
 
-    /// The element from the cursor to the non-digit at `end`, if it is
-    /// 1–10 digits up to `u32::MAX` ended by `,` or `]`. It is read from
-    /// the ten bytes before `end`, with the bytes before the element
-    /// masked off: the last eight by [`parse8`], the first two as the
-    /// digits above 10^8.
-    fn digits_to(&self, end: usize) -> Option<u32> {
-        let bytes = self.input.as_bytes();
-        let len = end - self.pos;
-        if !(1..=10).contains(&len) || !matches!(bytes[end], b',' | b']') {
-            return None;
-        }
-        let window = bytes.get(end.checked_sub(10)?..)?.first_chunk::<10>()?;
-        let [tens, ones, low @ ..] = *window;
-        let (keep_high, keep_low) = ELEMENT_BYTES[len];
-        let high = u64::from(u16::from_le_bytes([tens, ones]) & keep_high & 0x0f0f);
-        let value = ((high & 0xf) * 10 + (high >> 8)) * 100_000_000
-            + parse8(u64::from_le_bytes(low) & keep_low);
-        u32::try_from(value).ok()
+    /// The cursor's byte offset into the input.
+    pub(crate) fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Moves the cursor forward to `offset`, past input that was read
+    /// already — by [`u32_run`] over the same bytes.
+    pub(crate) fn skip_to(&mut self, offset: usize) {
+        debug_assert!(offset >= self.pos && offset <= self.input.len());
+        self.pos = offset;
     }
 
     /// Reads a number if the next value is one; consumes nothing

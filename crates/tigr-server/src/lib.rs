@@ -65,9 +65,9 @@ mod client;
 pub use cache::{CacheCounters, CacheKey, CachedResult, ResultCache};
 pub use client::{Client, ClientError};
 pub use protocol::{
-    checksum, decode_request, decode_response, encode_request, encode_response, Algo,
-    CompactResult, ErrorCode, MutateResult, MutationOp, ProtocolError, QueryRequest, QueryResult,
-    Request, Response, MAX_REQUEST_LINE,
+    checksum, decode_request, decode_response, encode_request, encode_response, send_response,
+    Algo, CompactResult, ErrorCode, MutateResult, MutationOp, ProtocolError, QueryRequest,
+    QueryResult, Request, Response, ResponseDecoder, MAX_REQUEST_LINE, STREAM_CHUNK,
 };
 pub use queue::{Bounded, PushError};
 pub use server::{Server, ServerAddr, ServerConfig, ServerCore};

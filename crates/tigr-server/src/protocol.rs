@@ -56,10 +56,17 @@
 //!
 //! # Framing and cost
 //!
-//! A message is its JSON line and the `'\n'` in **one buffer, sent with
-//! one write**, in both directions, and both ends of a TCP connection
-//! set `TCP_NODELAY`: a reply split over two small writes on a socket
-//! with Nagle on waits ~40 ms for the peer's delayed ACK, every time.
+//! A message shorter than [`STREAM_CHUNK`] (64 KiB) is its JSON line and
+//! the `'\n'` in **one buffer, sent with one write**, in both directions,
+//! and both ends of a TCP connection set `TCP_NODELAY`: a reply split
+//! over two small writes on a socket with Nagle on waits ~40 ms for the
+//! peer's delayed ACK, every time. A longer reply — in practice one
+//! carrying `values` — **streams**: [`send_response`] hands the socket
+//! each [`STREAM_CHUNK`] or more of finished line while the rest of
+//! `values` is still being encoded, and the client's
+//! [`ResponseDecoder`] decodes the complete elements of `values` as the
+//! bytes arrive, so encoding, the socket and decoding overlap instead of
+//! running back to back. The bytes on the wire are the same either way.
 //! Each connection (and each [`crate::Client`]) reuses its line buffers
 //! from message to message. A request line may be at most
 //! [`MAX_REQUEST_LINE`] bytes; the server enforces that while reading,
@@ -69,11 +76,15 @@
 //! (keys in byte order, integral numbers without a fraction), but no
 //! message is built as a tree on its way out: one encoder writes each
 //! member straight into the output buffer, in that same key order, and
-//! the tests hold it byte-equal to the tree's output. On the way in a
-//! line is parsed into a tree — except the two members that can be
-//! large and whose element type the grammar fixes: a reply's `values`
-//! is read straight into a `Vec<u32>`, and a mutate request's `ops`
-//! into `Vec<MutationOp>`, one op at a time. The schema picks the typed
+//! the tests hold it byte-equal to the tree's output; [`encode_response`]
+//! is that encoder with a sink that never flushes. On the way in a line
+//! is parsed into a tree — except the two members that can be large and
+//! whose element type the grammar fixes: a reply's `values` is read
+//! straight into a `Vec<u32>`, and a mutate request's `ops` into
+//! `Vec<MutationOp>`, one op at a time. [`decode_response`] is the
+//! streaming decoder fed one whole line: the `values` elements read ahead
+//! of the member walk are kept only where the walk finds `values` at the
+//! offset they were read from. The schema picks the typed
 //! reader, not an option; anything off the grammar inside those members
 //! (a fraction, a string, an out-of-range entry) is still consumed by
 //! the one JSON grammar and rejected exactly as the tree walk rejected
@@ -81,9 +92,12 @@
 //! [`crate::json::MAX_DEPTH`]; see [`crate::json`].
 
 use std::fmt;
-use std::io::Write as _;
+use std::io::{self, BufRead as _, Write};
 
-use crate::json::{parse_except, push_escaped, push_u32_array, push_u64, Json, ParseError, Reader};
+use crate::json::{
+    parse_except, push_escaped, push_u32_elements, push_u64, u32_run, Json, ParseError, Reader,
+    RunEnd,
+};
 use crate::stats::StatsSnapshot;
 
 /// Longest request line a connection accepts, in bytes without the
@@ -91,6 +105,16 @@ use crate::stats::StatsSnapshot;
 /// batch but this: an op is at most 67 bytes on the wire, so 16 MiB
 /// holds a batch of 250 000 ops — `tigr ingest` sends 1 024 by default.
 pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// A reply line this long or longer leaves in pieces of at least this
+/// many bytes, each written while the rest of its `values` is still being
+/// encoded; a shorter line is one buffer and one write.
+pub const STREAM_CHUNK: usize = 64 << 10;
+
+/// `values` are encoded this many at a time (at most 11 KiB of text), so
+/// the buffer behind a streamed reply holds one [`STREAM_CHUNK`] and one
+/// piece, never the whole line.
+const VALUES_PIECE: usize = 1024;
 
 /// The shared algorithm table: the CLI, the server, and this protocol
 /// all dispatch through [`tigr_engine::Algo`], so a verb is registered
@@ -350,49 +374,123 @@ pub fn checksum(values: &[u32]) -> u64 {
     hash
 }
 
+/// Where an encoded line goes: a buffer, and on the server's reply path
+/// a socket, which is handed the line a [`STREAM_CHUNK`] or more at a
+/// time while a long `values` member is still being encoded. A sink
+/// without a socket never flushes: the whole line stays in the buffer.
+struct Sink<'a> {
+    line: &'a mut Vec<u8>,
+    socket: Option<&'a mut dyn Write>,
+    /// The first failed write; the rest of the line is then dropped.
+    failed: Option<io::Error>,
+}
+
+impl<'a> Sink<'a> {
+    fn buffer(line: &'a mut Vec<u8>) -> Self {
+        Sink {
+            line,
+            socket: None,
+            failed: None,
+        }
+    }
+
+    /// Hands the line so far to the socket if it has reached
+    /// [`STREAM_CHUNK`] bytes.
+    fn spill(&mut self) {
+        let Some(socket) = &mut self.socket else {
+            return;
+        };
+        if self.line.len() < STREAM_CHUNK {
+            return;
+        }
+        if self.failed.is_none() {
+            self.failed = socket.write_all(self.line).err();
+        }
+        self.line.clear();
+    }
+
+    /// Ends the line with its newline and sends what is left of it.
+    fn finish(self) -> io::Result<()> {
+        if let Some(error) = self.failed {
+            return Err(error);
+        }
+        self.line.push(b'\n');
+        match self.socket {
+            Some(socket) => socket.write_all(self.line).and_then(|()| socket.flush()),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Writes one JSON object member by member, in call order. Callers
 /// emit keys in byte order — the order `Json::Obj`'s `BTreeMap` prints
 /// them in, which is the wire format — and keys are plain ASCII.
-struct ObjectWriter<'a> {
-    out: &'a mut Vec<u8>,
+struct ObjectWriter<'s, 'a> {
+    sink: &'s mut Sink<'a>,
     sep: u8,
 }
 
-impl<'a> ObjectWriter<'a> {
-    fn new(out: &'a mut Vec<u8>) -> Self {
-        ObjectWriter { out, sep: b'{' }
+impl<'s, 'a> ObjectWriter<'s, 'a> {
+    fn new(sink: &'s mut Sink<'a>) -> Self {
+        ObjectWriter { sink, sep: b'{' }
     }
 
-    /// Writes `"key":` and returns the buffer for the value.
-    fn key(&mut self, key: &str) -> &mut Vec<u8> {
-        self.out.push(self.sep);
+    /// Writes `"key":` and returns the sink for the value.
+    fn key(&mut self, key: &str) -> &mut Sink<'a> {
+        let out = &mut *self.sink.line;
+        out.push(self.sep);
         self.sep = b',';
-        self.out.push(b'"');
-        self.out.extend_from_slice(key.as_bytes());
-        self.out.extend_from_slice(b"\":");
-        self.out
+        out.push(b'"');
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(b"\":");
+        self.sink
     }
 
     fn str(&mut self, key: &str, value: &str) {
-        push_escaped(self.key(key), value);
+        push_escaped(self.key(key).line, value);
     }
 
     fn num(&mut self, key: &str, value: u64) {
-        push_u64(self.key(key), value);
+        push_u64(self.key(key).line, value);
     }
 
     fn bool(&mut self, key: &str, value: bool) {
         self.key(key)
+            .line
             .extend_from_slice(if value { b"true" } else { b"false" });
     }
 
+    /// Writes `values` as a JSON array a [`VALUES_PIECE`] at a time,
+    /// offering the line to the socket before each piece after the first.
+    fn u32s(&mut self, key: &str, values: &[u32]) {
+        let sink = self.key(key);
+        if sink.socket.is_none() {
+            // The buffer keeps the whole line: room for the widest
+            // spelling once, not a reallocation per doubling.
+            sink.line.reserve(11 * values.len() + 1);
+        }
+        sink.line.push(b'[');
+        for (i, piece) in values.chunks(VALUES_PIECE).enumerate() {
+            if i > 0 {
+                sink.spill();
+            }
+            push_u32_elements(sink.line, piece);
+        }
+        // The last comma — or, for no values, the byte after `[` — closes.
+        if values.is_empty() {
+            sink.line.push(b']');
+        } else if let Some(last) = sink.line.last_mut() {
+            *last = b']';
+        }
+    }
+
     fn end(self) {
-        self.out.push(b'}');
+        self.sink.line.push(b'}');
     }
 }
 
-fn write_op(out: &mut Vec<u8>, op: &MutationOp) {
-    let mut o = ObjectWriter::new(out);
+fn write_op(sink: &mut Sink<'_>, op: &MutationOp) {
+    let mut o = ObjectWriter::new(sink);
     match *op {
         MutationOp::AddEdge { u, v, w } => {
             o.str("kind", "add-edge");
@@ -420,15 +518,15 @@ fn write_op(out: &mut Vec<u8>, op: &MutationOp) {
 }
 
 /// Appends the elements of a JSON array, comma-separated and bracketed.
-fn write_array<T>(out: &mut Vec<u8>, items: &[T], mut element: impl FnMut(&mut Vec<u8>, &T)) {
-    out.push(b'[');
+fn write_array<T>(sink: &mut Sink<'_>, items: &[T], mut element: impl FnMut(&mut Sink<'_>, &T)) {
+    sink.line.push(b'[');
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
-            out.push(b',');
+            sink.line.push(b',');
         }
-        element(out, item);
+        element(sink, item);
     }
-    out.push(b']');
+    sink.line.push(b']');
 }
 
 /// Encodes a request as one JSON line (no trailing newline).
@@ -441,7 +539,8 @@ pub fn encode_request(req: &Request) -> String {
 /// Appends the line [`encode_request`] returns to `out` — the wire path
 /// reuses one buffer per connection and adds the newline itself.
 pub(crate) fn write_request(out: &mut Vec<u8>, req: &Request) {
-    let mut o = ObjectWriter::new(out);
+    let mut sink = Sink::buffer(out);
+    let mut o = ObjectWriter::new(&mut sink);
     match req {
         Request::Ping => o.str("op", "ping"),
         Request::Stats => o.str("op", "stats"),
@@ -593,10 +692,23 @@ fn read_ops(r: &mut Reader<'_>) -> Result<OpsMember, ParseError> {
 /// resumes after it. `None` if the member is not an array of in-range
 /// integral numbers (it is still consumed, so a syntax error behind it
 /// is still reported).
-fn read_values(r: &mut Reader<'_>) -> Result<Option<Vec<u32>>, ParseError> {
+///
+/// With `read`, the elements a [`ValuesPrefix`] took off this same
+/// array are kept and the cursor skips the bytes they came from.
+fn read_values(
+    r: &mut Reader<'_>,
+    mut read: Option<ValuesRead>,
+) -> Result<Option<Vec<u32>>, ParseError> {
     let mut values = Vec::new();
     let mut typed = true;
     let is_array = r.array(|r| {
+        if let Some(read) = read.take() {
+            values = read.values;
+            r.skip_to(read.resume);
+            if read.closed {
+                return Ok(());
+            }
+        }
         if r.u32_run(&mut values) {
             return Ok(());
         }
@@ -611,6 +723,75 @@ fn read_values(r: &mut Reader<'_>) -> Result<Option<Vec<u32>>, ParseError> {
         Ok(())
     })?;
     Ok((is_array && typed).then_some(values))
+}
+
+/// The `values` of a reply line read while the line is still arriving.
+///
+/// It guesses that the member opens at the line's first `"values":[`, and
+/// reads the plain-digit elements after it a whole 64-byte block at a
+/// time ([`u32_run`]), each time more of the line is in. Nothing but the
+/// decode's member walk says where `values` really is: it keeps these
+/// elements only if it reaches a top-level `values` array at the guessed
+/// offset, and there the bytes they came from are exactly the elements
+/// its own reader would have read, with the same results.
+#[derive(Debug, Default)]
+struct ValuesPrefix {
+    /// The line has been searched for the member's opening up to here.
+    searched: usize,
+    /// Offset of the guessed member's `[`.
+    open: Option<usize>,
+    /// Offset of the first byte not read: the first byte of an element,
+    /// or the closing `]`.
+    resume: usize,
+    values: Vec<u32>,
+    /// How the run stopped; `Short` while more of the line may carry it
+    /// on.
+    end: RunEnd,
+}
+
+/// What a [`ValuesPrefix`] read, handed to the member walk.
+struct ValuesRead {
+    values: Vec<u32>,
+    resume: usize,
+    closed: bool,
+}
+
+impl ValuesPrefix {
+    /// Reads on through `line`, the bytes of the reply so far (those of
+    /// the previous call and more).
+    fn advance(&mut self, line: &[u8]) {
+        if self.open.is_none() {
+            while let Some(i) = line[self.searched..].iter().position(|&b| b == b'[') {
+                let at = self.searched + i;
+                self.searched = at + 1;
+                if line[..at].ends_with(b"\"values\":") {
+                    self.open = Some(at);
+                    self.resume = at + 1;
+                    break;
+                }
+            }
+            if self.open.is_none() {
+                self.searched = line.len();
+                return;
+            }
+        }
+        if self.end == RunEnd::Short {
+            self.end = u32_run(line, &mut self.resume, &mut self.values);
+        }
+    }
+
+    /// The elements read, if the member walk found `values` opening at
+    /// `open` and any were read; offsets are moved back by `base`.
+    fn take_at(&mut self, open: usize, base: usize) -> Option<ValuesRead> {
+        if self.open != Some(open) || self.values.is_empty() {
+            return None;
+        }
+        Some(ValuesRead {
+            values: std::mem::take(&mut self.values),
+            resume: self.resume - base,
+            closed: self.end == RunEnd::Closed,
+        })
+    }
 }
 
 /// Decodes one request line. Malformed input comes back as a
@@ -726,14 +907,38 @@ pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
 /// Encodes a response as one JSON line (no trailing newline).
 pub fn encode_response(resp: &Response) -> String {
     let mut line = Vec::new();
-    write_response(&mut line, resp);
+    write_response(&mut Sink::buffer(&mut line), resp);
     String::from_utf8(line).expect("the encoder writes UTF-8")
 }
 
-/// Appends the line [`encode_response`] returns to `out` — the wire
-/// path reuses one buffer per connection and adds the newline itself.
-pub(crate) fn write_response(out: &mut Vec<u8>, resp: &Response) {
-    let mut o = ObjectWriter::new(out);
+/// Writes the line [`encode_response`] returns, and its newline, to
+/// `socket`: a line shorter than [`STREAM_CHUNK`] in one write of one
+/// buffer, a longer one in pieces of at least [`STREAM_CHUNK`] bytes,
+/// each written while the rest of its `values` is still being encoded.
+/// `line` is the buffer, reused from reply to reply; it never holds more
+/// than a [`STREAM_CHUNK`] and a piece of `values`.
+///
+/// # Errors
+///
+/// The first failed write or flush; the rest of the line is not sent.
+pub fn send_response(
+    socket: &mut dyn Write,
+    line: &mut Vec<u8>,
+    resp: &Response,
+) -> io::Result<()> {
+    line.clear();
+    let mut sink = Sink {
+        line,
+        socket: Some(socket),
+        failed: None,
+    };
+    write_response(&mut sink, resp);
+    sink.finish()
+}
+
+/// The one response encoder: writes the line into `sink`.
+fn write_response(sink: &mut Sink<'_>, resp: &Response) {
+    let mut o = ObjectWriter::new(sink);
     match resp {
         Response::Pong => {
             o.bool("ok", true);
@@ -744,6 +949,7 @@ pub(crate) fn write_response(out: &mut Vec<u8>, resp: &Response) {
             // The one payload still encoded through the tree: small,
             // nested, and `StatsSnapshot::to_json` is public API.
             o.key("stats")
+                .line
                 .extend_from_slice(s.to_json().to_string().as_bytes());
         }
         Response::Mutate(m) => {
@@ -774,7 +980,7 @@ pub(crate) fn write_response(out: &mut Vec<u8>, resp: &Response) {
         Response::Query(q) => {
             o.str("algo", q.algo.label());
             o.bool("cached", q.cached);
-            write!(o.key("checksum"), "\"{:016x}\"", q.checksum)
+            write!(o.key("checksum").line, "\"{:016x}\"", q.checksum)
                 .expect("writing to a Vec cannot fail");
             o.str("graph", &q.graph);
             o.num("iterations", q.iterations);
@@ -782,10 +988,10 @@ pub(crate) fn write_response(out: &mut Vec<u8>, resp: &Response) {
             o.bool("ok", true);
             match q.source {
                 Some(s) => o.num("source", s.into()),
-                None => o.key("source").extend_from_slice(b"null"),
+                None => o.key("source").line.extend_from_slice(b"null"),
             }
             if let Some(values) = &q.values {
-                push_u32_array(o.key("values"), values);
+                o.u32s("values", values);
             }
             o.num("wall_us", q.wall_us);
         }
@@ -793,11 +999,90 @@ pub(crate) fn write_response(out: &mut Vec<u8>, resp: &Response) {
     o.end();
 }
 
-/// Decodes one response line (the client side of the wire).
+/// Decodes one response line (the client side of the wire): what a
+/// [`ResponseDecoder`] returns when the whole line is pushed at once,
+/// without copying the line.
 pub fn decode_response(line: &str) -> Result<Response, ProtocolError> {
+    let mut values = ValuesPrefix::default();
+    values.advance(line.as_bytes());
+    decode(line, values)
+}
+
+/// Decodes a reply line while it arrives: each [`Self::push`] reads the
+/// `values` elements its bytes complete, and [`Self::finish`] walks the
+/// whole line, keeping those elements where the walk confirms them. What
+/// it returns is what [`decode_response`] returns for the line, however
+/// the line was cut into pushes.
+#[derive(Debug, Default)]
+pub struct ResponseDecoder {
+    line: Vec<u8>,
+    values: ValuesPrefix,
+}
+
+impl ResponseDecoder {
+    /// An empty decoder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends the next bytes of the line.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.line.extend_from_slice(bytes);
+        self.values.advance(&self.line);
+    }
+
+    /// Appends `bytes` up to and including the first newline, and
+    /// returns how many it took and whether the newline was among them:
+    /// the line is then whole.
+    pub(crate) fn push_to_newline(&mut self, bytes: &[u8]) -> (usize, bool) {
+        // `read_until` over a slice is the standard library's `memchr`
+        // search and one copy of what precedes the newline.
+        let taken = (&mut &*bytes)
+            .read_until(b'\n', &mut self.line)
+            .expect("reading a slice cannot fail");
+        let whole = self.line.last() == Some(&b'\n');
+        if !whole {
+            self.values.advance(&self.line);
+        }
+        (taken, whole)
+    }
+
+    /// Whether nothing has been pushed since the last [`Self::finish`].
+    pub fn is_empty(&self) -> bool {
+        self.line.is_empty()
+    }
+
+    /// Decodes the line pushed so far, as [`decode_response`] would, and
+    /// empties the decoder for the next line. A line that is not UTF-8 is
+    /// a `bad-request` error.
+    ///
+    /// # Errors
+    ///
+    /// See [`decode_response`].
+    pub fn finish(&mut self) -> Result<Response, ProtocolError> {
+        let values = std::mem::take(&mut self.values);
+        let decoded = match std::str::from_utf8(&self.line) {
+            Ok(line) => decode(line, values),
+            Err(_) => Err(ProtocolError::new(
+                ErrorCode::BadRequest,
+                "malformed response: not UTF-8",
+            )),
+        };
+        self.line.clear();
+        decoded
+    }
+}
+
+/// The one response decoder: the member walk over `line`, given what
+/// `values` read of it beforehand.
+fn decode(line: &str, mut values: ValuesPrefix) -> Result<Response, ProtocolError> {
     let bad = |m: &str| ProtocolError::new(ErrorCode::BadRequest, m);
-    let (v, values) = parse_except(line.trim(), "values", read_values)
-        .map_err(|e| bad(&format!("malformed response: {e}")))?;
+    let body = line.trim();
+    let base = line.len() - line.trim_start().len();
+    let (v, values) = parse_except(body, "values", |r| {
+        read_values(r, values.take_at(r.offset() + base, base))
+    })
+    .map_err(|e| bad(&format!("malformed response: {e}")))?;
     let ok = v
         .get("ok")
         .and_then(Json::as_bool)

@@ -30,9 +30,10 @@
 //! speak the line-delimited JSON protocol of [`crate::protocol`]; each
 //! connection gets a reader thread, and requests on one connection are
 //! answered in order. One accept loop serves both transports; a reply
-//! is one buffer and one write, TCP connections run with `TCP_NODELAY`,
-//! and request lines are length-limited while they are read (see
-//! "Framing and cost" in [`crate::protocol`]).
+//! under 64 KiB is one buffer and one write, a longer one streams into
+//! the socket while it is encoded, TCP connections run with
+//! `TCP_NODELAY`, and request lines are length-limited while they are
+//! read (see "Framing and cost" in [`crate::protocol`]).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -56,7 +57,7 @@ use tigr_graph::NodeId;
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::protocol::{
-    checksum, decode_request, write_response, CompactResult, ErrorCode, MutateResult, QueryRequest,
+    checksum, decode_request, send_response, CompactResult, ErrorCode, MutateResult, QueryRequest,
     QueryResult, Request, Response, MAX_REQUEST_LINE,
 };
 use crate::queue::{Bounded, PushError};
@@ -1002,8 +1003,14 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Reads request lines and writes response lines until EOF. Requests on
 /// one connection are answered in order; concurrency comes from many
-/// connections. Each reply leaves in one write of one buffer (line and
-/// newline together); both line buffers live as long as the connection.
+/// connections. A reply shorter than [`STREAM_CHUNK`] leaves in one
+/// write of one buffer (line and newline together); a longer one streams
+/// into the socket in pieces of at least that many bytes while its
+/// `values` are still being encoded ([`send_response`]), so the buffer
+/// never holds a whole bulk reply. Both line buffers live as long as the
+/// connection.
+///
+/// [`STREAM_CHUNK`]: crate::protocol::STREAM_CHUNK
 ///
 /// A request line longer than [`MAX_REQUEST_LINE`] is refused while it
 /// is being read — the connection never buffers more than the limit —
@@ -1038,10 +1045,7 @@ fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl 
                 Err(_) => Response::error(ErrorCode::BadRequest, "request line is not valid UTF-8"),
             }
         };
-        reply.clear();
-        write_response(&mut reply, &response);
-        reply.push(b'\n');
-        let sent = writer.write_all(&reply).and_then(|()| writer.flush());
+        let sent = send_response(&mut writer, &mut reply, &response);
         if sent.is_err() || oversized {
             break;
         }

@@ -359,11 +359,22 @@ mapfile -t bench_cmd < <(sed -n '/"command": \[/,/\]/p' BENCHMARK.json \
     | grep -o '"[^"]*"' | tr -d '"' | tail -n +2)
 [ "${bench_cmd[0]}" = "cargo" ] \
     || { echo "benchmark quick: could not read the command from BENCHMARK.json"; exit 1; }
+# Building the harness makes cargo prune unused shim entries from its
+# frozen lock file; the file is put back afterwards, on failure too, and
+# the step must leave nothing changed under benchmark/.
+bench_lock="$cache_dir/benchmark.Cargo.lock"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -rf "$cache_dir"' EXIT
 bench_out="$cache_dir/bench"
 for workload in serve_hot mutate_dirty; do
     "${bench_cmd[@]}" --workload "$workload" --quick --data-dir "$bench_out" | tail -n 1
 done
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cp "$bench_lock" benchmark/Cargo.lock
+trap 'rm -rf "$cache_dir"' EXIT
+bench_changes="$(git status --porcelain -- benchmark/)"
+[ -z "$bench_changes" ] \
+    || { echo "benchmark quick: the step changed files under benchmark/"; echo "$bench_changes"; exit 1; }
 
 echo "== docs (deny warnings) =="
 # A doc link to a deleted or private name fails here, in the root crate

@@ -300,6 +300,67 @@ fn corrupt_artifact_is_detected_and_rebuilt() {
     assert_eq!(again.graph(), cold.graph());
 }
 
+/// Offset in a `TIGRCSR2` file of the CSR section's weight for edge
+/// `edge`, read off the section table (16-byte header, 32-byte entries:
+/// id, reserved, offset, length, checksum) and the CSR payload layout
+/// (24-byte header, `n + 1` row offsets as `u64`, `m` targets and then
+/// `m` weights as `u32`).
+fn csr_weight_offset(file: &[u8], nodes: usize, edges: usize, edge: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| 16 + 32 * i)
+        .find(|&at| u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) == 1)
+        .expect("the artifact has a CSR section");
+    let payload = word(entry + 8);
+    assert_eq!(word(entry + 16), 24 + 8 * (nodes + 1) + 8 * edges);
+    payload + 24 + 8 * (nodes + 1) + 4 * edges + 4 * edge
+}
+
+/// One flipped byte of an edge weight is a valid graph to every
+/// structural check, so only the section checksum can see it. An eager
+/// open (the default) hashes every section: the prepare is a miss that
+/// rebuilds views, and an artifact, byte-equal to the cold build's. A
+/// lazy open trusts the section table, as `VerifyMode::Lazy` documents:
+/// the prepare is a hit that serves the flipped weight.
+#[test]
+fn a_flipped_weight_byte_is_caught_by_the_eager_checksum_alone() {
+    let store = temp_store("tigr_it_prepared_weight_flip");
+    let spec = base_spec();
+    let cold = store.prepare(&spec).unwrap();
+    let artifact = cold.report().artifact.clone().unwrap();
+    let original = fs::read(&artifact).unwrap();
+    let graph = cold.graph();
+    let weights = graph.weights().expect("the spec is weighted");
+    let edge = graph.num_edges() / 2;
+    let at = csr_weight_offset(&original, graph.num_nodes(), graph.num_edges(), edge);
+    assert_eq!(original[at..at + 4], weights[edge].to_le_bytes());
+    let mut bytes = original.clone();
+    bytes[at] ^= 0x10;
+    fs::write(&artifact, &bytes).unwrap();
+
+    let lazy = store
+        .clone()
+        .with_verify(VerifyMode::Lazy)
+        .prepare(&spec)
+        .unwrap();
+    assert_eq!(lazy.report().cache, CacheStatus::Hit);
+    let served = lazy.graph().weights().unwrap();
+    assert_eq!(served[edge], weights[edge] ^ 0x10);
+    assert_eq!(served[..edge], weights[..edge]);
+    assert_eq!(served[edge + 1..], weights[edge + 1..]);
+    drop(lazy);
+
+    let eager = store.with_verify(VerifyMode::Eager).prepare(&spec).unwrap();
+    assert_eq!(eager.report().cache, CacheStatus::Miss);
+    assert!(eager.report().work_items() > 0);
+    assert_eq!(eager.graph(), cold.graph());
+    assert_eq!(eager.transpose(), cold.transpose());
+    assert_eq!(eager.overlay(), cold.overlay());
+    assert_eq!(eager.rev_overlay(), cold.rev_overlay());
+    assert_eq!(fs::read(&artifact).unwrap(), original);
+}
+
 #[test]
 fn a_failed_artifact_write_keeps_the_built_views_and_no_temp_file() {
     let dir = std::env::temp_dir().join("tigr_it_failed_artifact_write");

@@ -12,15 +12,17 @@
 //! respelled, damaged and truncated lines, string unescaping equal to a
 //! character-at-a-time reference, and parse time linear in the line.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use tigr::server::json::{self, obj, Json};
 use tigr::server::{
-    decode_request, decode_response, encode_request, encode_response, Algo, Client, CompactResult,
-    ErrorCode, MutateResult, MutationOp, ProtocolError, QueryRequest, QueryResult, Request,
-    Response, ServerConfig, ServerCore, StatsSnapshot,
+    decode_request, decode_response, encode_request, encode_response, send_response, Algo, Client,
+    CompactResult, ErrorCode, MutateResult, MutationOp, ProtocolError, QueryRequest, QueryResult,
+    Request, Response, ResponseDecoder, ServerConfig, ServerCore, StatsSnapshot, STREAM_CHUNK,
 };
 
 // ---------------------------------------------------------------------
@@ -1123,4 +1125,266 @@ fn counters_at_every_power_of_ten_and_at_2_pow_53_encode_byte_equal() {
             assert_eq!(decode_response(&line), Ok(resp), "{n}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// (g) Streaming: the server writes a long reply into the socket while it
+// encodes `values`, and the client decodes the line as it arrives. The
+// bytes are the encoder's, and the decoder's answer does not depend on
+// how the line was cut.
+// ---------------------------------------------------------------------
+
+/// A `Write` that keeps what reaches it and the length of every write.
+#[derive(Default)]
+struct Recorder {
+    bytes: Vec<u8>,
+    writes: Vec<usize>,
+}
+
+impl Write for Recorder {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.extend_from_slice(buf);
+        self.writes.push(buf.len());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn values_reply(graph: &str, values: Vec<u32>) -> Response {
+    Response::Query(QueryResult {
+        algo: Algo::Sssp,
+        graph: graph.into(),
+        source: Some(3),
+        nodes: values.len() as u64,
+        iterations: 9,
+        checksum: 0x0123_4567_89ab_cdef,
+        cached: true,
+        wall_us: 17,
+        values: Some(values),
+    })
+}
+
+/// Every reply the tests above build — the named shapes and the
+/// generated ones — and the long ones: 0, 1 and 131 072 values (G17
+/// `sssp`-like and all `u32::MAX`), element counts around the encoder's
+/// 1 024-value pieces, and all-`u32::MAX` arrays shifted so that a
+/// 64 KiB boundary of the line falls on each byte of an element.
+fn stream_corpus() -> Vec<Response> {
+    let stats = stats_template();
+    let mut replies = vec![
+        Response::Pong,
+        Response::Stats(Box::new(stats.clone())),
+        Response::error(ErrorCode::BadRequest, "quote \" backslash \\ newline \n"),
+        values_reply("a\"b\\c\nd\re\tf\u{1}é深\u{1F600}", digit_boundaries()),
+        values_reply("g", vec![]),
+        values_reply("g", vec![7]),
+        values_reply("g17", g17_like(1 << 17)),
+        values_reply("g17", vec![u32::MAX; 1 << 17]),
+    ];
+    for len in [1023, 1024, 1025, 6 * 1024, 6 * 1024 + 1] {
+        replies.push(values_reply("g", vec![u32::MAX; len]));
+    }
+    for pad in 0..11 {
+        replies.push(values_reply(&"x".repeat(pad), vec![u32::MAX; 7000]));
+    }
+    for seed in 0..16 {
+        let mut gen = Gen::new(seed, true);
+        replies.extend((0..32).map(|_| gen.response(&stats)));
+    }
+    replies
+}
+
+/// `n` values shaped like a G17 `sssp` answer: two in five unreachable
+/// (`u32::MAX`), the rest distances of one to three digits.
+fn g17_like(n: usize) -> Vec<u32> {
+    let mut gen = Gen::new(0x5eed, false);
+    (0..n)
+        .map(|_| match gen.below(5) {
+            0 | 1 => u32::MAX,
+            _ => gen.below(400) as u32,
+        })
+        .collect()
+}
+
+/// What the socket path writes for `reply`: the bytes and each write.
+fn sent(reply: &Response) -> Recorder {
+    let mut socket = Recorder::default();
+    let mut line = Vec::new();
+    send_response(&mut socket, &mut line, reply).unwrap();
+    assert!(
+        line.capacity() <= 4 * STREAM_CHUNK,
+        "the reply buffer grew to {} bytes",
+        line.capacity()
+    );
+    socket
+}
+
+#[test]
+fn the_socket_path_writes_the_encoders_bytes_and_a_short_reply_in_one_write() {
+    for reply in stream_corpus() {
+        let want = encode_response(&reply) + "\n";
+        let socket = sent(&reply);
+        assert!(socket.bytes == want.as_bytes(), "{reply:?}");
+        let (last, streamed) = socket.writes.split_last().unwrap();
+        if want.len() < STREAM_CHUNK {
+            assert!(streamed.is_empty(), "{} writes", socket.writes.len());
+        } else {
+            assert!(*last > 0);
+            assert!(streamed.iter().all(|&w| w >= STREAM_CHUNK), "{streamed:?}");
+        }
+    }
+    // The 131 072-value replies leave in pieces.
+    let bulk = sent(&values_reply("g17", vec![u32::MAX; 1 << 17]));
+    assert!(bulk.writes.len() > 10, "{:?}", bulk.writes);
+}
+
+/// Feeds `line` to a decoder in the pieces between `cuts` (ascending
+/// offsets) and checks the answer is `decode_response`'s, errors and
+/// their messages included.
+fn assert_pieces_decode_alike(
+    decoder: &mut ResponseDecoder,
+    line: &str,
+    want: &Result<Response, ProtocolError>,
+    cuts: &[usize],
+) {
+    let bytes = line.as_bytes();
+    let mut from = 0;
+    for &cut in cuts.iter().chain([&bytes.len()]) {
+        decoder.push(&bytes[from..cut]);
+        from = cut;
+    }
+    let got = decoder.finish();
+    assert!(
+        &got == want,
+        "{:?} cut at {cuts:?}: {got:?}",
+        &line[..line.len().min(200)]
+    );
+    assert!(decoder.is_empty());
+}
+
+/// Short lines cut once at every byte; long ones at every byte of their
+/// first and last 256, around every 64 KiB boundary (where the server's
+/// writes end), and in 1 000 seeded random multi-way cuts.
+fn assert_every_cut_decodes_alike(decoder: &mut ResponseDecoder, line: &str, seed: u64) {
+    let want = decode_response(line);
+    let len = line.len();
+    if len <= 4096 {
+        for cut in 0..=len {
+            assert_pieces_decode_alike(decoder, line, &want, &[cut]);
+        }
+        return;
+    }
+    let mut cuts: Vec<usize> = (0..256).chain(len - 256..=len).collect();
+    for boundary in (STREAM_CHUNK..len).step_by(STREAM_CHUNK) {
+        cuts.extend(boundary - 16..boundary + 16);
+    }
+    for cut in cuts {
+        assert_pieces_decode_alike(decoder, line, &want, &[cut]);
+    }
+    let mut gen = Gen::new(seed, false);
+    for _ in 0..1000 {
+        let mut cuts: Vec<usize> = (0..1 + gen.below(40)).map(|_| gen.below(len + 1)).collect();
+        cuts.sort_unstable();
+        assert_pieces_decode_alike(decoder, line, &want, &cuts);
+    }
+}
+
+#[test]
+fn a_reply_decodes_alike_however_it_is_cut() {
+    let mut decoder = ResponseDecoder::new();
+    let mut gen = Gen::new(0xc07, false);
+    for (i, reply) in stream_corpus().iter().enumerate() {
+        let line = encode_response(reply);
+        assert_every_cut_decodes_alike(&mut decoder, &line, i as u64);
+        // Respelled and damaged, as the tree-walk tests do it.
+        if line.len() <= 4096 {
+            let respelled = gen.respell(&line);
+            assert_every_cut_decodes_alike(&mut decoder, &respelled, i as u64);
+        }
+    }
+}
+
+#[test]
+fn off_grammar_and_damaged_long_lines_decode_alike_however_they_are_cut() {
+    let mut decoder = ResponseDecoder::new();
+    let filler: Vec<String> = digit_boundaries().iter().map(u32::to_string).collect();
+    let filler = filler.join(",");
+    for case in [
+        "007",
+        " 5 ",
+        "4294967296",
+        "1.0",
+        "1.5",
+        "\"x\"",
+        "[1]",
+        "null",
+        "",
+    ] {
+        for elements in [format!("[{case},{filler}]"), format!("[{filler},{case}]")] {
+            let line = values_line(&elements, true);
+            assert_every_cut_decodes_alike(&mut decoder, &line, 1);
+        }
+    }
+    // A nested `values` array opens first: the decoder's guess, which the
+    // member walk must refuse.
+    let decoy: Vec<String> = g17_like(300).iter().map(u32::to_string).collect();
+    let line = format!(
+        r#"{{"algo":"bfs","checksum":"0","graph":"g","ok":true,"pad":{{"values":[{}]}},"values":[1,2,3]}}"#,
+        decoy.join(",")
+    );
+    assert_every_cut_decodes_alike(&mut decoder, &line, 2);
+    // A bulk line with an off-grammar element in the middle, a duplicate
+    // `values` member after it, a respelled opening, and cut short.
+    let line = encode_response(&values_reply("g17", g17_like(20_000)));
+    let middle = line.len() / 2 + line[line.len() / 2..].find(',').unwrap();
+    let damaged = [
+        format!("{},1.5{}", &line[..middle], &line[middle..]),
+        format!("{},\"values\":[1,2]}}", &line[..line.len() - 1]),
+        line.replacen("\"values\":[", "\"values\": [", 1),
+        format!("  \t{line} \r\n"),
+        line[..middle].to_owned(),
+    ];
+    for (i, line) in damaged.iter().enumerate() {
+        assert_every_cut_decodes_alike(&mut decoder, line, 100 + i as u64);
+    }
+}
+
+#[test]
+fn a_daemon_streams_a_bulk_reply_as_the_encoders_line() {
+    let prepared = tigr::core::GraphStore::disabled()
+        .prepare(&tigr::core::PrepareSpec::generated("rmat:15:8", 7))
+        .unwrap();
+    let core = ServerCore::new(ServerConfig::default());
+    core.add_graph("g", Arc::new(prepared));
+    let dir = std::env::temp_dir().join("tigr_wire_codec_stream");
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = tigr::server::Server::bind_unix(core, dir.join("s.sock")).unwrap();
+    let tigr::server::ServerAddr::Unix(path) = server.addr().clone() else {
+        panic!("bound a Unix socket");
+    };
+    let mut query = QueryRequest::new("g", Algo::Bfs, Some(0));
+    query.include_values = true;
+    let request = encode_request(&Request::Query(query.clone())) + "\n";
+    let mut stream = BufReader::new(UnixStream::connect(&path).unwrap());
+    for _ in 0..2 {
+        stream.get_mut().write_all(request.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_line(&mut raw).unwrap();
+        assert!(raw.len() > 2 * STREAM_CHUNK, "{} bytes", raw.len());
+        let reply = decode_response(&raw).unwrap();
+        assert_eq!(encode_response(&reply) + "\n", raw);
+    }
+    // The client's streaming decoder reads the same answer.
+    let mut client = Client::connect_unix(&path).unwrap();
+    let reply = client.query(query).unwrap();
+    assert_eq!(reply.values.as_ref().map(Vec::len), Some(1 << 15));
+    assert_eq!(
+        tigr::server::checksum(reply.values.as_ref().unwrap()),
+        reply.checksum
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
