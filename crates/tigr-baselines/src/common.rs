@@ -1,10 +1,27 @@
 //! Shared framework plumbing and the [`Baseline`] dispatcher.
 
-use tigr_engine::{MonotoneProgram, PrOptions, PrOutput};
+use tigr_engine::{AtomicFloats, MonotoneProgram, PrOptions, PrOutput};
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{DeviceMemory, GpuSimulator, OutOfMemory, SimReport};
 
 use crate::{cusha, gunrock, mw};
+
+/// The nodes of `g` without out-edges, ascending: PageRank sums their
+/// ranks as the dangling mass every iteration.
+pub(crate) fn dangling_nodes(g: &Csr) -> Vec<usize> {
+    g.nodes()
+        .filter(|&v| g.out_degree(v) == 0)
+        .map(NodeId::index)
+        .collect()
+}
+
+/// The dangling mass: the ranks of `dangling` added up in order in
+/// `f64`, from `0.0`.
+pub(crate) fn dangling_mass(ranks: &AtomicFloats, dangling: &[usize]) -> f64 {
+    dangling
+        .iter()
+        .fold(0.0f64, |mass, &v| mass + ranks.load(v) as f64)
+}
 
 /// Result of running a framework on an analytic.
 #[derive(Clone, Debug)]

@@ -27,7 +27,7 @@ use tigr_graph::reverse::transpose;
 use tigr_graph::{Csr, NodeId, Weight};
 use tigr_sim::{GpuSimulator, SimReport};
 
-use crate::common::{CushaMode, FrameworkRun};
+use crate::common::{dangling_mass, dangling_nodes, CushaMode, FrameworkRun};
 
 /// Simulated base address of the shard entry array (16-byte entries).
 const SHARD_BASE: u64 = 0x8000_0000;
@@ -147,6 +147,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions, mode: Cush
     }
     let shards = build_shards(g);
     let out_deg: Vec<u32> = g.nodes().map(|v| g.out_degree(v) as u32).collect();
+    let dangling_nodes = dangling_nodes(g);
     let ranks = AtomicFloats::new(n, 1.0 / n as f32);
     let accum = AtomicFloats::new(n, 0.0);
     let mut report = SimReport::new();
@@ -177,12 +178,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions, mode: Cush
         });
         metrics.merge(&sweep);
 
-        let mut dangling = 0.0f64;
-        for (v, &deg) in out_deg.iter().enumerate() {
-            if deg == 0 {
-                dangling += ranks.load(v) as f64;
-            }
-        }
+        let dangling = dangling_mass(&ranks, &dangling_nodes);
         let base =
             (1.0 - options.damping) / n as f32 + options.damping * dangling as f32 / n as f32;
 

@@ -16,7 +16,7 @@ use tigr_engine::{AtomicFloats, AtomicValues, MonotoneProgram, PrOptions, PrOutp
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuSimulator, SimReport};
 
-use crate::common::FrameworkRun;
+use crate::common::{dangling_mass, dangling_nodes, FrameworkRun};
 
 /// Work unit of one advance: a (source node, flat edge index) pair, the
 /// product of Gunrock's load-balanced partitioning.
@@ -136,6 +136,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions) -> PrOutpu
         }
     }
     let out_deg: Vec<u32> = g.nodes().map(|v| g.out_degree(v) as u32).collect();
+    let dangling_nodes = dangling_nodes(g);
     let ranks = AtomicFloats::new(n, 1.0 / n as f32);
     let accum = AtomicFloats::new(n, 0.0);
     let mut report = SimReport::new();
@@ -155,12 +156,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions) -> PrOutpu
             lane.atomic(tigr_engine::addr::aux_addr(0, nbr), 4);
         });
 
-        let mut dangling = 0.0f64;
-        for (v, &deg) in out_deg.iter().enumerate() {
-            if deg == 0 {
-                dangling += ranks.load(v) as f64;
-            }
-        }
+        let dangling = dangling_mass(&ranks, &dangling_nodes);
         let base =
             (1.0 - options.damping) / n as f32 + options.damping * dangling as f32 / n as f32;
         let delta = AtomicFloats::new(1, 0.0);

@@ -19,7 +19,7 @@ use tigr_engine::{AtomicFloats, AtomicValues, MonotoneProgram, PrOptions, PrOutp
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuSimulator, KernelMetrics, SimReport};
 
-use crate::common::FrameworkRun;
+use crate::common::{dangling_mass, dangling_nodes, FrameworkRun};
 
 /// The virtual-warp widths the paper sweeps.
 pub const WIDTHS: [usize; 5] = [2, 4, 8, 16, 32];
@@ -126,6 +126,7 @@ pub fn run_pagerank(
     }
     let ranks = AtomicFloats::new(n, 1.0 / n as f32);
     let accum = AtomicFloats::new(n, 0.0);
+    let dangling_nodes = dangling_nodes(g);
     let mut report = SimReport::new();
     let mut converged = false;
 
@@ -154,12 +155,7 @@ pub fn run_pagerank(
             }
         });
 
-        let mut dangling = 0.0f64;
-        for v in g.nodes() {
-            if g.out_degree(v) == 0 {
-                dangling += ranks.load(v.index()) as f64;
-            }
-        }
+        let dangling = dangling_mass(&ranks, &dangling_nodes);
         let base =
             (1.0 - options.damping) / n as f32 + options.damping * dangling as f32 / n as f32;
         let delta = AtomicFloats::new(1, 0.0);

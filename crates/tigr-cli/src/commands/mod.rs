@@ -62,8 +62,8 @@ pub fn store_from_args(args: &Args) -> Result<GraphStore, String> {
 /// Renders the cache/prep-work report lines appended under `--stats`:
 /// cache outcome, the cache key, how the artifact was opened
 /// (mapped/decoded/built, verify level, wall time, mapped-vs-heap byte
-/// split), the resolved artifact path, and the derivation-work counters
-/// — everything an operator needs to pre-warm a server's cache
+/// split), whether a miss reused the cached base artifact, the resolved
+/// artifact path, and the derivation-work counters — everything an operator needs to pre-warm a server's cache
 /// deterministically.
 ///
 /// Every line that can differ between a cold and a warm run of the same
@@ -77,7 +77,7 @@ pub fn format_prepare_report(prepared: &tigr_core::PreparedGraph) -> String {
         None => "none (caching disabled; set --cache-dir or TIGR_CACHE_DIR)".to_string(),
     };
     format!(
-        "cache           {} (key {})\ncache open      {} (verify {}) in {} us\ncache bytes     {} mapped, {} heap\nartifact        {artifact}\nprep work       {} transforms, {} transposes, {} overlays\n",
+        "cache           {} (key {})\ncache open      {} (verify {}) in {} us\ncache bytes     {} mapped, {} heap\ncache base      {}\nartifact        {artifact}\nprep work       {} transforms, {} transposes, {} overlays\n",
         report.cache.label(),
         report.key,
         open.mode.label(),
@@ -85,6 +85,11 @@ pub fn format_prepare_report(prepared: &tigr_core::PreparedGraph) -> String {
         open.open_us,
         open.mapped_bytes,
         open.heap_bytes,
+        if report.base_reused {
+            "reused"
+        } else {
+            "not reused"
+        },
         report.transforms_built,
         report.transposes_built,
         report.overlays_built,

@@ -170,6 +170,28 @@ mod tests {
     }
 
     #[test]
+    fn a_view_prepare_reuses_the_prepared_base() {
+        let (path, cache) = fixture("tigr_cli_prepare_base_test");
+        let out = run(&parse(&format!(
+            "--graph {path} --virtual 8 --cache-dir {cache}"
+        )))
+        .unwrap();
+        assert!(out.contains("cache base      not reused"), "{out}");
+        let base = run(&parse(&format!(
+            "--graph {path} --cache-dir {cache} --direction push"
+        )))
+        .unwrap();
+        assert!(base.contains("views           none"), "{base}");
+        assert!(base.contains("cache base      not reused"), "{base}");
+        let out = run(&parse(&format!(
+            "--graph {path} --transform udt --k 4 --cache-dir {cache}"
+        )))
+        .unwrap();
+        assert!(out.contains("cache           miss"), "{out}");
+        assert!(out.contains("cache base      reused"), "{out}");
+    }
+
+    #[test]
     fn prepares_physical_transforms() {
         let (path, cache) = fixture("tigr_cli_prepare_transform_test");
         let out = run(&parse(&format!(

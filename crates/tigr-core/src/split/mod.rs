@@ -25,16 +25,16 @@ mod recursive_star;
 mod star;
 mod udt;
 
-pub use circular::circular_transform;
-pub use clique::clique_transform;
-pub use recursive_star::{count_residual_nodes, recursive_star_transform};
-pub use star::star_transform;
-pub use udt::udt_transform;
+pub use circular::{circular_transform, CircularTopology};
+pub use clique::{clique_transform, CliqueTopology};
+pub use recursive_star::{count_residual_nodes, recursive_star_transform, RecursiveStarTopology};
+pub use star::{star_transform, StarTopology};
+pub use udt::{udt_transform, UdtTopology};
 
 use std::fmt;
 
 use tigr_graph::io::binary::{SectionParts, SECTION_CSR, SECTION_TRANSFORM};
-use tigr_graph::{Csr, CsrBuilder, Edge, NodeId, Weight};
+use tigr_graph::{Csr, NodeId, Weight};
 
 use crate::dumb_weights::DumbWeight;
 
@@ -288,11 +288,67 @@ impl fmt::Debug for TransformedGraph {
     }
 }
 
+/// What a topology emits over a graph's high-degree nodes, before CSR
+/// assembly. Rows of degree at most `K` pass through unchanged and are
+/// not listed.
+#[derive(Clone, Debug)]
+pub struct SplitEdges {
+    /// Every edge the topology attached, as `(source, target, weight,
+    /// introduced)`, in attachment order: family by family, in ascending
+    /// order of the high-degree node (the family root) each replaces.
+    pub edges: Vec<(NodeId, NodeId, Weight, bool)>,
+    /// Family root of every node, the original ids first, then split
+    /// nodes in allocation order.
+    pub family_root: Vec<NodeId>,
+}
+
+/// Runs `topology` over every node of `g` whose out-degree exceeds `k`
+/// and collects the edges it attaches, introduced ones carrying `dumb`'s
+/// value.
+///
+/// # Panics
+///
+/// Panics if `k == 0` (Definition 1 requires `K ≥ 1`).
+pub fn split_edges(topology: &dyn SplitTopology, g: &Csr, k: u32, dumb: DumbWeight) -> SplitEdges {
+    assert!(k >= 1, "degree bound K must be at least 1 (Definition 1)");
+    let k_usize = k as usize;
+    let mut edges: Vec<(NodeId, NodeId, Weight, bool)> = Vec::new();
+    let mut family_root: Vec<NodeId> = g.nodes().collect();
+    let mut next_node = g.num_nodes() as u32;
+    let mut stubs: Vec<EdgeStub> = Vec::new();
+
+    for v in g.nodes().filter(|&v| g.out_degree(v) > k_usize) {
+        let start = g.edge_start(v);
+        stubs.clear();
+        stubs.extend(
+            g.neighbors(v)
+                .iter()
+                .enumerate()
+                .map(|(off, &target)| EdgeStub {
+                    target,
+                    weight: g.weight(start + off),
+                }),
+        );
+        let mut ctx = SplitContext {
+            k: k_usize,
+            edges: &mut edges,
+            family_root: &mut family_root,
+            next_node: &mut next_node,
+            dumb_value: dumb.value(),
+        };
+        topology.split_node(&mut ctx, v, &stubs);
+    }
+    SplitEdges { edges, family_root }
+}
+
 /// Applies `topology` to every high-degree node of `g` with degree bound
 /// `k`, tagging introduced edges per `dumb`.
 ///
-/// Runs in `O(|V| + |E|)` plus the CSR rebuild, matching the paper's
-/// linear-time claim for UDT.
+/// Runs in `O(|V| + |E|)`, matching the paper's linear-time claim for
+/// UDT. Every node's row comes from one place, so the CSR is assembled
+/// without sorting: a row of degree at most `k` is copied as it is, and
+/// the topology's edges are placed into their sources' rows in
+/// attachment order by one counting pass.
 ///
 /// # Panics
 ///
@@ -303,64 +359,50 @@ pub fn apply_split(
     k: u32,
     dumb: DumbWeight,
 ) -> TransformedGraph {
-    assert!(k >= 1, "degree bound K must be at least 1 (Definition 1)");
-    let k_usize = k as usize;
-    let n = g.num_nodes();
-
-    let mut edges: Vec<(NodeId, NodeId, Weight, bool)> = Vec::with_capacity(g.num_edges() + n / 4);
-    let mut family_root: Vec<NodeId> = g.nodes().collect();
-    let mut next_node = n as u32;
-    let mut stubs: Vec<EdgeStub> = Vec::new();
-
-    for v in g.nodes() {
-        let degree = g.out_degree(v);
-        if degree <= k_usize {
-            for (off, &target) in g.neighbors(v).iter().enumerate() {
-                let e = g.edge_start(v) + off;
-                edges.push((v, target, g.weight(e), false));
-            }
-        } else {
-            stubs.clear();
-            stubs.extend(
-                g.neighbors(v)
-                    .iter()
-                    .enumerate()
-                    .map(|(off, &target)| EdgeStub {
-                        target,
-                        weight: g.weight(g.edge_start(v) + off),
-                    }),
-            );
-            let mut ctx = SplitContext {
-                k: k_usize,
-                edges: &mut edges,
-                family_root: &mut family_root,
-                next_node: &mut next_node,
-                dumb_value: dumb.value(),
-            };
-            topology.split_node(&mut ctx, v, &stubs);
-        }
-    }
-
-    let num_new_edges = edges.iter().filter(|e| e.3).count();
-    let total_nodes = next_node as usize;
+    let SplitEdges {
+        edges: family,
+        family_root,
+    } = split_edges(topology, g, k, dumb);
+    let whole = |v: NodeId| g.out_degree(v) <= k as usize;
+    let total_nodes = family_root.len();
+    let num_new_edges = family.iter().filter(|e| e.3).count();
     let keep_weights = dumb.keeps_weights() && (g.is_weighted() || num_new_edges > 0);
 
-    // Mirror the builder's stable group-by-source so the new-edge flags
-    // line up with the CSR's flat edge order.
-    let mut order: Vec<usize> = (0..edges.len()).collect();
-    order.sort_by_key(|&i| edges[i].0);
-    let new_edge_flags: Vec<bool> = order.iter().map(|&i| edges[i].3).collect();
-
-    let mut builder = CsrBuilder::new(total_nodes).with_edge_capacity(edges.len());
-    builder.sort_neighbors(false); // preserve the topology's edge order
-    builder.force_weighted(keep_weights);
-    for &(src, dst, w, _) in &edges {
-        builder.add(Edge::new(src, dst, if keep_weights { w } else { 1 }));
+    let mut row_ptr = vec![0usize; total_nodes + 1];
+    for v in g.nodes().filter(|&v| whole(v)) {
+        row_ptr[v.index() + 1] = g.out_degree(v);
+    }
+    for e in &family {
+        row_ptr[e.0.index() + 1] += 1;
+    }
+    for v in 0..total_nodes {
+        row_ptr[v + 1] += row_ptr[v];
+    }
+    let m = row_ptr[total_nodes];
+    let mut col_idx = vec![NodeId::new(0); m];
+    let mut weights = vec![1 as Weight; if keep_weights { m } else { 0 }];
+    let mut new_edge_flags = vec![false; m];
+    for v in g.nodes().filter(|&v| whole(v)) {
+        let row = row_ptr[v.index()]..row_ptr[v.index() + 1];
+        col_idx[row.clone()].copy_from_slice(g.neighbors(v));
+        if let (true, Some(w)) = (keep_weights, g.neighbor_weights(v)) {
+            weights[row].copy_from_slice(w);
+        }
+    }
+    let mut next = row_ptr[..total_nodes].to_vec();
+    for &(src, dst, w, new) in &family {
+        let slot = &mut next[src.index()];
+        col_idx[*slot] = dst;
+        if keep_weights {
+            weights[*slot] = w;
+        }
+        new_edge_flags[*slot] = new;
+        *slot += 1;
     }
 
     TransformedGraph {
-        graph: builder.build(),
-        original_nodes: n,
+        graph: Csr::from_parts(row_ptr, col_idx, keep_weights.then_some(weights)),
+        original_nodes: g.num_nodes(),
         family_root,
         new_edge_flags,
         num_new_edges,

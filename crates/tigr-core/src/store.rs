@@ -16,7 +16,10 @@
 //!   keyed on-disk cache of `TIGRCSR2` containers when a cache directory
 //!   is configured. A hit loads the artifact and performs **zero**
 //!   transform/transpose/overlay construction; a miss builds the views
-//!   and writes the artifact for the next run.
+//!   and writes the artifact for the next run. A miss for a spec with
+//!   views starts from its *base* — the same source and weights, no
+//!   view — when that base's artifact is cached and passes an eager
+//!   open, instead of loading or generating the source again.
 //!
 //! Cache keys hash the *canonical spec string* — which for file sources
 //! embeds an FNV-1a hash of the file's bytes, and for generated sources
@@ -210,6 +213,19 @@ impl PrepareSpec {
         self
     }
 
+    /// The spec's base: its source and weights with no transform,
+    /// overlay or transpose — what every view of it is derived from.
+    fn base(&self) -> PrepareSpec {
+        PrepareSpec {
+            source: self.source.clone(),
+            uniform_weights: self.uniform_weights,
+            transform: None,
+            virtual_k: None,
+            coalesced: false,
+            transpose: false,
+        }
+    }
+
     /// The canonical spec string the cache key hashes, with the source
     /// identity resolved: file sources embed `content_hash`, generated
     /// sources their tag and seed.
@@ -376,6 +392,10 @@ pub struct PrepareReport {
     /// Virtual overlays built this call (forward and reverse count
     /// separately).
     pub overlays_built: u32,
+    /// Whether this miss took its base CSR from the cached artifact of
+    /// the spec's base (source plus weights, no view) instead of loading
+    /// or generating the source. Always `false` on a hit.
+    pub base_reused: bool,
 }
 
 impl PrepareReport {
@@ -590,7 +610,11 @@ impl GraphStore {
     /// Resolves `spec` into a [`PreparedGraph`]: maps a cached artifact
     /// when one matches, otherwise loads/generates the graph, builds the
     /// requested views, and (if caching is enabled) writes the artifact,
-    /// keeping the views it just built.
+    /// keeping the views it just built. A miss for a spec with views
+    /// takes its graph from the cached artifact of the spec's base (same
+    /// source and weights, no view) when one opens with every checksum
+    /// verified, and reports [`PrepareReport::base_reused`]; the artifact
+    /// it writes is byte-identical either way.
     ///
     /// A corrupt or stale artifact is treated as a miss and rebuilt; the
     /// condition is reported on stderr but never fails the call.
@@ -632,7 +656,8 @@ impl GraphStore {
             GraphSource::File(path) => Some(fs::read(path)?),
             GraphSource::Generated { .. } => None,
         };
-        let canonical = spec.canonical(file_bytes.as_deref().map(fnv1a64));
+        let content_hash = file_bytes.as_deref().map(fnv1a64);
+        let canonical = spec.canonical(content_hash);
         let key = format!("{:016x}", fnv1a64(canonical.as_bytes()));
         let artifact = self
             .cache_dir
@@ -656,6 +681,7 @@ impl GraphStore {
                             transforms_built: 0,
                             transposes_built: 0,
                             overlays_built: 0,
+                            base_reused: false,
                         };
                         // A half-created cache entry (artifact renamed
                         // into place, WAL directory lost with the crash)
@@ -678,13 +704,21 @@ impl GraphStore {
             return Err(GraphError::Cancelled);
         }
         let started = Instant::now();
-        let mut graph = match &spec.source {
-            GraphSource::File(path) => parse_graph_bytes(path, &file_bytes.unwrap())?,
-            GraphSource::Generated { tag, seed } => generate_from_tag(tag, *seed)?,
+        let base = self.cached_base(spec, content_hash);
+        let base_reused = base.is_some();
+        let graph = match base {
+            Some(graph) => graph,
+            None => {
+                let graph = match &spec.source {
+                    GraphSource::File(path) => parse_graph_bytes(path, &file_bytes.unwrap())?,
+                    GraphSource::Generated { tag, seed } => generate_from_tag(tag, *seed)?,
+                };
+                match spec.uniform_weights {
+                    Some((lo, hi, seed)) => generators::with_uniform_weights(&graph, lo, hi, seed),
+                    None => graph,
+                }
+            }
         };
-        if let Some((lo, hi, seed)) = spec.uniform_weights {
-            graph = generators::with_uniform_weights(&graph, lo, hi, seed);
-        }
 
         if cancel.is_cancelled() {
             return Err(GraphError::Cancelled);
@@ -693,7 +727,7 @@ impl GraphStore {
             let k = t.k.unwrap_or_else(|| k_select::physical_k(&graph));
             t.kind.apply(&graph, k, t.dumb)
         });
-        let built = self.derive_and_write(
+        let mut built = self.derive_and_write(
             graph,
             transformed,
             plan,
@@ -701,6 +735,7 @@ impl GraphStore {
             started,
             Echo::Spec(&canonical),
         )?;
+        built.prepared.report.base_reused = base_reused;
         if let (Some(path), Err(e)) = (&artifact, &built.written) {
             eprintln!(
                 "tigr: failed to write cache artifact {} ({e})",
@@ -708,6 +743,43 @@ impl GraphStore {
             );
         }
         Ok(built.prepared)
+    }
+
+    /// The CSR of `spec`'s base (`PrepareSpec::base`) from its
+    /// cached artifact, when `spec` has views and a prepare of the bare
+    /// base left one. The artifact is opened with every section checksum
+    /// verified whatever [`Self::verify`] says: the derived artifact gets
+    /// fresh checksums over these bytes, so a lazily trusted base would
+    /// pass its corruption on under valid sums. A missing, unusable or
+    /// corrupt base yields `None` (the caller derives from the source);
+    /// nothing is ever written here.
+    fn cached_base(&self, spec: &PrepareSpec, content_hash: Option<u64>) -> Option<Csr> {
+        let base = spec.base();
+        if base == *spec {
+            return None;
+        }
+        let canonical = base.canonical(content_hash);
+        let key = format!("{:016x}", fnv1a64(canonical.as_bytes()));
+        let path = self.cache_dir.as_ref()?.join(format!("{key}.tigr"));
+        if !path.exists() {
+            return None;
+        }
+        match load_artifact(
+            &path,
+            ViewPlan::default(),
+            false,
+            &canonical,
+            VerifyMode::Eager,
+        ) {
+            Ok(prepared) => Some(prepared.into_graph()),
+            Err(e) => {
+                eprintln!(
+                    "tigr: cached base artifact {} unusable ({e}); deriving from the source",
+                    path.display()
+                );
+                None
+            }
+        }
     }
 
     /// Materializes an in-memory CSR into a [`PreparedGraph`], rebuilding
@@ -835,6 +907,7 @@ impl GraphStore {
             transposes_built: prepared.transpose.is_some() as u32,
             overlays_built: prepared.overlay.is_some() as u32
                 + prepared.rev_overlay.is_some() as u32,
+            base_reused: false,
         };
         Ok(Sealed {
             prepared,
@@ -866,6 +939,7 @@ impl GraphStore {
             transforms_built: 0,
             transposes_built: 0,
             overlays_built: 0,
+            base_reused: false,
         };
         Ok(prepared)
     }
@@ -997,6 +1071,7 @@ fn placeholder_report() -> PrepareReport {
         transforms_built: 0,
         transposes_built: 0,
         overlays_built: 0,
+        base_reused: false,
     }
 }
 

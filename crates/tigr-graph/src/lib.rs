@@ -60,7 +60,6 @@ pub mod properties;
 pub mod reverse;
 pub mod segment;
 pub mod stats;
-pub mod subgraph;
 pub mod view;
 
 pub use builder::CsrBuilder;

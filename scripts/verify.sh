@@ -66,6 +66,15 @@ echo "== word-at-a-time values codec / digit loops on optimised code =="
 cargo test -q --release --test values_codec_cost \
     values_codec_costs_under_0_6x_the_digit_loops -- --nocapture
 
+echo "== sort-free split assembly / sorting reference on optimised code =="
+# A UDT split copies the rows it leaves whole and places the topology's
+# edges by one counting pass over their sources: it must build the
+# sorting assembly's CSR (index sort, then CsrBuilder's clone and sort)
+# at no more than 0.35x its cost on rmat:15:16 (0.5x under the test
+# profile's overflow checks).
+cargo test -q --release --test split_cost \
+    udt_split_costs_under_0_35x_the_sorting_reference -- --nocapture
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

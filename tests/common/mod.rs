@@ -9,8 +9,9 @@
 //! streaming writer must reproduce byte for byte, the owned decode a
 //! lazy mapped open must outrun, and the warp replay
 //! that stepped every lane of a warp, whose counters the simulator's must
-//! equal, and the digit-at-a-time `values` text codec the wire's word-at-
-//! a-time one must outrun.
+//! equal, the digit-at-a-time `values` text codec the wire's word-at-
+//! a-time one must outrun, and the sorting split assembly whose CSR the
+//! one-pass `apply_split` must reproduce byte for byte.
 
 #![allow(dead_code)]
 
@@ -21,7 +22,8 @@ use tigr::engine::{
     run_monotone, Combine, EdgeOp, ExecutionPlan, InitKind, MonotoneOutput, PrOptions, SyncMode,
 };
 
-use tigr::core::{TransformedGraph, VirtualGraph};
+use tigr::core::split::{split_edges, SplitEdges, SplitTopology};
+use tigr::core::{DumbWeight, TransformedGraph, VirtualGraph};
 use tigr::graph::generators::RmatConfig;
 use tigr::graph::io::{
     decode_csr, find_section, read_container, Section, SECTION_CSR, SECTION_OVERLAY,
@@ -784,4 +786,50 @@ fn reference_number(text: &str, pos: &mut usize) -> Option<f64> {
         }
     }
     text[start..*pos].parse::<f64>().ok()
+}
+
+/// One split assembled the way `apply_split` first did it: every edge in
+/// the order the split emitted it (node by node, a row of degree at most
+/// `k` as it is, a high-degree node's family at its turn), then a stable
+/// sort of an index over them by source for the new-edge flags in CSR
+/// order, and `CsrBuilder` (neighbour order kept) cloning the edge list
+/// and stably sorting it again to build the CSR. Returns the CSR, the
+/// flags and the family roots.
+pub fn reference_split(
+    topology: &dyn SplitTopology,
+    g: &Csr,
+    k: u32,
+    dumb: DumbWeight,
+) -> (Csr, Vec<bool>, Vec<NodeId>) {
+    let SplitEdges {
+        edges: family,
+        family_root,
+    } = split_edges(topology, g, k, dumb);
+    let mut family = family.into_iter().peekable();
+    let mut edges = Vec::new();
+    for v in g.nodes() {
+        if g.out_degree(v) <= k as usize {
+            let start = g.edge_start(v);
+            for (off, &target) in g.neighbors(v).iter().enumerate() {
+                edges.push((v, target, g.weight(start + off), false));
+            }
+        } else {
+            while let Some(e) = family.next_if(|e| family_root[e.0.index()] == v) {
+                edges.push(e);
+            }
+        }
+    }
+    assert!(family.next().is_none(), "a family out of root order");
+    let num_new_edges = edges.iter().filter(|e| e.3).count();
+    let keep_weights = dumb.keeps_weights() && (g.is_weighted() || num_new_edges > 0);
+    let mut order: Vec<usize> = (0..edges.len()).collect();
+    order.sort_by_key(|&i| edges[i].0);
+    let flags = order.iter().map(|&i| edges[i].3).collect();
+    let mut builder = CsrBuilder::new(family_root.len()).with_edge_capacity(edges.len());
+    builder.sort_neighbors(false);
+    builder.force_weighted(keep_weights);
+    for &(src, dst, w, _) in &edges {
+        builder.add(Edge::new(src, dst, if keep_weights { w } else { 1 }));
+    }
+    (builder.build(), flags, family_root)
 }

@@ -390,3 +390,103 @@ fn a_failed_artifact_write_keeps_the_built_views_and_no_temp_file() {
     );
     fs::remove_dir_all(&dir).ok();
 }
+
+/// The bare graph `base_spec()`'s views are derived from.
+fn bare_spec() -> PrepareSpec {
+    PrepareSpec::generated("rmat:8:8", 7).with_uniform_weights(1, 9, 3)
+}
+
+/// The derived specs a cached bare graph serves: V, V+, V+ with the
+/// transpose, UDT and star.
+fn derived_specs() -> [(&'static str, PrepareSpec); 5] {
+    [
+        ("V", bare_spec().with_virtual(8, false)),
+        ("V+", bare_spec().with_virtual(8, true)),
+        ("V+ transpose", base_spec()),
+        (
+            "udt",
+            bare_spec().with_transform(TransformKind::Udt, Some(4), DumbWeight::Zero),
+        ),
+        (
+            "star",
+            bare_spec().with_transform(TransformKind::Star, None, DumbWeight::Infinity),
+        ),
+    ]
+}
+
+/// The artifact bytes a cold prepare of `spec` writes in a fresh store.
+fn cold_bytes(name: &str, spec: &PrepareSpec) -> Vec<u8> {
+    let cold = temp_store(name).prepare(spec).unwrap();
+    assert!(!cold.report().base_reused);
+    let bytes = fs::read(cold.report().artifact.as_ref().unwrap()).unwrap();
+    fs::remove_dir_all(std::env::temp_dir().join(name)).ok();
+    bytes
+}
+
+/// Once the bare graph is cached, a prepare with views derives them from
+/// its artifact instead of regenerating the source, and writes the bytes
+/// a cold prepare in an empty store writes. No second base is written.
+#[test]
+fn derived_prepares_reuse_the_cached_base_and_write_the_cold_bytes() {
+    let name = "tigr_it_prepared_base_reuse";
+    let store = temp_store(name);
+    let base = store.prepare(&bare_spec()).unwrap();
+    assert_eq!(base.report().cache, CacheStatus::Miss);
+    assert!(!base.report().base_reused, "a bare spec is its own base");
+    let base_bytes = fs::read(base.report().artifact.as_ref().unwrap()).unwrap();
+
+    for (label, spec) in derived_specs() {
+        let derived = store.prepare(&spec).unwrap();
+        assert_eq!(derived.report().cache, CacheStatus::Miss, "{label}");
+        assert!(derived.report().base_reused, "{label}");
+        assert!(derived.report().work_items() > 0, "{label}");
+        assert_eq!(derived.graph(), base.graph(), "{label}");
+        let bytes = fs::read(derived.report().artifact.as_ref().unwrap()).unwrap();
+        assert!(
+            bytes == cold_bytes(&format!("{name}_cold"), &spec),
+            "{label}: derived artifact differs from the cold build's"
+        );
+        let hit = store.prepare(&spec).unwrap();
+        assert_eq!(hit.report().cache, CacheStatus::Hit, "{label}");
+        assert!(!hit.report().base_reused, "{label}");
+    }
+    let artifacts = fs::read_dir(std::env::temp_dir().join(name))
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension() == Some("tigr".as_ref()))
+        .count();
+    assert_eq!(artifacts, 1 + derived_specs().len());
+    let base_path = base.report().artifact.clone().unwrap();
+    assert_eq!(fs::read(base_path).unwrap(), base_bytes);
+    fs::remove_dir_all(std::env::temp_dir().join(name)).ok();
+}
+
+/// A base whose CSR carries a flipped weight byte passes every
+/// structural check; a store that trusts its own hits lazily still
+/// verifies a base before deriving from it. The derived prepare falls
+/// back to the source, reports no reuse and writes the cold build's
+/// bytes instead of stamping fresh checksums over the flipped weight.
+#[test]
+fn a_corrupt_base_is_verified_eagerly_and_skipped_even_by_a_lazy_store() {
+    let name = "tigr_it_prepared_base_corrupt";
+    let store = temp_store(name).with_verify(VerifyMode::Lazy);
+    let base = store.prepare(&bare_spec()).unwrap();
+    let path = base.report().artifact.clone().unwrap();
+    let graph = base.graph().clone();
+    drop(base);
+    let mut bytes = fs::read(&path).unwrap();
+    let edge = graph.num_edges() / 3;
+    let at = csr_weight_offset(&bytes, graph.num_nodes(), graph.num_edges(), edge);
+    bytes[at] ^= 0x08;
+    fs::write(&path, &bytes).unwrap();
+
+    let spec = bare_spec().with_virtual(8, true);
+    let derived = store.prepare(&spec).unwrap();
+    assert_eq!(derived.report().cache, CacheStatus::Miss);
+    assert!(!derived.report().base_reused);
+    assert_eq!(derived.graph(), &graph);
+    let written = fs::read(derived.report().artifact.as_ref().unwrap()).unwrap();
+    assert!(written == cold_bytes(&format!("{name}_cold"), &spec));
+    // The flipped base itself is left alone: nothing rewrites a base.
+    assert_eq!(fs::read(&path).unwrap(), bytes);
+    fs::remove_dir_all(std::env::temp_dir().join(name)).ok();
+}

@@ -1,9 +1,15 @@
 //! Property-based tests of the core invariants, across randomly
 //! generated graphs.
 
+mod common;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use tigr::core::split::{
+    apply_split, CircularTopology, CliqueTopology, RecursiveStarTopology, SplitTopology,
+    StarTopology, UdtTopology,
+};
 use tigr::core::{correctness, GraphStore, ViewPlan};
 use tigr::engine::batch::{BatchArena, BatchProgram};
 use tigr::engine::{BackendKind, CpuOptions, Direction, MonotoneProgram, PipelineOutput};
@@ -46,6 +52,32 @@ fn arb_hubbed_graph(n: usize, m: usize) -> impl Strategy<Value = Csr> {
     })
 }
 
+/// Strategy: a graph of up to `n` nodes, weighted or not, whose rows keep
+/// their insertion order: up to `m` random edges (parallel edges and
+/// self-loops included) and node 0 wired to a random number of others,
+/// so a small `K` splits it and a large one leaves it whole.
+fn arb_split_graph(n: usize, m: usize) -> impl Strategy<Value = Csr> {
+    (any::<bool>(), 2..n).prop_flat_map(move |(weighted, nodes)| {
+        (
+            vec((0..nodes as u32, 0..nodes as u32, 1..100u32), 0..m),
+            0..nodes,
+        )
+            .prop_map(move |(edges, hub_degree)| {
+                let mut b = CsrBuilder::new(nodes);
+                b.sort_neighbors(false);
+                let hub = (1..=hub_degree as u32).map(|t| (0, t, 7));
+                for (s, d, w) in edges.into_iter().chain(hub) {
+                    if weighted {
+                        b.weighted_edge(s, d, w);
+                    } else {
+                        b.edge(s, d);
+                    }
+                }
+                b.build()
+            })
+    })
+}
+
 /// `prog` from `src` on the CPU pool with two workers.
 fn cpu_pool(g: &Csr, prog: MonotoneProgram, src: NodeId) -> PipelineOutput {
     Engine::default()
@@ -57,6 +89,40 @@ fn cpu_pool(g: &Csr, prog: MonotoneProgram, src: NodeId) -> PipelineOutput {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sort-free split assembly is the sorting one it replaced, for
+    /// every topology, `K`, dumb weight and weighted or unweighted input:
+    /// the same CSR (weight array present or not), new-edge flags and
+    /// family roots.
+    #[test]
+    fn split_assembly_is_the_sorting_reference(
+        g in arb_split_graph(40, 160),
+        k in 1u32..12,
+        dumb in 0usize..3,
+    ) {
+        let dumb = [DumbWeight::Zero, DumbWeight::Infinity, DumbWeight::Unweighted][dumb];
+        let topologies: [&dyn SplitTopology; 5] = [
+            &UdtTopology,
+            &StarTopology,
+            &RecursiveStarTopology,
+            &CircularTopology,
+            &CliqueTopology,
+        ];
+        for topology in topologies {
+            // Both shrink a family by K - 1 nodes per step.
+            if k < 2 && matches!(topology.name(), "udt" | "recursive-star") {
+                continue;
+            }
+            let t = apply_split(topology, &g, k, dumb);
+            let (graph, flags, roots) = common::reference_split(topology, &g, k, dumb);
+            prop_assert_eq!(t.graph(), &graph);
+            let got: Vec<bool> = (0..graph.num_edges()).map(|e| t.is_new_edge(e)).collect();
+            prop_assert_eq!(got, flags);
+            prop_assert_eq!(t.num_new_edges(), (0..graph.num_edges()).filter(|&e| t.is_new_edge(e)).count());
+            let got: Vec<NodeId> = graph.nodes().map(|v| t.family_root(v)).collect();
+            prop_assert_eq!(got, roots);
+        }
+    }
 
     #[test]
     fn udt_respects_degree_bound(g in arb_hubbed_graph(40, 150), k in 2u32..12) {
