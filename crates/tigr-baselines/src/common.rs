@@ -1,26 +1,40 @@
-//! Shared framework plumbing and the [`Baseline`] dispatcher.
+//! Shared framework plumbing: the monotone [`fixpoint`] loop every
+//! framework feeds its mapping to, and the [`Baseline`] dispatcher.
 
-use tigr_engine::{AtomicFloats, MonotoneProgram, PrOptions, PrOutput};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use tigr_engine::{AtomicValues, MonotoneProgram, PrOptions, PrOutput};
 use tigr_graph::{Csr, NodeId};
-use tigr_sim::{DeviceMemory, GpuSimulator, OutOfMemory, SimReport};
+use tigr_sim::{DeviceMemory, GpuSimulator, KernelMetrics, OutOfMemory, SimReport};
 
 use crate::{cusha, gunrock, mw};
 
-/// The nodes of `g` without out-edges, ascending: PageRank sums their
-/// ranks as the dangling mass every iteration.
-pub(crate) fn dangling_nodes(g: &Csr) -> Vec<usize> {
-    g.nodes()
-        .filter(|&v| g.out_degree(v) == 0)
-        .map(NodeId::index)
-        .collect()
-}
-
-/// The dangling mass: the ranks of `dangling` added up in order in
-/// `f64`, from `0.0`.
-pub(crate) fn dangling_mass(ranks: &AtomicFloats, dangling: &[usize]) -> f64 {
-    dangling
-        .iter()
-        .fold(0.0f64, |mass, &v| mass + ranks.load(v) as f64)
+/// The monotone fixpoint every framework runs. From `prog`'s initial
+/// values over `n` nodes, each iteration calls `iterate(values,
+/// changed)` — the framework's mapping of one iteration onto threads,
+/// which raises `changed` when another iteration is due — and reports
+/// the thread count and metrics it returns. The loop stops after the
+/// first iteration that leaves `changed` down.
+pub(crate) fn fixpoint(
+    n: usize,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    mut iterate: impl FnMut(&AtomicValues, &AtomicBool) -> (usize, KernelMetrics),
+) -> FrameworkRun {
+    let values = AtomicValues::from_values(prog.initial_values(n, source));
+    let mut report = SimReport::new();
+    loop {
+        let changed = AtomicBool::new(false);
+        let (threads, metrics) = iterate(&values, &changed);
+        report.push(threads, metrics);
+        if !changed.load(Ordering::Relaxed) {
+            break;
+        }
+    }
+    FrameworkRun {
+        values: values.snapshot(),
+        report,
+    }
 }
 
 /// Result of running a framework on an analytic.

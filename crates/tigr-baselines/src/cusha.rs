@@ -19,15 +19,16 @@
 //! atomic-free — which is exactly why CuSha wins PageRank in Table 4
 //! while losing the frontier-driven analytics to Tigr-V+.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
+use tigr_core::CancelToken;
 use tigr_engine::addr::{aux_addr, value_addr, FLAG_ADDR};
-use tigr_engine::{AtomicFloats, AtomicValues, MonotoneProgram, PrOptions, PrOutput};
+use tigr_engine::{pr, MonotoneProgram, PrOptions, PrOutput};
 use tigr_graph::reverse::transpose;
 use tigr_graph::{Csr, NodeId, Weight};
-use tigr_sim::{GpuSimulator, SimReport};
+use tigr_sim::{GpuSimulator, KernelMetrics, Lane};
 
-use crate::common::{dangling_mass, dangling_nodes, CushaMode, FrameworkRun};
+use crate::common::{fixpoint, CushaMode, FrameworkRun};
 
 /// Simulated base address of the shard entry array (16-byte entries).
 const SHARD_BASE: u64 = 0x8000_0000;
@@ -63,6 +64,36 @@ fn build_shards(g: &Csr) -> Vec<ShardEntry> {
     entries
 }
 
+/// The mapping, one thread per shard entry in two launches. The refresh
+/// copies current values into the entries' src-value slots (scattered
+/// gather, coalesced store); the sweep reads each entry coalesced and
+/// hands it to `combine`, which folds it into its destination window
+/// on chip (compute only, no atomics).
+fn shard_pass(
+    sim: &GpuSimulator,
+    shards: &[ShardEntry],
+    combine: impl Fn(&mut Lane, &ShardEntry) + Sync,
+) -> KernelMetrics {
+    let mut metrics = sim.launch(shards.len(), |tid, lane| {
+        lane.load(value_addr(shards[tid].src as usize), 4);
+        lane.store(shard_addr(tid) + 12, 4);
+    });
+    let sweep = sim.launch(shards.len(), |tid, lane| {
+        lane.load(shard_addr(tid), 16);
+        combine(lane, &shards[tid]);
+    });
+    metrics.merge(&sweep);
+    metrics
+}
+
+/// What a G-Shards write-back or finalize thread loads: the window's old
+/// value, which Concatenated Windows skip.
+fn window_loads(mode: CushaMode, lane: &mut Lane, v: usize) {
+    if matches!(mode, CushaMode::GShards) {
+        lane.load(aux_addr(4, v), 4);
+    }
+}
+
 /// Runs a monotone analytic with CuSha's shard strategy.
 pub fn run_monotone(
     sim: &GpuSimulator,
@@ -72,27 +103,9 @@ pub fn run_monotone(
     mode: CushaMode,
 ) -> FrameworkRun {
     let n = g.num_nodes();
-    let m = g.num_edges();
     let shards = build_shards(g);
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let mut report = SimReport::new();
-
-    loop {
-        let changed = AtomicBool::new(false);
-
-        // Phase 1 — refresh: copy current values into the shard entries'
-        // src-value slots (scattered gather, coalesced store).
-        let mut metrics = sim.launch(m, |tid, lane| {
-            let entry = &shards[tid];
-            lane.load(value_addr(entry.src as usize), 4);
-            lane.store(shard_addr(tid) + 12, 4);
-        });
-
-        // Phase 2 — shard sweep: coalesced entry reads, window-local
-        // combining (on-chip, so only compute is charged).
-        let sweep = sim.launch(m, |tid, lane| {
-            let entry = &shards[tid];
-            lane.load(shard_addr(tid), 16);
+    fixpoint(n, prog, source, |values, changed| {
+        let mut metrics = shard_pass(sim, &shards, |lane, entry| {
             let d = values.load(entry.src as usize);
             let cand = prog.edge_op.apply(d, entry.weight);
             lane.compute(3);
@@ -105,110 +118,39 @@ pub fn run_monotone(
                 changed.store(true, Ordering::Relaxed);
             }
         });
-        metrics.merge(&sweep);
-
-        // Phase 3 — window write-back, one coalesced pass over nodes.
-        // Concatenated Windows skip re-reading the old values.
+        // Window write-back, one coalesced pass over nodes.
         let writeback = sim.launch(n, |tid, lane| {
-            if matches!(mode, CushaMode::GShards) {
-                lane.load(aux_addr(4, tid), 4);
-            }
+            window_loads(mode, lane, tid);
             lane.compute(1);
             lane.store(value_addr(tid), 4);
         });
         metrics.merge(&writeback);
-
-        report.push(m, metrics);
-        if !changed.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-
-    FrameworkRun {
-        values: values.snapshot(),
-        report,
-    }
+        (shards.len(), metrics)
+    })
 }
 
 /// PageRank with CuSha: the shard sweep gathers `rank/outdeg`
 /// contributions per destination window without atomics — the shape that
-/// wins PR in Table 4.
+/// wins PR in Table 4. The finalize kernel is the window write-back.
 pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions, mode: CushaMode) -> PrOutput {
-    let n = g.num_nodes();
-    let m = g.num_edges();
-    if n == 0 {
-        return PrOutput {
-            ranks: Vec::new(),
-            report: SimReport::new(),
-            iterations: 0,
-            converged: true,
-            cancelled: false,
-        };
-    }
     let shards = build_shards(g);
-    let out_deg: Vec<u32> = g.nodes().map(|v| g.out_degree(v) as u32).collect();
-    let dangling_nodes = dangling_nodes(g);
-    let ranks = AtomicFloats::new(n, 1.0 / n as f32);
-    let accum = AtomicFloats::new(n, 0.0);
-    let mut report = SimReport::new();
-    let mut converged = false;
-
-    for _ in 0..options.max_iterations {
-        accum.fill(0.0);
-
-        // Refresh pass: shard entries pick up current ranks.
-        let mut metrics = sim.launch(m, |tid, lane| {
-            let entry = &shards[tid];
-            lane.load(value_addr(entry.src as usize), 4);
-            lane.store(shard_addr(tid) + 12, 4);
-        });
-
-        // Shard sweep: window-local partial sums, no atomics. The host
-        // accumulation uses atomics for thread-safety, but the simulated
-        // cost is compute-only, matching on-chip combining.
-        let sweep = sim.launch(m, |tid, lane| {
-            let entry = &shards[tid];
-            lane.load(shard_addr(tid), 16);
-            let deg = out_deg[entry.src as usize].max(1);
-            accum.fetch_add(
-                entry.dst as usize,
-                ranks.load(entry.src as usize) / deg as f32,
-            );
-            lane.compute(3);
-        });
-        metrics.merge(&sweep);
-
-        let dangling = dangling_mass(&ranks, &dangling_nodes);
-        let base =
-            (1.0 - options.damping) / n as f32 + options.damping * dangling as f32 / n as f32;
-
-        let delta = AtomicFloats::new(1, 0.0);
-        let writeback = sim.launch(n, |v, lane| {
-            if matches!(mode, CushaMode::GShards) {
-                lane.load(aux_addr(4, v), 4);
-            }
-            let new = base + options.damping * accum.load(v);
-            delta.fetch_add(0, (new - ranks.load(v)).abs());
-            ranks.store(v, new);
-            lane.compute(3);
-            lane.store(value_addr(v), 4);
-        });
-        metrics.merge(&writeback);
-        report.push(m, metrics);
-
-        if delta.load(0) < options.tolerance {
-            converged = true;
-            break;
-        }
-    }
-
-    PrOutput {
-        ranks: ranks.snapshot(),
-        iterations: report.num_iterations(),
-        report,
-        converged,
-        cancelled: false,
-    }
+    pr::power_iterate(
+        sim,
+        &pr::out_degrees(g),
+        options,
+        &CancelToken::never(),
+        |shares, accum| {
+            // The host accumulation uses atomics for thread-safety, but
+            // the simulated cost is compute-only, matching on-chip
+            // combining.
+            let metrics = shard_pass(sim, &shards, |lane, entry| {
+                accum.fetch_add(entry.dst as usize, shares.load(entry.src as usize));
+                lane.compute(3);
+            });
+            (shards.len(), metrics)
+        },
+        |lane, v| window_loads(mode, lane, v),
+    )
 }
 
 #[cfg(test)]

@@ -11,12 +11,13 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use tigr_engine::addr::{edge_addr, frontier_addr, value_addr};
-use tigr_engine::{AtomicFloats, AtomicValues, MonotoneProgram, PrOptions, PrOutput};
+use tigr_core::CancelToken;
+use tigr_engine::addr::{aux_addr, edge_addr, frontier_addr, row_ptr_addr, value_addr};
+use tigr_engine::{pr, MonotoneProgram, PrOptions, PrOutput};
 use tigr_graph::{Csr, NodeId};
-use tigr_sim::{GpuSimulator, SimReport};
+use tigr_sim::{GpuSimulator, KernelMetrics, Lane, SimReport};
 
-use crate::common::{dangling_mass, dangling_nodes, FrameworkRun};
+use crate::common::{fixpoint, FrameworkRun};
 
 /// Work unit of one advance: a (source node, flat edge index) pair, the
 /// product of Gunrock's load-balanced partitioning.
@@ -31,7 +32,26 @@ fn expand_frontier(g: &Csr, frontier: &[u32]) -> Vec<(u32, u32)> {
     work
 }
 
-/// Runs a monotone analytic with the advance/filter strategy.
+/// The advance, one thread per work unit: each loads its load-balance
+/// lookup table entry, its source's value and its edge, then hands
+/// `per_edge` the source, the edge and its target.
+fn advance(
+    sim: &GpuSimulator,
+    g: &Csr,
+    work: &[(u32, u32)],
+    per_edge: impl Fn(&mut Lane, usize, usize, usize) + Sync,
+) -> KernelMetrics {
+    sim.launch(work.len(), |tid, lane| {
+        let (src, e) = (work[tid].0 as usize, work[tid].1 as usize);
+        lane.load(frontier_addr(tid), 4);
+        lane.load(value_addr(src), 4);
+        lane.load(edge_addr(e), 8);
+        per_edge(lane, src, e, g.edge_target(e).index());
+    })
+}
+
+/// Runs a monotone analytic with the advance/filter strategy: an
+/// iteration is due while the frontier is not empty.
 pub fn run_monotone(
     sim: &GpuSimulator,
     g: &Csr,
@@ -39,12 +59,16 @@ pub fn run_monotone(
     source: Option<NodeId>,
 ) -> FrameworkRun {
     let n = g.num_nodes();
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let mut report = SimReport::new();
     let mut frontier: Vec<u32> = prog.initial_frontier(n, source);
+    if frontier.is_empty() {
+        return FrameworkRun {
+            values: prog.initial_values(n, source),
+            report: SimReport::new(),
+        };
+    }
     let enqueued: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
 
-    while !frontier.is_empty() {
+    fixpoint(n, prog, source, |values, changed| {
         let work = expand_frontier(g, &frontier);
         let next = Mutex::new(Vec::new());
 
@@ -53,7 +77,7 @@ pub fn run_monotone(
         // thread exactly one edge (two extra kernel launches).
         let mut metrics = sim.launch(frontier.len(), |tid, lane| {
             lane.load(frontier_addr(tid), 4);
-            lane.load(tigr_engine::addr::row_ptr_addr(frontier[tid] as usize), 8);
+            lane.load(row_ptr_addr(frontier[tid] as usize), 8);
             lane.compute(2);
             lane.store(frontier_addr(tid), 4);
         });
@@ -64,16 +88,8 @@ pub fn run_monotone(
         });
         metrics.merge(&scan);
 
-        // Advance: one thread per frontier edge.
-        let advance = sim.launch(work.len(), |tid, lane| {
-            let (src, e) = work[tid];
-            // Load-balance lookup table entry + source value + edge.
-            lane.load(frontier_addr(tid), 4);
-            lane.load(value_addr(src as usize), 4);
-            let d = values.load(src as usize);
-            lane.load(edge_addr(e as usize), 8);
-            let nbr = g.edge_target(e as usize).index();
-            let cand = prog.edge_op.apply(d, g.weight(e as usize));
+        let relax = advance(sim, g, &work, |lane, src, e, nbr| {
+            let cand = prog.edge_op.apply(values.load(src), g.weight(e));
             lane.compute(2);
             lane.load(value_addr(nbr), 4);
             if prog.combine.improves(cand, values.load(nbr))
@@ -88,8 +104,7 @@ pub fn run_monotone(
                 }
             }
         });
-
-        metrics.merge(&advance);
+        metrics.merge(&relax);
 
         // Filter: compact and reset the dedup flags.
         let mut nf: Vec<u32> = next.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -99,90 +114,37 @@ pub fn run_monotone(
             lane.store(frontier_addr(tid), 4);
         });
         metrics.merge(&filter);
-        report.push(work.len(), metrics);
 
         for &v in &nf {
             enqueued[v as usize].store(0, Ordering::Relaxed);
         }
         nf.sort_unstable();
+        changed.store(!nf.is_empty(), Ordering::Relaxed);
         frontier = nf;
-    }
-
-    FrameworkRun {
-        values: values.snapshot(),
-        report,
-    }
+        (work.len(), metrics)
+    })
 }
 
 /// Gunrock PageRank: an all-active advance per iteration plus the
 /// finalize pass (PR's frontier never shrinks, so filter is trivial).
 pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions) -> PrOutput {
-    let n = g.num_nodes();
-    let m = g.num_edges();
-    if n == 0 {
-        return PrOutput {
-            ranks: Vec::new(),
-            report: SimReport::new(),
-            iterations: 0,
-            converged: true,
-            cancelled: false,
-        };
-    }
-    // Flat (src, edge) table, built once.
-    let mut work = Vec::with_capacity(m);
-    for v in g.nodes() {
-        for e in g.edge_start(v)..g.edge_end(v) {
-            work.push((v.raw(), e as u32));
-        }
-    }
-    let out_deg: Vec<u32> = g.nodes().map(|v| g.out_degree(v) as u32).collect();
-    let dangling_nodes = dangling_nodes(g);
-    let ranks = AtomicFloats::new(n, 1.0 / n as f32);
-    let accum = AtomicFloats::new(n, 0.0);
-    let mut report = SimReport::new();
-    let mut converged = false;
-
-    for _ in 0..options.max_iterations {
-        accum.fill(0.0);
-        let mut metrics = sim.launch(m, |tid, lane| {
-            let (src, e) = work[tid];
-            lane.load(frontier_addr(tid), 4);
-            lane.load(value_addr(src as usize), 4);
-            lane.load(edge_addr(e as usize), 8);
-            let nbr = g.edge_target(e as usize).index();
-            let deg = out_deg[src as usize].max(1);
-            accum.fetch_add(nbr, ranks.load(src as usize) / deg as f32);
-            lane.compute(2);
-            lane.atomic(tigr_engine::addr::aux_addr(0, nbr), 4);
-        });
-
-        let dangling = dangling_mass(&ranks, &dangling_nodes);
-        let base =
-            (1.0 - options.damping) / n as f32 + options.damping * dangling as f32 / n as f32;
-        let delta = AtomicFloats::new(1, 0.0);
-        let fin = sim.launch(n, |v, lane| {
-            lane.load(tigr_engine::addr::aux_addr(0, v), 4);
-            let new = base + options.damping * accum.load(v);
-            delta.fetch_add(0, (new - ranks.load(v)).abs());
-            ranks.store(v, new);
-            lane.compute(3);
-            lane.store(value_addr(v), 4);
-        });
-        metrics.merge(&fin);
-        report.push(m, metrics);
-        if delta.load(0) < options.tolerance {
-            converged = true;
-            break;
-        }
-    }
-
-    PrOutput {
-        ranks: ranks.snapshot(),
-        iterations: report.num_iterations(),
-        report,
-        converged,
-        cancelled: false,
-    }
+    // Every node is active: the flat (src, edge) table, built once.
+    let work = expand_frontier(g, &g.nodes().map(NodeId::raw).collect::<Vec<_>>());
+    pr::power_iterate(
+        sim,
+        &pr::out_degrees(g),
+        options,
+        &CancelToken::never(),
+        |shares, accum| {
+            let metrics = advance(sim, g, &work, |lane, src, _, nbr| {
+                accum.fetch_add(nbr, shares.load(src));
+                lane.compute(2);
+                lane.atomic(aux_addr(0, nbr), 4);
+            });
+            (work.len(), metrics)
+        },
+        |lane, v| lane.load(aux_addr(0, v), 4),
+    )
 }
 
 #[cfg(test)]

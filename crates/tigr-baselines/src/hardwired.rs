@@ -232,21 +232,10 @@ pub fn hooking_cc(sim: &GpuSimulator, g: &Csr) -> FrameworkRun {
     FrameworkRun { values, report }
 }
 
-/// Source of flat edge `e` (linear scan over row_ptr is avoided by
-/// binary search).
+/// Source of flat edge `e`: the last row starting at or before it
+/// (binary search over `row_ptr`).
 fn edge_src(g: &Csr, e: usize) -> u32 {
-    let row_ptr = g.row_ptr();
-    let mut lo = 0usize;
-    let mut hi = g.num_nodes();
-    while lo + 1 < hi {
-        let mid = (lo + hi) / 2;
-        if row_ptr[mid] <= e {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo as u32
+    (g.row_ptr().partition_point(|&start| start <= e) - 1) as u32
 }
 
 #[cfg(test)]

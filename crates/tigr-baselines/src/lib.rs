@@ -1,10 +1,14 @@
 //! Re-implementations of the GPU graph frameworks the paper compares
 //! against (Table 2): Maximum Warp, CuSha, and Gunrock.
 //!
-//! Each module reproduces the framework's *scheduling and representation
-//! strategy* on the shared [`tigr_sim`] simulator, computing real results
-//! with the same programs as [`tigr_engine`] while paying that
-//! framework's characteristic costs:
+//! A framework here is a *work mapping* — which simulated thread walks
+//! which edges, and what it loads — plus its device footprint and OOM
+//! rule ([`Baseline::footprint_bytes`]). Each module feeds its mapping
+//! to one shared loop: a monotone analytic's iteration to the crate's
+//! fixpoint loop, PageRank's scatter to the engine's
+//! [`tigr_engine::pr::power_iterate`]. So the frameworks compute real
+//! results with the same programs as [`tigr_engine`] on the shared
+//! [`tigr_sim`] simulator while paying their characteristic costs:
 //!
 //! * [`mw`] — virtual warps of width 2–32 cooperating per node; no
 //!   worklist; no memory overhead (and hence no OOMs, as in Table 4).

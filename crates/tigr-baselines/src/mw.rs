@@ -12,14 +12,17 @@
 //! processed every iteration, with updates applied atomically and
 //! relaxed visibility.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::iter::StepBy;
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 
-use tigr_engine::addr::{edge_addr, row_ptr_addr, value_addr, FLAG_ADDR};
-use tigr_engine::{AtomicFloats, AtomicValues, MonotoneProgram, PrOptions, PrOutput};
+use tigr_core::CancelToken;
+use tigr_engine::addr::{aux_addr, edge_addr, row_ptr_addr, value_addr, FLAG_ADDR};
+use tigr_engine::{pr, MonotoneProgram, PrOptions, PrOutput};
 use tigr_graph::{Csr, NodeId};
-use tigr_sim::{GpuSimulator, KernelMetrics, SimReport};
+use tigr_sim::{GpuSimulator, KernelMetrics, Lane};
 
-use crate::common::{dangling_mass, dangling_nodes, FrameworkRun};
+use crate::common::{fixpoint, FrameworkRun};
 
 /// The virtual-warp widths the paper sweeps.
 pub const WIDTHS: [usize; 5] = [2, 4, 8, 16, 32];
@@ -48,6 +51,29 @@ pub fn run_monotone(
     }
 }
 
+/// The mapping: one virtual warp of `width` threads per node. Thread
+/// `tid` is lane `tid % width` of node `tid / width`'s group; it loads
+/// the node's header and value, then `body` walks every `width`-th of
+/// the node's edges from the lane's offset.
+fn sweep(
+    sim: &GpuSimulator,
+    g: &Csr,
+    width: usize,
+    body: impl Fn(&mut Lane, usize, StepBy<Range<usize>>) + Sync,
+) -> (usize, KernelMetrics) {
+    let threads = g.num_nodes() * width;
+    let metrics = sim.launch(threads, |tid, lane| {
+        let v = NodeId::from_index(tid / width);
+        // Every lane of the group reads the node header and value (one
+        // coalesced transaction since addresses coincide).
+        lane.load(row_ptr_addr(v.index()), 8);
+        lane.load(value_addr(v.index()), 4);
+        let first = g.edge_start(v) + tid % width;
+        body(lane, v.index(), (first..g.edge_end(v)).step_by(width));
+    });
+    (threads, metrics)
+}
+
 fn run_with_width(
     sim: &GpuSimulator,
     g: &Csr,
@@ -60,25 +86,10 @@ fn run_with_width(
         width > 0 && warp.is_multiple_of(width),
         "virtual warp width {width} must divide the warp size {warp}"
     );
-    let n = g.num_nodes();
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let mut report = SimReport::new();
-
-    loop {
-        let changed = AtomicBool::new(false);
-        // One virtual warp (W threads) per node.
-        let metrics = sim.launch(n * width, |tid, lane| {
-            let node = tid / width;
-            let lane_in_group = tid % width;
-            let v = NodeId::from_index(node);
-            // Every lane of the group reads the node header and value
-            // (one coalesced transaction since addresses coincide).
-            lane.load(row_ptr_addr(node), 8);
-            lane.load(value_addr(node), 4);
+    fixpoint(g.num_nodes(), prog, source, |values, changed| {
+        sweep(sim, g, width, |lane, node, edges| {
             let d = values.load(node);
-            let (start, end) = (g.edge_start(v), g.edge_end(v));
-            let mut e = start + lane_in_group;
-            while e < end {
+            for e in edges {
                 lane.load(edge_addr(e), 8);
                 let nbr = g.edge_target(e).index();
                 let cand = prog.edge_op.apply(d, g.weight(e));
@@ -91,22 +102,13 @@ fn run_with_width(
                     lane.store(FLAG_ADDR, 1);
                     changed.store(true, Ordering::Relaxed);
                 }
-                e += width;
             }
-        });
-        report.push(n * width, metrics);
-        if !changed.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-
-    FrameworkRun {
-        values: values.snapshot(),
-        report,
-    }
+        })
+    })
 }
 
-/// PageRank with virtual warps: push-style scatter over out-edges.
+/// PageRank with virtual warps (width 8 unless given): push-style
+/// scatter over out-edges.
 pub fn run_pagerank(
     sim: &GpuSimulator,
     g: &Csr,
@@ -114,75 +116,31 @@ pub fn run_pagerank(
     width: Option<usize>,
 ) -> PrOutput {
     let width = width.unwrap_or(8);
-    let n = g.num_nodes();
-    if n == 0 {
-        return PrOutput {
-            ranks: Vec::new(),
-            report: SimReport::new(),
-            iterations: 0,
-            converged: true,
-            cancelled: false,
-        };
-    }
-    let ranks = AtomicFloats::new(n, 1.0 / n as f32);
-    let accum = AtomicFloats::new(n, 0.0);
-    let dangling_nodes = dangling_nodes(g);
-    let mut report = SimReport::new();
-    let mut converged = false;
-
-    for _ in 0..options.max_iterations {
-        accum.fill(0.0);
-        let mut metrics = sim.launch(n * width, |tid, lane| {
-            let node = tid / width;
-            let lane_in_group = tid % width;
-            let v = NodeId::from_index(node);
-            lane.load(row_ptr_addr(node), 8);
-            lane.load(value_addr(node), 4);
-            let deg = g.out_degree(v);
-            if deg == 0 {
-                return;
-            }
-            let share = ranks.load(node) / deg as f32;
-            lane.compute(1);
-            let (start, end) = (g.edge_start(v), g.edge_end(v));
-            let mut e = start + lane_in_group;
-            while e < end {
-                lane.load(edge_addr(e), 8);
-                let nbr = g.edge_target(e).index();
-                accum.fetch_add(nbr, share);
-                lane.atomic(tigr_engine::addr::aux_addr(0, nbr), 4);
-                e += width;
-            }
-        });
-
-        let dangling = dangling_mass(&ranks, &dangling_nodes);
-        let base =
-            (1.0 - options.damping) / n as f32 + options.damping * dangling as f32 / n as f32;
-        let delta = AtomicFloats::new(1, 0.0);
-        let fin: KernelMetrics = sim.launch(n, |v, lane| {
-            lane.load(tigr_engine::addr::aux_addr(0, v), 4);
+    pr::power_iterate(
+        sim,
+        &pr::out_degrees(g),
+        options,
+        &CancelToken::never(),
+        |shares, accum| {
+            sweep(sim, g, width, |lane, node, edges| {
+                if g.out_degree(NodeId::from_index(node)) == 0 {
+                    return;
+                }
+                let share = shares.load(node);
+                lane.compute(1);
+                for e in edges {
+                    lane.load(edge_addr(e), 8);
+                    let nbr = g.edge_target(e).index();
+                    accum.fetch_add(nbr, share);
+                    lane.atomic(aux_addr(0, nbr), 4);
+                }
+            })
+        },
+        |lane, v| {
+            lane.load(aux_addr(0, v), 4);
             lane.load(value_addr(v), 4);
-            let new = base + options.damping * accum.load(v);
-            delta.fetch_add(0, (new - ranks.load(v)).abs());
-            ranks.store(v, new);
-            lane.compute(3);
-            lane.store(value_addr(v), 4);
-        });
-        metrics.merge(&fin);
-        report.push(n * width, metrics);
-        if delta.load(0) < options.tolerance {
-            converged = true;
-            break;
-        }
-    }
-
-    PrOutput {
-        ranks: ranks.snapshot(),
-        iterations: report.num_iterations(),
-        report,
-        converged,
-        cancelled: false,
-    }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -8,17 +8,17 @@
 //! variant are provided; pull mode is what lets shard/scan frameworks win
 //! PR in Table 4.
 //!
-//! There is one driver, generic over the [`Launcher`] that runs its
-//! kernels: on a [`tigr_sim::GpuSimulator`] every access is recorded and
-//! the report fills — the paper's meter; on [`crate::kernel::HostLoop`]
-//! the same bodies run as plain loops and construct no lane — what
+//! There is one power iteration, [`power_iterate`], generic over the
+//! [`Launcher`] that runs its kernels: on a [`tigr_sim::GpuSimulator`]
+//! every access is recorded and the report fills — the paper's meter; on
+//! [`crate::kernel::HostLoop`] the same bodies run as plain loops — what
 //! [`crate::Engine`] picks for every backend but `WarpSim`. Both visit
 //! threads in `tid` order, so every `f32` sum adds its terms in the same
 //! order and ranks, iteration count and flags agree **to the bit** on
 //! every representation (pull mode included: one partial per virtual
-//! node either way). Both kernels read a node's share `rank / max(outdeg,
-//! 1)`, divided once per node per iteration. A push run also equals, to
-//! the bit, a gather over the plain transpose (see [`PrMode::Push`]).
+//! node either way). Every mapping reads a node's share `rank /
+//! max(outdeg, 1)`, divided once per node per iteration. A push run also
+//! equals, to the bit, a gather over the plain transpose ([`PrMode::Push`]).
 
 use tigr_core::CancelToken;
 use tigr_graph::Csr;
@@ -136,16 +136,52 @@ pub fn run_cancellable<L: Launcher>(
     options: &PrOptions,
     cancel: &CancelToken,
 ) -> PrOutput {
-    let n = rep.num_value_slots();
     assert_eq!(
         out_degrees.len(),
-        n,
+        rep.num_value_slots(),
         "out-degree array must cover all nodes"
     );
     assert!(
         !matches!(rep, Representation::Physical(_)),
         "PageRank is undefined on physically transformed graphs: UDT alters out-degrees (Corollary 4)"
     );
+    power_iterate(
+        launcher,
+        out_degrees,
+        options,
+        cancel,
+        |shares, accum| {
+            let metrics = match options.mode {
+                PrMode::Push => push_kernel(launcher, rep, shares, accum, out_degrees),
+                PrMode::Pull => pull_kernel(launcher, rep, shares, accum),
+            };
+            (rep.full_threads(), metrics)
+        },
+        |m, v| {
+            m.load(aux_addr(0, v), 4);
+            m.load(value_addr(v), 4);
+        },
+    )
+}
+
+/// The power iteration every PageRank runs, fed the mapping of its
+/// scatter onto threads: the engine's kernels in [`run`], each comparison
+/// framework's in `tigr-baselines`. `scatter(shares, accum)` adds every
+/// node's share `rank / max(outdeg, 1)` into `accum` along its out-edges
+/// and returns the thread count to report with its metrics;
+/// `finalize_loads(mirror, v)` charges what node `v`'s finalize thread
+/// loads before it stores `base + damping * accum`. Stops at
+/// `options.tolerance` (L1), after `options.max_iterations`, or when
+/// `cancel` fires between iterations.
+pub fn power_iterate<L: Launcher>(
+    launcher: &L,
+    out_degrees: &[u32],
+    options: &PrOptions,
+    cancel: &CancelToken,
+    scatter: impl Fn(&AtomicFloats, &AtomicFloats) -> (usize, KernelMetrics),
+    finalize_loads: impl Fn(&mut L::Mirror, usize) + Sync,
+) -> PrOutput {
+    let n = out_degrees.len();
     let mut out = PrOutput {
         ranks: Vec::new(),
         report: SimReport::new(),
@@ -176,24 +212,19 @@ pub fn run_cancellable<L: Launcher>(
         accum.fill(0.0);
 
         // Scatter/gather kernel.
-        let mut metrics = match options.mode {
-            PrMode::Push => push_kernel(launcher, rep, &shares, &accum, out_degrees),
-            PrMode::Pull => pull_kernel(launcher, rep, &shares, &accum),
-        };
+        let (threads, mut metrics) = scatter(&shares, &accum);
 
         // Dangling mass (host reduction mirrored as a small kernel).
-        let mut dangling = 0.0f64;
-        for &v in &dangling_nodes {
-            dangling += ranks.load(v) as f64;
-        }
+        let dangling = dangling_nodes
+            .iter()
+            .fold(0.0f64, |sum, &v| sum + ranks.load(v) as f64);
         let base =
             (1.0 - options.damping) / n as f32 + options.damping * (dangling as f32) / n as f32;
 
         // Finalize kernel: rank = base + d * accum, tracking the L1 delta.
         let delta = AtomicFloats::new(1, 0.0);
         let finalize = launcher.launch(n, |v, m| {
-            m.load(aux_addr(0, v), 4);
-            m.load(value_addr(v), 4);
+            finalize_loads(m, v);
             let new = base + options.damping * accum.load(v);
             let old = ranks.load(v);
             ranks.store(v, new);
@@ -205,7 +236,7 @@ pub fn run_cancellable<L: Launcher>(
         out.iterations += 1;
         if L::METERED {
             metrics.merge(&finalize);
-            out.report.push(rep.full_threads(), metrics);
+            out.report.push(threads, metrics);
         }
 
         if delta.load(0) < options.tolerance {
