@@ -14,21 +14,17 @@
 //! | `table7_transform_time` | Table 7 (transformation time) |
 //! | `table8_sssp_detail` | Table 8 (SSSP case study) |
 //! | `ablation_k_sweep` | §5 / §6.4 K-sensitivity observations |
-//! | `ablation_frontier` | full-sweep vs active-frontier scheduling |
 //! | `ablation_serve` | serving throughput and result-cache cold-vs-hit |
 //!
 //! Run with `cargo run --release -p tigr-bench --bin <name>`. The analog
 //! scale is `1/TIGR_SCALE` of the paper's node counts
 //! (default 256; set `TIGR_SCALE=64` for larger, closer-to-paper runs).
-//! `TIGR_FRONTIER=auto|dense|sparse` selects the worklist scheduling
-//! policy for binaries that exercise it.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
 use tigr_core::{GraphStore, PrepareSpec, PreparedGraph};
-use tigr_engine::FrontierMode;
 use tigr_graph::datasets::{DatasetSpec, PAPER_DATASETS};
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuConfig, GpuSimulator};
@@ -40,8 +36,6 @@ pub struct BenchConfig {
     pub scale_denominator: u64,
     /// Generator seed.
     pub seed: u64,
-    /// Frontier scheduling policy for worklist runs.
-    pub frontier: FrontierMode,
 }
 
 impl Default for BenchConfig {
@@ -49,14 +43,12 @@ impl Default for BenchConfig {
         BenchConfig {
             scale_denominator: 256,
             seed: 2018, // ASPLOS '18
-            frontier: FrontierMode::Auto,
         }
     }
 }
 
 impl BenchConfig {
-    /// Reads `TIGR_SCALE`, `TIGR_SEED` and `TIGR_FRONTIER` from the
-    /// environment.
+    /// Reads `TIGR_SCALE` and `TIGR_SEED` from the environment.
     pub fn from_env() -> Self {
         let mut cfg = BenchConfig::default();
         if let Ok(s) = std::env::var("TIGR_SCALE") {
@@ -67,11 +59,6 @@ impl BenchConfig {
         if let Ok(s) = std::env::var("TIGR_SEED") {
             if let Ok(v) = s.parse() {
                 cfg.seed = v;
-            }
-        }
-        if let Ok(s) = std::env::var("TIGR_FRONTIER") {
-            if let Some(mode) = FrontierMode::parse(&s) {
-                cfg.frontier = mode;
             }
         }
         cfg
@@ -271,7 +258,6 @@ mod tests {
         let cfg = BenchConfig::default();
         assert_eq!(cfg.scale_denominator, 256);
         assert_eq!(cfg.device_budget(), (8 << 30) / 256);
-        assert_eq!(cfg.frontier, FrontierMode::Auto);
     }
 
     #[test]
@@ -306,7 +292,6 @@ mod tests {
         let cfg = BenchConfig {
             scale_denominator: 4096,
             seed: 1,
-            ..BenchConfig::default()
         };
         let d = DatasetInstance::generate(&PAPER_DATASETS[0], &cfg);
         assert!(!d.graph.is_weighted());

@@ -46,7 +46,7 @@ pub enum FrontierMode {
 }
 
 impl FrontierMode {
-    /// Parses a mode name as the CLI and `TIGR_FRONTIER` accept it.
+    /// Parses a mode name as the CLI accepts it.
     pub fn parse(s: &str) -> Option<FrontierMode> {
         match s {
             "auto" => Some(FrontierMode::Auto),

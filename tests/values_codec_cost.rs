@@ -33,9 +33,10 @@ fn g17_values() -> Vec<u32> {
         .collect()
 }
 
-/// Fastest of nine interleaved runs of `codec` and of `reference`, whose
+/// Fastest of 21 pairs of runs of `codec` and of `reference`, whose
 /// results must agree by `same`; fails if the first costs over `bound`
-/// times the second.
+/// times the second. Each pair flips which side runs first, so neither
+/// always inherits the other's warm cache or the core's clock.
 fn guard<A: std::fmt::Debug, B: std::fmt::Debug>(
     name: &str,
     bound: f64,
@@ -43,14 +44,21 @@ fn guard<A: std::fmt::Debug, B: std::fmt::Debug>(
     reference: impl Fn() -> B,
     same: impl Fn(&A, &B) -> bool,
 ) {
+    fn timed<T>(f: &impl Fn() -> T, best: &mut f64) -> T {
+        let started = Instant::now();
+        let out = f();
+        *best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        out
+    }
     let (mut codec_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    for _ in 0..9 {
-        let started = Instant::now();
-        let got = codec();
-        codec_ms = codec_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        let started = Instant::now();
-        let want = reference();
-        reference_ms = reference_ms.min(started.elapsed().as_secs_f64() * 1e3);
+    for pair in 0..21 {
+        let (got, want) = if pair % 2 == 0 {
+            let got = timed(&codec, &mut codec_ms);
+            (got, timed(&reference, &mut reference_ms))
+        } else {
+            let want = timed(&reference, &mut reference_ms);
+            (timed(&codec, &mut codec_ms), want)
+        };
         assert!(same(&got, &want), "{name}: results differ");
     }
     let ratio = codec_ms / reference_ms;
