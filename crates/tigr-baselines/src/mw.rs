@@ -41,12 +41,22 @@ pub fn run_monotone(
     source: Option<NodeId>,
     width: Option<usize>,
 ) -> FrameworkRun {
+    by_width(
+        width,
+        |r: &FrameworkRun| r.report.total_cycles(),
+        |w| run_with_width(sim, g, prog, source, w),
+    )
+}
+
+/// `run` at `width`, or the run of [`WIDTHS`] that takes the fewest
+/// simulated cycles when `width` is `None`.
+fn by_width<T>(width: Option<usize>, cycles: impl Fn(&T) -> u64, run: impl Fn(usize) -> T) -> T {
     match width {
-        Some(w) => run_with_width(sim, g, prog, source, w),
+        Some(w) => run(w),
         None => WIDTHS
             .iter()
-            .map(|&w| run_with_width(sim, g, prog, source, w))
-            .min_by_key(|r| r.report.total_cycles())
+            .map(|&w| run(w))
+            .min_by_key(cycles)
             .expect("WIDTHS is non-empty"),
     }
 }
@@ -107,15 +117,22 @@ fn run_with_width(
     })
 }
 
-/// PageRank with virtual warps (width 8 unless given): push-style
-/// scatter over out-edges.
+/// PageRank with virtual warps of `width`, or the best of [`WIDTHS`]
+/// when `width` is `None`: push-style scatter over out-edges.
 pub fn run_pagerank(
     sim: &GpuSimulator,
     g: &Csr,
     options: &PrOptions,
     width: Option<usize>,
 ) -> PrOutput {
-    let width = width.unwrap_or(8);
+    by_width(
+        width,
+        |r: &PrOutput| r.report.total_cycles(),
+        |w| pagerank_with_width(sim, g, options, w),
+    )
+}
+
+fn pagerank_with_width(sim: &GpuSimulator, g: &Csr, options: &PrOptions, width: usize) -> PrOutput {
     pr::power_iterate(
         sim,
         &pr::out_degrees(g),
@@ -186,6 +203,21 @@ mod tests {
             );
             assert!(auto.report.total_cycles() <= fixed.report.total_cycles());
         }
+    }
+
+    #[test]
+    fn auto_width_pagerank_is_the_fastest_width() {
+        let g = fixture();
+        let sim = GpuSimulator::new(GpuConfig::default());
+        let options = PrOptions::default();
+        let auto = run_pagerank(&sim, &g, &options, None);
+        let fixed: Vec<PrOutput> = WIDTHS
+            .iter()
+            .map(|&w| run_pagerank(&sim, &g, &options, Some(w)))
+            .collect();
+        let cycles = |r: &PrOutput| r.report.total_cycles();
+        assert_eq!(Some(cycles(&auto)), fixed.iter().map(cycles).min());
+        assert!(fixed.iter().any(|r| r.ranks == auto.ranks));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `--port-file` so scripts driving an ephemeral port can find it.
 //!
 //! The daemon runs until killed, or for `--duration` seconds when
-//! given (used by tests and the CI smoke gate).
+//! given (used by tests).
 
 use std::io::Write as _;
 use std::sync::Arc;

@@ -1056,7 +1056,7 @@ fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl 
 mod tests {
     use super::*;
     use crate::protocol::Algo;
-    use tigr_core::{DumbWeight, GraphStore, PrepareSpec, TransformKind};
+    use tigr_core::{GraphStore, PrepareSpec};
     use tigr_engine::MonotoneProgram;
 
     fn small_core(config: ServerConfig) -> Arc<ServerCore> {
@@ -1396,63 +1396,6 @@ mod tests {
             assert_eq!(got.values, reference.values);
             assert_eq!(got.checksum, reference.checksum);
             assert_eq!(got.iterations, reference.iterations);
-        }
-        core.shutdown();
-    }
-
-    #[test]
-    fn split_graphs_refuse_khop_on_every_path_and_serve_bfs_exactly() {
-        // A UDT split charges AddUnit's hop for every split edge, so a
-        // served k-hop over it is a typed refusal — alone or fused into
-        // lanes — as bounded paths is; bfs/sssp answer the unsplit graph.
-        let store = GraphStore::disabled();
-        let spec = PrepareSpec::generated("star:200", 0);
-        let plain = store.prepare(&spec).unwrap();
-        let udt = spec.with_transform(TransformKind::Udt, Some(4), DumbWeight::Zero);
-        let core = ServerCore::new(ServerConfig::default());
-        core.add_graph("udt", Arc::new(store.prepare(&udt).unwrap()));
-        let refused = |response: Response, pipeline: &'static str| match response {
-            Response::Error(e) => {
-                assert_eq!(e.code, ErrorCode::InvalidPlan, "{pipeline}");
-                let plan_error = tigr_engine::PlanError::NotSplitInvariant { pipeline };
-                assert_eq!(e.message, plan_error.to_string());
-            }
-            other => panic!("{pipeline}: {other:?}"),
-        };
-        let khop = |source: u32| QueryRequest::new("udt", Algo::Khop, Some(source)).with_limit(1);
-        refused(core.submit(Request::Query(khop(0))), "khop");
-        let paths = QueryRequest::new("udt", Algo::Paths, Some(0)).with_limit(1);
-        refused(core.submit(Request::Query(paths)), "paths");
-        let jobs: Vec<Job> = [0, 1]
-            .into_iter()
-            .map(|source| Job {
-                pipeline: Pipeline::khop(1),
-                request: khop(source),
-                token: CancelToken::never(),
-                has_deadline: false,
-                received: Instant::now(),
-                slot: ReplySlot::new(),
-                pinned: None,
-            })
-            .collect();
-        let slots: Vec<Arc<ReplySlot>> = jobs.iter().map(|j| Arc::clone(&j.slot)).collect();
-        core.execute(jobs, &mut BatchArena::new());
-        for slot in slots {
-            refused(slot.wait(), "khop");
-        }
-        let engine = Engine::default().with_backend(BackendKind::Sequential);
-        for algo in [Algo::Bfs, Algo::Sssp] {
-            let mut req = QueryRequest::new("udt", algo, Some(0));
-            req.include_values = true;
-            let served = match core.submit(Request::Query(req)) {
-                Response::Query(q) => q,
-                other => panic!("{algo:?}: {other:?}"),
-            };
-            let pipeline = Pipeline::for_algo(algo, None).unwrap();
-            let direct = engine
-                .run_prepared_pipeline(&plain, &pipeline, Some(NodeId::new(0)))
-                .unwrap();
-            assert_eq!(served.values, Some(direct.values), "{algo:?}");
         }
         core.shutdown();
     }

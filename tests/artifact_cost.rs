@@ -7,8 +7,6 @@
 
 mod common;
 
-use std::time::Instant;
-
 use tigr::core::{GraphStore, PrepareSpec};
 use tigr::graph::io::{
     checksums, write_sections, Section, SectionParts, SECTION_CSR, SECTION_OVERLAY,
@@ -18,8 +16,9 @@ use tigr::graph::io::{
 /// Encode + hash + write of the serving views (`rmat:15:16`, weights
 /// 1–64, coalesced K = 10 overlay, transpose and reverse overlay) into
 /// memory, streamed, at no more than 0.75x the buffered reference's
-/// cost: fastest of five interleaved runs each. One core reads ≈ 0.55,
-/// two ≈ 0.35.
+/// cost: fastest of 21 order-flipped pairs of runs. With one core free
+/// it reads ≈ 0.6–0.7 optimised and under the test profile, with two
+/// ≈ 0.37.
 #[test]
 fn streaming_the_artifact_costs_under_0_75x_the_buffered_reference() {
     let spec = PrepareSpec::generated("rmat:15:16", 1)
@@ -33,33 +32,45 @@ fn streaming_the_artifact_costs_under_0_75x_the_buffered_reference() {
         p.rev_overlay().unwrap(),
     );
     let echo = b"tigr-prepare-v2|serving views";
-    let (mut streamed_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    for _ in 0..5 {
-        let started = Instant::now();
-        let parts = [
-            SectionParts::new(SECTION_SPEC).bytes(&echo[..]),
-            SectionParts::csr(SECTION_CSR, p.graph()),
-            SectionParts::csr(SECTION_TRANSPOSE, t),
-            overlay.section(SECTION_OVERLAY),
-            reverse.section(SECTION_REV_OVERLAY),
-        ];
-        let mut streamed = Vec::new();
-        write_sections(&parts, &checksums(&parts), &mut streamed).unwrap();
-        streamed_ms = streamed_ms.min(started.elapsed().as_secs_f64() * 1e3);
-
-        let started = Instant::now();
-        let sections = [
-            Section::new(SECTION_SPEC, echo.to_vec()),
-            Section::new(SECTION_CSR, common::encode_csr(p.graph())),
-            Section::new(SECTION_TRANSPOSE, common::encode_csr(t)),
-            Section::new(SECTION_OVERLAY, common::overlay_section_bytes(overlay)),
-            Section::new(SECTION_REV_OVERLAY, common::overlay_section_bytes(reverse)),
-        ];
-        let mut reference = Vec::new();
-        common::write_container(&sections, &mut reference).unwrap();
-        reference_ms = reference_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        assert!(streamed == reference, "streamed artifact differs");
-    }
+    // Both sides write into the buffers the pair before them filled, so
+    // neither pays for faulting in an 11 MB output's fresh pages.
+    let spare = std::cell::RefCell::new(Vec::<Vec<u8>>::new());
+    let recycled = || {
+        let mut buffer = spare.borrow_mut().pop().unwrap_or_default();
+        buffer.clear();
+        buffer
+    };
+    let (streamed_ms, reference_ms) = common::fastest_pairs(
+        21,
+        || {
+            let parts = [
+                SectionParts::new(SECTION_SPEC).bytes(&echo[..]),
+                SectionParts::csr(SECTION_CSR, p.graph()),
+                SectionParts::csr(SECTION_TRANSPOSE, t),
+                overlay.section(SECTION_OVERLAY),
+                reverse.section(SECTION_REV_OVERLAY),
+            ];
+            let mut streamed = recycled();
+            write_sections(&parts, &checksums(&parts), &mut streamed).unwrap();
+            streamed
+        },
+        || {
+            let sections = [
+                Section::new(SECTION_SPEC, echo.to_vec()),
+                Section::new(SECTION_CSR, common::encode_csr(p.graph())),
+                Section::new(SECTION_TRANSPOSE, common::encode_csr(t)),
+                Section::new(SECTION_OVERLAY, common::overlay_section_bytes(overlay)),
+                Section::new(SECTION_REV_OVERLAY, common::overlay_section_bytes(reverse)),
+            ];
+            let mut reference = recycled();
+            common::write_container(&sections, &mut reference).unwrap();
+            reference
+        },
+        |streamed, reference| {
+            assert!(streamed == reference, "streamed artifact differs");
+            spare.borrow_mut().extend([streamed, reference]);
+        },
+    );
     let ratio = streamed_ms / reference_ms;
     let bound = 0.75;
     println!("streamed {streamed_ms:.2} ms / buffered reference {reference_ms:.2} ms = {ratio:.2}");

@@ -527,27 +527,16 @@ fn lanes_are_the_plain_reference_run_at_no_more_than_1_5x_its_cost() {
         assert!(!got.converged && !want.converged, "{shape}/lp: converged");
     }
 
-    // Cost: engine and reference interleaved, per-source minimum of
-    // three, medians over the sixteen sources.
-    let clock = |run: &mut dyn FnMut() -> u64| {
-        let started = std::time::Instant::now();
-        let edges = run();
-        (started.elapsed().as_secs_f64() * 1e3, edges)
-    };
+    // Cost: per-source fastest of three order-flipped pairs, medians
+    // over the sixteen sources.
     let (mut engine_ms, mut reference_ms) = (Vec::new(), Vec::new());
     for &s in &sources {
-        let (mut engine, mut reference) = (f64::MAX, f64::MAX);
-        for _ in 0..3 {
-            let (ms, edges) = clock(&mut || {
-                lane(&weighted, MonotoneProgram::SSSP, Some(s), &served).edges_touched
-            });
-            engine = engine.min(ms);
-            let (ms, same) = clock(&mut || {
-                reference_push(&weighted, MonotoneProgram::SSSP, Some(s), &served).edges_touched
-            });
-            reference = reference.min(ms);
-            assert_eq!(edges, same);
-        }
+        let (engine, reference) = common::fastest_pairs(
+            3,
+            || lane(&weighted, MonotoneProgram::SSSP, Some(s), &served).edges_touched,
+            || reference_push(&weighted, MonotoneProgram::SSSP, Some(s), &served).edges_touched,
+            |edges, same| assert_eq!(edges, same),
+        );
         engine_ms.push(engine);
         reference_ms.push(reference);
     }

@@ -11,13 +11,15 @@
 //! that stepped every lane of a warp, whose counters the simulator's must
 //! equal, the digit-at-a-time `values` text codec the wire's word-at-
 //! a-time one must outrun, and the sorting split assembly whose CSR the
-//! one-pass `apply_split` must reproduce byte for byte.
+//! one-pass `apply_split` must reproduce byte for byte. The cost guards
+//! that time one against the other all sample through [`fastest_pairs`].
 
 #![allow(dead_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufWriter, Write};
+use std::time::Instant;
 use tigr::engine::{
     run_monotone, Combine, EdgeOp, ExecutionPlan, InitKind, MonotoneOutput, PrOptions, SyncMode,
 };
@@ -832,4 +834,35 @@ pub fn reference_split(
         builder.add(Edge::new(src, dst, if keep_weights { w } else { 1 }));
     }
     (builder.build(), flags, family_root)
+}
+
+/// Times `pairs` pairs of runs of `a` and of `b` and returns the fastest
+/// run of each side in milliseconds. Each pair flips which side runs
+/// first, so neither always inherits the other's cache state or a
+/// neighbour's burst; the fastest run is the one the least disturbed.
+/// `check` gets every pair's two outputs.
+pub fn fastest_pairs<A, B>(
+    pairs: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+    mut check: impl FnMut(A, B),
+) -> (f64, f64) {
+    fn timed<T>(run: &mut impl FnMut() -> T, best: &mut f64) -> T {
+        let started = Instant::now();
+        let out = run();
+        *best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        out
+    }
+    let (mut a_ms, mut b_ms) = (f64::MAX, f64::MAX);
+    for pair in 0..pairs {
+        let (x, y) = if pair % 2 == 0 {
+            let x = timed(&mut a, &mut a_ms);
+            (x, timed(&mut b, &mut b_ms))
+        } else {
+            let y = timed(&mut b, &mut b_ms);
+            (timed(&mut a, &mut a_ms), y)
+        };
+        check(x, y);
+    }
+    (a_ms, b_ms)
 }

@@ -240,7 +240,7 @@ proptest! {
 /// A host `pr` over a prepared Tigr-V+ graph with its transpose costs
 /// what a plain gather costs: `common::reference_pagerank`, a `Vec<f32>`
 /// of shares and one row loop, shares no code with the engine. The two
-/// return the same bits; timed interleaved, fastest of seven. Optimized,
+/// return the same bits; fastest of seven order-flipped pairs. Optimized,
 /// the ratio is 1.10–1.20 and the bound 1.3 (`scripts/verify.sh` runs
 /// this under `--release`); when the host scattered over the overlay and
 /// divided per edge it was ≈ 1.47. The test profile keeps debug
@@ -259,20 +259,20 @@ fn host_pagerank_costs_what_a_plain_gather_costs() {
     let pipeline = Pipeline::pagerank(options);
     let engine = Engine::new(GpuConfig::default()).with_backend(BackendKind::Sequential);
 
-    let (mut engine_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    for _ in 0..7 {
-        let started = std::time::Instant::now();
-        let host = engine
-            .run_prepared_pipeline(&prepared, &pipeline, None)
-            .unwrap();
-        engine_ms = engine_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        let started = std::time::Instant::now();
-        let reference = common::reference_pagerank(rev, &degrees, &options);
-        reference_ms = reference_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(host.values, bits(&reference.ranks));
-        assert_eq!(host.iterations as usize, reference.iterations);
-        assert!(host.converged && reference.converged);
-    }
+    let (engine_ms, reference_ms) = common::fastest_pairs(
+        7,
+        || {
+            engine
+                .run_prepared_pipeline(&prepared, &pipeline, None)
+                .unwrap()
+        },
+        || common::reference_pagerank(rev, &degrees, &options),
+        |host, reference| {
+            assert_eq!(host.values, bits(&reference.ranks));
+            assert_eq!(host.iterations as usize, reference.iterations);
+            assert!(host.converged && reference.converged);
+        },
+    );
     let ratio = engine_ms / reference_ms;
     let bound = if cfg!(debug_assertions) { 1.5 } else { 1.3 };
     println!(

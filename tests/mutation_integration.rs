@@ -704,15 +704,6 @@ proptest! {
     }
 }
 
-/// Milliseconds of the fastest of `runs`. The other tests of this binary
-/// run beside the timed loop on the same cores, and whatever they add to a
-/// sample they only add; with a run down to ≈ 5 ms, the median of five let
-/// one burst through in twenty (a ratio of 1.89 where the undisturbed one
-/// is 1.00–1.05), hence the fastest of fifteen.
-fn fastest_ms(runs: Vec<std::time::Duration>) -> f64 {
-    runs.into_iter().min().expect("timed runs").as_secs_f64() * 1e3
-}
-
 /// A ≈ 2 k-edge delta over `g`: 2 048 adds between pseudo-random
 /// endpoints, then 64 removes of base edges spread evenly over the edge
 /// array.
@@ -764,20 +755,22 @@ fn dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs() {
     // The highest-degree node reaches the giant component.
     let source = g.nodes().max_by_key(|&u| g.out_degree(u)).map(NodeId::raw);
 
-    let (mut dirty, mut clean) = (Vec::new(), Vec::new());
-    for _ in 0..15 {
-        let started = std::time::Instant::now();
-        let on_view = lane_runs(&view, MonotoneProgram::SSSP, [source]).remove(0);
-        dirty.push(started.elapsed());
-        let started = std::time::Instant::now();
-        let on_merged = lane_runs(merged.graph(), MonotoneProgram::SSSP, [source]).remove(0);
-        clean.push(started.elapsed());
-        assert_eq!(on_view.values, on_merged.values);
-        assert_eq!(on_view.directions.len(), on_merged.directions.len());
-        assert_eq!(on_view.edges_touched, on_merged.edges_touched);
-        assert!(on_view.edges_touched > m / 2, "source reaches too little");
-    }
-    let (dirty, clean) = (fastest_ms(dirty), fastest_ms(clean));
+    // The other tests of this binary run beside the timed loop on the
+    // same cores, and whatever they add to a sample they only add; with a
+    // run down to ≈ 5 ms, the median of five let one burst through in
+    // twenty (a ratio of 1.89 where the undisturbed one is 1.00–1.05),
+    // hence the fastest of fifteen pairs.
+    let (dirty, clean) = common::fastest_pairs(
+        15,
+        || lane_runs(&view, MonotoneProgram::SSSP, [source]).remove(0),
+        || lane_runs(merged.graph(), MonotoneProgram::SSSP, [source]).remove(0),
+        |on_view, on_merged| {
+            assert_eq!(on_view.values, on_merged.values);
+            assert_eq!(on_view.directions.len(), on_merged.directions.len());
+            assert_eq!(on_view.edges_touched, on_merged.edges_touched);
+            assert!(on_view.edges_touched > m / 2, "source reaches too little");
+        },
+    );
     let ratio = dirty / clean;
     println!("dirty sssp {dirty:.2} ms / merged CSR {clean:.2} ms = {ratio:.2}");
     assert!(
@@ -801,19 +794,16 @@ fn streamed_merge_costs_under_half_the_builder_merge() {
     }
     assert!(overlay.delta_edges() >= 2048);
 
-    let (mut streamed, mut built) = (Vec::new(), Vec::new());
-    for _ in 0..7 {
-        let started = std::time::Instant::now();
-        let by_rows = overlay.merged_csr(&g);
-        streamed.push(started.elapsed());
-        let started = std::time::Instant::now();
-        let mut builder = CsrBuilder::from_edges(overlay.num_nodes(), overlay.merged_edges(&g));
-        builder.force_weighted(true);
-        let by_builder = builder.build();
-        built.push(started.elapsed());
-        assert_eq!(by_rows, by_builder);
-    }
-    let (streamed, built) = (fastest_ms(streamed), fastest_ms(built));
+    let (streamed, built) = common::fastest_pairs(
+        7,
+        || overlay.merged_csr(&g),
+        || {
+            let mut builder = CsrBuilder::from_edges(overlay.num_nodes(), overlay.merged_edges(&g));
+            builder.force_weighted(true);
+            builder.build()
+        },
+        |by_rows, by_builder| assert_eq!(by_rows, by_builder),
+    );
     let ratio = streamed / built;
     println!("streamed merge {streamed:.2} ms / builder merge {built:.2} ms = {ratio:.2}");
     assert!(

@@ -8,23 +8,19 @@ mod common;
 use tigr::graph::generators::{rmat, RmatConfig};
 
 /// The chunked generator is the sequential one, byte for byte, at no
-/// more than 0.6x its cost optimised: fastest of five interleaved runs
-/// each, `rmat:15:16`. One core reads ≈ 0.5, two ≈ 0.3. The test
+/// more than 0.6x its cost optimised: fastest of five order-flipped
+/// pairs of runs, `rmat:15:16`. One core reads ≈ 0.5, two ≈ 0.3. The test
 /// profile's overflow checks weigh on the chunked inner loop more, so
 /// there the bound is 0.75 (two cores read ≈ 0.35–0.47).
 #[test]
 fn rmat_costs_under_0_6x_the_sequential_reference() {
     let config = RmatConfig::graph500(15, 16);
-    let (mut chunked_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    for _ in 0..5 {
-        let started = std::time::Instant::now();
-        let chunked = rmat(&config, 1);
-        chunked_ms = chunked_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        let started = std::time::Instant::now();
-        let reference = common::reference_rmat(&config, 1);
-        reference_ms = reference_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(chunked, reference);
-    }
+    let (chunked_ms, reference_ms) = common::fastest_pairs(
+        5,
+        || rmat(&config, 1),
+        || common::reference_rmat(&config, 1),
+        |chunked, reference| assert_eq!(chunked, reference),
+    );
     let ratio = chunked_ms / reference_ms;
     let bound = if cfg!(debug_assertions) { 0.75 } else { 0.6 };
     println!("rmat {chunked_ms:.2} ms / sequential reference {reference_ms:.2} ms = {ratio:.2}");

@@ -11,13 +11,15 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
-use tigr::core::{GraphStore, MutableGraph, MutationOp, PrepareSpec, PreparedGraph, ViewPlan};
-use tigr::engine::{BackendKind, Pipeline};
-use tigr::server::{
-    Algo, Client, ClientError, ErrorCode, QueryRequest, Server, ServerAddr, ServerConfig,
-    ServerCore, MAX_REQUEST_LINE,
+use tigr::core::{
+    GraphStore, MutableGraph, MutationOp, PrepareSpec, PreparedGraph, TransformKind, ViewPlan,
 };
-use tigr::{CsrBuilder, Engine, GpuConfig, MonotoneProgram, NodeId};
+use tigr::engine::{BackendKind, Pipeline, PlanError};
+use tigr::server::{
+    Algo, Client, ClientError, ErrorCode, QueryRequest, QueryResult, Server, ServerAddr,
+    ServerConfig, ServerCore, MAX_REQUEST_LINE,
+};
+use tigr::{CsrBuilder, DumbWeight, Engine, GpuConfig, MonotoneProgram, NodeId};
 
 const MIX: [Algo; 4] = [Algo::Bfs, Algo::Sssp, Algo::Sswp, Algo::Cc];
 
@@ -328,6 +330,64 @@ fn mixed_algorithm_burst_partitions_into_per_algorithm_batches() {
     assert_eq!(stats.batched_queries, 16);
     assert_eq!(stats.batches, 4, "burst was not fused per algorithm");
     assert_eq!(stats.max_batch, 4);
+    core.shutdown();
+}
+
+/// A UDT split charges AddUnit's hop for every split edge, so a served
+/// k-hop over it is a typed refusal, alone or fused into lanes, as
+/// bounded paths is; bfs and sssp answer the unsplit graph. The lane
+/// path once lowered verbs through a table of its own that skipped the
+/// engine's plan gate, and answered a split `khop` "ok" with wrong hop
+/// counts.
+#[test]
+fn split_graphs_refuse_khop_on_every_path_and_serve_bfs_exactly() {
+    let store = GraphStore::disabled();
+    let spec = PrepareSpec::generated("star:200", 0);
+    let plain = store.prepare(&spec).unwrap();
+    let udt = spec.with_transform(TransformKind::Udt, Some(4), DumbWeight::Zero);
+    let core = ServerCore::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    core.add_graph("udt", Arc::new(store.prepare(&udt).unwrap()));
+    let refused = |reply: Result<QueryResult, ClientError>, pipeline: &'static str| match reply {
+        Err(ClientError::Protocol(e)) => {
+            assert_eq!(e.code, ErrorCode::InvalidPlan, "{pipeline}");
+            let plan_error = PlanError::NotSplitInvariant { pipeline };
+            assert_eq!(e.message, plan_error.to_string());
+        }
+        other => panic!("{pipeline}: {other:?}"),
+    };
+    let khop = |source: u32| QueryRequest::new("udt", Algo::Khop, Some(source)).with_limit(1);
+    let mut client = Client::local(Arc::clone(&core));
+    refused(client.query(khop(0)), "khop");
+    let paths = QueryRequest::new("udt", Algo::Paths, Some(0)).with_limit(1);
+    refused(client.query(paths), "paths");
+    // Fused: both queue behind the pinned worker and drain as one batch.
+    let blocker = pin_worker(&core);
+    let fused: Vec<_> = [0, 1]
+        .map(|source| {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || Client::local(core).query(khop(source)))
+        })
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .collect();
+    blocker.join().unwrap();
+    for reply in fused {
+        refused(reply, "khop");
+    }
+    let engine = Engine::default().with_backend(BackendKind::Sequential);
+    for algo in [Algo::Bfs, Algo::Sssp] {
+        let mut query = QueryRequest::new("udt", algo, Some(0));
+        query.include_values = true;
+        let served = client.query(query).unwrap();
+        let pipeline = Pipeline::for_algo(algo, None).unwrap();
+        let direct = engine
+            .run_prepared_pipeline(&plain, &pipeline, Some(NodeId::new(0)))
+            .unwrap();
+        assert_eq!(served.values, Some(direct.values), "{algo:?}");
+    }
     core.shutdown();
 }
 
@@ -660,6 +720,8 @@ fn same_epoch_dirty_queries_fuse_and_match_their_solo_and_compacted_answers() {
         (K as u64 + 1, 2 * K as u64)
     );
     assert!(stats.batch_occupancy() > 1.0);
+    let gauges = stats.mutation;
+    assert!(gauges.wal_len > 0 && gauges.delta_edges > 0, "{gauges:?}");
 
     let compacted = client.compact("dirty16").unwrap();
     assert_eq!(compacted.delta_edges_after, 0);
@@ -667,6 +729,9 @@ fn same_epoch_dirty_queries_fuse_and_match_their_solo_and_compacted_answers() {
         let clean = client.query(uncached_sssp("dirty16", s)).unwrap();
         assert_eq!(clean.checksum, sum, "compaction changed sssp/{s}");
     }
+    let gauges = client.stats().unwrap().mutation;
+    let drained = (gauges.wal_len, gauges.delta_edges, gauges.compactions);
+    assert_eq!(drained, (0, 0, 1), "{gauges:?}");
     core.shutdown();
 }
 

@@ -5,8 +5,6 @@
 
 mod common;
 
-use std::time::Instant;
-
 use common::{reference_launch, Recorder};
 use tigr_sim::{GpuConfig, GpuSimulator, KernelMetrics};
 
@@ -71,29 +69,15 @@ fn vplus(tid: usize, lane: &mut impl Recorder) {
     relax(lane, tid, 10, |j| (warp * 10 + j) * 32 + slot, false);
 }
 
-/// Fastest of 21 interleaved runs of `replay` and of `reference`, whose
-/// metrics must agree; fails if the first costs over 0.75 times the
-/// second optimised, 0.9 times under the test profile's overflow checks.
-/// Each pair flips which side runs first, so neither always inherits the
-/// other's cache state or a neighbour's burst.
+/// Fastest of 21 order-flipped pairs of runs of `replay` and of
+/// `reference`, whose metrics must agree; fails if the first costs over
+/// 0.75 times the second optimised, 0.9 times under the test profile's
+/// overflow checks.
 fn guard(name: &str, replay: impl Fn() -> KernelMetrics, reference: impl Fn() -> KernelMetrics) {
-    let timed = |f: &dyn Fn() -> KernelMetrics, best: &mut f64| {
-        let started = Instant::now();
-        let metrics = f();
-        *best = best.min(started.elapsed().as_secs_f64() * 1e3);
-        metrics
-    };
-    let (mut replay_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    for pair in 0..21 {
-        let (replayed, expected) = if pair % 2 == 0 {
-            let replayed = timed(&replay, &mut replay_ms);
-            (replayed, timed(&reference, &mut reference_ms))
-        } else {
-            let expected = timed(&reference, &mut reference_ms);
-            (timed(&replay, &mut replay_ms), expected)
-        };
-        assert_eq!(replayed, expected, "{name}: metrics differ");
-    }
+    let (replay_ms, reference_ms) =
+        common::fastest_pairs(21, replay, reference, |replayed, expected| {
+            assert_eq!(replayed, expected, "{name}: metrics differ")
+        });
     let ratio = replay_ms / reference_ms;
     let bound = if cfg!(debug_assertions) { 0.9 } else { 0.75 };
     println!("{name}: replay {replay_ms:.2} ms / reference {reference_ms:.2} ms = {ratio:.2}");

@@ -5,8 +5,6 @@
 
 mod common;
 
-use std::time::Instant;
-
 use common::reference_split;
 use tigr::core::k_select::physical_k;
 use tigr::core::split::{apply_split, UdtTopology};
@@ -15,40 +13,24 @@ use tigr::DumbWeight;
 
 /// A UDT split of `rmat:15:16` (zero dumb weights, the store's physical
 /// `K`) at no more than 0.35x the reference's cost optimised, 0.5x under
-/// the test profile's overflow checks: fastest of 21 interleaved runs
-/// each, every pair flipping which side runs first, so neither always
-/// inherits the other's cache state or a neighbour's burst. Both sides
-/// run the topology over the same graph; only the assembly differs.
-/// Optimised it reads ≈ 0.06, under the test profile ≈ 0.07.
+/// the test profile's overflow checks: fastest of 21 order-flipped
+/// pairs of runs. Both sides run the topology over the same graph; only
+/// the assembly differs. Optimised it reads ≈ 0.06, under the test
+/// profile ≈ 0.07.
 #[test]
 fn udt_split_costs_under_0_35x_the_sorting_reference() {
     let g = rmat(&RmatConfig::graph500(15, 16), 1);
     let k = physical_k(&g);
-    let (mut split_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    let split = || {
-        let started = Instant::now();
-        let t = apply_split(&UdtTopology, &g, k, DumbWeight::Zero);
-        (t, started.elapsed().as_secs_f64() * 1e3)
-    };
-    let reference = || {
-        let started = Instant::now();
-        let r = reference_split(&UdtTopology, &g, k, DumbWeight::Zero);
-        (r, started.elapsed().as_secs_f64() * 1e3)
-    };
-    for pair in 0..21 {
-        let ((t, t_ms), ((graph, flags, _), r_ms)) = if pair % 2 == 0 {
-            let t = split();
-            (t, reference())
-        } else {
-            let r = reference();
-            (split(), r)
-        };
-        split_ms = split_ms.min(t_ms);
-        reference_ms = reference_ms.min(r_ms);
-        assert!(t.num_split_nodes() > 0, "K = {k} must split rmat:15:16");
-        assert_eq!(t.graph(), &graph);
-        assert!((0..graph.num_edges()).all(|e| t.is_new_edge(e) == flags[e]));
-    }
+    let (split_ms, reference_ms) = common::fastest_pairs(
+        21,
+        || apply_split(&UdtTopology, &g, k, DumbWeight::Zero),
+        || reference_split(&UdtTopology, &g, k, DumbWeight::Zero),
+        |t, (graph, flags, _)| {
+            assert!(t.num_split_nodes() > 0, "K = {k} must split rmat:15:16");
+            assert_eq!(t.graph(), &graph);
+            assert!((0..graph.num_edges()).all(|e| t.is_new_edge(e) == flags[e]));
+        },
+    );
     let ratio = split_ms / reference_ms;
     let bound = if cfg!(debug_assertions) { 0.5 } else { 0.35 };
     println!("udt split {split_ms:.2} ms / sorting reference {reference_ms:.2} ms = {ratio:.2}");

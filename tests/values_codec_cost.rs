@@ -6,8 +6,6 @@
 
 mod common;
 
-use std::time::Instant;
-
 use common::{reference_read_values, reference_write_values};
 use tigr::server::json;
 use tigr::server::{decode_response, encode_response, Algo, QueryResult, Response};
@@ -33,34 +31,19 @@ fn g17_values() -> Vec<u32> {
         .collect()
 }
 
-/// Fastest of 21 pairs of runs of `codec` and of `reference`, whose
-/// results must agree by `same`; fails if the first costs over `bound`
-/// times the second. Each pair flips which side runs first, so neither
-/// always inherits the other's warm cache or the core's clock.
-fn guard<A: std::fmt::Debug, B: std::fmt::Debug>(
+/// Fastest of 21 order-flipped pairs of runs of `codec` and of
+/// `reference`, whose results must agree by `same`; fails if the first
+/// costs over `bound` times the second.
+fn guard<A, B>(
     name: &str,
     bound: f64,
     codec: impl Fn() -> A,
     reference: impl Fn() -> B,
     same: impl Fn(&A, &B) -> bool,
 ) {
-    fn timed<T>(f: &impl Fn() -> T, best: &mut f64) -> T {
-        let started = Instant::now();
-        let out = f();
-        *best = best.min(started.elapsed().as_secs_f64() * 1e3);
-        out
-    }
-    let (mut codec_ms, mut reference_ms) = (f64::MAX, f64::MAX);
-    for pair in 0..21 {
-        let (got, want) = if pair % 2 == 0 {
-            let got = timed(&codec, &mut codec_ms);
-            (got, timed(&reference, &mut reference_ms))
-        } else {
-            let want = timed(&reference, &mut reference_ms);
-            (timed(&codec, &mut codec_ms), want)
-        };
-        assert!(same(&got, &want), "{name}: results differ");
-    }
+    let (codec_ms, reference_ms) = common::fastest_pairs(21, codec, reference, |got, want| {
+        assert!(same(&got, &want), "{name}: results differ")
+    });
     let ratio = codec_ms / reference_ms;
     println!("{name}: codec {codec_ms:.2} ms / reference {reference_ms:.2} ms = {ratio:.2}");
     assert!(
