@@ -14,7 +14,6 @@
 //! | `table7_transform_time` | Table 7 (transformation time) |
 //! | `table8_sssp_detail` | Table 8 (SSSP case study) |
 //! | `ablation_k_sweep` | §5 / §6.4 K-sensitivity observations |
-//! | `ablation_serve` | serving throughput and result-cache cold-vs-hit |
 //!
 //! Run with `cargo run --release -p tigr-bench --bin <name>`. The analog
 //! scale is `1/TIGR_SCALE` of the paper's node counts

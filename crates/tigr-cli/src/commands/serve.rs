@@ -34,7 +34,6 @@ pub fn run(args: &Args) -> CmdResult {
     };
     let config = ServerConfig {
         workers: args.flag_or("workers", ServerConfig::default().workers)?,
-        executors: args.flag_or("executors", ServerConfig::default().executors)?,
         kernel_threads: args.flag_or("kernel-threads", ServerConfig::default().kernel_threads)?,
         queue_capacity: args.flag_or("queue", ServerConfig::default().queue_capacity)?,
         cache_capacity: args.flag_or("cache-capacity", ServerConfig::default().cache_capacity)?,
@@ -148,7 +147,6 @@ const FLAGS: &[&str] = &[
     "socket",
     "port-file",
     "workers",
-    "executors",
     "kernel-threads",
     "queue",
     "cache-capacity",
@@ -166,12 +164,14 @@ const FLAGS: &[&str] = &[
 
 const USAGE: &str = "usage: tigr serve --graph <file> [--name N] \
 [--port P | --socket PATH] [--port-file PATH] [--workers N] \
-[--executors N] [--kernel-threads N] [--queue N] \
+[--kernel-threads N] [--queue N] \
 [--cache-capacity N] [--default-deadline-ms MS] \
 [--batch-max N] [--batch-wait-us US] \
 [--mutable [--compact-threshold N]] \
 [--virtual K [--coalesced]] [--duration SECS] [--cache-dir DIR] \
 [--verify eager|lazy]
+  --workers N         query thread budget (default 4): it runs N / kernel-threads
+                      batch executors (at least 1)
   --kernel-threads N  threads each executor deals a fused batch's lanes across (default 1);
                       every answer is byte-identical whatever N is";
 
@@ -213,10 +213,13 @@ mod tests {
     #[test]
     fn unknown_flags_are_refused_with_the_usage() {
         let (path, _) = fixture("tigr_cli_serve_unknown_flag_test");
-        // Refused before the daemon binds or blocks.
-        let err = run(&parse(&format!("--graph {path} --duration 0 --threads 2"))).unwrap_err();
-        assert!(err.starts_with("unknown flag --threads"), "{err}");
-        assert!(err.contains("usage: tigr serve"), "{err}");
+        // Refused before the daemon binds or blocks. There is no
+        // executor-count flag: the count is derived from --workers.
+        for flag in ["threads", "executors"] {
+            let err = run(&parse(&format!("--graph {path} --duration 0 --{flag} 2"))).unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag --{flag}")), "{err}");
+            assert!(err.contains("usage: tigr serve"), "{err}");
+        }
     }
 
     #[test]
@@ -269,7 +272,7 @@ mod tests {
         let pf = port_file.to_str().unwrap().to_string();
         let serve_args = parse(&format!(
             "--graph {path} --name demo --duration 0.4 --port-file {pf} \
-             --executors 2 --kernel-threads 2"
+             --workers 4 --kernel-threads 2"
         ));
         let handle = std::thread::spawn(move || run(&serve_args));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);

@@ -60,7 +60,6 @@ mod state;
 
 pub use algorithms::bc::{self, BcOutput};
 pub use algorithms::pr::{self, PrMode, PrOptions, PrOutput};
-pub use algorithms::Analytic;
 pub use batch::{run_batch_push, BatchArena, BatchLane, BatchOutput, BatchProgram};
 pub use frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep, DENSE_FRACTION};
 pub use kernel::{

@@ -128,11 +128,6 @@ impl CsrBuilder {
         self
     }
 
-    /// Number of edges currently staged (before symmetrization expansion).
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     fn push(&mut self, e: Edge) {
         assert!(
             e.src.index() < self.num_nodes && e.dst.index() < self.num_nodes,

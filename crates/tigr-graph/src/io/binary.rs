@@ -602,11 +602,6 @@ impl MappedContainer {
         self.segment.is_mapped()
     }
 
-    /// The verification mode the container was opened with.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.verify
-    }
-
     /// The validated section table.
     pub fn sections(&self) -> &[SectionRef] {
         &self.sections

@@ -155,17 +155,6 @@ impl Segment {
         Ok(Segment::Owned(buf))
     }
 
-    /// Reads `file` into an owned segment regardless of platform.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read failures.
-    pub fn read_file(file: &mut File) -> std::io::Result<Segment> {
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        Ok(Segment::Owned(buf))
-    }
-
     /// The segment's bytes.
     pub fn as_bytes(&self) -> &[u8] {
         match self {

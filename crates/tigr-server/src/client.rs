@@ -3,7 +3,7 @@
 //!
 //! One client is one logical connection: requests are answered in
 //! order. For concurrent load, open one client per thread — that is
-//! what the `ablation_serve` benchmark and the integration tests do.
+//! what the benchmark harness and the integration tests do.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

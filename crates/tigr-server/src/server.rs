@@ -66,15 +66,12 @@ use crate::stats::{GraphOpenStat, MutationGauges, StatsRecorder};
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Total thread budget for query execution. With `executors = 0`
-    /// this is divided by `kernel_threads` to derive the executor
-    /// count, so raising `kernel_threads` trades executor concurrency
-    /// for per-batch parallelism inside a fixed budget.
+    /// Total thread budget for query execution. It is divided by
+    /// `kernel_threads` to derive the executor count (see
+    /// [`ServerConfig::executor_count`]), so raising `kernel_threads`
+    /// trades executor concurrency for per-batch parallelism inside a
+    /// fixed budget.
     pub workers: usize,
-    /// Batch executors pulling from the admission queue (`0` = derive
-    /// from `workers / kernel_threads`, min 1). Each executor owns its
-    /// own [`BatchArena`].
-    pub executors: usize,
     /// Threads each executor deals a batch's lanes across, in
     /// contiguous chunks (`1`, the default, runs every lane on the
     /// executor itself; a one-lane batch never spawns). Answers are
@@ -104,7 +101,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            executors: 0,
             kernel_threads: 1,
             queue_capacity: 128,
             cache_capacity: 256,
@@ -117,15 +113,11 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Batch executors actually spawned: `executors` when non-zero,
-    /// otherwise `workers / kernel_threads` (min 1) so the total
-    /// thread budget stays near `workers`.
+    /// Batch executors spawned, each pulling from the admission queue
+    /// with its own [`BatchArena`]: `workers / kernel_threads` (min 1),
+    /// so the total thread budget stays near `workers`.
     pub fn executor_count(&self) -> usize {
-        if self.executors > 0 {
-            self.executors
-        } else {
-            (self.workers / self.kernel_threads.max(1)).max(1)
-        }
+        (self.workers / self.kernel_threads.max(1)).max(1)
     }
 }
 
@@ -454,26 +446,16 @@ impl ServerCore {
                 format!("{} takes no source", query.algo.label()),
             );
         }
-        // Limit arity likewise: the wire decoder already rejects these,
-        // but in-process clients deserve the same typed answer.
-        if query.algo.needs_limit() && query.limit.is_none() {
-            self.stats.record_failed();
-            return Response::error(
-                ErrorCode::BadRequest,
-                format!(
-                    "{} requires a limit ({})",
-                    query.algo.label(),
-                    query.algo.limit_name().unwrap_or("limit"),
-                ),
-            );
-        }
-        if !query.algo.needs_limit() && query.limit.is_some() {
-            self.stats.record_failed();
-            return Response::error(
-                ErrorCode::BadRequest,
-                format!("{} takes no limit", query.algo.label()),
-            );
-        }
+        // Limit arity likewise, as the pipeline itself checks it: the
+        // wire decoder already rejects these, but in-process clients
+        // deserve the same typed answer.
+        let pipeline = match Pipeline::for_algo(query.algo, query.limit) {
+            Ok(pipeline) => pipeline,
+            Err(e) => {
+                self.stats.record_failed();
+                return Response::error(ErrorCode::BadRequest, e.to_string());
+            }
+        };
         if let Some(source) = query.source {
             if source as usize >= num_nodes {
                 self.stats.record_failed();
@@ -483,8 +465,6 @@ impl ServerCore {
                 );
             }
         }
-        let pipeline = Pipeline::for_algo(query.algo, query.limit)
-            .expect("source and limit arity were checked above");
         let deadline_ms = query.deadline_ms.or(self.config.default_deadline_ms);
         let token = match deadline_ms {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
@@ -1189,7 +1169,6 @@ mod tests {
             ..ServerConfig::default()
         });
         let par = small_core(ServerConfig {
-            executors: 2,
             kernel_threads: 2,
             cache_capacity: 0,
             ..ServerConfig::default()
@@ -1251,6 +1230,7 @@ mod tests {
             (Algo::Paths, Some(3), Some(90)),
             (Algo::Lp, None, Some(4)),
             (Algo::Tc, None, None),
+            (Algo::Pr, None, None),
         ] {
             let mut req = QueryRequest::new("rmat8", algo, source);
             req.limit = limit;
@@ -1273,7 +1253,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         for (label, count) in &stats.algo_completed {
-            let expected = if ["bc", "khop", "paths", "lp", "tc"].contains(&label.as_str()) {
+            let expected = if ["bc", "khop", "paths", "lp", "tc", "pr"].contains(&label.as_str()) {
                 2
             } else {
                 0

@@ -41,15 +41,6 @@ impl MemAccess {
         }
     }
 
-    /// Convenience constructor for a 4-byte store.
-    pub fn store4(addr: u64) -> Self {
-        MemAccess {
-            addr,
-            bytes: 4,
-            kind: AccessKind::Store,
-        }
-    }
-
     /// Convenience constructor for a 4-byte atomic RMW.
     pub fn atomic4(addr: u64) -> Self {
         MemAccess {

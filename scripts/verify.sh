@@ -40,11 +40,6 @@ cargo test -q --workspace --exclude tigr
 echo "== benches compile =="
 cargo bench --workspace --no-run
 
-echo "== serve ablation smoke =="
-# Also the compile check for the ablation_serve bin; asserts the
-# result-cache hit speedup and cross-cell checksum agreement itself.
-cargo run --release -p tigr-bench --bin ablation_serve -- --smoke
-
 echo "== benchmark quick =="
 # The harness under benchmark/ is a workspace of its own that compiles
 # against the public API of the crates and may not be edited by a change

@@ -487,7 +487,7 @@ fn dirty_batches_dealt_across_kernel_threads_answer_like_one_thread() {
 
     let core = |kernel_threads| {
         let core = ServerCore::new(ServerConfig {
-            executors: 1,
+            workers: kernel_threads,
             kernel_threads,
             cache_capacity: 0,
             batch_max: 8,

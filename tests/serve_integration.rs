@@ -96,7 +96,6 @@ fn sixty_four_concurrent_queries_match_sequential_runs() {
         queue_capacity: 128,
         cache_capacity: 256,
         default_deadline_ms: None,
-        executors: 0,
         kernel_threads: 1,
         batch_max: 8,
         batch_wait_us: 0,
@@ -166,7 +165,6 @@ fn overflowing_the_admission_queue_rejects_with_typed_errors() {
         queue_capacity: 2,
         cache_capacity: 0,
         default_deadline_ms: None,
-        executors: 0,
         kernel_threads: 1,
         batch_max: 8,
         batch_wait_us: 0,
@@ -230,7 +228,6 @@ fn cancelled_sssp_leaves_no_partial_state_in_the_cache() {
         queue_capacity: 8,
         cache_capacity: 64,
         default_deadline_ms: None,
-        executors: 0,
         kernel_threads: 1,
         batch_max: 8,
         batch_wait_us: 0,
@@ -281,7 +278,6 @@ fn mixed_algorithm_burst_partitions_into_per_algorithm_batches() {
         queue_capacity: 128,
         cache_capacity: 0,
         default_deadline_ms: None,
-        executors: 0,
         kernel_threads: 1,
         batch_max: 8,
         batch_wait_us: 0,
@@ -404,7 +400,6 @@ fn cancelled_query_in_a_batch_poisons_only_its_own_lane() {
         queue_capacity: 16,
         cache_capacity: 64,
         default_deadline_ms: None,
-        executors: 0,
         kernel_threads: 1,
         batch_max: 8,
         batch_wait_us: 0,
@@ -552,7 +547,6 @@ fn checksums_are_identical_across_runs_and_worker_counts() {
             queue_capacity: 128,
             cache_capacity: 0,
             default_deadline_ms: None,
-            executors: 0,
             kernel_threads: 1,
             batch_max: 8,
             batch_wait_us: 0,

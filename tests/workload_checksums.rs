@@ -200,7 +200,7 @@ fn batched_answers_equal_unbatched_ones_at_one_and_two_kernel_threads() {
             ..ServerConfig::default()
         },
         ServerConfig {
-            executors: 1,
+            workers: 2,
             kernel_threads: 2,
             batch_max: 8,
             batch_wait_us: 300_000,
