@@ -1,7 +1,7 @@
 //! Recursive-matrix (RMAT) power-law graph generator.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::rngs::{StdRng, StdRngLanes};
+use rand::SeedableRng;
 
 use crate::chunked;
 use crate::csr::Csr;
@@ -111,9 +111,11 @@ impl RmatConfig {
 /// Edge `i` is drawn from the `i`-th stretch of one seeded stream, so the
 /// edges can be cut into contiguous chunks and generated in parallel,
 /// each chunk's generator jumped ahead to where the sequential stream
-/// would be ([`StdRng::advance`]). The output is the same bytes at any
-/// thread count. A chunk gets at least 32 768 edges, so a small graph, or
-/// a one-core host, generates on the calling thread alone.
+/// would be ([`StdRng::advance`]). Within a chunk, eight lanes draw eight
+/// runs of it at once where the CPU has AVX-512DQ and VL. The output is
+/// the same bytes at any thread count and on any CPU. A chunk gets at
+/// least 32 768 edges, so a small graph, or a one-core host, generates
+/// on the calling thread alone.
 ///
 /// # Panics
 ///
@@ -137,46 +139,141 @@ pub(crate) fn rmat_chunked(config: &RmatConfig, seed: u64, chunks: usize) -> Csr
 }
 
 /// Fills `out` with edges `start..start + out.len()` of the stream
-/// seeded by `seed`.
+/// seeded by `seed`: eight lanes at a time where the CPU has AVX-512DQ
+/// and VL, one at a time for the rest of `out` and on every other CPU.
+fn draw_edges(config: &RmatConfig, seed: u64, start: usize, out: &mut [(u32, u32)]) {
+    let done = draw_wide(config, seed, start, out);
+    draw_lanes(
+        config,
+        seed,
+        start + done,
+        &mut out[done..],
+        StdRngLanes::<1>::gen_f64s,
+    );
+}
+
+/// Draws the longest prefix of `out` that eight AVX-512 lanes divide
+/// when the CPU has the features, and returns its length (`0` when it
+/// has not).
+#[cfg(target_arch = "x86_64")]
+fn draw_wide(config: &RmatConfig, seed: u64, start: usize, out: &mut [(u32, u32)]) -> usize {
+    if is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+    {
+        // SAFETY: `draw_lanes_avx512` is compiled for exactly the three
+        // features detected on this CPU just above.
+        unsafe { draw_lanes_avx512(config, seed, start, out) }
+    } else {
+        0
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn draw_wide(_: &RmatConfig, _: u64, _: usize, _: &mut [(u32, u32)]) -> usize {
+    0
+}
+
+/// [`draw_lanes`] at eight lanes compiled for AVX-512: one `zmm`
+/// register holds a state word, an `f64` or a comparison of all eight
+/// lanes, and `vpmullq`/`vcvtqq2pd` do the 64-bit multiplies and the
+/// `u64 → f64` conversions that SSE2 and AVX2 lack.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn draw_lanes_avx512(
+    config: &RmatConfig,
+    seed: u64,
+    start: usize,
+    out: &mut [(u32, u32)],
+) -> usize {
+    draw_lanes(config, seed, start, out, |rng: &mut StdRngLanes<8>| {
+        rng.gen_f64s_avx512()
+    })
+}
+
+/// Fills the first `W · ⌊out.len() / W⌋` edges of `out` — edges `start`
+/// onwards of the stream seeded by `seed` — and returns how many.
+/// Lane `l` draws the `l`-th of `W` contiguous runs of them, its
+/// generator jumped to where the sequential stream starts that run
+/// ([`StdRng::advance`]); the lanes step in lockstep, each draw taken
+/// by `gen_f64s` ([`StdRngLanes::gen_f64s`] or a form of it compiled
+/// for the CPU). `W = 1` is the sequential generator itself. Always
+/// inlined, so the eight-lane instance is compiled for the features of
+/// [`draw_lanes_avx512`], its one caller outside the tests.
 ///
 /// Each recursion level draws four noise factors (when `noise > 0`),
 /// then one uniform `r` that picks the quadrant: `q` counts the
 /// cumulative thresholds `r` has passed, and its two bits are the
 /// level's source and destination bits — the same `f64` expressions,
 /// so the same choices, as walking the thresholds with branches.
-fn draw_edges(config: &RmatConfig, seed: u64, start: usize, out: &mut [(u32, u32)]) {
-    let noisy = config.noise > 0.0;
-    let draws_per_edge = u128::from(config.scale) * if noisy { 5 } else { 1 };
-    let mut rng = StdRng::seed_from_u64(seed);
-    rng.advance(start as u128 * draws_per_edge);
+#[inline(always)]
+fn draw_lanes<const W: usize>(
+    config: &RmatConfig,
+    seed: u64,
+    start: usize,
+    out: &mut [(u32, u32)],
+    gen_f64s: impl FnMut(&mut StdRngLanes<W>) -> [f64; W],
+) -> usize {
+    // One loop per noise setting: a run-time test inside the level loop
+    // merges the noisy and the plain probabilities lane by lane, which
+    // keeps the floats of eight lanes out of vector registers.
+    if config.noise > 0.0 {
+        draw_runs::<W, true>(config, seed, start, out, gen_f64s)
+    } else {
+        draw_runs::<W, false>(config, seed, start, out, gen_f64s)
+    }
+}
+
+/// [`draw_lanes`] for `config.noise > 0.0 == NOISY`.
+#[inline(always)]
+fn draw_runs<const W: usize, const NOISY: bool>(
+    config: &RmatConfig,
+    seed: u64,
+    start: usize,
+    out: &mut [(u32, u32)],
+    mut gen_f64s: impl FnMut(&mut StdRngLanes<W>) -> [f64; W],
+) -> usize {
+    let run = out.len() / W;
+    let draws_per_edge = u128::from(config.scale) * if NOISY { 5 } else { 1 };
+    let mut rng = StdRngLanes::<W>::new(std::array::from_fn(|l| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        rng.advance((start + l * run) as u128 * draws_per_edge);
+        rng
+    }));
     let (lo, span) = (1.0 - config.noise, 2.0 * config.noise);
     let d = config.d();
-    for edge in out {
-        let (mut src, mut dst) = (0u32, 0u32);
+    for edge in 0..run {
+        let (mut src, mut dst) = ([0u32; W], [0u32; W]);
         for level in (0..config.scale).rev() {
-            // Multiplicative noise keeps the expected simplex but perturbs
-            // each level, smoothing the synthetic degree distribution.
-            let mut jitter = |p: f64| {
-                if noisy {
-                    p * (lo + span * rng.gen::<f64>())
-                } else {
-                    p
+            let mut p = [[config.a; W], [config.b; W], [config.c; W], [d; W]];
+            if NOISY {
+                // Multiplicative noise keeps the expected simplex but
+                // perturbs each level, smoothing the synthetic degree
+                // distribution.
+                for p in &mut p {
+                    let u = gen_f64s(&mut rng);
+                    for l in 0..W {
+                        p[l] *= lo + span * u[l];
+                    }
                 }
-            };
-            let (a, b, c, d) = (
-                jitter(config.a),
-                jitter(config.b),
-                jitter(config.c),
-                jitter(d),
-            );
-            let total = a + b + c + d;
-            let r = rng.gen::<f64>() * total;
-            let q = u32::from(r >= a) + u32::from(r >= a + b) + u32::from(r >= a + b + c);
-            src |= (q >> 1) << level;
-            dst |= (q & 1) << level;
+            }
+            let [a, b, c, d] = p;
+            let u = gen_f64s(&mut rng);
+            for l in 0..W {
+                let total = a[l] + b[l] + c[l] + d[l];
+                let r = u[l] * total;
+                let q = u32::from(r >= a[l])
+                    + u32::from(r >= a[l] + b[l])
+                    + u32::from(r >= a[l] + b[l] + c[l]);
+                src[l] |= (q >> 1) << level;
+                dst[l] |= (q & 1) << level;
+            }
         }
-        *edge = (src, dst);
+        for l in 0..W {
+            out[l * run + edge] = (src[l], dst[l]);
+        }
     }
+    W * run
 }
 
 /// The CSR of `pairs`: count per source, prefix sum, then per source
@@ -335,6 +432,39 @@ mod tests {
         let one = rmat_chunked(&tiny, 4, 1);
         assert_eq!(rmat_chunked(&tiny, 4, 2 * tiny.num_edges() + 1), one);
         assert_eq!(rmat(&tiny, 4), one);
+    }
+
+    /// The lane loop called directly at `W` lanes, in chunks of `len`
+    /// edges, the rest of each chunk drawn by one lane as `draw_edges`
+    /// draws it, on the portable lanes: what any CPU draws.
+    fn draw_in_lanes<const W: usize>(cfg: &RmatConfig, seed: u64, len: usize) -> Vec<(u32, u32)> {
+        let mut pairs = vec![(0, 0); cfg.num_edges()];
+        for (i, chunk) in pairs.chunks_mut(len).enumerate() {
+            let start = i * len;
+            let done = draw_lanes::<W>(cfg, seed, start, chunk, StdRngLanes::gen_f64s);
+            let rest = &mut chunk[done..];
+            assert!(rest.len() < W, "{W} lanes left {} edges", rest.len());
+            draw_lanes::<1>(cfg, seed, start + done, rest, StdRngLanes::gen_f64s);
+        }
+        pairs
+    }
+
+    #[test]
+    fn one_and_eight_lanes_draw_the_pinned_bytes() {
+        for (cfg, seed, want) in pinned_cases().into_iter().filter(|c| c.0.scale <= 15) {
+            let m = cfg.num_edges();
+            // Odd chunk lengths, which eight does not divide: every chunk
+            // has a tail.
+            for len in [(m / 3) | 1, 1003] {
+                for (w, pairs) in [
+                    (1, draw_in_lanes::<1>(&cfg, seed, len)),
+                    (8, draw_in_lanes::<8>(&cfg, seed, len)),
+                ] {
+                    let got = digest(&assemble(&cfg, &pairs, 1));
+                    assert_eq!(got, want, "{cfg:?} seed {seed}, {w} lanes, chunks of {len}");
+                }
+            }
+        }
     }
 
     #[test]

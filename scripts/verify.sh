@@ -20,14 +20,15 @@ echo "== cost guards on optimised code =="
 # cores with another test while it times.
 cargo test -q --release \
     --test mutation_integration --test batch_equivalence --test host_vs_warpsim \
-    --test rmat_reference --test artifact_cost --test sim_replay_cost \
-    --test values_codec_cost --test split_cost -- \
+    --test rmat_reference --test rmat_lanes_cost --test artifact_cost \
+    --test sim_replay_cost --test values_codec_cost --test split_cost -- \
     --exact --test-threads=1 --nocapture \
     dirty_sssp_with_removed_base_edges_costs_what_the_merged_csr_costs \
     streamed_merge_costs_under_half_the_builder_merge \
     lanes_are_the_plain_reference_run_at_no_more_than_1_5x_its_cost \
     host_pagerank_costs_what_a_plain_gather_costs \
     rmat_costs_under_0_6x_the_sequential_reference \
+    rmat_lanes_cost_under_0_2x_the_sequential_reference \
     streaming_the_artifact_costs_under_0_75x_the_buffered_reference \
     replay_costs_under_0_75x_the_reference \
     values_codec_costs_under_0_6x_the_digit_loops \

@@ -8,17 +8,20 @@
 //!
 //! The stream itself is pinned in-tree: the R-MAT generator's byte
 //! digests (`tigr-graph`'s `generators::rmat` tests), the simulator's
-//! golden digests (`tests/simulator_golden.rs`) and the checksums
-//! `scripts/verify.sh` compares all move if a single draw does. Changing
-//! the generator, its seeding or a sampling formula here is a change to
-//! every generated graph.
+//! golden digests (`tests/simulator_golden.rs`) and the workload
+//! checksums (`tests/workload_checksums.rs`) all move if a single draw
+//! does. Changing the generator, its seeding or a sampling formula here
+//! is a change to every generated graph.
 //!
-//! The one extension beyond `rand` 0.8 is [`rngs::StdRng::advance`], an
+//! Two extensions go beyond `rand` 0.8. [`rngs::StdRng::advance`] is an
 //! exact jump ahead by any number of draws. xoshiro256** is linear over
 //! GF(2), so skipping `k` draws costs a polynomial power modulo its
-//! characteristic polynomial instead of `k` steps. The R-MAT generator
-//! uses it to start each parallel chunk where the sequential stream
-//! would be, which keeps its output byte-identical at any thread count.
+//! characteristic polynomial instead of `k` steps. [`rngs::StdRngLanes`]
+//! steps `W` such generators in lockstep, one state word per array, so a
+//! caller compiled for wide vectors draws `W` numbers per instruction.
+//! The R-MAT generator uses both: each parallel chunk, and each lane
+//! within it, starts where the sequential stream would be, which keeps
+//! its output byte-identical at any thread count and on any CPU.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -68,9 +71,15 @@ pub trait Standard: Sized {
 
 impl Standard for f64 {
     fn sample<R: RngCore>(rng: &mut R) -> Self {
-        // 53 random mantissa bits in [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
+}
+
+/// The `f64` in `[0, 1)` a draw of `bits` samples: its 53 high bits as
+/// the mantissa.
+#[inline(always)]
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl Standard for bool {
@@ -130,7 +139,7 @@ range_impls!(u8, u16, u32, u64, usize);
 
 /// Named generators, mirroring `rand::rngs`.
 pub mod rngs {
-    use super::{RngCore, SeedableRng};
+    use super::{unit_f64, RngCore, SeedableRng};
 
     /// The workspace's standard generator: xoshiro256** seeded via
     /// SplitMix64. Deterministic per seed; not cryptographic.
@@ -247,25 +256,128 @@ pub mod rngs {
         }
     }
 
+    /// One xoshiro256** step of `W` generators, the state held as one
+    /// array of lanes per state word: returns each lane's output and
+    /// leaves its next state in place. [`StdRng`] steps through it at
+    /// `W = 1`, so a lane of [`StdRngLanes`] is the same stream.
+    #[inline(always)]
+    fn step<const W: usize>(s: &mut [[u64; W]; 4]) -> [u64; W] {
+        let [s0, s1, s2, s3] = s;
+        let mut result = [0; W];
+        let mut t = [0; W];
+        for l in 0..W {
+            result[l] = s1[l].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+            t[l] = s1[l] << 17;
+        }
+        for l in 0..W {
+            s2[l] ^= s0[l];
+            s3[l] ^= s1[l];
+            s1[l] ^= s2[l];
+            s0[l] ^= s3[l];
+            s2[l] ^= t[l];
+            s3[l] = s3[l].rotate_left(45);
+        }
+        result
+    }
+
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            let s = &mut self.s;
-            let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-            let t = s[1] << 17;
-            s[2] ^= s[0];
-            s[3] ^= s[1];
-            s[1] ^= s[2];
-            s[0] ^= s[3];
-            s[2] ^= t;
-            s[3] = s[3].rotate_left(45);
+            let mut s = self.s.map(|word| [word]);
+            let [result] = step(&mut s);
+            self.s = s.map(|[word]| word);
             result
+        }
+    }
+
+    /// `W` [`StdRng`] streams stepped in lockstep: lane `l` of every draw
+    /// is the next draw of the stream it was built from. The state is
+    /// held as structure of arrays, one `[u64; W]` per xoshiro word, the
+    /// layout of a vector register per word at `W = 8` under AVX-512
+    /// ([`gen_f64s_avx512`](StdRngLanes::gen_f64s_avx512)).
+    ///
+    /// Not part of `rand` 0.8.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct StdRngLanes<const W: usize> {
+        s: [[u64; W]; 4],
+    }
+
+    impl<const W: usize> StdRngLanes<W> {
+        /// The lanes of `streams`, lane `l` continuing `streams[l]`.
+        pub fn new(streams: [StdRng; W]) -> Self {
+            let mut s = [[0; W]; 4];
+            for (l, rng) in streams.iter().enumerate() {
+                for (word, &v) in s.iter_mut().zip(&rng.s) {
+                    word[l] = v;
+                }
+            }
+            StdRngLanes { s }
+        }
+
+        /// The next `f64` in `[0, 1)` of every lane: `gen::<f64>()` of
+        /// each lane's stream.
+        #[inline(always)]
+        pub fn gen_f64s(&mut self) -> [f64; W] {
+            let bits = step(&mut self.s);
+            let mut out = [0.0; W];
+            for l in 0..W {
+                out[l] = unit_f64(bits[l]);
+            }
+            out
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    impl StdRngLanes<8> {
+        /// [`gen_f64s`](Self::gen_f64s) in AVX-512 intrinsics, for a
+        /// caller compiled for AVX-512F and DQ: the same draws, but once
+        /// a loop of calls is inlined the state stays in four `zmm`
+        /// registers whatever the optimiser's pipeline. The portable form
+        /// leaves that to the auto-vectoriser, which under fat LTO moves
+        /// the state through scalar registers on every step.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must have AVX-512F and DQ. A caller compiled for
+        /// both calls it as a safe function; any other caller must
+        /// detect them first (`is_x86_feature_detected!`).
+        #[target_feature(enable = "avx512f,avx512dq")]
+        #[inline]
+        pub fn gen_f64s_avx512(&mut self) -> [f64; 8] {
+            use std::arch::x86_64::{
+                __m512d, __m512i, _mm512_cvtepu64_pd, _mm512_mul_pd, _mm512_mullo_epi64,
+                _mm512_rol_epi64, _mm512_set1_epi64, _mm512_set1_pd, _mm512_slli_epi64,
+                _mm512_srli_epi64, _mm512_xor_si512,
+            };
+            // SAFETY: both are 256 bytes of plain integers, every bit
+            // pattern a valid value of either.
+            let [mut s0, mut s1, mut s2, mut s3] =
+                unsafe { std::mem::transmute::<[[u64; 8]; 4], [__m512i; 4]>(self.s) };
+            let times5 = _mm512_mullo_epi64(s1, _mm512_set1_epi64(5));
+            let result = _mm512_mullo_epi64(_mm512_rol_epi64::<7>(times5), _mm512_set1_epi64(9));
+            let t = _mm512_slli_epi64::<17>(s1);
+            s2 = _mm512_xor_si512(s2, s0);
+            s3 = _mm512_xor_si512(s3, s1);
+            s1 = _mm512_xor_si512(s1, s2);
+            s0 = _mm512_xor_si512(s0, s3);
+            s2 = _mm512_xor_si512(s2, t);
+            s3 = _mm512_rol_epi64::<45>(s3);
+            // SAFETY: as above.
+            self.s =
+                unsafe { std::mem::transmute::<[__m512i; 4], [[u64; 8]; 4]>([s0, s1, s2, s3]) };
+            let unit = _mm512_mul_pd(
+                _mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(result)),
+                _mm512_set1_pd(1.0 / (1u64 << 53) as f64),
+            );
+            // SAFETY: 64 bytes either way, every bit pattern a valid
+            // value of either.
+            unsafe { std::mem::transmute::<__m512d, [f64; 8]>(unit) }
         }
     }
 
     #[cfg(test)]
     mod tests {
-        use super::{StdRng, CHAR_POLY};
-        use crate::{RngCore, SeedableRng};
+        use super::{StdRng, StdRngLanes, CHAR_POLY};
+        use crate::{Rng, RngCore, SeedableRng};
 
         #[test]
         fn advance_is_that_many_draws() {
@@ -278,6 +390,56 @@ pub mod rngs {
                 jumped.advance(u128::from(k));
                 assert_eq!(jumped, stepped, "k = {k}");
             }
+        }
+
+        #[test]
+        fn lanes_are_streams_jumped_to_the_same_offsets() {
+            fn check<const W: usize>() {
+                let mut streams: [StdRng; W] = std::array::from_fn(|l| {
+                    let mut rng = StdRng::seed_from_u64(5);
+                    rng.advance(1_000 * l as u128 + 7);
+                    rng
+                });
+                let mut lanes = StdRngLanes::new(streams.clone());
+                for draw in 0..300 {
+                    let got = lanes.gen_f64s();
+                    for (l, rng) in streams.iter_mut().enumerate() {
+                        let want = rng.gen::<f64>();
+                        assert_eq!(
+                            got[l].to_bits(),
+                            want.to_bits(),
+                            "W {W} lane {l} draw {draw}"
+                        );
+                    }
+                }
+                assert_eq!(lanes, StdRngLanes::new(streams), "W {W}: the whole state");
+            }
+            check::<1>();
+            check::<3>();
+            check::<8>();
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn avx512_lanes_draw_what_the_portable_lanes_draw() {
+            if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")) {
+                println!("unverified: this CPU lacks AVX-512F/DQ");
+                return;
+            }
+            let streams: [StdRng; 8] = std::array::from_fn(|l| {
+                let mut rng = StdRng::seed_from_u64(6);
+                rng.advance(1 << (3 * l));
+                rng
+            });
+            let mut portable = StdRngLanes::new(streams.clone());
+            let mut wide = StdRngLanes::new(streams);
+            for draw in 0..300 {
+                // SAFETY: the CPU has the features, checked above.
+                let got = unsafe { wide.gen_f64s_avx512() };
+                let want = portable.gen_f64s();
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "draw {draw}");
+            }
+            assert_eq!(wide, portable);
         }
 
         #[test]

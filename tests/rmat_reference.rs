@@ -9,9 +9,13 @@ use tigr::graph::generators::{rmat, RmatConfig};
 
 /// The chunked generator is the sequential one, byte for byte, at no
 /// more than 0.6x its cost optimised: fastest of five order-flipped
-/// pairs of runs, `rmat:15:16`. One core reads ≈ 0.5, two ≈ 0.3. The test
-/// profile's overflow checks weigh on the chunked inner loop more, so
-/// there the bound is 0.75 (two cores read ≈ 0.35–0.47).
+/// pairs of runs, `rmat:15:16`. Drawing one lane at a time (a CPU
+/// without AVX-512DQ/VL), one core reads ≈ 0.42–0.45 and two
+/// ≈ 0.23–0.28; on eight AVX-512 lanes one core reads ≈ 0.12 and two
+/// ≈ 0.07–0.09 (`rmat_lanes_cost.rs` guards that case). The test
+/// profile's bound is 0.75, for its overflow checks in the chunked
+/// inner loop; two cores read ≈ 0.20–0.25 there on one lane and
+/// ≈ 0.11–0.15 on eight.
 #[test]
 fn rmat_costs_under_0_6x_the_sequential_reference() {
     let config = RmatConfig::graph500(15, 16);
