@@ -8,19 +8,22 @@
 //! opposite — hence the paper evaluates `W ∈ 2..32` and reports the best
 //! (Table 2).
 //!
+//! The mapping is the engine's [`Mapping::Rows`] at width `W`. Every
+//! lane of a group reads the node's header and then its value, at the
+//! top of each body here (one coalesced transaction: the addresses
+//! coincide); rows are never searched, so the search charge is empty.
+//!
 //! Faithful to the original, there is no worklist: every node is
 //! processed every iteration, with updates applied atomically and
 //! relaxed visibility.
 
-use std::iter::StepBy;
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use tigr_core::CancelToken;
-use tigr_engine::addr::{aux_addr, edge_addr, row_ptr_addr, value_addr, FLAG_ADDR};
-use tigr_engine::{pr, MonotoneProgram, PrOptions, PrOutput};
+use tigr_engine::addr::{aux_addr, edge_addr, value_addr, FLAG_ADDR};
+use tigr_engine::{pr, Mapping, MonotoneProgram, PrOptions, PrOutput};
 use tigr_graph::{Csr, NodeId};
-use tigr_sim::{GpuSimulator, KernelMetrics, Lane};
+use tigr_sim::GpuSimulator;
 
 use crate::common::{fixpoint, FrameworkRun};
 
@@ -61,29 +64,6 @@ fn by_width<T>(width: Option<usize>, cycles: impl Fn(&T) -> u64, run: impl Fn(us
     }
 }
 
-/// The mapping: one virtual warp of `width` threads per node. Thread
-/// `tid` is lane `tid % width` of node `tid / width`'s group; it loads
-/// the node's header and value, then `body` walks every `width`-th of
-/// the node's edges from the lane's offset.
-fn sweep(
-    sim: &GpuSimulator,
-    g: &Csr,
-    width: usize,
-    body: impl Fn(&mut Lane, usize, StepBy<Range<usize>>) + Sync,
-) -> (usize, KernelMetrics) {
-    let threads = g.num_nodes() * width;
-    let metrics = sim.launch(threads, |tid, lane| {
-        let v = NodeId::from_index(tid / width);
-        // Every lane of the group reads the node header and value (one
-        // coalesced transaction since addresses coincide).
-        lane.load(row_ptr_addr(v.index()), 8);
-        lane.load(value_addr(v.index()), 4);
-        let first = g.edge_start(v) + tid % width;
-        body(lane, v.index(), (first..g.edge_end(v)).step_by(width));
-    });
-    (threads, metrics)
-}
-
 fn run_with_width(
     sim: &GpuSimulator,
     g: &Csr,
@@ -96,24 +76,31 @@ fn run_with_width(
         width > 0 && warp.is_multiple_of(width),
         "virtual warp width {width} must divide the warp size {warp}"
     );
+    let mapping = Mapping::Rows { graph: g, width };
     fixpoint(g.num_nodes(), prog, source, |values, changed| {
-        sweep(sim, g, width, |lane, node, edges| {
-            let d = values.load(node);
-            for e in edges {
-                lane.load(edge_addr(e), 8);
-                let nbr = g.edge_target(e).index();
-                let cand = prog.edge_op.apply(d, g.weight(e));
-                lane.compute(2);
-                lane.load(value_addr(nbr), 4);
-                if prog.combine.improves(cand, values.load(nbr))
-                    && values.try_improve(nbr, cand, prog.combine)
-                {
-                    lane.atomic(value_addr(nbr), 4);
-                    lane.store(FLAG_ADDR, 1);
-                    changed.store(true, Ordering::Relaxed);
+        let metrics = mapping.sweep(
+            sim,
+            |_, _, _| {},
+            |lane, node, edges| {
+                lane.load(value_addr(node), 4);
+                let d = values.load(node);
+                for e in edges {
+                    lane.load(edge_addr(e), 8);
+                    let nbr = g.edge_target(e).index();
+                    let cand = prog.edge_op.apply(d, g.weight(e));
+                    lane.compute(2);
+                    lane.load(value_addr(nbr), 4);
+                    if prog.combine.improves(cand, values.load(nbr))
+                        && values.try_improve(nbr, cand, prog.combine)
+                    {
+                        lane.atomic(value_addr(nbr), 4);
+                        lane.store(FLAG_ADDR, 1);
+                        changed.store(true, Ordering::Relaxed);
+                    }
                 }
-            }
-        })
+            },
+        );
+        (mapping.full_threads(), metrics)
     })
 }
 
@@ -133,25 +120,32 @@ pub fn run_pagerank(
 }
 
 fn pagerank_with_width(sim: &GpuSimulator, g: &Csr, options: &PrOptions, width: usize) -> PrOutput {
+    let mapping = Mapping::Rows { graph: g, width };
     pr::power_iterate(
         sim,
         &pr::out_degrees(g),
         options,
         &CancelToken::never(),
         |shares, accum| {
-            sweep(sim, g, width, |lane, node, edges| {
-                if g.out_degree(NodeId::from_index(node)) == 0 {
-                    return;
-                }
-                let share = shares.load(node);
-                lane.compute(1);
-                for e in edges {
-                    lane.load(edge_addr(e), 8);
-                    let nbr = g.edge_target(e).index();
-                    accum.fetch_add(nbr, share);
-                    lane.atomic(aux_addr(0, nbr), 4);
-                }
-            })
+            let metrics = mapping.sweep(
+                sim,
+                |_, _, _| {},
+                |lane, node, edges| {
+                    lane.load(value_addr(node), 4);
+                    if g.out_degree(NodeId::from_index(node)) == 0 {
+                        return;
+                    }
+                    let share = shares.load(node);
+                    lane.compute(1);
+                    for e in edges {
+                        lane.load(edge_addr(e), 8);
+                        let nbr = g.edge_target(e).index();
+                        accum.fetch_add(nbr, share);
+                        lane.atomic(aux_addr(0, nbr), 4);
+                    }
+                },
+            );
+            (mapping.full_threads(), metrics)
         },
         |lane, v| {
             lane.load(aux_addr(0, v), 4);

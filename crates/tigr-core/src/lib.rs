@@ -66,4 +66,4 @@ pub use store::{
     CacheStatus, GraphSource, GraphStore, OpenInfo, OpenMode, PrepareReport, PrepareSpec,
     PreparedGraph, TransformKind, TransformSpec, ViewPlan,
 };
-pub use virtual_graph::{EdgeCursor, OnTheFlyMapper, VirtualGraph, VirtualNode};
+pub use virtual_graph::{OnTheFlyMapper, VirtualGraph, VirtualNode};

@@ -161,33 +161,20 @@ impl VirtualGraph {
     /// Expands a list of active *physical* nodes into the virtual-node
     /// indices of their families, in family order — the frontier
     /// expansion a worklist scheduler performs before launching one
-    /// thread per active virtual node (top-down direction-optimizing BFS
-    /// and the push engine's sparse frontier both use this).
+    /// thread per active virtual node (the engine's active-list sweep
+    /// over an overlay).
     ///
     /// # Panics
     ///
     /// Panics if an id is out of range.
     pub fn expand_active(&self, active: &[u32]) -> Vec<u32> {
         let mut out = Vec::with_capacity(active.len());
-        self.expand_active_into(active, &mut out);
-        out
-    }
-
-    /// [`VirtualGraph::expand_active`] into a caller-owned buffer
-    /// (cleared first), so BSP drivers expanding a frontier every
-    /// iteration can reuse one allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of range.
-    pub fn expand_active_into(&self, active: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(active.len());
         for &p in active {
             for i in self.vnode_range(NodeId::new(p)) {
                 out.push(i as u32);
             }
         }
+        out
     }
 
     /// Number of virtual nodes (= threads to schedule).
@@ -506,47 +493,6 @@ impl fmt::Debug for VirtualGraph {
     }
 }
 
-/// Cursor yielding `(flat_edge_index, simulated_address_offset)` pairs —
-/// a small helper the engine uses to walk a virtual node's edges while
-/// issuing simulated memory traffic.
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeCursor {
-    next: u32,
-    stride: u32,
-    remaining: u32,
-}
-
-impl EdgeCursor {
-    /// Creates a cursor over `vn`'s covered edges.
-    pub fn new(vn: &VirtualNode) -> Self {
-        EdgeCursor {
-            next: vn.first_edge,
-            stride: vn.stride,
-            remaining: vn.count,
-        }
-    }
-}
-
-impl Iterator for EdgeCursor {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let e = self.next as usize;
-        self.next += self.stride;
-        self.remaining -= 1;
-        Some(e)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
-    }
-}
-
-impl ExactSizeIterator for EdgeCursor {}
-
 /// Dynamic ("on-the-fly") mapping reasoning (§4.1, second design): no
 /// virtual node array is stored; instead each thread derives its edge
 /// range and physical source at kernel time.
@@ -724,19 +670,6 @@ mod tests {
         let other = star_graph(11);
         let vg = VirtualGraph::new(&g, 3);
         assert!(vg.validate_against(&other).is_err());
-    }
-
-    #[test]
-    fn edge_cursor_walks_strided() {
-        let vn = VirtualNode {
-            physical: NodeId::new(0),
-            first_edge: 5,
-            stride: 3,
-            count: 4,
-        };
-        let c = EdgeCursor::new(&vn);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.collect::<Vec<_>>(), vec![5, 8, 11, 14]);
     }
 
     #[test]

@@ -18,8 +18,9 @@ use tigr_core::CancelToken;
 use tigr_graph::NodeId;
 use tigr_sim::{KernelMetrics, SimReport};
 
-use crate::addr::{aux_addr, frontier_addr, row_ptr_addr, value_addr, vnode_addr};
-use crate::kernel::{csr_targets, relax_kernel, AccessMirror, EdgeFlow, EdgeWalk, Launcher};
+use crate::addr::{aux_addr, value_addr};
+use crate::kernel::{csr_targets, relax_kernel, AccessMirror, EdgeFlow, Launcher};
+use crate::mapping::{Active, EdgeWalk, Mapping};
 use crate::representation::Representation;
 use crate::state::{AtomicFloats, AtomicValues, Combine};
 
@@ -76,6 +77,9 @@ pub fn run_cancellable<L: Launcher>(
     let n = rep.num_value_slots();
     assert!(source.index() < n, "source out of range");
     let g = rep.graph();
+    // Edge blocks have no node to schedule a frontier on: BC runs them
+    // as a row per active node (see [`Mapping::sweep_active`]).
+    let mapping = Mapping::of(rep);
 
     let levels = AtomicValues::new(n, u32::MAX);
     let sigma = AtomicFloats::new(n, 0.0);
@@ -124,7 +128,7 @@ pub fn run_cancellable<L: Launcher>(
                 EdgeFlow::Continue
             });
         };
-        let metrics = launch_frontier(launcher, rep, &frontier, kernel);
+        let metrics = mapping.sweep_active(launcher, Active::List(&frontier), kernel);
         record(frontier.len(), metrics);
 
         let mut nf: Vec<u32> = next.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -171,7 +175,7 @@ pub fn run_cancellable<L: Launcher>(
                 m.atomic(aux_addr(3, slot), 4);
             }
         };
-        let metrics = launch_frontier(launcher, rep, bucket, kernel);
+        let metrics = mapping.sweep_active(launcher, Active::List(bucket), kernel);
         record(bucket.len(), metrics);
     }
 
@@ -219,47 +223,6 @@ pub fn run_sampled<L: Launcher>(
         }
     }
     (total, report)
-}
-
-/// Launches `body` over the frontier's work units, expanding physical
-/// nodes into virtual families for virtual representations.
-fn launch_frontier<L: Launcher>(
-    launcher: &L,
-    rep: &Representation<'_>,
-    frontier: &[u32],
-    body: impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync,
-) -> KernelMetrics {
-    match rep {
-        // OTF blocks have no per-node identity to schedule from a
-        // frontier; BC always needs per-node scheduling, so dynamic
-        // mapping degrades to per-node here.
-        Representation::Original(_)
-        | Representation::OnTheFly { .. }
-        | Representation::Physical(_) => {
-            let g = rep.graph();
-            launcher.launch(frontier.len(), |tid, m| {
-                m.load(frontier_addr(tid), 4);
-                let v = NodeId::new(frontier[tid]);
-                m.load(row_ptr_addr(v.index()), 8);
-                body(m, v.index(), (g.edge_start(v)..g.edge_end(v)).into());
-            })
-        }
-        Representation::Virtual { overlay, .. } => {
-            let mut active: Vec<u32> = Vec::with_capacity(frontier.len());
-            for &p in frontier {
-                for i in overlay.vnode_range(NodeId::new(p)) {
-                    active.push(i as u32);
-                }
-            }
-            launcher.launch(active.len(), |tid, m| {
-                let vid = active[tid] as usize;
-                m.load(frontier_addr(tid), 4);
-                m.load(vnode_addr(vid), 8);
-                let vn = overlay.vnode(vid);
-                body(m, vn.physical.index(), (&vn).into());
-            })
-        }
-    }
 }
 
 #[cfg(test)]

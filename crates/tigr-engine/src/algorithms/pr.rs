@@ -24,10 +24,9 @@ use tigr_core::CancelToken;
 use tigr_graph::Csr;
 use tigr_sim::{KernelMetrics, SimReport};
 
-use crate::addr::{aux_addr, row_ptr_addr, value_addr, vnode_addr};
-use crate::kernel::{
-    csr_targets, relax_kernel, walk_segments, AccessMirror, EdgeFlow, EdgeWalk, Launcher,
-};
+use crate::addr::{aux_addr, value_addr};
+use crate::kernel::{csr_targets, relax_kernel, AccessMirror, EdgeFlow, Launcher};
+use crate::mapping::{EdgeWalk, Mapping};
 use crate::representation::Representation;
 use crate::state::AtomicFloats;
 
@@ -145,6 +144,7 @@ pub fn run_cancellable<L: Launcher>(
         !matches!(rep, Representation::Physical(_)),
         "PageRank is undefined on physically transformed graphs: UDT alters out-degrees (Corollary 4)"
     );
+    let (mapping, g) = (Mapping::of(rep), rep.graph());
     power_iterate(
         launcher,
         out_degrees,
@@ -152,10 +152,10 @@ pub fn run_cancellable<L: Launcher>(
         cancel,
         |shares, accum| {
             let metrics = match options.mode {
-                PrMode::Push => push_kernel(launcher, rep, shares, accum, out_degrees),
-                PrMode::Pull => pull_kernel(launcher, rep, shares, accum),
+                PrMode::Push => push_kernel(launcher, &mapping, g, shares, accum, out_degrees),
+                PrMode::Pull => pull_kernel(launcher, &mapping, g, shares, accum),
             };
-            (rep.full_threads(), metrics)
+            (mapping.full_threads(), metrics)
         },
         |m, v| {
             m.load(aux_addr(0, v), 4);
@@ -252,12 +252,12 @@ pub fn power_iterate<L: Launcher>(
 /// Push scatter: one accumulator add per out-edge.
 fn push_kernel<L: Launcher>(
     launcher: &L,
-    rep: &Representation<'_>,
+    mapping: &Mapping<'_>,
+    g: &Csr,
     shares: &AtomicFloats,
     accum: &AtomicFloats,
     out_degrees: &[u32],
 ) -> KernelMetrics {
-    let g = rep.graph();
     let scatter = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
         m.load(value_addr(slot), 4);
         m.load(aux_addr(1, slot), 4);
@@ -272,18 +272,18 @@ fn push_kernel<L: Launcher>(
             EdgeFlow::Continue
         });
     };
-    launch_over(launcher, rep, scatter)
+    mapping.sweep(launcher, search_compute, scatter)
 }
 
 /// Pull gather: partial sum per (virtual) node, one accumulator add per
 /// node.
 fn pull_kernel<L: Launcher>(
     launcher: &L,
-    rep: &Representation<'_>,
+    mapping: &Mapping<'_>,
+    g: &Csr, // the transpose: edges lead to in-neighbors
     shares: &AtomicFloats,
     accum: &AtomicFloats,
 ) -> KernelMetrics {
-    let g = rep.graph(); // the transpose: edges lead to in-neighbors
     let gather = |m: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
         let mut partial = 0.0f32;
         let mut any = false;
@@ -301,43 +301,12 @@ fn pull_kernel<L: Launcher>(
             m.atomic(aux_addr(0, slot), 4);
         }
     };
-    launch_over(launcher, rep, gather)
+    mapping.sweep(launcher, search_compute, gather)
 }
 
-/// Dispatches a per-node/virtual-node kernel over the representation:
-/// `body` gets the mirror, the value slot the thread works for, and the
-/// edge indices it covers.
-fn launch_over<L: Launcher>(
-    launcher: &L,
-    rep: &Representation<'_>,
-    body: impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync,
-) -> KernelMetrics {
-    match rep {
-        Representation::Original(g) => {
-            let rows = g.row_ptr(); // sliced once: no accessor call per node
-            launcher.launch(g.num_nodes(), |tid, m| {
-                m.load(row_ptr_addr(tid), 8);
-                body(m, tid, (rows[tid]..rows[tid + 1]).into());
-            })
-        }
-        Representation::Virtual { overlay, .. } => {
-            launcher.launch(overlay.num_virtual_nodes(), |tid, m| {
-                m.load(vnode_addr(tid), 8);
-                let vn = overlay.vnode(tid);
-                body(m, vn.physical.index(), (&vn).into());
-            })
-        }
-        Representation::OnTheFly { graph, mapper } => {
-            launcher.launch(mapper.num_threads(), |tid, m| {
-                let ((lo, hi), first, probes) = mapper.resolve(graph, tid);
-                m.compute(probes as u64 * 2);
-                walk_segments(m, graph, (lo, hi), first, |m, src, seg| {
-                    body(m, src, seg.into())
-                });
-            })
-        }
-        Representation::Physical(_) => unreachable!("rejected by run()"),
-    }
+/// An edge block's binary search, charged as 2 compute per probe.
+fn search_compute<M: AccessMirror>(m: &mut M, _tid: usize, probes: u32) {
+    m.compute(probes as u64 * 2);
 }
 
 /// Per-node out-degrees of `g` as `u32` — the helper callers pass to

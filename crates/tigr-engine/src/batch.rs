@@ -229,8 +229,7 @@ impl LaneRun<'_> {
     /// One scatter relaxation of `slot`'s row in this lane.
     #[inline]
     fn relax_slot<R: RowView>(&mut self, rows: &R, prog: MonotoneProgram, slot: usize) {
-        let prev = self.prev.as_deref();
-        let d = match prev {
+        let d = match self.prev.as_deref() {
             Some(p) => p[slot],
             None => self.values[slot],
         };
@@ -241,7 +240,6 @@ impl LaneRun<'_> {
             &mut NoMirror,
             prog,
             &mut self.values[..],
-            prev,
             d,
             slice_edges(0, targets, weights),
             // The scatter indexed `values[t]` first, so `t` is in range.

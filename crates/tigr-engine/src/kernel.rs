@@ -24,20 +24,18 @@
 //! [`pull_gather`] (gather: local fold, at most one atomic per slot) —
 //! direction is a *schedule*, not a reimplementation.
 //!
-//! What is resolved where: a [`MonotoneProgram`] is data (two enums), a
-//! BSP double buffer is an `Option`, and a row may or may not carry
-//! weights. None of that changes while one row is relaxed, so
-//! [`push_relax`] looks at all of it **once per call** and hands the
-//! per-edge loop a body in which each is a type — the edge function and
-//! the combine of the program, where a destination's current value is
-//! read, the edge iterator. It is generic over the [`ValueCells`] it
-//! writes as well: the shared [`AtomicValues`] of [`crate::run_monotone`],
-//! simulated or on [`HostLoop`] (a hardware read-modify-write per
-//! improving edge, Algorithm 2 line 9), or the `&mut [u32]` a host lane
-//! owns (a compare and a store). Mirror charges are issued by the body, not by the cells,
-//! so they are the same call for call whatever it is instantiated over.
+//! What is resolved where: a [`MonotoneProgram`] is data (two enums), and
+//! a row may or may not carry weights. Neither changes while one row is
+//! relaxed, so [`push_relax`] looks at both **once per call** and hands
+//! the per-edge loop a body in which each is a type — the edge function
+//! and the combine of the program, the edge iterator. It is generic over
+//! the [`ValueCells`] it writes as well: the shared [`AtomicValues`] of
+//! [`crate::run_monotone`], simulated or on [`HostLoop`] (a hardware
+//! read-modify-write per improving edge, Algorithm 2 line 9), or the
+//! `&mut [u32]` a host lane owns (a compare and a store). Mirror charges
+//! are issued by the body, not by the cells, so they are the same call
+//! for call whatever it is instantiated over.
 
-use tigr_core::VirtualNode;
 use tigr_graph::{Csr, NodeId, Weight};
 use tigr_sim::{GpuSimulator, KernelMetrics, Lane};
 
@@ -227,16 +225,20 @@ where
     touched
 }
 
-/// Push-relaxes `edges` whose owning slot currently holds `d`: computes
-/// the candidate, compares against the destination (through `prev` under
-/// BSP double buffering), and improves it in `values`. `on_improve` runs
-/// once per newly improving edge, after the value atomic is charged —
-/// callers hang frontier activation and finished-flag traffic there.
+/// Push-relaxes `edges` whose owning slot holds `d`: computes the
+/// candidate, compares it against the destination's live value, and
+/// improves it in `values`. `on_improve` runs once per newly improving
+/// edge, after the value atomic is charged — callers hang frontier
+/// activation and finished-flag traffic there.
+///
+/// A BSP run reads `d` from its previous-iteration snapshot but compares
+/// against live values: they only improve, so a candidate that improves
+/// the live value also improves the snapshot's, and the atomic is charged
+/// exactly when the live value improves either way.
 ///
 /// Everything that is the same for every edge of the call — the
-/// program's edge function and combine, whether there is a `prev`,
-/// whether the row carries weights — is resolved here, so the loop
-/// `scatter` runs branches on none of it.
+/// program's edge function and combine, whether the row carries weights —
+/// is resolved here, so the loop `scatter` runs branches on none of it.
 ///
 /// Returns the number of edges relaxed.
 #[inline]
@@ -244,7 +246,6 @@ pub fn push_relax<M, V, E>(
     mirror: &mut M,
     prog: MonotoneProgram,
     values: V,
-    prev: Option<&[u32]>,
     d: u32,
     edges: E,
     on_improve: impl FnMut(&mut M, usize),
@@ -258,21 +259,12 @@ where
         prog.combine,
         |fold| {
             let candidate = move |weight| apply(d, weight);
-            let live = |values: &V, t: usize| values.load(t);
-            match (edges.resolve(), prev) {
-                (RowEdges::Weighted(edges), None) => {
-                    scatter(mirror, candidate, fold, values, live, edges, on_improve)
+            match edges.resolve() {
+                RowEdges::Weighted(edges) => {
+                    scatter(mirror, candidate, fold, values, edges, on_improve)
                 }
-                (RowEdges::Weighted(edges), Some(prev)) => {
-                    let behind = |_: &V, t: usize| prev[t];
-                    scatter(mirror, candidate, fold, values, behind, edges, on_improve)
-                }
-                (RowEdges::Unit(edges), None) => {
-                    scatter(mirror, candidate, fold, values, live, edges, on_improve)
-                }
-                (RowEdges::Unit(edges), Some(prev)) => {
-                    let behind = |_: &V, t: usize| prev[t];
-                    scatter(mirror, candidate, fold, values, behind, edges, on_improve)
+                RowEdges::Unit(edges) => {
+                    scatter(mirror, candidate, fold, values, edges, on_improve)
                 }
             }
         }
@@ -280,16 +272,15 @@ where
 }
 
 /// The scatter body (Algorithm 2 lines 6–10) with every choice made: by
-/// the time this is instantiated, `candidate`, `fold`, `current` and
-/// `edges` are types, and the per-edge path is straight-line — load the
-/// target, load the weight, apply, compare, and rarely store and report.
+/// the time this is instantiated, `candidate`, `fold` and `edges` are
+/// types, and the per-edge path is straight-line — load the target, load
+/// the weight, apply, compare, and rarely store and report.
 #[inline]
 fn scatter<M: AccessMirror, V: ValueCells>(
     mirror: &mut M,
     candidate: impl Fn(Weight) -> u32,
     fold: impl Fold,
     mut values: V,
-    current: impl Fn(&V, usize) -> u32,
     edges: impl Iterator<Item = EdgeRef>,
     mut on_improve: impl FnMut(&mut M, usize),
 ) -> u64 {
@@ -298,8 +289,7 @@ fn scatter<M: AccessMirror, V: ValueCells>(
         // alt computation + comparison (Algorithm 2 lines 7-8).
         m.compute(2);
         m.load(value_addr(edge.target), 4);
-        if fold.improves(cand, current(&values, edge.target))
-            && values.improve(edge.target, cand, fold)
+        if fold.improves(cand, values.load(edge.target)) && values.improve(edge.target, cand, fold)
         {
             // atomicMin (Algorithm 2 line 9).
             m.atomic(value_addr(edge.target), 4);
@@ -374,87 +364,8 @@ pub fn pull_gather<M: AccessMirror>(
     touched
 }
 
-/// Walks a contiguous global edge range `[lo, hi)` that may span node
-/// boundaries — the on-the-fly mapping shape (Algorithm 4) — invoking
-/// `body` once per `(owning node, edge subrange)` segment and charging
-/// one `row_ptr` boundary load per crossing. The binary-search probe
-/// traffic that *found* the range differs per caller (push charges
-/// scattered loads, gather charges compute) and is charged before
-/// calling this.
-#[inline]
-pub fn walk_segments<M: AccessMirror>(
-    mirror: &mut M,
-    graph: &Csr,
-    range: (usize, usize),
-    first_src: NodeId,
-    mut body: impl FnMut(&mut M, usize, std::ops::Range<usize>),
-) {
-    let (lo, hi) = range;
-    let mut src = first_src.index();
-    let mut src_end = graph.edge_end(first_src);
-    let mut e = lo;
-    while e < hi {
-        while e >= src_end {
-            src += 1;
-            src_end = graph.edge_end(NodeId::from_index(src));
-            mirror.load(crate::addr::row_ptr_addr(src + 1), 4);
-        }
-        let seg_end = src_end.min(hi);
-        body(mirror, src, e..seg_end);
-        e = seg_end;
-    }
-}
-
-/// The edge indices one thread of a [`Launcher`] sweep covers, as one
-/// concrete type so per-node bodies take it without dynamic dispatch on
-/// the per-edge path: a contiguous CSR range (stride 1) or a virtual
-/// node's strided cursor ([`tigr_core::EdgeCursor`], widened to `usize`
-/// so it also spans plain rows).
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeWalk {
-    next: usize,
-    stride: usize,
-    remaining: usize,
-}
-
-impl From<std::ops::Range<usize>> for EdgeWalk {
-    fn from(range: std::ops::Range<usize>) -> Self {
-        EdgeWalk {
-            next: range.start,
-            stride: 1,
-            remaining: range.len(),
-        }
-    }
-}
-
-impl From<&VirtualNode> for EdgeWalk {
-    fn from(vn: &VirtualNode) -> Self {
-        EdgeWalk {
-            next: vn.first_edge as usize,
-            stride: vn.stride as usize,
-            remaining: vn.count as usize,
-        }
-    }
-}
-
-impl Iterator for EdgeWalk {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let e = self.next;
-        self.next += self.stride;
-        self.remaining -= 1;
-        Some(e)
-    }
-}
-
 /// Edge source over global CSR edge indices: the common case for
-/// simulated kernels (contiguous `edge_start..edge_end` ranges and
-/// strided [`tigr_core::EdgeCursor`]s alike).
+/// simulated kernels (any [`crate::mapping::EdgeWalk`]).
 #[inline]
 pub fn csr_edges<'a>(
     g: &'a Csr,
@@ -638,7 +549,6 @@ mod tests {
             &mut NoMirror,
             MonotoneProgram::SSSP,
             &values,
-            None,
             0,
             csr_edges(&g, 0..2),
             |_, t| improved.push(t),

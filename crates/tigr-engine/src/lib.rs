@@ -48,6 +48,7 @@ pub mod algorithms;
 pub mod batch;
 pub mod frontier;
 pub mod kernel;
+pub mod mapping;
 mod monotone;
 pub mod operators;
 pub mod plan;
@@ -63,9 +64,10 @@ pub use algorithms::pr::{self, PrMode, PrOptions, PrOutput};
 pub use batch::{run_batch_push, BatchArena, BatchLane, BatchOutput, BatchProgram};
 pub use frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep, DENSE_FRACTION};
 pub use kernel::{
-    csr_edges, pull_gather, push_relax, relax_kernel, slice_edges, walk_segments, AccessMirror,
-    EdgeFlow, EdgeRef, GatherFilter, HostLoop, Launcher, NoMirror,
+    csr_edges, pull_gather, push_relax, relax_kernel, slice_edges, AccessMirror, EdgeFlow, EdgeRef,
+    GatherFilter, HostLoop, Launcher, NoMirror,
 };
+pub use mapping::{Active, EdgeWalk, Mapping};
 pub use monotone::{run_monotone, MonotoneOutput, PullSide};
 pub use operators::{Algo, ComputeStep, Pipeline, PipelineOutput, PipelineSpecError};
 pub use plan::{

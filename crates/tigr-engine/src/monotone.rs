@@ -27,10 +27,11 @@ use tigr_sim::SimReport;
 use crate::batch::build_transpose;
 use crate::frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep};
 use crate::kernel::Launcher;
+use crate::mapping::Mapping;
 use crate::plan::{Direction, DirectionSwitch, ExecutionPlan, PlanError};
 use crate::program::{EdgeOp, InitKind, MonotoneProgram};
 use crate::pull::{pull_step, GatherCtx};
-use crate::push::{full_sweep, worklist_sweep, IterCtx, SyncMode};
+use crate::push::{push_sweep, IterCtx, SyncMode};
 use crate::representation::Representation;
 use crate::state::{AtomicValues, Combine};
 
@@ -215,6 +216,7 @@ pub fn run_monotone<L: Launcher>(
         forced => forced,
     };
     let g = rep.graph();
+    let mapping = Mapping::of(rep);
     let n = rep.num_value_slots();
     let mode = match direction {
         Direction::Pull => FrontierMode::Dense,
@@ -260,6 +262,7 @@ pub fn run_monotone<L: Launcher>(
         let (threads, metrics) = if step == Direction::Pull {
             let view = pull_rep.get_or_insert_with(|| pull_view(rep, pull, &built, &built_overlay));
             let ctx = GatherCtx {
+                graph: view.graph(),
                 prog,
                 values: &values,
                 frontier: options.worklist.then_some(&frontier),
@@ -268,7 +271,8 @@ pub fn run_monotone<L: Launcher>(
                 edges_touched: &edges_touched,
                 early_exit,
             };
-            (view.full_threads(), pull_step(launcher, view, &ctx))
+            let mapping = Mapping::of(view);
+            (mapping.full_threads(), pull_step(launcher, &mapping, &ctx))
         } else {
             let ctx = IterCtx {
                 graph: g,
@@ -281,14 +285,10 @@ pub fn run_monotone<L: Launcher>(
             };
             let threads = match (options.worklist, frontier.rep()) {
                 (true, FrontierRep::Sparse) => frontier.len(),
-                _ => rep.full_threads(),
+                _ => mapping.full_threads(),
             };
-            let metrics = if options.worklist {
-                worklist_sweep(launcher, rep, &ctx, &frontier)
-            } else {
-                full_sweep(launcher, rep, &ctx)
-            };
-            (threads, metrics)
+            let active = options.worklist.then_some(&frontier);
+            (threads, push_sweep(launcher, &mapping, &ctx, active))
         };
         out.directions.push(step);
         if L::METERED {

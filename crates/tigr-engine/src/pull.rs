@@ -23,20 +23,20 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use tigr_graph::NodeId;
+use tigr_graph::Csr;
 use tigr_sim::KernelMetrics;
 
-use crate::addr::{frontier_bit_addr, row_ptr_addr, vnode_addr, FLAG_ADDR};
+use crate::addr::{frontier_bit_addr, FLAG_ADDR};
 use crate::frontier::{Frontier, FrontierBuilder};
-use crate::kernel::{
-    csr_edges, pull_gather, walk_segments, AccessMirror, EdgeWalk, GatherFilter, Launcher,
-};
+use crate::kernel::{csr_edges, pull_gather, AccessMirror, GatherFilter, Launcher};
+use crate::mapping::Mapping;
 use crate::program::MonotoneProgram;
-use crate::representation::Representation;
 use crate::state::AtomicValues;
 
 /// Per-iteration state of a gather sweep.
 pub(crate) struct GatherCtx<'a> {
+    /// The transpose view whose in-edges are gathered.
+    pub(crate) graph: &'a Csr,
     pub(crate) prog: MonotoneProgram,
     pub(crate) values: &'a AtomicValues,
     /// Fold only candidates from these active sources.
@@ -48,67 +48,42 @@ pub(crate) struct GatherCtx<'a> {
     pub(crate) early_exit: bool,
 }
 
-/// One gather sweep over every (virtual) node of `rep`, which must wrap
-/// a transpose view: each node folds in-edge candidates through the
-/// shared relax loop and issues at most one atomic on its slot.
+/// One gather sweep over every thread of `mapping`, which must map a
+/// transpose view: each thread folds in-edge candidates through the
+/// shared relax loop and issues at most one atomic on its slot. An edge
+/// block's binary search is charged as 2 compute per probe.
 pub(crate) fn pull_step<L: Launcher>(
     launcher: &L,
-    rep: &Representation<'_>,
+    mapping: &Mapping<'_>,
     ctx: &GatherCtx<'_>,
 ) -> KernelMetrics {
-    let graph = rep.graph();
-    let gather = |lane: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
-        let touched = pull_gather(
-            lane,
-            ctx.prog,
-            ctx.values,
-            slot,
-            csr_edges(graph, edges),
-            GatherFilter {
-                active: ctx.frontier,
-                early_exit: ctx.early_exit,
-            },
-            |m, slot| {
-                m.store(FLAG_ADDR, 1);
-                ctx.changed.store(true, Ordering::Relaxed);
-                if let Some(next) = ctx.next {
-                    if next.activate(slot) {
-                        m.atomic(frontier_bit_addr(slot), 4);
+    mapping.sweep(
+        launcher,
+        |lane, _, probes| lane.compute(probes as u64 * 2),
+        |lane, slot, edges| {
+            let touched = pull_gather(
+                lane,
+                ctx.prog,
+                ctx.values,
+                slot,
+                csr_edges(ctx.graph, edges),
+                GatherFilter {
+                    active: ctx.frontier,
+                    early_exit: ctx.early_exit,
+                },
+                |m, slot| {
+                    m.store(FLAG_ADDR, 1);
+                    ctx.changed.store(true, Ordering::Relaxed);
+                    if let Some(next) = ctx.next {
+                        if next.activate(slot) {
+                            m.atomic(frontier_bit_addr(slot), 4);
+                        }
                     }
-                }
-            },
-        );
-        ctx.edges_touched.fetch_add(touched, Ordering::Relaxed);
-    };
-
-    match rep {
-        Representation::Original(g) => launcher.launch(g.num_nodes(), |tid, lane| {
-            lane.load(row_ptr_addr(tid), 8);
-            let v = NodeId::from_index(tid);
-            gather(lane, tid, (g.edge_start(v)..g.edge_end(v)).into());
-        }),
-        Representation::Virtual { overlay, .. } => {
-            launcher.launch(overlay.num_virtual_nodes(), |tid, lane| {
-                lane.load(vnode_addr(tid), 8);
-                let vn = overlay.vnode(tid);
-                gather(lane, vn.physical.index(), (&vn).into())
-            })
-        }
-        Representation::OnTheFly { graph: g, mapper } => {
-            launcher.launch(mapper.num_threads(), |tid, lane| {
-                let (range, first, probes) = mapper.resolve(g, tid);
-                lane.compute(probes as u64 * 2);
-                // Process the block per owning node so folds stay within
-                // one slot.
-                walk_segments(lane, g, range, first, |lane, src, seg| {
-                    gather(lane, src, seg.into());
-                });
-            })
-        }
-        Representation::Physical(_) => {
-            unreachable!("plan validation rejects pull over a physical split")
-        }
-    }
+                },
+            );
+            ctx.edges_touched.fetch_add(touched, Ordering::Relaxed);
+        },
+    )
 }
 
 #[cfg(test)]
@@ -117,11 +92,12 @@ mod tests {
     use crate::monotone::{run_monotone, MonotoneOutput, PullSide};
     use crate::plan::{Direction, ExecutionPlan, PlanError};
     use crate::push::PushOptions;
+    use crate::representation::Representation;
     use tigr_core::VirtualGraph;
     use tigr_graph::generators::{rmat, with_uniform_weights, RmatConfig};
     use tigr_graph::properties::{dijkstra, widest_path};
     use tigr_graph::reverse::transpose;
-    use tigr_graph::Csr;
+    use tigr_graph::NodeId;
     use tigr_sim::{GpuConfig, GpuSimulator};
 
     fn fixture() -> (Csr, Csr) {

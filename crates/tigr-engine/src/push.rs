@@ -1,9 +1,9 @@
-//! The push (scatter) sweep shapes of the monotone driver (Figure 2,
-//! Algorithm 2, Algorithm 3), and the options that configure them.
+//! The push (scatter) sweep of the monotone driver (Figure 2,
+//! Algorithm 2, Algorithm 3), and the options that configure it.
 //!
-//! [`crate::run_monotone`] launches one of these per push iteration, on
-//! any [`Launcher`], over any [`Representation`], with the two engine
-//! optimizations of §5:
+//! [`crate::run_monotone`] launches it once per push iteration, on any
+//! [`Launcher`], over any [`Mapping`], with the two engine optimizations
+//! of §5:
 //!
 //! * **worklist** — only active nodes are processed per iteration;
 //! * **synchronization relaxation** — values written in the current
@@ -14,15 +14,14 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use tigr_core::EdgeCursor;
-use tigr_graph::{Csr, NodeId};
+use tigr_graph::Csr;
 use tigr_sim::KernelMetrics;
 
 use crate::addr::{frontier_addr, frontier_bit_addr, row_ptr_addr, value_addr, FLAG_ADDR};
-use crate::frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep};
-use crate::kernel::{csr_edges, push_relax, walk_segments, AccessMirror, Launcher};
+use crate::frontier::{Frontier, FrontierBuilder, FrontierMode};
+use crate::kernel::{csr_edges, push_relax, AccessMirror, Launcher};
+use crate::mapping::{Active, EdgeWalk, Mapping};
 use crate::program::MonotoneProgram;
-use crate::representation::Representation;
 use crate::state::AtomicValues;
 
 /// Value-visibility discipline across an iteration.
@@ -83,17 +82,12 @@ pub(crate) struct IterCtx<'a> {
     pub(crate) edges_touched: &'a AtomicU64,
 }
 
-/// Scatter body shared by every representation: reads the slot's value
+/// Scatter body shared by every mapping: reads the slot's value
 /// and routes its edge range through the [`crate::kernel`] relax loop
 /// (Algorithm 2 lines 3, 6–10; Algorithm 3 for strided cursors), with
 /// each memory access mirrored onto the launcher's lane.
 #[inline]
-fn process_slot<M: AccessMirror>(
-    lane: &mut M,
-    ctx: &IterCtx<'_>,
-    slot: usize,
-    edges: impl Iterator<Item = usize>,
-) {
+fn process_slot<M: AccessMirror>(lane: &mut M, ctx: &IterCtx<'_>, slot: usize, edges: EdgeWalk) {
     // d = distance[nodeId] (Algorithm 2, line 3).
     lane.load(value_addr(slot), 4);
     let d = match ctx.prev {
@@ -104,7 +98,6 @@ fn process_slot<M: AccessMirror>(
         lane,
         ctx.prog,
         ctx.values,
-        ctx.prev,
         d,
         csr_edges(ctx.graph, edges),
         |m, nbr| {
@@ -121,142 +114,41 @@ fn process_slot<M: AccessMirror>(
     ctx.edges_touched.fetch_add(touched, Ordering::Relaxed);
 }
 
-/// One full (non-worklist) sweep over all nodes of the representation.
-pub(crate) fn full_sweep<L: Launcher>(
+/// One push sweep over `mapping`: every thread when `frontier` is
+/// `None`, else the frontier's active nodes. A sparse frontier over a
+/// virtual overlay first pays the compaction pass a GPU implementation
+/// runs to expand active nodes into their families. Edge blocks have no
+/// node identity to enqueue on, so they always sweep in full, and charge
+/// each binary-search probe as a scattered `row_ptr` load.
+pub(crate) fn push_sweep<L: Launcher>(
     launcher: &L,
-    rep: &Representation<'_>,
+    mapping: &Mapping<'_>,
     ctx: &IterCtx<'_>,
+    frontier: Option<&Frontier>,
 ) -> KernelMetrics {
-    match rep {
-        Representation::Original(g) => launcher.launch(g.num_nodes(), |tid, lane| {
-            lane.load(row_ptr_addr(tid), 8);
-            let v = NodeId::from_index(tid);
-            process_slot(lane, ctx, tid, g.edge_start(v)..g.edge_end(v));
-        }),
-        Representation::Physical(t) => {
-            let g = t.graph();
-            launcher.launch(g.num_nodes(), |tid, lane| {
-                lane.load(row_ptr_addr(tid), 8);
-                let v = NodeId::from_index(tid);
-                process_slot(lane, ctx, tid, g.edge_start(v)..g.edge_end(v));
-            })
+    let body = |lane: &mut L::Mirror, slot: usize, edges: EdgeWalk| {
+        process_slot(lane, ctx, slot, edges);
+    };
+    let n = ctx.graph.num_nodes().max(1);
+    let search = |lane: &mut L::Mirror, tid: usize, probes: u32| {
+        for i in 0..probes {
+            let probe = (tid.wrapping_mul(2654435761) ^ (i as usize * 40503)) % n;
+            lane.load(row_ptr_addr(probe), 4);
+            lane.compute(2);
         }
-        Representation::Virtual { overlay, .. } => {
-            launcher.launch(overlay.num_virtual_nodes(), |tid, lane| {
-                // nodeId = virtualNodes[tid].physicalNodeId (Alg. 2 line 2).
-                lane.load(crate::addr::vnode_addr(tid), 8);
-                let vn = overlay.vnode(tid);
-                process_slot(lane, ctx, vn.physical.index(), EdgeCursor::new(&vn));
-            })
-        }
-        Representation::OnTheFly { graph, mapper } => {
-            launcher.launch(mapper.num_threads(), |tid, lane| {
-                otf_block(lane, ctx, graph, mapper, tid);
-            })
-        }
-    }
-}
-
-/// Dynamic-mapping kernel: thread `tid` resolves its edge block and
-/// walks it segment by segment through the shared relax loop.
-fn otf_block<M: AccessMirror>(
-    lane: &mut M,
-    ctx: &IterCtx<'_>,
-    graph: &Csr,
-    mapper: &tigr_core::OnTheFlyMapper,
-    tid: usize,
-) {
-    let (range, first_src, probes) = mapper.resolve(graph, tid);
-    // Binary-search probes: scattered row_ptr loads plus compare/branch.
-    let n = graph.num_nodes().max(1);
-    for i in 0..probes {
-        let probe = (tid.wrapping_mul(2654435761) ^ (i as usize * 40503)) % n;
-        lane.load(row_ptr_addr(probe), 4);
-        lane.compute(2);
-    }
-    walk_segments(lane, graph, range, first_src, |lane, src, seg| {
-        process_slot(lane, ctx, src, seg);
-    });
-}
-
-/// One worklist sweep over the active nodes, scheduled per the
-/// frontier's representation: sparse launches one thread per active
-/// (virtual) node off the compacted list; dense launches one thread per
-/// (virtual) node, each exiting after a bitmap-word load when inactive.
-pub(crate) fn worklist_sweep<L: Launcher>(
-    launcher: &L,
-    rep: &Representation<'_>,
-    ctx: &IterCtx<'_>,
-    frontier: &Frontier,
-) -> KernelMetrics {
-    match rep {
-        Representation::Original(g) => sweep_csr(launcher, g, ctx, frontier),
-        Representation::Physical(t) => sweep_csr(launcher, t.graph(), ctx, frontier),
-        Representation::Virtual { overlay, .. } => match frontier.rep() {
-            FrontierRep::Sparse => {
-                // Expand active physical nodes into their virtual
-                // families and charge the compaction pass that a GPU
-                // implementation pays.
-                let active = overlay.expand_active(frontier.nodes());
-                let mut metrics = launcher.launch(frontier.len(), |tid, lane| {
-                    lane.load(frontier_addr(tid), 4);
-                    lane.compute(2);
-                    lane.store(frontier_addr(tid), 4);
-                });
-                let work = launcher.launch(active.len(), |tid, lane| {
-                    let vid = active[tid] as usize;
-                    lane.load(frontier_addr(tid), 4);
-                    lane.load(crate::addr::vnode_addr(vid), 8);
-                    let vn = overlay.vnode(vid);
-                    process_slot(lane, ctx, vn.physical.index(), EdgeCursor::new(&vn));
-                });
-                metrics.merge(&work);
-                metrics
-            }
-            FrontierRep::Dense => launcher.launch(overlay.num_virtual_nodes(), |tid, lane| {
-                // No expansion or compaction: every virtual node checks
-                // its physical node's bit and exits when inactive.
-                lane.load(crate::addr::vnode_addr(tid), 8);
-                let vn = overlay.vnode(tid);
-                lane.load(frontier_bit_addr(vn.physical.index()), 4);
-                if frontier.contains(vn.physical.index()) {
-                    process_slot(lane, ctx, vn.physical.index(), EdgeCursor::new(&vn));
-                }
-            }),
-        },
-        Representation::OnTheFly { .. } => {
-            // Dynamic mapping has no stored node identity to enqueue on:
-            // fall back to full sweeps (documented limitation).
-            full_sweep(launcher, rep, ctx)
-        }
-    }
-}
-
-/// Worklist sweep over a plain CSR (original or physically split).
-fn sweep_csr<L: Launcher>(
-    launcher: &L,
-    g: &Csr,
-    ctx: &IterCtx<'_>,
-    frontier: &Frontier,
-) -> KernelMetrics {
-    match frontier.rep() {
-        FrontierRep::Sparse => {
-            let nodes = frontier.nodes();
-            launcher.launch(nodes.len(), |tid, lane| {
+    };
+    match (mapping, frontier.map(Active::of)) {
+        (Mapping::Blocks { .. }, _) | (_, None) => mapping.sweep(launcher, search, body),
+        (Mapping::Virtual(_), Some(active @ Active::List(nodes))) => {
+            let mut metrics = launcher.launch(nodes.len(), |tid, lane| {
                 lane.load(frontier_addr(tid), 4);
-                let v = NodeId::new(nodes[tid]);
-                lane.load(row_ptr_addr(v.index()), 8);
-                process_slot(lane, ctx, v.index(), g.edge_start(v)..g.edge_end(v));
-            })
+                lane.compute(2);
+                lane.store(frontier_addr(tid), 4);
+            });
+            metrics.merge(&mapping.sweep_active(launcher, active, body));
+            metrics
         }
-        FrontierRep::Dense => launcher.launch(g.num_nodes(), |tid, lane| {
-            lane.load(frontier_bit_addr(tid), 4);
-            if frontier.contains(tid) {
-                let v = NodeId::from_index(tid);
-                lane.load(row_ptr_addr(tid), 8);
-                process_slot(lane, ctx, tid, g.edge_start(v)..g.edge_end(v));
-            }
-        }),
+        (_, Some(active)) => mapping.sweep_active(launcher, active, body),
     }
 }
 
@@ -265,11 +157,13 @@ mod tests {
     use super::*;
     use crate::monotone::{run_monotone, MonotoneOutput};
     use crate::plan::ExecutionPlan;
+    use crate::representation::Representation;
     use tigr_core::{
         circular_transform, star_transform, udt_transform, DumbWeight, OnTheFlyMapper, VirtualGraph,
     };
     use tigr_graph::generators::{barabasi_albert, with_uniform_weights, BarabasiAlbertConfig};
     use tigr_graph::properties::{dijkstra, widest_path};
+    use tigr_graph::NodeId;
     use tigr_sim::{GpuConfig, GpuSimulator};
 
     fn fixture() -> Csr {

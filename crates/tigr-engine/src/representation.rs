@@ -5,6 +5,8 @@ use std::fmt;
 use tigr_core::{OnTheFlyMapper, TransformedGraph, VirtualGraph};
 use tigr_graph::Csr;
 
+use crate::mapping::Mapping;
+
 /// The graph form a kernel is launched against — the x-axis of Figure 13.
 pub enum Representation<'a> {
     /// The untouched CSR, one thread per node: the paper's `baseline`.
@@ -63,16 +65,6 @@ impl<'a> Representation<'a> {
         self.graph().num_nodes()
     }
 
-    /// Threads launched for a full (non-worklist) sweep.
-    pub fn full_threads(&self) -> usize {
-        match self {
-            Representation::Original(g) => g.num_nodes(),
-            Representation::Physical(t) => t.graph().num_nodes(),
-            Representation::Virtual { overlay, .. } => overlay.num_virtual_nodes(),
-            Representation::OnTheFly { mapper, .. } => mapper.num_threads(),
-        }
-    }
-
     /// Short label for reports ("original", "physical", "virtual",
     /// "virtual+", "otf").
     pub fn label(&self) -> &'static str {
@@ -110,7 +102,7 @@ impl fmt::Debug for Representation<'_> {
             .field("kind", &self.label())
             .field("nodes", &self.graph().num_nodes())
             .field("edges", &self.graph().num_edges())
-            .field("threads", &self.full_threads())
+            .field("threads", &Mapping::of(self).full_threads())
             .finish()
     }
 }
@@ -125,12 +117,15 @@ mod tests {
     fn labels_and_threads() {
         let g = star_graph(101);
         assert_eq!(Representation::Original(&g).label(), "original");
-        assert_eq!(Representation::Original(&g).full_threads(), 101);
+        assert_eq!(
+            Mapping::of(&Representation::Original(&g)).full_threads(),
+            101
+        );
 
         let t = udt_transform(&g, 10, DumbWeight::Zero);
         let rep = Representation::Physical(&t);
         assert_eq!(rep.label(), "physical");
-        assert!(rep.full_threads() > 101);
+        assert!(Mapping::of(&rep).full_threads() > 101);
 
         let ov = VirtualGraph::new(&g, 10);
         let rep = Representation::Virtual {
@@ -138,7 +133,7 @@ mod tests {
             overlay: &ov,
         };
         assert_eq!(rep.label(), "virtual");
-        assert_eq!(rep.full_threads(), ov.num_virtual_nodes());
+        assert_eq!(Mapping::of(&rep).full_threads(), ov.num_virtual_nodes());
 
         let ovc = VirtualGraph::coalesced(&g, 10);
         let rep = Representation::Virtual {
@@ -150,7 +145,7 @@ mod tests {
         let mapper = OnTheFlyMapper::new(&g, 10);
         let rep = Representation::OnTheFly { graph: &g, mapper };
         assert_eq!(rep.label(), "otf");
-        assert_eq!(rep.full_threads(), 10);
+        assert_eq!(Mapping::of(&rep).full_threads(), 10);
     }
 
     #[test]

@@ -108,8 +108,12 @@ impl Engine {
     /// Creates an engine whose simulator replays warps on all host cores:
     /// faster wall clock, identical values. The counters equal the
     /// sequential replay's only for kernels free of cross-thread races
-    /// (`tigr_sim`'s executor tests pin that); the relax kernels race on
-    /// first-claim enqueues, so cycles may drift by a few per mille.
+    /// (`tigr_sim`'s executor tests pin that). The relax kernels race on
+    /// first-claim enqueues, and their cycle totals drift by far more than
+    /// a few per mille: the benchmark's `sim.parallel_cycle_drift` (the
+    /// spread of three repeated runs' cycles) read 0.186 and 0.223 in two
+    /// of four traced runs, about a fifth of the cycles. Making both
+    /// replays one semantics is ROADMAP item 12.
     pub fn parallel(config: GpuConfig) -> Self {
         Engine {
             sim: GpuSimulator::new_parallel(config),

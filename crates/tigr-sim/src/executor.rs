@@ -124,8 +124,11 @@ impl GpuSimulator {
     /// cross-thread races produces metrics identical to sequential
     /// replay. Kernels with racy side effects (e.g. "first thread to
     /// claim a node logs the enqueue") keep exact *results* for monotone
-    /// programs but may shift a few trace details between lanes — the
-    /// same nondeterminism real GPU profilers exhibit.
+    /// programs, but their traces are not the sequential replay's, and
+    /// the difference is not small: the engine's relax kernels spread by
+    /// 0.186 and 0.223 of their cycles over repeated runs in two of four
+    /// traced benchmark runs (`sim.parallel_cycle_drift`). Making both
+    /// replays one semantics is ROADMAP item 12.
     pub fn new_parallel(config: GpuConfig) -> Self {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)

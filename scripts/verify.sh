@@ -38,9 +38,6 @@ echo "== workspace tests =="
 # The tier-1 step ran the root package's targets; these are the crates'.
 cargo test -q --workspace --exclude tigr
 
-echo "== benches compile =="
-cargo bench --workspace --no-run
-
 echo "== benchmark quick =="
 # The harness under benchmark/ is a workspace of its own that compiles
 # against the public API of the crates and may not be edited by a change
@@ -73,7 +70,7 @@ echo "== docs (deny warnings) =="
 # and every crate under crates/. The shims stay out: the proptest shim's
 # `vec` names both a function and a macro.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-    --exclude rand --exclude proptest --exclude criterion --exclude tigr-cli
+    --exclude rand --exclude proptest --exclude tigr-cli
 # tigr-cli's binary is named `tigr` like the root library, and one cargo
 # invocation cannot write both doc trees, so it is documented on its own.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p tigr-cli
