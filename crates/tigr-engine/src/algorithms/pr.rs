@@ -26,7 +26,7 @@ use tigr_sim::{KernelMetrics, SimReport};
 
 use crate::addr::{aux_addr, value_addr};
 use crate::kernel::{csr_targets, relax_kernel, AccessMirror, EdgeFlow, Launcher};
-use crate::mapping::{EdgeWalk, Mapping};
+use crate::mapping::{search_compute, EdgeWalk, Mapping};
 use crate::representation::Representation;
 use crate::state::AtomicFloats;
 
@@ -302,11 +302,6 @@ fn pull_kernel<L: Launcher>(
         }
     };
     mapping.sweep(launcher, search_compute, gather)
-}
-
-/// An edge block's binary search, charged as 2 compute per probe.
-fn search_compute<M: AccessMirror>(m: &mut M, _tid: usize, probes: u32) {
-    m.compute(probes as u64 * 2);
 }
 
 /// Per-node out-degrees of `g` as `u32` — the helper callers pass to

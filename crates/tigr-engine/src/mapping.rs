@@ -65,7 +65,7 @@ pub enum Active<'a> {
 impl<'a> Active<'a> {
     /// The active set of `frontier` in the form its representation
     /// schedules.
-    pub fn of(frontier: &'a Frontier) -> Self {
+    pub(crate) fn of(frontier: &'a Frontier) -> Self {
         match frontier.rep() {
             FrontierRep::Sparse => Active::List(frontier.nodes()),
             FrontierRep::Dense => Active::Bitmap(frontier),
@@ -191,7 +191,13 @@ fn rows<L: Launcher>(
     pick: impl Fn(&mut L::Mirror, usize) -> Option<usize> + Sync,
     body: &(impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync),
 ) -> KernelMetrics {
-    let row_ptr = graph.row_ptr(); // sliced once: no accessor call per row
+    // `row_ptr` is sliced once: no accessor call per row. Width 1 has a
+    // launch of its own: through the general one, the per-thread
+    // `tid / width`, `tid % width` and the lane's division cost a host
+    // `pr` sweep about 40 % more time (a guard ratio of 1.45 against 1.04
+    // in `host_vs_warpsim::host_pagerank_costs_what_a_plain_gather_costs`,
+    // 2-core Xeon @ 2.10 GHz); the traces are the same either way.
+    let row_ptr = graph.row_ptr();
     if width == 1 {
         return launcher.launch(groups, |tid, lane| {
             if let Some(v) = pick(lane, tid) {
@@ -239,6 +245,13 @@ fn virtual_active<L: Launcher>(
             }
         }),
     }
+}
+
+/// The `search` that prices an edge block's binary search as 2 compute
+/// per probe (pull and `pr`; push charges each probe's `row_ptr` load
+/// too).
+pub(crate) fn search_compute<M: AccessMirror>(m: &mut M, _tid: usize, probes: u32) {
+    m.compute(probes as u64 * 2);
 }
 
 /// Virtual node `i`, its array entry charged
@@ -290,7 +303,7 @@ pub struct EdgeWalk {
 impl EdgeWalk {
     /// Lane `lane` of a `width`-wide group over `row`: every `width`-th
     /// edge from the row's `lane`-th.
-    pub fn lane(row: Range<usize>, lane: usize, width: usize) -> Self {
+    fn lane(row: Range<usize>, lane: usize, width: usize) -> Self {
         let first = row.start + lane;
         EdgeWalk {
             next: first,

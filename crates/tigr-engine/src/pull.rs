@@ -29,7 +29,7 @@ use tigr_sim::KernelMetrics;
 use crate::addr::{frontier_bit_addr, FLAG_ADDR};
 use crate::frontier::{Frontier, FrontierBuilder};
 use crate::kernel::{csr_edges, pull_gather, AccessMirror, GatherFilter, Launcher};
-use crate::mapping::Mapping;
+use crate::mapping::{search_compute, Mapping};
 use crate::program::MonotoneProgram;
 use crate::state::AtomicValues;
 
@@ -57,33 +57,29 @@ pub(crate) fn pull_step<L: Launcher>(
     mapping: &Mapping<'_>,
     ctx: &GatherCtx<'_>,
 ) -> KernelMetrics {
-    mapping.sweep(
-        launcher,
-        |lane, _, probes| lane.compute(probes as u64 * 2),
-        |lane, slot, edges| {
-            let touched = pull_gather(
-                lane,
-                ctx.prog,
-                ctx.values,
-                slot,
-                csr_edges(ctx.graph, edges),
-                GatherFilter {
-                    active: ctx.frontier,
-                    early_exit: ctx.early_exit,
-                },
-                |m, slot| {
-                    m.store(FLAG_ADDR, 1);
-                    ctx.changed.store(true, Ordering::Relaxed);
-                    if let Some(next) = ctx.next {
-                        if next.activate(slot) {
-                            m.atomic(frontier_bit_addr(slot), 4);
-                        }
+    mapping.sweep(launcher, search_compute, |lane, slot, edges| {
+        let touched = pull_gather(
+            lane,
+            ctx.prog,
+            ctx.values,
+            slot,
+            csr_edges(ctx.graph, edges),
+            GatherFilter {
+                active: ctx.frontier,
+                early_exit: ctx.early_exit,
+            },
+            |m, slot| {
+                m.store(FLAG_ADDR, 1);
+                ctx.changed.store(true, Ordering::Relaxed);
+                if let Some(next) = ctx.next {
+                    if next.activate(slot) {
+                        m.atomic(frontier_bit_addr(slot), 4);
                     }
-                },
-            );
-            ctx.edges_touched.fetch_add(touched, Ordering::Relaxed);
-        },
-    )
+                }
+            },
+        );
+        ctx.edges_touched.fetch_add(touched, Ordering::Relaxed);
+    })
 }
 
 #[cfg(test)]
