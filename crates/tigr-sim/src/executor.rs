@@ -3,17 +3,32 @@
 use std::num::NonZeroUsize;
 
 use crate::config::GpuConfig;
-use crate::memory::{AccessKind, MemAccess};
+use crate::memory::AccessKind;
 use crate::metrics::KernelMetrics;
 use crate::warp::WarpReplay;
 
-/// One operation recorded by a lane.
+/// One operation recorded by a lane, in 16 bytes (24 with a `MemAccess`
+/// inside).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Op {
     /// `n` back-to-back arithmetic/control instructions.
     Compute(u64),
-    /// One memory access.
-    Mem(MemAccess),
+    /// One memory access: simulated byte address, width in bytes, kind.
+    Mem(u64, u32, AccessKind),
+}
+
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
+
+/// `bytes` as a trace op's width.
+///
+/// # Panics
+///
+/// Panics, naming the width, if `bytes` exceeds `u32::MAX`.
+#[inline]
+fn width(bytes: u64) -> u32 {
+    u32::try_from(bytes).unwrap_or_else(|_| {
+        panic!("access width of {bytes} bytes exceeds a lane's limit of u32::MAX bytes")
+    })
 }
 
 /// Recording handle passed to a kernel closure: the simulated "thread".
@@ -48,34 +63,30 @@ impl Lane {
         }
     }
 
-    /// Records a load of `bytes` bytes at simulated address `addr`.
+    /// Records a load of `bytes` bytes at simulated address `addr`. A
+    /// zero-byte access counts as one byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds `u32::MAX`, as do [`Lane::store`] and
+    /// [`Lane::atomic`].
     #[inline]
     pub fn load(&mut self, addr: u64, bytes: u64) {
-        self.ops.push(Op::Mem(MemAccess {
-            addr,
-            bytes,
-            kind: AccessKind::Load,
-        }));
+        self.ops.push(Op::Mem(addr, width(bytes), AccessKind::Load));
     }
 
     /// Records a store of `bytes` bytes at simulated address `addr`.
     #[inline]
     pub fn store(&mut self, addr: u64, bytes: u64) {
-        self.ops.push(Op::Mem(MemAccess {
-            addr,
-            bytes,
-            kind: AccessKind::Store,
-        }));
+        self.ops
+            .push(Op::Mem(addr, width(bytes), AccessKind::Store));
     }
 
     /// Records an atomic read-modify-write (e.g. `atomicMin`) at `addr`.
     #[inline]
     pub fn atomic(&mut self, addr: u64, bytes: u64) {
-        self.ops.push(Op::Mem(MemAccess {
-            addr,
-            bytes,
-            kind: AccessKind::Atomic,
-        }));
+        self.ops
+            .push(Op::Mem(addr, width(bytes), AccessKind::Atomic));
     }
 
     /// Number of operations this lane has recorded so far.
@@ -288,6 +299,33 @@ mod tests {
         lane.compute(3);
         assert_eq!(lane.ops(), &[Op::Compute(3)]);
         assert_eq!(lane.len(), 1);
+    }
+
+    #[test]
+    fn lane_keeps_widths_up_to_u32_max() {
+        let mut lane = Lane::default();
+        lane.store(8, u64::from(u32::MAX));
+        lane.atomic(0, 0);
+        assert_eq!(
+            lane.ops(),
+            &[
+                Op::Mem(8, u32::MAX, AccessKind::Store),
+                Op::Mem(0, 0, AccessKind::Atomic)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "access width of 4294967296 bytes")]
+    fn lane_refuses_a_width_over_u32_max() {
+        Lane::default().load(0, u64::from(u32::MAX) + 1);
+    }
+
+    #[test]
+    fn zero_width_access_counts_as_one_byte() {
+        // Line 16: a zero-byte load at 16 touches segment 1, not none.
+        let m = sim().launch(1, |_, lane| lane.load(16, 0));
+        assert_eq!(m.mem_transactions, 1);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub struct WarpStats {
 }
 
 /// Replays warps: the scratch one host thread reuses for every warp it
-/// replays — the coalescer's segment buffer and the list of lanes still
-/// running — so a step allocates nothing.
+/// replays — the coalescer's segment buffer and table, and the list of
+/// lanes still running — so a step allocates nothing.
 ///
 /// A warp arrives as its lanes' traces back to back in one buffer: lane
 /// `i`'s ops are `ops[ends[i - 1]..ends[i]]` (from `0` for lane 0).
@@ -113,8 +113,8 @@ impl<'c> WarpReplay<'c> {
                             max_compute = max_compute.max(*w);
                             useful += w;
                         }
-                        Op::Mem(a) => {
-                            accesses.push(a);
+                        &Op::Mem(addr, bytes, kind) => {
+                            accesses.push(addr, u64::from(bytes), kind);
                             useful += 1;
                         }
                     }
@@ -143,9 +143,9 @@ impl<'c> WarpReplay<'c> {
                         compute += w;
                         stats.useful_slots += w;
                     }
-                    Op::Mem(a) => {
+                    &Op::Mem(_, _, kind) => {
                         stats.mem_transactions += 1;
-                        if a.kind == AccessKind::Atomic {
+                        if kind == AccessKind::Atomic {
                             stats.atomic_ops += 1;
                         }
                         stats.useful_slots += 1;
@@ -194,7 +194,6 @@ fn charge_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemAccess;
 
     fn cfg() -> GpuConfig {
         GpuConfig::tiny() // warp 4, line 16, mem 4 cyc, atomic +2, compute 1
@@ -217,7 +216,7 @@ mod tests {
     }
 
     fn load(addr: u64) -> Op {
-        Op::Mem(MemAccess::load4(addr))
+        Op::Mem(addr, 4, AccessKind::Load)
     }
 
     #[test]
@@ -284,11 +283,7 @@ mod tests {
 
     #[test]
     fn atomics_add_surcharge() {
-        let lanes = vec![vec![Op::Mem(MemAccess {
-            addr: 0,
-            bytes: 4,
-            kind: AccessKind::Atomic,
-        })]];
+        let lanes = vec![vec![Op::Mem(0, 4, AccessKind::Atomic)]];
         let s = replay_warp(&lanes, &cfg());
         assert_eq!(s.atomic_ops, 1);
         assert_eq!(s.cycles, 4 + 2);

@@ -42,10 +42,12 @@ echo "== benchmark quick =="
 # The harness under benchmark/ is a workspace of its own that compiles
 # against the public API of the crates and may not be edited by a change
 # that claims a gain: build it with the exact command BENCHMARK.json
-# names and run the two workloads that live on the wire path at smoke
-# size (every answer is still checked; a failed or wrong one exits
-# non-zero), then its unit tests. A PR that breaks an item the harness
-# uses, or a codec change that fails its checks, fails here.
+# names and run at smoke size the two workloads that live on the wire
+# path and `paper_sim`, the only step that runs the simulator end to end
+# with its re-run determinism check and its UDT projection check (every
+# answer is still checked; a failed or wrong one exits non-zero), then
+# its unit tests. A PR that breaks an item the harness uses, or a codec
+# or simulator change that fails its checks, fails here.
 mapfile -t bench_cmd < <(sed -n '/"command": \[/,/\]/p' BENCHMARK.json \
     | grep -o '"[^"]*"' | tr -d '"' | tail -n +2)
 [ "${bench_cmd[0]}" = "cargo" ] \
@@ -56,7 +58,7 @@ mapfile -t bench_cmd < <(sed -n '/"command": \[/,/\]/p' BENCHMARK.json \
 work="$(mktemp -d)"
 cp benchmark/Cargo.lock "$work/benchmark.Cargo.lock"
 trap 'cp "$work/benchmark.Cargo.lock" benchmark/Cargo.lock; rm -rf "$work"' EXIT
-for workload in serve_hot mutate_dirty; do
+for workload in serve_hot mutate_dirty paper_sim; do
     "${bench_cmd[@]}" --workload "$workload" --quick --data-dir "$work/bench" | tail -n 1
 done
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -89,9 +89,12 @@ fn guard(name: &str, replay: impl Fn() -> KernelMetrics, reference: impl Fn() ->
 
 /// A sequential launch of the skewed and of the balanced kernel at no
 /// more than 0.75x the reference's cost each, on the default device.
-/// Optimised, on one core or two, skewed reads ≈ 0.3 and balanced
-/// ≈ 0.70–0.74: a step whose segments arrive out of order (the balanced
-/// warps' scattered target loads) is sorted in both replays.
+/// Optimised, on one core or two, skewed reads ≈ 0.36 and balanced
+/// ≈ 0.54–0.56 (0.70–0.75 while the replay sorted too): a step whose
+/// segments arrive out of order (the balanced warps' scattered target
+/// loads) is sorted by the reference and counted in a hash table by the
+/// replay. Under the test profile skewed reads ≈ 0.3 and balanced
+/// ≈ 0.64–0.66.
 #[test]
 fn replay_costs_under_0_75x_the_reference() {
     let config = GpuConfig::default();
