@@ -72,7 +72,7 @@ fn build_shards(g: &Csr) -> Vec<ShardEntry> {
 fn shard_pass(
     sim: &GpuSimulator,
     shards: &[ShardEntry],
-    combine: impl Fn(&mut Lane, &ShardEntry) + Sync,
+    combine: impl Fn(&mut Lane, &ShardEntry),
 ) -> KernelMetrics {
     let mut metrics = sim.launch(shards.len(), |tid, lane| {
         lane.load(value_addr(shards[tid].src as usize), 4);
@@ -144,7 +144,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions, mode: Cush
             // the simulated cost is compute-only, matching on-chip
             // combining.
             let metrics = shard_pass(sim, &shards, |lane, entry| {
-                accum.fetch_add(entry.dst as usize, shares.load(entry.src as usize));
+                accum.add(entry.dst as usize, shares.load(entry.src as usize));
                 lane.compute(3);
             });
             (shards.len(), metrics)

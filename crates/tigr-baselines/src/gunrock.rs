@@ -39,7 +39,7 @@ fn advance(
     sim: &GpuSimulator,
     g: &Csr,
     work: &[(u32, u32)],
-    per_edge: impl Fn(&mut Lane, usize, usize, usize) + Sync,
+    per_edge: impl Fn(&mut Lane, usize, usize, usize),
 ) -> KernelMetrics {
     sim.launch(work.len(), |tid, lane| {
         let (src, e) = (work[tid].0 as usize, work[tid].1 as usize);
@@ -137,7 +137,7 @@ pub fn run_pagerank(sim: &GpuSimulator, g: &Csr, options: &PrOptions) -> PrOutpu
         &CancelToken::never(),
         |shares, accum| {
             let metrics = advance(sim, g, &work, |lane, src, _, nbr| {
-                accum.fetch_add(nbr, shares.load(src));
+                accum.add(nbr, shares.load(src));
                 lane.compute(2);
                 lane.atomic(aux_addr(0, nbr), 4);
             });

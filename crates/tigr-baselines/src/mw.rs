@@ -140,7 +140,7 @@ fn pagerank_with_width(sim: &GpuSimulator, g: &Csr, options: &PrOptions, width: 
                     for e in edges {
                         lane.load(edge_addr(e), 8);
                         let nbr = g.edge_target(e).index();
-                        accum.fetch_add(nbr, share);
+                        accum.add(nbr, share);
                         lane.atomic(aux_addr(0, nbr), 4);
                     }
                 },

@@ -132,9 +132,6 @@ pub fn run(args: &Args) -> CmdResult {
         return Err(format!("--source {source} out of range"));
     }
 
-    // The sequential warp replay: a parallel one races the relax
-    // kernels, so iterations, edges touched and cycles (and PageRank's
-    // and BC's f32 sums) would change from run to run.
     let engine = Engine::new(GpuConfig::default())
         .with_backend(if cpu {
             BackendKind::CpuPool

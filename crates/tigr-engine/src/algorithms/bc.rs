@@ -121,7 +121,7 @@ pub fn run_cancellable<L: Launcher>(
                         .push(nbr as u32);
                 }
                 if levels.load(nbr) == level + 1 {
-                    launcher.add(&sigma, nbr, sig_v);
+                    sigma.add(nbr, sig_v);
                     m.atomic(aux_addr(2, nbr), 4);
                 }
                 m.compute(2);
@@ -171,7 +171,7 @@ pub fn run_cancellable<L: Launcher>(
                 EdgeFlow::Continue
             });
             if partial != 0.0 {
-                launcher.add(&delta, slot, partial);
+                delta.add(slot, partial);
                 m.atomic(aux_addr(3, slot), 4);
             }
         };

@@ -179,7 +179,7 @@ pub fn power_iterate<L: Launcher>(
     options: &PrOptions,
     cancel: &CancelToken,
     scatter: impl Fn(&AtomicFloats, &AtomicFloats) -> (usize, KernelMetrics),
-    finalize_loads: impl Fn(&mut L::Mirror, usize) + Sync,
+    finalize_loads: impl Fn(&mut L::Mirror, usize),
 ) -> PrOutput {
     let n = out_degrees.len();
     let mut out = PrOutput {
@@ -229,7 +229,7 @@ pub fn power_iterate<L: Launcher>(
             let old = ranks.load(v);
             ranks.store(v, new);
             shares.store(v, share_of(v, new));
-            launcher.add(&delta, 0, (new - old).abs());
+            delta.add(0, (new - old).abs());
             m.compute(3);
             m.store(value_addr(v), 4);
         });
@@ -267,7 +267,7 @@ fn push_kernel<L: Launcher>(
         let share = shares.load(slot);
         m.compute(1);
         relax_kernel(m, csr_targets(g, edges), |m, edge| {
-            launcher.add(accum, edge.target, share);
+            accum.add(edge.target, share);
             m.atomic(aux_addr(0, edge.target), 4);
             EdgeFlow::Continue
         });
@@ -297,7 +297,7 @@ fn pull_kernel<L: Launcher>(
             EdgeFlow::Continue
         });
         if any {
-            launcher.add(accum, slot, partial);
+            accum.add(slot, partial);
             m.atomic(aux_addr(0, slot), 4);
         }
     };

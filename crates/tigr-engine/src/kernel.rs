@@ -42,7 +42,7 @@ use tigr_sim::{GpuSimulator, KernelMetrics, Lane};
 use crate::addr::{edge_addr, frontier_bit_addr, value_addr, EDGE_ENTRY_BYTES};
 use crate::frontier::Frontier;
 use crate::program::{resolve_edge_op, MonotoneProgram};
-use crate::state::{resolve_combine, AtomicFloats, AtomicValues, Fold, ValueCells};
+use crate::state::{resolve_combine, AtomicValues, Fold, ValueCells};
 
 /// One edge as seen by the kernel: its CSR index (for address
 /// accounting), the slot it leads to, and its weight.
@@ -126,16 +126,15 @@ impl AccessMirror for NoMirror {
 /// exists once:
 ///
 /// * [`GpuSimulator`] records a [`Lane`] per thread and replays warps —
-///   the paper's meter. Replay may run on several host threads, so
-///   float accumulators take a CAS loop.
+///   the paper's meter.
 /// * [`HostLoop`] is a plain `for` over the grid with [`NoMirror`] — the
-///   system's meter. It is the only writer, so an accumulation is a load
-///   and a store.
+///   system's meter.
 ///
-/// Sequential replay visits threads in `tid` order and so does the host
-/// loop; `f32` addition is order-sensitive and nothing else is, which is
-/// why the two agree to the bit.
-pub trait Launcher: Sync {
+/// Both run on the calling thread and visit threads in `tid` order, so an
+/// accumulation is one load, add and store ([`crate::AtomicFloats::add`]).
+/// `f32` addition is order-sensitive and nothing else is, which is why
+/// the two agree to the bit.
+pub trait Launcher {
     /// What a thread's accesses are charged to.
     type Mirror: AccessMirror;
 
@@ -146,11 +145,7 @@ pub trait Launcher: Sync {
     /// Runs `body` once per thread of a `threads`-wide grid.
     fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
     where
-        F: Fn(usize, &mut Self::Mirror) + Sync;
-
-    /// `acc[i] += delta`, safe against whatever else this launcher runs
-    /// concurrently.
-    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32);
+        F: Fn(usize, &mut Self::Mirror);
 }
 
 impl Launcher for GpuSimulator {
@@ -159,14 +154,9 @@ impl Launcher for GpuSimulator {
 
     fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
     where
-        F: Fn(usize, &mut Lane) + Sync,
+        F: Fn(usize, &mut Lane),
     {
         GpuSimulator::launch(self, threads, body)
-    }
-
-    #[inline]
-    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32) {
-        acc.fetch_add(i, delta);
     }
 }
 
@@ -182,17 +172,12 @@ impl Launcher for HostLoop {
     #[inline]
     fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
     where
-        F: Fn(usize, &mut NoMirror) + Sync,
+        F: Fn(usize, &mut NoMirror),
     {
         for tid in 0..threads {
             body(tid, &mut NoMirror);
         }
         KernelMetrics::default()
-    }
-
-    #[inline]
-    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32) {
-        acc.store(i, acc.load(i) + delta);
     }
 }
 

@@ -107,8 +107,8 @@ impl<'a> Mapping<'a> {
     pub fn sweep<L: Launcher>(
         &self,
         launcher: &L,
-        search: impl Fn(&mut L::Mirror, usize, u32) + Sync,
-        body: impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync,
+        search: impl Fn(&mut L::Mirror, usize, u32),
+        body: impl Fn(&mut L::Mirror, usize, EdgeWalk),
     ) -> KernelMetrics {
         match *self {
             Mapping::Rows { graph, width } => rows(
@@ -146,7 +146,7 @@ impl<'a> Mapping<'a> {
         &self,
         launcher: &L,
         active: Active<'_>,
-        body: impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync,
+        body: impl Fn(&mut L::Mirror, usize, EdgeWalk),
     ) -> KernelMetrics {
         let (graph, width) = match *self {
             Mapping::Rows { graph, width } => (graph, width),
@@ -188,8 +188,8 @@ fn rows<L: Launcher>(
     graph: &Csr,
     width: usize,
     groups: usize,
-    pick: impl Fn(&mut L::Mirror, usize) -> Option<usize> + Sync,
-    body: &(impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync),
+    pick: impl Fn(&mut L::Mirror, usize) -> Option<usize>,
+    body: &impl Fn(&mut L::Mirror, usize, EdgeWalk),
 ) -> KernelMetrics {
     // `row_ptr` is sliced once: no accessor call per row. Width 1 has a
     // launch of its own: through the general one, the per-thread
@@ -225,7 +225,7 @@ fn virtual_active<L: Launcher>(
     launcher: &L,
     overlay: &VirtualGraph,
     active: Active<'_>,
-    body: &(impl Fn(&mut L::Mirror, usize, EdgeWalk) + Sync),
+    body: &impl Fn(&mut L::Mirror, usize, EdgeWalk),
 ) -> KernelMetrics {
     match active {
         Active::List(nodes) => {

@@ -96,7 +96,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an engine over a sequential (deterministic) simulator.
+    /// Creates an engine over the simulator of `config`. Its runs are
+    /// deterministic: two runs of one query give the same values and the
+    /// same report.
     pub fn new(config: GpuConfig) -> Self {
         Engine {
             sim: GpuSimulator::new(config),
@@ -105,21 +107,11 @@ impl Engine {
         }
     }
 
-    /// Creates an engine whose simulator replays warps on all host cores:
-    /// faster wall clock, identical values. The counters equal the
-    /// sequential replay's only for kernels free of cross-thread races
-    /// (`tigr_sim`'s executor tests pin that). The relax kernels race on
-    /// first-claim enqueues, and their cycle totals drift by far more than
-    /// a few per mille: the benchmark's `sim.parallel_cycle_drift` (the
-    /// spread of three repeated runs' cycles) read 0.186 and 0.223 in two
-    /// of four traced runs, about a fifth of the cycles. Making both
-    /// replays one semantics is ROADMAP item 12.
+    /// The same engine as [`Engine::new`], bit for bit: the simulator has
+    /// one launch path. The name stays because the benchmark harness
+    /// calls it.
     pub fn parallel(config: GpuConfig) -> Self {
-        Engine {
-            sim: GpuSimulator::new_parallel(config),
-            plan: ExecutionPlan::default(),
-            device_memory: None,
-        }
+        Engine::new(config)
     }
 
     /// Replaces the whole execution plan.
@@ -737,24 +729,64 @@ mod tests {
 
     #[test]
     fn parallel_engine_matches_sequential_results() {
-        let g = tigr_graph::generators::grid_2d(8, 8);
-        let seq = Engine::new(GpuConfig::default());
-        let par = Engine::parallel(GpuConfig::default());
-        let a = seq
-            .run_pipeline(
-                &Representation::Original(&g),
-                &Pipeline::bfs(),
-                Some(NodeId::new(0)),
-            )
-            .unwrap();
-        let b = par
-            .run_pipeline(
-                &Representation::Original(&g),
-                &Pipeline::bfs(),
-                Some(NodeId::new(0)),
-            )
-            .unwrap();
-        assert_eq!(a.values, b.values);
+        // The kernels whose traces depend on the order threads run in:
+        // sparse worklist enqueues go to the first thread to claim a node,
+        // auto BFS switches on the frontier those claims build, and
+        // PageRank's `f32` sums depend on the order of the adds.
+        let store = tigr_core::GraphStore::disabled();
+        let spec = tigr_core::PrepareSpec::generated("rmat:10:8", 3)
+            .with_uniform_weights(1, 64, 2)
+            .with_virtual(8, true);
+        let prepared = store.prepare(&spec).unwrap();
+        let rep = Representation::from_prepared(&prepared);
+        assert!(matches!(rep, Representation::Virtual { .. }));
+        let runs = [
+            (
+                "relaxed sparse sssp",
+                Pipeline::sssp(),
+                Direction::Push,
+                FrontierMode::Sparse,
+            ),
+            (
+                "auto bfs",
+                Pipeline::bfs(),
+                Direction::Auto,
+                FrontierMode::Auto,
+            ),
+            (
+                "pr",
+                Pipeline::pagerank(pr::PrOptions::default()),
+                Direction::Push,
+                FrontierMode::Auto,
+            ),
+        ];
+        for (label, pipeline, direction, frontier) in runs {
+            let engine = |make: fn(GpuConfig) -> Engine| {
+                let engine = make(GpuConfig::default())
+                    .with_direction(direction)
+                    .with_frontier(frontier);
+                assert_eq!(engine.plan().push.sync, SyncMode::Relaxed, "{label}");
+                engine
+            };
+            let src = pipeline.needs_source().then_some(NodeId::new(0));
+            let a = engine(Engine::new)
+                .run_pipeline(&rep, &pipeline, src)
+                .unwrap();
+            let b = engine(Engine::parallel)
+                .run_pipeline(&rep, &pipeline, src)
+                .unwrap();
+            assert!(!a.report.iterations.is_empty(), "{label}");
+            assert_eq!(a.values, b.values, "{label}");
+            assert_eq!(a.report, b.report, "{label}");
+            assert_eq!(a.directions, b.directions, "{label}");
+            assert_eq!(a.edges_touched, b.edges_touched, "{label}");
+            assert_eq!(a.iterations, b.iterations, "{label}");
+            assert_eq!(
+                (a.converged, a.cancelled),
+                (b.converged, b.cancelled),
+                "{label}"
+            );
+        }
     }
 
     #[test]

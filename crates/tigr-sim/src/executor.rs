@@ -1,7 +1,5 @@
 //! Kernel launch machinery: grids, lanes, and SM accounting.
 
-use std::num::NonZeroUsize;
-
 use crate::config::GpuConfig;
 use crate::memory::AccessKind;
 use crate::metrics::KernelMetrics;
@@ -110,7 +108,6 @@ impl Lane {
 #[derive(Clone, Debug)]
 pub struct GpuSimulator {
     config: GpuConfig,
-    host_threads: usize,
 }
 
 impl GpuSimulator {
@@ -122,35 +119,7 @@ impl GpuSimulator {
     /// [`GpuConfig::validate`]).
     pub fn new(config: GpuConfig) -> Self {
         config.validate();
-        GpuSimulator {
-            config,
-            host_threads: 1,
-        }
-    }
-
-    /// Creates a simulator that replays warps on all available host cores.
-    ///
-    /// The aggregation itself is order-independent (sums and maxima
-    /// commute), so a kernel whose per-lane traces do not depend on
-    /// cross-thread races produces metrics identical to sequential
-    /// replay. Kernels with racy side effects (e.g. "first thread to
-    /// claim a node logs the enqueue") keep exact *results* for monotone
-    /// programs, but their traces are not the sequential replay's, and
-    /// the difference is not small: the engine's relax kernels spread by
-    /// 0.186 and 0.223 of their cycles over repeated runs in two of four
-    /// traced benchmark runs (`sim.parallel_cycle_drift`). Making both
-    /// replays one semantics is ROADMAP item 12.
-    pub fn new_parallel(config: GpuConfig) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(config).with_host_threads(threads)
-    }
-
-    /// Sets the number of host threads used to replay warps.
-    pub fn with_host_threads(mut self, threads: usize) -> Self {
-        self.host_threads = threads.max(1);
-        self
+        GpuSimulator { config }
     }
 
     /// The device configuration.
@@ -166,69 +135,12 @@ impl GpuSimulator {
     /// assigned round-robin to SMs; the kernel's cycle count is the
     /// busiest SM's total plus the fixed launch overhead.
     ///
-    /// When the simulator was built with multiple host threads, warps are
-    /// replayed concurrently. The kernel must then tolerate concurrent
-    /// execution (use atomics for shared host data) — the same discipline
-    /// real CUDA kernels need.
+    /// Everything runs on the calling thread: warps in order, and within
+    /// a warp its threads in `tid` order, so a launch's metrics and the
+    /// kernel's side effects are the same on every run.
     pub fn launch<F>(&self, num_threads: usize, kernel: F) -> KernelMetrics
     where
-        F: Fn(usize, &mut Lane) + Sync,
-    {
-        let ws = self.config.warp_size;
-        let num_warps = num_threads.div_ceil(ws);
-        let mut metrics = if self.host_threads <= 1 || num_warps < 2 {
-            self.run_warp_range(0, num_warps, num_threads, &kernel)
-        } else {
-            let workers = self.host_threads.min(num_warps);
-            let chunk = num_warps.div_ceil(workers);
-            let mut partials: Vec<KernelMetrics> = Vec::with_capacity(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(num_warps);
-                    let kernel = &kernel;
-                    handles.push(
-                        scope.spawn(move || self.run_warp_range(lo, hi, num_threads, kernel)),
-                    );
-                }
-                for h in handles {
-                    partials.push(h.join().expect("simulator worker panicked"));
-                }
-            });
-            let mut total = KernelMetrics {
-                sm_cycles: vec![0; self.config.num_sms],
-                ..KernelMetrics::default()
-            };
-            for p in &partials {
-                // Partial metrics describe disjoint warp sets running in
-                // the same launch: everything accumulates element-wise.
-                total.instructions += p.instructions;
-                total.issued_slots += p.issued_slots;
-                total.mem_transactions += p.mem_transactions;
-                total.atomic_ops += p.atomic_ops;
-                total.warps += p.warps;
-                for (a, b) in total.sm_cycles.iter_mut().zip(&p.sm_cycles) {
-                    *a += b;
-                }
-            }
-            total
-        };
-
-        metrics.cycles = metrics.sm_cycles.iter().copied().max().unwrap_or(0)
-            + self.config.cost.kernel_launch_cycles;
-        metrics
-    }
-
-    fn run_warp_range<F>(
-        &self,
-        warp_lo: usize,
-        warp_hi: usize,
-        num_threads: usize,
-        kernel: &F,
-    ) -> KernelMetrics
-    where
-        F: Fn(usize, &mut Lane) + Sync,
+        F: Fn(usize, &mut Lane),
     {
         let ws = self.config.warp_size;
         let mut metrics = KernelMetrics {
@@ -241,7 +153,7 @@ impl GpuSimulator {
         let mut ends: Vec<usize> = Vec::with_capacity(ws);
         let mut replay = WarpReplay::new(&self.config);
 
-        for warp in warp_lo..warp_hi {
+        for warp in 0..num_threads.div_ceil(ws) {
             recorder.ops.clear();
             ends.clear();
             for tid in warp * ws..((warp + 1) * ws).min(num_threads) {
@@ -258,6 +170,8 @@ impl GpuSimulator {
             // Round-robin warp-to-SM assignment.
             metrics.sm_cycles[warp % self.config.num_sms] += stats.cycles;
         }
+        metrics.cycles = metrics.sm_cycles.iter().copied().max().unwrap_or(0)
+            + self.config.cost.kernel_launch_cycles;
         metrics
     }
 }
@@ -377,20 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replay_matches_sequential_metrics() {
-        let kernel = |tid: usize, lane: &mut Lane| {
-            lane.compute((tid % 7) as u64 + 1);
-            lane.load((tid as u64) * 4, 4);
-            if tid.is_multiple_of(3) {
-                lane.atomic(1024 + (tid as u64 % 5) * 4, 4);
-            }
-        };
-        let seq = sim().launch(1000, kernel);
-        let par = sim().with_host_threads(4).launch(1000, kernel);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn round_robin_sm_assignment() {
         // 4 warps on 2 SMs: warps 0,2 -> SM0; 1,3 -> SM1.
         let m = sim().launch(16, |_, lane| lane.compute(3));
@@ -404,12 +304,5 @@ mod tests {
         assert!(strided.cycles > coalesced.cycles);
         assert_eq!(coalesced.mem_transactions, 1);
         assert_eq!(strided.mem_transactions, 4);
-    }
-
-    #[test]
-    fn new_parallel_constructs() {
-        let sim = GpuSimulator::new_parallel(GpuConfig::tiny());
-        let m = sim.launch(100, |_, lane| lane.compute(1));
-        assert_eq!(m.instructions, 100);
     }
 }

@@ -80,7 +80,12 @@ impl KernelMetrics {
 pub struct IterationTrace {
     /// Iteration index, starting at 0.
     pub iteration: usize,
-    /// Number of threads launched (active virtual or physical nodes).
+    /// The thread count the driver records for the iteration, not a sum
+    /// of its launches. A full sweep records its grid: rows × width,
+    /// virtual nodes or edge blocks. A sparse-worklist push records the
+    /// frontier's length whatever it launched: over a virtual overlay,
+    /// a compaction plus one thread per family member; over edge blocks,
+    /// a full sweep of ⌈|E|/K⌉ threads.
     pub threads: usize,
     /// Kernel metrics of this iteration.
     pub metrics: KernelMetrics,

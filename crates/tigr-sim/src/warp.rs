@@ -24,7 +24,7 @@ pub struct WarpStats {
     pub steps: u64,
 }
 
-/// Replays warps: the scratch one host thread reuses for every warp it
+/// Replays warps: the scratch one launch reuses for every warp it
 /// replays — the coalescer's segment buffer and table, and the list of
 /// lanes still running — so a step allocates nothing.
 ///

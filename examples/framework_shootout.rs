@@ -25,11 +25,11 @@ fn main() {
         graph.max_out_degree()
     );
 
-    let sim = GpuSimulator::new_parallel(GpuConfig::default());
+    let sim = GpuSimulator::new(GpuConfig::default());
     let src = tigr::NodeId::new(0);
     let overlay = VirtualGraph::coalesced(&graph, 10);
     let overlay_w = VirtualGraph::coalesced(&weighted, 10);
-    let engine = Engine::parallel(GpuConfig::default());
+    let engine = Engine::new(GpuConfig::default());
     let ms = |cycles: u64| GpuConfig::default().cycles_to_ms(cycles);
 
     println!(

@@ -22,7 +22,10 @@ use tigr::graph::properties;
 use tigr::{DumbWeight, Engine, NodeId, Representation, VirtualGraph};
 
 fn main() {
-    let dir = std::env::temp_dir().join("tigr_offline_cache_example");
+    // A directory of this process's own, so the first prepare is a miss
+    // even if an earlier run died before cleaning up.
+    let dir =
+        std::env::temp_dir().join(format!("tigr_offline_cache_example_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let store = GraphStore::new(Some(dir.clone()));
 

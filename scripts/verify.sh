@@ -1,7 +1,7 @@
 #!/bin/bash
 # Full verification gate: the tier-1 suite (ROADMAP.md), the cost guards
-# on optimised code, every crate's own tests, the benchmark harness at
-# smoke size, docs, lints and formatting. CI runs exactly this script;
+# on optimised code, every crate's own tests, the examples, the benchmark
+# harness at smoke size, docs, lints and formatting. CI runs exactly this script;
 # run it locally before pushing. Every step is a cargo command: what the
 # system must do is asserted by tests, not by grepping a daemon's output.
 set -euo pipefail
@@ -37,6 +37,15 @@ cargo test -q --release \
 echo "== workspace tests =="
 # The tier-1 step ran the root package's targets; these are the crates'.
 cargo test -q --workspace --exclude tigr
+
+echo "== examples =="
+# Clippy compiles the examples; this runs them, so their assertions
+# (offline_cache's miss-then-hit, the projected answers) are checked.
+# Every `[[example]]` in Cargo.toml runs, each in well under a second.
+for example in $(sed -n '/^\[\[example\]\]/,/^path/s/^name = "\(.*\)"/\1/p' Cargo.toml); do
+    echo "example $example"
+    cargo run -q --release --example "$example" > /dev/null
+done
 
 echo "== benchmark quick =="
 # The harness under benchmark/ is a workspace of its own that compiles

@@ -14,7 +14,7 @@ fn analog() -> (tigr::Csr, tigr::Csr) {
 }
 
 fn engine() -> Engine {
-    Engine::parallel(tigr::GpuConfig::default())
+    Engine::new(tigr::GpuConfig::default())
 }
 
 #[test]

@@ -21,7 +21,7 @@ fn five_implementations_one_sssp_answer() {
     let g = fixture();
     let src = NodeId::new(0);
     let expect = oracle::dijkstra(&g, src);
-    let sim = GpuSimulator::new_parallel(tigr::GpuConfig::default());
+    let sim = GpuSimulator::new(tigr::GpuConfig::default());
 
     for b in [
         Baseline::MaximumWarp { width: Some(8) },
@@ -39,7 +39,7 @@ fn five_implementations_one_sssp_answer() {
         assert_eq!(out.values, expect, "{} disagrees", b.name());
     }
 
-    let engine = Engine::parallel(tigr::GpuConfig::default());
+    let engine = Engine::new(tigr::GpuConfig::default());
     let overlay = VirtualGraph::coalesced(&g, 10);
     let tigr_out = engine
         .run_pipeline(
@@ -64,7 +64,7 @@ fn five_implementations_one_sssp_answer() {
 #[test]
 fn all_frameworks_agree_on_pagerank() {
     let g = datasets::by_name("pokec").unwrap().generate(8192, 5);
-    let sim = GpuSimulator::new_parallel(tigr::GpuConfig::default());
+    let sim = GpuSimulator::new(tigr::GpuConfig::default());
     let opts = tigr::engine::PrOptions {
         max_iterations: 30,
         tolerance: 1e-7,
@@ -96,7 +96,7 @@ fn frameworks_differ_in_cost_not_in_answers() {
     // cycle counts.
     let g = fixture();
     let src = NodeId::new(0);
-    let sim = GpuSimulator::new_parallel(tigr::GpuConfig::default());
+    let sim = GpuSimulator::new(tigr::GpuConfig::default());
 
     let mw = Baseline::MaximumWarp { width: Some(4) }
         .run_monotone(&sim, &g, MonotoneProgram::BFS, Some(src), None)

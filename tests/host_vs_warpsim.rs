@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tigr::core::{CancelToken, DumbWeight, GraphStore, OnTheFlyMapper, PrepareSpec, ViewPlan};
 use tigr::engine::{
-    bc, pr, run_monotone, AtomicFloats, BackendKind, BcOutput, Direction, ExecutionPlan, HostLoop,
-    Launcher, MonotoneOutput, MonotoneProgram, Pipeline, PrMode, PrOptions, PrOutput, PushOptions,
+    bc, pr, run_monotone, BackendKind, BcOutput, Direction, ExecutionPlan, HostLoop, Launcher,
+    MonotoneOutput, MonotoneProgram, Pipeline, PrMode, PrOptions, PrOutput, PushOptions,
 };
 use tigr::graph::reverse::transpose;
 use tigr::sim::KernelMetrics;
@@ -340,17 +340,13 @@ impl<L: Launcher> Launcher for CancelAfter<'_, L> {
 
     fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
     where
-        F: Fn(usize, &mut L::Mirror) + Sync,
+        F: Fn(usize, &mut L::Mirror),
     {
         let metrics = self.inner.launch(threads, body);
         if self.budget.fetch_sub(1, Ordering::Relaxed) == 1 {
             self.token.cancel();
         }
         metrics
-    }
-
-    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32) {
-        self.inner.add(acc, i, delta);
     }
 }
 

@@ -13,9 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use tigr::core::{DumbWeight, OnTheFlyMapper};
-use tigr::engine::{
-    AccessMirror, Active, AtomicFloats, EdgeWalk, Frontier, FrontierMode, Launcher, Mapping,
-};
+use tigr::engine::{AccessMirror, Active, EdgeWalk, Frontier, FrontierMode, Launcher, Mapping};
 use tigr::sim::KernelMetrics;
 use tigr::{udt_transform, Csr, CsrBuilder, NodeId, VirtualGraph};
 
@@ -41,17 +39,13 @@ impl Launcher for Recorder {
 
     fn launch<F>(&self, threads: usize, body: F) -> KernelMetrics
     where
-        F: Fn(usize, &mut Thread) + Sync,
+        F: Fn(usize, &mut Thread),
     {
         self.launches.fetch_add(1, Ordering::Relaxed);
         for tid in 0..threads {
             body(tid, &mut Thread(tid));
         }
         KernelMetrics::default()
-    }
-
-    fn add(&self, acc: &AtomicFloats, i: usize, delta: f32) {
-        acc.store(i, acc.load(i) + delta);
     }
 }
 

@@ -33,7 +33,7 @@ fn oom_pattern_matches_table_4() {
 
     // Tigr-V+ fits: the virtual node array is a bounded overhead.
     let overlay = VirtualGraph::coalesced(&g, 10);
-    let engine = Engine::parallel(tigr::GpuConfig::default()).with_device_memory(budget);
+    let engine = Engine::new(tigr::GpuConfig::default()).with_device_memory(budget);
     assert!(engine
         .check_footprint(&Representation::Virtual {
             graph: &g,

@@ -90,7 +90,7 @@ fn built_and_loaded_views_agree_on_every_backend() {
             BackendKind::CpuPool,
             BackendKind::Sequential,
         ] {
-            let engine = Engine::parallel(GpuConfig::default()).with_backend(backend);
+            let engine = Engine::new(GpuConfig::default()).with_backend(backend);
             let out = engine
                 .run_prepared(prepared, MonotoneProgram::SSSP, src)
                 .unwrap();
@@ -148,7 +148,7 @@ fn built_and_mapped_opens_agree_on_every_algorithm_and_backend() {
         let mut reference: Option<Vec<u32>> = None;
         for (label, prepared) in [("built", &built), ("eager", &eager), ("lazy", &lazy)] {
             for backend in backends {
-                let engine = Engine::parallel(GpuConfig::default()).with_backend(backend);
+                let engine = Engine::new(GpuConfig::default()).with_backend(backend);
                 let out = engine.run_prepared(prepared, prog, src).unwrap();
                 match &reference {
                     None => reference = Some(out.values.clone()),

@@ -24,7 +24,7 @@ fn plan(direction: Direction) -> ExecutionPlan {
     }
 }
 
-/// A `direction` run on a host-parallel simulator.
+/// A `direction` run on the simulator.
 fn run(
     rep: &Representation<'_>,
     pull: Option<PullSide<'_>>,
@@ -32,7 +32,7 @@ fn run(
     source: Option<NodeId>,
     direction: Direction,
 ) -> MonotoneOutput {
-    let sim = GpuSimulator::new_parallel(GpuConfig::default());
+    let sim = GpuSimulator::new(GpuConfig::default());
     run_monotone(&sim, rep, pull, prog, source, &plan(direction)).unwrap()
 }
 

@@ -78,10 +78,8 @@ fn lanes() -> impl Strategy<Value = Vec<Vec<TraceOp>>> {
     })
 }
 
-fn launch(config: GpuConfig, traces: &[Vec<TraceOp>], host_threads: usize) -> KernelMetrics {
-    GpuSimulator::new(config)
-        .with_host_threads(host_threads)
-        .launch(traces.len(), |tid, lane| play(&traces[tid], lane))
+fn launch(config: GpuConfig, traces: &[Vec<TraceOp>]) -> KernelMetrics {
+    GpuSimulator::new(config).launch(traces.len(), |tid, lane| play(&traces[tid], lane))
 }
 
 proptest! {
@@ -95,10 +93,9 @@ proptest! {
         traces in lanes(),
     ) {
         let config = config(WARP_SIZES[warp], LINE_BYTES[line], mimd, sms, cost);
-        let replayed = launch(config, &traces, 1);
+        let replayed = launch(config, &traces);
         let reference = reference_launch(&config, traces.len(), |tid, lane| play(&traces[tid], lane));
         prop_assert_eq!(&replayed, &reference);
-        prop_assert_eq!(&launch(config, &traces, 4), &replayed);
     }
 }
 
@@ -128,11 +125,10 @@ fn replay_equals_the_reference_on_every_geometry() {
         for line in LINE_BYTES {
             for mimd in [false, true] {
                 let config = config(warp, line, mimd, 3, (1, 8, 4));
-                let replayed = launch(config, &traces, 1);
+                let replayed = launch(config, &traces);
                 let reference =
                     reference_launch(&config, traces.len(), |tid, lane| play(&traces[tid], lane));
                 assert_eq!(replayed, reference, "warp {warp}, line {line}, mimd {mimd}");
-                assert_eq!(launch(config, &traces, 4), replayed);
             }
         }
     }
